@@ -112,7 +112,7 @@ def _load_model_data(model_name, data_path, interest, intercept):
         _fail(f"unknown model {model_name!r}; choose from {list(MODEL_NAMES)} "
               "or expfam:<spec-file>", 2)
     try:
-        data = model.validate_data(data)
+        data = model.checked(data)
     except DomainError as exc:
         _fail(str(exc), 2)
     return model, data
@@ -191,6 +191,7 @@ def cmd_fit(model_name, rule_name, gamma, data_path, interest, intercept, out):
         "interest": {"name": model.interest_name, "value": fr.psi_tilde},
         "converged": fr.converged,
         "n_iter": fr.n_iter,
+        "stop_reason": fr.stop_reason,
         "grad_norm": fr.grad_norm,
     }
     _emit(doc, out)
@@ -314,7 +315,7 @@ def cmd_calibrate(model_name, target, data_path, theta_spec, measure, interest,
             else:
                 _fail("calibrate without --data supports the built-in models only", 2)
         gamma = calibrate_gamma(model, theta_ref, target, data, measure=measure)
-        eff = efficiency_ratio(model, gamma, model.validate_data(data), theta_ref,
+        eff = efficiency_ratio(model, gamma, model.checked(data), theta_ref,
                                measure=measure)
     except (DomainError, NumericsError) as exc:
         _fail(str(exc), 1)

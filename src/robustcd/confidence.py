@@ -19,7 +19,7 @@ import json
 import warnings
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, isotonic_regression
 from scipy.special import ndtr, ndtri
 
 from .errors import DomainError, NumericsError
@@ -60,7 +60,7 @@ def constrained_fit(rule, data, psi, lam0=None, max_iter=200):
     Returns (theta, score, lam, converged).
     """
     model = rule.model
-    data = model.validate_data(data)
+    data = model.checked(data)
     lam_positive = model.lam_positive_mask(data)
     if lam0 is None:
         lam0 = model.profile_extract(model.default_start(data))
@@ -80,7 +80,7 @@ def constrained_fit(rule, data, psi, lam0=None, max_iter=200):
         return val, _chain(g_lam, lam, lam_positive)
 
     z0 = _to_z(lam0, lam_positive)
-    z, val, _ = minimize_smooth(fun_grad, z0, max_iter=max_iter)
+    z, val, _, _ = minimize_smooth(fun_grad, z0, max_iter=max_iter)
     lam = _from_z(z, lam_positive)
     theta = model.profile_embed(psi, lam)
     g_lam = model.profile_embed_jac(psi, lam).T @ score_gradient(rule, data, theta)
@@ -108,11 +108,11 @@ class ProfileTrace:
     failed: np.ndarray           # bool flags for interpolated grid points
 
 
-def profile(rule, data, psi_grid, fit_result=None, nu_frozen=False):
+def profile(rule, data, psi_grid, fit_result=None):
     """Sweep the interest grid, warm-starting each constrained fit from its
     neighbor; failed points are interpolated from neighbors and flagged."""
     model = rule.model
-    data = model.validate_data(data)
+    data = model.checked(data)
     psi_grid = np.asarray(psi_grid, dtype=float)
     if psi_grid.ndim != 1 or psi_grid.size < 2 or np.any(np.diff(psi_grid) <= 0):
         raise DomainError("psi_grid must be a sorted 1-D grid")
@@ -126,7 +126,6 @@ def profile(rule, data, psi_grid, fit_result=None, nu_frozen=False):
     score = np.empty(n)
     nu = np.empty(n)
     failed = np.zeros(n, dtype=bool)
-    nu_fixed = _nu_at(rule, data, fit_result.theta_hat) if nu_frozen else None
 
     i0 = int(np.argmin(np.abs(psi_grid - psi_tilde)))
     order = list(range(i0, -1, -1)) + list(range(i0 + 1, n))
@@ -143,7 +142,7 @@ def profile(rule, data, psi_grid, fit_result=None, nu_frozen=False):
                 raise NumericsError("constrained fit did not converge")
             lam_hat[i] = lam_i
             score[i] = s_i
-            nu[i] = nu_fixed if nu_frozen else _nu_at(rule, data, theta_i)
+            nu[i] = _nu_at(rule, data, theta_i)
         except (DomainError, NumericsError):
             failed[i] = True
             lam_hat[i] = warm if idx_pos else lam_tilde
@@ -313,23 +312,6 @@ class ConfidenceInterval:
         return iter((self.lo, self.hi))
 
 
-def _pav_nonincreasing(y):
-    """Pool-adjacent-violators projection onto nonincreasing sequences."""
-    y = np.asarray(y, dtype=float)
-    vals = []
-    counts = []
-    for v in -y:  # project -y onto nondecreasing
-        vals.append(v)
-        counts.append(1)
-        while len(vals) > 1 and vals[-2] > vals[-1]:
-            total = counts[-1] + counts[-2]
-            merged = (vals[-1] * counts[-1] + vals[-2] * counts[-2]) / total
-            vals[-2:] = [merged]
-            counts[-2:] = [total]
-    out = np.concatenate([np.full(c, v) for v, c in zip(vals, counts)])
-    return -out
-
-
 def default_grid(psi_tilde, se_natural, interest_range, n_points=201, span=6.0):
     """Symmetric grid around the estimate, clipped to the admissible range,
     always containing the estimate as a grid point."""
@@ -349,7 +331,7 @@ def default_grid(psi_tilde, se_natural, interest_range, n_points=201, span=6.0):
 
 
 def build_cd(rule, data, kind, psi_grid=None, fit_result=None, n_grid=201,
-             span=6.0, nu_frozen=False):
+             span=6.0):
     """Construct a confidence distribution of the requested kind.
 
     C is Phi(-pivot) with the pivot decreasing in psi; any monotonicity
@@ -360,7 +342,7 @@ def build_cd(rule, data, kind, psi_grid=None, fit_result=None, n_grid=201,
     if kind not in ("wald", "root"):
         raise DomainError("kind must be 'wald' or 'root'")
     model = rule.model
-    data = model.validate_data(data)
+    data = model.checked(data)
     if fit_result is None:
         fit_result = fit_rule(rule, data)
     theta = fit_result.theta_hat
@@ -381,7 +363,7 @@ def build_cd(rule, data, kind, psi_grid=None, fit_result=None, n_grid=201,
     if kind == "wald":
         raw = np.asarray(pivot_wald(fit_result, psi_grid), dtype=float)
     else:
-        trace = profile(rule, data, psi_grid, fit_result=fit_result, nu_frozen=nu_frozen)
+        trace = profile(rule, data, psi_grid, fit_result=fit_result)
         W = 2.0 * (trace.score_profile - fit_result.score_at_opt)
         tol = 1e-8 * (1.0 + abs(fit_result.score_at_opt))
         if np.min(W) < -tol:
@@ -395,7 +377,7 @@ def build_cd(rule, data, kind, psi_grid=None, fit_result=None, n_grid=201,
     clipped = raw.copy()
     clipped[:i0] = np.maximum(clipped[:i0], 0.0)
     clipped[i0 + 1:] = np.minimum(clipped[i0 + 1:], 0.0)
-    pivot = _pav_nonincreasing(clipped)
+    pivot = isotonic_regression(clipped, increasing=False).x
     delta_c = np.abs(ndtr(-pivot) - ndtr(-raw))
     n_repaired = int(np.sum(delta_c > 1e-12))
     if n_repaired > 0.10 * psi_grid.size:

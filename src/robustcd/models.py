@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_CHECKED_MEMO = 8  # checked data objects each model remembers
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +189,24 @@ class ModelSpec(abc.ABC):
     @abc.abstractmethod
     def validate_data(self, data):
         """Return data in canonical form; raise DomainError if unusable."""
+
+    def checked(self, data):
+        """``data`` in canonical form, validated unless this model returned
+        that very object from an earlier check.
+
+        The most recently used checked objects, at most _CHECKED_MEMO, are
+        held by identity, so a solve that evaluates the score many times
+        scans its data once. Checked data are taken to be immutable.
+        """
+        memo = self.__dict__.setdefault("_checked", {})
+        if memo.get(id(data)) is data:
+            memo[id(data)] = memo.pop(id(data), data)  # most recently used last
+            return data
+        data = self.validate_data(data)
+        if len(memo) >= _CHECKED_MEMO:
+            del memo[next(iter(memo))]
+        memo[id(data)] = data
+        return data
 
     @abc.abstractmethod
     def nobs(self, data) -> int:

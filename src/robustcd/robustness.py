@@ -235,7 +235,7 @@ def taif(rule, data, pivot_kind, psi, y_grid=None, component=0, fit_result=None)
     if pivot_kind not in ("wald", "root"):
         raise DomainError("pivot_kind must be 'wald' or 'root'")
     model = rule.model
-    data = model.validate_data(data)
+    data = model.checked(data)
     if fit_result is None:
         fit_result = fit_rule(rule, data)
     theta = fit_result.theta_hat
@@ -295,7 +295,7 @@ def _mixture_fit(rule, data, y, eps, component, theta0):
     """Minimize (1 - eps) * S_data(theta) + n * eps * S(y; theta)."""
     model = rule.model
     n = model.nobs(data)
-    frame = model.contamination_frame([y], data, component=component)
+    frame = model.checked(model.contamination_frame([y], data, component=component))
     positive = model.positive_mask(data)
 
     def fun_grad(z):
@@ -311,7 +311,7 @@ def _mixture_fit(rule, data, y, eps, component, theta0):
             return np.inf, np.zeros_like(z)
         return val, _chain(g, theta, positive)
 
-    z, val, _ = minimize_smooth(fun_grad, _to_z(theta0, positive), max_iter=300)
+    z, val, _, _ = minimize_smooth(fun_grad, _to_z(theta0, positive), max_iter=300)
     theta = _from_z(z, positive)
     if not np.isfinite(val):
         raise NumericsError("mixture refit failed")
@@ -322,7 +322,7 @@ def _mixture_root_pivot(rule, data, y, eps, component, psi, theta0):
     """Adjusted root pivot recomputed under the eps-contaminated objective."""
     model = rule.model
     n = model.nobs(data)
-    frame = model.contamination_frame([y], data, component=component)
+    frame = model.checked(model.contamination_frame([y], data, component=component))
     theta_free, _ = _mixture_fit(rule, data, y, eps, component, theta0)
     s_free = ((1.0 - eps) * total_score(rule, data, theta_free)
               + n * eps * total_score(rule, frame, theta_free))
@@ -344,7 +344,7 @@ def _mixture_root_pivot(rule, data, y, eps, component, psi, theta0):
         g_lam = model.profile_embed_jac(psi, lam).T @ g
         return val, _chain(g_lam, lam, lam_positive)
 
-    z, s_con, _ = minimize_smooth(fun_grad, _to_z(lam0, lam_positive), max_iter=300)
+    z, s_con, _, _ = minimize_smooth(fun_grad, _to_z(lam0, lam_positive), max_iter=300)
     lam = _from_z(z, lam_positive)
     theta_c = model.profile_embed(psi, lam)
     W = max(2.0 * (s_con - s_free), 0.0)
@@ -362,7 +362,7 @@ def taif_contamination_oracle(rule, data, pivot_kind, psi, ys, eps=1e-4,
     returned as NaN.
     """
     model = rule.model
-    data = model.validate_data(data)
+    data = model.checked(data)
     if fit_result is None:
         fit_result = fit_rule(rule, data)
     theta0 = fit_result.theta_hat
@@ -402,7 +402,7 @@ def _expected_kj_any(model, rule_kind, gamma, data, theta, mc_seed=0, mc_size=20
     # large-sample empirical expectation for models without analytic forms
     rng = np.random.default_rng(mc_seed)
     n = model.nobs(data)
-    big = model.sample(theta, _scaled_sizes(model, data, mc_size), rng)
+    big = model.checked(model.sample(theta, _scaled_sizes(data, mc_size), rng))
     rule = ScoreRule.log(model) if rule_kind == "log" else ScoreRule.tsallis(model, gamma)
     from .scoring import empirical_J, empirical_K
     scale = n / model.nobs(big)
@@ -410,13 +410,7 @@ def _expected_kj_any(model, rule_kind, gamma, data, theta, mc_seed=0, mc_size=20
             empirical_J(rule, big, theta) * scale)
 
 
-def _scaled_sizes(model, data, target):
-    sizes = getattr(model, "sample_sizes", None)
-    if sizes is not None:
-        try:
-            return sizes(data)
-        except TypeError:
-            pass
+def _scaled_sizes(data, target):
     try:
         x, y = data
         total = len(x) + len(y)
@@ -461,7 +455,7 @@ def calibrate_gamma(model, theta_ref, target_efficiency, data_template,
     if not 0.0 < target_efficiency <= 1.0:
         raise DomainError("target efficiency must be in (0, 1]")
     theta_ref = np.asarray(theta_ref, dtype=float)
-    data = model.validate_data(data_template)
+    data = model.checked(data_template)
 
     def are(gamma):
         return efficiency_ratio(model, gamma, data, theta_ref, measure=measure)

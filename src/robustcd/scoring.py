@@ -36,6 +36,12 @@ __all__ = [
 
 MAX_CONDITION = 1e12
 GRAD_TOL = 1e-8
+# Newton polish of minimize_smooth. It stops once a step is shorter than
+# STEP_FLOOR (1 + ||z||), where trial points differ from z by round-off. Where
+# f is flat to within F_NOISE (1 + |f|), f cannot rank trial points, so a step
+# that lowers ||g|| is accepted instead.
+STEP_FLOOR = 1e-10
+F_NOISE = 1e-13
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,7 +104,7 @@ def _power_integrals(rule, data, theta):
 def score_terms(rule, data, theta):
     """Per-observation score contributions S(y_i; theta), canonical order."""
     model = rule.model
-    data = model.validate_data(data)
+    data = model.checked(data)
     theta = np.asarray(theta, dtype=float)
     model.require_domain(theta)
     logf = model.logpdf_obs(data, theta)
@@ -124,7 +130,7 @@ def total_score(rule, data, theta, weights=None):
 def per_obs_gradient(rule, data, theta):
     """(n, d) matrix of per-observation estimating-function contributions."""
     model = rule.model
-    data = model.validate_data(data)
+    data = model.checked(data)
     theta = np.asarray(theta, dtype=float)
     model.require_domain(theta)
     dlogf = model.dlogpdf_obs(data, theta)
@@ -212,7 +218,7 @@ def estimate_KJ(rule, data, theta, k_mode="auto", j_mode="auto", cross_check=Fal
     analytic and empirical K is reported as a warning.
     """
     model = rule.model
-    data = model.validate_data(data)
+    data = model.checked(data)
     theta = np.asarray(theta, dtype=float)
     expected = model.expected_kj(rule.kind, rule.gamma, data, theta)
     if expected is None and ("analytic" in (k_mode, j_mode)):
@@ -331,6 +337,7 @@ class Fit:
     grad_norm: float
     rule: ScoreRule = dataclasses.field(repr=False, default=None)
     data: object = dataclasses.field(repr=False, default=None)
+    stop_reason: str = ""        # why minimize_smooth stopped on the kept start
 
     @property
     def psi_tilde(self):
@@ -367,7 +374,19 @@ def _chain(grad_theta, theta, positive):
 def minimize_smooth(fun_grad, z0, max_iter=500, gtol=1e-10):
     """Quasi-Newton minimization with a Newton polish pass.
 
-    ``fun_grad(z) -> (value, gradient)``. Returns (z, value, n_iter).
+    ``fun_grad(z) -> (value, gradient)``. A polish step is accepted on the
+    Armijo test, or where f is flat to round-off (F_NOISE) when it lowers
+    ||g||. Returns (z, value, n_iter, reason), where reason names why the
+    polish stopped:
+
+    * "gradient": ||g|| <= 10 gtol;
+    * "step": the Newton step, or a backtracked trial step, is shorter than
+      STEP_FLOOR (1 + ||z||);
+    * "no_decrease": 40 backtracks found no acceptable point;
+    * "singular": the Newton system could not be solved;
+    * "not_finite": the objective is not finite where the quasi-Newton
+      stage ended;
+    * "max_iter": the iteration cap or the 25 polish rounds ran out.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -376,9 +395,16 @@ def minimize_smooth(fun_grad, z0, max_iter=500, gtol=1e-10):
     z, n_iter = res.x, int(res.nit)
     f, g = fun_grad(z)
     d = z.size
+    reason = "max_iter"
     # Newton polish with a finite-difference Hessian of the gradient
     for _ in range(25):
-        if np.linalg.norm(g) <= gtol * 10 or n_iter >= max_iter:
+        if not np.isfinite(f):
+            reason = "not_finite"
+            break
+        if np.linalg.norm(g) <= gtol * 10:
+            reason = "gradient"
+            break
+        if n_iter >= max_iter:
             break
         H = np.empty((d, d))
         for j in range(d):
@@ -393,20 +419,29 @@ def minimize_smooth(fun_grad, z0, max_iter=500, gtol=1e-10):
                 H = H + (abs(w[0]) + 1e-8 * max(1.0, abs(w[-1]))) * np.eye(d)
             step = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
+            reason = "singular"
             break
+        floor = STEP_FLOOR * (1.0 + np.linalg.norm(z))
+        step_norm, g_norm = np.linalg.norm(step), np.linalg.norm(g)
         t = 1.0
-        improved = False
+        stop = "no_decrease"
         for _ in range(40):
+            if t * step_norm <= floor:
+                stop = "step"
+                break
             f_new, g_new = fun_grad(z + t * step)
-            if np.isfinite(f_new) and f_new <= f + 1e-4 * t * float(g @ step):
+            flat = (f_new <= f + F_NOISE * (1.0 + abs(f))
+                    and np.linalg.norm(g_new) < g_norm)
+            if np.isfinite(f_new) and (f_new <= f + 1e-4 * t * float(g @ step) or flat):
                 z, f, g = z + t * step, f_new, g_new
-                improved = True
+                stop = None
                 break
             t *= 0.5
         n_iter += 1
-        if not improved:
+        if stop is not None:
+            reason = stop
             break
-    return z, f, n_iter
+    return z, f, n_iter, reason
 
 
 def fit(rule, data, theta0=None, max_iter=500, n_starts=3,
@@ -419,7 +454,7 @@ def fit(rule, data, theta0=None, max_iter=500, n_starts=3,
     start fails, up to ``n_starts - 1`` jittered restarts are tried.
     """
     model = rule.model
-    data = model.validate_data(data)
+    data = model.checked(data)
     positive = model.positive_mask(data)
     if theta0 is None:
         theta0 = model.mle_start(data) if rule.kind == "log" else None
@@ -448,18 +483,18 @@ def fit(rule, data, theta0=None, max_iter=500, n_starts=3,
     z0 = _to_z(theta0, positive)
     for attempt in range(max(1, n_starts)):
         z_start = z0 if attempt == 0 else z0 + rng.normal(0.0, 0.2 * (1.0 + np.abs(z0)))
-        z, val, n_iter = minimize_smooth(fun_grad, z_start, max_iter=max_iter)
+        z, val, n_iter, reason = minimize_smooth(fun_grad, z_start, max_iter=max_iter)
         theta = _from_z(z, positive)
         gnorm = float(np.linalg.norm(score_gradient(rule, data, theta)))
         converged = gnorm <= GRAD_TOL * (1.0 + float(np.linalg.norm(theta)))
-        cand = (converged, -val, theta, val, n_iter, gnorm)
+        cand = (converged, -val, theta, val, n_iter, gnorm, reason)
         if best is None or cand[:2] > best[:2]:
             best = cand
         if converged:
             break
-    converged, _, theta, val, n_iter, gnorm = best
+    converged, _, theta, val, n_iter, gnorm, reason = best
     K, J = estimate_KJ(rule, data, theta, k_mode=k_mode, j_mode=j_mode)
     V, G = sandwich(K, J)
     return Fit(theta_hat=theta, score_at_opt=float(val), K=K, J=J, V=V, G=G,
                converged=bool(converged), n_iter=n_iter, grad_norm=gnorm,
-               rule=rule, data=data)
+               rule=rule, data=data, stop_reason=reason)

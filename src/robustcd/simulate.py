@@ -141,18 +141,33 @@ def contaminate(model, data, spec: Contamination):
 # ---------------------------------------------------------------------------
 
 def _point_pivot(rule, fit_result, psi, kind):
+    """(pivot at psi, the free fit it is measured from).
+
+    A constrained fit scoring below the free optimum means the free fit
+    stopped at a local minimum; the free fit is then refitted from the
+    constrained estimate, and the lower of the two scores is kept before
+    the replicate is given up.
+    """
     if kind == "wald":
-        return float(pivot_wald(fit_result, psi))
+        return float(pivot_wald(fit_result, psi)), fit_result
     lam0 = rule.model.profile_extract(fit_result.theta_hat)
     theta_c, s_con, _, conv = constrained_fit(rule, fit_result.data, psi, lam0=lam0)
     if not conv:
         raise NumericsError("constrained fit failed")
-    W = 2.0 * (s_con - fit_result.score_at_opt)
-    if W < -1e-8 * (1.0 + abs(fit_result.score_at_opt)):
-        raise NumericsError("profile score below optimum")
+
+    def below_optimum(fr):
+        return 2.0 * (s_con - fr.score_at_opt) < -1e-8 * (1.0 + abs(fr.score_at_opt))
+
+    if below_optimum(fit_result):
+        refit = fit_rule(rule, fit_result.data, theta0=theta_c)
+        if refit.converged and refit.score_at_opt < fit_result.score_at_opt:
+            fit_result = refit
+        if below_optimum(fit_result):
+            raise NumericsError("profile score below optimum")
+    W = max(2.0 * (s_con - fit_result.score_at_opt), 0.0)
     nu = _nu_at(rule, fit_result.data, theta_c)
     psi_tilde = rule.model.interest(fit_result.theta_hat)
-    return float(np.sign(psi_tilde - psi) * np.sqrt(max(W, 0.0) / nu))
+    return float(np.sign(psi_tilde - psi) * np.sqrt(W / nu)), fit_result
 
 
 @dataclasses.dataclass
@@ -266,18 +281,23 @@ def run_study(design: SimDesign, max_failure_rate=0.05):
         data = model.sample(theta_true, design.sizes, rng, design=X)
         if design.contamination is not None:
             data = contaminate(model, data, design.contamination)
+        data = model.checked(data)
         for label, (rule, meth) in rules.items():
             res = results[label]
             try:
                 fr = fit_rule(rule, data)
                 if not fr.converged:
                     raise NumericsError("fit did not converge")
-                piv_true = _point_pivot(rule, fr, psi_true, meth.pivot)
+                piv_true, fr = _point_pivot(rule, fr, psi_true, meth.pivot)
                 if design.h0 is not None:
                     if design.h0.psi0 == psi_true:
                         piv0 = piv_true
                     else:
-                        piv0 = _point_pivot(rule, fr, design.h0.psi0, meth.pivot)
+                        piv0, fr0 = _point_pivot(rule, fr, design.h0.psi0, meth.pivot)
+                        if fr0 is not fr:
+                            # the null-value pivot found a lower free optimum
+                            fr = fr0
+                            piv_true, fr = _point_pivot(rule, fr, psi_true, meth.pivot)
             except (DomainError, NumericsError):
                 res.n_failed += 1
                 continue

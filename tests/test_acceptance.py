@@ -112,6 +112,7 @@ def _method_label(report_, prefix):
     return next(k for k in report_.results if k.startswith(prefix))
 
 
+@pytest.mark.slow
 def test_criterion_2a_clean_coverage(two_sample_studies):
     clean, _, elapsed = two_sample_studies
     lab = _method_label(clean, "tsallis")
@@ -121,6 +122,7 @@ def test_criterion_2a_clean_coverage(two_sample_studies):
                   f"coverage={cov:.4f} in 0.95+-{COVERAGE_BAND_95}, study time {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_2c_clean_pvalue_uniformity(two_sample_studies):
     # the clean-data robust root CD's p-values for H0: psi=2 vs psi<2 are
     # uniform: KS below the 1% critical value
@@ -132,6 +134,7 @@ def test_criterion_2c_clean_pvalue_uniformity(two_sample_studies):
     assert report("2c clean p-value uniformity", ok, f"KS={ks:.4f} < {crit:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_2b_contaminated_coverage_ordering(two_sample_studies):
     # Under the -7 shift the robust root CD's 95% intervals are the more
     # accurate ones: nearer nominal, and moved less from their clean coverage.
@@ -169,6 +172,7 @@ def test_criterion_2b_contaminated_coverage_ordering(two_sample_studies):
 # 3. AUC study
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_3_auc_study():
     t0 = time.time()
     lam2 = 2.0 / 3.0
@@ -202,6 +206,7 @@ def test_criterion_3_auc_study():
 # 4. gamma calibration
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_4_gamma_calibration():
     t0 = time.time()
     n = 500

@@ -43,6 +43,7 @@ def test_fit_log_is_mle(runner, two_sample_csv):
     assert doc["theta"]["mu_x"] == pytest.approx(x.mean(), rel=1e-6)
     assert doc["theta"]["var_y"] == pytest.approx(y.var(), rel=1e-5)
     assert doc["converged"] is True
+    assert doc["stop_reason"] in ("gradient", "step")
     assert doc["interest"]["value"] == pytest.approx(x.mean() - y.mean(), rel=1e-6)
 
 

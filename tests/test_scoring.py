@@ -18,6 +18,7 @@ from robustcd.scoring import (
     estimate_KJ,
     fit,
     interest_information,
+    minimize_smooth,
     partitioned_info,
     per_obs_gradient,
     sandwich,
@@ -137,6 +138,42 @@ def test_fit_permutation_invariance(two_sample_data):
     rng = np.random.default_rng(0)
     f2 = fit(rule, (rng.permutation(x), rng.permutation(y)), theta0=theta0)
     assert np.allclose(f1.theta_hat, f2.theta_hat, atol=1e-9)
+
+
+def test_minimize_smooth_names_its_stop():
+    def quadratic(z):
+        return float(z @ z), 2.0 * z
+
+    z, f, _, reason = minimize_smooth(quadratic, np.array([1.0, -2.0]))
+    assert reason == "gradient"
+    assert f == pytest.approx(0.0, abs=1e-18)
+
+    def nowhere_finite(z):
+        return np.inf, np.zeros_like(z)
+
+    *_, reason = minimize_smooth(nowhere_finite, np.array([1.0]))
+    assert reason == "not_finite"
+
+
+def test_fit_validates_data_once(two_sample_data, monkeypatch):
+    calls = []
+    original = TwoSampleNormal.validate_data
+
+    def counted(self, data):
+        calls.append(1)
+        return original(self, data)
+
+    monkeypatch.setattr(TwoSampleNormal, "validate_data", counted)
+    m = TwoSampleNormal()
+    fr = fit(ScoreRule.tsallis(m, 1.23), two_sample_data)
+    assert fr.converged and fr.stop_reason
+    assert len(calls) == 1
+    # the kernels still check data they have not seen
+    bad = (np.array([1.0, np.nan]), np.array([0.0, 1.0]))
+    theta = np.array([0.0, 0.0, 1.0, 1.0])
+    for kernel in (score_terms, per_obs_gradient):
+        with pytest.raises(DomainError):
+            kernel(ScoreRule.log(m), bad, theta)
 
 
 def test_fit_rejects_bad_start(two_sample_data):

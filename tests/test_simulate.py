@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from robustcd.errors import DomainError, NumericsError
 from robustcd.models import ExponentialAUC, TwoSampleNormal, get_model
+from robustcd.scoring import ScoreRule, fit
 from robustcd.simulate import (
     Contamination,
     H0Spec,
@@ -14,6 +15,7 @@ from robustcd.simulate import (
     default_regression_design,
     pvalue_uniformity,
     run_study,
+    _point_pivot,
 )
 
 
@@ -246,3 +248,22 @@ def test_failure_rate_guard(monkeypatch):
                        levels=(0.9,))
     with pytest.raises(NumericsError, match="failed"):
         run_study(design)
+
+
+@pytest.mark.parametrize("rep, shift, score, pivot", [
+    (622, 0.0, -22.13438, 1.12281),
+    (1671, -7.0, -20.07127, -2.20172),
+])
+def test_point_pivot_refits_a_spurious_free_optimum(rep, shift, score, pivot):
+    # Replicates of the criterion-2 studies whose free Tsallis fit stops at a
+    # small-variance local minimum that the constrained fit at psi = 2 undercuts.
+    m = TwoSampleNormal()
+    rule = ScoreRule.tsallis(m, 1.23236)
+    data = m.sample((2.0, 0.0, 1.0, 1.0), (10, 20), np.random.default_rng([20250801, rep]))
+    data = contaminate(m, data, Contamination(0, -1, shift))
+    fr = fit(rule, data)
+    assert fr.converged and fr.score_at_opt > score + 0.1
+    piv, kept = _point_pivot(rule, fr, 2.0, "root")
+    assert kept.converged
+    assert kept.score_at_opt == pytest.approx(score, abs=1e-4)
+    assert piv == pytest.approx(pivot, abs=1e-4)
