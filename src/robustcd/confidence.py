@@ -24,15 +24,13 @@ from scipy.special import ndtr, ndtri
 
 from .errors import DomainError, NumericsError
 from .scoring import (
-    _chain,
+    _Objective,
     _from_z,
     _to_z,
     estimate_KJ,
     fit as fit_rule,
     interest_information,
     minimize_smooth,
-    score_gradient,
-    total_score,
 )
 
 __all__ = [
@@ -49,45 +47,56 @@ __all__ = [
     "evidence",
 ]
 
+# A constrained score below the free optimum by more than W_TOL (1 + |S|)
+# means the free fit is not the optimum; a smaller dip is round-off.
+W_TOL = 1e-8
+
 
 # ---------------------------------------------------------------------------
 # Constrained estimation
 # ---------------------------------------------------------------------------
 
-def constrained_fit(rule, data, psi, lam0=None, max_iter=200):
+def constrained_fit(rule, data, psi, lam0=None):
     """Minimize the total score over the nuisance with the interest fixed.
 
     Returns (theta, score, lam, converged).
     """
     model = rule.model
     data = model.checked(data)
-    lam_positive = model.lam_positive_mask(data)
     if lam0 is None:
         lam0 = model.profile_extract(model.default_start(data))
-    lam0 = np.asarray(lam0, dtype=float)
+    return _constrained_solve(_Objective(rule, data, psi), lam0)
 
-    def fun_grad(z):
-        lam = _from_z(z, lam_positive)
-        try:
-            theta = model.profile_embed(psi, lam)
-            if not model.in_domain(theta):
-                return np.inf, np.zeros_like(z)
-            val = total_score(rule, data, theta)
-            g_theta = score_gradient(rule, data, theta)
-        except (DomainError, NumericsError, FloatingPointError):
-            return np.inf, np.zeros_like(z)
-        g_lam = model.profile_embed_jac(psi, lam).T @ g_theta
-        return val, _chain(g_lam, lam, lam_positive)
 
-    z0 = _to_z(lam0, lam_positive)
-    z, val, _, _ = minimize_smooth(fun_grad, z0, max_iter=max_iter)
-    lam = _from_z(z, lam_positive)
-    theta = model.profile_embed(psi, lam)
-    g_lam = model.profile_embed_jac(psi, lam).T @ score_gradient(rule, data, theta)
+def _constrained_solve(objective, lam0):
+    """(theta, score, lam, converged) of a constrained objective from lam0;
+    converged means ||d score / d lam|| <= 1e-6 (1 + ||theta||)."""
+    z, val, _, _ = minimize_smooth(objective, _to_z(lam0, objective.positive))
+    lam = _from_z(z, objective.positive)
+    theta = objective.theta(lam)
+    jac = objective.rule.model.profile_embed_jac(objective.psi, lam)
+    g_lam = jac.T @ objective.gradient(theta)
     converged = bool(
         np.isfinite(val)
         and np.linalg.norm(g_lam) <= 1e-6 * (1.0 + float(np.linalg.norm(theta))))
     return theta, float(val), lam, converged
+
+
+def _constrained_at(rule, data, psi, lam0, mixture=None):
+    """(theta_psi, S(theta_psi), lam_psi) of the constrained solve at psi
+    from lam0, on the eps-mixture objective when ``mixture=(eps, frame)``.
+
+    Every root pivot takes its constrained solve from here, and a solve
+    that did not converge raises NumericsError.
+    """
+    if mixture is None:
+        theta, score, lam, converged = constrained_fit(rule, data, psi, lam0=lam0)
+    else:
+        theta, score, lam, converged = _constrained_solve(
+            _Objective(rule, data, psi, mixture), lam0)
+    if not converged:
+        raise NumericsError("constrained fit did not converge", detail={"psi": float(psi)})
+    return theta, score, lam
 
 
 def _nu_at(rule, data, theta):
@@ -137,11 +146,7 @@ def profile(rule, data, psi_grid, fit_result=None):
         else:
             warm = lam_hat[i - 1]
         try:
-            theta_i, s_i, lam_i, conv = constrained_fit(rule, data, psi_grid[i], lam0=warm)
-            if not conv:
-                raise NumericsError("constrained fit did not converge")
-            lam_hat[i] = lam_i
-            score[i] = s_i
+            theta_i, score[i], lam_hat[i] = _constrained_at(rule, data, psi_grid[i], warm)
             nu[i] = _nu_at(rule, data, theta_i)
         except (DomainError, NumericsError):
             failed[i] = True
@@ -168,12 +173,11 @@ def profile(rule, data, psi_grid, fit_result=None):
 # Pivots
 # ---------------------------------------------------------------------------
 
-def _wald_location_scale(fit_result):
-    """(psi_tilde, se) on the pivot scale (identity or logit)."""
-    model = fit_result.rule.model
-    theta = fit_result.theta_hat
+def _wald_location_scale(model, theta, K, J):
+    """(psi_tilde, se) of the estimate theta on the pivot scale (identity or
+    logit), with se from the sensitivity K and variability J at theta."""
     psi_tilde = float(model.interest(theta))
-    _, g_pp = interest_information(fit_result.K, fit_result.J, model.interest_grad(theta))
+    _, g_pp = interest_information(K, J, model.interest_grad(theta))
     se = float(np.sqrt(g_pp))
     if model.wald_scale == "logit":
         eta = float(np.log(psi_tilde / (1.0 - psi_tilde)))
@@ -197,34 +201,42 @@ def pivot_wald(fit_result, psi):
     """
     if not fit_result.converged:
         raise NumericsError("Wald pivot requires a converged fit")
-    loc, se = _wald_location_scale(fit_result)
-    x = _to_pivot_scale(psi, fit_result.rule.model.wald_scale)
-    return (loc - x) / se
+    model = fit_result.rule.model
+    loc, se = _wald_location_scale(model, fit_result.theta_hat, fit_result.K, fit_result.J)
+    return (loc - _to_pivot_scale(psi, model.wald_scale)) / se
 
 
-def pivot_root(trace, fit_result, psi, w_tol_scale=1e-8):
+def _signed_root(psi_tilde, s_opt, psi, s_con, nu):
+    """Adjusted score-ratio root sign(psi_tilde - psi) sqrt(W / nu), with
+    W = 2 (S(theta_psi) - S(theta_hat)); elementwise over arrays.
+
+    W below -W_TOL (1 + |S(theta_hat)|) raises NumericsError; a smaller
+    negative W is clamped to 0.
+    """
+    W = 2.0 * (s_con - s_opt)
+    if np.min(W) < -W_TOL * (1.0 + abs(s_opt)):
+        raise NumericsError("profile score below the optimum; the free fit is suspect",
+                            detail={"W_min": float(np.min(W))})
+    return np.sign(psi_tilde - psi) * np.sqrt(np.maximum(W, 0.0) / nu)
+
+
+def pivot_root(trace, fit_result, psi):
     """Adjusted profile score-ratio root at one interest value.
 
-    Re-solves the constrained problem at psi (warm-started from the trace),
-    forms W = 2 (S(theta_psi) - S(theta_hat)), rescales by nu, and returns
-    sign(psi_tilde - psi) sqrt(max(W / nu, 0)).
+    Re-solves the constrained problem at psi (warm-started from the trace)
+    and returns sign(psi_tilde - psi) sqrt(W / nu) with
+    W = 2 (S(theta_psi) - S(theta_hat)) and nu interpolated along the trace.
+    Raises NumericsError when the solve does not converge or W is below the
+    optimum.
     """
     psi = float(psi)
     grid = trace.psi_grid
     if not grid[0] <= psi <= grid[-1]:
         raise DomainError("psi outside the profile grid hull")
-    rule, data = fit_result.rule, fit_result.data
-    model = rule.model
     warm = trace.lam_hat[int(np.argmin(np.abs(grid - psi)))]
-    _, s_con, _, _ = constrained_fit(rule, data, psi, lam0=warm)
-    W = 2.0 * (s_con - fit_result.score_at_opt)
-    tol = w_tol_scale * (1.0 + abs(fit_result.score_at_opt))
-    if W < -tol:
-        raise NumericsError("profile score below the optimum; the free fit is suspect",
-                            detail={"W": W})
+    _, s_con, _ = _constrained_at(fit_result.rule, fit_result.data, psi, warm)
     nu = float(np.interp(psi, grid, trace.nu))
-    psi_tilde = model.interest(fit_result.theta_hat)
-    return float(np.sign(psi_tilde - psi) * np.sqrt(max(W / nu, 0.0)))
+    return float(_signed_root(fit_result.psi_tilde, fit_result.score_at_opt, psi, s_con, nu))
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +376,8 @@ def build_cd(rule, data, kind, psi_grid=None, fit_result=None, n_grid=201,
         raw = np.asarray(pivot_wald(fit_result, psi_grid), dtype=float)
     else:
         trace = profile(rule, data, psi_grid, fit_result=fit_result)
-        W = 2.0 * (trace.score_profile - fit_result.score_at_opt)
-        tol = 1e-8 * (1.0 + abs(fit_result.score_at_opt))
-        if np.min(W) < -tol:
-            raise NumericsError("profile score below the optimum; the free fit is suspect",
-                                detail={"W_min": float(np.min(W))})
-        W = np.maximum(W, 0.0)
-        raw = np.sign(psi_tilde - psi_grid) * np.sqrt(W / trace.nu)
+        raw = _signed_root(psi_tilde, fit_result.score_at_opt, psi_grid,
+                           trace.score_profile, trace.nu)
     raw[i0] = 0.0
 
     # orientation clip + isotonic repair, anchored at the estimate
@@ -387,7 +394,7 @@ def build_cd(rule, data, kind, psi_grid=None, fit_result=None, n_grid=201,
 
     cdf = ndtr(-pivot)
     cc = np.abs(1.0 - 2.0 * cdf)
-    _, se_pivot = _wald_location_scale(fit_result)
+    _, se_pivot = _wald_location_scale(model, theta, fit_result.K, fit_result.J)
     return ConfidenceObject(
         kind=kind, model_name=model.name, rule_kind=rule.kind, gamma=rule.gamma,
         psi_grid=psi_grid, pivot_values=pivot, cdf_values=cdf, cc_values=cc,

@@ -18,21 +18,27 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from .errors import DomainError, NumericsError
-from .confidence import constrained_fit, _nu_at
+from .confidence import (
+    _constrained_at,
+    _nu_at,
+    _signed_root,
+    _to_pivot_scale,
+    _wald_location_scale,
+)
 from .scoring import (
     ScoreRule,
-    _chain,
+    _Objective,
+    _fd_jacobian,
     _from_z,
+    _sym,
     _to_z,
     checked_inverse,
     estimate_KJ,
     fit as fit_rule,
-    interest_information,
     minimize_smooth,
     per_obs_gradient,
     score_gradient,
     score_terms,
-    total_score,
 )
 
 __all__ = [
@@ -103,37 +109,11 @@ class TAIFProfile:
                 fh.write(f"{y!r},{v!r}\n")
 
 
-def _pivot_scale_value(model, psi):
-    if model.wald_scale == "logit":
-        return float(np.log(psi / (1.0 - psi)))
-    return float(psi)
-
-
 def _wald_pivot_of_theta(rule, data, theta, psi):
     """The Wald pivot at fixed psi seen as a smooth function of the estimate."""
     model = rule.model
-    K, J = estimate_KJ(rule, data, theta)
-    _, g_pp = interest_information(K, J, model.interest_grad(theta))
-    se = float(np.sqrt(g_pp))
-    loc = float(model.interest(theta))
-    if model.wald_scale == "logit":
-        se = se / (loc * (1.0 - loc))
-        loc = float(np.log(loc / (1.0 - loc)))
-    return (loc - _pivot_scale_value(model, psi)) / se
-
-
-def _pivot_sensitivity(rule, data, theta, psi, rel_step=1e-5):
-    """d pivot / d theta_hat by central differences of the Wald form, which is
-    the first-order representation shared by both pivot kinds."""
-    d = len(theta)
-    row = np.empty(d)
-    for j in range(d):
-        h = rel_step * (1.0 + abs(theta[j]))
-        tp = theta.copy(); tp[j] += h
-        tm = theta.copy(); tm[j] -= h
-        row[j] = (_wald_pivot_of_theta(rule, data, tp, psi)
-                  - _wald_pivot_of_theta(rule, data, tm, psi)) / (2 * h)
-    return row
+    loc, se = _wald_location_scale(model, theta, *estimate_KJ(rule, data, theta))
+    return (loc - _to_pivot_scale(psi, model.wald_scale)) / se
 
 
 def _default_y_grid(model, data, theta, component, n_interior=401, reach=20.0):
@@ -155,32 +135,6 @@ def _default_y_grid(model, data, theta, component, n_interior=401, reach=20.0):
     return np.concatenate([left, interior, right]), left.size, right.size
 
 
-def _root_pivot_value(rule, data, fit_result, psi):
-    lam0 = rule.model.profile_extract(fit_result.theta_hat)
-    theta_c, s_con, _, _ = constrained_fit(rule, data, psi, lam0=lam0)
-    W = max(2.0 * (s_con - fit_result.score_at_opt), 0.0)
-    nu = _nu_at(rule, data, theta_c)
-    psi_tilde = rule.model.interest(fit_result.theta_hat)
-    return float(np.sign(psi_tilde - psi) * np.sqrt(W / nu))
-
-
-def _constrained_hessian(rule, data, psi, lam):
-    """Observed Hessian of the reduced (nuisance) estimating function."""
-    model = rule.model
-    m = len(lam)
-    H = np.empty((m, m))
-    for j in range(m):
-        h = 1e-6 * (1.0 + abs(lam[j]))
-        lp = lam.copy(); lp[j] += h
-        lm = lam.copy(); lm[j] -= h
-        gp = model.profile_embed_jac(psi, lp).T @ score_gradient(
-            rule, data, model.profile_embed(psi, lp))
-        gm = model.profile_embed_jac(psi, lm).T @ score_gradient(
-            rule, data, model.profile_embed(psi, lm))
-        H[:, j] = (gp - gm) / (2 * h)
-    return 0.5 * (H + H.T)
-
-
 def _root_taif_values(rule, data, fit_result, psi, ys, component):
     """Exact first-order tail-area derivative for the root pivot.
 
@@ -192,15 +146,13 @@ def _root_taif_values(rule, data, fit_result, psi, ys, component):
     model = rule.model
     theta = fit_result.theta_hat
     n = model.nobs(data)
-    lam0 = model.profile_extract(theta)
-    theta_c, s_con, lam_c, _ = constrained_fit(rule, data, psi, lam0=lam0)
+    theta_c, s_con, lam_c = _constrained_at(rule, data, psi, model.profile_extract(theta))
     nu = _nu_at(rule, data, theta_c)
-    W = max(2.0 * (s_con - fit_result.score_at_opt), 0.0)
-    psi_tilde = model.interest(theta)
-    r_val = float(np.sign(psi_tilde - psi) * np.sqrt(W / nu))
+    r_val = float(_signed_root(fit_result.psi_tilde, fit_result.score_at_opt, psi, s_con, nu))
     if abs(r_val) < 1e-4:
         # degenerate at the estimate; the caller falls back to the Wald form
         return r_val, None
+    W = 2.0 * (s_con - fit_result.score_at_opt)      # positive, as |r_val| >= 1e-4
 
     frame = model.contamination_frame(ys, data, component=component)
     sy_con = score_terms(rule, frame, theta_c)
@@ -208,17 +160,15 @@ def _root_taif_values(rule, data, fit_result, psi, ys, component):
     dW = 2.0 * ((n * sy_con - s_con) - (n * sy_free - fit_result.score_at_opt))
 
     # motion of nu through the constrained estimate
+    def nuisance_gradient(lam):
+        return model.profile_embed_jac(psi, lam).T @ score_gradient(
+            rule, data, model.profile_embed(psi, lam))
+
     jac = model.profile_embed_jac(psi, lam_c)
-    H = _constrained_hessian(rule, data, psi, lam_c)
+    H = _sym(_fd_jacobian(nuisance_gradient, lam_c))     # observed nuisance Hessian
     s_c = single_obs_gradient(rule, data, theta_c, np.atleast_1d(ys), component=component)
     dlam = -n * np.linalg.solve(H, jac.T @ s_c.T).T
-    d = len(theta_c)
-    grad_nu = np.empty(d)
-    for j in range(d):
-        h = 1e-6 * (1.0 + abs(theta_c[j]))
-        tp = theta_c.copy(); tp[j] += h
-        tm = theta_c.copy(); tm[j] -= h
-        grad_nu[j] = (_nu_at(rule, data, tp) - _nu_at(rule, data, tm)) / (2 * h)
+    grad_nu = _fd_jacobian(lambda t: _nu_at(rule, data, t), theta_c)
     dnu = (dlam @ jac.T) @ grad_nu
     dr = (dW / nu - (W / nu ** 2) * dnu) / (2.0 * r_val)
     return r_val, -norm.pdf(r_val) * dr
@@ -259,9 +209,11 @@ def taif(rule, data, pivot_kind, psi, y_grid=None, component=0, fit_result=None)
     if pivot_kind_eff == "wald":
         q = _wald_pivot_of_theta(rule, data, theta, psi)
         # tail area is C = Phi(-pivot) with the pivot decreasing in psi, so
-        # its estimate-sensitivity carries a minus sign; the observed
-        # sensitivity makes the composition the exact refit derivative
-        sens = -_pivot_sensitivity(rule, data, theta, psi)
+        # its estimate-sensitivity carries a minus sign; the Wald form is the
+        # first-order representation shared by both pivot kinds, and the
+        # observed sensitivity makes the composition the exact refit derivative
+        sens = -_fd_jacobian(lambda t: _wald_pivot_of_theta(rule, data, t, psi), theta,
+                             rel_step=1e-5)
         infl = influence_function(rule, data, theta, y_grid,
                                   component=component, k_mode="empirical")
         vals = float(norm.pdf(q)) * (infl @ sens)
@@ -291,66 +243,13 @@ def taif(rule, data, pivot_kind, psi, y_grid=None, component=0, fit_result=None)
 # epsilon-mixture oracle
 # ---------------------------------------------------------------------------
 
-def _mixture_fit(rule, data, y, eps, component, theta0):
-    """Minimize (1 - eps) * S_data(theta) + n * eps * S(y; theta)."""
-    model = rule.model
-    n = model.nobs(data)
-    frame = model.checked(model.contamination_frame([y], data, component=component))
-    positive = model.positive_mask(data)
-
-    def fun_grad(z):
-        theta = _from_z(z, positive)
-        try:
-            val = ((1.0 - eps) * total_score(rule, data, theta)
-                   + n * eps * total_score(rule, frame, theta))
-            g = ((1.0 - eps) * score_gradient(rule, data, theta)
-                 + n * eps * score_gradient(rule, frame, theta))
-        except (DomainError, NumericsError, FloatingPointError):
-            return np.inf, np.zeros_like(z)
-        if not np.isfinite(val):
-            return np.inf, np.zeros_like(z)
-        return val, _chain(g, theta, positive)
-
-    z, val, _, _ = minimize_smooth(fun_grad, _to_z(theta0, positive), max_iter=300)
-    theta = _from_z(z, positive)
+def _mixture_fit(rule, data, mixture, theta0):
+    """(theta, value) minimizing the eps-mixture objective from theta0."""
+    objective = _Objective(rule, data, mixture=mixture)
+    z, val, _, _ = minimize_smooth(objective, _to_z(theta0, objective.positive))
     if not np.isfinite(val):
         raise NumericsError("mixture refit failed")
-    return theta, fun_grad
-
-
-def _mixture_root_pivot(rule, data, y, eps, component, psi, theta0):
-    """Adjusted root pivot recomputed under the eps-contaminated objective."""
-    model = rule.model
-    n = model.nobs(data)
-    frame = model.checked(model.contamination_frame([y], data, component=component))
-    theta_free, _ = _mixture_fit(rule, data, y, eps, component, theta0)
-    s_free = ((1.0 - eps) * total_score(rule, data, theta_free)
-              + n * eps * total_score(rule, frame, theta_free))
-    lam_positive = model.lam_positive_mask(data)
-    lam0 = model.profile_extract(theta_free)
-
-    def fun_grad(z):
-        lam = _from_z(z, lam_positive)
-        try:
-            theta = model.profile_embed(psi, lam)
-            if not model.in_domain(theta):
-                return np.inf, np.zeros_like(z)
-            val = ((1.0 - eps) * total_score(rule, data, theta)
-                   + n * eps * total_score(rule, frame, theta))
-            g = ((1.0 - eps) * score_gradient(rule, data, theta)
-                 + n * eps * score_gradient(rule, frame, theta))
-        except (DomainError, NumericsError, FloatingPointError):
-            return np.inf, np.zeros_like(z)
-        g_lam = model.profile_embed_jac(psi, lam).T @ g
-        return val, _chain(g_lam, lam, lam_positive)
-
-    z, s_con, _, _ = minimize_smooth(fun_grad, _to_z(lam0, lam_positive), max_iter=300)
-    lam = _from_z(z, lam_positive)
-    theta_c = model.profile_embed(psi, lam)
-    W = max(2.0 * (s_con - s_free), 0.0)
-    nu = _nu_at(rule, data, theta_c)
-    psi_tilde = model.interest(theta_free)
-    return float(np.sign(psi_tilde - psi) * np.sqrt(W / nu))
+    return _from_z(z, objective.positive), val
 
 
 def taif_contamination_oracle(rule, data, pivot_kind, psi, ys, eps=1e-4,
@@ -359,7 +258,8 @@ def taif_contamination_oracle(rule, data, pivot_kind, psi, ys, eps=1e-4,
 
     Refits on the eps-mixture (with a Richardson step at eps/2 to remove the
     O(eps) bias) and differences Phi(pivot). Points whose refit fails are
-    returned as NaN.
+    returned as NaN; a root pivot that fails on the uncontaminated fit
+    raises NumericsError, as in ``taif``.
     """
     model = rule.model
     data = model.checked(data)
@@ -367,23 +267,28 @@ def taif_contamination_oracle(rule, data, pivot_kind, psi, ys, eps=1e-4,
         fit_result = fit_rule(rule, data)
     theta0 = fit_result.theta_hat
 
-    def tail_area(theta, y, e):
+    def tail_area(mixture=None):
+        """C(psi) from the fit refitted on ``mixture=(eps, frame)``, or from
+        the fit itself."""
+        if mixture is None:
+            theta, score = theta0, fit_result.score_at_opt
+        else:
+            theta, score = _mixture_fit(rule, data, mixture, theta0)
         if pivot_kind == "wald":
-            th, _ = _mixture_fit(rule, data, y, e, component, theta0)
-            return float(ndtr(-_wald_pivot_of_theta(rule, data, th, psi)))
-        return float(ndtr(-_mixture_root_pivot(rule, data, y, e, component, psi, theta0)))
+            return float(ndtr(-_wald_pivot_of_theta(rule, data, theta, psi)))
+        theta_c, s_con, _ = _constrained_at(rule, data, psi, model.profile_extract(theta),
+                                            mixture)
+        nu = _nu_at(rule, data, theta_c)
+        return float(ndtr(-_signed_root(model.interest(theta), score, psi, s_con, nu)))
 
-    if pivot_kind == "wald":
-        base = float(ndtr(-_wald_pivot_of_theta(rule, data, theta0, psi)))
-    else:
-        base = float(ndtr(-_root_pivot_value(rule, data, fit_result, psi)))
-
+    base = tail_area()
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     out = np.empty(ys.size)
     for i, y in enumerate(ys):
         try:
-            d_full = (tail_area(theta0, y, eps) - base) / eps
-            d_half = (tail_area(theta0, y, eps / 2.0) - base) / (eps / 2.0)
+            frame = model.checked(model.contamination_frame([y], data, component=component))
+            d_full = (tail_area((eps, frame)) - base) / eps
+            d_half = (tail_area((eps / 2.0, frame)) - base) / (eps / 2.0)
             out[i] = 2.0 * d_half - d_full
         except (DomainError, NumericsError):
             warnings.warn(f"oracle refit failed at y={y:g}; point skipped", stacklevel=2)

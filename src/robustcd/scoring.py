@@ -36,6 +36,11 @@ __all__ = [
 
 MAX_CONDITION = 1e12
 GRAD_TOL = 1e-8
+N_STARTS = 3                 # fit: the first start and up to two jittered restarts
+# minimize_smooth: iteration cap and BFGS gradient tolerance. The largest
+# iteration count measured on the benchmark's fits is 16.
+MAX_ITER = 200
+SOLVER_GTOL = 1e-10
 # Newton polish of minimize_smooth. It stops once a step is shorter than
 # STEP_FLOOR (1 + ||z||), where trial points differ from z by round-off. Where
 # f is flat to within F_NOISE (1 + |f|), f cannot rank trial points, so a step
@@ -142,21 +147,8 @@ def per_obs_gradient(rule, data, theta):
     fa = np.exp(a * logf)
     igrad = model.tsallis_integral_grad_obs(data, theta, gamma)
     if igrad is None:
-        igrad = _fd_integral_grad(rule, data, theta)
+        igrad = _fd_jacobian(lambda t: _power_integrals(rule, data, t), theta)
     return a * np.asarray(igrad, dtype=float) - gamma * a * fa[:, None] * dlogf
-
-
-def _fd_integral_grad(rule, data, theta, rel_step=1e-6):
-    """Central finite differences of the per-observation power integrals."""
-    d = len(theta)
-    base = _power_integrals(rule, data, theta)
-    out = np.empty((base.size, d))
-    for j in range(d):
-        h = rel_step * (1.0 + abs(theta[j]))
-        tp = theta.copy(); tp[j] += h
-        tm = theta.copy(); tm[j] -= h
-        out[:, j] = (_power_integrals(rule, data, tp) - _power_integrals(rule, data, tm)) / (2 * h)
-    return out
 
 
 def score_gradient(rule, data, theta, weights=None):
@@ -175,6 +167,18 @@ def _sym(a):
     return 0.5 * (a + a.T)
 
 
+def _fd_jacobian(func, x, rel_step=1e-6):
+    """Central-difference Jacobian of ``func`` at the float array ``x``: one
+    column per coordinate j, with step rel_step (1 + |x_j|)."""
+    cols = []
+    for j in range(len(x)):
+        h = rel_step * (1.0 + abs(x[j]))
+        xp = x.copy(); xp[j] += h
+        xm = x.copy(); xm[j] -= h
+        cols.append((func(xp) - func(xm)) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
 def checked_inverse(a, what="matrix"):
     """Inverse of a symmetrized matrix, guarded by a condition-number cap."""
     a = _sym(np.asarray(a, dtype=float))
@@ -188,24 +192,15 @@ def checked_inverse(a, what="matrix"):
 # K and J estimation
 # ---------------------------------------------------------------------------
 
-def empirical_K(rule, data, theta, rel_step=1e-6):
+def empirical_K(rule, data, theta):
     """Observed sensitivity: finite-difference Jacobian of the total gradient."""
-    theta = np.asarray(theta, dtype=float)
-    d = len(theta)
-    K = np.empty((d, d))
-    for j in range(d):
-        h = rel_step * (1.0 + abs(theta[j]))
-        tp = theta.copy(); tp[j] += h
-        tm = theta.copy(); tm[j] -= h
-        K[:, j] = (score_gradient(rule, data, tp) - score_gradient(rule, data, tm)) / (2 * h)
-    return _sym(K)
+    return _sym(_fd_jacobian(lambda t: score_gradient(rule, data, t),
+                             np.asarray(theta, dtype=float)))
 
 
-def empirical_J(rule, data, theta, center=False):
+def empirical_J(rule, data, theta):
     """Outer-product estimate sum_i s_i s_i' of the variability matrix."""
     grads = per_obs_gradient(rule, data, theta)
-    if center:
-        grads = grads - grads.mean(axis=0)
     return _sym(grads.T @ grads)
 
 
@@ -363,23 +358,65 @@ def _from_z(z, positive):
     return theta
 
 
-def _chain(grad_theta, theta, positive):
-    g = grad_theta.copy()
-    for j, pos in enumerate(positive):
-        if pos:
-            g[j] *= theta[j]
-    return g
+class _Objective:
+    """The total score as a smooth function of unconstrained coordinates z.
+
+    Free (``psi`` None): z is theta with its positive entries
+    log-transformed. Constrained: z is the nuisance lam so transformed,
+    theta = profile_embed(psi, lam), and the gradient is pulled back through
+    the embedding's Jacobian. ``mixture=(eps, frame)`` scores the
+    eps-contaminated objective (1 - eps) S_data + n eps S_frame. A call
+    returns (value, gradient in z), with value +inf where theta is
+    inadmissible or the score cannot be evaluated.
+    """
+
+    def __init__(self, rule, data, psi=None, mixture=None):
+        self.rule, self.data, self.psi, self.mixture = rule, data, psi, mixture
+        self.positive = (rule.model.positive_mask(data) if psi is None
+                         else rule.model.lam_positive_mask(data))
+
+    def theta(self, x):
+        """theta at x, the free parameter or the nuisance at psi."""
+        return x if self.psi is None else self.rule.model.profile_embed(self.psi, x)
+
+    def _total(self, score, theta):
+        val = score(self.rule, self.data, theta)
+        if self.mixture is None:
+            return val
+        eps, frame = self.mixture
+        n = self.rule.model.nobs(self.data)
+        return (1.0 - eps) * val + n * eps * score(self.rule, frame, theta)
+
+    def gradient(self, theta):
+        """Gradient in theta of the (mixture) total score."""
+        return self._total(score_gradient, theta)
+
+    def __call__(self, z):
+        model = self.rule.model
+        x = _from_z(z, self.positive)
+        try:
+            theta = self.theta(x)
+            val = self._total(total_score, theta)      # DomainError where inadmissible
+            g = self._total(score_gradient, theta)
+        except (DomainError, NumericsError, FloatingPointError):
+            return np.inf, np.zeros_like(z)
+        if self.psi is not None:
+            g = model.profile_embed_jac(self.psi, x).T @ g
+        for j, pos in enumerate(self.positive):
+            if pos:
+                g[j] *= x[j]         # chain rule through the log transform
+        return val, g
 
 
-def minimize_smooth(fun_grad, z0, max_iter=500, gtol=1e-10):
+def minimize_smooth(fun_grad, z0):
     """Quasi-Newton minimization with a Newton polish pass.
 
-    ``fun_grad(z) -> (value, gradient)``. A polish step is accepted on the
-    Armijo test, or where f is flat to round-off (F_NOISE) when it lowers
-    ||g||. Returns (z, value, n_iter, reason), where reason names why the
-    polish stopped:
+    ``fun_grad(z) -> (value, gradient)``. BFGS runs to SOLVER_GTOL or
+    MAX_ITER iterations. A polish step is accepted on the Armijo test, or
+    where f is flat to round-off (F_NOISE) when it lowers ||g||. Returns
+    (z, value, n_iter, reason), where reason names why the polish stopped:
 
-    * "gradient": ||g|| <= 10 gtol;
+    * "gradient": ||g|| <= 10 SOLVER_GTOL;
     * "step": the Newton step, or a backtracked trial step, is shorter than
       STEP_FLOOR (1 + ||z||);
     * "no_decrease": 40 backtracks found no acceptable point;
@@ -391,32 +428,25 @@ def minimize_smooth(fun_grad, z0, max_iter=500, gtol=1e-10):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = minimize(fun_grad, np.asarray(z0, dtype=float), jac=True, method="BFGS",
-                       options={"gtol": gtol, "maxiter": max_iter})
+                       options={"gtol": SOLVER_GTOL, "maxiter": MAX_ITER})
     z, n_iter = res.x, int(res.nit)
     f, g = fun_grad(z)
-    d = z.size
     reason = "max_iter"
     # Newton polish with a finite-difference Hessian of the gradient
     for _ in range(25):
         if not np.isfinite(f):
             reason = "not_finite"
             break
-        if np.linalg.norm(g) <= gtol * 10:
+        if np.linalg.norm(g) <= SOLVER_GTOL * 10:
             reason = "gradient"
             break
-        if n_iter >= max_iter:
+        if n_iter >= MAX_ITER:
             break
-        H = np.empty((d, d))
-        for j in range(d):
-            h = 1e-6 * (1.0 + abs(z[j]))
-            zp = z.copy(); zp[j] += h
-            zm = z.copy(); zm[j] -= h
-            H[:, j] = (fun_grad(zp)[1] - fun_grad(zm)[1]) / (2 * h)
-        H = _sym(H)
+        H = _sym(_fd_jacobian(lambda v: fun_grad(v)[1], z))
         try:
             w = np.linalg.eigvalsh(H)
             if w[0] <= 0:
-                H = H + (abs(w[0]) + 1e-8 * max(1.0, abs(w[-1]))) * np.eye(d)
+                H = H + (abs(w[0]) + 1e-8 * max(1.0, abs(w[-1]))) * np.eye(z.size)
             step = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
             reason = "singular"
@@ -444,18 +474,16 @@ def minimize_smooth(fun_grad, z0, max_iter=500, gtol=1e-10):
     return z, f, n_iter, reason
 
 
-def fit(rule, data, theta0=None, max_iter=500, n_starts=3,
-        k_mode="auto", j_mode="auto"):
+def fit(rule, data, theta0=None):
     """Estimate theta by minimizing the total score.
 
     Positive parameters are log-transformed so every iterate stays
     admissible. Convergence requires the total estimating function to
     satisfy ||sum_i s(y_i; theta)|| <= 1e-8 (1 + ||theta||); if the first
-    start fails, up to ``n_starts - 1`` jittered restarts are tried.
+    start fails, up to ``N_STARTS - 1`` jittered restarts are tried.
     """
     model = rule.model
     data = model.checked(data)
-    positive = model.positive_mask(data)
     if theta0 is None:
         theta0 = model.mle_start(data) if rule.kind == "log" else None
         if theta0 is None:
@@ -463,28 +491,16 @@ def fit(rule, data, theta0=None, max_iter=500, n_starts=3,
     theta0 = np.asarray(theta0, dtype=float)
     if not model.in_domain(theta0):
         raise DomainError("starting value outside the admissible set")
-    s0 = total_score(rule, data, theta0)
-    if not np.isfinite(s0):
-        raise DomainError("total score not finite at the starting value")
+    total_score(rule, data, theta0)          # raises where the start cannot be scored
 
-    def fun_grad(z):
-        theta = _from_z(z, positive)
-        try:
-            val = total_score(rule, data, theta)
-            g = score_gradient(rule, data, theta)
-        except (DomainError, NumericsError, FloatingPointError):
-            return np.inf, np.zeros_like(z)
-        if not np.isfinite(val):
-            return np.inf, np.zeros_like(z)
-        return val, _chain(g, theta, positive)
-
+    objective = _Objective(rule, data)
     rng = np.random.default_rng(0)
     best = None
-    z0 = _to_z(theta0, positive)
-    for attempt in range(max(1, n_starts)):
+    z0 = _to_z(theta0, objective.positive)
+    for attempt in range(N_STARTS):
         z_start = z0 if attempt == 0 else z0 + rng.normal(0.0, 0.2 * (1.0 + np.abs(z0)))
-        z, val, n_iter, reason = minimize_smooth(fun_grad, z_start, max_iter=max_iter)
-        theta = _from_z(z, positive)
+        z, val, n_iter, reason = minimize_smooth(objective, z_start)
+        theta = _from_z(z, objective.positive)
         gnorm = float(np.linalg.norm(score_gradient(rule, data, theta)))
         converged = gnorm <= GRAD_TOL * (1.0 + float(np.linalg.norm(theta)))
         cand = (converged, -val, theta, val, n_iter, gnorm, reason)
@@ -493,7 +509,7 @@ def fit(rule, data, theta0=None, max_iter=500, n_starts=3,
         if converged:
             break
     converged, _, theta, val, n_iter, gnorm, reason = best
-    K, J = estimate_KJ(rule, data, theta, k_mode=k_mode, j_mode=j_mode)
+    K, J = estimate_KJ(rule, data, theta)
     V, G = sandwich(K, J)
     return Fit(theta_hat=theta, score_at_opt=float(val), K=K, J=J, V=V, G=G,
                converged=bool(converged), n_iter=n_iter, grad_norm=gnorm,

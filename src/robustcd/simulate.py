@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import DomainError, NumericsError
-from .confidence import constrained_fit, _nu_at, pivot_wald
+from .confidence import _constrained_at, _nu_at, _signed_root, pivot_wald
 from .models import get_model
 from .robustness import calibrate_gamma
 from .scoring import ScoreRule, fit as fit_rule
@@ -150,24 +150,21 @@ def _point_pivot(rule, fit_result, psi, kind):
     """
     if kind == "wald":
         return float(pivot_wald(fit_result, psi)), fit_result
-    lam0 = rule.model.profile_extract(fit_result.theta_hat)
-    theta_c, s_con, _, conv = constrained_fit(rule, fit_result.data, psi, lam0=lam0)
-    if not conv:
-        raise NumericsError("constrained fit failed")
+    data = fit_result.data
+    theta_c, s_con, _ = _constrained_at(rule, data, psi,
+                                        rule.model.profile_extract(fit_result.theta_hat))
+    nu = _nu_at(rule, data, theta_c)
 
-    def below_optimum(fr):
-        return 2.0 * (s_con - fr.score_at_opt) < -1e-8 * (1.0 + abs(fr.score_at_opt))
+    def root(fr):
+        return float(_signed_root(fr.psi_tilde, fr.score_at_opt, psi, s_con, nu)), fr
 
-    if below_optimum(fit_result):
-        refit = fit_rule(rule, fit_result.data, theta0=theta_c)
-        if refit.converged and refit.score_at_opt < fit_result.score_at_opt:
-            fit_result = refit
-        if below_optimum(fit_result):
-            raise NumericsError("profile score below optimum")
-    W = max(2.0 * (s_con - fit_result.score_at_opt), 0.0)
-    nu = _nu_at(rule, fit_result.data, theta_c)
-    psi_tilde = rule.model.interest(fit_result.theta_hat)
-    return float(np.sign(psi_tilde - psi) * np.sqrt(W / nu)), fit_result
+    try:
+        return root(fit_result)
+    except NumericsError:          # the constrained score undercuts the free optimum
+        refit = fit_rule(rule, data, theta0=theta_c)
+        if not (refit.converged and refit.score_at_opt < fit_result.score_at_opt):
+            raise
+        return root(refit)
 
 
 @dataclasses.dataclass

@@ -170,18 +170,28 @@ def test_root_pivot_properties(two_sample_data, ts_fits):
         pivot_root(tr, fr, grid[-1] + 1.0)
 
 
-def test_root_pivot_rejects_profile_below_optimum(two_sample_data, ts_fits):
+@pytest.mark.parametrize("caller", ["pivot_root", "taif", "oracle"])
+def test_root_pivot_rejects_profile_below_optimum(two_sample_data, ts_fits, caller):
+    # Every root-pivot caller shares one below-optimum check; none clamps
+    # W < 0 to a zero pivot.
     import dataclasses
     from robustcd.errors import NumericsError
+    from robustcd.robustness import taif, taif_contamination_oracle
 
     fr = ts_fits["tsallis"]
-    psi_t = fr.psi_tilde
-    grid = np.linspace(psi_t - 1.0, psi_t + 1.0, 11)
-    tr = profile(fr.rule, two_sample_data, grid, fit_result=fr)
+    psi = fr.psi_tilde + 0.5
     # a fake non-optimal "fit" makes the profile dip below the optimum
     fake = dataclasses.replace(fr, score_at_opt=fr.score_at_opt + 5.0)
+    ys = np.array([0.0, 1.0])
     with pytest.raises(NumericsError, match="optimum"):
-        pivot_root(tr, fake, psi_t + 0.5)
+        if caller == "pivot_root":
+            grid = np.linspace(fr.psi_tilde - 1.0, fr.psi_tilde + 1.0, 11)
+            pivot_root(profile(fr.rule, two_sample_data, grid, fit_result=fr), fake, psi)
+        elif caller == "taif":
+            taif(fr.rule, two_sample_data, "root", psi, y_grid=ys, fit_result=fake)
+        else:
+            taif_contamination_oracle(fr.rule, two_sample_data, "root", psi, ys,
+                                      fit_result=fake)
 
 
 def test_build_cd_warns_on_irregular_profile(two_sample_data, ts_fits, monkeypatch):
