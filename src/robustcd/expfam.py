@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import betaln, digamma, gammaln
 
 from .errors import DomainError
-from .models import ModelSpec
+from .models import ModelSpec, _delete_coordinate, _insert_coordinate
 
 __all__ = [
     "ExpFamilyModel",
@@ -151,10 +151,10 @@ class ExpFamilyModel(ModelSpec):
         return g
 
     def profile_embed(self, psi, lam):
-        return np.insert(np.asarray(lam, dtype=float), self.interest_index, psi)
+        return _insert_coordinate(lam, self.interest_index, psi)
 
     def profile_extract(self, theta):
-        return np.delete(np.asarray(theta, dtype=float), self.interest_index)
+        return _delete_coordinate(theta, self.interest_index)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
 from .errors import DomainError, NumericsError
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_SQRT_TWO_PI = np.sqrt(_TWO_PI)
 _CHECKED_MEMO = 8  # checked data objects each model remembers
 
 
@@ -81,18 +83,24 @@ def auc_from_rates_grad(rate1, rate2):
     return np.array([rate2 / s, -rate1 / s])
 
 
+def normal_pdf(x):
+    """Standard normal density, by scipy.stats.norm.pdf's own formula (so
+    equal to it bit for bit) without its per-call overhead."""
+    return np.exp(-np.asarray(x, dtype=float) ** 2 / 2.0) / _SQRT_TWO_PI
+
+
 def auc_from_normal(mu1, mu2, var1, var2):
     """P(X1 < X2) for independent normals: Phi((mu2 - mu1) / sqrt(var1 + var2))."""
     if var1 <= 0 or var2 <= 0:
         raise DomainError("variances must be positive")
-    return float(norm.cdf((mu2 - mu1) / math.sqrt(var1 + var2)))
+    return float(ndtr((mu2 - mu1) / math.sqrt(var1 + var2)))
 
 
 def auc_from_normal_grad(mu1, mu2, var1, var2):
     s2 = var1 + var2
     s = math.sqrt(s2)
     eta = (mu2 - mu1) / s
-    dens = float(norm.pdf(eta))
+    dens = float(normal_pdf(eta))
     return np.array([-dens / s, dens / s, -dens * eta / (2 * s2), -dens * eta / (2 * s2)])
 
 
@@ -151,6 +159,22 @@ def _mad_scale(y):
     if s <= 0:
         s = y.std() if y.std() > 0 else 1.0
     return med, s
+
+
+# ---------------------------------------------------------------------------
+# Coordinate interest embeddings
+# ---------------------------------------------------------------------------
+
+def _insert_coordinate(lam, index, psi):
+    """Full parameter with psi at coordinate ``index`` (np.insert, cheaper)."""
+    lam = np.asarray(lam, dtype=float)
+    return np.concatenate((lam[:index], [psi], lam[index:]))
+
+
+def _delete_coordinate(theta, index):
+    """Nuisance coordinates: theta without coordinate ``index`` (np.delete, cheaper)."""
+    theta = np.asarray(theta, dtype=float)
+    return np.concatenate((theta[:index], theta[index + 1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +546,7 @@ class NormalAUC(_TwoSampleBase):
         if not 0.0 < psi < 1.0:
             raise DomainError("AUC interest must lie in (0, 1)")
         mu1, v1, v2 = lam
-        mu2 = mu1 + norm.ppf(psi) * math.sqrt(v1 + v2)
+        mu2 = mu1 + ndtri(psi) * math.sqrt(v1 + v2)
         return np.array([mu1, mu2, v1, v2])
 
     def profile_extract(self, theta):
@@ -530,7 +554,7 @@ class NormalAUC(_TwoSampleBase):
 
     def profile_embed_jac(self, psi, lam):
         mu1, v1, v2 = lam
-        q = norm.ppf(psi)
+        q = ndtri(psi)
         s = math.sqrt(v1 + v2)
         return np.array([
             [1.0, 0.0, 0.0],
@@ -797,11 +821,10 @@ class LinearRegression(ModelSpec):
         return g
 
     def profile_embed(self, psi, lam):
-        lam = np.asarray(lam, dtype=float)
-        return np.insert(lam, self.interest_index, psi)
+        return _insert_coordinate(lam, self.interest_index, psi)
 
     def profile_extract(self, theta):
-        return np.delete(np.asarray(theta, dtype=float), self.interest_index)
+        return _delete_coordinate(theta, self.interest_index)
 
     def profile_embed_jac(self, psi, lam):
         d = len(lam) + 1

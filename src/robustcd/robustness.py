@@ -15,9 +15,9 @@ import warnings
 
 import numpy as np
 from scipy.special import ndtr
-from scipy.stats import norm
 
 from .errors import DomainError, NumericsError
+from .models import normal_pdf
 from .confidence import (
     _constrained_at,
     _nu_at,
@@ -171,7 +171,7 @@ def _root_taif_values(rule, data, fit_result, psi, ys, component):
     grad_nu = _fd_jacobian(lambda t: _nu_at(rule, data, t), theta_c)
     dnu = (dlam @ jac.T) @ grad_nu
     dr = (dW / nu - (W / nu ** 2) * dnu) / (2.0 * r_val)
-    return r_val, -norm.pdf(r_val) * dr
+    return r_val, -normal_pdf(r_val) * dr
 
 
 def taif(rule, data, pivot_kind, psi, y_grid=None, component=0, fit_result=None):
@@ -216,7 +216,7 @@ def taif(rule, data, pivot_kind, psi, y_grid=None, component=0, fit_result=None)
                              rel_step=1e-5)
         infl = influence_function(rule, data, theta, y_grid,
                                   component=component, k_mode="empirical")
-        vals = float(norm.pdf(q)) * (infl @ sens)
+        vals = float(normal_pdf(q)) * (infl @ sens)
 
     absvals = np.abs(vals)
     interior = absvals[n_left:absvals.size - n_right] if n_right else absvals[n_left:]

@@ -106,49 +106,51 @@ def _power_integrals(rule, data, theta):
     return out
 
 
-def score_terms(rule, data, theta):
-    """Per-observation score contributions S(y_i; theta), canonical order."""
+def _kernel(rule, data, theta, grad=True):
+    """(terms, grads) of one pass over the data: the per-observation score
+    contributions S(y_i; theta) in canonical order and, with ``grad``, the
+    (n, d) matrix of their gradients (None without)."""
     model = rule.model
     data = model.checked(data)
     theta = np.asarray(theta, dtype=float)
     model.require_domain(theta)
     logf = model.logpdf_obs(data, theta)
+    dlogf = model.dlogpdf_obs(data, theta) if grad else None
     if rule.kind == "log":
-        return -logf
+        return -logf, (-dlogf if grad else None)
     gamma = rule.gamma
-    integrals = _power_integrals(rule, data, theta)
-    return (gamma - 1.0) * integrals - gamma * np.exp((gamma - 1.0) * logf)
+    a = gamma - 1.0
+    fa = np.exp(a * logf)
+    terms = a * _power_integrals(rule, data, theta) - gamma * fa
+    if not grad:
+        return terms, None
+    igrad = model.tsallis_integral_grad_obs(data, theta, gamma)
+    if igrad is None:
+        igrad = _fd_jacobian(lambda t: _power_integrals(rule, data, t), theta)
+    return terms, a * np.asarray(igrad, dtype=float) - gamma * a * fa[:, None] * dlogf
 
 
-def total_score(rule, data, theta, weights=None):
-    """Total empirical score; optionally a weighted sum over observations."""
-    terms = score_terms(rule, data, theta)
-    if weights is None:
-        val = terms.sum()
-    else:
-        val = float(np.asarray(weights, dtype=float) @ terms)
+def _finite_total(val):
     if not np.isfinite(val):
         raise NumericsError("total score is not finite")
     return float(val)
 
 
+def score_terms(rule, data, theta):
+    """Per-observation score contributions S(y_i; theta), canonical order."""
+    return _kernel(rule, data, theta, grad=False)[0]
+
+
+def total_score(rule, data, theta, weights=None):
+    """Total empirical score; optionally a weighted sum over observations."""
+    terms = score_terms(rule, data, theta)
+    return _finite_total(terms.sum() if weights is None
+                         else np.asarray(weights, dtype=float) @ terms)
+
+
 def per_obs_gradient(rule, data, theta):
     """(n, d) matrix of per-observation estimating-function contributions."""
-    model = rule.model
-    data = model.checked(data)
-    theta = np.asarray(theta, dtype=float)
-    model.require_domain(theta)
-    dlogf = model.dlogpdf_obs(data, theta)
-    if rule.kind == "log":
-        return -dlogf
-    gamma = rule.gamma
-    a = gamma - 1.0
-    logf = model.logpdf_obs(data, theta)
-    fa = np.exp(a * logf)
-    igrad = model.tsallis_integral_grad_obs(data, theta, gamma)
-    if igrad is None:
-        igrad = _fd_jacobian(lambda t: _power_integrals(rule, data, t), theta)
-    return a * np.asarray(igrad, dtype=float) - gamma * a * fa[:, None] * dlogf
+    return _kernel(rule, data, theta)[1]
 
 
 def score_gradient(rule, data, theta, weights=None):
@@ -157,6 +159,12 @@ def score_gradient(rule, data, theta, weights=None):
     if weights is None:
         return grads.sum(axis=0)
     return np.asarray(weights, dtype=float) @ grads
+
+
+def _score_and_gradient(rule, data, theta):
+    """(total score, its gradient) from one kernel pass."""
+    terms, grads = _kernel(rule, data, theta)
+    return _finite_total(terms.sum()), grads.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -374,45 +382,55 @@ class _Objective:
         self.rule, self.data, self.psi, self.mixture = rule, data, psi, mixture
         self.positive = (rule.model.positive_mask(data) if psi is None
                          else rule.model.lam_positive_mask(data))
+        self._last = None        # (theta bytes, theta-gradient) of the last evaluation
 
     def theta(self, x):
         """theta at x, the free parameter or the nuisance at psi."""
         return x if self.psi is None else self.rule.model.profile_embed(self.psi, x)
 
-    def _total(self, score, theta):
-        val = score(self.rule, self.data, theta)
-        if self.mixture is None:
-            return val
-        eps, frame = self.mixture
-        n = self.rule.model.nobs(self.data)
-        return (1.0 - eps) * val + n * eps * score(self.rule, frame, theta)
+    def _mix(self, at_data, at_frame):
+        eps = self.mixture[0]
+        return (1.0 - eps) * at_data + self.rule.model.nobs(self.data) * eps * at_frame
+
+    def evaluate(self, theta):
+        """(value, gradient in theta) of the (mixture) total score, one
+        kernel pass over the data and one over the frame."""
+        val, g = _score_and_gradient(self.rule, self.data, theta)
+        if self.mixture is not None:
+            val_y, g_y = _score_and_gradient(self.rule, self.mixture[1], theta)
+            val, g = self._mix(val, val_y), self._mix(g, g_y)
+        self._last = (theta.tobytes(), g)
+        return val, g
 
     def gradient(self, theta):
-        """Gradient in theta of the (mixture) total score."""
-        return self._total(score_gradient, theta)
+        """Gradient in theta of the (mixture) total score: the last
+        evaluation's where theta is bit-equal to its point, so judging a
+        solve's end point costs no pass over the data."""
+        if self._last is not None and self._last[0] == theta.tobytes():
+            return self._last[1]
+        g = score_gradient(self.rule, self.data, theta)
+        if self.mixture is not None:
+            g = self._mix(g, score_gradient(self.rule, self.mixture[1], theta))
+        return g
 
     def __call__(self, z):
-        model = self.rule.model
         x = _from_z(z, self.positive)
         try:
-            theta = self.theta(x)
-            val = self._total(total_score, theta)      # DomainError where inadmissible
-            g = self._total(score_gradient, theta)
+            val, g = self.evaluate(self.theta(x))   # DomainError where inadmissible
         except (DomainError, NumericsError, FloatingPointError):
             return np.inf, np.zeros_like(z)
         if self.psi is not None:
-            g = model.profile_embed_jac(self.psi, x).T @ g
-        for j, pos in enumerate(self.positive):
-            if pos:
-                g[j] *= x[j]         # chain rule through the log transform
-        return val, g
+            g = self.rule.model.profile_embed_jac(self.psi, x).T @ g
+        # chain rule through the log transform
+        return val, np.where(self.positive, x, 1.0) * g
 
 
 def minimize_smooth(fun_grad, z0):
     """Quasi-Newton minimization with a Newton polish pass.
 
     ``fun_grad(z) -> (value, gradient)``. BFGS runs to SOLVER_GTOL or
-    MAX_ITER iterations. A polish step is accepted on the Armijo test, or
+    MAX_ITER iterations; the polish starts from the value and gradient BFGS
+    evaluated at its end point. A polish step is accepted on the Armijo test, or
     where f is flat to round-off (F_NOISE) when it lowers ||g||. Returns
     (z, value, n_iter, reason), where reason names why the polish stopped:
 
@@ -429,8 +447,7 @@ def minimize_smooth(fun_grad, z0):
         warnings.simplefilter("ignore")
         res = minimize(fun_grad, np.asarray(z0, dtype=float), jac=True, method="BFGS",
                        options={"gtol": SOLVER_GTOL, "maxiter": MAX_ITER})
-    z, n_iter = res.x, int(res.nit)
-    f, g = fun_grad(z)
+    z, f, g, n_iter = res.x, res.fun, res.jac, int(res.nit)
     reason = "max_iter"
     # Newton polish with a finite-difference Hessian of the gradient
     for _ in range(25):
@@ -501,7 +518,7 @@ def fit(rule, data, theta0=None):
         z_start = z0 if attempt == 0 else z0 + rng.normal(0.0, 0.2 * (1.0 + np.abs(z0)))
         z, val, n_iter, reason = minimize_smooth(objective, z_start)
         theta = _from_z(z, objective.positive)
-        gnorm = float(np.linalg.norm(score_gradient(rule, data, theta)))
+        gnorm = float(np.linalg.norm(objective.gradient(theta)))
         converged = gnorm <= GRAD_TOL * (1.0 + float(np.linalg.norm(theta)))
         cand = (converged, -val, theta, val, n_iter, gnorm, reason)
         if best is None or cand[:2] > best[:2]:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import norm
 
 from robustcd.errors import DomainError
+from robustcd.expfam import expfam_gamma
 from robustcd.models import (
     ExponentialAUC,
     LinearRegression,
@@ -11,6 +13,7 @@ from robustcd.models import (
     auc_from_normal,
     auc_from_rates,
     get_model,
+    normal_pdf,
     tsallis_integral_exponential,
     tsallis_integral_normal,
 )
@@ -227,3 +230,50 @@ def test_normal_auc_profile_embedding_hits_target():
     for psi in (0.15, 0.5, 0.85):
         theta = me.profile_embed(psi, np.array([2.0 / 3.0]))
         assert me.interest(theta) == pytest.approx(psi, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# nuisance embeddings
+# ---------------------------------------------------------------------------
+
+def test_normal_auc_embedding_equals_norm_ppf_form():
+    m = NormalAUC()
+    lam = np.array([0.3, 1.7, 0.6])
+    s = np.sqrt(lam[1] + lam[2])
+    for psi in np.linspace(0.01, 0.99, 981):
+        q = norm.ppf(psi)
+        assert np.array_equal(m.profile_embed(psi, lam),
+                              [lam[0], lam[0] + q * s, lam[1], lam[2]])
+        assert np.array_equal(m.profile_embed_jac(psi, lam), [
+            [1.0, 0.0, 0.0],
+            [1.0, q / (2 * s), q / (2 * s)],
+            [0.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0],
+        ])
+
+
+def test_coordinate_embeddings_equal_insert_and_delete():
+    theta = np.array([0.7, -1.3, 2.9, 0.45])
+    models = [LinearRegression(interest_index=i) for i in range(3)]
+    for i in range(2):
+        ef = expfam_gamma()
+        ef.interest_index = i
+        models.append(ef)
+    for m in models:
+        d = 4 if isinstance(m, LinearRegression) else 2
+        full = theta[:d]
+        i = m.interest_index
+        lam = np.delete(full, i)
+        assert np.array_equal(m.profile_extract(full), lam)
+        assert np.array_equal(m.profile_embed(full[i], lam), np.insert(lam, i, full[i]))
+        assert np.array_equal(m.profile_embed(full[i], lam), full)
+
+
+def test_normal_density_and_auc_equal_scipy_stats():
+    rng = np.random.default_rng(12)
+    xs = np.concatenate([rng.normal(0.0, 3.0, 2500), rng.uniform(-40.0, 40.0, 2500)])
+    assert np.array_equal(normal_pdf(xs), norm.pdf(xs))
+    for x in xs[:500]:
+        assert float(normal_pdf(x)) == float(norm.pdf(x))
+        assert auc_from_normal(0.1, x, 0.4, 0.9) == float(
+            norm.cdf((x - 0.1) / np.sqrt(0.4 + 0.9)))

@@ -1,0 +1,40 @@
+"""A few of the benchmark's ops, checked against its recorded reference
+outputs, so that output drift fails the test suite and not only the
+benchmark. The benchmark's files are loaded read-only."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+import robustcd
+import robustcd.cli
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+OPS = [
+    ("cd-grid", "auc-exponential/log/0"),
+    ("cd-grid", "auc-normal/log/0"),
+    ("study", "auc-exponential/0"),
+    ("robustness", "auc-exponential/log/0"),
+]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.bind(robustcd, robustcd.cli)
+    return module
+
+
+@pytest.mark.parametrize("workload,key", OPS)
+def test_benchmark_op_matches_reference(workloads, tmp_path, workload, key):
+    with open(PERFBENCH / "reference" / f"{workload}.json") as fh:
+        reference = json.load(fh)["ops"][key]["outputs"]
+    ops = {k: (run, arg) for k, run, arg in workloads.SETUP[workload](str(tmp_path), [0])}
+    run, arg = ops[key]
+    assert workloads.compare(run(arg), reference) is None

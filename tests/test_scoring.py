@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from robustcd import confidence, scoring
 from robustcd.errors import DomainError, NumericsError
+from robustcd.expfam import expfam_gamma
 from robustcd.models import (
     ExponentialAUC,
     LinearRegression,
@@ -12,6 +14,9 @@ from robustcd.models import (
 from robustcd.scoring import (
     Fit,
     ScoreRule,
+    _Objective,
+    _from_z,
+    _to_z,
     eigenvalues_JKinv,
     empirical_J,
     empirical_K,
@@ -326,14 +331,17 @@ def test_partitioned_info_invariant():
     assert k_pp == pytest.approx(np.linalg.inv(K)[2, 2], rel=1e-10)
 
 
+class NoClosedForm(TwoSampleNormal):
+    """Two-sample normal model scored through the quadrature fallback."""
+
+    def tsallis_integral_obs(self, data, theta, gamma):
+        return None
+
+    def tsallis_integral_grad_obs(self, data, theta, gamma):
+        return None
+
+
 def test_quadrature_fallback_matches_closed_form(two_sample_data):
-    class NoClosedForm(TwoSampleNormal):
-        def tsallis_integral_obs(self, data, theta, gamma):
-            return None
-
-        def tsallis_integral_grad_obs(self, data, theta, gamma):
-            return None
-
     theta = np.array([1.9, 0.2, 1.0, 1.3])
     val_closed = total_score(ScoreRule.tsallis(TwoSampleNormal(), 1.6),
                              two_sample_data, theta)
@@ -363,3 +371,151 @@ def test_singular_k_raises():
     J = np.eye(2)
     with pytest.raises(NumericsError):
         sandwich(K, J)
+
+
+# ---------------------------------------------------------------------------
+# the fused kernel: one pass gives what the value and gradient paths gave
+# ---------------------------------------------------------------------------
+
+def _two_formula_terms(rule, data, theta):
+    """Per-observation score terms by the separate value formula."""
+    model = rule.model
+    logf = model.logpdf_obs(data, theta)
+    if rule.kind == "log":
+        return -logf
+    gamma = rule.gamma
+    integrals = scoring._power_integrals(rule, data, theta)
+    return (gamma - 1.0) * integrals - gamma * np.exp((gamma - 1.0) * logf)
+
+
+def _two_formula_grads(rule, data, theta):
+    """Per-observation gradients by the separate gradient formula."""
+    model = rule.model
+    dlogf = model.dlogpdf_obs(data, theta)
+    if rule.kind == "log":
+        return -dlogf
+    gamma = rule.gamma
+    a = gamma - 1.0
+    fa = np.exp(a * model.logpdf_obs(data, theta))
+    igrad = model.tsallis_integral_grad_obs(data, theta, gamma)
+    if igrad is None:
+        igrad = scoring._fd_jacobian(
+            lambda t: scoring._power_integrals(rule, data, t), theta)
+    return a * np.asarray(igrad, dtype=float) - gamma * a * fa[:, None] * dlogf
+
+
+@pytest.fixture(scope="module")
+def kernel_cases(all_models, two_sample_data):
+    y = np.random.default_rng(11).gamma(3.0, 0.5, 80)
+    cases = [(model, model.checked(data)) for model, data in all_models]
+    cases.append((expfam_gamma(), y))
+    cases.append((NoClosedForm(), NoClosedForm().checked(two_sample_data)))
+    return cases
+
+
+@pytest.mark.parametrize("gamma", [None, 1.2])
+def test_kernel_equals_value_and_gradient_paths(kernel_cases, gamma):
+    for model, data in kernel_cases:
+        rule = ScoreRule.log(model) if gamma is None else ScoreRule.tsallis(model, gamma)
+        theta = model.default_start(data)
+        terms = score_terms(rule, data, theta)
+        grads = per_obs_gradient(rule, data, theta)
+        assert np.array_equal(terms, _two_formula_terms(rule, data, theta))
+        assert np.array_equal(grads, _two_formula_grads(rule, data, theta))
+
+        objective = _Objective(rule, data)
+        val, g = objective.evaluate(theta)
+        assert val == total_score(rule, data, theta)
+        assert np.array_equal(g, score_gradient(rule, data, theta))
+        # the unconstrained coordinates see the same numbers
+        z = _to_z(theta, objective.positive)
+        val_z, g_z = objective(z)
+        x = _from_z(z, objective.positive)
+        want = score_gradient(rule, data, x) * np.where(objective.positive, x, 1.0)
+        assert val_z == total_score(rule, data, x)
+        assert np.array_equal(g_z, want)
+
+        # the eps-mixture: (1 - eps) S_data + n eps S_frame, term by term
+        eps, n = 1e-4, model.nobs(data)
+        center, _ = model.obs_center_scale(data, theta, 0)
+        frame = model.checked(model.contamination_frame([center + 0.3], data))
+        mixed = _Objective(rule, data, mixture=(eps, frame))
+        val_m, g_m = mixed.evaluate(theta)
+        assert val_m == ((1.0 - eps) * total_score(rule, data, theta)
+                         + n * eps * total_score(rule, frame, theta))
+        assert np.array_equal(g_m, (1.0 - eps) * score_gradient(rule, data, theta)
+                              + n * eps * score_gradient(rule, frame, theta))
+
+
+def test_objective_gradient_reuses_the_last_evaluation(two_sample_data):
+    m = TwoSampleNormal()
+    data = m.checked(two_sample_data)
+    rule = ScoreRule.tsallis(m, 1.2)
+    objective = _Objective(rule, data, psi=2.0)
+    lam = m.profile_extract(m.default_start(data))
+    theta = objective.theta(lam)
+    _, g = objective.evaluate(theta)
+    assert objective.gradient(theta) is g
+    other = theta + np.array([0.0, 1e-3, 0.0, 0.0])
+    assert np.array_equal(objective.gradient(other), score_gradient(rule, data, other))
+
+
+# ---------------------------------------------------------------------------
+# no pass over the data follows a solve
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Kernel passes so far, and the count at each minimize_smooth return."""
+    calls, solved = [], []
+    kernel = scoring._kernel
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    solve = scoring.minimize_smooth
+
+    def marked(*args):
+        out = solve(*args)
+        solved.append(len(calls))
+        return out
+
+    monkeypatch.setattr(scoring, "_kernel", counted)
+    monkeypatch.setattr(scoring, "minimize_smooth", marked)
+    monkeypatch.setattr(confidence, "minimize_smooth", marked)
+    return calls, solved
+
+
+def test_no_kernel_pass_after_a_solve(two_sample_data, kernel_calls):
+    calls, solved = kernel_calls
+    m = TwoSampleNormal()
+    rule = ScoreRule.tsallis(m, 1.2)
+    _, _, _, converged = confidence.constrained_fit(rule, two_sample_data, 2.0)
+    assert converged and len(solved) == 1
+    assert len(calls) == solved[-1]
+
+    del calls[:], solved[:]
+    fr = fit(rule, two_sample_data)
+    assert fr.converged and len(solved) == 1     # the first start converged
+    assert len(calls) == solved[-1]              # K and J are analytic here
+
+
+def test_minimize_smooth_evaluates_nothing_after_bfgs(monkeypatch):
+    evals, at_bfgs_end = [0], []
+    bfgs = scoring.minimize
+
+    def marked(*args, **kwargs):
+        res = bfgs(*args, **kwargs)
+        at_bfgs_end.append((evals[0], res.nit))
+        return res
+
+    def quadratic(z):
+        evals[0] += 1
+        return float(z @ z), 2.0 * z
+
+    monkeypatch.setattr(scoring, "minimize", marked)
+    _, _, n_iter, reason = minimize_smooth(quadratic, np.array([1.0, -2.0]))
+    (count, nit), = at_bfgs_end
+    assert reason == "gradient" and n_iter == nit     # the polish did not run
+    assert evals[0] == count
