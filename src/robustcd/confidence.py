@@ -70,16 +70,11 @@ def constrained_fit(rule, data, psi, lam0=None):
 
 def _constrained_solve(objective, lam0):
     """(theta, score, lam, converged) of a constrained objective from lam0;
-    converged means ||d score / d lam|| <= 1e-6 (1 + ||theta||)."""
+    converged is the objective's verdict at the solve's end point."""
     z, val, _, _ = minimize_smooth(objective, _to_z(lam0, objective.positive))
     lam = _from_z(z, objective.positive)
-    theta = objective.theta(lam)
-    jac = objective.rule.model.profile_embed_jac(objective.psi, lam)
-    g_lam = jac.T @ objective.gradient(theta)
-    converged = bool(
-        np.isfinite(val)
-        and np.linalg.norm(g_lam) <= 1e-6 * (1.0 + float(np.linalg.norm(theta))))
-    return theta, float(val), lam, converged
+    _, converged = objective.verdict(lam)
+    return objective.theta(lam), float(val), lam, converged
 
 
 def _constrained_at(rule, data, psi, lam0, mixture=None):

@@ -16,7 +16,7 @@ import math
 import os
 
 import numpy as np
-from scipy.special import betaln, digamma, gammaln
+from scipy.special import betaln, digamma, gammaln, polygamma
 
 from .errors import DomainError
 from .models import ModelSpec, _delete_coordinate, _insert_coordinate
@@ -42,6 +42,7 @@ class _Family:
     t: callable                  # t(y) -> (n, s)
     c: callable                  # cumulant
     c_grad: callable
+    c_hess: callable
     support: tuple
     in_natural: callable
     sample: callable             # (theta, n, rng) -> (n,)
@@ -95,6 +96,9 @@ class ExpFamilyModel(ModelSpec):
         fam = self.family
         return fam.t(data) - fam.c_grad(theta)[None, :]
 
+    def d2logpdf_obs(self, data, theta, weights):
+        return -weights.sum() * self.family.c_hess(theta)
+
     def _power_integral(self, theta, gamma):
         fam = self.family
         gt = gamma * np.asarray(theta, dtype=float)
@@ -107,14 +111,25 @@ class ExpFamilyModel(ModelSpec):
     def tsallis_integral_obs(self, data, theta, gamma):
         return np.full(len(data), self._power_integral(theta, gamma))
 
-    def tsallis_integral_grad_obs(self, data, theta, gamma):
+    def _log_integral_grad(self, theta, gamma):
+        # gradient of log int f^gamma = c(gamma theta) - gamma c(theta)
         fam = self.family
-        gt = gamma * np.asarray(theta, dtype=float)
-        if not fam.in_natural(gt):
-            raise DomainError(f"gamma * theta leaves the natural space of {fam.name}")
-        val = self._power_integral(theta, gamma)
-        g = val * gamma * (fam.c_grad(gt) - fam.c_grad(theta))
-        return np.tile(g, (len(data), 1))
+        theta = np.asarray(theta, dtype=float)
+        return gamma * (fam.c_grad(gamma * theta) - fam.c_grad(theta))
+
+    def tsallis_integral_grad_obs(self, data, theta, gamma, values=None):
+        if values is None:
+            values = self.tsallis_integral_obs(data, theta, gamma)
+        return values[:, None] * self._log_integral_grad(theta, gamma)
+
+    def tsallis_integral_hess(self, data, theta, gamma, values=None):
+        if values is None:
+            values = self.tsallis_integral_obs(data, theta, gamma)
+        fam = self.family
+        theta = np.asarray(theta, dtype=float)
+        u = self._log_integral_grad(theta, gamma)
+        return values.sum() * (np.outer(u, u) + gamma * gamma * fam.c_hess(gamma * theta)
+                               - gamma * fam.c_hess(theta))
 
     def default_start(self, data):
         return self.family.start(data)
@@ -155,6 +170,9 @@ class ExpFamilyModel(ModelSpec):
 
     def profile_extract(self, theta):
         return _delete_coordinate(theta, self.interest_index)
+
+    def profile_embed_hess(self, psi, lam, grad):
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +306,12 @@ def expfam_normal():
         v = -1.0 / (2.0 * t2)
         return (-t1 / (2.0 * t2), math.sqrt(v))
 
+    def c_hess(th):
+        t1, t2 = th
+        off = t1 / (2.0 * t2 * t2)
+        return np.array([[-1.0 / (2.0 * t2), off],
+                         [off, 1.0 / (2.0 * t2 * t2) - t1 * t1 / (2.0 * t2 ** 3)]])
+
     def start(y):
         m, v = float(np.mean(y)), float(max(np.var(y), 1e-8))
         return np.array([m / v, -0.5 / v])
@@ -300,7 +324,7 @@ def expfam_normal():
     return ExpFamilyModel(_Family(
         name="normal", s=2,
         t=lambda y: np.column_stack([y, y ** 2]),
-        c=c, c_grad=c_grad,
+        c=c, c_grad=c_grad, c_hess=c_hess,
         support=(-np.inf, np.inf),
         in_natural=lambda th: th[1] < 0,
         sample=sample, start=start, scale=scale,
@@ -317,6 +341,7 @@ def expfam_exponential():
         t=lambda y: np.asarray(y, dtype=float).reshape(-1, 1),
         c=lambda th: -math.log(-th[0]),
         c_grad=lambda th: np.array([-1.0 / th[0]]),
+        c_hess=lambda th: np.array([[1.0 / th[0] ** 2]]),
         support=(0.0, np.inf),
         in_natural=lambda th: th[0] < 0,
         sample=lambda th, n, rng: rng.exponential(-1.0 / th[0], n),
@@ -333,6 +358,10 @@ def expfam_gamma():
     def c_grad(th):
         return np.array([digamma(th[0] + 1.0) - math.log(-th[1]),
                          -(th[0] + 1.0) / th[1]])
+
+    def c_hess(th):
+        return np.array([[polygamma(1, th[0] + 1.0), -1.0 / th[1]],
+                         [-1.0 / th[1], (th[0] + 1.0) / th[1] ** 2]])
 
     def scale(th):
         shape, rate = th[0] + 1.0, -th[1]
@@ -352,7 +381,7 @@ def expfam_gamma():
     return ExpFamilyModel(_Family(
         name="gamma", s=2,
         t=lambda y: np.column_stack([np.log(y), y]),
-        c=c, c_grad=c_grad,
+        c=c, c_grad=c_grad, c_hess=c_hess,
         support=(0.0, np.inf),
         in_natural=lambda th: th[0] > -1.0 and th[1] < 0,
         sample=sample, start=start, scale=scale,
@@ -370,6 +399,11 @@ def expfam_beta():
         d = digamma(a + b)
         return np.array([digamma(a) - d, digamma(b) - d])
 
+    def c_hess(th):
+        a, b = th[0] + 1.0, th[1] + 1.0
+        ab = polygamma(1, a + b)
+        return np.array([[polygamma(1, a) - ab, -ab], [-ab, polygamma(1, b) - ab]])
+
     def start(y):
         m, v = float(np.mean(y)), float(max(np.var(y), 1e-12))
         common = max(m * (1 - m) / v - 1.0, 1e-3)
@@ -381,7 +415,7 @@ def expfam_beta():
     return ExpFamilyModel(_Family(
         name="beta", s=2,
         t=lambda y: np.column_stack([np.log(y), np.log1p(-y)]),
-        c=c, c_grad=c_grad,
+        c=c, c_grad=c_grad, c_hess=c_hess,
         support=(0.0, 1.0),
         in_natural=lambda th: th[0] > -1.0 and th[1] > -1.0,
         sample=sample, start=start,

@@ -55,6 +55,11 @@ def tsallis_integral_normal(mu, var, gamma):
     if gamma <= 1:
         raise DomainError("gamma must exceed 1")
     del mu
+    return _normal_power(var, gamma)
+
+
+def _normal_power(var, gamma):
+    # the models' unchecked form: their callers have checked var and gamma
     return gamma ** -0.5 * (_TWO_PI * var) ** ((1.0 - gamma) / 2.0)
 
 
@@ -64,6 +69,10 @@ def tsallis_integral_exponential(rate, gamma):
         raise DomainError("rate must be positive")
     if gamma <= 1:
         raise DomainError("gamma must exceed 1")
+    return _exponential_power(rate, gamma)
+
+
+def _exponential_power(rate, gamma):
     return rate ** (gamma - 1.0) / gamma
 
 
@@ -266,13 +275,48 @@ class ModelSpec(abc.ABC):
     def dlogpdf_obs(self, data, theta) -> np.ndarray:
         """(n, d) array of per-observation gradients of the log density."""
 
+    def d2logpdf_obs(self, data, theta, weights):
+        """(d, d) weighted sum ``sum_i w_i Hess log f(y_i; theta)`` of the
+        per-observation Hessians of the log density; None if no closed form."""
+        return None
+
     def tsallis_integral_obs(self, data, theta, gamma):
         """Per-observation ``int f^gamma``; None if no closed form."""
         return None
 
-    def tsallis_integral_grad_obs(self, data, theta, gamma):
-        """(n, d) gradient of the per-observation power integral; None if no closed form."""
+    def tsallis_integral_grad_obs(self, data, theta, gamma, values=None):
+        """(n, d) gradient of the per-observation power integral; None if no
+        closed form. ``values`` are the integrals at theta, where the caller
+        has them already."""
+        return self._integral_derivs(data, theta, gamma, values, 1)
+
+    def tsallis_integral_hess(self, data, theta, gamma, values=None):
+        """(d, d) Hessian of the summed power integral; None if no closed form."""
+        return self._integral_derivs(data, theta, gamma, values, 2)
+
+    def _integral_parts(self, data, theta, gamma):
+        """For a model whose observations fall in components, each with a
+        power integral I that depends on one coordinate j: one
+        (rows, j, d log I / d theta_j, d^2 log I / d theta_j^2) per
+        component. None otherwise."""
         return None
+
+    def _integral_derivs(self, data, theta, gamma, values, order):
+        parts = self._integral_parts(data, theta, gamma)
+        if parts is None:
+            return None
+        if values is None:
+            values = self.tsallis_integral_obs(data, theta, gamma)
+        d = len(theta)
+        if order == 1:
+            out = np.zeros((len(values), d))
+            for rows, j, dlog, _ in parts:
+                out[rows, j] = dlog * values[rows]
+        else:
+            out = np.zeros((d, d))
+            for rows, j, dlog, d2log in parts:
+                out[j, j] = (d2log + dlog * dlog) * values[rows].sum()
+        return out
 
     def quad_components(self, data, theta):
         """Density groups [(pdf, (lo, hi), count), ...] for the quadrature fallback."""
@@ -335,6 +379,20 @@ class ModelSpec(abc.ABC):
             jac[:, j] = (self.profile_embed(psi, lp) - self.profile_embed(psi, lm)) / (2 * h)
         return jac
 
+    def profile_embed_hess(self, psi, lam, grad):
+        """(d-1, d-1) curvature ``sum_k grad_k Hess_lam theta_k`` of the
+        embedding, contracted with a theta-gradient; None where theta is
+        linear in lam. Finite differences of profile_embed_jac by default."""
+        lam = np.asarray(lam, dtype=float)
+        out = np.empty((lam.size, lam.size))
+        for j in range(lam.size):
+            h = 1e-6 * (1.0 + abs(lam[j]))
+            lp = lam.copy(); lp[j] += h
+            lm = lam.copy(); lm[j] -= h
+            out[:, j] = ((self.profile_embed_jac(psi, lp) - self.profile_embed_jac(psi, lm)).T
+                         @ grad) / (2 * h)
+        return 0.5 * (out + out.T)
+
     # ---- analytic expectations -------------------------------------------
     def expected_kj(self, rule_kind, gamma, data, theta):
         """Analytic E[K], E[J] of the total estimating function; None if unknown."""
@@ -391,6 +449,9 @@ class _TwoSampleBase(ModelSpec):
         empty = np.empty(0)
         return (ys, empty) if component == 0 else (empty, ys)
 
+    def profile_embed_hess(self, psi, lam, grad):
+        return None
+
 
 class TwoSampleNormal(_TwoSampleBase):
     """Heteroscedastic two-sample normal model; interest is the mean difference."""
@@ -418,22 +479,31 @@ class TwoSampleNormal(_TwoSampleBase):
         out[n1:, 3] = -0.5 / vy + zy ** 2 / (2 * vy ** 2)
         return out
 
+    def d2logpdf_obs(self, data, theta, weights):
+        x, y = data
+        n1 = len(x)
+        out = np.zeros((4, 4))
+        # (mean index, variance index, residuals, weights) per sample
+        for m, v, z, w in ((0, 2, x - theta[0], weights[:n1]),
+                           (1, 3, y - theta[1], weights[n1:])):
+            var, sw = theta[v], w.sum()
+            out[m, m] = -sw / var
+            out[m, v] = out[v, m] = -(w @ z) / var ** 2
+            out[v, v] = sw / (2 * var ** 2) - (w @ z ** 2) / var ** 3
+        return out
+
     def tsallis_integral_obs(self, data, theta, gamma):
         x, y = data
         _, _, vx, vy = theta
-        ix = tsallis_integral_normal(0.0, vx, gamma)
-        iy = tsallis_integral_normal(0.0, vy, gamma)
-        return np.concatenate([np.full(len(x), ix), np.full(len(y), iy)])
+        return np.concatenate([np.full(len(x), _normal_power(vx, gamma)),
+                               np.full(len(y), _normal_power(vy, gamma))])
 
-    def tsallis_integral_grad_obs(self, data, theta, gamma):
-        x, y = data
-        _, _, vx, vy = theta
-        a = gamma - 1.0
-        n1, n2 = len(x), len(y)
-        out = np.zeros((n1 + n2, 4))
-        out[:n1, 2] = -a * tsallis_integral_normal(0.0, vx, gamma) / (2 * vx)
-        out[n1:, 3] = -a * tsallis_integral_normal(0.0, vy, gamma) / (2 * vy)
-        return out
+    def _integral_parts(self, data, theta, gamma):
+        # I = gamma^{-1/2} (2 pi v)^{-a/2}: d log I / dv = -a / (2v)
+        n1, a = len(data[0]), gamma - 1.0
+        vx, vy = theta[2], theta[3]
+        return ((slice(0, n1), 2, -a / (2 * vx), a / (2 * vx * vx)),
+                (slice(n1, None), 3, -a / (2 * vy), a / (2 * vy * vy)))
 
     def quad_components(self, data, theta):
         x, y = data
@@ -509,11 +579,14 @@ class NormalAUC(_TwoSampleBase):
     def dlogpdf_obs(self, data, theta):
         return TwoSampleNormal.dlogpdf_obs(self, data, theta)
 
+    def d2logpdf_obs(self, data, theta, weights):
+        return TwoSampleNormal.d2logpdf_obs(self, data, theta, weights)
+
     def tsallis_integral_obs(self, data, theta, gamma):
         return TwoSampleNormal.tsallis_integral_obs(self, data, theta, gamma)
 
-    def tsallis_integral_grad_obs(self, data, theta, gamma):
-        return TwoSampleNormal.tsallis_integral_grad_obs(self, data, theta, gamma)
+    def _integral_parts(self, data, theta, gamma):
+        return TwoSampleNormal._integral_parts(self, data, theta, gamma)
 
     def quad_components(self, data, theta):
         return TwoSampleNormal.quad_components(self, data, theta)
@@ -563,6 +636,13 @@ class NormalAUC(_TwoSampleBase):
             [0.0, 0.0, 1.0],
         ])
 
+    def profile_embed_hess(self, psi, lam, grad):
+        # mu_2 = mu_1 + q sqrt(v_1 + v_2): d^2 mu_2 / dv_i dv_j = -q / (4 s^3)
+        _, v1, v2 = lam
+        out = np.zeros((3, 3))
+        out[1:, 1:] = -grad[1] * ndtri(psi) / (4.0 * (v1 + v2) ** 1.5)
+        return out
+
 
 class ExponentialAUC(_TwoSampleBase):
     """P(X1 < X2) for two independent exponential samples; psi = r1 / (r1 + r2)."""
@@ -588,22 +668,23 @@ class ExponentialAUC(_TwoSampleBase):
         out[n1:, 1] = 1.0 / r2 - y
         return out
 
+    def d2logpdf_obs(self, data, theta, weights):
+        r1, r2 = theta
+        n1 = len(data[0])
+        return np.diag([-weights[:n1].sum() / r1 ** 2, -weights[n1:].sum() / r2 ** 2])
+
     def tsallis_integral_obs(self, data, theta, gamma):
         x, y = data
         r1, r2 = theta
-        i1 = tsallis_integral_exponential(r1, gamma)
-        i2 = tsallis_integral_exponential(r2, gamma)
-        return np.concatenate([np.full(len(x), i1), np.full(len(y), i2)])
+        return np.concatenate([np.full(len(x), _exponential_power(r1, gamma)),
+                               np.full(len(y), _exponential_power(r2, gamma))])
 
-    def tsallis_integral_grad_obs(self, data, theta, gamma):
-        x, y = data
+    def _integral_parts(self, data, theta, gamma):
+        # I = r^a / gamma: d log I / dr = a / r
+        n1, a = len(data[0]), gamma - 1.0
         r1, r2 = theta
-        a = gamma - 1.0
-        n1, n2 = len(x), len(y)
-        out = np.zeros((n1 + n2, 2))
-        out[:n1, 0] = a * r1 ** (a - 1.0) / gamma
-        out[n1:, 1] = a * r2 ** (a - 1.0) / gamma
-        return out
+        return ((slice(0, n1), 0, a / r1, -a / (r1 * r1)),
+                (slice(n1, None), 1, a / r2, -a / (r2 * r2)))
 
     def quad_components(self, data, theta):
         x, y = data
@@ -750,18 +831,23 @@ class LinearRegression(ModelSpec):
         out[:, -1] = -0.5 / v + r ** 2 / (2 * v ** 2)
         return out
 
+    def d2logpdf_obs(self, data, theta, weights):
+        y, X = data
+        beta, v = theta[:-1], theta[-1]
+        r = y - X @ beta
+        out = np.empty((len(theta), len(theta)))
+        out[:-1, :-1] = -(X.T * weights) @ X / v
+        out[:-1, -1] = out[-1, :-1] = -(X.T @ (weights * r)) / v ** 2
+        out[-1, -1] = weights.sum() / (2 * v ** 2) - (weights @ r ** 2) / v ** 3
+        return out
+
     def tsallis_integral_obs(self, data, theta, gamma):
         y, _ = data
-        v = theta[-1]
-        return np.full(len(y), tsallis_integral_normal(0.0, v, gamma))
+        return np.full(len(y), _normal_power(theta[-1], gamma))
 
-    def tsallis_integral_grad_obs(self, data, theta, gamma):
-        y, _ = data
-        v = theta[-1]
-        a = gamma - 1.0
-        out = np.zeros((len(y), len(theta)))
-        out[:, -1] = -a * tsallis_integral_normal(0.0, v, gamma) / (2 * v)
-        return out
+    def _integral_parts(self, data, theta, gamma):
+        a, v = gamma - 1.0, theta[-1]
+        return ((slice(None), len(theta) - 1, -a / (2 * v), a / (2 * v * v)),)
 
     def quad_components(self, data, theta):
         # the power integral of a normal density does not depend on its mean
@@ -825,6 +911,9 @@ class LinearRegression(ModelSpec):
 
     def profile_extract(self, theta):
         return _delete_coordinate(theta, self.interest_index)
+
+    def profile_embed_hess(self, psi, lam, grad):
+        return None
 
     def profile_embed_jac(self, psi, lam):
         d = len(lam) + 1

@@ -30,14 +30,12 @@ from .scoring import (
     _Objective,
     _fd_jacobian,
     _from_z,
-    _sym,
     _to_z,
     checked_inverse,
     estimate_KJ,
     fit as fit_rule,
     minimize_smooth,
     per_obs_gradient,
-    score_gradient,
     score_terms,
 )
 
@@ -160,12 +158,8 @@ def _root_taif_values(rule, data, fit_result, psi, ys, component):
     dW = 2.0 * ((n * sy_con - s_con) - (n * sy_free - fit_result.score_at_opt))
 
     # motion of nu through the constrained estimate
-    def nuisance_gradient(lam):
-        return model.profile_embed_jac(psi, lam).T @ score_gradient(
-            rule, data, model.profile_embed(psi, lam))
-
     jac = model.profile_embed_jac(psi, lam_c)
-    H = _sym(_fd_jacobian(nuisance_gradient, lam_c))     # observed nuisance Hessian
+    _, _, H = _Objective(rule, data, psi).derivatives(lam_c)   # observed nuisance Hessian
     s_c = single_obs_gradient(rule, data, theta_c, np.atleast_1d(ys), component=component)
     dlam = -n * np.linalg.solve(H, jac.T @ s_c.T).T
     grad_nu = _fd_jacobian(lambda t: _nu_at(rule, data, t), theta_c)

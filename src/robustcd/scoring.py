@@ -14,7 +14,6 @@ import dataclasses
 import warnings
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError, NumericsError
 from .models import ModelSpec, quadrature_power_integral
@@ -35,18 +34,22 @@ __all__ = [
 ]
 
 MAX_CONDITION = 1e12
+# A solve has converged when ||sum_i s_i|| <= GRAD_TOL sum_i ||s_i||: the
+# total gradient is round-off next to the size of its terms.
 GRAD_TOL = 1e-8
 N_STARTS = 3                 # fit: the first start and up to two jittered restarts
-# minimize_smooth: iteration cap and BFGS gradient tolerance. The largest
-# iteration count measured on the benchmark's fits is 16.
-MAX_ITER = 200
-SOLVER_GTOL = 1e-10
-# Newton polish of minimize_smooth. It stops once a step is shorter than
+# minimize_smooth, a damped Newton method. It runs to round-off: it stops
+# once ||g|| <= SOLVER_GTOL, or once a step is shorter than
 # STEP_FLOOR (1 + ||z||), where trial points differ from z by round-off. Where
 # f is flat to within F_NOISE (1 + |f|), f cannot rank trial points, so a step
 # that lowers ||g|| is accepted instead.
+MAX_ITER = 200
+SOLVER_GTOL = 1e-9
 STEP_FLOOR = 1e-10
 F_NOISE = 1e-13
+# Evaluations an objective remembers for its convergence verdict: more than
+# the trials a solve makes after its last accepted point.
+_MEMO = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,10 +94,14 @@ class ScoreRule:
 
 def _power_integrals(rule, data, theta):
     """Per-observation int f^gamma, closed form if the model has one."""
+    vals = rule.model.tsallis_integral_obs(data, theta, rule.gamma)
+    if vals is None:
+        return _quadrature_integrals(rule, data, theta)
+    return np.asarray(vals, dtype=float)
+
+
+def _quadrature_integrals(rule, data, theta):
     model, gamma = rule.model, rule.gamma
-    vals = model.tsallis_integral_obs(data, theta, gamma)
-    if vals is not None:
-        return np.asarray(vals, dtype=float)
     n = model.nobs(data)
     out = np.empty(n)
     pos = 0
@@ -106,28 +113,54 @@ def _power_integrals(rule, data, theta):
     return out
 
 
-def _kernel(rule, data, theta, grad=True):
-    """(terms, grads) of one pass over the data: the per-observation score
-    contributions S(y_i; theta) in canonical order and, with ``grad``, the
-    (n, d) matrix of their gradients (None without)."""
+def _kernel(rule, data, theta, order=1):
+    """(terms, grads, hess) of one pass over the data.
+
+    terms are the per-observation score contributions S(y_i; theta) in
+    canonical order. With order >= 1, grads is the (n, d) matrix of their
+    gradients; with order 2, hess is the (d, d) Hessian of their sum. Both
+    are None where not asked for. The Tsallis Hessian is
+    a Hess I - gamma a sum_i f_i^a (a dlogf_i dlogf_i' + Hess log f_i), with
+    a = gamma - 1 and I the summed power integral. A model without closed
+    forms for these gets finite differences of the gradient.
+    """
     model = rule.model
     data = model.checked(data)
     theta = np.asarray(theta, dtype=float)
     model.require_domain(theta)
     logf = model.logpdf_obs(data, theta)
-    dlogf = model.dlogpdf_obs(data, theta) if grad else None
+    hess = None
     if rule.kind == "log":
-        return -logf, (-dlogf if grad else None)
-    gamma = rule.gamma
-    a = gamma - 1.0
-    fa = np.exp(a * logf)
-    terms = a * _power_integrals(rule, data, theta) - gamma * fa
-    if not grad:
-        return terms, None
-    igrad = model.tsallis_integral_grad_obs(data, theta, gamma)
-    if igrad is None:
-        igrad = _fd_jacobian(lambda t: _power_integrals(rule, data, t), theta)
-    return terms, a * np.asarray(igrad, dtype=float) - gamma * a * fa[:, None] * dlogf
+        if order == 0:
+            return -logf, None, None
+        terms, grads = -logf, -model.dlogpdf_obs(data, theta)
+        if order == 2:
+            d2 = model.d2logpdf_obs(data, theta, np.ones(logf.size))
+            hess = None if d2 is None else -d2
+    else:
+        gamma = rule.gamma
+        a = gamma - 1.0
+        fa = np.exp(a * logf)
+        ivals = model.tsallis_integral_obs(data, theta, gamma)
+        closed = ivals is not None
+        ivals = np.asarray(ivals, dtype=float) if closed else _quadrature_integrals(
+            rule, data, theta)
+        terms = a * ivals - gamma * fa
+        if order == 0:
+            return terms, None, None
+        dlogf = model.dlogpdf_obs(data, theta)
+        igrad = model.tsallis_integral_grad_obs(data, theta, gamma, ivals) if closed else None
+        if igrad is None:
+            igrad = _fd_jacobian(lambda t: _power_integrals(rule, data, t), theta)
+        grads = a * np.asarray(igrad, dtype=float) - gamma * a * fa[:, None] * dlogf
+        if order == 2 and closed:
+            ihess = model.tsallis_integral_hess(data, theta, gamma, ivals)
+            d2 = model.d2logpdf_obs(data, theta, fa)
+            if ihess is not None and d2 is not None:
+                hess = a * ihess - gamma * a * (a * (dlogf.T * fa) @ dlogf + d2)
+    if order == 2 and hess is None:
+        hess = _sym(_fd_jacobian(lambda t: _kernel(rule, data, t)[1].sum(axis=0), theta))
+    return terms, grads, hess
 
 
 def _finite_total(val):
@@ -138,7 +171,7 @@ def _finite_total(val):
 
 def score_terms(rule, data, theta):
     """Per-observation score contributions S(y_i; theta), canonical order."""
-    return _kernel(rule, data, theta, grad=False)[0]
+    return _kernel(rule, data, theta, order=0)[0]
 
 
 def total_score(rule, data, theta, weights=None):
@@ -159,12 +192,6 @@ def score_gradient(rule, data, theta, weights=None):
     if weights is None:
         return grads.sum(axis=0)
     return np.asarray(weights, dtype=float) @ grads
-
-
-def _score_and_gradient(rule, data, theta):
-    """(total score, its gradient) from one kernel pass."""
-    terms, grads = _kernel(rule, data, theta)
-    return _finite_total(terms.sum()), grads.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +228,8 @@ def checked_inverse(a, what="matrix"):
 # ---------------------------------------------------------------------------
 
 def empirical_K(rule, data, theta):
-    """Observed sensitivity: finite-difference Jacobian of the total gradient."""
-    return _sym(_fd_jacobian(lambda t: score_gradient(rule, data, t),
-                             np.asarray(theta, dtype=float)))
+    """Observed sensitivity: the Hessian of the total score, one kernel pass."""
+    return _sym(_kernel(rule, data, theta, order=2)[2])
 
 
 def empirical_J(rule, data, theta):
@@ -369,20 +395,22 @@ def _from_z(z, positive):
 class _Objective:
     """The total score as a smooth function of unconstrained coordinates z.
 
-    Free (``psi`` None): z is theta with its positive entries
-    log-transformed. Constrained: z is the nuisance lam so transformed,
-    theta = profile_embed(psi, lam), and the gradient is pulled back through
-    the embedding's Jacobian. ``mixture=(eps, frame)`` scores the
-    eps-contaminated objective (1 - eps) S_data + n eps S_frame. A call
-    returns (value, gradient in z), with value +inf where theta is
-    inadmissible or the score cannot be evaluated.
+    Free (``psi`` None): x is theta, and z is x with its positive entries
+    log-transformed. Constrained: x is the nuisance lam so transformed,
+    theta = profile_embed(psi, lam), and derivatives are pulled back through
+    the embedding's Jacobian and curvature. ``mixture=(eps, frame)`` scores
+    the eps-contaminated objective (1 - eps) S_data + n eps S_frame. A call
+    returns (value, gradient, Hessian) in z, with value +inf where theta is
+    inadmissible, the score cannot be evaluated, or the arithmetic
+    overflows.
     """
 
     def __init__(self, rule, data, psi=None, mixture=None):
         self.rule, self.data, self.psi, self.mixture = rule, data, psi, mixture
         self.positive = (rule.model.positive_mask(data) if psi is None
                          else rule.model.lam_positive_mask(data))
-        self._last = None        # (theta bytes, theta-gradient) of the last evaluation
+        # theta bytes -> (theta-gradient, [(weight, per-observation gradients)])
+        self._seen = {}
 
     def theta(self, x):
         """theta at x, the free parameter or the nuisance at psi."""
@@ -392,74 +420,113 @@ class _Objective:
         eps = self.mixture[0]
         return (1.0 - eps) * at_data + self.rule.model.nobs(self.data) * eps * at_frame
 
-    def evaluate(self, theta):
-        """(value, gradient in theta) of the (mixture) total score, one
-        kernel pass over the data and one over the frame."""
-        val, g = _score_and_gradient(self.rule, self.data, theta)
+    def evaluate(self, theta, hess=False):
+        """(value, gradient) in theta of the (mixture) total score, and its
+        Hessian with ``hess``: one kernel pass over the data and one over
+        the frame. The evaluation is remembered for ``verdict``."""
+        order = 2 if hess else 1
+        terms, grads, H = _kernel(self.rule, self.data, theta, order)
+        val, g = _finite_total(terms.sum()), grads.sum(axis=0)
+        parts = [(1.0, grads)]
         if self.mixture is not None:
-            val_y, g_y = _score_and_gradient(self.rule, self.mixture[1], theta)
-            val, g = self._mix(val, val_y), self._mix(g, g_y)
-        self._last = (theta.tobytes(), g)
-        return val, g
+            eps, frame = self.mixture
+            terms_y, grads_y, H_y = _kernel(self.rule, frame, theta, order)
+            val = self._mix(val, _finite_total(terms_y.sum()))
+            g = self._mix(g, grads_y.sum(axis=0))
+            H = self._mix(H, H_y) if hess else None
+            parts = [(1.0 - eps, grads), (self.rule.model.nobs(self.data) * eps, grads_y)]
+        if len(self._seen) >= _MEMO:
+            del self._seen[next(iter(self._seen))]
+        self._seen[theta.tobytes()] = (g, parts)
+        return (val, g, H) if hess else (val, g)
+
+    def _recall(self, theta):
+        hit = self._seen.get(theta.tobytes())
+        if hit is None:
+            self.evaluate(theta)
+            hit = self._seen[theta.tobytes()]
+        return hit
 
     def gradient(self, theta):
-        """Gradient in theta of the (mixture) total score: the last
-        evaluation's where theta is bit-equal to its point, so judging a
-        solve's end point costs no pass over the data."""
-        if self._last is not None and self._last[0] == theta.tobytes():
-            return self._last[1]
-        g = score_gradient(self.rule, self.data, theta)
-        if self.mixture is not None:
-            g = self._mix(g, score_gradient(self.rule, self.mixture[1], theta))
-        return g
+        """Gradient in theta of the (mixture) total score, from the
+        remembered evaluation at theta where there is one."""
+        return self._recall(theta)[0]
+
+    def verdict(self, x):
+        """(||g||, converged) at x, theta or the constrained nuisance lam.
+
+        g is the gradient in x of the total score, and converged means
+        ||g|| <= GRAD_TOL sum_i ||s_i||, with s_i the per-observation
+        gradients in x. A solve's end point was evaluated by the solve, so
+        judging it costs no pass over the data.
+        """
+        try:
+            g, parts = self._recall(self.theta(x))
+        except (DomainError, NumericsError):
+            return np.inf, False
+        if self.psi is not None:
+            jac = self.rule.model.profile_embed_jac(self.psi, x)
+            g = jac.T @ g
+            parts = [(w, s @ jac) for w, s in parts]
+        scale = sum(w * np.linalg.norm(s, axis=1).sum() for w, s in parts)
+        gnorm = float(np.linalg.norm(g))
+        return gnorm, bool(gnorm <= GRAD_TOL * scale)
+
+    def derivatives(self, x):
+        """(value, gradient, Hessian) in x, theta or the constrained lam."""
+        val, g, H = self.evaluate(self.theta(x), hess=True)
+        if self.psi is None:
+            return val, g, H
+        model = self.rule.model
+        jac = model.profile_embed_jac(self.psi, x)
+        curvature = model.profile_embed_hess(self.psi, x, g)
+        H = jac.T @ H @ jac
+        return val, jac.T @ g, H if curvature is None else H + curvature
 
     def __call__(self, z):
-        x = _from_z(z, self.positive)
         try:
-            val, g = self.evaluate(self.theta(x))   # DomainError where inadmissible
+            # an overflowing trial point is an inadmissible one
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                x = _from_z(z, self.positive)
+                val, g, H = self.derivatives(x)
         except (DomainError, NumericsError, FloatingPointError):
-            return np.inf, np.zeros_like(z)
-        if self.psi is not None:
-            g = self.rule.model.profile_embed_jac(self.psi, x).T @ g
+            return np.inf, np.zeros_like(z), np.zeros((z.size, z.size))
         # chain rule through the log transform
-        return val, np.where(self.positive, x, 1.0) * g
+        dx = np.where(self.positive, x, 1.0)
+        H = dx[:, None] * H * dx + np.diag(np.where(self.positive, x * g, 0.0))
+        return val, dx * g, H
 
 
-def minimize_smooth(fun_grad, z0):
-    """Quasi-Newton minimization with a Newton polish pass.
+def minimize_smooth(fun, z0):
+    """Damped Newton minimization of ``fun(z) -> (value, gradient, Hessian)``.
 
-    ``fun_grad(z) -> (value, gradient)``. BFGS runs to SOLVER_GTOL or
-    MAX_ITER iterations; the polish starts from the value and gradient BFGS
-    evaluated at its end point. A polish step is accepted on the Armijo test, or
-    where f is flat to round-off (F_NOISE) when it lowers ||g||. Returns
-    (z, value, n_iter, reason), where reason names why the polish stopped:
+    Each iteration solves for the Newton step, with the Hessian's spectrum
+    shifted where it is not positive definite, and halves it until the
+    trial point passes the Armijo test, or lowers ||g|| where f is flat to
+    round-off (F_NOISE). Returns (z, value, n_iter, reason), z being the
+    last accepted point, so the last evaluation at z was the one that
+    accepted it. reason names why the solve stopped:
 
-    * "gradient": ||g|| <= 10 SOLVER_GTOL;
+    * "gradient": ||g|| <= SOLVER_GTOL;
     * "step": the Newton step, or a backtracked trial step, is shorter than
       STEP_FLOOR (1 + ||z||);
     * "no_decrease": 40 backtracks found no acceptable point;
     * "singular": the Newton system could not be solved;
-    * "not_finite": the objective is not finite where the quasi-Newton
-      stage ended;
-    * "max_iter": the iteration cap or the 25 polish rounds ran out.
+    * "not_finite": the objective is not finite at z0;
+    * "max_iter": MAX_ITER iterations ran out.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = minimize(fun_grad, np.asarray(z0, dtype=float), jac=True, method="BFGS",
-                       options={"gtol": SOLVER_GTOL, "maxiter": MAX_ITER})
-    z, f, g, n_iter = res.x, res.fun, res.jac, int(res.nit)
+    z = np.asarray(z0, dtype=float)
+    f, g, H = fun(z)
+    if not np.isfinite(f):
+        return z, f, 0, "not_finite"
+    n_iter = 0
     reason = "max_iter"
-    # Newton polish with a finite-difference Hessian of the gradient
-    for _ in range(25):
-        if not np.isfinite(f):
-            reason = "not_finite"
-            break
-        if np.linalg.norm(g) <= SOLVER_GTOL * 10:
+    while n_iter < MAX_ITER:
+        g_norm = np.linalg.norm(g)
+        if g_norm <= SOLVER_GTOL:
             reason = "gradient"
             break
-        if n_iter >= MAX_ITER:
-            break
-        H = _sym(_fd_jacobian(lambda v: fun_grad(v)[1], z))
+        H = _sym(H)
         try:
             w = np.linalg.eigvalsh(H)
             if w[0] <= 0:
@@ -469,18 +536,19 @@ def minimize_smooth(fun_grad, z0):
             reason = "singular"
             break
         floor = STEP_FLOOR * (1.0 + np.linalg.norm(z))
-        step_norm, g_norm = np.linalg.norm(step), np.linalg.norm(g)
+        step_norm, slope = np.linalg.norm(step), float(g @ step)
         t = 1.0
         stop = "no_decrease"
         for _ in range(40):
             if t * step_norm <= floor:
                 stop = "step"
                 break
-            f_new, g_new = fun_grad(z + t * step)
+            trial = z + t * step
+            f_new, g_new, H_new = fun(trial)
             flat = (f_new <= f + F_NOISE * (1.0 + abs(f))
                     and np.linalg.norm(g_new) < g_norm)
-            if np.isfinite(f_new) and (f_new <= f + 1e-4 * t * float(g @ step) or flat):
-                z, f, g = z + t * step, f_new, g_new
+            if np.isfinite(f_new) and (f_new <= f + 1e-4 * t * slope or flat):
+                z, f, g, H = trial, f_new, g_new, H_new
                 stop = None
                 break
             t *= 0.5
@@ -495,9 +563,10 @@ def fit(rule, data, theta0=None):
     """Estimate theta by minimizing the total score.
 
     Positive parameters are log-transformed so every iterate stays
-    admissible. Convergence requires the total estimating function to
-    satisfy ||sum_i s(y_i; theta)|| <= 1e-8 (1 + ||theta||); if the first
-    start fails, up to ``N_STARTS - 1`` jittered restarts are tried.
+    admissible. Convergence requires the total estimating function to be
+    round-off next to its terms, ||sum_i s_i|| <= GRAD_TOL sum_i ||s_i||;
+    if the first start fails, up to ``N_STARTS - 1`` jittered restarts are
+    tried.
     """
     model = rule.model
     data = model.checked(data)
@@ -518,8 +587,7 @@ def fit(rule, data, theta0=None):
         z_start = z0 if attempt == 0 else z0 + rng.normal(0.0, 0.2 * (1.0 + np.abs(z0)))
         z, val, n_iter, reason = minimize_smooth(objective, z_start)
         theta = _from_z(z, objective.positive)
-        gnorm = float(np.linalg.norm(objective.gradient(theta)))
-        converged = gnorm <= GRAD_TOL * (1.0 + float(np.linalg.norm(theta)))
+        gnorm, converged = objective.verdict(theta)
         cand = (converged, -val, theta, val, n_iter, gnorm, reason)
         if best is None or cand[:2] > best[:2]:
             best = cand

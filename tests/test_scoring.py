@@ -4,10 +4,12 @@ import scipy.linalg
 
 from robustcd import confidence, scoring
 from robustcd.errors import DomainError, NumericsError
-from robustcd.expfam import expfam_gamma
+from robustcd.expfam import expfam_beta, expfam_exponential, expfam_gamma, expfam_normal
 from robustcd.models import (
     ExponentialAUC,
     LinearRegression,
+    ModelSpec,
+    NormalAUC,
     TwoSampleNormal,
     tsallis_integral_normal,
 )
@@ -147,14 +149,14 @@ def test_fit_permutation_invariance(two_sample_data):
 
 def test_minimize_smooth_names_its_stop():
     def quadratic(z):
-        return float(z @ z), 2.0 * z
+        return float(z @ z), 2.0 * z, 2.0 * np.eye(z.size)
 
     z, f, _, reason = minimize_smooth(quadratic, np.array([1.0, -2.0]))
     assert reason == "gradient"
     assert f == pytest.approx(0.0, abs=1e-18)
 
     def nowhere_finite(z):
-        return np.inf, np.zeros_like(z)
+        return np.inf, np.zeros_like(z), np.zeros((z.size, z.size))
 
     *_, reason = minimize_smooth(nowhere_finite, np.array([1.0]))
     assert reason == "not_finite"
@@ -429,7 +431,7 @@ def test_kernel_equals_value_and_gradient_paths(kernel_cases, gamma):
         assert np.array_equal(g, score_gradient(rule, data, theta))
         # the unconstrained coordinates see the same numbers
         z = _to_z(theta, objective.positive)
-        val_z, g_z = objective(z)
+        val_z, g_z, _ = objective(z)
         x = _from_z(z, objective.positive)
         want = score_gradient(rule, data, x) * np.where(objective.positive, x, 1.0)
         assert val_z == total_score(rule, data, x)
@@ -466,8 +468,9 @@ def test_objective_gradient_reuses_the_last_evaluation(two_sample_data):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Kernel passes so far, and the count at each minimize_smooth return."""
-    calls, solved = [], []
+    """Kernel passes so far, and for each minimize_smooth call the count at
+    its entry and at its return, with its stop reason."""
+    calls, solves = [], []
     kernel = scoring._kernel
 
     def counted(*args, **kwargs):
@@ -477,45 +480,163 @@ def kernel_calls(monkeypatch):
     solve = scoring.minimize_smooth
 
     def marked(*args):
+        entry = len(calls)
         out = solve(*args)
-        solved.append(len(calls))
+        solves.append((entry, len(calls), out[3]))
         return out
 
     monkeypatch.setattr(scoring, "_kernel", counted)
     monkeypatch.setattr(scoring, "minimize_smooth", marked)
     monkeypatch.setattr(confidence, "minimize_smooth", marked)
-    return calls, solved
+    return calls, solves
 
 
-def test_no_kernel_pass_after_a_solve(two_sample_data, kernel_calls):
-    calls, solved = kernel_calls
+@pytest.fixture(scope="module")
+def cd_grid_auc_normal():
+    """The benchmark's cd-grid auc-normal input: 350 + 700 points."""
+    rng = np.random.default_rng([20251017, 1, 2, 0])
+    return NormalAUC().checked((rng.normal(0.0, 1.0, 350), rng.normal(1.0, 1.0, 700)))
+
+
+def _default_profile_grid(fr):
+    model = fr.rule.model
+    _, g_pp = interest_information(fr.K, fr.J, model.interest_grad(fr.theta_hat))
+    return confidence.default_grid(fr.psi_tilde, np.sqrt(g_pp), model.interest_range())
+
+
+def test_no_kernel_pass_after_a_solve(two_sample_data, cd_grid_auc_normal, kernel_calls):
+    calls, solves = kernel_calls
     m = TwoSampleNormal()
     rule = ScoreRule.tsallis(m, 1.2)
     _, _, _, converged = confidence.constrained_fit(rule, two_sample_data, 2.0)
-    assert converged and len(solved) == 1
-    assert len(calls) == solved[-1]
+    assert converged and len(solves) == 1
+    assert len(calls) == solves[-1][1]
 
-    del calls[:], solved[:]
+    del calls[:], solves[:]
     fr = fit(rule, two_sample_data)
-    assert fr.converged and len(solved) == 1     # the first start converged
-    assert len(calls) == solved[-1]              # K and J are analytic here
+    assert fr.converged and len(solves) == 1     # the first start converged
+    assert len(calls) == solves[-1][1]           # K and J are analytic here
+
+    # A solve that stops after rejected trial points: the verdict reuses
+    # the pass at its last accepted point.
+    objective = _Objective(rule, m.checked(two_sample_data), 2.0)
+    lam = m.profile_extract(fr.theta_hat)
+    z = _to_z(lam, objective.positive)
+    objective(z)
+    objective(z + 0.1)
+    objective(z + 1e3)                          # overflows: an inadmissible trial
+    del calls[:]
+    objective.verdict(_from_z(z, objective.positive))
+    assert not calls
+
+    # A warm-started profile on 1050 points: most of its solves stop on
+    # "step". nu comes from the analytic K and J, so every pass belongs to
+    # a solve.
+    rule = ScoreRule.log(NormalAUC())
+    fr = fit(rule, cd_grid_auc_normal)
+    del calls[:], solves[:]
+    trace = confidence.profile(rule, cd_grid_auc_normal, _default_profile_grid(fr),
+                               fit_result=fr)
+    assert not trace.failed.any() and len(solves) == 201
+    assert "step" in {reason for _, _, reason in solves}
+    ends = [0] + [end for _, end, _ in solves]
+    assert [entry for entry, _, _ in solves] == ends[:-1]
+    assert len(calls) == ends[-1]
 
 
-def test_minimize_smooth_evaluates_nothing_after_bfgs(monkeypatch):
-    evals, at_bfgs_end = [0], []
-    bfgs = scoring.minimize
+def test_warm_profile_takes_few_kernel_passes(cd_grid_auc_normal, kernel_calls):
+    # exact curvature: a constrained fit warm-started from its grid
+    # neighbour converges in a few Newton steps
+    calls, solves = kernel_calls
+    rule = ScoreRule.tsallis(NormalAUC(), 1.23)
+    fr = fit(rule, cd_grid_auc_normal)
+    del calls[:], solves[:]
+    trace = confidence.profile(rule, cd_grid_auc_normal, _default_profile_grid(fr),
+                               fit_result=fr)
+    assert not trace.failed.any() and len(solves) == 201
+    assert len(calls) / len(solves) <= 5.0
 
-    def marked(*args, **kwargs):
-        res = bfgs(*args, **kwargs)
-        at_bfgs_end.append((evals[0], res.nit))
-        return res
+
+def test_minimize_smooth_solves_a_quadratic_in_two_passes():
+    # one evaluation at the start and one at the exact Newton step, where
+    # the gradient vanishes
+    evals = [0]
 
     def quadratic(z):
         evals[0] += 1
-        return float(z @ z), 2.0 * z
+        return float(z @ z), 2.0 * z, 2.0 * np.eye(z.size)
 
-    monkeypatch.setattr(scoring, "minimize", marked)
-    _, _, n_iter, reason = minimize_smooth(quadratic, np.array([1.0, -2.0]))
-    (count, nit), = at_bfgs_end
-    assert reason == "gradient" and n_iter == nit     # the polish did not run
-    assert evals[0] == count
+    z, f, n_iter, reason = minimize_smooth(quadratic, np.array([1.0, -2.0]))
+    assert reason == "gradient" and n_iter == 1
+    assert evals[0] == 2
+    assert np.array_equal(z, [0.0, 0.0]) and f == 0.0
+
+
+# ---------------------------------------------------------------------------
+# analytic curvature
+# ---------------------------------------------------------------------------
+
+def _assert_hessian(H, H_fd, what):
+    assert np.abs(H - H_fd).max() <= 1e-6 * np.abs(H_fd).max(), what
+
+
+@pytest.fixture(scope="module")
+def curvature_cases(all_models):
+    rng = np.random.default_rng(21)
+    cases = [(model, model.checked(data)) for model, data in all_models]
+    for family, y in ((expfam_normal, rng.normal(1.0, 2.0, 80)),
+                      (expfam_exponential, rng.exponential(2.0, 80)),
+                      (expfam_gamma, rng.gamma(3.0, 0.5, 80)),
+                      (expfam_beta, rng.beta(2.0, 3.0, 80))):
+        model = family()
+        cases.append((model, model.checked(y)))
+    return cases
+
+
+@pytest.mark.parametrize("gamma", [None, 1.2])
+def test_analytic_hessians_equal_finite_differences(curvature_cases, gamma):
+    for model, data in curvature_cases:
+        rule = ScoreRule.log(model) if gamma is None else ScoreRule.tsallis(model, gamma)
+        theta = model.default_start(data)
+        what = (model.name, rule.label())
+        # theta: the kernel's Hessian of the total score
+        H = scoring._kernel(rule, data, theta, order=2)[2]
+        _assert_hessian(H, scoring._fd_jacobian(
+            lambda t: score_gradient(rule, data, t), theta), what + ("theta",))
+
+        center, _ = model.obs_center_scale(data, theta, 0)
+        frame = model.checked(model.contamination_frame([center + 0.3], data))
+        objectives = [("free z", _Objective(rule, data), theta),
+                      ("mixture z", _Objective(rule, data, mixture=(1e-4, frame)), theta)]
+        if len(theta) > 1:
+            # constrained off the free start, where NormalAUC's embedding
+            # curvature meets a nonzero gradient
+            psi = model.interest(theta) * 0.98
+            lam = model.profile_extract(theta)
+            objectives.append(("constrained z", _Objective(rule, data, psi), lam))
+            objectives.append(("constrained mixture z",
+                               _Objective(rule, data, psi, (1e-4, frame)), lam))
+        for name, objective, x in objectives:
+            z = _to_z(x, objective.positive)
+            val, _, H_z = objective(z)
+            assert np.isfinite(val), what + (name,)
+            _assert_hessian(H_z, scoring._fd_jacobian(lambda v: objective(v)[1], z),
+                            what + (name,))
+
+
+def test_normal_auc_embedding_curvature(normal_auc_data):
+    # the constrained Hessian needs the embedding's curvature, and the
+    # closed form equals the generic finite-difference default
+    model = NormalAUC()
+    data = model.checked(normal_auc_data)
+    rule = ScoreRule.tsallis(model, 1.2)
+    theta = model.default_start(data)
+    objective = _Objective(rule, data, model.interest(theta) * 0.98)
+    lam = model.profile_extract(theta)
+    _, _, H = objective.derivatives(lam)
+    H_fd = scoring._fd_jacobian(lambda v: objective.derivatives(v)[1], lam)
+    g_theta = objective.gradient(objective.theta(lam))
+    curvature = model.profile_embed_hess(objective.psi, lam, g_theta)
+    assert np.abs(H - curvature - H_fd).max() > 1e-3 * np.abs(H_fd).max()
+    generic = ModelSpec.profile_embed_hess(model, objective.psi, lam, g_theta)
+    assert np.allclose(generic, curvature, rtol=1e-6, atol=1e-8 * np.abs(curvature).max())

@@ -267,3 +267,31 @@ def test_point_pivot_refits_a_spurious_free_optimum(rep, shift, score, pivot):
     assert kept.converged
     assert kept.score_at_opt == pytest.approx(score, abs=1e-4)
     assert piv == pytest.approx(pivot, abs=1e-4)
+
+
+def test_no_warning_escapes_a_solve():
+    # Cold Newton trials on these inputs overflow exp in the log transform
+    # and divide by zero in the regression gradient; such a trial is a
+    # rejected step, not a warning.
+    import warnings
+
+    from robustcd.confidence import build_cd
+    from robustcd.models import LinearRegression
+    from test_acceptance import make_outlier_regression
+
+    design = SimDesign(
+        model="two-sample-normal", theta=(2.0, 0.0, 1.0, 1.0), sizes=(10, 20),
+        n_reps=50, seed=20250801,
+        methods=(MethodSpec("tsallis", "root", None), MethodSpec("log", "root")),
+        levels=(0.95,), h0=H0Spec(2.0, "less"),
+        contamination=Contamination(0, -1, -7.0))
+    data = make_outlier_regression()
+    model = LinearRegression(interest_index=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_study(design)
+        for rule in (ScoreRule.tsallis(model, 1.22), ScoreRule.log(model)):
+            fr = fit(rule, data)
+            assert fr.converged
+            build_cd(rule, data, "root", fit_result=fr, span=8.0)
+    assert all(res.n_failed == 0 for res in report.results.values())
