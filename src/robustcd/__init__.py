@@ -22,8 +22,6 @@ from .expfam import (
     expfam_gamma,
     expfam_normal,
     expfam_robustness_check,
-    expfam_score_gradient,
-    expfam_tsallis_score,
 )
 from .models import (
     ExponentialAUC,

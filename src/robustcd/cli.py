@@ -29,8 +29,10 @@ from .simulate import SimDesign, default_regression_design, run_study
 TWO_SAMPLE_MODELS = ("two-sample-normal", "auc-exponential", "auc-normal")
 
 
+# Output goes through print, not click.echo: click caches a text wrapper per
+# stream that keeps a redirected in-memory stream alive after its use.
 def _fail(message, code):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -131,14 +133,24 @@ def _make_rule(model, rule_name, gamma):
         _fail(str(exc), 2)
 
 
+def _parse_theta(spec, n_params):
+    try:
+        theta = np.array([float(t) for t in spec.split(",")])
+    except ValueError:
+        _fail(f"--theta expects comma-separated numbers, got {spec!r}", 2)
+    if theta.size != n_params:
+        _fail(f"--theta needs {n_params} values for this model, got {theta.size}", 2)
+    return theta
+
+
 def _emit(doc, out):
     text = json.dumps(doc, indent=2)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-        click.echo(f"wrote {out}", err=True)
+        print(f"wrote {out}", file=sys.stderr)
     else:
-        click.echo(text)
+        print(text)
 
 
 _model_opt = click.option("--model", "model_name", required=True,
@@ -177,8 +189,7 @@ def cmd_fit(model_name, rule_name, gamma, data_path, interest, intercept, out):
         fr = fit_rule(rule, data)
     except (DomainError, NumericsError) as exc:
         _fail(str(exc), 1)
-    names = (model.param_names if model.param_names
-             else tuple(f"theta_{i+1}" for i in range(len(fr.theta_hat))))
+    names = model.param_names
     if model_name == "linear-regression":
         p = data[1].shape[1]
         names = tuple(f"beta_{j+1}" for j in range(p)) + ("var",)
@@ -196,7 +207,7 @@ def cmd_fit(model_name, rule_name, gamma, data_path, interest, intercept, out):
     }
     _emit(doc, out)
     if not fr.converged:
-        click.echo("fit did not converge", err=True)
+        print("fit did not converge", file=sys.stderr)
         sys.exit(1)
 
 
@@ -295,21 +306,21 @@ def cmd_calibrate(model_name, target, data_path, theta_spec, measure, interest,
     try:
         if data_path is not None:
             model, data = _load_model_data(model_name, data_path, interest, intercept)
-            theta_ref = (np.array([float(t) for t in theta_spec.split(",")])
+            theta_ref = (_parse_theta(theta_spec, len(model.positive_mask(data)))
                          if theta_spec else fit_rule(ScoreRule.log(model), data).theta_hat)
         else:
             rng = np.random.default_rng(seed)
             if model_name == "linear-regression":
                 model = get_model(model_name, interest_index=interest if interest is not None else 1)
                 X = default_regression_design(n_template, seed)
-                theta_ref = (np.array([float(t) for t in theta_spec.split(",")])
+                theta_ref = (_parse_theta(theta_spec, X.shape[1] + 1)
                              if theta_spec else np.array([1.0, 0.0, 1.0, 1.0]))
                 data = model.sample(theta_ref, (n_template,), rng, design=X)
             elif model_name in TWO_SAMPLE_MODELS:
                 model = get_model(model_name)
                 if theta_spec is None:
                     _fail("--theta is required without --data for two-sample models", 2)
-                theta_ref = np.array([float(t) for t in theta_spec.split(",")])
+                theta_ref = _parse_theta(theta_spec, model.dim)
                 sizes = (n_template, n_template)
                 data = model.sample(theta_ref, sizes, rng)
             else:
@@ -380,9 +391,10 @@ def cmd_simulate(design_path, seed, out):
     design_doc.setdefault("seed", seed)
     try:
         design = SimDesign.from_dict(design_doc)
-        report = run_study(design)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, DomainError) as exc:
         _fail(f"invalid design document: {exc}", 2)
+    try:
+        report = run_study(design)
     except (DomainError, NumericsError) as exc:
         _fail(str(exc), 1)
     _emit(report.to_dict(), out)

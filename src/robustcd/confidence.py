@@ -444,20 +444,31 @@ def ci(cd, level):
     return ConfidenceInterval(lo, hi, lo_open, hi_open)
 
 
+_ALTERNATIVES = ("less", "greater", "two_sided", "two-sided")
+
+
+def _check_alternative(alternative):
+    if alternative not in _ALTERNATIVES:
+        raise DomainError("alternative must be 'less', 'greater' or 'two_sided'")
+
+
+def _tail_p(q, alternative):
+    """P-value of the pivot value q: Phi(-q), Phi(q) or 2 (1 - Phi(|q|))."""
+    _check_alternative(alternative)
+    if alternative == "less":
+        return float(ndtr(-q))
+    if alternative == "greater":
+        return float(ndtr(q))
+    return float(2.0 * (1.0 - ndtr(abs(q))))
+
+
 def p_value(cd, psi0, alternative="two_sided"):
     """P-value for H0: psi = psi0 against the given alternative.
 
     "less" and "greater" are the CD tail areas C(psi0) and 1 - C(psi0); the
     two-sided p-value is 2 (1 - Phi(|pivot(psi0)|)).
     """
-    q = float(cd.pivot_at(psi0))
-    if alternative == "less":
-        return float(ndtr(-q))
-    if alternative == "greater":
-        return float(ndtr(q))
-    if alternative in ("two_sided", "two-sided"):
-        return float(2.0 * (1.0 - ndtr(abs(q))))
-    raise DomainError("alternative must be 'less', 'greater' or 'two_sided'")
+    return _tail_p(float(cd.pivot_at(psi0)), alternative)
 
 
 def evidence(cd, psi1, psi2):

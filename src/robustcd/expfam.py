@@ -19,12 +19,10 @@ import numpy as np
 from scipy.special import betaln, digamma, gammaln, polygamma
 
 from .errors import DomainError
-from .models import ModelSpec, _delete_coordinate, _insert_coordinate
+from .models import _CoordinateInterest
 
 __all__ = [
     "ExpFamilyModel",
-    "expfam_tsallis_score",
-    "expfam_score_gradient",
     "expfam_robustness_check",
     "BoundednessReport",
     "expfam_normal",
@@ -52,8 +50,9 @@ class _Family:
     scale: callable = None       # theta -> reference observation scale
 
 
-class ExpFamilyModel(ModelSpec):
-    """ModelSpec wrapper around one canonical exponential family."""
+class ExpFamilyModel(_CoordinateInterest):
+    """ModelSpec wrapper around one canonical exponential family; the
+    interest is one natural-parameter coordinate."""
 
     wald_scale = "identity"
 
@@ -64,7 +63,6 @@ class ExpFamilyModel(ModelSpec):
         self.positive = tuple([False] * family.s)
         self.interest_index = int(interest_index)
         self.interest_name = f"theta_{self.interest_index + 1}"
-        self.lam_positive = tuple([False] * (family.s - 1))
 
     def in_domain(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -157,59 +155,10 @@ class ExpFamilyModel(ModelSpec):
         y = np.asarray(data, dtype=float)
         return float(np.median(y)), float(np.std(y) or 1.0)
 
-    def interest(self, theta):
-        return float(theta[self.interest_index])
-
-    def interest_grad(self, theta):
-        g = np.zeros(len(theta))
-        g[self.interest_index] = 1.0
-        return g
-
-    def profile_embed(self, psi, lam):
-        return _insert_coordinate(lam, self.interest_index, psi)
-
-    def profile_extract(self, theta):
-        return _delete_coordinate(theta, self.interest_index)
-
-    def profile_embed_hess(self, psi, lam, grad):
-        return None
-
 
 # ---------------------------------------------------------------------------
-# Score, gradient and the boundedness check
+# The boundedness check
 # ---------------------------------------------------------------------------
-
-def expfam_tsallis_score(model: ExpFamilyModel, y, theta, gamma):
-    """Closed-form Tsallis score of one observation:
-    (gamma - 1) exp(c(gamma theta) - gamma c(theta)) - gamma f(y; theta)^(gamma - 1)."""
-    if gamma <= 1:
-        raise DomainError("gamma must exceed 1")
-    theta = np.asarray(theta, dtype=float)
-    if not model.in_domain(theta):
-        raise DomainError("theta outside the natural parameter space")
-    integral = model._power_integral(theta, gamma)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    logf = model.logpdf_obs(y, theta)
-    out = (gamma - 1.0) * integral - gamma * np.exp((gamma - 1.0) * logf)
-    return float(out[0]) if out.size == 1 else out
-
-
-def expfam_score_gradient(model: ExpFamilyModel, y, theta, gamma):
-    """Gradient of the closed-form Tsallis score in the natural parameter."""
-    fam = model.family
-    theta = np.asarray(theta, dtype=float)
-    gt = gamma * theta
-    if not (model.in_domain(theta) and fam.in_natural(gt)):
-        raise DomainError("theta or gamma*theta outside the natural space")
-    integral = math.exp(fam.c(gt) - gamma * fam.c(theta))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    logf = model.logpdf_obs(y, theta)
-    fa = np.exp((gamma - 1.0) * logf)
-    cdiff = fam.c_grad(gt) - fam.c_grad(theta)
-    tdiff = fam.t(y) - fam.c_grad(theta)[None, :]
-    out = gamma * (gamma - 1.0) * (integral * cdiff[None, :] - fa[:, None] * tdiff)
-    return out[0] if out.shape[0] == 1 else out
-
 
 @dataclasses.dataclass(frozen=True)
 class BoundednessReport:

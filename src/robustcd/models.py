@@ -17,7 +17,6 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
-from scipy.stats import norm
 
 from .errors import DomainError, NumericsError
 
@@ -170,20 +169,16 @@ def _mad_scale(y):
     return med, s
 
 
-# ---------------------------------------------------------------------------
-# Coordinate interest embeddings
-# ---------------------------------------------------------------------------
-
-def _insert_coordinate(lam, index, psi):
-    """Full parameter with psi at coordinate ``index`` (np.insert, cheaper)."""
-    lam = np.asarray(lam, dtype=float)
-    return np.concatenate((lam[:index], [psi], lam[index:]))
-
-
-def _delete_coordinate(theta, index):
-    """Nuisance coordinates: theta without coordinate ``index`` (np.delete, cheaper)."""
-    theta = np.asarray(theta, dtype=float)
-    return np.concatenate((theta[:index], theta[index + 1:]))
+def _fd_jacobian(func, x, rel_step=1e-6):
+    """Central-difference Jacobian of ``func`` at the float array ``x``: one
+    column per coordinate j, with step rel_step (1 + |x_j|)."""
+    cols = []
+    for j in range(len(x)):
+        h = rel_step * (1.0 + abs(x[j]))
+        xp = x.copy(); xp[j] += h
+        xm = x.copy(); xm[j] -= h
+        cols.append((func(xp) - func(xm)) / (2 * h))
+    return np.stack(cols, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +202,6 @@ class ModelSpec(abc.ABC):
 
     @property
     def dim(self):
-        return len(self.param_names)
-
-    def param_dim(self, data):
         return len(self.param_names)
 
     def positive_mask(self, data):
@@ -319,7 +311,8 @@ class ModelSpec(abc.ABC):
         return out
 
     def quad_components(self, data, theta):
-        """Density groups [(pdf, (lo, hi), count), ...] for the quadrature fallback."""
+        """Density groups [(pdf, (lo, hi), count), ...] for the quadrature
+        fallback of a model without a closed-form power integral."""
         raise NotImplementedError
 
     # ---- sampling / contamination --------------------------------------
@@ -369,34 +362,54 @@ class ModelSpec(abc.ABC):
 
     def profile_embed_jac(self, psi, lam):
         """(d, d-1) Jacobian d theta / d lam; finite differences by default."""
-        lam = np.asarray(lam, dtype=float)
-        base = self.profile_embed(psi, lam)
-        jac = np.empty((self.dim, lam.size))
-        for j in range(lam.size):
-            h = 1e-6 * (1.0 + abs(lam[j]))
-            lp = lam.copy(); lp[j] += h
-            lm = lam.copy(); lm[j] -= h
-            jac[:, j] = (self.profile_embed(psi, lp) - self.profile_embed(psi, lm)) / (2 * h)
-        return jac
+        return _fd_jacobian(lambda v: self.profile_embed(psi, v), np.asarray(lam, dtype=float))
 
     def profile_embed_hess(self, psi, lam, grad):
         """(d-1, d-1) curvature ``sum_k grad_k Hess_lam theta_k`` of the
         embedding, contracted with a theta-gradient; None where theta is
         linear in lam. Finite differences of profile_embed_jac by default."""
-        lam = np.asarray(lam, dtype=float)
-        out = np.empty((lam.size, lam.size))
-        for j in range(lam.size):
-            h = 1e-6 * (1.0 + abs(lam[j]))
-            lp = lam.copy(); lp[j] += h
-            lm = lam.copy(); lm[j] -= h
-            out[:, j] = ((self.profile_embed_jac(psi, lp) - self.profile_embed_jac(psi, lm)).T
-                         @ grad) / (2 * h)
+        out = _fd_jacobian(lambda v: self.profile_embed_jac(psi, v).T @ grad,
+                           np.asarray(lam, dtype=float))
         return 0.5 * (out + out.T)
 
     # ---- analytic expectations -------------------------------------------
     def expected_kj(self, rule_kind, gamma, data, theta):
         """Analytic E[K], E[J] of the total estimating function; None if unknown."""
         return None
+
+
+class _CoordinateInterest(ModelSpec):
+    """A model whose interest is the coordinate ``interest_index`` of theta
+    and whose nuisance lam is theta without it."""
+
+    def interest(self, theta):
+        return float(theta[self.interest_index])
+
+    def interest_grad(self, theta):
+        g = np.zeros(len(theta))
+        g[self.interest_index] = 1.0
+        return g
+
+    def profile_embed(self, psi, lam):
+        lam = np.asarray(lam, dtype=float)
+        i = self.interest_index
+        return np.concatenate((lam[:i], [psi], lam[i:]))
+
+    def profile_extract(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        i = self.interest_index
+        return np.concatenate((theta[:i], theta[i + 1:]))
+
+    def profile_embed_jac(self, psi, lam):
+        return np.delete(np.eye(len(lam) + 1), self.interest_index, axis=1)
+
+    def profile_embed_hess(self, psi, lam, grad):
+        return None
+
+    def lam_positive_mask(self, data):
+        mask = list(self.positive_mask(data))
+        del mask[self.interest_index]
+        return tuple(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -505,15 +518,6 @@ class TwoSampleNormal(_TwoSampleBase):
         return ((slice(0, n1), 2, -a / (2 * vx), a / (2 * vx * vx)),
                 (slice(n1, None), 3, -a / (2 * vy), a / (2 * vy * vy)))
 
-    def quad_components(self, data, theta):
-        x, y = data
-        mx, my, vx, vy = theta
-        sx, sy = math.sqrt(vx), math.sqrt(vy)
-        return [
-            (lambda t, m=mx, s=sx: norm.pdf(t, m, s), (-np.inf, np.inf), len(x)),
-            (lambda t, m=my, s=sy: norm.pdf(t, m, s), (-np.inf, np.inf), len(y)),
-        ]
-
     def default_start(self, data):
         _require_both_samples(data)
         x, y = data
@@ -562,49 +566,14 @@ class TwoSampleNormal(_TwoSampleBase):
         return K, J
 
 
-class NormalAUC(_TwoSampleBase):
-    """Stress-strength reliability P(X1 < X2) for two independent normal samples."""
+class NormalAUC(TwoSampleNormal):
+    """Stress-strength reliability P(X1 < X2) for two independent normal
+    samples: the two-sample normal densities with the AUC as interest."""
 
     name = "auc-normal"
     param_names = ("mu_1", "mu_2", "var_1", "var_2")
-    positive = (False, False, True, True)
     interest_name = "P(X1 < X2)"
     wald_scale = "logit"
-    lam_positive = (False, True, True)
-
-    # density pieces are those of TwoSampleNormal with relabelled parameters
-    def logpdf_obs(self, data, theta):
-        return TwoSampleNormal.logpdf_obs(self, data, theta)
-
-    def dlogpdf_obs(self, data, theta):
-        return TwoSampleNormal.dlogpdf_obs(self, data, theta)
-
-    def d2logpdf_obs(self, data, theta, weights):
-        return TwoSampleNormal.d2logpdf_obs(self, data, theta, weights)
-
-    def tsallis_integral_obs(self, data, theta, gamma):
-        return TwoSampleNormal.tsallis_integral_obs(self, data, theta, gamma)
-
-    def _integral_parts(self, data, theta, gamma):
-        return TwoSampleNormal._integral_parts(self, data, theta, gamma)
-
-    def quad_components(self, data, theta):
-        return TwoSampleNormal.quad_components(self, data, theta)
-
-    def default_start(self, data):
-        return TwoSampleNormal.default_start(self, data)
-
-    def mle_start(self, data):
-        return TwoSampleNormal.mle_start(self, data)
-
-    def sample(self, theta, sizes, rng, *, design=None):
-        return TwoSampleNormal.sample(self, theta, sizes, rng)
-
-    def obs_center_scale(self, data, theta, component=0):
-        return TwoSampleNormal.obs_center_scale(self, data, theta, component)
-
-    def expected_kj(self, rule_kind, gamma, data, theta):
-        return TwoSampleNormal.expected_kj(self, rule_kind, gamma, data, theta)
 
     def interest(self, theta):
         return auc_from_normal(*theta)
@@ -686,14 +655,6 @@ class ExponentialAUC(_TwoSampleBase):
         return ((slice(0, n1), 0, a / r1, -a / (r1 * r1)),
                 (slice(n1, None), 1, a / r2, -a / (r2 * r2)))
 
-    def quad_components(self, data, theta):
-        x, y = data
-        r1, r2 = theta
-        return [
-            (lambda t, r=r1: r * np.exp(-r * t), (0.0, np.inf), len(x)),
-            (lambda t, r=r2: r * np.exp(-r * t), (0.0, np.inf), len(y)),
-        ]
-
     def validate_data(self, data):
         x, y = _validate_two_samples(data)
         if np.any(x < 0) or np.any(y < 0):
@@ -758,7 +719,7 @@ class ExponentialAUC(_TwoSampleBase):
 # Linear regression
 # ---------------------------------------------------------------------------
 
-class LinearRegression(ModelSpec):
+class LinearRegression(_CoordinateInterest):
     """Normal linear model y_i = x_i' beta + eps_i; interest is one coefficient.
 
     Parameters are (beta_1, ..., beta_p, var). The design matrix travels with
@@ -770,11 +731,6 @@ class LinearRegression(ModelSpec):
 
     def __init__(self, interest_index=1):
         self.interest_index = int(interest_index)
-
-    def _layout(self, data):
-        _, X = data
-        p = X.shape[1]
-        return p
 
     def validate_data(self, data):
         try:
@@ -798,17 +754,12 @@ class LinearRegression(ModelSpec):
         if np.linalg.matrix_rank(X) < X.shape[1]:
             raise DomainError("design matrix is rank deficient")
 
-    # parameter layout is data-dependent; dim queries go through param_dim
-    def param_dim(self, data):
-        return self._layout(data) + 1
-
     @property
     def dim(self):
-        raise AttributeError("regression dimension depends on the design; use param_dim(data)")
+        raise AttributeError("regression dimension depends on the design: p + 1 for p columns")
 
     def positive_mask(self, data):
-        p = self._layout(data)
-        return tuple([False] * p + [True])
+        return tuple([False] * data[1].shape[1] + [True])
 
     def in_domain(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -848,13 +799,6 @@ class LinearRegression(ModelSpec):
     def _integral_parts(self, data, theta, gamma):
         a, v = gamma - 1.0, theta[-1]
         return ((slice(None), len(theta) - 1, -a / (2 * v), a / (2 * v * v)),)
-
-    def quad_components(self, data, theta):
-        # the power integral of a normal density does not depend on its mean
-        y, _ = data
-        v = theta[-1]
-        s = math.sqrt(v)
-        return [(lambda t, s=s: norm.pdf(t, 0.0, s), (-np.inf, np.inf), len(y))]
 
     def default_start(self, data):
         y, X = data
@@ -897,36 +841,6 @@ class LinearRegression(ModelSpec):
         _, X = data
         beta, v = theta[:-1], theta[-1]
         return (float(X.mean(axis=0) @ beta), math.sqrt(v))
-
-    def interest(self, theta):
-        return theta[self.interest_index]
-
-    def interest_grad(self, theta):
-        g = np.zeros(len(theta))
-        g[self.interest_index] = 1.0
-        return g
-
-    def profile_embed(self, psi, lam):
-        return _insert_coordinate(lam, self.interest_index, psi)
-
-    def profile_extract(self, theta):
-        return _delete_coordinate(theta, self.interest_index)
-
-    def profile_embed_hess(self, psi, lam, grad):
-        return None
-
-    def profile_embed_jac(self, psi, lam):
-        d = len(lam) + 1
-        jac = np.zeros((d, d - 1))
-        rows = [i for i in range(d) if i != self.interest_index]
-        for col, row in enumerate(rows):
-            jac[row, col] = 1.0
-        return jac
-
-    def lam_positive_mask(self, data):
-        mask = list(self.positive_mask(data))
-        del mask[self.interest_index]
-        return tuple(mask)
 
     def expected_kj(self, rule_kind, gamma, data, theta):
         y, X = data

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import DomainError, NumericsError
-from .models import normal_pdf
+from .models import _fd_jacobian, normal_pdf
 from .confidence import (
     _constrained_at,
     _nu_at,
@@ -28,10 +28,11 @@ from .confidence import (
 from .scoring import (
     ScoreRule,
     _Objective,
-    _fd_jacobian,
     _from_z,
     _to_z,
     checked_inverse,
+    empirical_J,
+    empirical_K,
     estimate_KJ,
     fit as fit_rule,
     minimize_smooth,
@@ -64,9 +65,10 @@ def influence_function(rule, data, theta, ys, component=0, k_mode="auto"):
     For the one-sample normal mean under the log score this is exactly
     y - mu. One row per y. ``k_mode="empirical"`` uses the observed
     sensitivity, which makes this the exact refit derivative in finite
-    samples.
+    samples; "auto" takes K from ``estimate_KJ``.
     """
-    K, _ = estimate_KJ(rule, data, theta, k_mode=k_mode)
+    K = (empirical_K(rule, data, theta) if k_mode == "empirical"
+         else estimate_KJ(rule, data, theta)[0])
     Kinv = checked_inverse(K, "sensitivity matrix K")
     s = single_obs_gradient(rule, data, theta, ys, component=component)
     out = -rule.model.nobs(data) * (s @ Kinv.T)
@@ -98,13 +100,6 @@ class TAIFProfile:
             "pivot": self.pivot_kind,
             "psi": self.psi_fixed,
         }
-
-    def to_csv(self, path):
-        """Two-column y,taif export for external plotting."""
-        with open(path, "w") as fh:
-            fh.write("y,taif\n")
-            for y, v in zip(self.y_grid, self.taif_values):
-                fh.write(f"{y!r},{v!r}\n")
 
 
 def _wald_pivot_of_theta(rule, data, theta, psi):
@@ -303,7 +298,6 @@ def _expected_kj_any(model, rule_kind, gamma, data, theta, mc_seed=0, mc_size=20
     n = model.nobs(data)
     big = model.checked(model.sample(theta, _scaled_sizes(data, mc_size), rng))
     rule = ScoreRule.log(model) if rule_kind == "log" else ScoreRule.tsallis(model, gamma)
-    from .scoring import empirical_J, empirical_K
     scale = n / model.nobs(big)
     return (empirical_K(rule, big, theta) * scale,
             empirical_J(rule, big, theta) * scale)

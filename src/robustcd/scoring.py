@@ -11,12 +11,11 @@ estimated empirically; both paths are exposed.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .models import ModelSpec, quadrature_power_integral
+from .models import ModelSpec, _fd_jacobian, quadrature_power_integral
 
 __all__ = [
     "ScoreRule",
@@ -202,18 +201,6 @@ def _sym(a):
     return 0.5 * (a + a.T)
 
 
-def _fd_jacobian(func, x, rel_step=1e-6):
-    """Central-difference Jacobian of ``func`` at the float array ``x``: one
-    column per coordinate j, with step rel_step (1 + |x_j|)."""
-    cols = []
-    for j in range(len(x)):
-        h = rel_step * (1.0 + abs(x[j]))
-        xp = x.copy(); xp[j] += h
-        xm = x.copy(); xm[j] -= h
-        cols.append((func(xp) - func(xm)) / (2 * h))
-    return np.stack(cols, axis=-1)
-
-
 def checked_inverse(a, what="matrix"):
     """Inverse of a symmetrized matrix, guarded by a condition-number cap."""
     a = _sym(np.asarray(a, dtype=float))
@@ -238,39 +225,18 @@ def empirical_J(rule, data, theta):
     return _sym(grads.T @ grads)
 
 
-def estimate_KJ(rule, data, theta, k_mode="auto", j_mode="auto", cross_check=False):
-    """Sensitivity and variability matrices of the total estimating function.
-
-    Modes: "auto" uses the model's analytic expectation when available and
-    falls back to the empirical estimate; "analytic" and "empirical" force a
-    path. With ``cross_check=True`` a >10% relative disagreement between the
-    analytic and empirical K is reported as a warning.
-    """
+def estimate_KJ(rule, data, theta):
+    """Sensitivity and variability matrices of the total estimating function:
+    the model's analytic expectations where it has them, else the empirical
+    estimates ``empirical_K`` and ``empirical_J``."""
     model = rule.model
     data = model.checked(data)
     theta = np.asarray(theta, dtype=float)
     expected = model.expected_kj(rule.kind, rule.gamma, data, theta)
-    if expected is None and ("analytic" in (k_mode, j_mode)):
-        raise DomainError(f"model {model.name!r} provides no analytic K/J")
-    K = J = None
-    if expected is not None:
-        K_a, J_a = expected
-        if k_mode in ("auto", "analytic"):
-            K = _sym(np.asarray(K_a, dtype=float))
-        if j_mode in ("auto", "analytic"):
-            J = _sym(np.asarray(J_a, dtype=float))
-    if K is None:
-        K = empirical_K(rule, data, theta)
-    if J is None:
-        J = empirical_J(rule, data, theta)
-    if cross_check and expected is not None:
-        K_e = empirical_K(rule, data, theta)
-        denom = np.linalg.norm(K)
-        if denom > 0 and np.linalg.norm(K_e - K) / denom > 0.10:
-            warnings.warn(
-                "analytic and empirical sensitivity matrices disagree by more than 10%; "
-                "data may be far from the model", stacklevel=2)
-    return K, J
+    if expected is None:
+        return empirical_K(rule, data, theta), empirical_J(rule, data, theta)
+    K, J = expected
+    return _sym(np.asarray(K, dtype=float)), _sym(np.asarray(J, dtype=float))
 
 
 def sandwich(K, J):

@@ -17,10 +17,17 @@ import dataclasses
 import warnings
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from .errors import DomainError, NumericsError
-from .confidence import _constrained_at, _nu_at, _signed_root, pivot_wald
+from .confidence import (
+    _check_alternative,
+    _constrained_at,
+    _nu_at,
+    _signed_root,
+    _tail_p,
+    pivot_wald,
+)
 from .models import get_model
 from .robustness import calibrate_gamma
 from .scoring import ScoreRule, fit as fit_rule
@@ -72,6 +79,9 @@ class H0Spec:
     psi0: float
     alternative: str = "less"
 
+    def __post_init__(self):
+        _check_alternative(self.alternative)
+
 
 @dataclasses.dataclass
 class SimDesign:
@@ -87,6 +97,7 @@ class SimDesign:
     interest_index: int = 1      # regression only
 
     def __post_init__(self):
+        get_model(self.model)            # raises DomainError for an unknown model
         if self.n_reps < 1:
             raise DomainError("n_reps must be at least 1")
         if not all(0.0 < lv < 1.0 for lv in self.levels):
@@ -223,20 +234,6 @@ class SimReport:
             "methods": {k: v.to_dict() for k, v in self.results.items()},
         }
 
-    def save_samples_csv(self, path, method_label):
-        """Per-replicate p-value and CD-median samples for external plotting."""
-        res = self.results.get(method_label)
-        if res is None:
-            raise DomainError(f"unknown method label {method_label!r}")
-        have_p = len(res.pvalues) == len(res.medians)
-        with open(path, "w") as fh:
-            fh.write("pvalue,median\n" if have_p else "median\n")
-            for i, med in enumerate(res.medians):
-                if have_p:
-                    fh.write(f"{res.pvalues[i]!r},{med!r}\n")
-                else:
-                    fh.write(f"{med!r}\n")
-
 
 def _resolve_gamma(method, model, theta_true, template):
     if method.rule == "log":
@@ -303,14 +300,7 @@ def run_study(design: SimDesign, max_failure_rate=0.05):
                 if abs(piv_true) <= z[lv]:
                     res.cover_counts[lv] = res.cover_counts.get(lv, 0) + 1
             if design.h0 is not None:
-                alt = design.h0.alternative
-                if alt == "less":
-                    p = float(ndtr(-piv0))
-                elif alt == "greater":
-                    p = float(ndtr(piv0))
-                else:
-                    p = float(2.0 * (1.0 - ndtr(abs(piv0))))
-                res.pvalues.append(p)
+                res.pvalues.append(_tail_p(piv0, design.h0.alternative))
             res.medians.append(float(model.interest(fr.theta_hat)))
 
     for label, res in results.items():

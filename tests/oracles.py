@@ -28,6 +28,38 @@ def fd_gradient(fun, theta, step=1e-5):
 
 
 # ---------------------------------------------------------------------------
+# Exponential-family Tsallis score from the family's t, c and c_grad
+# ---------------------------------------------------------------------------
+
+def expfam_tsallis_score(model, y, theta, gamma):
+    """Tsallis score of observations y under the canonical exponential family
+    f(y) = exp(theta' t(y) - c(theta)) of ``model``:
+    (gamma - 1) exp(c(gamma theta) - gamma c(theta)) - gamma f(y)^(gamma - 1)."""
+    fam = model.family
+    theta = np.asarray(theta, dtype=float)
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    integral = np.exp(fam.c(gamma * theta) - gamma * fam.c(theta))
+    f = np.exp(fam.t(y) @ theta - fam.c(theta))
+    out = (gamma - 1.0) * integral - gamma * f ** (gamma - 1.0)
+    return float(out[0]) if out.size == 1 else out
+
+
+def expfam_score_gradient(model, y, theta, gamma):
+    """Gradient in theta of ``expfam_tsallis_score``, one row per y:
+    gamma (gamma - 1) [I (c'(gamma theta) - c'(theta)) - f^(gamma - 1) (t(y) - c'(theta))]."""
+    fam = model.family
+    theta = np.asarray(theta, dtype=float)
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    integral = np.exp(fam.c(gamma * theta) - gamma * fam.c(theta))
+    f = np.exp(fam.t(y) @ theta - fam.c(theta))
+    cdiff = fam.c_grad(gamma * theta) - fam.c_grad(theta)
+    tdiff = fam.t(y) - fam.c_grad(theta)[None, :]
+    out = gamma * (gamma - 1.0) * (integral * cdiff[None, :]
+                                   - (f ** (gamma - 1.0))[:, None] * tdiff)
+    return out[0] if out.shape[0] == 1 else out
+
+
+# ---------------------------------------------------------------------------
 # Hand-written negative log likelihoods
 # ---------------------------------------------------------------------------
 

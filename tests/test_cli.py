@@ -1,5 +1,9 @@
+import contextlib
 import csv
+import gc
+import io
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -138,6 +142,17 @@ def test_calibrate_regression_default(runner):
     assert doc["efficiency_at_gamma"] == pytest.approx(0.9, abs=0.01)
 
 
+@pytest.mark.parametrize("theta", ["1,abc", "2,0,1", "2,0,1,1,1"])
+def test_calibrate_rejects_a_bad_theta(runner, two_sample_csv, theta):
+    path, _, _ = two_sample_csv
+    for args in (["--model", "two-sample-normal"],
+                 ["--model", "two-sample-normal", "--data", path],
+                 ["--model", "linear-regression"]):
+        res = runner.invoke(main, ["calibrate", *args, "--theta", theta])
+        assert res.exit_code == 2, (args, res.output)
+        assert res.stderr.startswith("error: --theta"), res.stderr
+
+
 def test_taif_command_verdicts(runner, two_sample_csv):
     path, _, _ = two_sample_csv
     res_log = runner.invoke(main, ["taif", "--model", "two-sample-normal",
@@ -174,6 +189,36 @@ def test_simulate_deterministic_snapshot(runner, tmp_path):
 
     res = runner.invoke(main, ["simulate", "--design", str(tmp_path / "nope.json")])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("change", [
+    {"n_reps": "abc"}, {"n_reps": 0}, {"model": "no-such-model"}, {"levels": [1.5]},
+    {"h0": {"psi0": 2.0, "alternative": "grater"}}, {"theta": None},
+])
+def test_simulate_rejects_a_bad_design(runner, tmp_path, change):
+    design = {"model": "two-sample-normal", "theta": [2, 0, 1, 1], "sizes": [10, 20],
+              "n_reps": 1, "methods": [{"rule": "log", "pivot": "wald"}]}
+    dpath = tmp_path / "design.json"
+    dpath.write_text(json.dumps({**design, **change}))
+    res = runner.invoke(main, ["simulate", "--design", str(dpath)])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("error: invalid design document"), res.stderr
+
+
+def test_cd_output_streams_are_released(two_sample_csv):
+    # a caller that captures the document in memory gets its stream back
+    path, _, _ = two_sample_csv
+    refs = []
+    for _ in range(3):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            main(["cd", "--model", "two-sample-normal", "--rule", "log", "--data", path,
+                  "--pivot", "wald", "--grid-points", "21"], standalone_mode=False)
+        assert json.loads(buf.getvalue())["curves"]["wald"]
+        refs.append(weakref.ref(buf))
+        del buf
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def test_out_file_writing(runner, two_sample_csv, tmp_path):

@@ -10,14 +10,12 @@ from robustcd.expfam import (
     expfam_gamma,
     expfam_normal,
     expfam_robustness_check,
-    expfam_score_gradient,
-    expfam_tsallis_score,
     load_expfam_model,
 )
 from robustcd.models import TwoSampleNormal
 from robustcd.scoring import ScoreRule, fit, score_terms
 
-from oracles import fd_gradient
+from oracles import expfam_score_gradient, expfam_tsallis_score, fd_gradient
 
 
 def test_normal_natural_form_matches_density_model():
@@ -80,7 +78,7 @@ def test_natural_space_violation_raises():
     ef = expfam_gamma()
     # shape 0.5: gamma * theta_1 = 2.2 * (-0.5) = -1.1 < -1 leaves the space
     with pytest.raises(DomainError):
-        expfam_tsallis_score(ef, 1.0, np.array([-0.5, -1.0]), 2.2)
+        score_terms(ScoreRule.tsallis(ef, 2.2), np.array([1.0]), np.array([-0.5, -1.0]))
 
 
 def test_boundedness_verdicts():

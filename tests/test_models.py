@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+import robustcd
 from robustcd.errors import DomainError
-from robustcd.expfam import expfam_gamma
+from robustcd.expfam import ExpFamilyModel, expfam_beta, expfam_gamma, expfam_normal
 from robustcd.models import (
     ExponentialAUC,
     LinearRegression,
@@ -17,7 +22,7 @@ from robustcd.models import (
     tsallis_integral_exponential,
     tsallis_integral_normal,
 )
-from robustcd.scoring import ScoreRule, score_terms
+from robustcd.scoring import ScoreRule, _fd_jacobian, score_terms
 
 from oracles import fd_gradient, power_integral_quadrature
 
@@ -106,11 +111,17 @@ def test_exponential_auc_interest_monotone():
 # ---------------------------------------------------------------------------
 
 def test_densities_integrate_to_one(all_models):
+    # the density the scores use: exp(logpdf_obs) of a one-point frame
     for model, data in all_models:
         theta = model.default_start(data)
-        for pdf, (lo, hi), _ in model.quad_components(data, theta):
+        for component in (0,) if isinstance(model, LinearRegression) else (0, 1):
+            def pdf(t):
+                frame = model.contamination_frame([t], data, component=component)
+                return float(np.exp(model.logpdf_obs(frame, theta))[0])
+
+            lo, hi = model.component_support(component)
             val, _err = quad(pdf, lo, hi, epsabs=1e-10, limit=200)
-            assert val == pytest.approx(1.0, abs=1e-8), model.name
+            assert val == pytest.approx(1.0, abs=1e-8), (model.name, component)
 
 
 def test_sampler_moments():
@@ -200,6 +211,25 @@ def test_profile_embed_roundtrip(all_models):
             assert np.allclose(jac[:, j], col, atol=1e-6), model.name
 
 
+def test_embedding_jacobians_match_finite_differences(all_models):
+    cases = [(model, model.default_start(data)) for model, data in all_models]
+    for maker, theta in ((expfam_normal, [0.5, -0.4]), (expfam_gamma, [1.5, -3.3]),
+                         (expfam_beta, [1.0, 2.0])):
+        for i in range(2):
+            ef = maker()
+            ef.interest_index = i
+            cases.append((ef, np.array(theta)))
+    for model, theta in cases:
+        psi, lam = model.interest(theta), model.profile_extract(theta)
+        jac = model.profile_embed_jac(psi, lam)
+        fd = _fd_jacobian(lambda v: model.profile_embed(psi, v), lam)
+        assert np.allclose(jac, fd, rtol=0.0, atol=1e-8), model.name
+        if isinstance(model, (LinearRegression, ExpFamilyModel)):
+            # a coordinate interest: theta is lam with psi inserted
+            eye = np.eye(lam.size + 1)
+            assert np.array_equal(jac, np.delete(eye, model.interest_index, axis=1)), model.name
+
+
 def test_quadrature_failure_carries_tolerance():
     from robustcd.errors import NumericsError
     from robustcd.models import quadrature_power_integral
@@ -209,6 +239,14 @@ def test_quadrature_failure_carries_tolerance():
     with pytest.raises(NumericsError) as err:
         quadrature_power_integral(bad, (-np.inf, np.inf), 1.5)
     assert "achieved" in (err.value.detail or {})
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(robustcd.__file__))
+    code = "import sys, robustcd, robustcd.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_registry():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.stats import norm
 
 from robustcd import confidence, scoring
 from robustcd.errors import DomainError, NumericsError
@@ -248,16 +249,21 @@ def test_estimate_kj_modes(regression_data):
     model = LinearRegression(interest_index=1)
     rule = ScoreRule.tsallis(model, 1.22)
     theta = model.mle_start(regression_data)
-    K_a, J_a = estimate_KJ(rule, regression_data, theta, k_mode="analytic", j_mode="analytic")
-    K_e, J_e = estimate_KJ(rule, regression_data, theta, k_mode="empirical", j_mode="empirical")
-    assert K_a.shape == K_e.shape == (4, 4)
-    # scalar-positive check on a one-parameter family
-    from robustcd.expfam import expfam_exponential
+    K_a, J_a = model.expected_kj(rule.kind, rule.gamma, regression_data, theta)
+    K_e, J_e = empirical_K(rule, regression_data, theta), empirical_J(rule, regression_data, theta)
+    assert K_a.shape == K_e.shape == J_a.shape == J_e.shape == (4, 4)
+    # estimate_KJ takes the analytic pair where the model has one
+    K, J = estimate_KJ(rule, regression_data, theta)
+    assert np.array_equal(K, K_a) and np.array_equal(J, J_a)
+    # and the empirical pair where it has none: a one-parameter expfam family
     me = expfam_exponential()
     re_ = ScoreRule.tsallis(me, 1.5)
     y = np.random.default_rng(1).exponential(1.0, 300)
-    K1, J1 = estimate_KJ(re_, y, me.default_start(y))
+    t0 = me.default_start(y)
+    K1, J1 = estimate_KJ(re_, y, t0)
     assert K1.shape == (1, 1) and K1[0, 0] > 0 and J1[0, 0] > 0
+    assert np.array_equal(K1, empirical_K(re_, y, t0))
+    assert np.array_equal(J1, empirical_J(re_, y, t0))
 
 
 def test_regression_analytic_kj_matches_empirical_at_n500():
@@ -268,7 +274,7 @@ def test_regression_analytic_kj_matches_empirical_at_n500():
     model = LinearRegression(interest_index=1)
     rule = ScoreRule.tsallis(model, 1.22)
     fr = fit(rule, (y, X))
-    K_a, J_a = estimate_KJ(rule, (y, X), fr.theta_hat, k_mode="analytic", j_mode="analytic")
+    K_a, J_a = model.expected_kj(rule.kind, rule.gamma, (y, X), fr.theta_hat)
     K_e = empirical_K(rule, (y, X), fr.theta_hat)
     J_e = empirical_J(rule, (y, X), fr.theta_hat)
     assert np.linalg.norm(K_a - K_e) / np.linalg.norm(K_a) < 0.05
@@ -279,23 +285,6 @@ def test_regression_analytic_kj_matches_empirical_at_n500():
     assert np.allclose(ratio, ratio[0, 0], rtol=1e-10)
     assert np.allclose(K_a[3, :3], 0.0)
     assert np.allclose(J_a[3, :3], 0.0)
-
-
-def test_cross_check_warns_when_data_far_from_model():
-    rng = np.random.default_rng(4)
-    data = (rng.normal(2, 1, 30), rng.normal(0, 1, 30))
-    m = TwoSampleNormal()
-    rule = ScoreRule.log(m)
-    # variances far above what the data show: observed and expected
-    # sensitivities disagree strongly
-    theta = np.array([2.0, 0.0, 9.0, 9.0])
-    with pytest.warns(UserWarning, match="disagree"):
-        estimate_KJ(rule, data, theta, cross_check=True)
-    # at the fitted value the two agree and no warning fires
-    import warnings as _w
-    with _w.catch_warnings():
-        _w.simplefilter("error")
-        estimate_KJ(rule, data, m.mle_start(data), cross_check=True)
 
 
 def test_tsallis_location_fit_monte_carlo_sanity():
@@ -341,6 +330,14 @@ class NoClosedForm(TwoSampleNormal):
 
     def tsallis_integral_grad_obs(self, data, theta, gamma):
         return None
+
+    def quad_components(self, data, theta):
+        x, y = data
+        mx, my, vx, vy = theta
+        return [
+            (lambda t, m=mx, s=np.sqrt(vx): norm.pdf(t, m, s), (-np.inf, np.inf), len(x)),
+            (lambda t, m=my, s=np.sqrt(vy): norm.pdf(t, m, s), (-np.inf, np.inf), len(y)),
+        ]
 
 
 def test_quadrature_fallback_matches_closed_form(two_sample_data):

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
+from robustcd.confidence import pivot_wald
 from robustcd.errors import DomainError, NumericsError
-from robustcd.models import ExponentialAUC, TwoSampleNormal, get_model
+from robustcd.models import ExponentialAUC, TwoSampleNormal
 from robustcd.scoring import ScoreRule, fit
 from robustcd.simulate import (
     Contamination,
@@ -77,6 +79,25 @@ def test_design_validation():
                   n_reps=5, contamination=Contamination(0, 10, -7.0))
     with pytest.raises(DomainError):
         MethodSpec("huber", "root")
+
+
+def test_h0_alternative_is_validated_and_sets_the_p_value():
+    with pytest.raises(DomainError):
+        H0Spec(2.0, "grater")
+    model = TwoSampleNormal()
+    pvalues = {}
+    for alt in ("less", "greater", "two_sided", "two-sided"):
+        design = SimDesign(model="two-sample-normal", theta=(2, 0, 1, 1), sizes=(10, 20),
+                           n_reps=4, seed=6, methods=(MethodSpec("log", "wald"),),
+                           levels=(0.9,), h0=H0Spec(1.5, alt))
+        pvalues[alt] = run_study(design).results["log-wald"].pvalues
+    for rep in range(4):
+        data = model.sample((2, 0, 1, 1), (10, 20), np.random.default_rng([6, rep]))
+        q = float(pivot_wald(fit(ScoreRule.log(model), data), 1.5))
+        assert pvalues["less"][rep] == float(ndtr(-q))
+        assert pvalues["greater"][rep] == float(ndtr(q))
+        two = float(2.0 * (1.0 - ndtr(abs(q))))
+        assert pvalues["two_sided"][rep] == pvalues["two-sided"][rep] == two
 
 
 def test_design_from_dict_roundtrip():
@@ -202,38 +223,6 @@ def test_pvalue_uniformity_stat():
     assert qq.shape == (99, 2)
     with pytest.raises(DomainError):
         pvalue_uniformity(rep, "nope")
-
-
-def test_report_sample_csv_export(tmp_path):
-    design = SimDesign(model="two-sample-normal", theta=(2, 0, 1, 1), sizes=(10, 20),
-                       n_reps=5, seed=2, methods=(MethodSpec("log", "wald"),),
-                       levels=(0.9,), h0=H0Spec(2.0, "less"))
-    rep = run_study(design)
-    path = tmp_path / "samples.csv"
-    rep.save_samples_csv(str(path), "log-wald")
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "pvalue,median"
-    assert len(lines) == 1 + rep.results["log-wald"].n_used
-    p0, m0 = (float(t) for t in lines[1].split(","))
-    assert p0 == rep.results["log-wald"].pvalues[0]
-    assert m0 == rep.results["log-wald"].medians[0]
-    with pytest.raises(DomainError):
-        rep.save_samples_csv(str(path), "nope")
-
-
-def test_taif_csv_export(tmp_path):
-    m = get_model("two-sample-normal")
-    from robustcd.robustness import taif
-    from robustcd.scoring import ScoreRule, fit
-    rng = np.random.default_rng(3)
-    data = (rng.normal(2, 1, 10), rng.normal(0, 1, 15))
-    rule = ScoreRule.tsallis(m, 1.3)
-    prof = taif(rule, data, "wald", 2.0, fit_result=fit(rule, data))
-    path = tmp_path / "taif.csv"
-    prof.to_csv(str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "y,taif"
-    assert len(lines) == 1 + prof.y_grid.size
 
 
 def test_failure_rate_guard(monkeypatch):
