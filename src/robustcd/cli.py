@@ -227,7 +227,8 @@ def cmd_fit(model_name, rule_name, gamma, data_path, interest, intercept, out):
               default="two-sided", show_default=True)
 @click.option("--evidence", "evidence_spec", default=None, metavar="A,B",
               help="report confidence mass of the interval (A, B)")
-@click.option("--grid-points", type=int, default=201, show_default=True)
+@click.option("--grid-points", type=click.IntRange(min=3), default=201,
+              show_default=True)
 @_out_opt
 def cmd_cd(model_name, rule_name, gamma, data_path, interest, intercept,
            pivots, levels, h0, alt, evidence_spec, grid_points, out):
@@ -388,6 +389,8 @@ def cmd_simulate(design_path, seed, out):
         _fail(f"design file not found: {design_path}", 2)
     except json.JSONDecodeError as exc:
         _fail(f"{design_path}: invalid JSON ({exc})", 2)
+    if not isinstance(design_doc, dict):
+        _fail("invalid design document: not a JSON object", 2)
     design_doc.setdefault("seed", seed)
     try:
         design = SimDesign.from_dict(design_doc)

@@ -15,7 +15,6 @@ increasing in psi; the confidence curve is ``|1 - 2 C|``.
 from __future__ import annotations
 
 import dataclasses
-import json
 import warnings
 
 import numpy as np
@@ -25,12 +24,10 @@ from scipy.special import ndtr, ndtri
 from .errors import DomainError, NumericsError
 from .scoring import (
     _Objective,
-    _from_z,
     _to_z,
     estimate_KJ,
     fit as fit_rule,
     interest_information,
-    minimize_smooth,
 )
 
 __all__ = [
@@ -71,9 +68,7 @@ def constrained_fit(rule, data, psi, lam0=None):
 def _constrained_solve(objective, lam0):
     """(theta, score, lam, converged) of a constrained objective from lam0;
     converged is the objective's verdict at the solve's end point."""
-    z, val, _, _ = minimize_smooth(objective, _to_z(lam0, objective.positive))
-    lam = _from_z(z, objective.positive)
-    _, converged = objective.verdict(lam)
+    lam, val, *_, converged = objective.solve(_to_z(lam0, objective.positive))
     return objective.theta(lam), float(val), lam, converged
 
 
@@ -168,24 +163,21 @@ def profile(rule, data, psi_grid, fit_result=None):
 # Pivots
 # ---------------------------------------------------------------------------
 
-def _wald_location_scale(model, theta, K, J):
-    """(psi_tilde, se) of the estimate theta on the pivot scale (identity or
-    logit), with se from the sensitivity K and variability J at theta."""
+def _wald_pivot(model, theta, K, J, psi):
+    """(pivot, se) of the estimate theta: the Wald pivot
+    (psi_tilde - psi) / se at psi, elementwise, and its standard error se
+    from the sensitivity K and variability J at theta. Both are on the
+    model's Wald scale: the identity, or the logit for a (0,1)-valued
+    interest."""
     psi_tilde = float(model.interest(theta))
     _, g_pp = interest_information(K, J, model.interest_grad(theta))
     se = float(np.sqrt(g_pp))
+    psi = np.asarray(psi, dtype=float)
     if model.wald_scale == "logit":
         eta = float(np.log(psi_tilde / (1.0 - psi_tilde)))
-        se_eta = se / (psi_tilde * (1.0 - psi_tilde))
-        return eta, se_eta
-    return psi_tilde, se
-
-
-def _to_pivot_scale(psi, wald_scale):
-    psi = np.asarray(psi, dtype=float)
-    if wald_scale == "logit":
-        return np.log(psi / (1.0 - psi))
-    return psi
+        se = se / (psi_tilde * (1.0 - psi_tilde))
+        return (eta - np.log(psi / (1.0 - psi))) / se, se
+    return (psi_tilde - psi) / se, se
 
 
 def pivot_wald(fit_result, psi):
@@ -196,9 +188,8 @@ def pivot_wald(fit_result, psi):
     """
     if not fit_result.converged:
         raise NumericsError("Wald pivot requires a converged fit")
-    model = fit_result.rule.model
-    loc, se = _wald_location_scale(model, fit_result.theta_hat, fit_result.K, fit_result.J)
-    return (loc - _to_pivot_scale(psi, model.wald_scale)) / se
+    return _wald_pivot(fit_result.rule.model, fit_result.theta_hat, fit_result.K,
+                       fit_result.J, psi)[0]
 
 
 def _signed_root(psi_tilde, s_opt, psi, s_con, nu):
@@ -298,15 +289,6 @@ class ConfidenceObject:
             wald_scale=d.get("wald_scale", "identity"),
         )
 
-    def save(self, path, levels=()):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(levels), fh, indent=2)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
 
 @dataclasses.dataclass(frozen=True)
 class ConfidenceInterval:
@@ -389,7 +371,7 @@ def build_cd(rule, data, kind, psi_grid=None, fit_result=None, n_grid=201,
 
     cdf = ndtr(-pivot)
     cc = np.abs(1.0 - 2.0 * cdf)
-    _, se_pivot = _wald_location_scale(model, theta, fit_result.K, fit_result.J)
+    _, se_pivot = _wald_pivot(model, theta, fit_result.K, fit_result.J, psi_tilde)
     return ConfidenceObject(
         kind=kind, model_name=model.name, rule_kind=rule.kind, gamma=rule.gamma,
         psi_grid=psi_grid, pivot_values=pivot, cdf_values=cdf, cc_values=cc,

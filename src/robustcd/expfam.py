@@ -32,6 +32,10 @@ __all__ = [
     "load_expfam_model",
 ]
 
+# A coordinate is bounded when its outermost probes have decayed below this
+# fraction of its interior maximum.
+DECAY_RATIO = 0.1
+
 
 @dataclasses.dataclass(frozen=True)
 class _Family:
@@ -193,12 +197,12 @@ def _boundary_grid(support, center, scale, open_left, open_right):
     return interior, left, right
 
 
-def expfam_robustness_check(model: ExpFamilyModel, theta, gamma, decay_ratio=0.1):
+def expfam_robustness_check(model: ExpFamilyModel, theta, gamma):
     """Probe b_i(y) = f(y)^{gamma-1} (t_i(y) - E_theta t_i(y)) toward the
     support boundary and flag each coordinate bounded or not.
 
     A coordinate is bounded when the outermost probe values on every side
-    have decayed below ``decay_ratio`` of the interior maximum.
+    have decayed below DECAY_RATIO of the interior maximum.
     """
     fam = model.family
     theta = np.asarray(theta, dtype=float)
@@ -228,7 +232,7 @@ def expfam_robustness_check(model: ExpFamilyModel, theta, gamma, decay_ratio=0.1
         outer = np.concatenate([b_left[:2, i], b_right[:2, i]])
         outer = outer[np.isfinite(outer)] if np.any(np.isfinite(outer)) else np.array([np.inf])
         shell = float(np.max(outer)) if outer.size else 0.0
-        ok = np.all(np.isfinite(outer)) and shell <= decay_ratio * max(interior_max, 1e-300)
+        ok = np.all(np.isfinite(outer)) and shell <= DECAY_RATIO * max(interior_max, 1e-300)
         bounded.append(bool(ok))
         gmax.append(float(max(interior_max, shell)))
         smax.append(shell)

@@ -37,6 +37,7 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _SQRT_TWO_PI = np.sqrt(_TWO_PI)
 _CHECKED_MEMO = 8  # checked data objects each model remembers
+QUAD_EPSABS = 1e-10  # absolute tolerance asked of the power-integral quadrature
 
 
 # ---------------------------------------------------------------------------
@@ -831,11 +832,11 @@ class LinearRegression(_CoordinateInterest):
         y[obs_index] += shift
         return (y, X.copy())
 
-    def contamination_frame(self, ys, data, component=0, x_row=None):
+    def contamination_frame(self, ys, data, component=0):
+        """Responses ys at the mean design row."""
         _, X = data
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        row = np.asarray(x_row, dtype=float) if x_row is not None else X.mean(axis=0)
-        return (ys, np.tile(row, (len(ys), 1)))
+        return (ys, np.tile(X.mean(axis=0), (len(ys), 1)))
 
     def obs_center_scale(self, data, theta, component=0):
         _, X = data
@@ -862,7 +863,7 @@ class LinearRegression(_CoordinateInterest):
 # Generic helpers used by the scoring layer
 # ---------------------------------------------------------------------------
 
-def quadrature_power_integral(pdf, support, gamma, tol=1e-10):
+def quadrature_power_integral(pdf, support, gamma):
     """Adaptive quadrature of ``pdf(t)**gamma`` over the support interval."""
     import warnings
 
@@ -870,7 +871,7 @@ def quadrature_power_integral(pdf, support, gamma, tol=1e-10):
     with warnings.catch_warnings():
         # convergence trouble is reported as a structured error below
         warnings.simplefilter("ignore")
-        val, err = quad(lambda t: pdf(t) ** gamma, lo, hi, epsabs=tol, limit=200)
+        val, err = quad(lambda t: pdf(t) ** gamma, lo, hi, epsabs=QUAD_EPSABS, limit=200)
     if not np.isfinite(val) or err > max(1e-8, 1e-6 * abs(val)):
         raise NumericsError(
             "power-integral quadrature did not reach the requested tolerance",

@@ -18,24 +18,16 @@ from scipy.special import ndtr
 
 from .errors import DomainError, NumericsError
 from .models import _fd_jacobian, normal_pdf
-from .confidence import (
-    _constrained_at,
-    _nu_at,
-    _signed_root,
-    _to_pivot_scale,
-    _wald_location_scale,
-)
+from .confidence import _constrained_at, _nu_at, _signed_root, _wald_pivot
 from .scoring import (
     ScoreRule,
     _Objective,
-    _from_z,
     _to_z,
     checked_inverse,
     empirical_J,
     empirical_K,
     estimate_KJ,
     fit as fit_rule,
-    minimize_smooth,
     per_obs_gradient,
     score_terms,
 )
@@ -48,6 +40,18 @@ __all__ = [
     "calibrate_gamma",
     "efficiency_ratio",
 ]
+
+ORACLE_EPS = 1e-4            # contamination mass of the oracle's refit
+# TAIF observation grid: interior points, and the reach of the interior in
+# fitted scales; the far-tail shells lie 10 to 10^4 reaches out
+Y_GRID_POINTS = 401
+Y_GRID_REACH = 20.0
+# calibrate_gamma bisects on (1 + GAMMA_TOL, GAMMA_MAX] to width GAMMA_TOL
+GAMMA_MAX = 3.0
+GAMMA_TOL = 1e-4
+# Monte Carlo K and J for a model without analytic ones: seed and total size
+MC_SEED = 0
+MC_SIZE = 20000
 
 
 def single_obs_gradient(rule, data, theta, ys, component=0):
@@ -104,26 +108,24 @@ class TAIFProfile:
 
 def _wald_pivot_of_theta(rule, data, theta, psi):
     """The Wald pivot at fixed psi seen as a smooth function of the estimate."""
-    model = rule.model
-    loc, se = _wald_location_scale(model, theta, *estimate_KJ(rule, data, theta))
-    return (loc - _to_pivot_scale(psi, model.wald_scale)) / se
+    return _wald_pivot(rule.model, theta, *estimate_KJ(rule, data, theta), psi)[0]
 
 
-def _default_y_grid(model, data, theta, component, n_interior=401, reach=20.0):
+def _default_y_grid(model, data, theta, component):
     """Interior grid around the fitted center plus decade-spaced far-tail
     shells on each unbounded side. Returns (grid, n_left_shell, n_right_shell)."""
     center, scale = model.obs_center_scale(data, theta, component)
     lo_s, hi_s = model.component_support(component)
-    lo_edge = center - reach * scale
-    hi_edge = center + reach * scale
+    lo_edge = center - Y_GRID_REACH * scale
+    hi_edge = center + Y_GRID_REACH * scale
     if np.isfinite(lo_s):
         lo_edge = max(lo_edge, lo_s + 1e-9 * max(scale, 1.0))
     if np.isfinite(hi_s):
         hi_edge = min(hi_edge, hi_s - 1e-9 * max(scale, 1.0))
-    interior = np.linspace(lo_edge, hi_edge, n_interior)
-    left = (center - reach * scale * 10.0 ** np.arange(4.0, 0.0, -1.0)
+    interior = np.linspace(lo_edge, hi_edge, Y_GRID_POINTS)
+    left = (center - Y_GRID_REACH * scale * 10.0 ** np.arange(4.0, 0.0, -1.0)
             if not np.isfinite(lo_s) else np.empty(0))
-    right = (center + reach * scale * 10.0 ** np.arange(1.0, 5.0)
+    right = (center + Y_GRID_REACH * scale * 10.0 ** np.arange(1.0, 5.0)
              if not np.isfinite(hi_s) else np.empty(0))
     return np.concatenate([left, interior, right]), left.size, right.size
 
@@ -134,7 +136,8 @@ def _root_taif_values(rule, data, fit_result, psi, ys, component):
     The score-ratio terms are differentiated by the envelope theorem (the
     optimizer motion drops out), and the motion of nu along the constrained
     estimate is added through the constrained refit derivative. No
-    epsilon-refit is performed.
+    epsilon-refit is performed. Returns None where the root pivot
+    degenerates at the estimate.
     """
     model = rule.model
     theta = fit_result.theta_hat
@@ -143,8 +146,7 @@ def _root_taif_values(rule, data, fit_result, psi, ys, component):
     nu = _nu_at(rule, data, theta_c)
     r_val = float(_signed_root(fit_result.psi_tilde, fit_result.score_at_opt, psi, s_con, nu))
     if abs(r_val) < 1e-4:
-        # degenerate at the estimate; the caller falls back to the Wald form
-        return r_val, None
+        return None
     W = 2.0 * (s_con - fit_result.score_at_opt)      # positive, as |r_val| >= 1e-4
 
     frame = model.contamination_frame(ys, data, component=component)
@@ -154,13 +156,13 @@ def _root_taif_values(rule, data, fit_result, psi, ys, component):
 
     # motion of nu through the constrained estimate
     jac = model.profile_embed_jac(psi, lam_c)
-    _, _, H = _Objective(rule, data, psi).derivatives(lam_c)   # observed nuisance Hessian
+    _, _, H, _ = _Objective(rule, data, psi).derivatives(lam_c)   # observed nuisance Hessian
     s_c = single_obs_gradient(rule, data, theta_c, np.atleast_1d(ys), component=component)
     dlam = -n * np.linalg.solve(H, jac.T @ s_c.T).T
     grad_nu = _fd_jacobian(lambda t: _nu_at(rule, data, t), theta_c)
     dnu = (dlam @ jac.T) @ grad_nu
     dr = (dW / nu - (W / nu ** 2) * dnu) / (2.0 * r_val)
-    return r_val, -normal_pdf(r_val) * dr
+    return -normal_pdf(r_val) * dr
 
 
 def taif(rule, data, pivot_kind, psi, y_grid=None, component=0, fit_result=None):
@@ -185,17 +187,12 @@ def taif(rule, data, pivot_kind, psi, y_grid=None, component=0, fit_result=None)
         # tiny user grids carry no tail shells and hence no decay verdict
         n_left = n_right = min(2, y_grid.size // 4)
 
+    vals = None
     if pivot_kind == "root":
-        r_val, vals = _root_taif_values(rule, data, fit_result, psi, y_grid, component)
-        if abs(r_val) < 1e-4:
-            # the root pivot degenerates at the estimate; its derivative
-            # coincides with the Wald form there
-            pivot_kind_eff = "wald"
-        else:
-            pivot_kind_eff = "root"
-    else:
-        pivot_kind_eff = "wald"
-    if pivot_kind_eff == "wald":
+        # None where the root pivot degenerates at the estimate; its
+        # derivative coincides with the Wald form there
+        vals = _root_taif_values(rule, data, fit_result, psi, y_grid, component)
+    if vals is None:
         q = _wald_pivot_of_theta(rule, data, theta, psi)
         # tail area is C = Phi(-pivot) with the pivot decreasing in psi, so
         # its estimate-sensitivity carries a minus sign; the Wald form is the
@@ -235,20 +232,20 @@ def taif(rule, data, pivot_kind, psi, y_grid=None, component=0, fit_result=None)
 def _mixture_fit(rule, data, mixture, theta0):
     """(theta, value) minimizing the eps-mixture objective from theta0."""
     objective = _Objective(rule, data, mixture=mixture)
-    z, val, _, _ = minimize_smooth(objective, _to_z(theta0, objective.positive))
+    theta, val, *_ = objective.solve(_to_z(theta0, objective.positive))
     if not np.isfinite(val):
         raise NumericsError("mixture refit failed")
-    return _from_z(z, objective.positive), val
+    return theta, val
 
 
-def taif_contamination_oracle(rule, data, pivot_kind, psi, ys, eps=1e-4,
-                              component=0, fit_result=None):
+def taif_contamination_oracle(rule, data, pivot_kind, psi, ys, component=0,
+                              fit_result=None):
     """Finite-epsilon derivative of the CD tail area under point contamination.
 
-    Refits on the eps-mixture (with a Richardson step at eps/2 to remove the
-    O(eps) bias) and differences Phi(pivot). Points whose refit fails are
-    returned as NaN; a root pivot that fails on the uncontaminated fit
-    raises NumericsError, as in ``taif``.
+    Refits on the eps-mixture, eps = ORACLE_EPS (with a Richardson step at
+    eps/2 to remove the O(eps) bias) and differences Phi(pivot). Points whose
+    refit fails are returned as NaN; a root pivot that fails on the
+    uncontaminated fit raises NumericsError, as in ``taif``.
     """
     model = rule.model
     data = model.checked(data)
@@ -271,6 +268,7 @@ def taif_contamination_oracle(rule, data, pivot_kind, psi, ys, eps=1e-4,
         return float(ndtr(-_signed_root(model.interest(theta), score, psi, s_con, nu)))
 
     base = tail_area()
+    eps = ORACLE_EPS
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     out = np.empty(ys.size)
     for i, y in enumerate(ys):
@@ -289,14 +287,14 @@ def taif_contamination_oracle(rule, data, pivot_kind, psi, ys, eps=1e-4,
 # gamma calibration
 # ---------------------------------------------------------------------------
 
-def _expected_kj_any(model, rule_kind, gamma, data, theta, mc_seed=0, mc_size=20000):
+def _expected_kj_any(model, rule_kind, gamma, data, theta):
     kj = model.expected_kj(rule_kind, gamma, data, theta)
     if kj is not None:
         return kj
     # large-sample empirical expectation for models without analytic forms
-    rng = np.random.default_rng(mc_seed)
+    rng = np.random.default_rng(MC_SEED)
     n = model.nobs(data)
-    big = model.checked(model.sample(theta, _scaled_sizes(data, mc_size), rng))
+    big = model.checked(model.sample(theta, _scaled_sizes(data, MC_SIZE), rng))
     rule = ScoreRule.log(model) if rule_kind == "log" else ScoreRule.tsallis(model, gamma)
     scale = n / model.nobs(big)
     return (empirical_K(rule, big, theta) * scale,
@@ -338,8 +336,8 @@ def efficiency_ratio(model, gamma, data, theta_ref, measure="min"):
 
 
 def calibrate_gamma(model, theta_ref, target_efficiency, data_template,
-                    measure="min", gamma_max=3.0, tol=1e-4):
-    """Solve efficiency(gamma) = target by bisection on gamma in (1, gamma_max].
+                    measure="min"):
+    """Solve efficiency(gamma) = target by bisection on gamma in (1, GAMMA_MAX].
 
     The efficiency curve is checked to be decreasing on the bracket. A target
     of (numerically) full efficiency returns the lower bracket edge with a
@@ -353,7 +351,7 @@ def calibrate_gamma(model, theta_ref, target_efficiency, data_template,
     def are(gamma):
         return efficiency_ratio(model, gamma, data, theta_ref, measure=measure)
 
-    lo, hi = 1.0 + tol, gamma_max
+    lo, hi = 1.0 + GAMMA_TOL, GAMMA_MAX
     probe = np.linspace(lo, hi, 6)
     vals = [are(g) for g in probe]
     if np.any(np.diff(vals) >= 0):
@@ -369,7 +367,7 @@ def calibrate_gamma(model, theta_ref, target_efficiency, data_template,
             f"target efficiency {target_efficiency:g} is below the bracket range: "
             f"efficiency({lo:g}) = {vals[0]:.4f}, efficiency({hi:g}) = {vals[-1]:.4f}")
     a, b = lo, hi
-    while b - a > tol:
+    while b - a > GAMMA_TOL:
         mid = 0.5 * (a + b)
         if are(mid) > target_efficiency:
             a = mid

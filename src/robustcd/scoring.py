@@ -46,9 +46,6 @@ MAX_ITER = 200
 SOLVER_GTOL = 1e-9
 STEP_FLOOR = 1e-10
 F_NOISE = 1e-13
-# Evaluations an objective remembers for its convergence verdict: more than
-# the trials a solve makes after its last accepted point.
-_MEMO = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -234,7 +231,9 @@ def estimate_KJ(rule, data, theta):
     theta = np.asarray(theta, dtype=float)
     expected = model.expected_kj(rule.kind, rule.gamma, data, theta)
     if expected is None:
-        return empirical_K(rule, data, theta), empirical_J(rule, data, theta)
+        # empirical_K and empirical_J from one pass
+        _, grads, H = _kernel(rule, data, theta, order=2)
+        return _sym(H), _sym(grads.T @ grads)
     K, J = expected
     return _sym(np.asarray(K, dtype=float)), _sym(np.asarray(J, dtype=float))
 
@@ -366,17 +365,17 @@ class _Objective:
     theta = profile_embed(psi, lam), and derivatives are pulled back through
     the embedding's Jacobian and curvature. ``mixture=(eps, frame)`` scores
     the eps-contaminated objective (1 - eps) S_data + n eps S_frame. A call
-    returns (value, gradient, Hessian) in z, with value +inf where theta is
-    inadmissible, the score cannot be evaluated, or the arithmetic
-    overflows.
+    returns (value, gradient, Hessian, record) in z, with value +inf and
+    record None where theta is inadmissible, the score cannot be evaluated,
+    or the arithmetic overflows. The record of an evaluation is its
+    theta-gradient and its weighted per-observation gradients
+    [(weight, (n, d) gradients)], from which ``verdict`` judges convergence.
     """
 
     def __init__(self, rule, data, psi=None, mixture=None):
         self.rule, self.data, self.psi, self.mixture = rule, data, psi, mixture
         self.positive = (rule.model.positive_mask(data) if psi is None
                          else rule.model.lam_positive_mask(data))
-        # theta bytes -> (theta-gradient, [(weight, per-observation gradients)])
-        self._seen = {}
 
     def theta(self, x):
         """theta at x, the free parameter or the nuisance at psi."""
@@ -386,50 +385,33 @@ class _Objective:
         eps = self.mixture[0]
         return (1.0 - eps) * at_data + self.rule.model.nobs(self.data) * eps * at_frame
 
-    def evaluate(self, theta, hess=False):
-        """(value, gradient) in theta of the (mixture) total score, and its
-        Hessian with ``hess``: one kernel pass over the data and one over
-        the frame. The evaluation is remembered for ``verdict``."""
-        order = 2 if hess else 1
-        terms, grads, H = _kernel(self.rule, self.data, theta, order)
+    def evaluate(self, theta):
+        """(value, gradient, Hessian, record) in theta of the (mixture) total
+        score: one kernel pass over the data and one over the frame."""
+        terms, grads, H = _kernel(self.rule, self.data, theta, order=2)
         val, g = _finite_total(terms.sum()), grads.sum(axis=0)
         parts = [(1.0, grads)]
         if self.mixture is not None:
             eps, frame = self.mixture
-            terms_y, grads_y, H_y = _kernel(self.rule, frame, theta, order)
+            terms_y, grads_y, H_y = _kernel(self.rule, frame, theta, order=2)
             val = self._mix(val, _finite_total(terms_y.sum()))
             g = self._mix(g, grads_y.sum(axis=0))
-            H = self._mix(H, H_y) if hess else None
+            H = self._mix(H, H_y)
             parts = [(1.0 - eps, grads), (self.rule.model.nobs(self.data) * eps, grads_y)]
-        if len(self._seen) >= _MEMO:
-            del self._seen[next(iter(self._seen))]
-        self._seen[theta.tobytes()] = (g, parts)
-        return (val, g, H) if hess else (val, g)
+        return val, g, H, (g, parts)
 
-    def _recall(self, theta):
-        hit = self._seen.get(theta.tobytes())
-        if hit is None:
-            self.evaluate(theta)
-            hit = self._seen[theta.tobytes()]
-        return hit
-
-    def gradient(self, theta):
-        """Gradient in theta of the (mixture) total score, from the
-        remembered evaluation at theta where there is one."""
-        return self._recall(theta)[0]
-
-    def verdict(self, x):
-        """(||g||, converged) at x, theta or the constrained nuisance lam.
+    def verdict(self, x, record):
+        """(||g||, converged) at x, theta or the constrained nuisance lam,
+        judged from the record of the evaluation at x; no record means x
+        could not be evaluated.
 
         g is the gradient in x of the total score, and converged means
         ||g|| <= GRAD_TOL sum_i ||s_i||, with s_i the per-observation
-        gradients in x. A solve's end point was evaluated by the solve, so
-        judging it costs no pass over the data.
+        gradients in x.
         """
-        try:
-            g, parts = self._recall(self.theta(x))
-        except (DomainError, NumericsError):
+        if record is None:
             return np.inf, False
+        g, parts = record
         if self.psi is not None:
             jac = self.rule.model.profile_embed_jac(self.psi, x)
             g = jac.T @ g
@@ -439,39 +421,48 @@ class _Objective:
         return gnorm, bool(gnorm <= GRAD_TOL * scale)
 
     def derivatives(self, x):
-        """(value, gradient, Hessian) in x, theta or the constrained lam."""
-        val, g, H = self.evaluate(self.theta(x), hess=True)
+        """(value, gradient, Hessian, record) in x, theta or the constrained lam."""
+        val, g, H, record = self.evaluate(self.theta(x))
         if self.psi is None:
-            return val, g, H
+            return val, g, H, record
         model = self.rule.model
         jac = model.profile_embed_jac(self.psi, x)
         curvature = model.profile_embed_hess(self.psi, x, g)
         H = jac.T @ H @ jac
-        return val, jac.T @ g, H if curvature is None else H + curvature
+        return val, jac.T @ g, H if curvature is None else H + curvature, record
 
     def __call__(self, z):
         try:
             # an overflowing trial point is an inadmissible one
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 x = _from_z(z, self.positive)
-                val, g, H = self.derivatives(x)
+                val, g, H, record = self.derivatives(x)
         except (DomainError, NumericsError, FloatingPointError):
-            return np.inf, np.zeros_like(z), np.zeros((z.size, z.size))
+            return np.inf, np.zeros_like(z), np.zeros((z.size, z.size)), None
         # chain rule through the log transform
         dx = np.where(self.positive, x, 1.0)
         H = dx[:, None] * H * dx + np.diag(np.where(self.positive, x * g, 0.0))
-        return val, dx * g, H
+        return val, dx * g, H, record
+
+    def solve(self, z0):
+        """Minimize from z0: (x, value, n_iter, reason, ||g||, converged),
+        judged from the evaluation that accepted x, so no pass over the data
+        follows the solve."""
+        z, val, n_iter, reason, record = minimize_smooth(self, z0)
+        x = _from_z(z, self.positive)
+        return (x, val, n_iter, reason) + self.verdict(x, record)
 
 
 def minimize_smooth(fun, z0):
-    """Damped Newton minimization of ``fun(z) -> (value, gradient, Hessian)``.
+    """Damped Newton minimization of
+    ``fun(z) -> (value, gradient, Hessian, record)``.
 
     Each iteration solves for the Newton step, with the Hessian's spectrum
     shifted where it is not positive definite, and halves it until the
     trial point passes the Armijo test, or lowers ||g|| where f is flat to
-    round-off (F_NOISE). Returns (z, value, n_iter, reason), z being the
-    last accepted point, so the last evaluation at z was the one that
-    accepted it. reason names why the solve stopped:
+    round-off (F_NOISE). Returns (z, value, n_iter, reason, record), z
+    being the last accepted point and record what ``fun`` returned with
+    it. reason names why the solve stopped:
 
     * "gradient": ||g|| <= SOLVER_GTOL;
     * "step": the Newton step, or a backtracked trial step, is shorter than
@@ -482,9 +473,9 @@ def minimize_smooth(fun, z0):
     * "max_iter": MAX_ITER iterations ran out.
     """
     z = np.asarray(z0, dtype=float)
-    f, g, H = fun(z)
+    f, g, H, record = fun(z)
     if not np.isfinite(f):
-        return z, f, 0, "not_finite"
+        return z, f, 0, "not_finite", record
     n_iter = 0
     reason = "max_iter"
     while n_iter < MAX_ITER:
@@ -510,11 +501,11 @@ def minimize_smooth(fun, z0):
                 stop = "step"
                 break
             trial = z + t * step
-            f_new, g_new, H_new = fun(trial)
+            f_new, g_new, H_new, rec_new = fun(trial)
             flat = (f_new <= f + F_NOISE * (1.0 + abs(f))
                     and np.linalg.norm(g_new) < g_norm)
             if np.isfinite(f_new) and (f_new <= f + 1e-4 * t * slope or flat):
-                z, f, g, H = trial, f_new, g_new, H_new
+                z, f, g, H, record = trial, f_new, g_new, H_new, rec_new
                 stop = None
                 break
             t *= 0.5
@@ -522,7 +513,7 @@ def minimize_smooth(fun, z0):
         if stop is not None:
             reason = stop
             break
-    return z, f, n_iter, reason
+    return z, f, n_iter, reason, record
 
 
 def fit(rule, data, theta0=None):
@@ -551,9 +542,7 @@ def fit(rule, data, theta0=None):
     z0 = _to_z(theta0, objective.positive)
     for attempt in range(N_STARTS):
         z_start = z0 if attempt == 0 else z0 + rng.normal(0.0, 0.2 * (1.0 + np.abs(z0)))
-        z, val, n_iter, reason = minimize_smooth(objective, z_start)
-        theta = _from_z(z, objective.positive)
-        gnorm, converged = objective.verdict(theta)
+        theta, val, n_iter, reason, gnorm, converged = objective.solve(z_start)
         cand = (converged, -val, theta, val, n_iter, gnorm, reason)
         if best is None or cand[:2] > best[:2]:
             best = cand

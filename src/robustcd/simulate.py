@@ -28,7 +28,7 @@ from .confidence import (
     _tail_p,
     pivot_wald,
 )
-from .models import get_model
+from .models import _TwoSampleBase, get_model
 from .robustness import calibrate_gamma
 from .scoring import ScoreRule, fit as fit_rule
 
@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 _DESIGN_STREAM = 982451653  # fixed sub-stream tag for frozen design matrices
+_DESIGN_COLUMNS = 3          # columns of default_regression_design
+MAX_FAILURE_RATE = 0.05      # failed replicates of one method that abort a study
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,6 +68,8 @@ class MethodSpec:
             raise DomainError("method rule must be 'tsallis' or 'log'")
         if self.pivot not in ("wald", "root"):
             raise DomainError("method pivot must be 'wald' or 'root'")
+        if self.rule == "tsallis" and self.gamma is not None and not self.gamma > 1.0:
+            raise DomainError("method gamma must be > 1 for the tsallis rule")
 
     def label(self):
         if self.rule == "log":
@@ -97,14 +101,27 @@ class SimDesign:
     interest_index: int = 1      # regression only
 
     def __post_init__(self):
-        get_model(self.model)            # raises DomainError for an unknown model
+        model = get_model(self.model)    # raises DomainError for an unknown model
         if self.n_reps < 1:
             raise DomainError("n_reps must be at least 1")
         if not all(0.0 < lv < 1.0 for lv in self.levels):
             raise DomainError("levels must lie in (0, 1)")
+        n_samples = 2 if isinstance(model, _TwoSampleBase) else 1
+        if len(self.sizes) != n_samples:
+            raise DomainError(f"{self.model} takes {n_samples} sample size(s), "
+                              f"got {len(self.sizes)}")
+        try:
+            theta = np.asarray(self.theta, dtype=float)
+        except (TypeError, ValueError):
+            raise DomainError(f"theta must be a list of numbers, got {self.theta!r}") from None
+        # regression: a coefficient per design column, then the variance
+        dim = _DESIGN_COLUMNS + 1 if self.model == "linear-regression" else model.dim
+        if theta.shape != (dim,) or not model.in_domain(theta):
+            raise DomainError(f"theta {self.theta!r} is not an admissible "
+                              f"{dim}-vector for {self.model}")
         if self.contamination is not None:
             c = self.contamination
-            if self.model == "linear-regression":
+            if n_samples == 1:
                 n = self.sizes[0]
             else:
                 if c.sample_index not in (0, 1):
@@ -151,31 +168,43 @@ def contaminate(model, data, spec: Contamination):
 # Per-replicate pivot evaluation
 # ---------------------------------------------------------------------------
 
-def _point_pivot(rule, fit_result, psi, kind):
-    """(pivot at psi, the free fit it is measured from).
+def _point_pivots(rule, fit_result, psis, kind):
+    """(pivots at each psi, the free fit they are measured from).
 
-    A constrained fit scoring below the free optimum means the free fit
-    stopped at a local minimum; the free fit is then refitted from the
-    constrained estimate, and the lower of the two scores is kept before
-    the replicate is given up.
+    A root pivot takes one constrained solve per psi, warm-started at the
+    free fit. A constrained score below the free optimum means the free fit
+    stopped at a local minimum. The free fit is then refitted once, from
+    the constrained estimate of lowest score, and kept if it scores lower;
+    the other psis are solved again from the refit, since their solves
+    started in the spurious optimum's basin. Otherwise the replicate is
+    given up.
     """
     if kind == "wald":
-        return float(pivot_wald(fit_result, psi)), fit_result
+        return [float(pivot_wald(fit_result, psi)) for psi in psis], fit_result
     data = fit_result.data
-    theta_c, s_con, _ = _constrained_at(rule, data, psi,
-                                        rule.model.profile_extract(fit_result.theta_hat))
-    nu = _nu_at(rule, data, theta_c)
 
-    def root(fr):
-        return float(_signed_root(fr.psi_tilde, fr.score_at_opt, psi, s_con, nu)), fr
+    def solve(psi, fr):
+        """(theta_psi, S(theta_psi), nu) warm-started at the free fit fr."""
+        theta_c, s_con, _ = _constrained_at(rule, data, psi,
+                                            rule.model.profile_extract(fr.theta_hat))
+        return theta_c, s_con, _nu_at(rule, data, theta_c)
 
+    def roots(fr, solves):
+        _, s_con, nu = (np.array(v) for v in zip(*solves))
+        piv = _signed_root(fr.psi_tilde, fr.score_at_opt, np.asarray(psis), s_con, nu)
+        return [float(p) for p in piv], fr
+
+    solves = [solve(psi, fit_result) for psi in psis]
     try:
-        return root(fit_result)
-    except NumericsError:          # the constrained score undercuts the free optimum
-        refit = fit_rule(rule, data, theta0=theta_c)
+        return roots(fit_result, solves)
+    except NumericsError:          # a constrained score undercuts the free optimum
+        low = int(np.argmin([s_con for _, s_con, _ in solves]))
+        refit = fit_rule(rule, data, theta0=solves[low][0])
         if not (refit.converged and refit.score_at_opt < fit_result.score_at_opt):
             raise
-        return root(refit)
+        solves = [done if i == low else solve(psi, refit)
+                  for i, (psi, done) in enumerate(zip(psis, solves))]
+        return roots(refit, solves)
 
 
 @dataclasses.dataclass
@@ -243,11 +272,11 @@ def _resolve_gamma(method, model, theta_true, template):
     return calibrate_gamma(model, theta_true, 0.90, template)
 
 
-def run_study(design: SimDesign, max_failure_rate=0.05):
+def run_study(design: SimDesign):
     """Run the replicated study and collect coverage, p-values and medians.
 
     Replicates whose fit (or constrained fit) fails are dropped for that
-    method only and counted; more than ``max_failure_rate`` failures for any
+    method only and counted; more than MAX_FAILURE_RATE failures for any
     method aborts the study.
     """
     if design.model == "linear-regression":
@@ -261,6 +290,10 @@ def run_study(design: SimDesign, max_failure_rate=0.05):
     template = model.sample(theta_true, design.sizes, np.random.default_rng(0), design=X)
 
     z = {lv: float(ndtri(0.5 * (1.0 + lv))) for lv in design.levels}
+    # the pivot at psi_true gives coverage; the last one, the p-value
+    psis = [psi_true]
+    if design.h0 is not None and design.h0.psi0 != psi_true:
+        psis.append(design.h0.psi0)
     rules = {}
     results = {}
     for meth in design.methods:
@@ -282,29 +315,20 @@ def run_study(design: SimDesign, max_failure_rate=0.05):
                 fr = fit_rule(rule, data)
                 if not fr.converged:
                     raise NumericsError("fit did not converge")
-                piv_true, fr = _point_pivot(rule, fr, psi_true, meth.pivot)
-                if design.h0 is not None:
-                    if design.h0.psi0 == psi_true:
-                        piv0 = piv_true
-                    else:
-                        piv0, fr0 = _point_pivot(rule, fr, design.h0.psi0, meth.pivot)
-                        if fr0 is not fr:
-                            # the null-value pivot found a lower free optimum
-                            fr = fr0
-                            piv_true, fr = _point_pivot(rule, fr, psi_true, meth.pivot)
+                pivots, fr = _point_pivots(rule, fr, psis, meth.pivot)
             except (DomainError, NumericsError):
                 res.n_failed += 1
                 continue
             res.n_used += 1
             for lv in design.levels:
-                if abs(piv_true) <= z[lv]:
+                if abs(pivots[0]) <= z[lv]:
                     res.cover_counts[lv] = res.cover_counts.get(lv, 0) + 1
             if design.h0 is not None:
-                res.pvalues.append(_tail_p(piv0, design.h0.alternative))
+                res.pvalues.append(_tail_p(pivots[-1], design.h0.alternative))
             res.medians.append(float(model.interest(fr.theta_hat)))
 
     for label, res in results.items():
-        if res.n_failed > max_failure_rate * design.n_reps:
+        if res.n_failed > MAX_FAILURE_RATE * design.n_reps:
             raise NumericsError(
                 f"method {label} failed on {res.n_failed}/{design.n_reps} replicates")
         if res.n_failed:

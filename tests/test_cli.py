@@ -133,6 +133,14 @@ def test_cd_rejects_bad_level(runner, two_sample_csv):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("points", ["0", "1", "2"])
+def test_cd_rejects_too_few_grid_points(runner, two_sample_csv, points):
+    path, _, _ = two_sample_csv
+    res = runner.invoke(main, ["cd", "--model", "two-sample-normal", "--rule", "log",
+                               "--data", path, "--pivot", "wald", "--grid-points", points])
+    assert res.exit_code == 2 and "--grid-points" in res.stderr, res.output
+
+
 def test_calibrate_regression_default(runner):
     res = runner.invoke(main, ["calibrate", "--model", "linear-regression",
                                "--target", "0.9"])
@@ -194,12 +202,23 @@ def test_simulate_deterministic_snapshot(runner, tmp_path):
 @pytest.mark.parametrize("change", [
     {"n_reps": "abc"}, {"n_reps": 0}, {"model": "no-such-model"}, {"levels": [1.5]},
     {"h0": {"psi0": 2.0, "alternative": "grater"}}, {"theta": None},
+    {"theta": [2, 0, 1]}, {"theta": [2, 0, 1, -1]}, {"theta": "abc"}, {"sizes": [10]},
+    {"model": "linear-regression", "sizes": [30], "theta": [1, 0.5, 1]},
+    {"methods": [{"rule": "tsallis", "pivot": "wald", "gamma": 0.5}]},
 ])
 def test_simulate_rejects_a_bad_design(runner, tmp_path, change):
     design = {"model": "two-sample-normal", "theta": [2, 0, 1, 1], "sizes": [10, 20],
               "n_reps": 1, "methods": [{"rule": "log", "pivot": "wald"}]}
     dpath = tmp_path / "design.json"
     dpath.write_text(json.dumps({**design, **change}))
+    res = runner.invoke(main, ["simulate", "--design", str(dpath)])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("error: invalid design document"), res.stderr
+
+
+def test_simulate_rejects_a_design_that_is_not_an_object(runner, tmp_path):
+    dpath = tmp_path / "design.json"
+    dpath.write_text("[1, 2]")
     res = runner.invoke(main, ["simulate", "--design", str(dpath)])
     assert res.exit_code == 2, res.output
     assert res.stderr.startswith("error: invalid design document"), res.stderr

@@ -43,13 +43,13 @@ def test_constrained_fit_does_not_stall(monkeypatch):
     # A Tsallis constrained fit whose Newton polish once spent 656 objective
     # evaluations accepting steps that left f unchanged at round-off. The
     # stalled answer agrees with the optimum to 1e-9.
-    import robustcd.confidence as conf
+    import robustcd.scoring as scoring
 
     model = ExponentialAUC()
     lam2 = 2.0 / 3.0
     data = model.sample((0.85 * lam2 / 0.15, lam2), (20, 40), np.random.default_rng([1, 8]))
     evals, reasons = [0], []
-    solve = conf.minimize_smooth
+    solve = scoring.minimize_smooth
 
     def counted(fun_grad, z0, **kw):
         def fg(z):
@@ -59,7 +59,7 @@ def test_constrained_fit_does_not_stall(monkeypatch):
         reasons.append(out[3])
         return out
 
-    monkeypatch.setattr(conf, "minimize_smooth", counted)
+    monkeypatch.setattr(scoring, "minimize_smooth", counted)
     theta, _, _, converged = constrained_fit(ScoreRule.tsallis(model, 1.2), data, 0.8)
     assert converged
     assert evals[0] <= 40
@@ -323,20 +323,19 @@ def test_evidence(two_sample_data, ts_fits):
         evidence(cd, 2.0, 1.0)
 
 
-def test_serialization_roundtrip(two_sample_data, ts_fits, tmp_path):
+def test_serialization_roundtrip(two_sample_data, ts_fits):
+    import json
+
     fr = ts_fits["tsallis"]
     cd = build_cd(fr.rule, two_sample_data, "root", fit_result=fr)
-    path = tmp_path / "cd.json"
-    cd.save(str(path), levels=(0.5, 0.95))
-    cd2 = ConfidenceObject.load(str(path))
+    doc = json.loads(json.dumps(cd.to_dict(levels=(0.5, 0.95))))
+    cd2 = ConfidenceObject.from_dict(doc)
     for level in (0.5, 0.95):
         iv1, iv2 = ci(cd, level), ci(cd2, level)
         assert iv1.lo == iv2.lo and iv1.hi == iv2.hi
     for psi0 in (1.8, 2.1):
         for alt in ("less", "greater", "two_sided"):
             assert p_value(cd, psi0, alt) == p_value(cd2, psi0, alt)
-    import json
-    doc = json.loads(path.read_text())
     iv = ci(cd2, 0.95)
     assert doc["ci"]["0.95"] == [iv.lo, iv.hi]
 

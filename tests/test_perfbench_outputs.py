@@ -17,7 +17,9 @@ OPS = [
     ("cd-grid", "auc-exponential/log/0"),
     ("cd-grid", "auc-normal/log/0"),
     ("study", "auc-exponential/0"),
+    ("study", "two-sample-normal/0"),                 # root and Wald pivots with h0
     ("robustness", "auc-exponential/log/0"),
+    ("robustness", "two-sample-normal/tsallis/2"),    # the eps-mixture refit
 ]
 
 
@@ -35,6 +37,8 @@ def workloads():
 def test_benchmark_op_matches_reference(workloads, tmp_path, workload, key):
     with open(PERFBENCH / "reference" / f"{workload}.json") as fh:
         reference = json.load(fh)["ops"][key]["outputs"]
-    ops = {k: (run, arg) for k, run, arg in workloads.SETUP[workload](str(tmp_path), [0])}
+    instance = int(key.rsplit("/", 1)[1])
+    ops = {k: (run, arg)
+           for k, run, arg in workloads.SETUP[workload](str(tmp_path), [instance])}
     run, arg = ops[key]
     assert workloads.compare(run(arg), reference) is None

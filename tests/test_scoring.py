@@ -150,16 +150,16 @@ def test_fit_permutation_invariance(two_sample_data):
 
 def test_minimize_smooth_names_its_stop():
     def quadratic(z):
-        return float(z @ z), 2.0 * z, 2.0 * np.eye(z.size)
+        return float(z @ z), 2.0 * z, 2.0 * np.eye(z.size), None
 
-    z, f, _, reason = minimize_smooth(quadratic, np.array([1.0, -2.0]))
+    z, f, _, reason, _ = minimize_smooth(quadratic, np.array([1.0, -2.0]))
     assert reason == "gradient"
     assert f == pytest.approx(0.0, abs=1e-18)
 
     def nowhere_finite(z):
-        return np.inf, np.zeros_like(z), np.zeros((z.size, z.size))
+        return np.inf, np.zeros_like(z), np.zeros((z.size, z.size)), None
 
-    *_, reason = minimize_smooth(nowhere_finite, np.array([1.0]))
+    _, _, _, reason, _ = minimize_smooth(nowhere_finite, np.array([1.0]))
     assert reason == "not_finite"
 
 
@@ -423,12 +423,12 @@ def test_kernel_equals_value_and_gradient_paths(kernel_cases, gamma):
         assert np.array_equal(grads, _two_formula_grads(rule, data, theta))
 
         objective = _Objective(rule, data)
-        val, g = objective.evaluate(theta)
+        val, g, _, _ = objective.evaluate(theta)
         assert val == total_score(rule, data, theta)
         assert np.array_equal(g, score_gradient(rule, data, theta))
         # the unconstrained coordinates see the same numbers
         z = _to_z(theta, objective.positive)
-        val_z, g_z, _ = objective(z)
+        val_z, g_z, _, _ = objective(z)
         x = _from_z(z, objective.positive)
         want = score_gradient(rule, data, x) * np.where(objective.positive, x, 1.0)
         assert val_z == total_score(rule, data, x)
@@ -439,24 +439,11 @@ def test_kernel_equals_value_and_gradient_paths(kernel_cases, gamma):
         center, _ = model.obs_center_scale(data, theta, 0)
         frame = model.checked(model.contamination_frame([center + 0.3], data))
         mixed = _Objective(rule, data, mixture=(eps, frame))
-        val_m, g_m = mixed.evaluate(theta)
+        val_m, g_m, _, _ = mixed.evaluate(theta)
         assert val_m == ((1.0 - eps) * total_score(rule, data, theta)
                          + n * eps * total_score(rule, frame, theta))
         assert np.array_equal(g_m, (1.0 - eps) * score_gradient(rule, data, theta)
                               + n * eps * score_gradient(rule, frame, theta))
-
-
-def test_objective_gradient_reuses_the_last_evaluation(two_sample_data):
-    m = TwoSampleNormal()
-    data = m.checked(two_sample_data)
-    rule = ScoreRule.tsallis(m, 1.2)
-    objective = _Objective(rule, data, psi=2.0)
-    lam = m.profile_extract(m.default_start(data))
-    theta = objective.theta(lam)
-    _, g = objective.evaluate(theta)
-    assert objective.gradient(theta) is g
-    other = theta + np.array([0.0, 1e-3, 0.0, 0.0])
-    assert np.array_equal(objective.gradient(other), score_gradient(rule, data, other))
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +471,6 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(scoring, "_kernel", counted)
     monkeypatch.setattr(scoring, "minimize_smooth", marked)
-    monkeypatch.setattr(confidence, "minimize_smooth", marked)
     return calls, solves
 
 
@@ -514,17 +500,17 @@ def test_no_kernel_pass_after_a_solve(two_sample_data, cd_grid_auc_normal, kerne
     assert fr.converged and len(solves) == 1     # the first start converged
     assert len(calls) == solves[-1][1]           # K and J are analytic here
 
-    # A solve that stops after rejected trial points: the verdict reuses
-    # the pass at its last accepted point.
+    # A solve that stops after rejected trial points: the verdict reads
+    # the record of the pass at its last accepted point.
     objective = _Objective(rule, m.checked(two_sample_data), 2.0)
     lam = m.profile_extract(fr.theta_hat)
     z = _to_z(lam, objective.positive)
-    objective(z)
+    *_, record = objective(z)
     objective(z + 0.1)
-    objective(z + 1e3)                          # overflows: an inadmissible trial
+    assert objective(z + 1e3)[3] is None        # overflows: an inadmissible trial
     del calls[:]
-    objective.verdict(_from_z(z, objective.positive))
-    assert not calls
+    gnorm, _ = objective.verdict(_from_z(z, objective.positive), record)
+    assert not calls and np.isfinite(gnorm)
 
     # A warm-started profile on 1050 points: most of its solves stop on
     # "step". nu comes from the analytic K and J, so every pass belongs to
@@ -561,9 +547,9 @@ def test_minimize_smooth_solves_a_quadratic_in_two_passes():
 
     def quadratic(z):
         evals[0] += 1
-        return float(z @ z), 2.0 * z, 2.0 * np.eye(z.size)
+        return float(z @ z), 2.0 * z, 2.0 * np.eye(z.size), None
 
-    z, f, n_iter, reason = minimize_smooth(quadratic, np.array([1.0, -2.0]))
+    z, f, n_iter, reason, _ = minimize_smooth(quadratic, np.array([1.0, -2.0]))
     assert reason == "gradient" and n_iter == 1
     assert evals[0] == 2
     assert np.array_equal(z, [0.0, 0.0]) and f == 0.0
@@ -615,7 +601,7 @@ def test_analytic_hessians_equal_finite_differences(curvature_cases, gamma):
                                _Objective(rule, data, psi, (1e-4, frame)), lam))
         for name, objective, x in objectives:
             z = _to_z(x, objective.positive)
-            val, _, H_z = objective(z)
+            val, _, H_z, _ = objective(z)
             assert np.isfinite(val), what + (name,)
             _assert_hessian(H_z, scoring._fd_jacobian(lambda v: objective(v)[1], z),
                             what + (name,))
@@ -630,9 +616,9 @@ def test_normal_auc_embedding_curvature(normal_auc_data):
     theta = model.default_start(data)
     objective = _Objective(rule, data, model.interest(theta) * 0.98)
     lam = model.profile_extract(theta)
-    _, _, H = objective.derivatives(lam)
+    _, _, H, _ = objective.derivatives(lam)
     H_fd = scoring._fd_jacobian(lambda v: objective.derivatives(v)[1], lam)
-    g_theta = objective.gradient(objective.theta(lam))
+    g_theta = objective.evaluate(objective.theta(lam))[1]
     curvature = model.profile_embed_hess(objective.psi, lam, g_theta)
     assert np.abs(H - curvature - H_fd).max() > 1e-3 * np.abs(H_fd).max()
     generic = ModelSpec.profile_embed_hess(model, objective.psi, lam, g_theta)

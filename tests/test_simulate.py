@@ -17,7 +17,7 @@ from robustcd.simulate import (
     default_regression_design,
     pvalue_uniformity,
     run_study,
-    _point_pivot,
+    _point_pivots,
 )
 
 
@@ -252,10 +252,27 @@ def test_point_pivot_refits_a_spurious_free_optimum(rep, shift, score, pivot):
     data = contaminate(m, data, Contamination(0, -1, shift))
     fr = fit(rule, data)
     assert fr.converged and fr.score_at_opt > score + 0.1
-    piv, kept = _point_pivot(rule, fr, 2.0, "root")
+    (piv,), kept = _point_pivots(rule, fr, [2.0], "root")
     assert kept.converged
     assert kept.score_at_opt == pytest.approx(score, abs=1e-4)
     assert piv == pytest.approx(pivot, abs=1e-4)
+
+
+def test_point_pivots_solve_again_from_the_refit():
+    # Replicate 1671 of the criterion-2b design with a null value of 1.5.
+    # The constrained solve at psi = 1.5 warm-started at the spurious free
+    # optimum stops in a constrained local minimum (score -18.40, against
+    # -19.90 from the refit), which would move the pivot there to about -4.6.
+    m = TwoSampleNormal()
+    rule = ScoreRule.tsallis(m, 1.23236)
+    data = m.sample((2.0, 0.0, 1.0, 1.0), (10, 20), np.random.default_rng([20250801, 1671]))
+    data = contaminate(m, data, Contamination(0, -1, -7.0))
+    fr = fit(rule, data)
+    (piv_true, piv0), kept = _point_pivots(rule, fr, [2.0, 1.5], "root")
+    assert kept.score_at_opt == pytest.approx(-20.07119, abs=1e-4)
+    assert piv_true == pytest.approx(-2.20172, abs=1e-4)
+    assert piv0 == pytest.approx(-1.45739, abs=1e-4)
+    assert [piv0] == _point_pivots(rule, kept, [1.5], "root")[0]
 
 
 def test_no_warning_escapes_a_solve():
