@@ -18,7 +18,6 @@ import dataclasses
 import warnings
 
 import numpy as np
-from scipy.optimize import brentq, isotonic_regression
 from scipy.special import ndtr, ndtri
 
 from .errors import DomainError, NumericsError
@@ -67,9 +66,10 @@ def constrained_fit(rule, data, psi, lam0=None):
 
 def _constrained_solve(objective, lam0):
     """(theta, score, lam, converged) of a constrained objective from lam0;
-    converged is the objective's verdict at the solve's end point."""
+    converged is the objective's verdict at the solve's end point. On a
+    stack, lam0 has a start per row and every output a row axis."""
     lam, val, *_, converged = objective.solve(_to_z(lam0, objective.positive))
-    return objective.theta(lam), float(val), lam, converged
+    return objective.theta(lam), val, lam, converged
 
 
 def _constrained_at(rule, data, psi, lam0, mixture=None):
@@ -90,7 +90,8 @@ def _constrained_at(rule, data, psi, lam0, mixture=None):
 
 
 def _nu_at(rule, data, theta):
-    """nu = g_psipsi / k_psipsi evaluated at a (possibly constrained) estimate."""
+    """nu = g_psipsi / k_psipsi evaluated at a (possibly constrained) estimate,
+    or one per row of a stack."""
     K, J = estimate_KJ(rule, data, theta)
     k_pp, g_pp = interest_information(K, J, rule.model.interest_grad(theta))
     return g_pp / k_pp
@@ -168,13 +169,14 @@ def _wald_pivot(model, theta, K, J, psi):
     (psi_tilde - psi) / se at psi, elementwise, and its standard error se
     from the sensitivity K and variability J at theta. Both are on the
     model's Wald scale: the identity, or the logit for a (0,1)-valued
-    interest."""
-    psi_tilde = float(model.interest(theta))
+    interest. A stack of estimates, with their K and J, gives a pivot and
+    se per row."""
+    psi_tilde = model.interest(theta)
     _, g_pp = interest_information(K, J, model.interest_grad(theta))
-    se = float(np.sqrt(g_pp))
+    se = np.sqrt(g_pp)
     psi = np.asarray(psi, dtype=float)
     if model.wald_scale == "logit":
-        eta = float(np.log(psi_tilde / (1.0 - psi_tilde)))
+        eta = np.log(psi_tilde / (1.0 - psi_tilde))
         se = se / (psi_tilde * (1.0 - psi_tilde))
         return (eta - np.log(psi / (1.0 - psi))) / se, se
     return (psi_tilde - psi) / se, se
@@ -200,10 +202,16 @@ def _signed_root(psi_tilde, s_opt, psi, s_con, nu):
     negative W is clamped to 0.
     """
     W = 2.0 * (s_con - s_opt)
-    if np.min(W) < -W_TOL * (1.0 + abs(s_opt)):
+    if np.any(_undercut(s_opt, s_con)):
         raise NumericsError("profile score below the optimum; the free fit is suspect",
                             detail={"W_min": float(np.min(W))})
     return np.sign(psi_tilde - psi) * np.sqrt(np.maximum(W, 0.0) / nu)
+
+
+def _undercut(s_opt, s_con):
+    """Where a constrained score s_con lies below the free optimum s_opt by
+    more than round-off: W < -W_TOL (1 + |s_opt|); elementwise."""
+    return 2.0 * (s_con - s_opt) < -W_TOL * (1.0 + np.abs(s_opt))
 
 
 def pivot_root(trace, fit_result, psi):
@@ -328,6 +336,10 @@ def build_cd(rule, data, kind, psi_grid=None, fit_result=None, n_grid=201,
     anchored at the estimate (C(psi_tilde) stays 1/2), and the repair size is
     recorded on the C scale.
     """
+    # scipy.optimize costs about 25 MB and 0.3 s to import; only the curve
+    # constructions need it
+    from scipy.optimize import isotonic_regression
+
     if kind not in ("wald", "root"):
         raise DomainError("kind must be 'wald' or 'root'")
     model = rule.model
@@ -395,6 +407,8 @@ def ci(cd, level):
     found by root-finding on the interpolated pivot. Endpoints that fall
     outside the grid hull are returned as the hull bound with an open flag.
     """
+    from scipy.optimize import brentq
+
     if not 0.0 < level < 1.0:
         raise DomainError("level must be in (0, 1)")
     z = float(ndtri(0.5 * (1.0 + level)))

@@ -70,13 +70,17 @@ class ExpFamilyModel(_CoordinateInterest):
 
     def in_domain(self, theta):
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.family.s,) or not np.all(np.isfinite(theta)):
+        if theta.ndim not in (1, 2) or theta.shape[-1] != self.family.s:
             return False
-        return bool(self.family.in_natural(theta))
+        if not np.all(np.isfinite(theta)):
+            return False
+        return bool(np.asarray(_rowwise(self.family.in_natural, theta)).all())
 
     def validate_data(self, data):
-        y = np.asarray(data, dtype=float).ravel()
-        if y.size == 0:
+        y = np.asarray(data, dtype=float)
+        if y.ndim != 2:                      # one dataset, not a stack of them
+            y = y.ravel()
+        if y.shape[-1] == 0:
             raise DomainError("data must be nonempty")
         if not np.all(np.isfinite(y)):
             raise DomainError("data contain non-finite values")
@@ -88,18 +92,21 @@ class ExpFamilyModel(_CoordinateInterest):
         return y
 
     def nobs(self, data):
-        return len(data)
+        return data.shape[-1]
 
     def logpdf_obs(self, data, theta):
         fam = self.family
-        return fam.t(data) @ np.asarray(theta, dtype=float) - fam.c(theta)
+        theta = np.asarray(theta, dtype=float)
+        c = np.asarray(_rowwise(fam.c, theta))
+        return (fam.t(data) @ theta[..., None])[..., 0] - c[..., None]
 
     def dlogpdf_obs(self, data, theta):
         fam = self.family
-        return fam.t(data) - fam.c_grad(theta)[None, :]
+        return fam.t(data) - _rowwise(fam.c_grad, theta)[..., None, :]
 
     def d2logpdf_obs(self, data, theta, weights):
-        return -weights.sum() * self.family.c_hess(theta)
+        hess = _rowwise(self.family.c_hess, theta)
+        return -weights.sum(axis=-1)[..., None, None] * hess
 
     def _power_integral(self, theta, gamma):
         fam = self.family
@@ -111,7 +118,8 @@ class ExpFamilyModel(_CoordinateInterest):
         return math.exp(fam.c(gt) - gamma * fam.c(theta))
 
     def tsallis_integral_obs(self, data, theta, gamma):
-        return np.full(len(data), self._power_integral(theta, gamma))
+        value = _rowwise(lambda t: self._power_integral(t, gamma), theta)
+        return np.full(data.shape, np.asarray(value)[..., None])
 
     def _log_integral_grad(self, theta, gamma):
         # gradient of log int f^gamma = c(gamma theta) - gamma c(theta)
@@ -122,19 +130,23 @@ class ExpFamilyModel(_CoordinateInterest):
     def tsallis_integral_grad_obs(self, data, theta, gamma, values=None):
         if values is None:
             values = self.tsallis_integral_obs(data, theta, gamma)
-        return values[:, None] * self._log_integral_grad(theta, gamma)
+        u = _rowwise(lambda t: self._log_integral_grad(t, gamma), theta)
+        return values[..., None] * u[..., None, :]
 
     def tsallis_integral_hess(self, data, theta, gamma, values=None):
         if values is None:
             values = self.tsallis_integral_obs(data, theta, gamma)
         fam = self.family
-        theta = np.asarray(theta, dtype=float)
-        u = self._log_integral_grad(theta, gamma)
-        return values.sum() * (np.outer(u, u) + gamma * gamma * fam.c_hess(gamma * theta)
-                               - gamma * fam.c_hess(theta))
+
+        def curvature(t):
+            u = self._log_integral_grad(t, gamma)
+            return (np.outer(u, u) + gamma * gamma * fam.c_hess(gamma * t)
+                    - gamma * fam.c_hess(t))
+
+        return values.sum(axis=-1)[..., None, None] * _rowwise(curvature, theta)
 
     def default_start(self, data):
-        return self.family.start(data)
+        return _rowwise(self.family.start, data)
 
     def sample(self, theta, sizes, rng, *, design=None):
         n = sizes if np.isscalar(sizes) else sizes[0]
@@ -158,6 +170,15 @@ class ExpFamilyModel(_CoordinateInterest):
             return self.family.scale(np.asarray(theta, dtype=float))
         y = np.asarray(data, dtype=float)
         return float(np.median(y)), float(np.std(y) or 1.0)
+
+
+def _rowwise(f, a):
+    """f of one parameter vector (or one dataset), applied to ``a`` or to
+    each row of a stack of them. The family functions are scalar code."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 1:
+        return f(a)
+    return np.array([f(row) for row in a])
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +297,7 @@ def expfam_normal():
 
     return ExpFamilyModel(_Family(
         name="normal", s=2,
-        t=lambda y: np.column_stack([y, y ** 2]),
+        t=lambda y: np.concatenate([y[..., None], (y ** 2)[..., None]], axis=-1),
         c=c, c_grad=c_grad, c_hess=c_hess,
         support=(-np.inf, np.inf),
         in_natural=lambda th: th[1] < 0,
@@ -291,7 +312,7 @@ def expfam_exponential():
 
     return ExpFamilyModel(_Family(
         name="exponential", s=1,
-        t=lambda y: np.asarray(y, dtype=float).reshape(-1, 1),
+        t=lambda y: np.asarray(y, dtype=float)[..., None],
         c=lambda th: -math.log(-th[0]),
         c_grad=lambda th: np.array([-1.0 / th[0]]),
         c_hess=lambda th: np.array([[1.0 / th[0] ** 2]]),
@@ -333,7 +354,7 @@ def expfam_gamma():
 
     return ExpFamilyModel(_Family(
         name="gamma", s=2,
-        t=lambda y: np.column_stack([np.log(y), y]),
+        t=lambda y: np.concatenate([np.log(y)[..., None], y[..., None]], axis=-1),
         c=c, c_grad=c_grad, c_hess=c_hess,
         support=(0.0, np.inf),
         in_natural=lambda th: th[0] > -1.0 and th[1] < 0,
@@ -367,7 +388,7 @@ def expfam_beta():
 
     return ExpFamilyModel(_Family(
         name="beta", s=2,
-        t=lambda y: np.column_stack([np.log(y), np.log1p(-y)]),
+        t=lambda y: np.concatenate([np.log(y)[..., None], np.log1p(-y)[..., None]], axis=-1),
         c=c, c_grad=c_grad, c_hess=c_hess,
         support=(0.0, 1.0),
         in_natural=lambda th: th[0] > -1.0 and th[1] > -1.0,

@@ -7,15 +7,21 @@ samplers, the scalar interest parameter with its gradient, and the
 
 Built-in families: two-sample heteroscedastic normal, two-sample exponential
 AUC, two-sample normal AUC, and the normal linear regression model.
+
+Every per-observation method also takes a stack of datasets with a stack of
+parameters: each data array and theta gain a leading row axis (regression
+keeps its one design matrix), and row r of every result is what the method
+returns for dataset r and theta[r] alone, bit for bit. ``ModelSpec.stack``
+builds a stack and ``ModelSpec.take`` selects its rows.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 import math
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
 from .errors import DomainError, NumericsError
@@ -60,7 +66,7 @@ def tsallis_integral_normal(mu, var, gamma):
 
 def _normal_power(var, gamma):
     # the models' unchecked form: their callers have checked var and gamma
-    return gamma ** -0.5 * (_TWO_PI * var) ** ((1.0 - gamma) / 2.0)
+    return gamma ** -0.5 * _pow(_TWO_PI * var, (1.0 - gamma) / 2.0)
 
 
 def tsallis_integral_exponential(rate, gamma):
@@ -73,7 +79,65 @@ def tsallis_integral_exponential(rate, gamma):
 
 
 def _exponential_power(rate, gamma):
-    return rate ** (gamma - 1.0) / gamma
+    return _pow(rate, gamma - 1.0) / gamma
+
+
+def _pow(base, exponent):
+    """``base ** exponent`` for a scalar base or elementwise over an array,
+    computed as numpy computes it for one scalar (the C library's pow).
+    numpy's vectorized power can differ from it in the last bit, and a row
+    of a stack must score exactly as its dataset does alone."""
+    if type(base) is np.float64:
+        return base ** exponent
+    if type(base) is not np.ndarray or not base.ndim:
+        return np.float64(base) ** exponent
+    base = np.asarray(base, dtype=float)
+    try:
+        return np.power(base.astype(object), exponent).astype(float)
+    except (OverflowError, ZeroDivisionError):
+        # numpy scalars give inf there, and raise under the caller's errstate
+        return np.array([b ** exponent for b in base.ravel()]).reshape(base.shape)
+
+
+def _cols(theta):
+    """The coordinates of theta: scalars for one parameter vector, (rows, 1)
+    columns, which broadcast against (rows, n) data, for a stack of them."""
+    if type(theta) is not np.ndarray:
+        theta = np.asarray(theta, dtype=float)
+    return tuple(theta.T[..., None]) if theta.ndim == 2 else tuple(theta)
+
+
+def _coords(theta):
+    """The coordinates of theta: scalars, or one (rows,) array each for a stack."""
+    theta = np.asarray(theta, dtype=float)
+    return tuple(theta.T) if theta.ndim == 2 else tuple(theta)
+
+
+def _vec(*coords):
+    """Coordinates stacked along a last axis: scalars give one vector,
+    (rows,) arrays a contiguous (rows, d) stack."""
+    out = np.array(coords)
+    return out if out.ndim == 1 else np.ascontiguousarray(out.T)
+
+
+def _diag(*entries):
+    """Diagonal matrices with these entries, one per row where they are arrays."""
+    v = _vec(*entries)
+    if v.ndim == 1:
+        return np.diag(v)
+    i = np.arange(v.shape[-1])
+    out = np.zeros(v.shape + v.shape[-1:])
+    out[..., i, i] = v
+    return out
+
+
+def _lstsq_rows(X, y):
+    """Least-squares coefficients of y on X, one row per row of a stack of
+    responses. Each row is solved alone: LAPACK's solution for several
+    right-hand sides at once can differ in the last bit."""
+    if y.ndim == 1:
+        return np.linalg.lstsq(X, y, rcond=None)[0]
+    return np.stack([np.linalg.lstsq(X, yr, rcond=None)[0] for yr in y])
 
 
 # ---------------------------------------------------------------------------
@@ -82,14 +146,14 @@ def _exponential_power(rate, gamma):
 
 def auc_from_rates(rate1, rate2):
     """P(X1 < X2) for independent exponentials: rate1 / (rate1 + rate2)."""
-    if rate1 <= 0 or rate2 <= 0:
+    if np.any(rate1 <= 0) or np.any(rate2 <= 0):
         raise DomainError("rates must be positive")
     return rate1 / (rate1 + rate2)
 
 
 def auc_from_rates_grad(rate1, rate2):
-    s = (rate1 + rate2) ** 2
-    return np.array([rate2 / s, -rate1 / s])
+    s = _pow(rate1 + rate2, 2)
+    return _vec(rate2 / s, -rate1 / s)
 
 
 def normal_pdf(x):
@@ -100,17 +164,17 @@ def normal_pdf(x):
 
 def auc_from_normal(mu1, mu2, var1, var2):
     """P(X1 < X2) for independent normals: Phi((mu2 - mu1) / sqrt(var1 + var2))."""
-    if var1 <= 0 or var2 <= 0:
+    if np.any(var1 <= 0) or np.any(var2 <= 0):
         raise DomainError("variances must be positive")
-    return float(ndtr((mu2 - mu1) / math.sqrt(var1 + var2)))
+    return ndtr((mu2 - mu1) / np.sqrt(var1 + var2))
 
 
 def auc_from_normal_grad(mu1, mu2, var1, var2):
     s2 = var1 + var2
-    s = math.sqrt(s2)
+    s = np.sqrt(s2)
     eta = (mu2 - mu1) / s
-    dens = float(normal_pdf(eta))
-    return np.array([-dens / s, dens / s, -dens * eta / (2 * s2), -dens * eta / (2 * s2)])
+    dens = normal_pdf(eta)
+    return _vec(-dens / s, dens / s, -dens * eta / (2 * s2), -dens * eta / (2 * s2))
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +185,11 @@ def auc_from_normal_grad(mu1, mu2, var1, var2):
 def _xi(var, t):
     # (2 pi v)^{-t/2} (1+t)^{-3/2} / v : expected curvature scale of the
     # location estimating function under power downweighting t.
-    return (_TWO_PI * var) ** (-t / 2.0) * (1.0 + t) ** -1.5 / var
+    return _pow(_TWO_PI * var, -t / 2.0) * (1.0 + t) ** -1.5 / var
 
 
 def _varsigma(var, t):
-    return (_TWO_PI * var) ** (-t / 2.0) * (2.0 + t * t) * (1.0 + t) ** -2.5 / (4.0 * var * var)
+    return _pow(_TWO_PI * var, -t / 2.0) * (2.0 + t * t) * (1.0 + t) ** -2.5 / (4.0 * var * var)
 
 
 def _normal_component_kj(var, gamma, rule_kind):
@@ -140,19 +204,19 @@ def _normal_component_kj(var, gamma, rule_kind):
     k_mu = c * _xi(var, a)
     k_v = c * _varsigma(var, a)
     j_mu = c * c * _xi(var, 2 * a)
-    j_v = c * c * (_varsigma(var, 2 * a) - 0.25 * a * a * _xi(var, a) ** 2)
+    j_v = c * c * (_varsigma(var, 2 * a) - 0.25 * a * a * _pow(_xi(var, a), 2))
     return (k_mu, k_v), (j_mu, j_v)
 
 
 def _exponential_component_kj(rate, gamma, rule_kind):
     """Per-observation expected scalar (K, J) for one Exp(rate) component."""
     if rule_kind == "log":
-        k = 1.0 / rate ** 2
+        k = 1.0 / _pow(rate, 2)
         return k, k
     a = gamma - 1.0
     g = gamma
-    k = a * (1.0 + a * a) * rate ** (a - 2.0) / g ** 2
-    j = a * a * rate ** (2 * a - 2.0) * (
+    k = a * (1.0 + a * a) * _pow(rate, a - 2.0) / g ** 2
+    j = a * a * _pow(rate, 2 * a - 2.0) * (
         g ** 2 * (4 * a * a + 1.0) / (1.0 + 2 * a) ** 3 - a * a / g ** 2
     )
     return k, j
@@ -163,11 +227,12 @@ def _norm_logpdf(y, mu, var):
 
 
 def _mad_scale(y):
-    med = np.median(y)
-    s = 1.4826 * np.median(np.abs(y - med))
-    if s <= 0:
-        s = y.std() if y.std() > 0 else 1.0
-    return med, s
+    """(median, 1.4826 MAD) of the last axis; the standard deviation, or 1,
+    stands in for a zero MAD."""
+    med = np.median(y, axis=-1)
+    s = 1.4826 * np.median(np.abs(y - med[..., None]), axis=-1)
+    std = y.std(axis=-1)
+    return med, np.where(s > 0, s, np.where(std > 0, std, 1.0))
 
 
 def _fd_jacobian(func, x, rel_step=1e-6):
@@ -228,11 +293,29 @@ class ModelSpec(abc.ABC):
         if memo.get(id(data)) is data:
             memo[id(data)] = memo.pop(id(data), data)  # most recently used last
             return data
-        data = self.validate_data(data)
+        return self._remember(self.validate_data(data))
+
+    def _remember(self, data):
+        memo = self.__dict__.setdefault("_checked", {})
         if len(memo) >= _CHECKED_MEMO:
             del memo[next(iter(memo))]
         memo[id(data)] = data
         return data
+
+    def stack(self, datasets):
+        """Checked datasets of equal sizes as one checked stack, each data
+        array gaining a leading row axis."""
+        first = datasets[0]
+        if isinstance(first, tuple):
+            return self._remember(tuple(np.stack(parts) for parts in zip(*datasets)))
+        return self._remember(np.stack(datasets))
+
+    def take(self, data, rows):
+        """Rows of a checked stack, themselves checked: one dataset for an
+        integer, a smaller stack for an index array or a slice."""
+        if isinstance(data, tuple):
+            return self._remember(tuple(a[rows] for a in data))
+        return self._remember(data[rows])
 
     @abc.abstractmethod
     def nobs(self, data) -> int:
@@ -247,17 +330,18 @@ class ModelSpec(abc.ABC):
         return None
 
     def in_domain(self, theta) -> bool:
+        """Whether theta, or every row of a stack of them, is admissible."""
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,) or not np.all(np.isfinite(theta)):
+        if theta.ndim not in (1, 2) or theta.shape[-1] != self.dim:
             return False
-        for j, pos in enumerate(self.positive):
-            if pos and theta[j] <= 0:
-                return False
-        return True
+        positive = _true_at(self.positive)
+        return bool(np.isfinite(theta).all()
+                    and (not positive.size or theta[..., positive].min() > 0))
 
     def require_domain(self, theta):
         if not self.in_domain(theta):
-            raise DomainError(f"{self.name}: parameter {theta!r} outside admissible set")
+            shown = repr(theta) if np.ndim(theta) < 2 else "in a row of a stack"
+            raise DomainError(f"{self.name}: parameter {shown} outside admissible set")
 
     # ---- observation-level pieces --------------------------------------
     @abc.abstractmethod
@@ -291,7 +375,8 @@ class ModelSpec(abc.ABC):
         """For a model whose observations fall in components, each with a
         power integral I that depends on one coordinate j: one
         (rows, j, d log I / d theta_j, d^2 log I / d theta_j^2) per
-        component. None otherwise."""
+        component, the derivatives as scalars or, for a stack, (rows, 1)
+        columns. None otherwise."""
         return None
 
     def _integral_derivs(self, data, theta, gamma, values, order):
@@ -300,15 +385,17 @@ class ModelSpec(abc.ABC):
             return None
         if values is None:
             values = self.tsallis_integral_obs(data, theta, gamma)
-        d = len(theta)
+        d = np.asarray(theta).shape[-1]
         if order == 1:
-            out = np.zeros((len(values), d))
+            out = np.zeros(values.shape + (d,))
             for rows, j, dlog, _ in parts:
-                out[rows, j] = dlog * values[rows]
+                out[..., rows, j] = dlog * values[..., rows]
         else:
-            out = np.zeros((d, d))
+            out = np.zeros(values.shape[:-1] + (d, d))
             for rows, j, dlog, d2log in parts:
-                out[j, j] = (d2log + dlog * dlog) * values[rows].sum()
+                coef = d2log + dlog * dlog          # a scalar, or a (rows, 1) column
+                coef = coef[..., 0] if type(coef) is np.ndarray else coef
+                out[..., j, j] = coef * values[..., rows].sum(axis=-1)
         return out
 
     def quad_components(self, data, theta):
@@ -379,30 +466,47 @@ class ModelSpec(abc.ABC):
         return None
 
 
+@functools.lru_cache(maxsize=None)
+def _true_at(mask):
+    """The indices where a tuple of flags holds; read-only."""
+    index = np.flatnonzero(mask)
+    index.flags.writeable = False
+    return index
+
+
+@functools.lru_cache(maxsize=None)
+def _coordinate_jac(d, i):
+    """d theta / d lam where lam is theta without coordinate i; read-only."""
+    jac = np.delete(np.eye(d), i, axis=1)
+    jac.flags.writeable = False
+    return jac
+
+
 class _CoordinateInterest(ModelSpec):
     """A model whose interest is the coordinate ``interest_index`` of theta
     and whose nuisance lam is theta without it."""
 
     def interest(self, theta):
-        return float(theta[self.interest_index])
+        return np.asarray(theta, dtype=float)[..., self.interest_index]
 
     def interest_grad(self, theta):
-        g = np.zeros(len(theta))
-        g[self.interest_index] = 1.0
+        g = np.zeros(np.shape(theta))
+        g[..., self.interest_index] = 1.0
         return g
 
     def profile_embed(self, psi, lam):
         lam = np.asarray(lam, dtype=float)
         i = self.interest_index
-        return np.concatenate((lam[:i], [psi], lam[i:]))
+        return np.concatenate((lam[..., :i], np.full(lam.shape[:-1] + (1,), psi),
+                               lam[..., i:]), axis=-1)
 
     def profile_extract(self, theta):
         theta = np.asarray(theta, dtype=float)
         i = self.interest_index
-        return np.concatenate((theta[:i], theta[i + 1:]))
+        return np.concatenate((theta[..., :i], theta[..., i + 1:]), axis=-1)
 
     def profile_embed_jac(self, psi, lam):
-        return np.delete(np.eye(len(lam) + 1), self.interest_index, axis=1)
+        return _coordinate_jac(np.shape(lam)[-1] + 1, self.interest_index)
 
     def profile_embed_hess(self, psi, lam, grad):
         return None
@@ -422,11 +526,12 @@ def _validate_two_samples(data):
         x, y = data
     except (TypeError, ValueError) as exc:
         raise DomainError("two-sample data must be a pair of arrays") from exc
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (x.ndim == y.ndim == 2 and len(x) == len(y)):    # one dataset, not a stack
+        x, y = x.ravel(), y.ravel()
     # one component may be empty in internal single-point evaluation frames;
     # fitting entry points require both (see default_start)
-    if x.size + y.size == 0:
+    if x.shape[-1] + y.shape[-1] == 0:
         raise DomainError("data must be nonempty")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise DomainError("data contain non-finite values")
@@ -435,7 +540,7 @@ def _validate_two_samples(data):
 
 def _require_both_samples(data):
     x, y = data
-    if len(x) == 0 or len(y) == 0:
+    if x.shape[-1] == 0 or y.shape[-1] == 0:
         raise DomainError("fitting requires both samples to be nonempty")
 
 
@@ -447,7 +552,7 @@ class _TwoSampleBase(ModelSpec):
 
     def nobs(self, data):
         x, y = data
-        return len(x) + len(y)
+        return x.shape[-1] + y.shape[-1]
 
     def shift_obs(self, data, sample_index, obs_index, shift):
         x, y = self.validate_data(data)
@@ -467,6 +572,11 @@ class _TwoSampleBase(ModelSpec):
         return None
 
 
+# d theta / d lam of the two-sample mean-difference embedding; read-only
+_TWO_SAMPLE_JAC = np.array([[1.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
+_TWO_SAMPLE_JAC.flags.writeable = False
+
+
 class TwoSampleNormal(_TwoSampleBase):
     """Heteroscedastic two-sample normal model; interest is the mean difference."""
 
@@ -478,44 +588,46 @@ class TwoSampleNormal(_TwoSampleBase):
 
     def logpdf_obs(self, data, theta):
         x, y = data
-        mx, my, vx, vy = theta
-        return np.concatenate([_norm_logpdf(x, mx, vx), _norm_logpdf(y, my, vy)])
+        mx, my, vx, vy = _cols(theta)
+        return np.concatenate([_norm_logpdf(x, mx, vx), _norm_logpdf(y, my, vy)], axis=-1)
 
     def dlogpdf_obs(self, data, theta):
         x, y = data
-        mx, my, vx, vy = theta
-        n1, n2 = len(x), len(y)
-        out = np.zeros((n1 + n2, 4))
+        mx, my, vx, vy = _cols(theta)
+        n1, n2 = x.shape[-1], y.shape[-1]
+        out = np.zeros(x.shape[:-1] + (n1 + n2, 4))
         zx, zy = x - mx, y - my
-        out[:n1, 0] = zx / vx
-        out[:n1, 2] = -0.5 / vx + zx ** 2 / (2 * vx ** 2)
-        out[n1:, 1] = zy / vy
-        out[n1:, 3] = -0.5 / vy + zy ** 2 / (2 * vy ** 2)
+        out[..., :n1, 0] = zx / vx
+        out[..., :n1, 2] = -0.5 / vx + zx ** 2 / (2 * _pow(vx, 2))
+        out[..., n1:, 1] = zy / vy
+        out[..., n1:, 3] = -0.5 / vy + zy ** 2 / (2 * _pow(vy, 2))
         return out
 
     def d2logpdf_obs(self, data, theta, weights):
         x, y = data
-        n1 = len(x)
-        out = np.zeros((4, 4))
-        # (mean index, variance index, residuals, weights) per sample
-        for m, v, z, w in ((0, 2, x - theta[0], weights[:n1]),
-                           (1, 3, y - theta[1], weights[n1:])):
-            var, sw = theta[v], w.sum()
-            out[m, m] = -sw / var
-            out[m, v] = out[v, m] = -(w @ z) / var ** 2
-            out[v, v] = sw / (2 * var ** 2) - (w @ z ** 2) / var ** 3
+        n1 = x.shape[-1]
+        mx, my, vx, vy = _cols(theta)
+        out = np.zeros(np.shape(theta) + (4,))
+        # (mean index, variance index, residuals, weights, variance) per sample
+        for m, v, z, w, var in ((0, 2, x - mx, weights[..., :n1], vx),
+                                (1, 3, y - my, weights[..., n1:], vy)):
+            var, sw = (var[..., 0] if type(var) is np.ndarray else var), w.sum(axis=-1)
+            var2 = _pow(var, 2)
+            out[..., m, m] = -sw / var
+            out[..., m, v] = out[..., v, m] = -np.vecdot(w, z) / var2
+            out[..., v, v] = sw / (2 * var2) - np.vecdot(w, z ** 2) / _pow(var, 3)
         return out
 
     def tsallis_integral_obs(self, data, theta, gamma):
         x, y = data
-        _, _, vx, vy = theta
-        return np.concatenate([np.full(len(x), _normal_power(vx, gamma)),
-                               np.full(len(y), _normal_power(vy, gamma))])
+        _, _, vx, vy = _cols(theta)
+        return np.concatenate([np.full(x.shape, _normal_power(vx, gamma)),
+                               np.full(y.shape, _normal_power(vy, gamma))], axis=-1)
 
     def _integral_parts(self, data, theta, gamma):
         # I = gamma^{-1/2} (2 pi v)^{-a/2}: d log I / dv = -a / (2v)
-        n1, a = len(data[0]), gamma - 1.0
-        vx, vy = theta[2], theta[3]
+        n1, a = data[0].shape[-1], gamma - 1.0
+        _, _, vx, vy = _cols(theta)
         return ((slice(0, n1), 2, -a / (2 * vx), a / (2 * vx * vx)),
                 (slice(n1, None), 3, -a / (2 * vy), a / (2 * vy * vy)))
 
@@ -524,12 +636,13 @@ class TwoSampleNormal(_TwoSampleBase):
         x, y = data
         mx, sx = _mad_scale(x)
         my, sy = _mad_scale(y)
-        return np.array([mx, my, sx ** 2, sy ** 2])
+        return np.stack([mx, my, _pow(sx, 2), _pow(sy, 2)], axis=-1)
 
     def mle_start(self, data):
         _require_both_samples(data)
         x, y = data
-        return np.array([x.mean(), y.mean(), max(x.var(), 1e-12), max(y.var(), 1e-12)])
+        return np.stack([x.mean(axis=-1), y.mean(axis=-1), np.maximum(x.var(axis=-1), 1e-12),
+                         np.maximum(y.var(axis=-1), 1e-12)], axis=-1)
 
     def sample(self, theta, sizes, rng, *, design=None):
         mx, my, vx, vy = theta
@@ -541,29 +654,30 @@ class TwoSampleNormal(_TwoSampleBase):
         return (mx, math.sqrt(vx)) if component == 0 else (my, math.sqrt(vy))
 
     def interest(self, theta):
-        return theta[0] - theta[1]
+        theta = np.asarray(theta, dtype=float)
+        return theta[..., 0] - theta[..., 1]
 
     def interest_grad(self, theta):
-        return np.array([1.0, -1.0, 0.0, 0.0])
+        return np.broadcast_to([1.0, -1.0, 0.0, 0.0], np.shape(theta))
 
     def profile_embed(self, psi, lam):
-        my, vx, vy = lam
-        return np.array([psi + my, my, vx, vy])
+        my, vx, vy = _coords(lam)
+        return _vec(psi + my, my, vx, vy)
 
     def profile_extract(self, theta):
-        return np.array([theta[1], theta[2], theta[3]])
+        return np.asarray(theta, dtype=float)[..., 1:].copy()
 
     def profile_embed_jac(self, psi, lam):
-        return np.array([[1.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
+        return _TWO_SAMPLE_JAC
 
     def expected_kj(self, rule_kind, gamma, data, theta):
         x, y = data
-        _, _, vx, vy = theta
+        _, _, vx, vy = _coords(theta)
         (kmx, kvx), (jmx, jvx) = _normal_component_kj(vx, gamma, rule_kind)
         (kmy, kvy), (jmy, jvy) = _normal_component_kj(vy, gamma, rule_kind)
-        n1, n2 = len(x), len(y)
-        K = np.diag([n1 * kmx, n2 * kmy, n1 * kvx, n2 * kvy])
-        J = np.diag([n1 * jmx, n2 * jmy, n1 * jvx, n2 * jvy])
+        n1, n2 = x.shape[-1], y.shape[-1]
+        K = _diag(n1 * kmx, n2 * kmy, n1 * kvx, n2 * kvy)
+        J = _diag(n1 * jmx, n2 * jmy, n1 * jvx, n2 * jvy)
         return K, J
 
 
@@ -577,10 +691,10 @@ class NormalAUC(TwoSampleNormal):
     wald_scale = "logit"
 
     def interest(self, theta):
-        return auc_from_normal(*theta)
+        return auc_from_normal(*_coords(theta))
 
     def interest_grad(self, theta):
-        return auc_from_normal_grad(*theta)
+        return auc_from_normal_grad(*_coords(theta))
 
     def interest_range(self):
         return (0.0, 1.0)
@@ -588,29 +702,28 @@ class NormalAUC(TwoSampleNormal):
     def profile_embed(self, psi, lam):
         if not 0.0 < psi < 1.0:
             raise DomainError("AUC interest must lie in (0, 1)")
-        mu1, v1, v2 = lam
-        mu2 = mu1 + ndtri(psi) * math.sqrt(v1 + v2)
-        return np.array([mu1, mu2, v1, v2])
+        mu1, v1, v2 = _coords(lam)
+        mu2 = mu1 + ndtri(psi) * np.sqrt(v1 + v2)
+        return _vec(mu1, mu2, v1, v2)
 
     def profile_extract(self, theta):
-        return np.array([theta[0], theta[2], theta[3]])
+        theta = np.asarray(theta, dtype=float)
+        return theta[..., [0, 2, 3]]
 
     def profile_embed_jac(self, psi, lam):
-        mu1, v1, v2 = lam
-        q = ndtri(psi)
-        s = math.sqrt(v1 + v2)
-        return np.array([
-            [1.0, 0.0, 0.0],
-            [1.0, q / (2 * s), q / (2 * s)],
-            [0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0],
-        ])
+        _, v1, v2 = _coords(lam)
+        slope = ndtri(psi) / (2 * np.sqrt(v1 + v2))
+        out = np.zeros(np.shape(v1) + (4, 3))
+        out[..., 0, 0] = out[..., 1, 0] = out[..., 2, 1] = out[..., 3, 2] = 1.0
+        out[..., 1, 1] = out[..., 1, 2] = slope
+        return out
 
     def profile_embed_hess(self, psi, lam, grad):
         # mu_2 = mu_1 + q sqrt(v_1 + v_2): d^2 mu_2 / dv_i dv_j = -q / (4 s^3)
-        _, v1, v2 = lam
-        out = np.zeros((3, 3))
-        out[1:, 1:] = -grad[1] * ndtri(psi) / (4.0 * (v1 + v2) ** 1.5)
+        _, v1, v2 = _coords(lam)
+        out = np.zeros(np.shape(v1) + (3, 3))
+        curv = -np.asarray(grad)[..., 1] * ndtri(psi) / (4.0 * _pow(v1 + v2, 1.5))
+        out[..., 1:, 1:] = np.asarray(curv)[..., None, None]
         return out
 
 
@@ -626,33 +739,34 @@ class ExponentialAUC(_TwoSampleBase):
 
     def logpdf_obs(self, data, theta):
         x, y = data
-        r1, r2 = theta
-        return np.concatenate([np.log(r1) - r1 * x, np.log(r2) - r2 * y])
+        r1, r2 = _cols(theta)
+        return np.concatenate([np.log(r1) - r1 * x, np.log(r2) - r2 * y], axis=-1)
 
     def dlogpdf_obs(self, data, theta):
         x, y = data
-        r1, r2 = theta
-        n1, n2 = len(x), len(y)
-        out = np.zeros((n1 + n2, 2))
-        out[:n1, 0] = 1.0 / r1 - x
-        out[n1:, 1] = 1.0 / r2 - y
+        r1, r2 = _cols(theta)
+        n1, n2 = x.shape[-1], y.shape[-1]
+        out = np.zeros(x.shape[:-1] + (n1 + n2, 2))
+        out[..., :n1, 0] = 1.0 / r1 - x
+        out[..., n1:, 1] = 1.0 / r2 - y
         return out
 
     def d2logpdf_obs(self, data, theta, weights):
-        r1, r2 = theta
-        n1 = len(data[0])
-        return np.diag([-weights[:n1].sum() / r1 ** 2, -weights[n1:].sum() / r2 ** 2])
+        r1, r2 = _coords(theta)
+        n1 = data[0].shape[-1]
+        return _diag(-weights[..., :n1].sum(axis=-1) / _pow(r1, 2),
+                     -weights[..., n1:].sum(axis=-1) / _pow(r2, 2))
 
     def tsallis_integral_obs(self, data, theta, gamma):
         x, y = data
-        r1, r2 = theta
-        return np.concatenate([np.full(len(x), _exponential_power(r1, gamma)),
-                               np.full(len(y), _exponential_power(r2, gamma))])
+        r1, r2 = _cols(theta)
+        return np.concatenate([np.full(x.shape, _exponential_power(r1, gamma)),
+                               np.full(y.shape, _exponential_power(r2, gamma))], axis=-1)
 
     def _integral_parts(self, data, theta, gamma):
         # I = r^a / gamma: d log I / dr = a / r
-        n1, a = len(data[0]), gamma - 1.0
-        r1, r2 = theta
+        n1, a = data[0].shape[-1], gamma - 1.0
+        r1, r2 = _cols(theta)
         return ((slice(0, n1), 0, a / r1, -a / (r1 * r1)),
                 (slice(n1, None), 1, a / r2, -a / (r2 * r2)))
 
@@ -666,12 +780,13 @@ class ExponentialAUC(_TwoSampleBase):
         _require_both_samples(data)
         x, y = data
         # median of Exp(r) is log(2)/r
-        return np.array([math.log(2.0) / np.median(x), math.log(2.0) / np.median(y)])
+        return np.stack([math.log(2.0) / np.median(x, axis=-1),
+                         math.log(2.0) / np.median(y, axis=-1)], axis=-1)
 
     def mle_start(self, data):
         _require_both_samples(data)
         x, y = data
-        return np.array([1.0 / x.mean(), 1.0 / y.mean()])
+        return np.stack([1.0 / x.mean(axis=-1), 1.0 / y.mean(axis=-1)], axis=-1)
 
     def sample(self, theta, sizes, rng, *, design=None):
         r1, r2 = theta
@@ -686,10 +801,10 @@ class ExponentialAUC(_TwoSampleBase):
         return (1.0 / r, 1.0 / r)
 
     def interest(self, theta):
-        return auc_from_rates(*theta)
+        return auc_from_rates(*_coords(theta))
 
     def interest_grad(self, theta):
-        return auc_from_rates_grad(*theta)
+        return auc_from_rates_grad(*_coords(theta))
 
     def interest_range(self):
         return (0.0, 1.0)
@@ -697,23 +812,22 @@ class ExponentialAUC(_TwoSampleBase):
     def profile_embed(self, psi, lam):
         if not 0.0 < psi < 1.0:
             raise DomainError("AUC interest must lie in (0, 1)")
-        (r2,) = np.atleast_1d(lam)
-        return np.array([psi * r2 / (1.0 - psi), r2])
+        r2 = np.asarray(lam, dtype=float)[..., 0]
+        return _vec(psi * r2 / (1.0 - psi), r2)
 
     def profile_extract(self, theta):
-        return np.array([theta[1]])
+        return np.asarray(theta, dtype=float)[..., 1:].copy()
 
     def profile_embed_jac(self, psi, lam):
         return np.array([[psi / (1.0 - psi)], [1.0]])
 
     def expected_kj(self, rule_kind, gamma, data, theta):
         x, y = data
-        r1, r2 = theta
+        r1, r2 = _coords(theta)
+        n1, n2 = x.shape[-1], y.shape[-1]
         k1, j1 = _exponential_component_kj(r1, gamma, rule_kind)
         k2, j2 = _exponential_component_kj(r2, gamma, rule_kind)
-        K = np.diag([len(x) * k1, len(y) * k2])
-        J = np.diag([len(x) * j1, len(y) * j2])
-        return K, J
+        return _diag(n1 * k1, n2 * k2), _diag(n1 * j1, n2 * j2)
 
 
 # ---------------------------------------------------------------------------
@@ -738,9 +852,10 @@ class LinearRegression(_CoordinateInterest):
             y, X = data
         except (TypeError, ValueError) as exc:
             raise DomainError("regression data must be (y, X)") from exc
-        y = np.asarray(y, dtype=float).ravel()
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[0] != y.size or y.size == 0:
+        y, X = np.asarray(y, dtype=float), np.asarray(X, dtype=float)
+        if y.ndim != 2:                      # one dataset, not a stack of responses
+            y = y.ravel()
+        if X.ndim != 2 or X.shape[0] != y.shape[-1] or y.shape[-1] == 0:
             raise DomainError("design matrix must be (n, p) matching y")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(X))):
             raise DomainError("data contain non-finite values")
@@ -764,57 +879,80 @@ class LinearRegression(_CoordinateInterest):
 
     def in_domain(self, theta):
         theta = np.asarray(theta, dtype=float)
-        return bool(np.all(np.isfinite(theta)) and theta[-1] > 0)
+        return bool(np.isfinite(theta).all() and (theta[..., -1] > 0).all())
 
     def nobs(self, data):
-        return len(data[0])
+        return data[0].shape[-1]
+
+    def stack(self, datasets):
+        # the responses stack; the design is the one all the datasets share
+        X = datasets[0][1]
+        if any(not np.array_equal(d[1], X) for d in datasets):
+            raise DomainError("a stack of regression datasets needs one design matrix")
+        return self._remember((np.stack([d[0] for d in datasets]), X))
+
+    def take(self, data, rows):
+        y, X = data
+        return self._remember((y[rows], X))
+
+    @staticmethod
+    def _split(theta):
+        """(beta, v): beta with a trailing axis for the design product, v
+        as a scalar or a (rows, 1) column."""
+        theta = np.asarray(theta, dtype=float)
+        return theta[..., :-1, None], theta[:, -1:] if theta.ndim == 2 else theta[-1]
 
     def logpdf_obs(self, data, theta):
         y, X = data
-        beta, v = theta[:-1], theta[-1]
-        return _norm_logpdf(y, X @ beta, v)
+        beta, v = self._split(theta)
+        return _norm_logpdf(y, (X @ beta)[..., 0], v)
 
     def dlogpdf_obs(self, data, theta):
         y, X = data
-        beta, v = theta[:-1], theta[-1]
-        r = y - X @ beta
-        out = np.empty((len(y), len(theta)))
-        out[:, :-1] = X * (r / v)[:, None]
-        out[:, -1] = -0.5 / v + r ** 2 / (2 * v ** 2)
+        beta, v = self._split(theta)
+        r = y - (X @ beta)[..., 0]
+        out = np.empty(y.shape + (np.shape(theta)[-1],))
+        out[..., :-1] = X * (r / v)[..., None]
+        out[..., -1] = -0.5 / v + r ** 2 / (2 * _pow(v, 2))
         return out
 
     def d2logpdf_obs(self, data, theta, weights):
         y, X = data
-        beta, v = theta[:-1], theta[-1]
-        r = y - X @ beta
-        out = np.empty((len(theta), len(theta)))
-        out[:-1, :-1] = -(X.T * weights) @ X / v
-        out[:-1, -1] = out[-1, :-1] = -(X.T @ (weights * r)) / v ** 2
-        out[-1, -1] = weights.sum() / (2 * v ** 2) - (weights @ r ** 2) / v ** 3
+        beta, _ = self._split(theta)
+        v = np.asarray(theta, dtype=float)[..., -1]
+        r = y - (X @ beta)[..., 0]
+        d = np.shape(theta)[-1]
+        out = np.empty(np.shape(theta)[:-1] + (d, d))
+        out[..., :-1, :-1] = -(X.T * weights[..., None, :]) @ X / np.asarray(v)[..., None, None]
+        out[..., :-1, -1] = out[..., -1, :-1] = (
+            -(X.T @ (weights * r)[..., None])[..., 0] / np.asarray(_pow(v, 2))[..., None])
+        out[..., -1, -1] = (weights.sum(axis=-1) / (2 * _pow(v, 2))
+                            - np.vecdot(weights, r ** 2) / _pow(v, 3))
         return out
 
     def tsallis_integral_obs(self, data, theta, gamma):
         y, _ = data
-        return np.full(len(y), _normal_power(theta[-1], gamma))
+        return np.full(y.shape, _normal_power(self._split(theta)[1], gamma))
 
     def _integral_parts(self, data, theta, gamma):
-        a, v = gamma - 1.0, theta[-1]
-        return ((slice(None), len(theta) - 1, -a / (2 * v), a / (2 * v * v)),)
+        a, v = gamma - 1.0, self._split(theta)[1]
+        return ((slice(None), np.shape(theta)[-1] - 1, -a / (2 * v), a / (2 * v * v)),)
 
     def default_start(self, data):
         y, X = data
         self._require_full_rank(X)
-        beta = np.linalg.lstsq(X, y, rcond=None)[0]
-        resid = y - X @ beta
+        beta = _lstsq_rows(X, y)
+        resid = y - (X @ beta[..., None])[..., 0]
         _, s = _mad_scale(resid)
-        return np.concatenate([beta, [s ** 2]])
+        return np.concatenate([beta, _pow(s, 2)[..., None]], axis=-1)
 
     def mle_start(self, data):
         y, X = data
         self._require_full_rank(X)
-        beta = np.linalg.lstsq(X, y, rcond=None)[0]
-        resid = y - X @ beta
-        return np.concatenate([beta, [max(resid @ resid / len(y), 1e-12)]])
+        beta = _lstsq_rows(X, y)
+        resid = y - (X @ beta[..., None])[..., 0]
+        var = np.maximum(np.vecdot(resid, resid) / y.shape[-1], 1e-12)
+        return np.concatenate([beta, var[..., None]], axis=-1)
 
     def sample(self, theta, sizes, rng, *, design=None):
         if design is None:
@@ -845,17 +983,17 @@ class LinearRegression(_CoordinateInterest):
 
     def expected_kj(self, rule_kind, gamma, data, theta):
         y, X = data
-        v = theta[-1]
-        n = len(y)
+        v = np.asarray(theta, dtype=float)[..., -1]
+        n = y.shape[-1]
         (k_mu, k_v), (j_mu, j_v) = _normal_component_kj(v, gamma, rule_kind)
         xtx = X.T @ X
         d = X.shape[1] + 1
-        K = np.zeros((d, d))
-        J = np.zeros((d, d))
-        K[:-1, :-1] = k_mu * xtx
-        K[-1, -1] = n * k_v
-        J[:-1, :-1] = j_mu * xtx
-        J[-1, -1] = n * j_v
+        K = np.zeros(np.shape(v) + (d, d))
+        J = np.zeros(np.shape(v) + (d, d))
+        K[..., :-1, :-1] = np.asarray(k_mu)[..., None, None] * xtx
+        K[..., -1, -1] = n * k_v
+        J[..., :-1, :-1] = np.asarray(j_mu)[..., None, None] * xtx
+        J[..., -1, -1] = n * j_v
         return K, J
 
 
@@ -866,6 +1004,10 @@ class LinearRegression(_CoordinateInterest):
 def quadrature_power_integral(pdf, support, gamma):
     """Adaptive quadrature of ``pdf(t)**gamma`` over the support interval."""
     import warnings
+
+    # scipy.integrate costs about 25 MB to import; only models without
+    # closed-form power integrals need it
+    from scipy.integrate import quad
 
     lo, hi = support
     with warnings.catch_warnings():

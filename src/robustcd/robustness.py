@@ -29,6 +29,7 @@ from .scoring import (
     estimate_KJ,
     fit as fit_rule,
     per_obs_gradient,
+    sandwich,
     score_terms,
 )
 
@@ -318,11 +319,19 @@ def efficiency_ratio(model, gamma, data, theta_ref, measure="min"):
     the summary: "min" (worst coordinate), "interest", "trace", or a
     coordinate index.
     """
-    from .scoring import sandwich
+    return _efficiency(model, _log_variance(model, data, theta_ref), gamma, data,
+                       theta_ref, measure)
 
-    K0, J0 = _expected_kj_any(model, "log", None, data, theta_ref)
+
+def _log_variance(model, data, theta_ref):
+    """The MLE's sandwich variance at theta_ref, which no gamma changes."""
+    V0, _ = sandwich(*_expected_kj_any(model, "log", None, data, theta_ref))
+    return V0
+
+
+def _efficiency(model, V0, gamma, data, theta_ref, measure):
+    """efficiency_ratio from the MLE's sandwich variance V0."""
     Kg, Jg = _expected_kj_any(model, "tsallis", gamma, data, theta_ref)
-    V0, _ = sandwich(K0, J0)
     Vg, _ = sandwich(Kg, Jg)
     if measure == "interest":
         grad = model.interest_grad(theta_ref)
@@ -347,9 +356,10 @@ def calibrate_gamma(model, theta_ref, target_efficiency, data_template,
         raise DomainError("target efficiency must be in (0, 1]")
     theta_ref = np.asarray(theta_ref, dtype=float)
     data = model.checked(data_template)
+    V0 = _log_variance(model, data, theta_ref)
 
     def are(gamma):
-        return efficiency_ratio(model, gamma, data, theta_ref, measure=measure)
+        return _efficiency(model, V0, gamma, data, theta_ref, measure)
 
     lo, hi = 1.0 + GAMMA_TOL, GAMMA_MAX
     probe = np.linspace(lo, hi, 6)

@@ -6,11 +6,19 @@ matrix J (second moment of the estimating function), the sandwich variance
 V = K^-1 J K^-T and the Godambe information G = V^-1 drive all downstream
 pivots. K and J can be taken from a model's analytic expectations or
 estimated empirically; both paths are exposed.
+
+The kernel, the objective, the solver, ``fit``, ``estimate_KJ`` and
+``sandwich`` also take a stack of datasets (see ``ModelSpec.stack``) with a
+parameter per row. Row r of a stacked result is, bit for bit, what the same
+call returns for dataset r alone; a stack only saves the per-call overhead of
+many small problems.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 
 import numpy as np
 
@@ -118,7 +126,8 @@ def _kernel(rule, data, theta, order=1):
     are None where not asked for. The Tsallis Hessian is
     a Hess I - gamma a sum_i f_i^a (a dlogf_i dlogf_i' + Hess log f_i), with
     a = gamma - 1 and I the summed power integral. A model without closed
-    forms for these gets finite differences of the gradient.
+    forms for these gets finite differences of the gradient, one dataset at
+    a time. On a stack every output gains the leading row axis.
     """
     model = rule.model
     data = model.checked(data)
@@ -131,7 +140,7 @@ def _kernel(rule, data, theta, order=1):
             return -logf, None, None
         terms, grads = -logf, -model.dlogpdf_obs(data, theta)
         if order == 2:
-            d2 = model.d2logpdf_obs(data, theta, np.ones(logf.size))
+            d2 = model.d2logpdf_obs(data, theta, np.ones(logf.shape))
             hess = None if d2 is None else -d2
     else:
         gamma = rule.gamma
@@ -140,29 +149,42 @@ def _kernel(rule, data, theta, order=1):
         ivals = model.tsallis_integral_obs(data, theta, gamma)
         closed = ivals is not None
         ivals = np.asarray(ivals, dtype=float) if closed else _quadrature_integrals(
-            rule, data, theta)
+            rule, data, _one(theta))
         terms = a * ivals - gamma * fa
         if order == 0:
             return terms, None, None
         dlogf = model.dlogpdf_obs(data, theta)
         igrad = model.tsallis_integral_grad_obs(data, theta, gamma, ivals) if closed else None
         if igrad is None:
-            igrad = _fd_jacobian(lambda t: _power_integrals(rule, data, t), theta)
-        grads = a * np.asarray(igrad, dtype=float) - gamma * a * fa[:, None] * dlogf
+            igrad = _fd_jacobian(lambda t: _power_integrals(rule, data, t), _one(theta))
+        grads = a * np.asarray(igrad, dtype=float) - gamma * a * fa[..., None] * dlogf
         if order == 2 and closed:
             ihess = model.tsallis_integral_hess(data, theta, gamma, ivals)
             d2 = model.d2logpdf_obs(data, theta, fa)
             if ihess is not None and d2 is not None:
-                hess = a * ihess - gamma * a * (a * (dlogf.T * fa) @ dlogf + d2)
+                hess = a * ihess - gamma * a * (a * (dlogf.mT * fa[..., None, :]) @ dlogf + d2)
     if order == 2 and hess is None:
-        hess = _sym(_fd_jacobian(lambda t: _kernel(rule, data, t)[1].sum(axis=0), theta))
+        hess = _sym(_fd_jacobian(lambda t: _kernel(rule, data, t)[1].sum(axis=0),
+                                 _one(theta)))
     return terms, grads, hess
 
 
+def _one(theta):
+    """theta of one dataset; a stack raises, so that its rows go one at a time."""
+    if theta.ndim != 1:
+        raise NumericsError("finite differences and quadrature take one dataset at a time")
+    return theta
+
+
 def _finite_total(val):
-    if not np.isfinite(val):
+    """The total score, or one per row of a stack; raises where any is not finite."""
+    if val.ndim == 0:
+        if not math.isfinite(val):
+            raise NumericsError("total score is not finite")
+        return float(val)
+    if not np.isfinite(val).all():
         raise NumericsError("total score is not finite")
-    return float(val)
+    return val
 
 
 def score_terms(rule, data, theta):
@@ -195,15 +217,22 @@ def score_gradient(rule, data, theta, weights=None):
 # ---------------------------------------------------------------------------
 
 def _sym(a):
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.mT)
+
+
+def _norm(v):
+    """Euclidean norm over the last axis; for a vector, bit for bit np.linalg.norm."""
+    return np.sqrt(np.vecdot(v, v))
 
 
 def checked_inverse(a, what="matrix"):
-    """Inverse of a symmetrized matrix, guarded by a condition-number cap."""
+    """Inverse of a symmetrized matrix, or of each in a stack, guarded by a
+    condition-number cap."""
     a = _sym(np.asarray(a, dtype=float))
     cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > MAX_CONDITION:
-        raise NumericsError(f"{what} is numerically singular", detail={"condition": cond})
+    if not (np.isfinite(cond).all() and (cond <= MAX_CONDITION).all()):
+        raise NumericsError(f"{what} is numerically singular",
+                            detail={"condition": float(np.max(cond))})
     return _sym(np.linalg.inv(a))
 
 
@@ -219,7 +248,7 @@ def empirical_K(rule, data, theta):
 def empirical_J(rule, data, theta):
     """Outer-product estimate sum_i s_i s_i' of the variability matrix."""
     grads = per_obs_gradient(rule, data, theta)
-    return _sym(grads.T @ grads)
+    return _sym(grads.mT @ grads)
 
 
 def estimate_KJ(rule, data, theta):
@@ -233,7 +262,7 @@ def estimate_KJ(rule, data, theta):
     if expected is None:
         # empirical_K and empirical_J from one pass
         _, grads, H = _kernel(rule, data, theta, order=2)
-        return _sym(H), _sym(grads.T @ grads)
+        return _sym(H), _sym(grads.mT @ grads)
     K, J = expected
     return _sym(np.asarray(K, dtype=float)), _sym(np.asarray(J, dtype=float))
 
@@ -241,7 +270,7 @@ def estimate_KJ(rule, data, theta):
 def sandwich(K, J):
     """(V, G): V = K^-1 J K^-T and its inverse, both symmetrized."""
     Kinv = checked_inverse(K, "sensitivity matrix K")
-    V = _sym(Kinv @ _sym(J) @ Kinv.T)
+    V = _sym(Kinv @ _sym(J) @ Kinv.mT)
     G = checked_inverse(V, "sandwich variance V")
     return V, G
 
@@ -263,15 +292,17 @@ def interest_information(K, J, grad):
 
     k_psipsi = grad' K^-1 grad is the interest-block entry of K^-1 in the
     (interest, nuisance) parameterization; g_psipsi = grad' V grad is the
-    asymptotic variance of the interest estimate.
+    asymptotic variance of the interest estimate. A stack of K, J and
+    gradients gives one pair per row.
     """
     grad = np.asarray(grad, dtype=float)
     Kinv = checked_inverse(K, "sensitivity matrix K")
-    k_pp = float(grad @ Kinv @ grad)
-    g_pp = float(grad @ Kinv @ _sym(J) @ Kinv.T @ grad)
-    if g_pp <= 0 or k_pp <= 0:
+    row, col = grad[..., None, :], grad[..., :, None]
+    k_pp = (row @ Kinv @ col)[..., 0, 0]
+    g_pp = (row @ Kinv @ _sym(J) @ Kinv.mT @ col)[..., 0, 0]
+    if (g_pp <= 0).any() or (k_pp <= 0).any():
         raise NumericsError("interest information is not positive",
-                            detail={"k_psipsi": k_pp, "g_psipsi": g_pp})
+                            detail={"k_psipsi": np.min(k_pp), "g_psipsi": np.min(g_pp)})
     return k_pp, g_pp
 
 
@@ -345,7 +376,7 @@ def _to_z(theta, positive):
     z = np.asarray(theta, dtype=float).copy()
     for j, pos in enumerate(positive):
         if pos:
-            z[j] = np.log(z[j])
+            z[..., j] = np.log(z[..., j])
     return z
 
 
@@ -353,7 +384,7 @@ def _from_z(z, positive):
     theta = np.asarray(z, dtype=float).copy()
     for j, pos in enumerate(positive):
         if pos:
-            theta[j] = np.exp(theta[j])
+            theta[..., j] = np.exp(theta[..., j])
     return theta
 
 
@@ -370,12 +401,24 @@ class _Objective:
     or the arithmetic overflows. The record of an evaluation is its
     theta-gradient and its weighted per-observation gradients
     [(weight, (n, d) gradients)], from which ``verdict`` judges convergence.
+
+    On a stack of datasets z holds a point per row, and a call returns a
+    value, gradient and Hessian per row with ``_RowRecords``. Where the
+    stacked evaluation fails, its rows are evaluated one at a time, so a
+    bad point is +inf on its own row only.
     """
 
     def __init__(self, rule, data, psi=None, mixture=None):
         self.rule, self.data, self.psi, self.mixture = rule, data, psi, mixture
         self.positive = (rule.model.positive_mask(data) if psi is None
                          else rule.model.lam_positive_mask(data))
+        self._eye = _bool_eye(len(self.positive))
+
+    def rows(self, rows):
+        """The objective on rows of the stack: an index gives one dataset's
+        objective, an index array a smaller stack's."""
+        data = self.rule.model.take(self.data, rows)
+        return _Objective(self.rule, data, self.psi, self.mixture)
 
     def theta(self, x):
         """theta at x, the free parameter or the nuisance at psi."""
@@ -389,7 +432,7 @@ class _Objective:
         """(value, gradient, Hessian, record) in theta of the (mixture) total
         score: one kernel pass over the data and one over the frame."""
         terms, grads, H = _kernel(self.rule, self.data, theta, order=2)
-        val, g = _finite_total(terms.sum()), grads.sum(axis=0)
+        val, g = _finite_total(terms.sum(axis=-1)), grads.sum(axis=-2)
         parts = [(1.0, grads)]
         if self.mixture is not None:
             eps, frame = self.mixture
@@ -403,22 +446,37 @@ class _Objective:
     def verdict(self, x, record):
         """(||g||, converged) at x, theta or the constrained nuisance lam,
         judged from the record of the evaluation at x; no record means x
-        could not be evaluated.
+        could not be evaluated. For a stack, x has a point per row, record
+        is the list of their records, and both outputs are per row.
 
         g is the gradient in x of the total score, and converged means
         ||g|| <= GRAD_TOL sum_i ||s_i||, with s_i the per-observation
         gradients in x.
         """
-        if record is None:
-            return np.inf, False
-        g, parts = record
+        if np.ndim(x) == 1:
+            if record is None:
+                return np.inf, False
+            gnorm, converged = self._judge(x, *record)
+            return float(gnorm), bool(converged)
+        gnorm, converged = np.full(len(x), np.inf), np.zeros(len(x), dtype=bool)
+        ok = [j for j, rec in enumerate(record) if rec is not None]
+        if ok:
+            g = np.array([record[j][0] for j in ok])
+            parts = [(w, np.array([record[j][1][p][1] for j in ok]))
+                     for p, (w, _) in enumerate(record[ok[0]][1])]
+            gnorm[ok], converged[ok] = self._judge(x[ok], g, parts)
+        return gnorm, converged
+
+    def _judge(self, x, g, parts):
+        """verdict from the theta-gradient g and the weighted per-observation
+        gradients parts at x, with or without a leading row axis."""
         if self.psi is not None:
             jac = self.rule.model.profile_embed_jac(self.psi, x)
-            g = jac.T @ g
+            g = (jac.mT @ g[..., None])[..., 0]
             parts = [(w, s @ jac) for w, s in parts]
-        scale = sum(w * np.linalg.norm(s, axis=1).sum() for w, s in parts)
-        gnorm = float(np.linalg.norm(g))
-        return gnorm, bool(gnorm <= GRAD_TOL * scale)
+        scale = sum(w * np.linalg.norm(s, axis=-1).sum(axis=-1) for w, s in parts)
+        gnorm = _norm(g)
+        return gnorm, gnorm <= GRAD_TOL * scale
 
     def derivatives(self, x):
         """(value, gradient, Hessian, record) in x, theta or the constrained lam."""
@@ -428,8 +486,9 @@ class _Objective:
         model = self.rule.model
         jac = model.profile_embed_jac(self.psi, x)
         curvature = model.profile_embed_hess(self.psi, x, g)
-        H = jac.T @ H @ jac
-        return val, jac.T @ g, H if curvature is None else H + curvature, record
+        H = jac.mT @ H @ jac
+        g = (jac.mT @ g[..., None])[..., 0]
+        return val, g, H if curvature is None else H + curvature, record
 
     def __call__(self, z):
         try:
@@ -438,19 +497,65 @@ class _Objective:
                 x = _from_z(z, self.positive)
                 val, g, H, record = self.derivatives(x)
         except (DomainError, NumericsError, FloatingPointError):
-            return np.inf, np.zeros_like(z), np.zeros((z.size, z.size)), None
+            if np.ndim(z) == 1:
+                return np.inf, np.zeros_like(z), np.zeros((z.size, z.size)), None
+            if len(z) == 1:
+                val, g, H, record = self.rows(0)(z[0])
+                return np.array([val]), g[None], H[None], [record]
+            # halve the stack until the failing rows stand alone
+            half = len(z) // 2
+            first = self.rows(slice(None, half))(z[:half])
+            second = self.rows(slice(half, None))(z[half:])
+            return (*(np.concatenate(pair) for pair in zip(first[:3], second[:3])),
+                    _Joined(first[3], second[3], half))
         # chain rule through the log transform
         dx = np.where(self.positive, x, 1.0)
-        H = dx[:, None] * H * dx + np.diag(np.where(self.positive, x * g, 0.0))
-        return val, dx * g, H, record
+        diag = np.where(self._eye, np.where(self.positive, x * g, 0.0)[..., None, :], 0.0)
+        H = dx[..., :, None] * H * dx[..., None, :] + diag
+        return val, dx * g, H, record if np.ndim(z) == 1 else _RowRecords(*record)
 
     def solve(self, z0):
         """Minimize from z0: (x, value, n_iter, reason, ||g||, converged),
         judged from the evaluation that accepted x, so no pass over the data
-        follows the solve."""
-        z, val, n_iter, reason, record = minimize_smooth(self, z0)
+        follows the solve. On a stack, z0 has a start per row and every
+        output a row axis."""
+        if np.ndim(z0) == 1:
+            fun = self
+        else:
+            def fun(z, rows):
+                return (self if len(rows) == len(z0) else self.rows(rows))(z)
+        z, val, n_iter, reason, record = minimize_smooth(fun, z0)
         x = _from_z(z, self.positive)
         return (x, val, n_iter, reason) + self.verdict(x, record)
+
+
+@functools.lru_cache(maxsize=None)
+def _bool_eye(m):
+    """The (m, m) identity as flags; read-only."""
+    eye = np.eye(m, dtype=bool)
+    eye.flags.writeable = False
+    return eye
+
+
+class _RowRecords:
+    """The records of a stacked evaluation: row j's is the record of that
+    row evaluated alone."""
+
+    def __init__(self, g, parts):
+        self.g, self.parts = g, parts
+
+    def __getitem__(self, j):
+        return self.g[j], [(w, s[j]) for w, s in self.parts]
+
+
+class _Joined:
+    """The records of two stacked evaluations, the first of ``split`` rows."""
+
+    def __init__(self, first, second, split):
+        self.first, self.second, self.split = first, second, split
+
+    def __getitem__(self, j):
+        return self.first[j] if j < self.split else self.second[j - self.split]
 
 
 def minimize_smooth(fun, z0):
@@ -471,27 +576,46 @@ def minimize_smooth(fun, z0):
     * "singular": the Newton system could not be solved;
     * "not_finite": the objective is not finite at z0;
     * "max_iter": MAX_ITER iterations ran out.
+
+    A stack of problems has a start per row of z0. ``fun(z, rows)`` then
+    evaluates the rows ``rows`` (an index array) at their points z and
+    returns (values, gradients, Hessians, records) with a row axis,
+    records[j] being row j's record. Every row runs its own iteration, and
+    in each round one evaluation and one batch of Newton steps serve every
+    row still running; a row that has stopped is not evaluated again.
+    Every output gains the row axis; the records come as a list.
     """
-    z = np.asarray(z0, dtype=float)
-    f, g, H, record = fun(z)
+    z0 = np.asarray(z0, dtype=float)
+    if z0.ndim == 2:
+        return _newton_rows(fun, z0)
+    solve = _newton(z0, *fun(z0))
+    try:
+        request = next(solve)
+        while True:
+            if isinstance(request, tuple):          # (H, g): the Newton step
+                request = solve.send(_newton_steps(*request)[0])
+            else:
+                request = solve.send(fun(request))
+    except StopIteration as done:
+        return done.value
+
+
+def _newton(z, f, g, H, record):
+    """One problem's damped Newton iteration (see minimize_smooth), as a
+    generator. It yields (H, g) where it needs the Newton step, and is sent
+    the step, or None where the system cannot be solved; it yields each
+    trial point and is sent fun's (value, gradient, Hessian, record) there.
+    It returns (z, value, n_iter, reason, record)."""
     if not np.isfinite(f):
         return z, f, 0, "not_finite", record
     n_iter = 0
-    reason = "max_iter"
     while n_iter < MAX_ITER:
         g_norm = np.linalg.norm(g)
         if g_norm <= SOLVER_GTOL:
-            reason = "gradient"
-            break
-        H = _sym(H)
-        try:
-            w = np.linalg.eigvalsh(H)
-            if w[0] <= 0:
-                H = H + (abs(w[0]) + 1e-8 * max(1.0, abs(w[-1]))) * np.eye(z.size)
-            step = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            reason = "singular"
-            break
+            return z, f, n_iter, "gradient", record
+        step = yield H, g
+        if step is None:
+            return z, f, n_iter, "singular", record
         floor = STEP_FLOOR * (1.0 + np.linalg.norm(z))
         step_norm, slope = np.linalg.norm(step), float(g @ step)
         t = 1.0
@@ -501,7 +625,7 @@ def minimize_smooth(fun, z0):
                 stop = "step"
                 break
             trial = z + t * step
-            f_new, g_new, H_new, rec_new = fun(trial)
+            f_new, g_new, H_new, rec_new = yield trial
             flat = (f_new <= f + F_NOISE * (1.0 + abs(f))
                     and np.linalg.norm(g_new) < g_norm)
             if np.isfinite(f_new) and (f_new <= f + 1e-4 * t * slope or flat):
@@ -511,9 +635,69 @@ def minimize_smooth(fun, z0):
             t *= 0.5
         n_iter += 1
         if stop is not None:
-            reason = stop
-            break
-    return z, f, n_iter, reason, record
+            return z, f, n_iter, stop, record
+    return z, f, n_iter, "max_iter", record
+
+
+def _newton_rows(fun, z0):
+    """minimize_smooth over the rows of z0: each row's _newton, served in
+    rounds. A round solves every pending Newton system in one batch, then
+    evaluates every pending trial point in one call of fun."""
+    R = len(z0)
+    f, g, H, records = fun(z0, np.arange(R))
+    results = [None] * R
+    pending = {}
+
+    def advance(r, answer):
+        try:
+            pending[r] = solves[r].send(answer)
+        except StopIteration as done:
+            results[r] = done.value
+            pending.pop(r, None)
+
+    solves = [_newton(z0[r], v, g[r], H[r], records[r]) for r, v in enumerate(f.tolist())]
+    for r in range(R):
+        advance(r, None)
+    while pending:
+        rows = [r for r, q in pending.items() if isinstance(q, tuple)]
+        if rows:
+            steps, solved = _newton_steps(np.array([pending[r][0] for r in rows]),
+                                          np.array([pending[r][1] for r in rows]))
+            for j, r in enumerate(rows):
+                advance(r, steps[j] if solved is None or solved[j] else None)
+        rows = [r for r, q in pending.items() if not isinstance(q, tuple)]
+        if rows:
+            f, g, H, records = fun(np.array([pending[r] for r in rows]), np.array(rows))
+            for j, (r, v) in enumerate(zip(rows, f.tolist())):
+                advance(r, (v, g[j], H[j], records[j]))
+    z, f, n_iter, reason, records = zip(*results)
+    return (np.array(z), np.array(f), np.array(n_iter), np.array(reason, dtype=object),
+            list(records))
+
+
+def _newton_steps(H, g):
+    """(steps, solved): the Newton steps -H^-1 g of one system or of a
+    stack, each Hessian's spectrum shifted where it is not positive
+    definite. solved is None where every system could be solved; otherwise
+    each row of a stack is solved alone, and solved marks the rows whose
+    system could be (for one system, the step is then None)."""
+    try:
+        A = _sym(H)
+        w = np.linalg.eigvalsh(A)
+        neg = w[..., 0] <= 0
+        if neg.any():
+            shift = np.abs(w[..., 0]) + 1e-8 * np.maximum(1.0, np.abs(w[..., -1]))
+            A = np.where(neg[..., None, None], A + shift[..., None, None] * np.eye(A.shape[-1]), A)
+        return np.linalg.solve(A, -g[..., None])[..., 0], None
+    except np.linalg.LinAlgError:
+        if g.ndim == 1:
+            return None, False
+        steps, solved = np.zeros_like(g), np.zeros(len(g), dtype=bool)
+        for j in range(len(g)):
+            step, alone = _newton_steps(H[j], g[j])
+            if alone is None:
+                steps[j], solved[j] = step, True
+        return steps, solved
 
 
 def fit(rule, data, theta0=None):
@@ -524,6 +708,11 @@ def fit(rule, data, theta0=None):
     round-off next to its terms, ||sum_i s_i|| <= GRAD_TOL sum_i ||s_i||;
     if the first start fails, up to ``N_STARTS - 1`` jittered restarts are
     tried.
+
+    ``data`` may be a stack of datasets (see ``ModelSpec.stack``), with
+    ``theta0`` None or a start per row. The result is then a list with, for
+    each row, the Fit of that dataset alone, or the DomainError or
+    NumericsError that fitting it alone raises.
     """
     model = rule.model
     data = model.checked(data)
@@ -532,25 +721,102 @@ def fit(rule, data, theta0=None):
         if theta0 is None:
             theta0 = model.default_start(data)
     theta0 = np.asarray(theta0, dtype=float)
+    if theta0.ndim == 2:
+        return _fit_rows(rule, data, theta0)
     if not model.in_domain(theta0):
         raise DomainError("starting value outside the admissible set")
-    total_score(rule, data, theta0)          # raises where the start cannot be scored
-
     objective = _Objective(rule, data)
-    rng = np.random.default_rng(0)
-    best = None
+
+    def scored(r):      # the start cannot be scored: raise what scoring it raises
+        total_score(rule, data, theta0)
+        return True
+
     z0 = _to_z(theta0, objective.positive)
-    for attempt in range(N_STARTS):
-        z_start = z0 if attempt == 0 else z0 + rng.normal(0.0, 0.2 * (1.0 + np.abs(z0)))
-        theta, val, n_iter, reason, gnorm, converged = objective.solve(z_start)
-        cand = (converged, -val, theta, val, n_iter, gnorm, reason)
-        if best is None or cand[:2] > best[:2]:
-            best = cand
-        if converged:
-            break
-    converged, _, theta, val, n_iter, gnorm, reason = best
+    [(theta, val, n_iter, reason, gnorm, converged)] = _best_of_starts(
+        lambda rows, z: [objective.solve(z[0])], z0[None], scored)
     K, J = estimate_KJ(rule, data, theta)
     V, G = sandwich(K, J)
     return Fit(theta_hat=theta, score_at_opt=float(val), K=K, J=J, V=V, G=G,
                converged=bool(converged), n_iter=n_iter, grad_norm=gnorm,
                rule=rule, data=data, stop_reason=reason)
+
+
+def _best_of_starts(solve, z0, scored):
+    """The best solve of fit's starts for each row of z0, a start per row:
+    the first solve, then up to N_STARTS - 1 jittered restarts of the rows
+    that have not converged. ``solve(rows, z)`` gives the solve
+    (x, value, n_iter, reason, ||g||, converged) of each row ``rows`` from
+    z. Where a row's start cannot be scored, ``scored(r)`` raises or
+    returns whether to go on with row r; a row given up comes back None."""
+    best = solve(np.arange(len(z0)), z0)
+    best = [b if b[3] != "not_finite" or scored(r) else None for r, b in enumerate(best)]
+    rng = np.random.default_rng(0)
+    for _ in range(N_STARTS - 1):
+        redo = [r for r, b in enumerate(best) if b is not None and not b[5]]
+        if not redo:
+            break
+        # each row's restart k draws the same jitter as its fit alone would
+        jitter = rng.standard_normal(z0.shape[-1])
+        starts = z0[redo] + 0.2 * (1.0 + np.abs(z0[redo])) * jitter
+        for r, cand in zip(redo, solve(np.array(redo), starts)):
+            if (cand[5], -cand[1]) > (best[r][5], -best[r][1]):
+                best[r] = cand
+    return best
+
+
+def _fit_rows(rule, data, theta0):
+    """fit's outcome per row of a stack of datasets from a start per row."""
+    model = rule.model
+    n_rows = len(theta0)
+    out = [None] * n_rows
+    if model.in_domain(theta0):
+        rows = np.arange(n_rows)
+    else:
+        inside = np.array([model.in_domain(t) for t in theta0])
+        for r in np.flatnonzero(~inside):
+            out[r] = DomainError("starting value outside the admissible set")
+        rows = np.flatnonzero(inside)
+        if not rows.size:
+            return out
+    objective = _Objective(rule, data if rows.size == n_rows else model.take(data, rows))
+
+    def solve(at, z):
+        solver = objective if len(at) == rows.size else objective.rows(at)
+        return list(zip(*solver.solve(z)))
+
+    def scored(j):
+        try:
+            total_score(rule, model.take(data, rows[j]), theta0[rows[j]])
+            return True
+        except (DomainError, NumericsError) as exc:
+            out[rows[j]] = exc
+            return False
+
+    best = _best_of_starts(solve, _to_z(theta0[rows], objective.positive), scored)
+    keep = [j for j, b in enumerate(best) if b is not None]
+    if not keep:
+        return out
+    theta = np.array([best[j][0] for j in keep])
+    kept = data if len(keep) == n_rows else model.take(data, rows[keep])
+    try:
+        K, J = estimate_KJ(rule, kept, theta)
+        mats = list(zip(K, J, *sandwich(K, J)))
+    except (DomainError, NumericsError):
+        mats = []
+        for i, j in enumerate(keep):
+            try:
+                K, J = estimate_KJ(rule, model.take(data, rows[j]), theta[i])
+                mats.append((K, J) + sandwich(K, J))
+            except (DomainError, NumericsError) as exc:
+                mats.append(exc)
+    for j, m in zip(keep, mats):
+        r = rows[j]
+        if isinstance(m, Exception):
+            out[r] = m
+            continue
+        x, val, n_iter, reason, gnorm, converged = best[j]
+        K, J, V, G = m
+        out[r] = Fit(theta_hat=x, score_at_opt=float(val), K=K, J=J, V=V, G=G,
+                     converged=bool(converged), n_iter=int(n_iter), grad_norm=float(gnorm),
+                     rule=rule, data=model.take(data, r), stop_reason=reason)
+    return out

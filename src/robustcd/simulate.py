@@ -9,6 +9,11 @@ levels) and at the null value (for the p-value sample). Replicate r uses
 Coverage is recorded through the pivot: the equi-tailed level-alpha interval
 of a CD contains psi exactly when |pivot(psi)| <= z_{(1+alpha)/2}, so no
 grid construction is needed inside the replicate loop.
+
+The replicates of a method are solved together, as stacks of at most
+STACK_ELEMENTS numbers per (rows, n, d) array: one kernel pass and one batch
+of Newton steps serve every replicate still running. Each replicate's
+results are those of fitting it alone.
 """
 
 from __future__ import annotations
@@ -22,15 +27,16 @@ from scipy.special import ndtri
 from .errors import DomainError, NumericsError
 from .confidence import (
     _check_alternative,
-    _constrained_at,
+    _constrained_solve,
     _nu_at,
     _signed_root,
     _tail_p,
-    pivot_wald,
+    _undercut,
+    _wald_pivot,
 )
 from .models import _TwoSampleBase, get_model
 from .robustness import calibrate_gamma
-from .scoring import ScoreRule, fit as fit_rule
+from .scoring import Fit, ScoreRule, _Objective, fit as fit_rule
 
 __all__ = [
     "Contamination",
@@ -48,6 +54,9 @@ __all__ = [
 _DESIGN_STREAM = 982451653  # fixed sub-stream tag for frozen design matrices
 _DESIGN_COLUMNS = 3          # columns of default_regression_design
 MAX_FAILURE_RATE = 0.05      # failed replicates of one method that abort a study
+# Numbers per (rows, n, d) array of a stack of replicates, which bounds a
+# stack's memory: rows = STACK_ELEMENTS // (n d).
+STACK_ELEMENTS = 2 ** 18
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,6 +119,18 @@ class SimDesign:
         if len(self.sizes) != n_samples:
             raise DomainError(f"{self.model} takes {n_samples} sample size(s), "
                               f"got {len(self.sizes)}")
+        regression = self.model == "linear-regression"
+        # a regression sample needs more observations than design columns
+        least = _DESIGN_COLUMNS + 1 if regression else 2
+        if not all(_is_int(n) and n >= least for n in self.sizes):
+            raise DomainError(f"sample sizes must be integers of at least {least}, "
+                              f"got {list(self.sizes)!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if regression and not (_is_int(self.interest_index)
+                               and 0 <= self.interest_index < _DESIGN_COLUMNS):
+            raise DomainError(f"interest_index must lie in [0, {_DESIGN_COLUMNS}), "
+                              f"got {self.interest_index!r}")
         try:
             theta = np.asarray(self.theta, dtype=float)
         except (TypeError, ValueError):
@@ -150,6 +171,10 @@ class SimDesign:
         )
 
 
+def _is_int(v):
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def default_regression_design(n, seed):
     """Frozen regression design: intercept, a standard normal column and a
     uniform column, drawn once per study from a dedicated sub-stream."""
@@ -178,33 +203,117 @@ def _point_pivots(rule, fit_result, psis, kind):
     the other psis are solved again from the refit, since their solves
     started in the spurious optimum's basin. Otherwise the replicate is
     given up.
+
+    ``fit_result`` may also be the list ``fit`` returns for a stack of
+    replicates. The result is then a list with each replicate's pair, or
+    the DomainError or NumericsError that gives it up. Each step runs on
+    the replicates together, and a stacked step that raises runs again on
+    each replicate alone, so results and failures are those of each
+    replicate alone.
     """
+    if isinstance(fit_result, Fit):
+        out = _point_pivots(rule, [fit_result], psis, kind)[0]
+        if isinstance(out, Exception):
+            raise out
+        return out
+    model = rule.model
+    psis = np.asarray(psis, dtype=float)
+    out = [fr if not isinstance(fr, Fit) or fr.converged
+           else NumericsError("fit did not converge") for fr in fit_result]
+    rows = np.array([i for i, fr in enumerate(out) if isinstance(fr, Fit)], dtype=int)
+    if not rows.size:
+        return out
+    fits = [out[i] for i in rows]
+    theta = np.stack([fr.theta_hat for fr in fits])
     if kind == "wald":
-        return [float(pivot_wald(fit_result, psi)) for psi in psis], fit_result
-    data = fit_result.data
+        K, J = np.stack([fr.K for fr in fits]), np.stack([fr.J for fr in fits])
+        piv = np.stack([_by_row(lambda r: _wald_pivot(model, theta[r], K[r], J[r], psi)[0],
+                                len(rows)) for psi in psis], axis=-1)
+        for i, p, fr in zip(rows, piv, fits):
+            out[i] = (NumericsError("Wald pivot failed") if np.isnan(p).any()
+                      else ([float(v) for v in p], fr))
+        return out
 
-    def solve(psi, fr):
-        """(theta_psi, S(theta_psi), nu) warm-started at the free fit fr."""
-        theta_c, s_con, _ = _constrained_at(rule, data, psi,
-                                            rule.model.profile_extract(fr.theta_hat))
-        return theta_c, s_con, _nu_at(rule, data, theta_c)
+    data = model.stack([fr.data for fr in fits])
+    k = len(rows)
+    s_opt = np.array([fr.score_at_opt for fr in fits])
+    theta_c = np.empty((k, psis.size, theta.shape[-1]))
+    s_con, nu = np.empty((k, psis.size)), np.empty((k, psis.size))
 
-    def roots(fr, solves):
-        _, s_con, nu = (np.array(v) for v in zip(*solves))
-        piv = _signed_root(fr.psi_tilde, fr.score_at_opt, np.asarray(psis), s_con, nu)
-        return [float(p) for p in piv], fr
+    def solve(i, at, start):
+        """Constrained solves at psis[i] for the rows ``at``, warm-started at
+        their free fits ``start``; a solve that did not converge, or whose nu
+        fails, leaves nu NaN."""
+        sub = data if at.size == k else model.take(data, at)
+        theta_c[at, i], s_con[at, i], _, converged = _constrained_solve(
+            _Objective(rule, sub, psis[i]), model.profile_extract(start))
+        nu[at, i] = np.nan
+        done = np.flatnonzero(converged)
+        if done.size:
+            nu[at[done], i] = _by_row(
+                lambda r: _nu_at(rule, model.take(sub, done[r]), theta_c[at[done[r]], i]),
+                done.size)
 
-    solves = [solve(psi, fit_result) for psi in psis]
+    everyone = np.arange(k)
+    for i in range(psis.size):
+        solve(i, everyone, theta)
+    failed = np.isnan(nu).any(axis=1)
+    spurious = np.flatnonzero(~failed & _undercut(s_opt[:, None], s_con).any(axis=1))
+    if spurious.size:
+        low = np.argmin(s_con[spurious], axis=1)
+        refits = fit_rule(rule, model.take(data, spurious), theta0=theta_c[spurious, low])
+        better = np.array([isinstance(rf, Fit) and rf.converged and rf.score_at_opt < s_opt[r]
+                           for r, rf in zip(spurious, refits)], dtype=bool)
+        failed[spurious[~better]] = True
+        spurious, low = spurious[better], low[better]
+        refits = [rf for rf, keep in zip(refits, better) if keep]
+        for r, rf in zip(spurious, refits):
+            fits[r], theta[r], s_opt[r] = rf, rf.theta_hat, rf.score_at_opt
+        for i in range(psis.size):
+            again = spurious[low != i]
+            if again.size:
+                solve(i, again, theta[again])
+        failed |= np.isnan(nu).any(axis=1)
+        failed[spurious] |= _undercut(s_opt[spurious, None], s_con[spurious]).any(axis=1)
+    ok = np.flatnonzero(~failed)
+    piv = _signed_root(model.interest(theta[ok])[:, None], s_opt[ok, None], psis,
+                       s_con[ok], nu[ok])
+    for r in np.flatnonzero(failed):
+        out[rows[r]] = NumericsError("root pivot failed")
+    for r, p in zip(ok, piv):
+        out[rows[r]] = ([float(v) for v in p], fits[r])
+    return out
+
+
+def _by_row(stage, n):
+    """stage(rows) over the n rows of a stack at once (rows a slice), or,
+    where that raises DomainError or NumericsError, over each row alone:
+    one value per row, NaN where the row fails alone too."""
     try:
-        return roots(fit_result, solves)
-    except NumericsError:          # a constrained score undercuts the free optimum
-        low = int(np.argmin([s_con for _, s_con, _ in solves]))
-        refit = fit_rule(rule, data, theta0=solves[low][0])
-        if not (refit.converged and refit.score_at_opt < fit_result.score_at_opt):
-            raise
-        solves = [done if i == low else solve(psi, refit)
-                  for i, (psi, done) in enumerate(zip(psis, solves))]
-        return roots(refit, solves)
+        return stage(slice(None))
+    except (DomainError, NumericsError):
+        out = np.full(n, np.nan)
+        for r in range(n):
+            try:
+                out[r] = stage(r)
+            except (DomainError, NumericsError):
+                pass
+        return out
+
+
+def _fits(rule, stack, n):
+    """fit's outcome for each of the n rows of a stack; a failure of the
+    stacked call runs each row alone."""
+    try:
+        return fit_rule(rule, stack)
+    except (DomainError, NumericsError):
+        out = []
+        for r in range(n):
+            try:
+                out.append(fit_rule(rule, rule.model.take(stack, r)))
+            except (DomainError, NumericsError) as exc:
+                out.append(exc)
+        return out
 
 
 @dataclasses.dataclass
@@ -277,7 +386,8 @@ def run_study(design: SimDesign):
 
     Replicates whose fit (or constrained fit) fails are dropped for that
     method only and counted; more than MAX_FAILURE_RATE failures for any
-    method aborts the study.
+    method aborts the study. The replicates of a method are solved as
+    stacks, with the results of solving each alone.
     """
     if design.model == "linear-regression":
         model = get_model(design.model, interest_index=design.interest_index)
@@ -303,29 +413,31 @@ def run_study(design: SimDesign):
         rules[label] = (rule, meth)
         results[label] = MethodResult(label=label, levels=design.levels)
 
+    datasets = []
     for rep in range(design.n_reps):
         rng = np.random.default_rng([design.seed, rep])
         data = model.sample(theta_true, design.sizes, rng, design=X)
         if design.contamination is not None:
             data = contaminate(model, data, design.contamination)
-        data = model.checked(data)
-        for label, (rule, meth) in rules.items():
-            res = results[label]
-            try:
-                fr = fit_rule(rule, data)
-                if not fr.converged:
-                    raise NumericsError("fit did not converge")
-                pivots, fr = _point_pivots(rule, fr, psis, meth.pivot)
-            except (DomainError, NumericsError):
-                res.n_failed += 1
-                continue
-            res.n_used += 1
-            for lv in design.levels:
-                if abs(pivots[0]) <= z[lv]:
-                    res.cover_counts[lv] = res.cover_counts.get(lv, 0) + 1
-            if design.h0 is not None:
-                res.pvalues.append(_tail_p(pivots[-1], design.h0.alternative))
-            res.medians.append(float(model.interest(fr.theta_hat)))
+        datasets.append(model.checked(data))
+    rows = max(1, STACK_ELEMENTS // (model.nobs(datasets[0]) * theta_true.size))
+    stacks = [datasets[i:i + rows] for i in range(0, design.n_reps, rows)]
+    for label, (rule, meth) in rules.items():
+        res = results[label]
+        for part in stacks:
+            stack = model.stack(part)
+            for out in _point_pivots(rule, _fits(rule, stack, len(part)), psis, meth.pivot):
+                if isinstance(out, Exception):
+                    res.n_failed += 1
+                    continue
+                pivots, fr = out
+                res.n_used += 1
+                for lv in design.levels:
+                    if abs(pivots[0]) <= z[lv]:
+                        res.cover_counts[lv] = res.cover_counts.get(lv, 0) + 1
+                if design.h0 is not None:
+                    res.pvalues.append(_tail_p(pivots[-1], design.h0.alternative))
+                res.medians.append(float(model.interest(fr.theta_hat)))
 
     for label, res in results.items():
         if res.n_failed > MAX_FAILURE_RATE * design.n_reps:

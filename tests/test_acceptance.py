@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
 from robustcd.confidence import build_cd, ci, p_value, profile
 from robustcd.models import (
@@ -30,10 +31,12 @@ from robustcd.scoring import (
     total_score,
 )
 from robustcd.simulate import (
+    _point_pivots,
     Contamination,
     H0Spec,
     MethodSpec,
     SimDesign,
+    contaminate,
     default_regression_design,
     pvalue_uniformity,
     run_study,
@@ -165,6 +168,33 @@ def test_criterion_2b_contaminated_coverage_ordering(two_sample_studies):
                   "; ".join(parts) + f"; |robust-0.95|={dev_t:.4f} < |log-0.95|={dev_l:.4f}; "
                   f"|robust-clean|={move_t:.4f} < |log-clean|={move_l:.4f}; "
                   f"robust in 0.95+-{COVERAGE_BAND_95}")
+
+
+@pytest.mark.slow
+def test_criterion_2_stacked_replicates_equal_single_dataset_fits(two_sample_studies):
+    # The study solves its replicates as stacks. Replicates 0-29, and 622 and
+    # 1671 (whose free Tsallis fit takes the undercut refit), fitted alone
+    # give the study's p-value (the root pivot at psi = 2, Phi(-pivot)) and
+    # median to 1e-8, and the same 95% coverage decision.
+    clean, cont, _ = two_sample_studies
+    model = TwoSampleNormal()
+    theta = np.array([2.0, 0.0, 1.0, 1.0])
+    gamma = calibrate_gamma(model, theta, 0.90,
+                            model.sample(theta, (10, 20), np.random.default_rng(0)))
+    z = float(ndtri(0.975))
+    for report, shift in ((clean, 0.0), (cont, -7.0)):
+        for label, rule in ((_method_label(report, "tsallis"), ScoreRule.tsallis(model, gamma)),
+                            ("log-root", ScoreRule.log(model))):
+            res = report.results[label]
+            assert res.n_failed == 0
+            for rep in list(range(30)) + [622, 1671]:
+                data = model.sample(theta, (10, 20), np.random.default_rng([20250801, rep]))
+                data = contaminate(model, data, Contamination(0, -1, shift))
+                (piv,), kept = _point_pivots(rule, fit(rule, data), [2.0], "root")
+                assert abs(float(ndtr(-piv)) - res.pvalues[rep]) <= 1e-8
+                assert abs(kept.psi_tilde - res.medians[rep]) <= 1e-8
+                if abs(abs(piv) - z) > 1e-8:
+                    assert (abs(piv) <= z) == (abs(float(ndtri(res.pvalues[rep]))) <= z)
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,13 @@ def test_simulate_deterministic_snapshot(runner, tmp_path):
     {"theta": [2, 0, 1]}, {"theta": [2, 0, 1, -1]}, {"theta": "abc"}, {"sizes": [10]},
     {"model": "linear-regression", "sizes": [30], "theta": [1, 0.5, 1]},
     {"methods": [{"rule": "tsallis", "pivot": "wald", "gamma": 0.5}]},
+    {"sizes": [-3, 20]}, {"sizes": [10.5, 20]}, {"sizes": ["a", 20]}, {"sizes": [0, 20]},
+    {"sizes": [1, 20]}, {"seed": -1},
+    {"model": "linear-regression", "sizes": [3], "theta": [1, 0.5, 0.2, 1]},
+    {"model": "linear-regression", "sizes": [30], "theta": [1, 0.5, 0.2, 1],
+     "interest_index": 7},
+    {"model": "linear-regression", "sizes": [30], "theta": [1, 0.5, 0.2, 1],
+     "interest_index": -1},
 ])
 def test_simulate_rejects_a_bad_design(runner, tmp_path, change):
     design = {"model": "two-sample-normal", "theta": [2, 0, 1, 1], "sizes": [10, 20],
@@ -214,6 +221,19 @@ def test_simulate_rejects_a_bad_design(runner, tmp_path, change):
     res = runner.invoke(main, ["simulate", "--design", str(dpath)])
     assert res.exit_code == 2, res.output
     assert res.stderr.startswith("error: invalid design document"), res.stderr
+
+
+@pytest.mark.parametrize("change", [
+    {"sizes": [2, 20]},
+    {"model": "linear-regression", "sizes": [5], "theta": [1, 0.5, 0.2, 1]},
+])
+def test_simulate_runs_the_smallest_designs(runner, tmp_path, change):
+    design = {"model": "two-sample-normal", "theta": [2, 0, 1, 1], "sizes": [10, 20],
+              "n_reps": 3, "methods": [{"rule": "log", "pivot": "wald"}]}
+    dpath = tmp_path / "design.json"
+    dpath.write_text(json.dumps({**design, **change}))
+    res = runner.invoke(main, ["simulate", "--design", str(dpath)])
+    assert res.exit_code == 0, res.output
 
 
 def test_simulate_rejects_a_design_that_is_not_an_object(runner, tmp_path):

@@ -556,6 +556,87 @@ def test_minimize_smooth_solves_a_quadratic_in_two_passes():
 
 
 # ---------------------------------------------------------------------------
+# stacks of datasets: every row is its dataset alone, bit for bit
+# ---------------------------------------------------------------------------
+
+def _stack_cases(all_models):
+    """(model, datasets of one size) per model, the last two rows of each
+    drawn by a different stream."""
+    cases = []
+    for model, data in all_models:
+        data = model.checked(data)
+        if isinstance(model, LinearRegression):
+            y, X = data
+            rows = [(y, X), (y[::-1].copy(), X), (np.sort(y), X)]
+        else:
+            x, y = data
+            rows = [(x, y), (x[::-1] * 1.1, y + 0.3), (np.sort(x), y[::-1])]
+        cases.append((model, [model.checked(r) for r in rows]))
+    y = np.random.default_rng(11).gamma(3.0, 0.5, (3, 40))
+    gamma_model = expfam_gamma()
+    cases.append((gamma_model, [gamma_model.checked(r) for r in y]))
+    return cases
+
+
+@pytest.mark.parametrize("gamma", [None, 1.23])
+def test_a_stack_row_scores_and_fits_as_its_dataset_alone(all_models, gamma):
+    for model, datasets in _stack_cases(all_models):
+        rule = ScoreRule.log(model) if gamma is None else ScoreRule.tsallis(model, gamma)
+        stack = model.stack(datasets)
+        thetas = np.stack([model.default_start(d) for d in datasets])
+        assert np.array_equal(model.default_start(stack), thetas)
+        stacked = scoring._kernel(rule, stack, thetas, order=2)
+        K, J = estimate_KJ(rule, stack, thetas)
+        fits = fit(rule, stack)
+        for r, data in enumerate(datasets):
+            alone = scoring._kernel(rule, data, thetas[r], order=2)
+            for a, b in zip(stacked, alone):
+                assert np.array_equal(a[r], b)
+            K_r, J_r = estimate_KJ(rule, data, thetas[r])
+            assert np.array_equal(K[r], K_r) and np.array_equal(J[r], J_r)
+            fr = fit(rule, data)
+            assert np.array_equal(fits[r].theta_hat, fr.theta_hat)
+            assert np.array_equal(fits[r].V, fr.V)
+            assert (fits[r].score_at_opt, fits[r].n_iter, fits[r].stop_reason,
+                    fits[r].grad_norm, fits[r].converged) == (
+                fr.score_at_opt, fr.n_iter, fr.stop_reason, fr.grad_norm, fr.converged)
+
+
+def test_minimize_smooth_solves_each_row_of_a_stack_as_alone():
+    # Three rows: one converges from the default start, one starts where the
+    # log-variance overflows (not finite), and one starts at a variance of
+    # 1e-6, whose Newton steps overflow at trial points before converging.
+    m = TwoSampleNormal()
+    rule = ScoreRule.tsallis(m, 1.23)
+    rng = np.random.default_rng(3)
+    datasets = [m.checked((rng.normal(2, 1, 10), rng.normal(0, 1, 20))) for _ in range(3)]
+    starts = [m.default_start(datasets[0]), np.array([2.0, 0.0, 1.0, 1.0]),
+              np.array([2.0, 0.0, 1e-6, 1.0])]
+    objective = _Objective(rule, m.stack(datasets))
+    z0 = _to_z(np.stack(starts), objective.positive)
+    z0[1, 2] = 800.0
+    overflowed = []
+
+    def rows_fun(z, rows):
+        out = objective.rows(rows)(z)
+        overflowed.extend(rows[~np.isfinite(out[0])])
+        return out
+
+    z, f, n_iter, reason, records = minimize_smooth(rows_fun, z0)
+    assert list(reason) == ["gradient", "not_finite", "gradient"]
+    assert 2 in overflowed
+    for r, data in enumerate(datasets):
+        alone = _Objective(rule, data)
+        z_r, f_r, n_r, reason_r, record_r = minimize_smooth(alone, z0[r])
+        assert np.array_equal(z[r], z_r)
+        assert f[r] == f_r or np.isinf(f[r]) and np.isinf(f_r)
+        assert (n_iter[r], reason[r]) == (n_r, reason_r)
+        with np.errstate(over="ignore"):        # the row that overflows at its start
+            x = _from_z(z_r, alone.positive)
+        assert alone.verdict(x, record_r) == objective.rows(r).verdict(x, records[r])
+
+
+# ---------------------------------------------------------------------------
 # analytic curvature
 # ---------------------------------------------------------------------------
 
