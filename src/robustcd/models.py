@@ -282,23 +282,31 @@ class ModelSpec(abc.ABC):
         """Return data in canonical form; raise DomainError if unusable."""
 
     def checked(self, data):
-        """``data`` in canonical form, validated unless this model returned
-        that very object from an earlier check.
+        """``data`` in canonical form: this model's own earlier check of it
+        if ``data`` is that very object, else a validated read-only copy.
 
         The most recently used checked objects, at most _CHECKED_MEMO, are
         held by identity, so a solve that evaluates the score many times
-        scans its data once. Checked data are taken to be immutable.
+        scans its data once. Their arrays are read-only, and a caller's own
+        arrays are copied, not held, so checked data cannot change after
+        their check.
         """
         memo = self.__dict__.setdefault("_checked", {})
         if memo.get(id(data)) is data:
             memo[id(data)] = memo.pop(id(data), data)  # most recently used last
             return data
-        return self._remember(self.validate_data(data))
+        data = self.validate_data(data)
+        return self._remember(tuple(map(np.array, data)) if isinstance(data, tuple)
+                              else np.array(data))
 
     def _remember(self, data):
+        """Hold data, checked and owned by this module, as checked; its
+        arrays become read-only."""
         memo = self.__dict__.setdefault("_checked", {})
         if len(memo) >= _CHECKED_MEMO:
             del memo[next(iter(memo))]
+        for a in data if isinstance(data, tuple) else (data,):
+            a.flags.writeable = False
         memo[id(data)] = data
         return data
 

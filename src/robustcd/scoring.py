@@ -403,9 +403,9 @@ class _Objective:
     [(weight, (n, d) gradients)], from which ``verdict`` judges convergence.
 
     On a stack of datasets z holds a point per row, and a call returns a
-    value, gradient and Hessian per row with ``_RowRecords``. Where the
-    stacked evaluation fails, its rows are evaluated one at a time, so a
-    bad point is +inf on its own row only.
+    value, gradient, Hessian and record per row. Where the stacked
+    evaluation fails, the stack is halved until the failing rows stand
+    alone, so a bad point is +inf on its own row only.
     """
 
     def __init__(self, rule, data, psi=None, mixture=None):
@@ -502,12 +502,15 @@ class _Objective:
             if len(z) == 1:
                 val, g, H, record = self.rows(0)(z[0])
                 return np.array([val]), g[None], H[None], [record]
-            # halve the stack until the failing rows stand alone
+            # Halve the stack until the failing rows stand alone, rather than
+            # go row by row (_per_row): a round of a study's solve evaluates
+            # about 2000 rows, and one bad row then costs about 2 log2(R)
+            # stacked calls in place of R single ones.
             half = len(z) // 2
             first = self.rows(slice(None, half))(z[:half])
             second = self.rows(slice(half, None))(z[half:])
             return (*(np.concatenate(pair) for pair in zip(first[:3], second[:3])),
-                    _Joined(first[3], second[3], half))
+                    list(first[3]) + list(second[3]))
         # chain rule through the log transform
         dx = np.where(self.positive, x, 1.0)
         diag = np.where(self._eye, np.where(self.positive, x * g, 0.0)[..., None, :], 0.0)
@@ -548,16 +551,6 @@ class _RowRecords:
         return self.g[j], [(w, s[j]) for w, s in self.parts]
 
 
-class _Joined:
-    """The records of two stacked evaluations, the first of ``split`` rows."""
-
-    def __init__(self, first, second, split):
-        self.first, self.second, self.split = first, second, split
-
-    def __getitem__(self, j):
-        return self.first[j] if j < self.split else self.second[j - self.split]
-
-
 def minimize_smooth(fun, z0):
     """Damped Newton minimization of
     ``fun(z) -> (value, gradient, Hessian, record)``.
@@ -593,7 +586,11 @@ def minimize_smooth(fun, z0):
         request = next(solve)
         while True:
             if isinstance(request, tuple):          # (H, g): the Newton step
-                request = solve.send(_newton_steps(*request)[0])
+                try:
+                    step = _newton_steps(*request)
+                except NumericsError:
+                    step = None
+                request = solve.send(step)
             else:
                 request = solve.send(fun(request))
     except StopIteration as done:
@@ -661,10 +658,11 @@ def _newton_rows(fun, z0):
     while pending:
         rows = [r for r, q in pending.items() if isinstance(q, tuple)]
         if rows:
-            steps, solved = _newton_steps(np.array([pending[r][0] for r in rows]),
-                                          np.array([pending[r][1] for r in rows]))
-            for j, r in enumerate(rows):
-                advance(r, steps[j] if solved is None or solved[j] else None)
+            H = np.array([pending[r][0] for r in rows])
+            g = np.array([pending[r][1] for r in rows])
+            steps = _per_row(lambda at: _newton_steps(H[at], g[at]), len(rows))
+            for r, step in zip(rows, steps):
+                advance(r, None if isinstance(step, Exception) else step)
         rows = [r for r, q in pending.items() if not isinstance(q, tuple)]
         if rows:
             f, g, H, records = fun(np.array([pending[r] for r in rows]), np.array(rows))
@@ -676,11 +674,9 @@ def _newton_rows(fun, z0):
 
 
 def _newton_steps(H, g):
-    """(steps, solved): the Newton steps -H^-1 g of one system or of a
-    stack, each Hessian's spectrum shifted where it is not positive
-    definite. solved is None where every system could be solved; otherwise
-    each row of a stack is solved alone, and solved marks the rows whose
-    system could be (for one system, the step is then None)."""
+    """The Newton steps -H^-1 g of one system or of a stack, each Hessian's
+    spectrum shifted where it is not positive definite. Raises
+    NumericsError where a system cannot be solved."""
     try:
         A = _sym(H)
         w = np.linalg.eigvalsh(A)
@@ -688,16 +684,29 @@ def _newton_steps(H, g):
         if neg.any():
             shift = np.abs(w[..., 0]) + 1e-8 * np.maximum(1.0, np.abs(w[..., -1]))
             A = np.where(neg[..., None, None], A + shift[..., None, None] * np.eye(A.shape[-1]), A)
-        return np.linalg.solve(A, -g[..., None])[..., 0], None
-    except np.linalg.LinAlgError:
-        if g.ndim == 1:
-            return None, False
-        steps, solved = np.zeros_like(g), np.zeros(len(g), dtype=bool)
-        for j in range(len(g)):
-            step, alone = _newton_steps(H[j], g[j])
-            if alone is None:
-                steps[j], solved[j] = step, True
-        return steps, solved
+        return np.linalg.solve(A, -g[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError("the Newton system cannot be solved") from exc
+
+
+def _per_row(stage, n):
+    """``stage(rows)`` on the n rows of a stack at once, with rows a slice so
+    that indexing the stack does not copy it; where that raises DomainError
+    or NumericsError, ``stage(r)`` on each row r alone. Returns a list with,
+    for each row, its result, or the exception it raises alone. A stacked
+    result is split along its leading axis, a tuple of them into a tuple
+    per row."""
+    try:
+        out = stage(slice(None))
+    except (DomainError, NumericsError):
+        items = []
+        for r in range(n):
+            try:
+                items.append(stage(r))
+            except (DomainError, NumericsError) as exc:
+                items.append(exc)
+        return items
+    return list(zip(*out)) if isinstance(out, tuple) else list(out)
 
 
 def fit(rule, data, theta0=None):
@@ -723,8 +732,7 @@ def fit(rule, data, theta0=None):
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.ndim == 2:
         return _fit_rows(rule, data, theta0)
-    if not model.in_domain(theta0):
-        raise DomainError("starting value outside the admissible set")
+    _admissible(model, theta0)
     objective = _Objective(rule, data)
 
     def scored(r):      # the start cannot be scored: raise what scoring it raises
@@ -739,6 +747,14 @@ def fit(rule, data, theta0=None):
     return Fit(theta_hat=theta, score_at_opt=float(val), K=K, J=J, V=V, G=G,
                converged=bool(converged), n_iter=n_iter, grad_norm=gnorm,
                rule=rule, data=data, stop_reason=reason)
+
+
+def _admissible(model, theta0):
+    """theta0, a start or a start per row of a stack; raises DomainError
+    where one is outside the admissible set."""
+    if not model.in_domain(theta0):
+        raise DomainError("starting value outside the admissible set")
+    return theta0
 
 
 def _best_of_starts(solve, z0, scored):
@@ -768,16 +784,10 @@ def _fit_rows(rule, data, theta0):
     """fit's outcome per row of a stack of datasets from a start per row."""
     model = rule.model
     n_rows = len(theta0)
-    out = [None] * n_rows
-    if model.in_domain(theta0):
-        rows = np.arange(n_rows)
-    else:
-        inside = np.array([model.in_domain(t) for t in theta0])
-        for r in np.flatnonzero(~inside):
-            out[r] = DomainError("starting value outside the admissible set")
-        rows = np.flatnonzero(inside)
-        if not rows.size:
-            return out
+    out = _per_row(lambda at: _admissible(model, theta0[at]), n_rows)
+    rows = np.array([r for r, o in enumerate(out) if not isinstance(o, Exception)], dtype=int)
+    if not rows.size:
+        return out
     objective = _Objective(rule, data if rows.size == n_rows else model.take(data, rows))
 
     def solve(at, z):
@@ -798,18 +808,12 @@ def _fit_rows(rule, data, theta0):
         return out
     theta = np.array([best[j][0] for j in keep])
     kept = data if len(keep) == n_rows else model.take(data, rows[keep])
-    try:
-        K, J = estimate_KJ(rule, kept, theta)
-        mats = list(zip(K, J, *sandwich(K, J)))
-    except (DomainError, NumericsError):
-        mats = []
-        for i, j in enumerate(keep):
-            try:
-                K, J = estimate_KJ(rule, model.take(data, rows[j]), theta[i])
-                mats.append((K, J) + sandwich(K, J))
-            except (DomainError, NumericsError) as exc:
-                mats.append(exc)
-    for j, m in zip(keep, mats):
+
+    def matrices(at):
+        K, J = estimate_KJ(rule, model.take(kept, at), theta[at])
+        return (K, J) + sandwich(K, J)
+
+    for j, m in zip(keep, _per_row(matrices, len(keep))):
         r = rows[j]
         if isinstance(m, Exception):
             out[r] = m

@@ -36,7 +36,7 @@ from .confidence import (
 )
 from .models import _TwoSampleBase, get_model
 from .robustness import calibrate_gamma
-from .scoring import Fit, ScoreRule, _Objective, fit as fit_rule
+from .scoring import Fit, ScoreRule, _Objective, _per_row, fit as fit_rule
 
 __all__ = [
     "Contamination",
@@ -111,8 +111,8 @@ class SimDesign:
 
     def __post_init__(self):
         model = get_model(self.model)    # raises DomainError for an unknown model
-        if self.n_reps < 1:
-            raise DomainError("n_reps must be at least 1")
+        if not (_is_int(self.n_reps) and self.n_reps >= 1):
+            raise DomainError(f"n_reps must be an integer of at least 1, got {self.n_reps!r}")
         if not all(0.0 < lv < 1.0 for lv in self.levels):
             raise DomainError("levels must lie in (0, 1)")
         n_samples = 2 if isinstance(model, _TwoSampleBase) else 1
@@ -165,9 +165,9 @@ class SimDesign:
                                  int(c.get("obs_index", -1)), float(c["shift"]))
         return cls(
             model=d["model"], theta=tuple(d["theta"]), sizes=tuple(d["sizes"]),
-            n_reps=int(d["n_reps"]), seed=int(d.get("seed", 0)), methods=methods,
+            n_reps=d["n_reps"], seed=d.get("seed", 0), methods=methods,
             levels=tuple(d.get("levels", (0.5, 0.8, 0.9, 0.95))), h0=h0,
-            contamination=cont, interest_index=int(d.get("interest_index", 1)),
+            contamination=cont, interest_index=d.get("interest_index", 1),
         )
 
 
@@ -193,8 +193,11 @@ def contaminate(model, data, spec: Contamination):
 # Per-replicate pivot evaluation
 # ---------------------------------------------------------------------------
 
-def _point_pivots(rule, fit_result, psis, kind):
-    """(pivots at each psi, the free fit they are measured from).
+def _point_pivots(rule, fits, psis, kind):
+    """For each outcome in ``fits``, the list ``fit`` returns for a stack of
+    replicates: the pair (pivots at each psi, the free fit they are
+    measured from), or the DomainError or NumericsError that gives the
+    replicate up.
 
     A root pivot takes one constrained solve per psi, warm-started at the
     free fit. A constrained score below the free optimum means the free fit
@@ -204,67 +207,71 @@ def _point_pivots(rule, fit_result, psis, kind):
     started in the spurious optimum's basin. Otherwise the replicate is
     given up.
 
-    ``fit_result`` may also be the list ``fit`` returns for a stack of
-    replicates. The result is then a list with each replicate's pair, or
-    the DomainError or NumericsError that gives it up. Each step runs on
-    the replicates together, and a stacked step that raises runs again on
-    each replicate alone, so results and failures are those of each
-    replicate alone.
+    Each step runs on the replicates together, and the results and failures
+    are those of each replicate alone (``_per_row``).
     """
-    if isinstance(fit_result, Fit):
-        out = _point_pivots(rule, [fit_result], psis, kind)[0]
-        if isinstance(out, Exception):
-            raise out
-        return out
     model = rule.model
     psis = np.asarray(psis, dtype=float)
     out = [fr if not isinstance(fr, Fit) or fr.converged
-           else NumericsError("fit did not converge") for fr in fit_result]
+           else NumericsError("fit did not converge") for fr in fits]
     rows = np.array([i for i, fr in enumerate(out) if isinstance(fr, Fit)], dtype=int)
     if not rows.size:
         return out
     fits = [out[i] for i in rows]
     theta = np.stack([fr.theta_hat for fr in fits])
+    k = len(rows)
     if kind == "wald":
         K, J = np.stack([fr.K for fr in fits]), np.stack([fr.J for fr in fits])
-        piv = np.stack([_by_row(lambda r: _wald_pivot(model, theta[r], K[r], J[r], psi)[0],
-                                len(rows)) for psi in psis], axis=-1)
-        for i, p, fr in zip(rows, piv, fits):
-            out[i] = (NumericsError("Wald pivot failed") if np.isnan(p).any()
-                      else ([float(v) for v in p], fr))
+
+        def wald(at):
+            piv = np.stack([_wald_pivot(model, theta[at], K[at], J[at], psi)[0] for psi in psis],
+                           axis=-1)
+            # NaN, as at a null value outside the interest's range, gives a row up
+            if np.isnan(piv).any():
+                raise NumericsError("Wald pivot failed")
+            return piv
+
+        for i, p, fr in zip(rows, _per_row(wald, k), fits):
+            out[i] = p if isinstance(p, Exception) else ([float(v) for v in p], fr)
         return out
 
     data = model.stack([fr.data for fr in fits])
-    k = len(rows)
     s_opt = np.array([fr.score_at_opt for fr in fits])
     theta_c = np.empty((k, psis.size, theta.shape[-1]))
     s_con, nu = np.empty((k, psis.size)), np.empty((k, psis.size))
+    given_up = {}                # row -> the exception that gives it up
 
     def solve(i, at, start):
         """Constrained solves at psis[i] for the rows ``at``, warm-started at
-        their free fits ``start``; a solve that did not converge, or whose nu
-        fails, leaves nu NaN."""
+        their free fits ``start``, and nu where they converged; a row whose
+        solve did not converge, or whose nu raises, is given up."""
         sub = data if at.size == k else model.take(data, at)
         theta_c[at, i], s_con[at, i], _, converged = _constrained_solve(
             _Objective(rule, sub, psis[i]), model.profile_extract(start))
-        nu[at, i] = np.nan
+        for r in at[~converged]:
+            given_up.setdefault(r, NumericsError("constrained fit did not converge"))
         done = np.flatnonzero(converged)
         if done.size:
-            nu[at[done], i] = _by_row(
-                lambda r: _nu_at(rule, model.take(sub, done[r]), theta_c[at[done[r]], i]),
-                done.size)
+            nus = _per_row(lambda j: _nu_at(rule, model.take(sub, done[j]),
+                                            theta_c[at[done[j]], i]), done.size)
+            for r, v in zip(at[done], nus):
+                if isinstance(v, Exception):
+                    given_up.setdefault(r, v)
+                else:
+                    nu[r, i] = v
 
     everyone = np.arange(k)
     for i in range(psis.size):
         solve(i, everyone, theta)
-    failed = np.isnan(nu).any(axis=1)
-    spurious = np.flatnonzero(~failed & _undercut(s_opt[:, None], s_con).any(axis=1))
+    spurious = np.array([r for r in np.flatnonzero(_undercut(s_opt[:, None], s_con).any(axis=1))
+                         if r not in given_up], dtype=int)
     if spurious.size:
         low = np.argmin(s_con[spurious], axis=1)
         refits = fit_rule(rule, model.take(data, spurious), theta0=theta_c[spurious, low])
         better = np.array([isinstance(rf, Fit) and rf.converged and rf.score_at_opt < s_opt[r]
                            for r, rf in zip(spurious, refits)], dtype=bool)
-        failed[spurious[~better]] = True
+        for r in spurious[~better]:
+            given_up[r] = NumericsError("profile score below the optimum, and no refit lowers it")
         spurious, low = spurious[better], low[better]
         refits = [rf for rf, keep in zip(refits, better) if keep]
         for r, rf in zip(spurious, refits):
@@ -273,47 +280,14 @@ def _point_pivots(rule, fit_result, psis, kind):
             again = spurious[low != i]
             if again.size:
                 solve(i, again, theta[again])
-        failed |= np.isnan(nu).any(axis=1)
-        failed[spurious] |= _undercut(s_opt[spurious, None], s_con[spurious]).any(axis=1)
-    ok = np.flatnonzero(~failed)
-    piv = _signed_root(model.interest(theta[ok])[:, None], s_opt[ok, None], psis,
-                       s_con[ok], nu[ok])
-    for r in np.flatnonzero(failed):
-        out[rows[r]] = NumericsError("root pivot failed")
-    for r, p in zip(ok, piv):
-        out[rows[r]] = ([float(v) for v in p], fits[r])
+    ok = np.array([r for r in everyone if r not in given_up], dtype=int)
+    psi_tilde = model.interest(theta[ok])[:, None]
+    # a refitted row whose profile still undercuts raises here
+    piv = _per_row(lambda j: _signed_root(psi_tilde[j], s_opt[ok][j, None], psis,
+                                          s_con[ok][j], nu[ok][j]), ok.size)
+    for r, p in [*zip(ok, piv), *given_up.items()]:
+        out[rows[r]] = p if isinstance(p, Exception) else ([float(v) for v in p], fits[r])
     return out
-
-
-def _by_row(stage, n):
-    """stage(rows) over the n rows of a stack at once (rows a slice), or,
-    where that raises DomainError or NumericsError, over each row alone:
-    one value per row, NaN where the row fails alone too."""
-    try:
-        return stage(slice(None))
-    except (DomainError, NumericsError):
-        out = np.full(n, np.nan)
-        for r in range(n):
-            try:
-                out[r] = stage(r)
-            except (DomainError, NumericsError):
-                pass
-        return out
-
-
-def _fits(rule, stack, n):
-    """fit's outcome for each of the n rows of a stack; a failure of the
-    stacked call runs each row alone."""
-    try:
-        return fit_rule(rule, stack)
-    except (DomainError, NumericsError):
-        out = []
-        for r in range(n):
-            try:
-                out.append(fit_rule(rule, rule.model.take(stack, r)))
-            except (DomainError, NumericsError) as exc:
-                out.append(exc)
-        return out
 
 
 @dataclasses.dataclass
@@ -426,7 +400,8 @@ def run_study(design: SimDesign):
         res = results[label]
         for part in stacks:
             stack = model.stack(part)
-            for out in _point_pivots(rule, _fits(rule, stack, len(part)), psis, meth.pivot):
+            fits = _per_row(lambda rows: fit_rule(rule, model.take(stack, rows)), len(part))
+            for out in _point_pivots(rule, fits, psis, meth.pivot):
                 if isinstance(out, Exception):
                     res.n_failed += 1
                     continue

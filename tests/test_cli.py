@@ -212,6 +212,9 @@ def test_simulate_deterministic_snapshot(runner, tmp_path):
      "interest_index": 7},
     {"model": "linear-regression", "sizes": [30], "theta": [1, 0.5, 0.2, 1],
      "interest_index": -1},
+    {"n_reps": 2.9}, {"n_reps": True}, {"seed": 3.7}, {"seed": True},
+    {"model": "linear-regression", "sizes": [30], "theta": [1, 0.5, 0.2, 1],
+     "interest_index": 1.5},
 ])
 def test_simulate_rejects_a_bad_design(runner, tmp_path, change):
     design = {"model": "two-sample-normal", "theta": [2, 0, 1, 1], "sizes": [10, 20],

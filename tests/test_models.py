@@ -22,7 +22,7 @@ from robustcd.models import (
     tsallis_integral_exponential,
     tsallis_integral_normal,
 )
-from robustcd.scoring import ScoreRule, _fd_jacobian, score_terms
+from robustcd.scoring import ScoreRule, _fd_jacobian, fit, score_terms
 
 from oracles import fd_gradient, power_integral_quadrature
 
@@ -193,6 +193,30 @@ def test_shift_obs():
     assert shifted[0][1] == -5.0 and data[0][1] == 2.0
     with pytest.raises(IndexError):
         m.shift_obs(data, 1, 5, 1.0)
+
+
+def test_checked_data_do_not_follow_their_source():
+    # A check holds a read-only copy, so an edit of the caller's array after
+    # the check moves neither the checked data nor a fit on them, and a fit
+    # on the edited array validates it again.
+    rng = np.random.default_rng(5)
+    y = rng.gamma(3.0, 1.0, 30)
+    pair = (rng.normal(2.0, 1.0, 10), rng.normal(0.0, 1.0, 20))
+    for model, source, edited, bad, message in [
+            (expfam_gamma(), y, y, -1.0, "support of gamma"),
+            (TwoSampleNormal(), pair, pair[0], np.inf, "non-finite")]:
+        rule = ScoreRule.tsallis(model, 1.2)
+        d = model.checked(source)
+        before = fit(rule, d)
+        edited[0] = bad
+        after = fit(rule, d)
+        assert np.array_equal(after.theta_hat, before.theta_hat)
+        assert np.array_equal(after.V, before.V)
+        assert after.score_at_opt == before.score_at_opt
+        with pytest.raises(ValueError):
+            (d[0] if isinstance(d, tuple) else d)[0] = 0.0
+        with pytest.raises(DomainError, match=message):
+            fit(rule, source)
 
 
 def test_profile_embed_roundtrip(all_models):

@@ -252,7 +252,7 @@ def test_point_pivot_refits_a_spurious_free_optimum(rep, shift, score, pivot):
     data = contaminate(m, data, Contamination(0, -1, shift))
     fr = fit(rule, data)
     assert fr.converged and fr.score_at_opt > score + 0.1
-    (piv,), kept = _point_pivots(rule, fr, [2.0], "root")
+    (piv,), kept = _point_pivots(rule, [fr], [2.0], "root")[0]
     assert kept.converged
     assert kept.score_at_opt == pytest.approx(score, abs=1e-4)
     assert piv == pytest.approx(pivot, abs=1e-4)
@@ -268,11 +268,43 @@ def test_point_pivots_solve_again_from_the_refit():
     data = m.sample((2.0, 0.0, 1.0, 1.0), (10, 20), np.random.default_rng([20250801, 1671]))
     data = contaminate(m, data, Contamination(0, -1, -7.0))
     fr = fit(rule, data)
-    (piv_true, piv0), kept = _point_pivots(rule, fr, [2.0, 1.5], "root")
+    (piv_true, piv0), kept = _point_pivots(rule, [fr], [2.0, 1.5], "root")[0]
     assert kept.score_at_opt == pytest.approx(-20.07119, abs=1e-4)
     assert piv_true == pytest.approx(-2.20172, abs=1e-4)
     assert piv0 == pytest.approx(-1.45739, abs=1e-4)
-    assert [piv0] == _point_pivots(rule, kept, [1.5], "root")[0]
+    assert [piv0] == _point_pivots(rule, [kept], [1.5], "root")[0][0]
+
+
+@pytest.mark.parametrize("gamma", [None, 1.23])
+def test_point_pivots_fail_per_row_as_each_replicate_alone(gamma):
+    # Tiny samples with a +30 shift: some stacked stages raise for a few
+    # rows. Every row of the stacked fit and pivots is then what that
+    # replicate gives alone, its failure included.
+    m = TwoSampleNormal()
+    rule = ScoreRule.log(m) if gamma is None else ScoreRule.tsallis(m, gamma)
+    reps = [contaminate(m, m.sample((2.0, 0.0, 1.0, 1.0), (2, 3), np.random.default_rng([7, r])),
+                        Contamination(0, -1, 30.0)) for r in range(60)]
+    fits = fit(rule, m.stack([m.checked(d) for d in reps]))
+    alone = []
+    for d in reps:
+        try:
+            alone.append(fit(rule, d))
+        except (DomainError, NumericsError) as exc:
+            alone.append(exc)
+    for kind in ("root", "wald"):
+        got = _point_pivots(rule, fits, [2.0, 1.5], kind)
+        want = [_point_pivots(rule, [fr], [2.0, 1.5], kind)[0] for fr in alone]
+        for g, w in zip(got, want):
+            if isinstance(w, Exception):
+                assert type(g) is type(w)
+            else:
+                assert g[0] == w[0] and g[1].psi_tilde == w[1].psi_tilde
+        if gamma is not None and kind == "root":
+            # the stacked K of the free fits and the stacked nu both raise
+            fit_failed = [isinstance(fr, Exception) for fr in fits]
+            pivot_failed = [isinstance(o, Exception) for o in got]
+            assert sum(fit_failed) == 4
+            assert sum(p and not f for p, f in zip(pivot_failed, fit_failed)) == 3
 
 
 def test_no_warning_escapes_a_solve():
