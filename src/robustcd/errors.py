@@ -6,10 +6,10 @@ class DomainError(ValueError):
 
 
 class NumericsError(RuntimeError):
-    """Raised when a numerical routine fails (singular matrix, bad quadrature, ...).
+    """Raised when a numerical routine fails (singular matrix, non-finite
+    score, ...).
 
-    Carries optional diagnostics such as the achieved tolerance or a condition
-    number in ``detail``.
+    Carries optional diagnostics such as a condition number in ``detail``.
     """
 
     def __init__(self, message, detail=None):

@@ -127,15 +127,11 @@ class ExpFamilyModel(_CoordinateInterest):
         theta = np.asarray(theta, dtype=float)
         return gamma * (fam.c_grad(gamma * theta) - fam.c_grad(theta))
 
-    def tsallis_integral_grad_obs(self, data, theta, gamma, values=None):
-        if values is None:
-            values = self.tsallis_integral_obs(data, theta, gamma)
+    def tsallis_integral_grad_obs(self, data, theta, gamma, values):
         u = _rowwise(lambda t: self._log_integral_grad(t, gamma), theta)
         return values[..., None] * u[..., None, :]
 
-    def tsallis_integral_hess(self, data, theta, gamma, values=None):
-        if values is None:
-            values = self.tsallis_integral_obs(data, theta, gamma)
+    def tsallis_integral_hess(self, data, theta, gamma, values):
         fam = self.family
 
         def curvature(t):

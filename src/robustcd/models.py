@@ -1,9 +1,13 @@
 """Parametric model specifications used by the scoring machinery.
 
-Each model exposes per-observation log densities, their gradients, closed
-forms for the power integral ``int f(y; theta)^gamma dy`` where available,
-samplers, the scalar interest parameter with its gradient, and the
-(interest, nuisance) reparameterization used for profiling.
+Each model exposes per-observation log densities with their gradients and
+Hessians, closed forms for the power integral ``int f(y; theta)^gamma dy``
+and its derivatives, samplers, the scalar interest parameter with its
+gradient, and the (interest, nuisance) reparameterization used for profiling
+with its Jacobian and curvature. The closed forms are part of the model
+contract: the scoring layer has no quadrature or finite-difference stand-in
+for them. New families come in through ``expfam``, whose ``_Family`` gets
+every closed form from its cumulant ``c``, ``c_grad`` and ``c_hess``.
 
 Built-in families: two-sample heteroscedastic normal, two-sample exponential
 AUC, two-sample normal AUC, and the normal linear regression model.
@@ -24,7 +28,7 @@ import math
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import DomainError, NumericsError
+from .errors import DomainError
 
 __all__ = [
     "ModelSpec",
@@ -43,7 +47,6 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _SQRT_TWO_PI = np.sqrt(_TWO_PI)
 _CHECKED_MEMO = 8  # checked data objects each model remembers
-QUAD_EPSABS = 1e-10  # absolute tolerance asked of the power-integral quadrature
 
 
 # ---------------------------------------------------------------------------
@@ -360,23 +363,23 @@ class ModelSpec(abc.ABC):
     def dlogpdf_obs(self, data, theta) -> np.ndarray:
         """(n, d) array of per-observation gradients of the log density."""
 
+    @abc.abstractmethod
     def d2logpdf_obs(self, data, theta, weights):
         """(d, d) weighted sum ``sum_i w_i Hess log f(y_i; theta)`` of the
-        per-observation Hessians of the log density; None if no closed form."""
-        return None
+        per-observation Hessians of the log density."""
 
+    @abc.abstractmethod
     def tsallis_integral_obs(self, data, theta, gamma):
-        """Per-observation ``int f^gamma``; None if no closed form."""
-        return None
+        """Per-observation ``int f^gamma``."""
 
-    def tsallis_integral_grad_obs(self, data, theta, gamma, values=None):
-        """(n, d) gradient of the per-observation power integral; None if no
-        closed form. ``values`` are the integrals at theta, where the caller
-        has them already."""
+    def tsallis_integral_grad_obs(self, data, theta, gamma, values):
+        """(n, d) gradient of the per-observation power integral, from
+        ``values``, the integrals at theta."""
         return self._integral_derivs(data, theta, gamma, values, 1)
 
-    def tsallis_integral_hess(self, data, theta, gamma, values=None):
-        """(d, d) Hessian of the summed power integral; None if no closed form."""
+    def tsallis_integral_hess(self, data, theta, gamma, values):
+        """(d, d) Hessian of the summed power integral, from ``values``, the
+        integrals at theta."""
         return self._integral_derivs(data, theta, gamma, values, 2)
 
     def _integral_parts(self, data, theta, gamma):
@@ -384,15 +387,14 @@ class ModelSpec(abc.ABC):
         power integral I that depends on one coordinate j: one
         (rows, j, d log I / d theta_j, d^2 log I / d theta_j^2) per
         component, the derivatives as scalars or, for a stack, (rows, 1)
-        columns. None otherwise."""
-        return None
+        columns. A model without such components defines
+        tsallis_integral_grad_obs and tsallis_integral_hess instead."""
+        raise NotImplementedError(
+            f"{type(self).__name__} defines neither _integral_parts nor "
+            "tsallis_integral_grad_obs and tsallis_integral_hess")
 
     def _integral_derivs(self, data, theta, gamma, values, order):
         parts = self._integral_parts(data, theta, gamma)
-        if parts is None:
-            return None
-        if values is None:
-            values = self.tsallis_integral_obs(data, theta, gamma)
         d = np.asarray(theta).shape[-1]
         if order == 1:
             out = np.zeros(values.shape + (d,))
@@ -405,11 +407,6 @@ class ModelSpec(abc.ABC):
                 coef = coef[..., 0] if type(coef) is np.ndarray else coef
                 out[..., j, j] = coef * values[..., rows].sum(axis=-1)
         return out
-
-    def quad_components(self, data, theta):
-        """Density groups [(pdf, (lo, hi), count), ...] for the quadrature
-        fallback of a model without a closed-form power integral."""
-        raise NotImplementedError
 
     # ---- sampling / contamination --------------------------------------
     @abc.abstractmethod
@@ -456,17 +453,15 @@ class ModelSpec(abc.ABC):
     def profile_extract(self, theta) -> np.ndarray:
         """Nuisance coordinates of a full parameter."""
 
+    @abc.abstractmethod
     def profile_embed_jac(self, psi, lam):
-        """(d, d-1) Jacobian d theta / d lam; finite differences by default."""
-        return _fd_jacobian(lambda v: self.profile_embed(psi, v), np.asarray(lam, dtype=float))
+        """(d, d-1) Jacobian d theta / d lam."""
 
+    @abc.abstractmethod
     def profile_embed_hess(self, psi, lam, grad):
         """(d-1, d-1) curvature ``sum_k grad_k Hess_lam theta_k`` of the
         embedding, contracted with a theta-gradient; None where theta is
-        linear in lam. Finite differences of profile_embed_jac by default."""
-        out = _fd_jacobian(lambda v: self.profile_embed_jac(psi, v).T @ grad,
-                           np.asarray(lam, dtype=float))
-        return 0.5 * (out + out.T)
+        linear in lam."""
 
     # ---- analytic expectations -------------------------------------------
     def expected_kj(self, rule_kind, gamma, data, theta):
@@ -1003,31 +998,6 @@ class LinearRegression(_CoordinateInterest):
         J[..., :-1, :-1] = np.asarray(j_mu)[..., None, None] * xtx
         J[..., -1, -1] = n * j_v
         return K, J
-
-
-# ---------------------------------------------------------------------------
-# Generic helpers used by the scoring layer
-# ---------------------------------------------------------------------------
-
-def quadrature_power_integral(pdf, support, gamma):
-    """Adaptive quadrature of ``pdf(t)**gamma`` over the support interval."""
-    import warnings
-
-    # scipy.integrate costs about 25 MB to import; only models without
-    # closed-form power integrals need it
-    from scipy.integrate import quad
-
-    lo, hi = support
-    with warnings.catch_warnings():
-        # convergence trouble is reported as a structured error below
-        warnings.simplefilter("ignore")
-        val, err = quad(lambda t: pdf(t) ** gamma, lo, hi, epsabs=QUAD_EPSABS, limit=200)
-    if not np.isfinite(val) or err > max(1e-8, 1e-6 * abs(val)):
-        raise NumericsError(
-            "power-integral quadrature did not reach the requested tolerance",
-            detail={"achieved": err},
-        )
-    return val
 
 
 _REGISTRY = {

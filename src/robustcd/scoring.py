@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .models import ModelSpec, _fd_jacobian, quadrature_power_integral
+from .models import ModelSpec
 
 __all__ = [
     "ScoreRule",
@@ -96,27 +96,6 @@ class ScoreRule:
 # Score evaluation
 # ---------------------------------------------------------------------------
 
-def _power_integrals(rule, data, theta):
-    """Per-observation int f^gamma, closed form if the model has one."""
-    vals = rule.model.tsallis_integral_obs(data, theta, rule.gamma)
-    if vals is None:
-        return _quadrature_integrals(rule, data, theta)
-    return np.asarray(vals, dtype=float)
-
-
-def _quadrature_integrals(rule, data, theta):
-    model, gamma = rule.model, rule.gamma
-    n = model.nobs(data)
-    out = np.empty(n)
-    pos = 0
-    for pdf, support, count in model.quad_components(data, theta):
-        out[pos:pos + count] = quadrature_power_integral(pdf, support, gamma)
-        pos += count
-    if pos != n:
-        raise NumericsError("quadrature components do not cover all observations")
-    return out
-
-
 def _kernel(rule, data, theta, order=1):
     """(terms, grads, hess) of one pass over the data.
 
@@ -125,55 +104,35 @@ def _kernel(rule, data, theta, order=1):
     gradients; with order 2, hess is the (d, d) Hessian of their sum. Both
     are None where not asked for. The Tsallis Hessian is
     a Hess I - gamma a sum_i f_i^a (a dlogf_i dlogf_i' + Hess log f_i), with
-    a = gamma - 1 and I the summed power integral. A model without closed
-    forms for these gets finite differences of the gradient, one dataset at
-    a time. On a stack every output gains the leading row axis.
+    a = gamma - 1 and I the summed power integral, all from the model's
+    closed forms. On a stack every output gains the leading row axis.
     """
     model = rule.model
     data = model.checked(data)
     theta = np.asarray(theta, dtype=float)
     model.require_domain(theta)
     logf = model.logpdf_obs(data, theta)
-    hess = None
+    grads = hess = None
     if rule.kind == "log":
-        if order == 0:
-            return -logf, None, None
-        terms, grads = -logf, -model.dlogpdf_obs(data, theta)
+        if order >= 1:
+            grads = -model.dlogpdf_obs(data, theta)
         if order == 2:
-            d2 = model.d2logpdf_obs(data, theta, np.ones(logf.shape))
-            hess = None if d2 is None else -d2
-    else:
-        gamma = rule.gamma
-        a = gamma - 1.0
-        fa = np.exp(a * logf)
-        ivals = model.tsallis_integral_obs(data, theta, gamma)
-        closed = ivals is not None
-        ivals = np.asarray(ivals, dtype=float) if closed else _quadrature_integrals(
-            rule, data, _one(theta))
-        terms = a * ivals - gamma * fa
-        if order == 0:
-            return terms, None, None
+            hess = -model.d2logpdf_obs(data, theta, np.ones(logf.shape))
+        return -logf, grads, hess
+    gamma = rule.gamma
+    a = gamma - 1.0
+    fa = np.exp(a * logf)
+    ivals = model.tsallis_integral_obs(data, theta, gamma)
+    terms = a * ivals - gamma * fa
+    if order >= 1:
         dlogf = model.dlogpdf_obs(data, theta)
-        igrad = model.tsallis_integral_grad_obs(data, theta, gamma, ivals) if closed else None
-        if igrad is None:
-            igrad = _fd_jacobian(lambda t: _power_integrals(rule, data, t), _one(theta))
-        grads = a * np.asarray(igrad, dtype=float) - gamma * a * fa[..., None] * dlogf
-        if order == 2 and closed:
-            ihess = model.tsallis_integral_hess(data, theta, gamma, ivals)
-            d2 = model.d2logpdf_obs(data, theta, fa)
-            if ihess is not None and d2 is not None:
-                hess = a * ihess - gamma * a * (a * (dlogf.mT * fa[..., None, :]) @ dlogf + d2)
-    if order == 2 and hess is None:
-        hess = _sym(_fd_jacobian(lambda t: _kernel(rule, data, t)[1].sum(axis=0),
-                                 _one(theta)))
+        grads = (a * model.tsallis_integral_grad_obs(data, theta, gamma, ivals)
+                 - gamma * a * fa[..., None] * dlogf)
+    if order == 2:
+        ihess = model.tsallis_integral_hess(data, theta, gamma, ivals)
+        d2 = model.d2logpdf_obs(data, theta, fa)
+        hess = a * ihess - gamma * a * (a * (dlogf.mT * fa[..., None, :]) @ dlogf + d2)
     return terms, grads, hess
-
-
-def _one(theta):
-    """theta of one dataset; a stack raises, so that its rows go one at a time."""
-    if theta.ndim != 1:
-        raise NumericsError("finite differences and quadrature take one dataset at a time")
-    return theta
 
 
 def _finite_total(val):

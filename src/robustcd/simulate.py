@@ -140,8 +140,16 @@ class SimDesign:
         if theta.shape != (dim,) or not model.in_domain(theta):
             raise DomainError(f"theta {self.theta!r} is not an admissible "
                               f"{dim}-vector for {self.model}")
+        if self.h0 is not None:
+            lo, hi = model.interest_range()
+            if not lo < self.h0.psi0 < hi:
+                raise DomainError(f"h0 psi0 {self.h0.psi0!r} outside the interest's "
+                                  f"range ({lo:g}, {hi:g})")
         if self.contamination is not None:
             c = self.contamination
+            if not (_is_int(c.sample_index) and _is_int(c.obs_index)):
+                raise DomainError("contamination sample_index and obs_index must be "
+                                  f"integers, got {c.sample_index!r}, {c.obs_index!r}")
             if n_samples == 1:
                 n = self.sizes[0]
             else:
@@ -161,8 +169,8 @@ class SimDesign:
         cont = None
         if d.get("contamination"):
             c = d["contamination"]
-            cont = Contamination(int(c.get("sample_index", 0)),
-                                 int(c.get("obs_index", -1)), float(c["shift"]))
+            cont = Contamination(c.get("sample_index", 0), c.get("obs_index", -1),
+                                 float(c["shift"]))
         return cls(
             model=d["model"], theta=tuple(d["theta"]), sizes=tuple(d["sizes"]),
             n_reps=d["n_reps"], seed=d.get("seed", 0), methods=methods,

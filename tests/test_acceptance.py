@@ -31,6 +31,7 @@ from robustcd.scoring import (
     total_score,
 )
 from robustcd.simulate import (
+    STACK_ELEMENTS,
     _point_pivots,
     Contamination,
     H0Spec,
@@ -252,14 +253,18 @@ def test_criterion_4_gamma_calibration():
     rule_t = ScoreRule.tsallis(model, gamma)
     pinv = np.linalg.pinv(X)
     est_mle = np.empty((B, 4))
-    est_rob = np.empty((B, 4))
+    ys = np.empty((B, n))
     for b in range(B):
         rng = np.random.default_rng([777, b])
         y = X @ beta_true + rng.normal(0, 1, n)
         beta_hat = pinv @ y
         resid = y - X @ beta_hat
         est_mle[b] = np.concatenate([beta_hat, [resid @ resid / n]])
-        est_rob[b] = fit(rule_t, (y, X), theta0=est_mle[b]).theta_hat
+        ys[b] = y
+    # fitted as stacks of replicates, each row as it fits alone
+    rows = STACK_ELEMENTS // (n * theta_true.size)
+    est_rob = np.array([fr.theta_hat for i in range(0, B, rows)
+                        for fr in fit(rule_t, (ys[i:i + rows], X), theta0=est_mle[i:i + rows])])
     are_mc = float(np.min(est_mle.var(axis=0) / est_rob.var(axis=0)))
     elapsed = time.time() - t0
     ok = in_band and abs(are_mc - 0.90) <= 0.02 and elapsed < 300

@@ -215,6 +215,10 @@ def test_simulate_deterministic_snapshot(runner, tmp_path):
     {"n_reps": 2.9}, {"n_reps": True}, {"seed": 3.7}, {"seed": True},
     {"model": "linear-regression", "sizes": [30], "theta": [1, 0.5, 0.2, 1],
      "interest_index": 1.5},
+    {"contamination": {"sample_index": 0.9, "obs_index": 1.7, "shift": 3.0}},
+    {"contamination": {"sample_index": 0, "obs_index": 1.5, "shift": 3.0}},
+    {"model": "auc-exponential", "theta": [1.0, 1.5], "n_reps": 5,
+     "h0": {"psi0": 1.5, "alternative": "less"}},
 ])
 def test_simulate_rejects_a_bad_design(runner, tmp_path, change):
     design = {"model": "two-sample-normal", "theta": [2, 0, 1, 1], "sizes": [10, 20],

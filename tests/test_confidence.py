@@ -16,7 +16,7 @@ from robustcd.confidence import (
     profile,
 )
 from robustcd.errors import DomainError
-from robustcd.models import ExponentialAUC, TwoSampleNormal
+from robustcd.models import ExponentialAUC, NormalAUC, TwoSampleNormal
 from robustcd.scoring import ScoreRule, fit, interest_information
 from robustcd.simulate import H0Spec, MethodSpec, SimDesign, run_study
 
@@ -406,3 +406,27 @@ def test_confidence_curve_validity(clean_log_study):
     res = clean_log_study.results["log-root"]
     for level, (cov, mcse) in res.coverage().items():
         assert abs(cov - level) <= 2 * mcse + 1e-9, (level, cov, mcse)
+
+
+# ---------------------------------------------------------------------------
+# affine maps of the data
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["wald", "root"])
+@pytest.mark.parametrize("gamma", [None, 1.23])
+@pytest.mark.parametrize("model, data_name, c, b, psi_scale", [
+    # P(X1 < X2) is invariant when both samples are multiplied by c > 0
+    (ExponentialAUC(), "exp_auc_data", 2.7, 0.0, 1.0),
+    # ... and, for normal samples, under y -> c y + b
+    (NormalAUC(), "normal_auc_data", 2.7, 1.3, 1.0),
+    # the mean difference is equivariant: psi -> c psi
+    (TwoSampleNormal(), "two_sample_data", 3.0, 5.0, 3.0),
+], ids=["auc-exponential", "auc-normal", "two-sample-normal"])
+def test_cd_follows_affine_maps_of_the_data(request, model, data_name, c, b, psi_scale,
+                                            gamma, kind):
+    data = request.getfixturevalue(data_name)
+    rule = ScoreRule.log(model) if gamma is None else ScoreRule.tsallis(model, gamma)
+    cd = build_cd(rule, data, kind, n_grid=41)
+    moved = build_cd(rule, tuple(c * s + b for s in data), kind, n_grid=41)
+    assert np.allclose(moved.psi_grid, psi_scale * cd.psi_grid, rtol=1e-9, atol=1e-12)
+    assert np.abs(moved.cdf_values - cd.cdf_values).max() <= 1e-9

@@ -13,8 +13,10 @@ from robustcd.expfam import ExpFamilyModel, expfam_beta, expfam_gamma, expfam_no
 from robustcd.models import (
     ExponentialAUC,
     LinearRegression,
+    ModelSpec,
     NormalAUC,
     TwoSampleNormal,
+    _fd_jacobian,
     auc_from_normal,
     auc_from_rates,
     get_model,
@@ -22,7 +24,7 @@ from robustcd.models import (
     tsallis_integral_exponential,
     tsallis_integral_normal,
 )
-from robustcd.scoring import ScoreRule, _fd_jacobian, fit, score_terms
+from robustcd.scoring import ScoreRule, fit, score_terms
 
 from oracles import fd_gradient, power_integral_quadrature
 
@@ -254,23 +256,35 @@ def test_embedding_jacobians_match_finite_differences(all_models):
             assert np.array_equal(jac, np.delete(eye, model.interest_index, axis=1)), model.name
 
 
-def test_quadrature_failure_carries_tolerance():
-    from robustcd.errors import NumericsError
-    from robustcd.models import quadrature_power_integral
+def test_closed_forms_are_required():
+    # a model that lacks one of its closed forms cannot be instantiated
+    def stub(self, *args, **kwargs):
+        raise AssertionError("not called")
 
-    # violently oscillatory integrand defeats the adaptive rule
-    bad = lambda t: np.abs(np.cos(1e7 * t)) * np.exp(-t * t / 2)
-    with pytest.raises(NumericsError) as err:
-        quadrature_power_integral(bad, (-np.inf, np.inf), 1.5)
-    assert "achieved" in (err.value.detail or {})
+    abstract = ModelSpec.__abstractmethods__
+    required = ("tsallis_integral_obs", "d2logpdf_obs", "profile_embed_jac",
+                "profile_embed_hess")
+    assert set(required) <= abstract
+    for missing in required:
+        partial = type("Partial", (ModelSpec,), {m: stub for m in abstract if m != missing})
+        with pytest.raises(TypeError, match=missing):
+            partial()
+    # the integral's derivatives come from _integral_parts, or from the
+    # model's own tsallis_integral_grad_obs and tsallis_integral_hess
+    model = type("NoParts", (ModelSpec,), {m: stub for m in abstract})()
+    values = np.ones(3)
+    for method in (model.tsallis_integral_grad_obs, model.tsallis_integral_hess):
+        with pytest.raises(NotImplementedError, match="_integral_parts"):
+            method(np.zeros(3), np.zeros(2), 1.5, values)
 
 
 def test_import_leaves_scipy_stats_unloaded():
     src = os.path.dirname(os.path.dirname(robustcd.__file__))
-    code = "import sys, robustcd, robustcd.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, robustcd, robustcd.cli; "
+            "print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_registry():

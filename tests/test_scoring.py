@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.stats import norm
 
 from robustcd import confidence, scoring
 from robustcd.errors import DomainError, NumericsError
@@ -9,9 +8,9 @@ from robustcd.expfam import expfam_beta, expfam_exponential, expfam_gamma, expfa
 from robustcd.models import (
     ExponentialAUC,
     LinearRegression,
-    ModelSpec,
     NormalAUC,
     TwoSampleNormal,
+    _fd_jacobian,
     tsallis_integral_normal,
 )
 from robustcd.scoring import (
@@ -322,36 +321,6 @@ def test_partitioned_info_invariant():
     assert k_pp == pytest.approx(np.linalg.inv(K)[2, 2], rel=1e-10)
 
 
-class NoClosedForm(TwoSampleNormal):
-    """Two-sample normal model scored through the quadrature fallback."""
-
-    def tsallis_integral_obs(self, data, theta, gamma):
-        return None
-
-    def tsallis_integral_grad_obs(self, data, theta, gamma):
-        return None
-
-    def quad_components(self, data, theta):
-        x, y = data
-        mx, my, vx, vy = theta
-        return [
-            (lambda t, m=mx, s=np.sqrt(vx): norm.pdf(t, m, s), (-np.inf, np.inf), len(x)),
-            (lambda t, m=my, s=np.sqrt(vy): norm.pdf(t, m, s), (-np.inf, np.inf), len(y)),
-        ]
-
-
-def test_quadrature_fallback_matches_closed_form(two_sample_data):
-    theta = np.array([1.9, 0.2, 1.0, 1.3])
-    val_closed = total_score(ScoreRule.tsallis(TwoSampleNormal(), 1.6),
-                             two_sample_data, theta)
-    val_quad = total_score(ScoreRule.tsallis(NoClosedForm(), 1.6),
-                           two_sample_data, theta)
-    assert val_quad == pytest.approx(val_closed, abs=1e-7)
-    g_quad = score_gradient(ScoreRule.tsallis(NoClosedForm(), 1.6), two_sample_data, theta)
-    g_closed = score_gradient(ScoreRule.tsallis(TwoSampleNormal(), 1.6), two_sample_data, theta)
-    assert np.allclose(g_quad, g_closed, rtol=1e-5, atol=1e-8)
-
-
 def test_weighted_score(two_sample_data):
     m = TwoSampleNormal()
     rule = ScoreRule.tsallis(m, 1.4)
@@ -383,7 +352,7 @@ def _two_formula_terms(rule, data, theta):
     if rule.kind == "log":
         return -logf
     gamma = rule.gamma
-    integrals = scoring._power_integrals(rule, data, theta)
+    integrals = model.tsallis_integral_obs(data, theta, gamma)
     return (gamma - 1.0) * integrals - gamma * np.exp((gamma - 1.0) * logf)
 
 
@@ -396,19 +365,16 @@ def _two_formula_grads(rule, data, theta):
     gamma = rule.gamma
     a = gamma - 1.0
     fa = np.exp(a * model.logpdf_obs(data, theta))
-    igrad = model.tsallis_integral_grad_obs(data, theta, gamma)
-    if igrad is None:
-        igrad = scoring._fd_jacobian(
-            lambda t: scoring._power_integrals(rule, data, t), theta)
-    return a * np.asarray(igrad, dtype=float) - gamma * a * fa[:, None] * dlogf
+    igrad = model.tsallis_integral_grad_obs(data, theta, gamma,
+                                            model.tsallis_integral_obs(data, theta, gamma))
+    return a * igrad - gamma * a * fa[:, None] * dlogf
 
 
 @pytest.fixture(scope="module")
-def kernel_cases(all_models, two_sample_data):
+def kernel_cases(all_models):
     y = np.random.default_rng(11).gamma(3.0, 0.5, 80)
     cases = [(model, model.checked(data)) for model, data in all_models]
     cases.append((expfam_gamma(), y))
-    cases.append((NoClosedForm(), NoClosedForm().checked(two_sample_data)))
     return cases
 
 
@@ -665,7 +631,7 @@ def test_analytic_hessians_equal_finite_differences(curvature_cases, gamma):
         what = (model.name, rule.label())
         # theta: the kernel's Hessian of the total score
         H = scoring._kernel(rule, data, theta, order=2)[2]
-        _assert_hessian(H, scoring._fd_jacobian(
+        _assert_hessian(H, _fd_jacobian(
             lambda t: score_gradient(rule, data, t), theta), what + ("theta",))
 
         center, _ = model.obs_center_scale(data, theta, 0)
@@ -684,13 +650,13 @@ def test_analytic_hessians_equal_finite_differences(curvature_cases, gamma):
             z = _to_z(x, objective.positive)
             val, _, H_z, _ = objective(z)
             assert np.isfinite(val), what + (name,)
-            _assert_hessian(H_z, scoring._fd_jacobian(lambda v: objective(v)[1], z),
+            _assert_hessian(H_z, _fd_jacobian(lambda v: objective(v)[1], z),
                             what + (name,))
 
 
 def test_normal_auc_embedding_curvature(normal_auc_data):
     # the constrained Hessian needs the embedding's curvature, and the
-    # closed form equals the generic finite-difference default
+    # closed form equals a central difference of the embedding's Jacobian
     model = NormalAUC()
     data = model.checked(normal_auc_data)
     rule = ScoreRule.tsallis(model, 1.2)
@@ -698,9 +664,10 @@ def test_normal_auc_embedding_curvature(normal_auc_data):
     objective = _Objective(rule, data, model.interest(theta) * 0.98)
     lam = model.profile_extract(theta)
     _, _, H, _ = objective.derivatives(lam)
-    H_fd = scoring._fd_jacobian(lambda v: objective.derivatives(v)[1], lam)
+    H_fd = _fd_jacobian(lambda v: objective.derivatives(v)[1], lam)
     g_theta = objective.evaluate(objective.theta(lam))[1]
     curvature = model.profile_embed_hess(objective.psi, lam, g_theta)
     assert np.abs(H - curvature - H_fd).max() > 1e-3 * np.abs(H_fd).max()
-    generic = ModelSpec.profile_embed_hess(model, objective.psi, lam, g_theta)
-    assert np.allclose(generic, curvature, rtol=1e-6, atol=1e-8 * np.abs(curvature).max())
+    fd = _fd_jacobian(lambda v: model.profile_embed_jac(objective.psi, v).T @ g_theta, lam)
+    fd = 0.5 * (fd + fd.T)
+    assert np.allclose(fd, curvature, rtol=1e-6, atol=1e-8 * np.abs(curvature).max())

@@ -81,6 +81,24 @@ def test_design_validation():
         MethodSpec("huber", "root")
 
 
+@pytest.mark.parametrize("cont", [Contamination(0, 1.5, 3.0), Contamination(0.9, 1, 3.0),
+                                  Contamination(True, 1, 3.0)])
+def test_contamination_indices_must_be_integers(cont):
+    with pytest.raises(DomainError, match="integers"):
+        SimDesign(model="two-sample-normal", theta=(2, 0, 1, 1), sizes=(10, 20),
+                  n_reps=5, contamination=cont)
+
+
+@pytest.mark.parametrize("psi0", [1.5, 0.0, 1.0, -0.2])
+def test_null_must_lie_in_the_interest_range(psi0):
+    # the AUC lies in the open interval (0, 1)
+    with pytest.raises(DomainError, match="range"):
+        SimDesign(model="auc-exponential", theta=(1.0, 1.5), sizes=(20, 20), n_reps=5,
+                  methods=(MethodSpec("log", "wald"),), h0=H0Spec(psi0))
+    SimDesign(model="auc-exponential", theta=(1.0, 1.5), sizes=(20, 20), n_reps=5,
+              methods=(MethodSpec("log", "wald"),), h0=H0Spec(0.5))
+
+
 def test_h0_alternative_is_validated_and_sets_the_p_value():
     with pytest.raises(DomainError):
         H0Spec(2.0, "grater")
