@@ -247,6 +247,10 @@ def cmd_cd(model_name, rule_name, gamma, data_path, interest, intercept,
         if not a < b:
             _fail("--evidence expects A < B", 2)
         ab = (a, b)
+    queries = ([h0] if h0 is not None else []) + (list(ab) if ab else [])
+    lo, hi = model.interest_range()
+    if not all(lo < q < hi for q in queries):
+        _fail(f"--h0/--evidence outside the interest's range ({lo:g}, {hi:g})", 2)
     try:
         fr = fit_rule(rule, data)
         if not fr.converged:
@@ -257,7 +261,7 @@ def cmd_cd(model_name, rule_name, gamma, data_path, interest, intercept,
                                        model.interest_grad(fr.theta_hat))
         se = float(np.sqrt(g_pp))
         span = 6.0
-        for q in ([h0] if h0 is not None else []) + (list(ab) if ab else []):
+        for q in queries:
             span = max(span, abs(q - fr.psi_tilde) / se + 2.0)
         curves = {}
         for kind in dict.fromkeys(pivots):

@@ -23,6 +23,9 @@ from scipy.special import ndtr, ndtri
 from .errors import DomainError, NumericsError
 from .scoring import (
     _Objective,
+    _chunks,
+    _from_z,
+    _per_row,
     _to_z,
     estimate_KJ,
     fit as fit_rule,
@@ -73,20 +76,38 @@ def _constrained_solve(objective, lam0):
 
 
 def _constrained_at(rule, data, psi, lam0, mixture=None):
-    """(theta_psi, S(theta_psi), lam_psi) of the constrained solve at psi
-    from lam0, on the eps-mixture objective when ``mixture=(eps, frame)``.
+    """The constrained solve at psi from lam0, on the eps-mixture objective
+    when ``mixture=(eps, frame)``, and nu at its estimate:
+    (theta_psi, S(theta_psi), lam_psi, nu). A solve that did not converge
+    raises NumericsError.
 
-    Every root pivot takes its constrained solve from here, and a solve
-    that did not converge raises NumericsError.
+    On a stack of datasets, psi and lam0 hold a value and a start per row,
+    and the result is a list with, for each row, that tuple or the
+    DomainError or NumericsError the row raises alone. The rows are solved
+    together, in stacks of at most STACK_ELEMENTS numbers per (rows, n, d)
+    array.
+
+    Every constrained solve of a profile or a root pivot comes from here.
     """
-    if mixture is None:
-        theta, score, lam, converged = constrained_fit(rule, data, psi, lam0=lam0)
-    else:
-        theta, score, lam, converged = _constrained_solve(
-            _Objective(rule, data, psi, mixture), lam0)
-    if not converged:
-        raise NumericsError("constrained fit did not converge", detail={"psi": float(psi)})
-    return theta, score, lam
+    if np.ndim(lam0) == 1:
+        return _converged_at(rule, data, psi, *_constrained_solve(
+            _Objective(rule, data, psi, mixture), lam0))
+    model = rule.model
+    out = []
+    for at in _chunks(len(lam0), model.nobs(data), lam0.shape[-1] + 1):
+        part, psi_at = model.take(data, at), psi[at]
+        solved = _constrained_solve(_Objective(rule, part, psi_at), lam0[at])
+        out += _per_row(lambda j: _converged_at(rule, model.take(part, j), psi_at[j],
+                                                *(a[j] for a in solved)), len(psi_at))
+    return out
+
+
+def _converged_at(rule, data, psi, theta, score, lam, converged):
+    """(theta, score, lam, nu) of a constrained solve at psi, or of each row
+    of a stack; raises NumericsError where a solve did not converge."""
+    if not np.all(converged):
+        raise NumericsError("constrained fit did not converge", detail={"psi": psi})
+    return theta, score, lam, _nu_at(rule, data, theta)
 
 
 def _nu_at(rule, data, theta):
@@ -108,9 +129,28 @@ class ProfileTrace:
     failed: np.ndarray           # bool flags for interpolated grid points
 
 
+def _tangent_starts(model, data, fit_result, psi_grid):
+    """A start per grid point from the first-order continuation predictor at
+    the free fit (Allgower & Georg 1990): where the constrained gradient
+    J' grad S vanishes, the nuisance moves with psi as
+    dlam/dpsi = -(J' K J)^-1 J' K dtheta/dpsi, J the embedding's Jacobian and
+    K the Hessian of the total score. The line is drawn in the solver's
+    coordinates, logs for the positive nuisances."""
+    psi, lam = fit_result.psi_tilde, model.profile_extract(fit_result.theta_hat)
+    jac, K, h = model.profile_embed_jac(psi, lam), fit_result.K, 1e-6 * (1.0 + abs(psi))
+    dtheta = (model.profile_embed(psi + h, lam) - model.profile_embed(psi - h, lam)) / (2 * h)
+    dlam = -np.linalg.solve(jac.T @ K @ jac, jac.T @ K @ dtheta)
+    positive = model.lam_positive_mask(data)
+    with np.errstate(over="ignore"):     # a start that overflows fails its row alone
+        return _from_z(_to_z(lam, positive) + np.outer(psi_grid - psi, np.where(
+            positive, dlam / lam, dlam)), positive)
+
+
 def profile(rule, data, psi_grid, fit_result=None):
-    """Sweep the interest grid, warm-starting each constrained fit from its
-    neighbor; failed points are interpolated from neighbors and flagged."""
+    """Constrained fits and nu along the interest grid, solved together,
+    each point started on the first-order continuation predictor at the
+    free fit; failed points are interpolated from their neighbors and
+    flagged."""
     model = rule.model
     data = model.checked(data)
     psi_grid = np.asarray(psi_grid, dtype=float)
@@ -118,42 +158,21 @@ def profile(rule, data, psi_grid, fit_result=None):
         raise DomainError("psi_grid must be a sorted 1-D grid")
     if fit_result is None:
         fit_result = fit_rule(rule, data)
-    psi_tilde = model.interest(fit_result.theta_hat)
-    lam_tilde = model.profile_extract(fit_result.theta_hat)
-
-    n = psi_grid.size
-    lam_hat = np.empty((n, lam_tilde.size))
-    score = np.empty(n)
-    nu = np.empty(n)
-    failed = np.zeros(n, dtype=bool)
-
-    i0 = int(np.argmin(np.abs(psi_grid - psi_tilde)))
-    order = list(range(i0, -1, -1)) + list(range(i0 + 1, n))
-    for idx_pos, i in enumerate(order):
-        if i == i0:
-            warm = lam_tilde
-        elif i < i0:
-            warm = lam_hat[i + 1]
-        else:
-            warm = lam_hat[i - 1]
-        try:
-            theta_i, score[i], lam_hat[i] = _constrained_at(rule, data, psi_grid[i], warm)
-            nu[i] = _nu_at(rule, data, theta_i)
-        except (DomainError, NumericsError):
-            failed[i] = True
-            lam_hat[i] = warm if idx_pos else lam_tilde
-            score[i] = np.nan
-            nu[i] = np.nan
+    starts = _tangent_starts(model, data, fit_result, psi_grid)
+    rows = _constrained_at(rule, model.stack([data] * psi_grid.size), psi_grid, starts)
+    failed = np.array([isinstance(row, Exception) for row in rows])
+    # per grid point: the score, nu, then the nuisance
+    table = np.array([np.full(starts.shape[1] + 2, np.nan) if lost
+                      else np.r_[row[1], row[3], row[2]] for lost, row in zip(failed, rows)])
     if failed.any():
         warnings.warn(f"{int(failed.sum())} profile grid point(s) failed; "
                       "interpolating from neighbors", stacklevel=2)
         ok = ~failed
         if ok.sum() < 2:
             raise NumericsError("profile failed on nearly the whole grid")
-        for arr in (score, nu):
-            arr[failed] = np.interp(psi_grid[failed], psi_grid[ok], arr[ok])
-        for j in range(lam_hat.shape[1]):
-            lam_hat[failed, j] = np.interp(psi_grid[failed], psi_grid[ok], lam_hat[ok, j])
+        for col in table.T:
+            col[failed] = np.interp(psi_grid[failed], psi_grid[ok], col[ok])
+    score, nu, lam_hat = table[:, 0], table[:, 1], table[:, 2:]
     if np.any(nu <= 0):
         raise NumericsError("nonpositive nu along the profile")
     return ProfileTrace(psi_grid=psi_grid, lam_hat=lam_hat,
@@ -228,7 +247,7 @@ def pivot_root(trace, fit_result, psi):
     if not grid[0] <= psi <= grid[-1]:
         raise DomainError("psi outside the profile grid hull")
     warm = trace.lam_hat[int(np.argmin(np.abs(grid - psi)))]
-    _, s_con, _ = _constrained_at(fit_result.rule, fit_result.data, psi, warm)
+    _, s_con, _, _ = _constrained_at(fit_result.rule, fit_result.data, psi, warm)
     nu = float(np.interp(psi, grid, trace.nu))
     return float(_signed_root(fit_result.psi_tilde, fit_result.score_at_opt, psi, s_con, nu))
 

@@ -318,15 +318,15 @@ class ModelSpec(abc.ABC):
         array gaining a leading row axis."""
         first = datasets[0]
         if isinstance(first, tuple):
-            return self._remember(tuple(np.stack(parts) for parts in zip(*datasets)))
-        return self._remember(np.stack(datasets))
+            return self._remember(tuple(_stack_rows(parts) for parts in zip(*datasets)))
+        return self._remember(_stack_rows(datasets))
 
     def take(self, data, rows):
         """Rows of a checked stack, themselves checked: one dataset for an
         integer, a smaller stack for an index array or a slice."""
         if isinstance(data, tuple):
-            return self._remember(tuple(a[rows] for a in data))
-        return self._remember(data[rows])
+            return self._remember(tuple(_take_rows(a, rows) for a in data))
+        return self._remember(_take_rows(data, rows))
 
     @abc.abstractmethod
     def nobs(self, data) -> int:
@@ -447,7 +447,9 @@ class ModelSpec(abc.ABC):
     # ---- profiling -------------------------------------------------------
     @abc.abstractmethod
     def profile_embed(self, psi, lam) -> np.ndarray:
-        """Full parameter with interest fixed at psi and nuisance lam."""
+        """Full parameter with interest fixed at psi and nuisance lam. For a
+        stack of nuisances, psi is one value or a value per row, here and in
+        profile_embed_jac and profile_embed_hess."""
 
     @abc.abstractmethod
     def profile_extract(self, theta) -> np.ndarray:
@@ -455,7 +457,8 @@ class ModelSpec(abc.ABC):
 
     @abc.abstractmethod
     def profile_embed_jac(self, psi, lam):
-        """(d, d-1) Jacobian d theta / d lam."""
+        """(d, d-1) Jacobian d theta / d lam; for a stack, one per row where
+        it depends on the row."""
 
     @abc.abstractmethod
     def profile_embed_hess(self, psi, lam, grad):
@@ -467,6 +470,21 @@ class ModelSpec(abc.ABC):
     def expected_kj(self, rule_kind, gamma, data, theta):
         """Analytic E[K], E[J] of the total estimating function; None if unknown."""
         return None
+
+
+def _stack_rows(arrays):
+    """Arrays of one shape along a new leading axis; one array repeated
+    becomes a read-only broadcast of it, which takes no memory."""
+    if all(a is arrays[0] for a in arrays):
+        return np.broadcast_to(arrays[0], (len(arrays),) + arrays[0].shape)
+    return np.stack(arrays)
+
+
+def _take_rows(a, rows):
+    """a[rows]; rows of a repeated array (see _stack_rows) stay a broadcast."""
+    if a.strides[0] == 0 and isinstance(rows, np.ndarray):
+        return np.broadcast_to(a[0], rows.shape + a.shape[1:])
+    return a[rows]
 
 
 @functools.lru_cache(maxsize=None)
@@ -500,8 +518,8 @@ class _CoordinateInterest(ModelSpec):
     def profile_embed(self, psi, lam):
         lam = np.asarray(lam, dtype=float)
         i = self.interest_index
-        return np.concatenate((lam[..., :i], np.full(lam.shape[:-1] + (1,), psi),
-                               lam[..., i:]), axis=-1)
+        psi = np.full(lam.shape[:-1] + (1,), np.asarray(psi, dtype=float)[..., None])
+        return np.concatenate((lam[..., :i], psi, lam[..., i:]), axis=-1)
 
     def profile_extract(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -703,7 +721,7 @@ class NormalAUC(TwoSampleNormal):
         return (0.0, 1.0)
 
     def profile_embed(self, psi, lam):
-        if not 0.0 < psi < 1.0:
+        if not np.logical_and(0.0 < psi, psi < 1.0).all():
             raise DomainError("AUC interest must lie in (0, 1)")
         mu1, v1, v2 = _coords(lam)
         mu2 = mu1 + ndtri(psi) * np.sqrt(v1 + v2)
@@ -813,7 +831,7 @@ class ExponentialAUC(_TwoSampleBase):
         return (0.0, 1.0)
 
     def profile_embed(self, psi, lam):
-        if not 0.0 < psi < 1.0:
+        if not np.logical_and(0.0 < psi, psi < 1.0).all():
             raise DomainError("AUC interest must lie in (0, 1)")
         r2 = np.asarray(lam, dtype=float)[..., 0]
         return _vec(psi * r2 / (1.0 - psi), r2)
@@ -822,7 +840,9 @@ class ExponentialAUC(_TwoSampleBase):
         return np.asarray(theta, dtype=float)[..., 1:].copy()
 
     def profile_embed_jac(self, psi, lam):
-        return np.array([[psi / (1.0 - psi)], [1.0]])
+        out = np.ones(np.shape(psi) + (2, 1))
+        out[..., 0, 0] = psi / (1.0 - psi)
+        return out
 
     def expected_kj(self, rule_kind, gamma, data, theta):
         x, y = data
@@ -892,11 +912,11 @@ class LinearRegression(_CoordinateInterest):
         X = datasets[0][1]
         if any(not np.array_equal(d[1], X) for d in datasets):
             raise DomainError("a stack of regression datasets needs one design matrix")
-        return self._remember((np.stack([d[0] for d in datasets]), X))
+        return self._remember((_stack_rows([d[0] for d in datasets]), X))
 
     def take(self, data, rows):
         y, X = data
-        return self._remember((y[rows], X))
+        return self._remember((_take_rows(y, rows), X))
 
     @staticmethod
     def _split(theta):

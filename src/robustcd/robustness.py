@@ -143,8 +143,7 @@ def _root_taif_values(rule, data, fit_result, psi, ys, component):
     model = rule.model
     theta = fit_result.theta_hat
     n = model.nobs(data)
-    theta_c, s_con, lam_c = _constrained_at(rule, data, psi, model.profile_extract(theta))
-    nu = _nu_at(rule, data, theta_c)
+    theta_c, s_con, lam_c, nu = _constrained_at(rule, data, psi, model.profile_extract(theta))
     r_val = float(_signed_root(fit_result.psi_tilde, fit_result.score_at_opt, psi, s_con, nu))
     if abs(r_val) < 1e-4:
         return None
@@ -263,9 +262,8 @@ def taif_contamination_oracle(rule, data, pivot_kind, psi, ys, component=0,
             theta, score = _mixture_fit(rule, data, mixture, theta0)
         if pivot_kind == "wald":
             return float(ndtr(-_wald_pivot_of_theta(rule, data, theta, psi)))
-        theta_c, s_con, _ = _constrained_at(rule, data, psi, model.profile_extract(theta),
-                                            mixture)
-        nu = _nu_at(rule, data, theta_c)
+        _, s_con, _, nu = _constrained_at(rule, data, psi, model.profile_extract(theta),
+                                          mixture)
         return float(ndtr(-_signed_root(model.interest(theta), score, psi, s_con, nu)))
 
     base = tail_area()

@@ -46,14 +46,17 @@ MAX_CONDITION = 1e12
 GRAD_TOL = 1e-8
 N_STARTS = 3                 # fit: the first start and up to two jittered restarts
 # minimize_smooth, a damped Newton method. It runs to round-off: it stops
-# once ||g|| <= SOLVER_GTOL, or once a step is shorter than
-# STEP_FLOOR (1 + ||z||), where trial points differ from z by round-off. Where
-# f is flat to within F_NOISE (1 + |f|), f cannot rank trial points, so a step
-# that lowers ||g|| is accepted instead.
+# once ||g|| <= SOLVER_GTOL where the caller's verdict holds, or once a step
+# is shorter than STEP_FLOOR (1 + ||z||), where trial points differ from z by
+# round-off. Where f is flat to within F_NOISE (1 + |f|), f cannot rank trial
+# points, so a step that lowers ||g|| is accepted instead.
 MAX_ITER = 200
 SOLVER_GTOL = 1e-9
 STEP_FLOOR = 1e-10
 F_NOISE = 1e-13
+# Numbers per (rows, n, d) array of a stack of datasets, which bounds a
+# stack's memory: rows = STACK_ELEMENTS // (n d).
+STACK_ELEMENTS = 2 ** 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -361,10 +364,11 @@ class _Objective:
     theta-gradient and its weighted per-observation gradients
     [(weight, (n, d) gradients)], from which ``verdict`` judges convergence.
 
-    On a stack of datasets z holds a point per row, and a call returns a
-    value, gradient, Hessian and record per row. Where the stacked
-    evaluation fails, the stack is halved until the failing rows stand
-    alone, so a bad point is +inf on its own row only.
+    On a stack of datasets z holds a point per row, a constrained
+    objective's psi an interest value per row, and a call returns a value,
+    gradient, Hessian and record per row. Where the stacked evaluation
+    fails, the stack is halved until the failing rows stand alone, so a bad
+    point is +inf on its own row only.
     """
 
     def __init__(self, rule, data, psi=None, mixture=None):
@@ -374,10 +378,11 @@ class _Objective:
         self._eye = _bool_eye(len(self.positive))
 
     def rows(self, rows):
-        """The objective on rows of the stack: an index gives one dataset's
-        objective, an index array a smaller stack's."""
+        """The objective on rows of the stack, each with its psi: an index
+        gives one dataset's objective, an index array a smaller stack's."""
         data = self.rule.model.take(self.data, rows)
-        return _Objective(self.rule, data, self.psi, self.mixture)
+        return _Objective(self.rule, data, None if self.psi is None else self.psi[rows],
+                          self.mixture)
 
     def theta(self, x):
         """theta at x, the free parameter or the nuisance at psi."""
@@ -415,7 +420,7 @@ class _Objective:
         if np.ndim(x) == 1:
             if record is None:
                 return np.inf, False
-            gnorm, converged = self._judge(x, *record)
+            gnorm, converged = self._judge(x, *record, self.psi)
             return float(gnorm), bool(converged)
         gnorm, converged = np.full(len(x), np.inf), np.zeros(len(x), dtype=bool)
         ok = [j for j, rec in enumerate(record) if rec is not None]
@@ -423,14 +428,16 @@ class _Objective:
             g = np.array([record[j][0] for j in ok])
             parts = [(w, np.array([record[j][1][p][1] for j in ok]))
                      for p, (w, _) in enumerate(record[ok[0]][1])]
-            gnorm[ok], converged[ok] = self._judge(x[ok], g, parts)
+            psi = None if self.psi is None else self.psi[ok]
+            gnorm[ok], converged[ok] = self._judge(x[ok], g, parts, psi)
         return gnorm, converged
 
-    def _judge(self, x, g, parts):
+    def _judge(self, x, g, parts, psi):
         """verdict from the theta-gradient g and the weighted per-observation
-        gradients parts at x, with or without a leading row axis."""
-        if self.psi is not None:
-            jac = self.rule.model.profile_embed_jac(self.psi, x)
+        gradients parts at x, with or without a leading row axis, for the
+        interest value psi (None for the free objective)."""
+        if psi is not None:
+            jac = self.rule.model.profile_embed_jac(psi, x)
             g = (jac.mT @ g[..., None])[..., 0]
             parts = [(w, s @ jac) for w, s in parts]
         scale = sum(w * np.linalg.norm(s, axis=-1).sum(axis=-1) for w, s in parts)
@@ -479,15 +486,23 @@ class _Objective:
     def solve(self, z0):
         """Minimize from z0: (x, value, n_iter, reason, ||g||, converged),
         judged from the evaluation that accepted x, so no pass over the data
-        follows the solve. On a stack, z0 has a start per row and every
-        output a row axis."""
+        follows the solve; the solver's gradient stop asks the same verdict.
+        On a stack, z0 has a start per row and every output a row axis."""
+        last = []                        # a single solve's last record judged, and its verdict
         if np.ndim(z0) == 1:
-            fun = self
+            def converged(z, record):
+                last[:] = record, self.verdict(_from_z(z, self.positive), record)
+                return last[1][1]
+            z, val, n_iter, reason, record = minimize_smooth(self, z0, converged)
         else:
-            def fun(z, rows):
-                return (self if len(rows) == len(z0) else self.rows(rows))(z)
-        z, val, n_iter, reason, record = minimize_smooth(fun, z0)
+            def at(rows):
+                return self if len(rows) == len(z0) else self.rows(rows)
+            z, val, n_iter, reason, record = minimize_smooth(
+                lambda z, rows: at(rows)(z), z0,
+                lambda z, records, rows: at(rows).verdict(_from_z(z, self.positive), records)[1])
         x = _from_z(z, self.positive)
+        if last and last[0] is record:
+            return (x, val, n_iter, reason) + last[1]
         return (x, val, n_iter, reason) + self.verdict(x, record)
 
 
@@ -510,7 +525,7 @@ class _RowRecords:
         return self.g[j], [(w, s[j]) for w, s in self.parts]
 
 
-def minimize_smooth(fun, z0):
+def minimize_smooth(fun, z0, converged):
     """Damped Newton minimization of
     ``fun(z) -> (value, gradient, Hessian, record)``.
 
@@ -521,7 +536,8 @@ def minimize_smooth(fun, z0):
     being the last accepted point and record what ``fun`` returned with
     it. reason names why the solve stopped:
 
-    * "gradient": ||g|| <= SOLVER_GTOL;
+    * "gradient": ||g|| <= SOLVER_GTOL, and ``converged(z, record)``, the
+      caller's verdict at z, holds or ||g|| has stopped falling;
     * "step": the Newton step, or a backtracked trial step, is shorter than
       STEP_FLOOR (1 + ||z||);
     * "no_decrease": 40 backtracks found no acceptable point;
@@ -532,48 +548,54 @@ def minimize_smooth(fun, z0):
     A stack of problems has a start per row of z0. ``fun(z, rows)`` then
     evaluates the rows ``rows`` (an index array) at their points z and
     returns (values, gradients, Hessians, records) with a row axis,
-    records[j] being row j's record. Every row runs its own iteration, and
-    in each round one evaluation and one batch of Newton steps serve every
-    row still running; a row that has stopped is not evaluated again.
-    Every output gains the row axis; the records come as a list.
+    records[j] being row j's record, and ``converged(z, records, rows)``
+    gives their verdicts. Every row runs its own iteration, and in each
+    round one call of each serves every row still running that asks for
+    it; a row that has stopped is not evaluated again. Every output gains
+    the row axis; the records come as a list.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.ndim == 2:
-        return _newton_rows(fun, z0)
+        return _newton_rows(fun, z0, converged)
+    answer = {"verdict": converged, "step": _newton_step, "eval": fun}
     solve = _newton(z0, *fun(z0))
     try:
         request = next(solve)
         while True:
-            if isinstance(request, tuple):          # (H, g): the Newton step
-                try:
-                    step = _newton_steps(*request)
-                except NumericsError:
-                    step = None
-                request = solve.send(step)
-            else:
-                request = solve.send(fun(request))
+            kind, *args = request
+            request = solve.send(answer[kind](*args))
     except StopIteration as done:
         return done.value
 
 
+def _newton_step(H, g):
+    """The Newton step of one system, or None where it cannot be solved."""
+    try:
+        return _newton_steps(H, g)
+    except NumericsError:
+        return None
+
+
 def _newton(z, f, g, H, record):
     """One problem's damped Newton iteration (see minimize_smooth), as a
-    generator. It yields (H, g) where it needs the Newton step, and is sent
-    the step, or None where the system cannot be solved; it yields each
-    trial point and is sent fun's (value, gradient, Hessian, record) there.
-    It returns (z, value, n_iter, reason, record)."""
+    generator of requests led by their kind. It yields ("verdict", z,
+    record) and is sent the caller's verdict at z; ("step", H, g) and is
+    sent the Newton step, or None where the system cannot be solved; and
+    ("eval", z) at each trial point z and is sent fun's (value, gradient,
+    Hessian, record) there. It returns (z, value, n_iter, reason, record)."""
     if not np.isfinite(f):
         return z, f, 0, "not_finite", record
-    n_iter = 0
+    n_iter, g_last = 0, np.inf
     while n_iter < MAX_ITER:
-        g_norm = np.linalg.norm(g)
-        if g_norm <= SOLVER_GTOL:
+        g_norm = math.sqrt(g.dot(g))    # np.linalg.norm(g), without its dispatch
+        if g_norm <= SOLVER_GTOL and (g_norm >= g_last or (yield "verdict", z, record)):
             return z, f, n_iter, "gradient", record
-        step = yield H, g
+        g_last = g_norm
+        step = yield "step", H, g
         if step is None:
             return z, f, n_iter, "singular", record
-        floor = STEP_FLOOR * (1.0 + np.linalg.norm(z))
-        step_norm, slope = np.linalg.norm(step), float(g @ step)
+        floor = STEP_FLOOR * (1.0 + math.sqrt(z.dot(z)))
+        step_norm, slope = math.sqrt(step.dot(step)), float(g @ step)
         t = 1.0
         stop = "no_decrease"
         for _ in range(40):
@@ -581,9 +603,9 @@ def _newton(z, f, g, H, record):
                 stop = "step"
                 break
             trial = z + t * step
-            f_new, g_new, H_new, rec_new = yield trial
+            f_new, g_new, H_new, rec_new = yield "eval", trial
             flat = (f_new <= f + F_NOISE * (1.0 + abs(f))
-                    and np.linalg.norm(g_new) < g_norm)
+                    and math.sqrt(g_new.dot(g_new)) < g_norm)
             if np.isfinite(f_new) and (f_new <= f + 1e-4 * t * slope or flat):
                 z, f, g, H, record = trial, f_new, g_new, H_new, rec_new
                 stop = None
@@ -595,10 +617,11 @@ def _newton(z, f, g, H, record):
     return z, f, n_iter, "max_iter", record
 
 
-def _newton_rows(fun, z0):
+def _newton_rows(fun, z0, converged):
     """minimize_smooth over the rows of z0: each row's _newton, served in
     rounds. A round solves every pending Newton system in one batch, then
-    evaluates every pending trial point in one call of fun."""
+    evaluates every pending trial point in one call of fun; once every
+    running row waits for a verdict, one call of converged answers them."""
     R = len(z0)
     f, g, H, records = fun(z0, np.arange(R))
     results = [None] * R
@@ -611,22 +634,29 @@ def _newton_rows(fun, z0):
             results[r] = done.value
             pending.pop(r, None)
 
+    def steps(rows, H, g):
+        H, g = np.array(H), np.array(g)
+        return [None if isinstance(step, Exception) else step
+                for step in _per_row(lambda at: _newton_steps(H[at], g[at]), len(rows))]
+
+    def trials(rows, z):
+        f, g, H, records = fun(np.array(z), rows)
+        return [(v, g[j], H[j], records[j]) for j, v in enumerate(f.tolist())]
+
+    answer = {"verdict": lambda rows, z, recs: converged(np.array(z), list(recs), rows),
+              "step": steps, "eval": trials}
     solves = [_newton(z0[r], v, g[r], H[r], records[r]) for r, v in enumerate(f.tolist())]
     for r in range(R):
         advance(r, None)
     while pending:
-        rows = [r for r, q in pending.items() if isinstance(q, tuple)]
-        if rows:
-            H = np.array([pending[r][0] for r in rows])
-            g = np.array([pending[r][1] for r in rows])
-            steps = _per_row(lambda at: _newton_steps(H[at], g[at]), len(rows))
-            for r, step in zip(rows, steps):
-                advance(r, None if isinstance(step, Exception) else step)
-        rows = [r for r, q in pending.items() if not isinstance(q, tuple)]
-        if rows:
-            f, g, H, records = fun(np.array([pending[r] for r in rows]), np.array(rows))
-            for j, (r, v) in enumerate(zip(rows, f.tolist())):
-                advance(r, (v, g[j], H[j], records[j]))
+        # verdicts wait until every running row asks for one, so few calls serve them
+        asked = {q[0] for q in pending.values()}
+        for kind in ("step", "eval") if asked != {"verdict"} else ("verdict",):
+            rows = np.array([r for r, q in pending.items() if q[0] == kind])
+            if rows.size:
+                replies = answer[kind](rows, *zip(*(pending[r][1:] for r in rows)))
+                for r, reply in zip(rows, replies):
+                    advance(r, reply)
     z, f, n_iter, reason, records = zip(*results)
     return (np.array(z), np.array(f), np.array(n_iter), np.array(reason, dtype=object),
             list(records))
@@ -668,6 +698,14 @@ def _per_row(stage, n):
     return list(zip(*out)) if isinstance(out, tuple) else list(out)
 
 
+def _chunks(n_rows, n, d):
+    """Slices that cut n_rows rows, datasets of n observations with d
+    parameters, into stacks of at most STACK_ELEMENTS numbers per
+    (rows, n, d) array."""
+    size = max(1, STACK_ELEMENTS // (n * d))
+    return [slice(i, i + size) for i in range(0, n_rows, size)]
+
+
 def fit(rule, data, theta0=None):
     """Estimate theta by minimizing the total score.
 
@@ -691,21 +729,10 @@ def fit(rule, data, theta0=None):
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.ndim == 2:
         return _fit_rows(rule, data, theta0)
-    _admissible(model, theta0)
-    objective = _Objective(rule, data)
-
-    def scored(r):      # the start cannot be scored: raise what scoring it raises
-        total_score(rule, data, theta0)
-        return True
-
-    z0 = _to_z(theta0, objective.positive)
-    [(theta, val, n_iter, reason, gnorm, converged)] = _best_of_starts(
-        lambda rows, z: [objective.solve(z[0])], z0[None], scored)
-    K, J = estimate_KJ(rule, data, theta)
-    V, G = sandwich(K, J)
-    return Fit(theta_hat=theta, score_at_opt=float(val), K=K, J=J, V=V, G=G,
-               converged=bool(converged), n_iter=n_iter, grad_norm=gnorm,
-               rule=rule, data=data, stop_reason=reason)
+    [out] = _fit_rows(rule, model.stack([data]), theta0[None])
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def _admissible(model, theta0):
@@ -716,31 +743,11 @@ def _admissible(model, theta0):
     return theta0
 
 
-def _best_of_starts(solve, z0, scored):
-    """The best solve of fit's starts for each row of z0, a start per row:
-    the first solve, then up to N_STARTS - 1 jittered restarts of the rows
-    that have not converged. ``solve(rows, z)`` gives the solve
-    (x, value, n_iter, reason, ||g||, converged) of each row ``rows`` from
-    z. Where a row's start cannot be scored, ``scored(r)`` raises or
-    returns whether to go on with row r; a row given up comes back None."""
-    best = solve(np.arange(len(z0)), z0)
-    best = [b if b[3] != "not_finite" or scored(r) else None for r, b in enumerate(best)]
-    rng = np.random.default_rng(0)
-    for _ in range(N_STARTS - 1):
-        redo = [r for r, b in enumerate(best) if b is not None and not b[5]]
-        if not redo:
-            break
-        # each row's restart k draws the same jitter as its fit alone would
-        jitter = rng.standard_normal(z0.shape[-1])
-        starts = z0[redo] + 0.2 * (1.0 + np.abs(z0[redo])) * jitter
-        for r, cand in zip(redo, solve(np.array(redo), starts)):
-            if (cand[5], -cand[1]) > (best[r][5], -best[r][1]):
-                best[r] = cand
-    return best
-
-
 def _fit_rows(rule, data, theta0):
-    """fit's outcome per row of a stack of datasets from a start per row."""
+    """fit's outcome per row of a stack of datasets from a start per row.
+    Each row keeps its best solve of the first start and up to
+    N_STARTS - 1 jittered restarts, made while it has not converged; a row
+    whose start cannot be scored is given up with what scoring it raises."""
     model = rule.model
     n_rows = len(theta0)
     out = _per_row(lambda at: _admissible(model, theta0[at]), n_rows)
@@ -748,20 +755,24 @@ def _fit_rows(rule, data, theta0):
     if not rows.size:
         return out
     objective = _Objective(rule, data if rows.size == n_rows else model.take(data, rows))
-
-    def solve(at, z):
-        solver = objective if len(at) == rows.size else objective.rows(at)
-        return list(zip(*solver.solve(z)))
-
-    def scored(j):
+    z0 = _to_z(theta0[rows], objective.positive)
+    best = list(zip(*objective.solve(z0)))
+    for j in [j for j, b in enumerate(best) if b[3] == "not_finite"]:
         try:
             total_score(rule, model.take(data, rows[j]), theta0[rows[j]])
-            return True
         except (DomainError, NumericsError) as exc:
-            out[rows[j]] = exc
-            return False
-
-    best = _best_of_starts(solve, _to_z(theta0[rows], objective.positive), scored)
+            out[rows[j]], best[j] = exc, None
+    rng = np.random.default_rng(0)
+    for _ in range(N_STARTS - 1):
+        redo = [j for j, b in enumerate(best) if b is not None and not b[5]]
+        if not redo:
+            break
+        # each row's restart k draws the same jitter as its fit alone would
+        jitter = rng.standard_normal(z0.shape[-1])
+        starts = z0[redo] + 0.2 * (1.0 + np.abs(z0[redo])) * jitter
+        for j, cand in zip(redo, zip(*objective.rows(np.array(redo)).solve(starts))):
+            if (cand[5], -cand[1]) > (best[j][5], -best[j][1]):
+                best[j] = cand
     keep = [j for j, b in enumerate(best) if b is not None]
     if not keep:
         return out

@@ -11,9 +11,9 @@ of a CD contains psi exactly when |pivot(psi)| <= z_{(1+alpha)/2}, so no
 grid construction is needed inside the replicate loop.
 
 The replicates of a method are solved together, as stacks of at most
-STACK_ELEMENTS numbers per (rows, n, d) array: one kernel pass and one batch
-of Newton steps serve every replicate still running. Each replicate's
-results are those of fitting it alone.
+``scoring.STACK_ELEMENTS`` numbers per (rows, n, d) array: one kernel pass
+and one batch of Newton steps serve every replicate still running. Each
+replicate's results are those of fitting it alone.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from scipy.special import ndtri
 from .errors import DomainError, NumericsError
 from .confidence import (
     _check_alternative,
-    _constrained_solve,
-    _nu_at,
+    _constrained_at,
     _signed_root,
     _tail_p,
     _undercut,
@@ -36,7 +35,7 @@ from .confidence import (
 )
 from .models import _TwoSampleBase, get_model
 from .robustness import calibrate_gamma
-from .scoring import Fit, ScoreRule, _Objective, _per_row, fit as fit_rule
+from .scoring import Fit, ScoreRule, _chunks, _per_row, fit as fit_rule
 
 __all__ = [
     "Contamination",
@@ -54,9 +53,6 @@ __all__ = [
 _DESIGN_STREAM = 982451653  # fixed sub-stream tag for frozen design matrices
 _DESIGN_COLUMNS = 3          # columns of default_regression_design
 MAX_FAILURE_RATE = 0.05      # failed replicates of one method that abort a study
-# Numbers per (rows, n, d) array of a stack of replicates, which bounds a
-# stack's memory: rows = STACK_ELEMENTS // (n d).
-STACK_ELEMENTS = 2 ** 18
 
 
 @dataclasses.dataclass(frozen=True)
@@ -150,12 +146,11 @@ class SimDesign:
             if not (_is_int(c.sample_index) and _is_int(c.obs_index)):
                 raise DomainError("contamination sample_index and obs_index must be "
                                   f"integers, got {c.sample_index!r}, {c.obs_index!r}")
-            if n_samples == 1:
-                n = self.sizes[0]
-            else:
-                if c.sample_index not in (0, 1):
-                    raise DomainError("sample_index must be 0 or 1")
-                n = self.sizes[c.sample_index]
+            if not 0 <= c.sample_index < n_samples:
+                raise DomainError(f"{self.model} has {n_samples} sample(s): contamination "
+                                  f"sample_index must be in [0, {n_samples}), "
+                                  f"got {c.sample_index!r}")
+            n = self.sizes[c.sample_index]
             if not -n <= c.obs_index < n:
                 raise DomainError("contamination obs_index outside the sample")
 
@@ -215,8 +210,9 @@ def _point_pivots(rule, fits, psis, kind):
     started in the spurious optimum's basin. Otherwise the replicate is
     given up.
 
-    Each step runs on the replicates together, and the results and failures
-    are those of each replicate alone (``_per_row``).
+    Each step runs on the replicates together, the constrained solves on
+    one (replicate, psi) row each, and the results and failures are those
+    of each replicate alone (``_per_row``).
     """
     model = rule.model
     psis = np.asarray(psis, dtype=float)
@@ -246,49 +242,38 @@ def _point_pivots(rule, fits, psis, kind):
     data = model.stack([fr.data for fr in fits])
     s_opt = np.array([fr.score_at_opt for fr in fits])
     theta_c = np.empty((k, psis.size, theta.shape[-1]))
-    s_con, nu = np.empty((k, psis.size)), np.empty((k, psis.size))
+    s_con, nu = np.full((k, psis.size), np.nan), np.full((k, psis.size), np.nan)
     given_up = {}                # row -> the exception that gives it up
 
-    def solve(i, at, start):
-        """Constrained solves at psis[i] for the rows ``at``, warm-started at
-        their free fits ``start``, and nu where they converged; a row whose
-        solve did not converge, or whose nu raises, is given up."""
-        sub = data if at.size == k else model.take(data, at)
-        theta_c[at, i], s_con[at, i], _, converged = _constrained_solve(
-            _Objective(rule, sub, psis[i]), model.profile_extract(start))
-        for r in at[~converged]:
-            given_up.setdefault(r, NumericsError("constrained fit did not converge"))
-        done = np.flatnonzero(converged)
-        if done.size:
-            nus = _per_row(lambda j: _nu_at(rule, model.take(sub, done[j]),
-                                            theta_c[at[done[j]], i]), done.size)
-            for r, v in zip(at[done], nus):
-                if isinstance(v, Exception):
-                    given_up.setdefault(r, v)
-                else:
-                    nu[r, i] = v
+    def solve(reps, at):
+        """The constrained solves, and nu, of the replicates reps at psis[at],
+        warm-started at their free fits; a row whose solve did not converge,
+        or whose nu raises, gives its replicate up."""
+        rows = _constrained_at(rule, model.take(data, reps), psis[at],
+                               model.profile_extract(theta[reps]))
+        for r, i, row in zip(reps, at, rows):
+            if isinstance(row, Exception):
+                given_up.setdefault(r, row)
+            else:
+                theta_c[r, i], s_con[r, i], _, nu[r, i] = row
 
-    everyone = np.arange(k)
-    for i in range(psis.size):
-        solve(i, everyone, theta)
+    solve(*np.divmod(np.arange(k * psis.size), psis.size))
     spurious = np.array([r for r in np.flatnonzero(_undercut(s_opt[:, None], s_con).any(axis=1))
                          if r not in given_up], dtype=int)
     if spurious.size:
         low = np.argmin(s_con[spurious], axis=1)
         refits = fit_rule(rule, model.take(data, spurious), theta0=theta_c[spurious, low])
-        better = np.array([isinstance(rf, Fit) and rf.converged and rf.score_at_opt < s_opt[r]
-                           for r, rf in zip(spurious, refits)], dtype=bool)
-        for r in spurious[~better]:
-            given_up[r] = NumericsError("profile score below the optimum, and no refit lowers it")
-        spurious, low = spurious[better], low[better]
-        refits = [rf for rf, keep in zip(refits, better) if keep]
-        for r, rf in zip(spurious, refits):
-            fits[r], theta[r], s_opt[r] = rf, rf.theta_hat, rf.score_at_opt
-        for i in range(psis.size):
-            again = spurious[low != i]
-            if again.size:
-                solve(i, again, theta[again])
-    ok = np.array([r for r in everyone if r not in given_up], dtype=int)
+        again = []
+        for r, j, rf in zip(spurious, low, refits):
+            if isinstance(rf, Fit) and rf.converged and rf.score_at_opt < s_opt[r]:
+                fits[r], theta[r], s_opt[r] = rf, rf.theta_hat, rf.score_at_opt
+                again += [(r, i) for i in range(psis.size) if i != j]
+            else:
+                given_up[r] = NumericsError("profile score below the optimum, and no refit "
+                                            "lowers it")
+        if again:
+            solve(*np.array(again).T)
+    ok = np.array([r for r in range(k) if r not in given_up], dtype=int)
     psi_tilde = model.interest(theta[ok])[:, None]
     # a refitted row whose profile still undercuts raises here
     piv = _per_row(lambda j: _signed_root(psi_tilde[j], s_opt[ok][j, None], psis,
@@ -402,8 +387,8 @@ def run_study(design: SimDesign):
         if design.contamination is not None:
             data = contaminate(model, data, design.contamination)
         datasets.append(model.checked(data))
-    rows = max(1, STACK_ELEMENTS // (model.nobs(datasets[0]) * theta_true.size))
-    stacks = [datasets[i:i + rows] for i in range(0, design.n_reps, rows)]
+    stacks = [datasets[at] for at in _chunks(design.n_reps, model.nobs(datasets[0]),
+                                             theta_true.size)]
     for label, (rule, meth) in rules.items():
         res = results[label]
         for part in stacks:

@@ -22,6 +22,7 @@ from robustcd.models import (
 )
 from robustcd.robustness import calibrate_gamma, taif, taif_contamination_oracle
 from robustcd.scoring import (
+    STACK_ELEMENTS,
     ScoreRule,
     empirical_J,
     empirical_K,
@@ -31,7 +32,6 @@ from robustcd.scoring import (
     total_score,
 )
 from robustcd.simulate import (
-    STACK_ELEMENTS,
     _point_pivots,
     Contamination,
     H0Spec,

@@ -126,6 +126,23 @@ def test_cd_document_and_roundtrip(runner, two_sample_csv):
         assert 0.0 <= entry["evidence"]["value"] <= 1.0
 
 
+@pytest.mark.parametrize("model,query", [
+    ("auc-exponential", ["--h0", "1.5"]),
+    ("auc-exponential", ["--h0", "0"]),
+    ("auc-normal", ["--h0", "1"]),
+    ("auc-exponential", ["--evidence", "0.5,1.2"]),
+    ("auc-normal", ["--evidence", "-0.2,0.5"]),
+])
+def test_cd_rejects_a_query_outside_the_interest_range(runner, tmp_path, model, query):
+    rng = np.random.default_rng(62)
+    path = tmp_path / "pos.csv"
+    write_two_sample(path, rng.exponential(1.0, 12), rng.exponential(2.0, 24))
+    res = runner.invoke(main, ["cd", "--model", model, "--rule", "log",
+                               "--data", str(path), "--pivot", "wald", *query])
+    assert res.exit_code == 2, res.output
+    assert "outside the interest's range" in res.stderr, res.stderr
+
+
 def test_cd_rejects_bad_level(runner, two_sample_csv):
     path, _, _ = two_sample_csv
     res = runner.invoke(main, ["cd", "--model", "two-sample-normal", "--rule", "log",
@@ -219,6 +236,12 @@ def test_simulate_deterministic_snapshot(runner, tmp_path):
     {"contamination": {"sample_index": 0, "obs_index": 1.5, "shift": 3.0}},
     {"model": "auc-exponential", "theta": [1.0, 1.5], "n_reps": 5,
      "h0": {"psi0": 1.5, "alternative": "less"}},
+    {"model": "linear-regression", "sizes": [30], "theta": [1, 0.5, 0.2, 1],
+     "contamination": {"sample_index": 7, "obs_index": 0, "shift": 3.0}},
+    {"model": "linear-regression", "sizes": [30], "theta": [1, 0.5, 0.2, 1],
+     "contamination": {"sample_index": 1, "obs_index": 0, "shift": 3.0}},
+    {"contamination": {"sample_index": 2, "obs_index": 0, "shift": 3.0}},
+    {"contamination": {"sample_index": -1, "obs_index": 0, "shift": 3.0}},
 ])
 def test_simulate_rejects_a_bad_design(runner, tmp_path, change):
     design = {"model": "two-sample-normal", "theta": [2, 0, 1, 1], "sizes": [10, 20],

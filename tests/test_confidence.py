@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import isotonic_regression
@@ -16,7 +18,7 @@ from robustcd.confidence import (
     profile,
 )
 from robustcd.errors import DomainError
-from robustcd.models import ExponentialAUC, NormalAUC, TwoSampleNormal
+from robustcd.models import ExponentialAUC, LinearRegression, NormalAUC, TwoSampleNormal
 from robustcd.scoring import ScoreRule, fit, interest_information
 from robustcd.simulate import H0Spec, MethodSpec, SimDesign, run_study
 
@@ -51,11 +53,11 @@ def test_constrained_fit_does_not_stall(monkeypatch):
     evals, reasons = [0], []
     solve = scoring.minimize_smooth
 
-    def counted(fun_grad, z0, **kw):
+    def counted(fun_grad, z0, converged):
         def fg(z):
             evals[0] += 1
             return fun_grad(z)
-        out = solve(fg, z0, **kw)
+        out = solve(fg, z0, converged)
         reasons.append(out[3])
         return out
 
@@ -128,6 +130,66 @@ def test_profile_flags_degenerate_grid_points(exp_auc_data):
         tr = profile(rule, exp_auc_data, grid, fit_result=fr)
     assert tr.failed.any()
     assert np.all(np.isfinite(tr.score_profile))
+
+
+def test_profile_reaches_the_far_tails_of_a_tsallis_regression():
+    # Started at the free fit's nuisance, 15 of these 201 constrained fits
+    # run off to a variance without bound; started on the continuation
+    # predictor, every one converges.
+    from test_acceptance import make_outlier_regression
+
+    model = LinearRegression(interest_index=2)
+    data = model.checked(make_outlier_regression())
+    rule = ScoreRule.tsallis(model, 1.22)
+    fr = fit(rule, data)
+    _, g_pp = interest_information(fr.K, fr.J, model.interest_grad(fr.theta_hat))
+    grid = default_grid(fr.psi_tilde, np.sqrt(g_pp), model.interest_range(), span=10.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = profile(rule, data, grid, fit_result=fr)
+    assert not tr.failed.any()
+
+
+@pytest.mark.parametrize("gamma", [1.0001, 1.001])
+def test_constrained_solves_converge_as_gamma_nears_one(gamma):
+    # The Tsallis objective shrinks with gamma - 1, so an absolute gradient
+    # stop ended these solves before the relative convergence verdict held.
+    m = ExponentialAUC()
+    rng = np.random.default_rng(0)
+    data = m.checked((rng.exponential(0.2, 20), rng.exponential(1.5, 40)))
+    rule = ScoreRule.tsallis(m, gamma)
+    fr = fit(rule, data)
+    *_, converged = constrained_fit(rule, data, 0.7, lam0=m.profile_extract(fr.theta_hat))
+    assert converged
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cd = build_cd(rule, data, "root", fit_result=fr)
+    assert not profile(rule, data, cd.psi_grid, fit_result=fr).failed.any()
+
+
+@pytest.mark.parametrize("kind", ["wald", "root"])
+@pytest.mark.parametrize("case", ["two-sample-normal", "auc-exponential",
+                                  "linear-regression"])
+def test_tsallis_cd_tends_to_the_log_cd_as_gamma_nears_one(
+        case, kind, two_sample_data, exp_auc_data, regression_data):
+    # The Tsallis score with gamma = 1 + a is the log score to first order
+    # in a, so the largest CD difference on the log CD's grid shrinks about
+    # tenfold per decade of a (measured 9.7 to 13.1).
+    model, data = {
+        "two-sample-normal": (TwoSampleNormal(), two_sample_data),
+        "auc-exponential": (ExponentialAUC(), exp_auc_data),
+        "linear-regression": (LinearRegression(interest_index=1), regression_data),
+    }[case]
+    log_cd = build_cd(ScoreRule.log(model), data, kind)
+    errors = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")       # no profile point may fail
+        for a in (1e-1, 1e-2, 1e-3):
+            cd = build_cd(ScoreRule.tsallis(model, 1.0 + a), data, kind,
+                          psi_grid=log_cd.psi_grid)
+            errors.append(np.max(np.abs(cd.cdf_at(log_cd.psi_grid) - log_cd.cdf_values)))
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all((5.0 <= ratios) & (ratios <= 20.0)), errors
 
 
 # ---------------------------------------------------------------------------

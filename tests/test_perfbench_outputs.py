@@ -16,6 +16,8 @@ PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 OPS = [
     ("cd-grid", "auc-exponential/log/0"),
     ("cd-grid", "auc-normal/log/0"),
+    ("cd-grid", "auc-normal/tsallis/0"),              # 201 points in stacks of 15 rows
+    ("cd-grid", "expfam-gamma/tsallis/0"),            # empirical K and J for nu
     ("study", "auc-exponential/0"),
     ("study", "two-sample-normal/0"),                 # root and Wald pivots with h0
     ("robustness", "auc-exponential/log/0"),

@@ -151,15 +151,27 @@ def test_minimize_smooth_names_its_stop():
     def quadratic(z):
         return float(z @ z), 2.0 * z, 2.0 * np.eye(z.size), None
 
-    z, f, _, reason, _ = minimize_smooth(quadratic, np.array([1.0, -2.0]))
+    z, f, _, reason, _ = minimize_smooth(quadratic, np.array([1.0, -2.0]), _holds)
     assert reason == "gradient"
     assert f == pytest.approx(0.0, abs=1e-18)
+
+    # the gradient stop needs the caller's verdict too; without it the
+    # solve runs on until its steps vanish
+    asked = []
+    _, _, _, reason, _ = minimize_smooth(quadratic, np.array([1.0, -2.0]),
+                                         lambda z, record: asked.append(z) or False)
+    assert reason == "step" and len(asked) == 1
 
     def nowhere_finite(z):
         return np.inf, np.zeros_like(z), np.zeros((z.size, z.size)), None
 
-    _, _, _, reason, _ = minimize_smooth(nowhere_finite, np.array([1.0]))
+    _, _, _, reason, _ = minimize_smooth(nowhere_finite, np.array([1.0]), _holds)
     assert reason == "not_finite"
+
+
+def _holds(z, record):
+    """A verdict for which ||g|| <= SOLVER_GTOL is convergence."""
+    return True
 
 
 def test_fit_validates_data_once(two_sample_data, monkeypatch):
@@ -418,21 +430,22 @@ def test_kernel_equals_value_and_gradient_paths(kernel_cases, gamma):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Kernel passes so far, and for each minimize_smooth call the count at
-    its entry and at its return, with its stop reason."""
+    """Row-passes of the kernel so far, one per call on one dataset and one
+    per row on a stack, and for each minimize_smooth call the count at its
+    entry and at its return, with its stop reason or a row's reasons."""
     calls, solves = [], []
     kernel = scoring._kernel
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return kernel(*args, **kwargs)
+    def counted(rule, data, theta, *args, **kwargs):
+        calls.append(len(theta) if np.ndim(theta) == 2 else 1)
+        return kernel(rule, data, theta, *args, **kwargs)
 
     solve = scoring.minimize_smooth
 
     def marked(*args):
-        entry = len(calls)
+        entry = sum(calls)
         out = solve(*args)
-        solves.append((entry, len(calls), out[3]))
+        solves.append((entry, sum(calls), out[3]))
         return out
 
     monkeypatch.setattr(scoring, "_kernel", counted)
@@ -459,12 +472,12 @@ def test_no_kernel_pass_after_a_solve(two_sample_data, cd_grid_auc_normal, kerne
     rule = ScoreRule.tsallis(m, 1.2)
     _, _, _, converged = confidence.constrained_fit(rule, two_sample_data, 2.0)
     assert converged and len(solves) == 1
-    assert len(calls) == solves[-1][1]
+    assert sum(calls) == solves[-1][1]
 
     del calls[:], solves[:]
     fr = fit(rule, two_sample_data)
     assert fr.converged and len(solves) == 1     # the first start converged
-    assert len(calls) == solves[-1][1]           # K and J are analytic here
+    assert sum(calls) == solves[-1][1]           # K and J are analytic here
 
     # A solve that stops after rejected trial points: the verdict reads
     # the record of the pass at its last accepted point.
@@ -478,32 +491,34 @@ def test_no_kernel_pass_after_a_solve(two_sample_data, cd_grid_auc_normal, kerne
     gnorm, _ = objective.verdict(_from_z(z, objective.positive), record)
     assert not calls and np.isfinite(gnorm)
 
-    # A warm-started profile on 1050 points: most of its solves stop on
-    # "step". nu comes from the analytic K and J, so every pass belongs to
-    # a solve.
+    # A profile on 1050 points: its 201 grid points are solved as stacks of
+    # at most STACK_ELEMENTS // (1050 * 4) rows, one solve each, and some
+    # rows stop on "step". nu comes from the analytic K and J, so every pass
+    # belongs to a solve.
     rule = ScoreRule.log(NormalAUC())
     fr = fit(rule, cd_grid_auc_normal)
     del calls[:], solves[:]
-    trace = confidence.profile(rule, cd_grid_auc_normal, _default_profile_grid(fr),
-                               fit_result=fr)
-    assert not trace.failed.any() and len(solves) == 201
-    assert "step" in {reason for _, _, reason in solves}
+    grid = _default_profile_grid(fr)
+    trace = confidence.profile(rule, cd_grid_auc_normal, grid, fit_result=fr)
+    assert not trace.failed.any() and len(solves) == len(scoring._chunks(grid.size, 1050, 4))
+    assert "step" in {reason for _, _, reasons in solves for reason in reasons}
     ends = [0] + [end for _, end, _ in solves]
     assert [entry for entry, _, _ in solves] == ends[:-1]
-    assert len(calls) == ends[-1]
+    assert sum(calls) == ends[-1]
 
 
 def test_warm_profile_takes_few_kernel_passes(cd_grid_auc_normal, kernel_calls):
-    # exact curvature: a constrained fit warm-started from its grid
-    # neighbour converges in a few Newton steps
+    # exact curvature: a constrained fit started on the continuation
+    # predictor converges in a few Newton steps, on each row of the
+    # profile's stacks
     calls, solves = kernel_calls
     rule = ScoreRule.tsallis(NormalAUC(), 1.23)
     fr = fit(rule, cd_grid_auc_normal)
     del calls[:], solves[:]
-    trace = confidence.profile(rule, cd_grid_auc_normal, _default_profile_grid(fr),
-                               fit_result=fr)
-    assert not trace.failed.any() and len(solves) == 201
-    assert len(calls) / len(solves) <= 5.0
+    grid = _default_profile_grid(fr)
+    trace = confidence.profile(rule, cd_grid_auc_normal, grid, fit_result=fr)
+    assert not trace.failed.any() and len(solves) == len(scoring._chunks(grid.size, 1050, 4))
+    assert sum(calls) / grid.size <= 5.0
 
 
 def test_minimize_smooth_solves_a_quadratic_in_two_passes():
@@ -515,7 +530,7 @@ def test_minimize_smooth_solves_a_quadratic_in_two_passes():
         evals[0] += 1
         return float(z @ z), 2.0 * z, 2.0 * np.eye(z.size), None
 
-    z, f, n_iter, reason, _ = minimize_smooth(quadratic, np.array([1.0, -2.0]))
+    z, f, n_iter, reason, _ = minimize_smooth(quadratic, np.array([1.0, -2.0]), _holds)
     assert reason == "gradient" and n_iter == 1
     assert evals[0] == 2
     assert np.array_equal(z, [0.0, 0.0]) and f == 0.0
@@ -568,6 +583,33 @@ def test_a_stack_row_scores_and_fits_as_its_dataset_alone(all_models, gamma):
                 fr.score_at_opt, fr.n_iter, fr.stop_reason, fr.grad_norm, fr.converged)
 
 
+@pytest.mark.parametrize("gamma", [None, 1.23])
+def test_a_psi_per_row_stack_solves_each_row_as_alone(all_models, gamma):
+    # (dataset, psi) rows, each started at its dataset's free fit: every
+    # row's (theta_psi, S(theta_psi), lam_psi, nu) is the single solve's at
+    # its psi from the same start. The first dataset repeated is the
+    # profile's stack, a broadcast of one dataset.
+    for model, datasets in _stack_cases(all_models):
+        rule = ScoreRule.log(model) if gamma is None else ScoreRule.tsallis(model, gamma)
+        fits = [fit(rule, d) for d in datasets]
+        reps, psis = [], []
+        for r, fr in enumerate(fits):
+            _, g_pp = interest_information(fr.K, fr.J, model.interest_grad(fr.theta_hat))
+            for step in (-1.5, 0.0, 2.0):
+                reps.append(r)
+                psis.append(fr.psi_tilde + step * np.sqrt(g_pp))
+        reps, psis = np.array(reps), np.array(psis)
+        lam0 = np.stack([model.profile_extract(fits[r].theta_hat) for r in reps])
+        for stack, at in ((model.stack([datasets[r] for r in reps]), reps),
+                          (model.stack([datasets[0]] * 3), np.zeros(3, dtype=int))):
+            rows = confidence._constrained_at(rule, stack, psis[:len(at)], lam0[:len(at)])
+            for r, psi, lam, row in zip(at, psis, lam0, rows):
+                alone = confidence._constrained_at(rule, datasets[r], psi, lam)
+                assert len(row) == 4, (model.name, psi, row)
+                for a, b in zip(row, alone):
+                    assert np.array_equal(a, b), (model.name, rule.label(), psi)
+
+
 def test_minimize_smooth_solves_each_row_of_a_stack_as_alone():
     # Three rows: one converges from the default start, one starts where the
     # log-variance overflows (not finite), and one starts at a variance of
@@ -588,12 +630,16 @@ def test_minimize_smooth_solves_each_row_of_a_stack_as_alone():
         overflowed.extend(rows[~np.isfinite(out[0])])
         return out
 
-    z, f, n_iter, reason, records = minimize_smooth(rows_fun, z0)
+    def rows_verdict(z, records, rows):
+        return objective.rows(rows).verdict(_from_z(z, objective.positive), records)[1]
+
+    z, f, n_iter, reason, records = minimize_smooth(rows_fun, z0, rows_verdict)
     assert list(reason) == ["gradient", "not_finite", "gradient"]
     assert 2 in overflowed
     for r, data in enumerate(datasets):
         alone = _Objective(rule, data)
-        z_r, f_r, n_r, reason_r, record_r = minimize_smooth(alone, z0[r])
+        z_r, f_r, n_r, reason_r, record_r = minimize_smooth(
+            alone, z0[r], lambda z, rec: alone.verdict(_from_z(z, alone.positive), rec)[1])
         assert np.array_equal(z[r], z_r)
         assert f[r] == f_r or np.isinf(f[r]) and np.isinf(f_r)
         assert (n_iter[r], reason[r]) == (n_r, reason_r)
