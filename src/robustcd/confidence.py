@@ -82,23 +82,23 @@ def _constrained_at(rule, data, psi, lam0, mixture=None):
     raises NumericsError.
 
     On a stack of datasets, psi and lam0 hold a value and a start per row,
-    and the result is a list with, for each row, that tuple or the
-    DomainError or NumericsError the row raises alone. The rows are solved
-    together, in stacks of at most STACK_ELEMENTS numbers per (rows, n, d)
-    array.
+    and a mixture an eps and a frame per row (see ``_Objective``); the
+    result is a list with, for each row, that tuple or the DomainError or
+    NumericsError the row raises alone. The rows are solved together, in
+    stacks of at most STACK_ELEMENTS numbers per (rows, n, d) array.
 
     Every constrained solve of a profile or a root pivot comes from here.
     """
     if np.ndim(lam0) == 1:
         return _converged_at(rule, data, psi, *_constrained_solve(
             _Objective(rule, data, psi, mixture), lam0))
-    model = rule.model
+    model, objective = rule.model, _Objective(rule, data, psi, mixture)
     out = []
     for at in _chunks(len(lam0), model.nobs(data), lam0.shape[-1] + 1):
-        part, psi_at = model.take(data, at), psi[at]
-        solved = _constrained_solve(_Objective(rule, part, psi_at), lam0[at])
-        out += _per_row(lambda j: _converged_at(rule, model.take(part, j), psi_at[j],
-                                                *(a[j] for a in solved)), len(psi_at))
+        part = objective.rows(at)
+        solved = _constrained_solve(part, lam0[at])
+        out += _per_row(lambda j: _converged_at(rule, model.take(part.data, j), part.psi[j],
+                                                *(a[j] for a in solved)), len(part.psi))
     return out
 
 

@@ -351,7 +351,9 @@ class ModelSpec(abc.ABC):
 
     def require_domain(self, theta):
         if not self.in_domain(theta):
-            shown = repr(theta) if np.ndim(theta) < 2 else "in a row of a stack"
+            # tolist, not repr: an array repr is some 40 times slower, and every
+            # inadmissible trial point pays it
+            shown = np.asarray(theta).tolist() if np.ndim(theta) < 2 else "in a row of a stack"
             raise DomainError(f"{self.name}: parameter {shown} outside admissible set")
 
     # ---- observation-level pieces --------------------------------------

@@ -22,6 +22,8 @@ from .confidence import _constrained_at, _nu_at, _signed_root, _wald_pivot
 from .scoring import (
     ScoreRule,
     _Objective,
+    _chunks,
+    _per_row,
     _to_z,
     checked_inverse,
     empirical_J,
@@ -229,13 +231,27 @@ def taif(rule, data, pivot_kind, psi, y_grid=None, component=0, fit_result=None)
 # epsilon-mixture oracle
 # ---------------------------------------------------------------------------
 
-def _mixture_fit(rule, data, mixture, theta0):
-    """(theta, value) minimizing the eps-mixture objective from theta0."""
-    objective = _Objective(rule, data, mixture=mixture)
-    theta, val, *_ = objective.solve(_to_z(theta0, objective.positive))
-    if not np.isfinite(val):
-        raise NumericsError("mixture refit failed")
-    return theta, val
+def _tail_areas(objective, pivot_kind, psi, theta, score):
+    """C(psi) = Phi(-pivot) from the estimate theta, with total score
+    ``score``, for each row of a stacked free objective; a root pivot's
+    constrained fits are made on the objective's data and mixture. A list
+    with, for each row, C or the DomainError or NumericsError that the row
+    raises alone."""
+    rule, data, model = objective.rule, objective.data, objective.rule.model
+    if pivot_kind == "wald":
+        return _per_row(lambda at: ndtr(-_wald_pivot(
+            model, theta[at], *estimate_KJ(rule, model.take(data, at), theta[at]), psi)[0]),
+            len(theta))
+    out = _constrained_at(rule, data, np.full(len(theta), float(psi)),
+                          model.profile_extract(theta), objective.mixture)
+    for r, row in enumerate(out):
+        if not isinstance(row, Exception):
+            try:
+                out[r] = ndtr(-_signed_root(model.interest(theta[r]), score[r], psi,
+                                            row[1], row[3]))
+            except NumericsError as exc:        # below the optimum
+                out[r] = exc
+    return out
 
 
 def taif_contamination_oracle(rule, data, pivot_kind, psi, ys, component=0,
@@ -243,42 +259,43 @@ def taif_contamination_oracle(rule, data, pivot_kind, psi, ys, component=0,
     """Finite-epsilon derivative of the CD tail area under point contamination.
 
     Refits on the eps-mixture, eps = ORACLE_EPS (with a Richardson step at
-    eps/2 to remove the O(eps) bias) and differences Phi(pivot). Points whose
-    refit fails are returned as NaN; a root pivot that fails on the
-    uncontaminated fit raises NumericsError, as in ``taif``.
+    eps/2 to remove the O(eps) bias) and differences Phi(pivot). The refits
+    at every point and both eps are solved together, a row each. Points
+    whose refit fails are returned as NaN, each with its warning; a pivot
+    that fails on the uncontaminated fit raises, as in ``taif``.
     """
     model = rule.model
     data = model.checked(data)
     if fit_result is None:
         fit_result = fit_rule(rule, data)
     theta0 = fit_result.theta_hat
-
-    def tail_area(mixture=None):
-        """C(psi) from the fit refitted on ``mixture=(eps, frame)``, or from
-        the fit itself."""
-        if mixture is None:
-            theta, score = theta0, fit_result.score_at_opt
-        else:
-            theta, score = _mixture_fit(rule, data, mixture, theta0)
-        if pivot_kind == "wald":
-            return float(ndtr(-_wald_pivot_of_theta(rule, data, theta, psi)))
-        _, s_con, _, nu = _constrained_at(rule, data, psi, model.profile_extract(theta),
-                                          mixture)
-        return float(ndtr(-_signed_root(model.interest(theta), score, psi, s_con, nu)))
-
-    base = tail_area()
+    [base] = _tail_areas(_Objective(rule, model.stack([data])), pivot_kind, psi,
+                         theta0[None], [fit_result.score_at_opt])
+    if isinstance(base, Exception):
+        raise base
     eps = ORACLE_EPS
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    out = np.empty(ys.size)
+    frames = {}
     for i, y in enumerate(ys):
         try:
-            frame = model.checked(model.contamination_frame([y], data, component=component))
-            d_full = (tail_area((eps, frame)) - base) / eps
-            d_half = (tail_area((eps / 2.0, frame)) - base) / (eps / 2.0)
-            out[i] = 2.0 * d_half - d_full
-        except (DomainError, NumericsError):
-            warnings.warn(f"oracle refit failed at y={y:g}; point skipped", stacklevel=2)
-            out[i] = np.nan
+            frames[i] = model.checked(model.contamination_frame([y], data, component=component))
+        except DomainError:
+            pass
+    # a row per point and eps: eps, then eps / 2
+    points, eps_rows = np.repeat(list(frames), 2), np.tile([eps, eps / 2.0], len(frames))
+    tails = np.full(points.size, np.nan)
+    for at in _chunks(points.size, model.nobs(data), theta0.size):
+        objective = _Objective(rule, model.stack([data] * len(points[at])), mixture=(
+            eps_rows[at], model.stack([frames[i] for i in points[at]])))
+        z0 = np.tile(_to_z(theta0, objective.positive), (len(points[at]), 1))
+        theta, score, *_ = objective.solve(z0)
+        ok = np.flatnonzero(np.isfinite(score))
+        areas = _tail_areas(objective.rows(ok), pivot_kind, psi, theta[ok], score[ok])
+        tails[at][ok] = [np.nan if isinstance(a, Exception) else a for a in areas]
+    out = np.full(ys.size, np.nan)
+    out[list(frames)] = 2.0 * ((tails[1::2] - base) / (eps / 2.0)) - (tails[0::2] - base) / eps
+    for y in ys[np.isnan(out)]:
+        warnings.warn(f"oracle refit failed at y={y:g}; point skipped", stacklevel=2)
     return out
 
 

@@ -357,7 +357,8 @@ class _Objective:
     log-transformed. Constrained: x is the nuisance lam so transformed,
     theta = profile_embed(psi, lam), and derivatives are pulled back through
     the embedding's Jacobian and curvature. ``mixture=(eps, frame)`` scores
-    the eps-contaminated objective (1 - eps) S_data + n eps S_frame. A call
+    the eps-contaminated objective (1 - eps) S_data + n eps S_frame, frame
+    being checked data of its own (one point, for the TAIF's oracle). A call
     returns (value, gradient, Hessian, record) in z, with value +inf and
     record None where theta is inadmissible, the score cannot be evaluated,
     or the arithmetic overflows. The record of an evaluation is its
@@ -365,10 +366,12 @@ class _Objective:
     [(weight, (n, d) gradients)], from which ``verdict`` judges convergence.
 
     On a stack of datasets z holds a point per row, a constrained
-    objective's psi an interest value per row, and a call returns a value,
-    gradient, Hessian and record per row. Where the stacked evaluation
-    fails, the stack is halved until the failing rows stand alone, so a bad
-    point is +inf on its own row only.
+    objective's psi an interest value per row, a mixture an eps per row and
+    a checked stack of frames, one per row, and a call returns a value,
+    gradient, Hessian and record per row, the record's weights being that
+    row's. Where the stacked evaluation fails, the stack is halved until
+    the failing rows stand alone, so a bad point is +inf on its own row
+    only.
     """
 
     def __init__(self, rule, data, psi=None, mixture=None):
@@ -378,11 +381,13 @@ class _Objective:
         self._eye = _bool_eye(len(self.positive))
 
     def rows(self, rows):
-        """The objective on rows of the stack, each with its psi: an index
-        gives one dataset's objective, an index array a smaller stack's."""
-        data = self.rule.model.take(self.data, rows)
-        return _Objective(self.rule, data, None if self.psi is None else self.psi[rows],
-                          self.mixture)
+        """The objective on rows of the stack, each with its psi and its
+        mixture: an index gives one dataset's objective, an index array a
+        smaller stack's."""
+        model, mixture = self.rule.model, self.mixture
+        return _Objective(self.rule, model.take(self.data, rows),
+                          None if self.psi is None else self.psi[rows],
+                          mixture and (mixture[0][rows], model.take(mixture[1], rows)))
 
     def theta(self, x):
         """theta at x, the free parameter or the nuisance at psi."""
@@ -390,6 +395,8 @@ class _Objective:
 
     def _mix(self, at_data, at_frame):
         eps = self.mixture[0]
+        if np.ndim(eps):                 # an eps per row, broadcast over each row's entries
+            eps = eps.reshape(eps.shape + (1,) * (at_data.ndim - 1))
         return (1.0 - eps) * at_data + self.rule.model.nobs(self.data) * eps * at_frame
 
     def evaluate(self, theta):
@@ -401,8 +408,8 @@ class _Objective:
         if self.mixture is not None:
             eps, frame = self.mixture
             terms_y, grads_y, H_y = _kernel(self.rule, frame, theta, order=2)
-            val = self._mix(val, _finite_total(terms_y.sum()))
-            g = self._mix(g, grads_y.sum(axis=0))
+            val = self._mix(val, _finite_total(terms_y.sum(axis=-1)))
+            g = self._mix(g, grads_y.sum(axis=-2))
             H = self._mix(H, H_y)
             parts = [(1.0 - eps, grads), (self.rule.model.nobs(self.data) * eps, grads_y)]
         return val, g, H, (g, parts)
@@ -426,7 +433,8 @@ class _Objective:
         ok = [j for j, rec in enumerate(record) if rec is not None]
         if ok:
             g = np.array([record[j][0] for j in ok])
-            parts = [(w, np.array([record[j][1][p][1] for j in ok]))
+            parts = [(w if self.mixture is None else np.array([record[j][1][p][0] for j in ok]),
+                      np.array([record[j][1][p][1] for j in ok]))
                      for p, (w, _) in enumerate(record[ok[0]][1])]
             psi = None if self.psi is None else self.psi[ok]
             gnorm[ok], converged[ok] = self._judge(x[ok], g, parts, psi)
@@ -516,13 +524,13 @@ def _bool_eye(m):
 
 class _RowRecords:
     """The records of a stacked evaluation: row j's is the record of that
-    row evaluated alone."""
+    row evaluated alone. A part's weight is one float, or one per row."""
 
     def __init__(self, g, parts):
         self.g, self.parts = g, parts
 
     def __getitem__(self, j):
-        return self.g[j], [(w, s[j]) for w, s in self.parts]
+        return self.g[j], [(w if isinstance(w, float) else w[j], s[j]) for w, s in self.parts]
 
 
 def minimize_smooth(fun, z0, converged):

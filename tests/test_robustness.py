@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from robustcd.errors import DomainError
+from robustcd.expfam import expfam_gamma
 from robustcd.models import ExponentialAUC, LinearRegression, TwoSampleNormal
 from robustcd.robustness import (
     calibrate_gamma,
@@ -134,6 +137,67 @@ def test_taif_chain_matches_contamination_oracle(all_models, pivot):
         assert ok.any()
         rel = np.abs(chain[ok] - oracle[ok]) / np.maximum(np.abs(oracle[ok]), 1e-10)
         assert np.max(rel) < 0.05, (model.name, pivot, rel)
+
+
+@pytest.mark.parametrize("gamma", [None, 1.23])
+@pytest.mark.parametrize("pivot", ["wald", "root"])
+def test_oracle_stack_equals_its_points_alone(all_models, gamma, pivot):
+    # the refits at all points are solved as one stack; each point's value
+    # is, bit for bit, the value of a call with that point alone
+    gamma_model = expfam_gamma()
+    cases = all_models + [(gamma_model, np.random.default_rng(11).gamma(3.0, 0.5, 40))]
+    for model, data in cases:
+        rule = ScoreRule.log(model) if gamma is None else ScoreRule.tsallis(model, gamma)
+        fr = fit(rule, data)
+        center, scale = model.obs_center_scale(data, fr.theta_hat, 0)
+        ys = center + scale * np.array([-1.5, -0.5, 0.8, 2.0, 30.0])
+        grad = model.interest_grad(fr.theta_hat)
+        psi = model.interest(fr.theta_hat) + 0.8 * np.sqrt(grad @ fr.V @ grad)
+        lo_r, hi_r = model.interest_range()
+        psi = min(max(psi, lo_r + 1e-3), hi_r - 1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")      # a point outside the support warns
+            together = taif_contamination_oracle(rule, data, pivot, psi, ys, fit_result=fr)
+            alone = np.concatenate([taif_contamination_oracle(rule, data, pivot, psi, [y],
+                                                              fit_result=fr) for y in ys])
+        assert np.isfinite(together).sum() >= 4, (model.name, rule.label(), together)
+        assert np.array_equal(together, alone, equal_nan=True), (model.name, rule.label())
+
+
+@pytest.mark.parametrize("pivot", ["wald", "root"])
+def test_oracle_point_that_fails_is_nan_alone(exp_auc_data, pivot, monkeypatch):
+    model = ExponentialAUC()
+    rule = ScoreRule.tsallis(model, 1.25)
+    fr = fit(rule, exp_auc_data)
+    ys = np.array([-1.0, 0.1, 0.5, 2.0])
+
+    def oracle(ys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            vals = taif_contamination_oracle(rule, exp_auc_data, pivot, 0.8, ys, fit_result=fr)
+        return vals, [str(w.message) for w in caught]
+
+    # -1 lies outside the support: its frame is rejected before any refit
+    vals, messages = oracle(ys)
+    assert messages == ["oracle refit failed at y=-1; point skipped"]
+    assert np.isnan(vals[0]) and np.isfinite(vals[1:]).all()
+    rest, messages = oracle(ys[1:])
+    assert messages == [] and np.array_equal(vals[1:], rest)
+
+    # a point whose refit rows cannot be scored fail inside the stack, and
+    # only those rows
+    logpdf = model.logpdf_obs
+
+    def refuses(data, theta):
+        if np.any(data[0] == 0.5):
+            raise DomainError("planted")
+        return logpdf(data, theta)
+
+    monkeypatch.setattr(model, "logpdf_obs", refuses)
+    vals, messages = oracle(ys[1:])
+    assert messages == ["oracle refit failed at y=0.5; point skipped"]
+    assert np.isnan(vals[1])
+    assert np.array_equal(vals[[0, 2]], rest[[0, 2]])
 
 
 def test_taif_input_validation(small_two_sample_data, ts_small):

@@ -610,6 +610,33 @@ def test_a_psi_per_row_stack_solves_each_row_as_alone(all_models, gamma):
                     assert np.array_equal(a, b), (model.name, rule.label(), psi)
 
 
+@pytest.mark.parametrize("gamma", [None, 1.23])
+def test_a_mixture_per_row_stack_solves_each_row_as_alone(all_models, gamma):
+    # (psi, eps, frame) rows on one dataset, as the TAIF's oracle makes them:
+    # every row's (theta_psi, S(theta_psi), lam_psi, nu) is the single solve's
+    # on its own eps-mixture objective, which differs from the uncontaminated
+    # one
+    for model, datasets in _stack_cases(all_models):
+        rule = ScoreRule.log(model) if gamma is None else ScoreRule.tsallis(model, gamma)
+        data = datasets[0]
+        fr = fit(rule, data)
+        _, g_pp = interest_information(fr.K, fr.J, model.interest_grad(fr.theta_hat))
+        psis = fr.psi_tilde + np.array([-1.5, 0.0, 2.0]) * np.sqrt(g_pp)
+        eps = np.array([1e-4, 5e-5, 1e-2])
+        center, scale = model.obs_center_scale(data, fr.theta_hat, 0)
+        frames = [model.checked(model.contamination_frame([center + k * scale], data))
+                  for k in (0.5, 1.0, 3.0)]
+        lam0 = np.tile(model.profile_extract(fr.theta_hat), (3, 1))
+        rows = confidence._constrained_at(rule, model.stack([data] * 3), psis, lam0,
+                                          (eps, model.stack(frames)))
+        for psi, lam, e, frame, row in zip(psis, lam0, eps, frames, rows):
+            alone = confidence._constrained_at(rule, data, psi, lam, (e, frame))
+            assert len(row) == 4, (model.name, psi, row)
+            for a, b in zip(row, alone):
+                assert np.array_equal(a, b), (model.name, rule.label(), psi)
+            assert row[1] != confidence._constrained_at(rule, data, psi, lam)[1]
+
+
 def test_minimize_smooth_solves_each_row_of_a_stack_as_alone():
     # Three rows: one converges from the default start, one starts where the
     # log-variance overflows (not finite), and one starts at a variance of
