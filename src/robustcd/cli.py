@@ -37,59 +37,70 @@ def _fail(message, code):
 
 
 def _read_rows(path):
+    """(fields, columns) of a CSV file of numbers with a header row: the
+    stripped field names and a float array per field, by name."""
     try:
         fh = open(path, newline="")
     except FileNotFoundError:
         _fail(f"data file not found: {path}", 2)
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             _fail(f"{path}: empty file", 2)
-        fields = [f.strip() for f in reader.fieldnames]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            clean = {}
-            for key, raw in zip(fields, [row[k] for k in reader.fieldnames]):
-                if raw is None or raw.strip() == "":
-                    _fail(f"{path}:{lineno}: missing value in column {key!r}", 2)
-                try:
-                    val = float(raw)
-                except ValueError:
-                    _fail(f"{path}:{lineno}: cannot parse {raw!r} in column {key!r}", 2)
-                if not math.isfinite(val):
-                    _fail(f"{path}:{lineno}: non-finite value in column {key!r}", 2)
-                clean[key] = val
-            rows.append(clean)
+        fields = [f.strip() for f in header]
+        rows, width = [], len(fields)
+        for raw in reader:
+            if not raw:
+                continue         # blank lines are skipped and not numbered, as by csv.DictReader
+            try:
+                vals = list(map(float, raw[:width]))
+            except ValueError:
+                vals = []
+            if len(vals) < width or not all(map(math.isfinite, vals)):
+                _bad_row(path, len(rows) + 2, fields, raw)
+            rows.append(vals)
     if not rows:
         _fail(f"{path}: no data rows", 2)
-    return fields, rows
+    # a float array per field; a repeated field name keeps its last column
+    return fields, dict(zip(fields, np.array(rows).T.copy()))
+
+
+def _bad_row(path, lineno, fields, raw):
+    """Fail on the first value of a data row, in column order, that is
+    missing, not a number or not finite."""
+    for key, value in zip(fields, raw + [""] * (len(fields) - len(raw))):
+        if value.strip() == "":
+            _fail(f"{path}:{lineno}: missing value in column {key!r}", 2)
+        try:
+            val = float(value)
+        except ValueError:
+            _fail(f"{path}:{lineno}: cannot parse {value!r} in column {key!r}", 2)
+        if not math.isfinite(val):
+            _fail(f"{path}:{lineno}: non-finite value in column {key!r}", 2)
 
 
 def load_two_sample_csv(path):
-    fields, rows = _read_rows(path)
+    fields, columns = _read_rows(path)
     if not {"value", "group"} <= set(fields):
         _fail(f"{path}: two-sample data needs columns value,group", 2)
-    x, y = [], []
-    for lineno, row in enumerate(rows, start=2):
-        g = row["group"]
-        if g == 1.0:
-            x.append(row["value"])
-        elif g == 2.0:
-            y.append(row["value"])
-        else:
-            _fail(f"{path}:{lineno}: group must be 1 or 2, got {g:g}", 2)
-    if not x or not y:
+    value, group = columns["value"], columns["group"]
+    bad = np.flatnonzero((group != 1.0) & (group != 2.0))
+    if bad.size:
+        _fail(f"{path}:{bad[0] + 2}: group must be 1 or 2, got {group[bad[0]]:g}", 2)
+    x, y = value[group == 1.0], value[group == 2.0]
+    if not x.size or not y.size:
         _fail(f"{path}: both groups must be present", 2)
-    return np.asarray(x), np.asarray(y)
+    return x, y
 
 
 def load_regression_csv(path, intercept=True):
-    fields, rows = _read_rows(path)
+    fields, columns = _read_rows(path)
     if "y" not in fields:
         _fail(f"{path}: regression data needs a 'y' column", 2)
     xcols = [f for f in fields if f != "y"]
-    y = np.array([r["y"] for r in rows])
-    X = np.array([[r[c] for c in xcols] for r in rows]) if xcols else np.empty((len(y), 0))
+    y = columns["y"]
+    X = np.column_stack([columns[c] for c in xcols]) if xcols else np.empty((len(y), 0))
     if intercept:
         X = np.column_stack([np.ones(len(y)), X])
     if X.shape[1] == 0:
@@ -104,9 +115,8 @@ def _load_model_data(model_name, data_path, interest, intercept):
     elif model_name == "linear-regression" or model_name.startswith("expfam:"):
         if model_name.startswith("expfam:"):
             model = get_model(model_name, interest_index=interest or 0)
-            fields, rows = _read_rows(data_path)
-            col = "value" if "value" in fields else fields[0]
-            data = np.array([r[col] for r in rows])
+            fields, columns = _read_rows(data_path)
+            data = columns["value" if "value" in fields else fields[0]]
         else:
             model = get_model(model_name, interest_index=interest if interest is not None else 1)
             data = load_regression_csv(data_path, intercept=intercept)

@@ -275,9 +275,13 @@ class ConfidenceObject:
     repair_max: float = 0.0
 
     def pivot_at(self, psi):
+        """The pivot at psi, interpolated on the grid. Outside the grid hull
+        it is the pivot at the hull edge, which bounds the true value (the
+        pivot decreases in psi), with a warning."""
         psi = np.asarray(psi, dtype=float)
         if np.any(psi < self.psi_grid[0]) or np.any(psi > self.psi_grid[-1]):
-            raise DomainError("psi outside the grid hull")
+            warnings.warn("psi outside the grid hull; returning the bound at the hull edge",
+                          stacklevel=2)
         return np.interp(psi, self.psi_grid, self.pivot_values)
 
     def cdf_at(self, psi):
@@ -481,13 +485,16 @@ def p_value(cd, psi0, alternative="two_sided"):
     """P-value for H0: psi = psi0 against the given alternative.
 
     "less" and "greater" are the CD tail areas C(psi0) and 1 - C(psi0); the
-    two-sided p-value is 2 (1 - Phi(|pivot(psi0)|)).
+    two-sided p-value is 2 (1 - Phi(|pivot(psi0)|)). A psi0 outside the
+    grid hull gives the bound at the hull edge, with a warning.
     """
     return _tail_p(float(cd.pivot_at(psi0)), alternative)
 
 
 def evidence(cd, psi1, psi2):
-    """Confidence mass C(psi2) - C(psi1) assigned to the interval (psi1, psi2)."""
+    """Confidence mass C(psi2) - C(psi1) assigned to the interval (psi1, psi2).
+    An endpoint outside the grid hull is taken at the hull edge, with a
+    warning, which gives a lower bound on the mass."""
     if not psi1 < psi2:
         raise DomainError("require psi1 < psi2")
     return float(cd.cdf_at(psi2) - cd.cdf_at(psi1))

@@ -363,7 +363,8 @@ class ModelSpec(abc.ABC):
 
     @abc.abstractmethod
     def dlogpdf_obs(self, data, theta) -> np.ndarray:
-        """(n, d) array of per-observation gradients of the log density."""
+        """(n, d) array of per-observation gradients of the log density; a
+        fresh array, which the scoring kernel overwrites."""
 
     @abc.abstractmethod
     def d2logpdf_obs(self, data, theta, weights):
@@ -376,7 +377,8 @@ class ModelSpec(abc.ABC):
 
     def tsallis_integral_grad_obs(self, data, theta, gamma, values):
         """(n, d) gradient of the per-observation power integral, from
-        ``values``, the integrals at theta."""
+        ``values``, the integrals at theta; a fresh array, which the scoring
+        kernel overwrites."""
         return self._integral_derivs(data, theta, gamma, values, 1)
 
     def tsallis_integral_hess(self, data, theta, gamma, values):

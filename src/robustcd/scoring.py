@@ -55,8 +55,9 @@ SOLVER_GTOL = 1e-9
 STEP_FLOOR = 1e-10
 F_NOISE = 1e-13
 # Numbers per (rows, n, d) array of a stack of datasets, which bounds a
-# stack's memory: rows = STACK_ELEMENTS // (n d).
-STACK_ELEMENTS = 2 ** 16
+# stack's memory: rows = STACK_ELEMENTS // (n d). A kernel pass holds about
+# three and a half such arrays at its peak.
+STACK_ELEMENTS = 2 ** 17
 
 
 @dataclasses.dataclass(frozen=True)
@@ -127,14 +128,18 @@ def _kernel(rule, data, theta, order=1):
     fa = np.exp(a * logf)
     ivals = model.tsallis_integral_obs(data, theta, gamma)
     terms = a * ivals - gamma * fa
-    if order >= 1:
-        dlogf = model.dlogpdf_obs(data, theta)
-        grads = (a * model.tsallis_integral_grad_obs(data, theta, gamma, ivals)
-                 - gamma * a * fa[..., None] * dlogf)
+    if order == 0:
+        return terms, None, None
+    dlogf = model.dlogpdf_obs(data, theta)
     if order == 2:
         ihess = model.tsallis_integral_hess(data, theta, gamma, ivals)
         d2 = model.d2logpdf_obs(data, theta, fa)
         hess = a * ihess - gamma * a * (a * (dlogf.mT * fa[..., None, :]) @ dlogf + d2)
+    # a IG - gamma a f^a dlogf, built in the two arrays the model returned
+    grads = model.tsallis_integral_grad_obs(data, theta, gamma, ivals)
+    grads *= a
+    dlogf *= gamma * a * fa[..., None]
+    grads -= dlogf
     return terms, grads, hess
 
 
@@ -361,17 +366,17 @@ class _Objective:
     being checked data of its own (one point, for the TAIF's oracle). A call
     returns (value, gradient, Hessian, record) in z, with value +inf and
     record None where theta is inadmissible, the score cannot be evaluated,
-    or the arithmetic overflows. The record of an evaluation is its
-    theta-gradient and its weighted per-observation gradients
-    [(weight, (n, d) gradients)], from which ``verdict`` judges convergence.
+    or the arithmetic overflows. The record of an evaluation is two numbers,
+    (||g||, converged), the convergence verdict taken there (see
+    ``derivatives``), which ``verdict`` reads; it holds no array.
 
     On a stack of datasets z holds a point per row, a constrained
     objective's psi an interest value per row, a mixture an eps per row and
     a checked stack of frames, one per row, and a call returns a value,
-    gradient, Hessian and record per row, the record's weights being that
-    row's. Where the stacked evaluation fails, the stack is halved until
-    the failing rows stand alone, so a bad point is +inf on its own row
-    only.
+    gradient and Hessian per row and a list of records, row j's being the
+    record of that row evaluated alone. Where the stacked evaluation fails,
+    the stack is halved until the failing rows stand alone, so a bad point
+    is +inf on its own row only.
     """
 
     def __init__(self, rule, data, psi=None, mixture=None):
@@ -400,69 +405,54 @@ class _Objective:
         return (1.0 - eps) * at_data + self.rule.model.nobs(self.data) * eps * at_frame
 
     def evaluate(self, theta):
-        """(value, gradient, Hessian, record) in theta of the (mixture) total
-        score: one kernel pass over the data and one over the frame."""
+        """(value, gradient, Hessian, parts) in theta of the (mixture) total
+        score: one kernel pass over the data and one over the frame. parts
+        are the weighted per-observation gradients [(weight, (n, d)
+        gradients)] whose weighted sum is the gradient."""
         terms, grads, H = _kernel(self.rule, self.data, theta, order=2)
-        val, g = _finite_total(terms.sum(axis=-1)), grads.sum(axis=-2)
+        # einsum sums over the observations in order, as sum(axis=-2) does,
+        # on contiguous loops
+        val, g = _finite_total(terms.sum(axis=-1)), np.einsum("...nd->...d", grads)
         parts = [(1.0, grads)]
         if self.mixture is not None:
             eps, frame = self.mixture
             terms_y, grads_y, H_y = _kernel(self.rule, frame, theta, order=2)
             val = self._mix(val, _finite_total(terms_y.sum(axis=-1)))
-            g = self._mix(g, grads_y.sum(axis=-2))
+            g = self._mix(g, np.einsum("...nd->...d", grads_y))
             H = self._mix(H, H_y)
             parts = [(1.0 - eps, grads), (self.rule.model.nobs(self.data) * eps, grads_y)]
-        return val, g, H, (g, parts)
+        return val, g, H, parts
 
-    def verdict(self, x, record):
-        """(||g||, converged) at x, theta or the constrained nuisance lam,
-        judged from the record of the evaluation at x; no record means x
-        could not be evaluated. For a stack, x has a point per row, record
-        is the list of their records, and both outputs are per row.
-
-        g is the gradient in x of the total score, and converged means
-        ||g|| <= GRAD_TOL sum_i ||s_i||, with s_i the per-observation
-        gradients in x.
-        """
-        if np.ndim(x) == 1:
-            if record is None:
-                return np.inf, False
-            gnorm, converged = self._judge(x, *record, self.psi)
-            return float(gnorm), bool(converged)
-        gnorm, converged = np.full(len(x), np.inf), np.zeros(len(x), dtype=bool)
-        ok = [j for j, rec in enumerate(record) if rec is not None]
-        if ok:
-            g = np.array([record[j][0] for j in ok])
-            parts = [(w if self.mixture is None else np.array([record[j][1][p][0] for j in ok]),
-                      np.array([record[j][1][p][1] for j in ok]))
-                     for p, (w, _) in enumerate(record[ok[0]][1])]
-            psi = None if self.psi is None else self.psi[ok]
-            gnorm[ok], converged[ok] = self._judge(x[ok], g, parts, psi)
-        return gnorm, converged
-
-    def _judge(self, x, g, parts, psi):
-        """verdict from the theta-gradient g and the weighted per-observation
-        gradients parts at x, with or without a leading row axis, for the
-        interest value psi (None for the free objective)."""
-        if psi is not None:
-            jac = self.rule.model.profile_embed_jac(psi, x)
-            g = (jac.mT @ g[..., None])[..., 0]
-            parts = [(w, s @ jac) for w, s in parts]
-        scale = sum(w * np.linalg.norm(s, axis=-1).sum(axis=-1) for w, s in parts)
-        gnorm = _norm(g)
-        return gnorm, gnorm <= GRAD_TOL * scale
+    @staticmethod
+    def verdict(record):
+        """(||g||, converged) at a point, read from the record of its
+        evaluation; no record means the point could not be evaluated. A
+        list of records, one per row of a stack, gives both outputs per
+        row."""
+        if isinstance(record, list):
+            gnorm, converged = zip(*(rec or (np.inf, False) for rec in record))
+            return np.array(gnorm), np.array(converged)
+        gnorm, converged = record or (np.inf, False)
+        return float(gnorm), bool(converged)
 
     def derivatives(self, x):
-        """(value, gradient, Hessian, record) in x, theta or the constrained lam."""
-        val, g, H, record = self.evaluate(self.theta(x))
-        if self.psi is None:
-            return val, g, H, record
-        model = self.rule.model
-        jac = model.profile_embed_jac(self.psi, x)
-        curvature = model.profile_embed_hess(self.psi, x, g)
-        H = jac.mT @ H @ jac
-        g = (jac.mT @ g[..., None])[..., 0]
-        return val, g, H if curvature is None else H + curvature, record
+        """(value, gradient, Hessian, verdict) in x, theta or the
+        constrained lam. The verdict is (||g||, converged), g being the
+        gradient in x and converged meaning ||g|| <= GRAD_TOL sum_i w_i ||s_i||,
+        with s_i the per-observation gradients in x and w_i their weights."""
+        val, g, H, parts = self.evaluate(self.theta(x))
+        if self.psi is not None:
+            model = self.rule.model
+            jac = model.profile_embed_jac(self.psi, x)
+            curvature = model.profile_embed_hess(self.psi, x, g)
+            H = jac.mT @ H @ jac
+            g = (jac.mT @ g[..., None])[..., 0]
+            H = H if curvature is None else H + curvature
+            parts = [(w, s @ jac) for w, s in parts]
+        scale = sum(w * np.sqrt(np.einsum("...nd,...nd->...n", s, s)).sum(axis=-1)
+                    for w, s in parts)
+        gnorm = _norm(g)
+        return val, g, H, (gnorm, gnorm <= GRAD_TOL * scale)
 
     def __call__(self, z):
         try:
@@ -484,34 +474,30 @@ class _Objective:
             first = self.rows(slice(None, half))(z[:half])
             second = self.rows(slice(half, None))(z[half:])
             return (*(np.concatenate(pair) for pair in zip(first[:3], second[:3])),
-                    list(first[3]) + list(second[3]))
+                    first[3] + second[3])
         # chain rule through the log transform
         dx = np.where(self.positive, x, 1.0)
         diag = np.where(self._eye, np.where(self.positive, x * g, 0.0)[..., None, :], 0.0)
         H = dx[..., :, None] * H * dx[..., None, :] + diag
-        return val, dx * g, H, record if np.ndim(z) == 1 else _RowRecords(*record)
+        if np.ndim(z) != 1:
+            record = list(zip(record[0].tolist(), record[1].tolist()))
+        return val, dx * g, H, record
 
     def solve(self, z0):
         """Minimize from z0: (x, value, n_iter, reason, ||g||, converged),
         judged from the evaluation that accepted x, so no pass over the data
         follows the solve; the solver's gradient stop asks the same verdict.
         On a stack, z0 has a start per row and every output a row axis."""
-        last = []                        # a single solve's last record judged, and its verdict
         if np.ndim(z0) == 1:
-            def converged(z, record):
-                last[:] = record, self.verdict(_from_z(z, self.positive), record)
-                return last[1][1]
-            z, val, n_iter, reason, record = minimize_smooth(self, z0, converged)
+            z, val, n_iter, reason, record = minimize_smooth(
+                self, z0, lambda z, record: self.verdict(record)[1])
         else:
             def at(rows):
                 return self if len(rows) == len(z0) else self.rows(rows)
             z, val, n_iter, reason, record = minimize_smooth(
                 lambda z, rows: at(rows)(z), z0,
-                lambda z, records, rows: at(rows).verdict(_from_z(z, self.positive), records)[1])
-        x = _from_z(z, self.positive)
-        if last and last[0] is record:
-            return (x, val, n_iter, reason) + last[1]
-        return (x, val, n_iter, reason) + self.verdict(x, record)
+                lambda z, records, rows: self.verdict(records)[1])
+        return (_from_z(z, self.positive), val, n_iter, reason) + self.verdict(record)
 
 
 @functools.lru_cache(maxsize=None)
@@ -520,17 +506,6 @@ def _bool_eye(m):
     eye = np.eye(m, dtype=bool)
     eye.flags.writeable = False
     return eye
-
-
-class _RowRecords:
-    """The records of a stacked evaluation: row j's is the record of that
-    row evaluated alone. A part's weight is one float, or one per row."""
-
-    def __init__(self, g, parts):
-        self.g, self.parts = g, parts
-
-    def __getitem__(self, j):
-        return self.g[j], [(w if isinstance(w, float) else w[j], s[j]) for w, s in self.parts]
 
 
 def minimize_smooth(fun, z0, converged):

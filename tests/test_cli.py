@@ -3,13 +3,14 @@ import csv
 import gc
 import io
 import json
+import math
 import weakref
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from robustcd.cli import main
+from robustcd.cli import _read_rows, main
 from robustcd.confidence import ConfidenceObject, ci, p_value
 
 
@@ -99,6 +100,63 @@ def test_csv_rejects_non_finite(runner, tmp_path):
     res3 = runner.invoke(main, ["fit", "--model", "two-sample-normal",
                                 "--rule", "log", "--data", str(path3)])
     assert res3.exit_code == 2 and "group" in res3.stderr
+
+
+def _dictreader_rows(path):
+    """The reference parse of a data file, with csv.DictReader: (fields,
+    rows), or the message of the error the CLI reports for the file."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            return f"{path}: empty file"
+        fields = [f.strip() for f in reader.fieldnames]
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            clean = {}
+            for key, raw in zip(fields, [row[k] for k in reader.fieldnames]):
+                if raw is None or raw.strip() == "":
+                    return f"{path}:{lineno}: missing value in column {key!r}"
+                try:
+                    val = float(raw)
+                except ValueError:
+                    return f"{path}:{lineno}: cannot parse {raw!r} in column {key!r}"
+                if not math.isfinite(val):
+                    return f"{path}:{lineno}: non-finite value in column {key!r}"
+                clean[key] = val
+            rows.append(clean)
+    if not rows:
+        return f"{path}: no data rows"
+    return fields, rows
+
+
+@pytest.mark.parametrize("text", [
+    "value,group\n1.5,1\n\n2.5,2\n",                 # a blank line is skipped
+    " value , group \n1.5, 2\n-0.25,1,9\n",          # stripped names, an extra value
+    '"value","group"\n"1e-3","1"\n',                # quoted
+    "value,group\n1.0,1\n\n\nnan,2\n",               # numbered past blank lines
+    "value,group\n1.0,1\n2.0\n",                     # a short row
+    "value,group\n1.0,  \n",                          # a blank value
+    "value,group\ninf,abc\n",                         # the first bad column reports
+    "value,group\n1.0,x\n",
+    "value,group,\n1.0,1,\n",                         # an unnamed empty column
+    "",
+    "value,group\n",
+    "value,group\n\n\n",
+])
+def test_csv_reader_gives_the_dictreader_parse_and_messages(tmp_path, capsys, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    want = _dictreader_rows(str(path))
+    if isinstance(want, str):
+        with pytest.raises(SystemExit) as exc:
+            _read_rows(str(path))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+    else:
+        fields, columns = _read_rows(str(path))
+        assert fields == want[0]
+        for f in fields:
+            assert columns[f].tolist() == [row[f] for row in want[1]]
 
 
 def test_cd_document_and_roundtrip(runner, two_sample_csv):

@@ -366,8 +366,6 @@ def test_p_values(two_sample_data, ts_fits):
         assert less + greater == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(DomainError):
         p_value(cd, cd.psi_tilde, "weird")
-    with pytest.raises(DomainError):
-        p_value(cd, cd.psi_grid[-1] + 1.0)
 
 
 def test_evidence(two_sample_data, ts_fits):
@@ -383,6 +381,29 @@ def test_evidence(two_sample_data, ts_fits):
     assert 0 < ev[0] < ev[1] < ev[2]
     with pytest.raises(DomainError):
         evidence(cd, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["wald", "root"])
+def test_p_value_and_evidence_outside_the_hull_are_hull_bounds(two_sample_data, ts_fits, kind):
+    # a null far outside the grid gives the p-value at the hull edge, which
+    # bounds the true one, and says so
+    fr = ts_fits["tsallis"]
+    cd = build_cd(fr.rule, two_sample_data, kind, fit_result=fr)
+    lo, hi = cd.psi_grid[0], cd.psi_grid[-1]
+    assert hi < 10.0 and lo > -10.0
+    for psi0, edge in ((10.0, hi), (-10.0, lo)):
+        for alt in ("less", "greater", "two_sided"):
+            with pytest.warns(UserWarning, match="hull"):
+                p = p_value(cd, psi0, alt)
+            assert p == p_value(cd, edge, alt)
+        with pytest.warns(UserWarning, match="hull"):
+            assert p_value(cd, psi0) <= 2e-8          # about 6 se out, on either side
+    # the confidence mass of an interval reaching past the hull is that of
+    # its part inside, a lower bound
+    with pytest.warns(UserWarning, match="hull"):
+        assert evidence(cd, lo - 1.0, hi + 1.0) == evidence(cd, lo, hi)
+    with pytest.warns(UserWarning, match="hull"):
+        assert evidence(cd, fr.psi_tilde, 10.0) == evidence(cd, fr.psi_tilde, hi)
 
 
 def test_serialization_roundtrip(two_sample_data, ts_fits):

@@ -13,11 +13,13 @@ import robustcd.cli
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
+# every cd-grid op: each model's stacked profile, under both rules
 OPS = [
-    ("cd-grid", "auc-exponential/log/0"),
-    ("cd-grid", "auc-normal/log/0"),
-    ("cd-grid", "auc-normal/tsallis/0"),              # 201 points in stacks of 15 rows
-    ("cd-grid", "expfam-gamma/tsallis/0"),            # empirical K and J for nu
+    ("cd-grid", f"{model}/{rule}/0")
+    for model in ("two-sample-normal", "auc-exponential", "auc-normal",
+                  "linear-regression", "expfam-gamma")   # expfam: empirical K and J for nu
+    for rule in ("log", "tsallis")
+] + [
     ("study", "auc-exponential/0"),
     ("study", "two-sample-normal/0"),                 # root and Wald pivots with h0
     ("robustness", "auc-exponential/log/0"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -488,7 +490,7 @@ def test_no_kernel_pass_after_a_solve(two_sample_data, cd_grid_auc_normal, kerne
     objective(z + 0.1)
     assert objective(z + 1e3)[3] is None        # overflows: an inadmissible trial
     del calls[:]
-    gnorm, _ = objective.verdict(_from_z(z, objective.positive), record)
+    gnorm, _ = objective.verdict(record)
     assert not calls and np.isfinite(gnorm)
 
     # A profile on 1050 points: its 201 grid points are solved as stacks of
@@ -519,6 +521,26 @@ def test_warm_profile_takes_few_kernel_passes(cd_grid_auc_normal, kernel_calls):
     trace = confidence.profile(rule, cd_grid_auc_normal, grid, fit_result=fr)
     assert not trace.failed.any() and len(solves) == len(scoring._chunks(grid.size, 1050, 4))
     assert sum(calls) / grid.size <= 5.0
+
+
+def test_profile_memory_is_a_few_chunk_arrays(cd_grid_auc_normal):
+    # The 201-point Tsallis profile peaks at about 3.5 times one chunk's
+    # (rows, n, d) array: the kernel's log-density and integral gradients
+    # and its (rows, n) arrays. A record that kept a pass's per-observation
+    # gradients alive would add at least one more such array per round.
+    rule = ScoreRule.tsallis(NormalAUC(), 1.23)
+    fr = fit(rule, cd_grid_auc_normal)
+    grid = _default_profile_grid(fr)
+    rows = scoring.STACK_ELEMENTS // (1050 * 4)
+    chunk_bytes = rows * 1050 * 4 * 8
+    tracemalloc.start()
+    try:
+        trace = confidence.profile(rule, cd_grid_auc_normal, grid, fit_result=fr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not trace.failed.any()
+    assert peak < 4.0 * chunk_bytes, peak / chunk_bytes
 
 
 def test_minimize_smooth_solves_a_quadratic_in_two_passes():
@@ -637,6 +659,84 @@ def test_a_mixture_per_row_stack_solves_each_row_as_alone(all_models, gamma):
             assert row[1] != confidence._constrained_at(rule, data, psi, lam)[1]
 
 
+def _verdict_oracle(rule, data, x, psi=None, mixture=None):
+    """(||g||, GRAD_TOL sum_i w_i ||s_i||) at x from a fresh pass of
+    per_obs_gradient, the gradients pulled back to x by hand."""
+    model = rule.model
+    theta = x if psi is None else model.profile_embed(psi, x)
+    parts = [(1.0, per_obs_gradient(rule, data, theta))]
+    if mixture is not None:
+        eps, frame = mixture
+        parts = [(1.0 - eps, parts[0][1]),
+                 (model.nobs(data) * eps, per_obs_gradient(rule, frame, theta))]
+    if psi is not None:
+        jac = model.profile_embed_jac(psi, x)
+        parts = [(w, s @ jac) for w, s in parts]
+    g = sum(w * s.sum(axis=0) for w, s in parts)
+    scale = sum(w * np.linalg.norm(s, axis=1).sum() for w, s in parts)
+    return np.linalg.norm(g), scoring.GRAD_TOL * scale
+
+
+@pytest.mark.parametrize("gamma", [None, 1.23])
+def test_a_record_is_the_verdict_at_its_point(all_models, gamma):
+    # Free, constrained (a psi per row) and mixture (an eps and a frame per
+    # row) objectives on stacks. Each row's record is (||g||,
+    # ||g|| <= GRAD_TOL sum_i w_i ||s_i||) as a fresh per-observation pass
+    # gives it, and the record of that row evaluated alone: at the solved
+    # point, and just inside and just outside the bound on the line from it
+    # along (0.1, ..., 0.1) in z.
+    for model, datasets in _stack_cases(all_models):
+        rule = ScoreRule.log(model) if gamma is None else ScoreRule.tsallis(model, gamma)
+        stack = model.stack(datasets)
+        fits = fit(rule, stack)
+        theta = np.stack([fr.theta_hat for fr in fits])
+        psis = np.array([fr.psi_tilde for fr in fits])
+        psis += np.array([0.0, -0.02, 0.03]) * np.abs(psis)
+        center, scale = model.obs_center_scale(datasets[0], theta[0], 0)
+        frames = [model.checked(model.contamination_frame([center + k * scale], datasets[0]))
+                  for k in (0.5, 1.0, 3.0)]
+        mixture = (np.array([1e-4, 5e-5, 1e-2]), model.stack(frames))
+        cases = [(_Objective(rule, stack), theta, datasets, None, None),
+                 (_Objective(rule, stack, psis), model.profile_extract(theta), datasets,
+                  psis, None),
+                 (_Objective(rule, model.stack([datasets[0]] * 3), mixture=mixture), theta,
+                  [datasets[0]] * 3, None, mixture)]
+        for objective, x0, data_rows, psi, mix in cases:
+            z_solved = _to_z(objective.solve(_to_z(x0, objective.positive))[0],
+                             objective.positive)
+
+            def oracle(r, z):
+                return _verdict_oracle(rule, data_rows[r], _from_z(z, objective.positive),
+                                       None if psi is None else psi[r],
+                                       None if mix is None else (mix[0][r], frames[r]))
+
+            def ratio(r, t):
+                g, bound = oracle(r, z_solved[r] + 0.1 * t)
+                return g / bound
+
+            crossing = []
+            for r in range(len(z_solved)):
+                lo, hi = 0.0, 1.0
+                assert ratio(r, lo) < 1.0 < ratio(r, hi), (model.name, rule.label(), r)
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (mid, hi) if ratio(r, mid) <= 1.0 else (lo, mid)
+                crossing.append(hi)
+            crossing = np.array(crossing)[:, None]
+            for z in (z_solved, z_solved + 0.1 * crossing * (1.0 - 1e-4),
+                      z_solved + 0.1 * crossing * (1.0 + 1e-4)):
+                records = objective(z)[3]
+                for r, record in enumerate(records):
+                    what = (model.name, rule.label(), psi is not None, mix is not None, r)
+                    alone = objective.rows(r)(z[r])[3]
+                    assert objective.verdict(record) == objective.verdict(alone), what
+                    gnorm, converged = objective.verdict(record)
+                    g_oracle, bound = oracle(r, z[r])
+                    assert abs(g_oracle - bound) > 1e-5 * bound, what   # not round-off
+                    assert abs(gnorm - g_oracle) <= 1e-6 * bound, what
+                    assert converged == (g_oracle <= bound), what
+
+
 def test_minimize_smooth_solves_each_row_of_a_stack_as_alone():
     # Three rows: one converges from the default start, one starts where the
     # log-variance overflows (not finite), and one starts at a variance of
@@ -658,7 +758,7 @@ def test_minimize_smooth_solves_each_row_of_a_stack_as_alone():
         return out
 
     def rows_verdict(z, records, rows):
-        return objective.rows(rows).verdict(_from_z(z, objective.positive), records)[1]
+        return objective.rows(rows).verdict(records)[1]
 
     z, f, n_iter, reason, records = minimize_smooth(rows_fun, z0, rows_verdict)
     assert list(reason) == ["gradient", "not_finite", "gradient"]
@@ -666,13 +766,11 @@ def test_minimize_smooth_solves_each_row_of_a_stack_as_alone():
     for r, data in enumerate(datasets):
         alone = _Objective(rule, data)
         z_r, f_r, n_r, reason_r, record_r = minimize_smooth(
-            alone, z0[r], lambda z, rec: alone.verdict(_from_z(z, alone.positive), rec)[1])
+            alone, z0[r], lambda z, rec: alone.verdict(rec)[1])
         assert np.array_equal(z[r], z_r)
         assert f[r] == f_r or np.isinf(f[r]) and np.isinf(f_r)
         assert (n_iter[r], reason[r]) == (n_r, reason_r)
-        with np.errstate(over="ignore"):        # the row that overflows at its start
-            x = _from_z(z_r, alone.positive)
-        assert alone.verdict(x, record_r) == objective.rows(r).verdict(x, records[r])
+        assert alone.verdict(record_r) == objective.rows(r).verdict(records[r])
 
 
 # ---------------------------------------------------------------------------
