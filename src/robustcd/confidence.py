@@ -25,6 +25,7 @@ from .scoring import (
     _Objective,
     _chunks,
     _from_z,
+    _only,
     _per_row,
     _to_z,
     estimate_KJ,
@@ -64,34 +65,30 @@ def constrained_fit(rule, data, psi, lam0=None):
     data = model.checked(data)
     if lam0 is None:
         lam0 = model.profile_extract(model.default_start(data))
-    return _constrained_solve(_Objective(rule, data, psi), lam0)
+    objective = _Objective(rule, model.stack([data]), np.array([psi], dtype=float))
+    return tuple(a[0] for a in _constrained_solve(objective, np.asarray(lam0, dtype=float)[None]))
 
 
 def _constrained_solve(objective, lam0):
-    """(theta, score, lam, converged) of a constrained objective from lam0;
-    converged is the objective's verdict at the solve's end point. On a
-    stack, lam0 has a start per row and every output a row axis."""
+    """(theta, score, lam, converged) of a constrained objective from lam0,
+    a start per row, each output with a row axis; converged is the
+    objective's verdict at each row's end point."""
     lam, val, *_, converged = objective.solve(_to_z(lam0, objective.positive))
     return objective.theta(lam), val, lam, converged
 
 
 def _constrained_at(rule, data, psi, lam0, mixture=None):
-    """The constrained solve at psi from lam0, on the eps-mixture objective
-    when ``mixture=(eps, frame)``, and nu at its estimate:
-    (theta_psi, S(theta_psi), lam_psi, nu). A solve that did not converge
-    raises NumericsError.
-
-    On a stack of datasets, psi and lam0 hold a value and a start per row,
-    and a mixture an eps and a frame per row (see ``_Objective``); the
-    result is a list with, for each row, that tuple or the DomainError or
-    NumericsError the row raises alone. The rows are solved together, in
-    stacks of at most STACK_ELEMENTS numbers per (rows, n, d) array.
+    """The constrained solves on a stack of datasets, at psi, a value per
+    row, from lam0, a start per row, on the eps-mixture objective when
+    ``mixture=(eps, frames)`` holds an eps and a frame per row (see
+    ``_Objective``), and nu at their estimates. A list with, for each row,
+    (theta_psi, S(theta_psi), lam_psi, nu) or the DomainError or
+    NumericsError the row raises alone; a solve that did not converge
+    raises NumericsError. The rows are solved together, in stacks of at
+    most STACK_ELEMENTS numbers per (rows, n, d) array.
 
     Every constrained solve of a profile or a root pivot comes from here.
     """
-    if np.ndim(lam0) == 1:
-        return _converged_at(rule, data, psi, *_constrained_solve(
-            _Objective(rule, data, psi, mixture), lam0))
     model, objective = rule.model, _Objective(rule, data, psi, mixture)
     out = []
     for at in _chunks(len(lam0), model.nobs(data), lam0.shape[-1] + 1):
@@ -247,7 +244,9 @@ def pivot_root(trace, fit_result, psi):
     if not grid[0] <= psi <= grid[-1]:
         raise DomainError("psi outside the profile grid hull")
     warm = trace.lam_hat[int(np.argmin(np.abs(grid - psi)))]
-    _, s_con, _, _ = _constrained_at(fit_result.rule, fit_result.data, psi, warm)
+    model = fit_result.rule.model
+    _, s_con, _, _ = _only(_constrained_at(fit_result.rule, model.stack([fit_result.data]),
+                                           np.array([psi]), warm[None]))
     nu = float(np.interp(psi, grid, trace.nu))
     return float(_signed_root(fit_result.psi_tilde, fit_result.score_at_opt, psi, s_con, nu))
 

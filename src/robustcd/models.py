@@ -359,7 +359,8 @@ class ModelSpec(abc.ABC):
     # ---- observation-level pieces --------------------------------------
     @abc.abstractmethod
     def logpdf_obs(self, data, theta) -> np.ndarray:
-        """Per-observation log densities, flattened in canonical order."""
+        """Per-observation log densities, flattened in canonical order; a
+        fresh array, which the scoring kernel overwrites."""
 
     @abc.abstractmethod
     def dlogpdf_obs(self, data, theta) -> np.ndarray:

@@ -23,6 +23,7 @@ from .scoring import (
     ScoreRule,
     _Objective,
     _chunks,
+    _only,
     _per_row,
     _to_z,
     checked_inverse,
@@ -145,7 +146,9 @@ def _root_taif_values(rule, data, fit_result, psi, ys, component):
     model = rule.model
     theta = fit_result.theta_hat
     n = model.nobs(data)
-    theta_c, s_con, lam_c, nu = _constrained_at(rule, data, psi, model.profile_extract(theta))
+    theta_c, s_con, lam_c, nu = _only(_constrained_at(
+        rule, model.stack([data]), np.array([psi], dtype=float),
+        model.profile_extract(theta)[None]))
     r_val = float(_signed_root(fit_result.psi_tilde, fit_result.score_at_opt, psi, s_con, nu))
     if abs(r_val) < 1e-4:
         return None
@@ -269,10 +272,8 @@ def taif_contamination_oracle(rule, data, pivot_kind, psi, ys, component=0,
     if fit_result is None:
         fit_result = fit_rule(rule, data)
     theta0 = fit_result.theta_hat
-    [base] = _tail_areas(_Objective(rule, model.stack([data])), pivot_kind, psi,
-                         theta0[None], [fit_result.score_at_opt])
-    if isinstance(base, Exception):
-        raise base
+    base = _only(_tail_areas(_Objective(rule, model.stack([data])), pivot_kind, psi,
+                             theta0[None], [fit_result.score_at_opt]))
     eps = ORACLE_EPS
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     frames = {}

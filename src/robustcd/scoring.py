@@ -7,11 +7,12 @@ V = K^-1 J K^-T and the Godambe information G = V^-1 drive all downstream
 pivots. K and J can be taken from a model's analytic expectations or
 estimated empirically; both paths are exposed.
 
-The kernel, the objective, the solver, ``fit``, ``estimate_KJ`` and
-``sandwich`` also take a stack of datasets (see ``ModelSpec.stack``) with a
-parameter per row. Row r of a stacked result is, bit for bit, what the same
-call returns for dataset r alone; a stack only saves the per-call overhead of
-many small problems.
+The kernel, ``fit``, ``estimate_KJ`` and ``sandwich`` also take a stack of
+datasets (see ``ModelSpec.stack``) with a parameter per row, and the
+objective and the solver take only stacks: every solve runs on a stack, a
+single dataset being a stack of one. Row r of a stacked result is, bit for
+bit, what the same call returns for dataset r alone; a stack only saves the
+per-call overhead of many small problems.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ MAX_CONDITION = 1e12
 GRAD_TOL = 1e-8
 N_STARTS = 3                 # fit: the first start and up to two jittered restarts
 # minimize_smooth, a damped Newton method. It runs to round-off: it stops
-# once ||g|| <= SOLVER_GTOL where the caller's verdict holds, or once a step
+# once ||g|| <= SOLVER_GTOL where the record's verdict holds, or once a step
 # is shorter than STEP_FLOOR (1 + ||z||), where trial points differ from z by
 # round-off. Where f is flat to within F_NOISE (1 + |f|), f cannot rank trial
 # points, so a step that lowers ||g|| is accepted instead.
@@ -56,7 +57,7 @@ STEP_FLOOR = 1e-10
 F_NOISE = 1e-13
 # Numbers per (rows, n, d) array of a stack of datasets, which bounds a
 # stack's memory: rows = STACK_ELEMENTS // (n d). A kernel pass holds about
-# three and a half such arrays at its peak.
+# three and a quarter such arrays at its peak.
 STACK_ELEMENTS = 2 ** 17
 
 
@@ -125,7 +126,8 @@ def _kernel(rule, data, theta, order=1):
         return -logf, grads, hess
     gamma = rule.gamma
     a = gamma - 1.0
-    fa = np.exp(a * logf)
+    logf *= a
+    fa = np.exp(logf, out=logf)      # f^a, in logf's own buffer
     ivals = model.tsallis_integral_obs(data, theta, gamma)
     terms = a * ivals - gamma * fa
     if order == 0:
@@ -159,11 +161,9 @@ def score_terms(rule, data, theta):
     return _kernel(rule, data, theta, order=0)[0]
 
 
-def total_score(rule, data, theta, weights=None):
-    """Total empirical score; optionally a weighted sum over observations."""
-    terms = score_terms(rule, data, theta)
-    return _finite_total(terms.sum() if weights is None
-                         else np.asarray(weights, dtype=float) @ terms)
+def total_score(rule, data, theta):
+    """Total empirical score."""
+    return _finite_total(score_terms(rule, data, theta).sum())
 
 
 def per_obs_gradient(rule, data, theta):
@@ -171,12 +171,9 @@ def per_obs_gradient(rule, data, theta):
     return _kernel(rule, data, theta)[1]
 
 
-def score_gradient(rule, data, theta, weights=None):
+def score_gradient(rule, data, theta):
     """Gradient of the total score: sum_i s(y_i; theta)."""
-    grads = per_obs_gradient(rule, data, theta)
-    if weights is None:
-        return grads.sum(axis=0)
-    return np.asarray(weights, dtype=float) @ grads
+    return per_obs_gradient(rule, data, theta).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -356,27 +353,29 @@ def _from_z(z, positive):
 
 
 class _Objective:
-    """The total score as a smooth function of unconstrained coordinates z.
+    """The total score of a stack of datasets as a smooth function of
+    unconstrained coordinates z, a point per row; a single dataset is a
+    stack of one.
 
     Free (``psi`` None): x is theta, and z is x with its positive entries
-    log-transformed. Constrained: x is the nuisance lam so transformed,
-    theta = profile_embed(psi, lam), and derivatives are pulled back through
-    the embedding's Jacobian and curvature. ``mixture=(eps, frame)`` scores
-    the eps-contaminated objective (1 - eps) S_data + n eps S_frame, frame
-    being checked data of its own (one point, for the TAIF's oracle). A call
-    returns (value, gradient, Hessian, record) in z, with value +inf and
-    record None where theta is inadmissible, the score cannot be evaluated,
-    or the arithmetic overflows. The record of an evaluation is two numbers,
-    (||g||, converged), the convergence verdict taken there (see
-    ``derivatives``), which ``verdict`` reads; it holds no array.
+    log-transformed. Constrained: ``psi`` holds an interest value per row,
+    x is the nuisance lam so transformed, theta = profile_embed(psi, lam),
+    and derivatives are pulled back through the embedding's Jacobian and
+    curvature. ``mixture=(eps, frames)``, an eps per row and a checked stack
+    of frames, one per row, scores each row's eps-contaminated objective
+    (1 - eps) S_data + n eps S_frame (a frame holds one point, for the
+    TAIF's oracle).
 
-    On a stack of datasets z holds a point per row, a constrained
-    objective's psi an interest value per row, a mixture an eps per row and
-    a checked stack of frames, one per row, and a call returns a value,
-    gradient and Hessian per row and a list of records, row j's being the
-    record of that row evaluated alone. Where the stacked evaluation fails,
-    the stack is halved until the failing rows stand alone, so a bad point
-    is +inf on its own row only.
+    A call at z returns a value, gradient and Hessian in z per row and a
+    list of records, row j's being the record of that row evaluated alone.
+    The record of a row is two numbers, (||g||, converged), the convergence
+    verdict taken at its point (see ``derivatives``), which ``verdict``
+    reads; it holds no array. A row's value is +inf and its record None
+    where its theta is inadmissible, its score cannot be evaluated, or the
+    arithmetic overflows: where the stacked evaluation fails, the stack is
+    halved until the failing rows stand alone, so a bad point is +inf on
+    its own row only. ``evaluate`` and ``derivatives`` take any shape, and
+    also serve one dataset at one point (the root TAIF's nuisance Hessian).
     """
 
     def __init__(self, rule, data, psi=None, mixture=None):
@@ -386,9 +385,8 @@ class _Objective:
         self._eye = _bool_eye(len(self.positive))
 
     def rows(self, rows):
-        """The objective on rows of the stack, each with its psi and its
-        mixture: an index gives one dataset's objective, an index array a
-        smaller stack's."""
+        """The objective on rows of the stack, an index array or a slice,
+        each with its psi and its mixture."""
         model, mixture = self.rule.model, self.mixture
         return _Objective(self.rule, model.take(self.data, rows),
                           None if self.psi is None else self.psi[rows],
@@ -399,9 +397,9 @@ class _Objective:
         return x if self.psi is None else self.rule.model.profile_embed(self.psi, x)
 
     def _mix(self, at_data, at_frame):
+        # each row's eps, broadcast over that row's entries
         eps = self.mixture[0]
-        if np.ndim(eps):                 # an eps per row, broadcast over each row's entries
-            eps = eps.reshape(eps.shape + (1,) * (at_data.ndim - 1))
+        eps = eps.reshape(eps.shape + (1,) * (at_data.ndim - 1))
         return (1.0 - eps) * at_data + self.rule.model.nobs(self.data) * eps * at_frame
 
     def evaluate(self, theta):
@@ -424,16 +422,11 @@ class _Objective:
         return val, g, H, parts
 
     @staticmethod
-    def verdict(record):
-        """(||g||, converged) at a point, read from the record of its
-        evaluation; no record means the point could not be evaluated. A
-        list of records, one per row of a stack, gives both outputs per
-        row."""
-        if isinstance(record, list):
-            gnorm, converged = zip(*(rec or (np.inf, False) for rec in record))
-            return np.array(gnorm), np.array(converged)
-        gnorm, converged = record or (np.inf, False)
-        return float(gnorm), bool(converged)
+    def verdict(records):
+        """(||g||, converged) per row, read from the records of the rows'
+        evaluations; no record means the point could not be evaluated."""
+        gnorm, converged = zip(*(rec or (np.inf, False) for rec in records))
+        return np.array(gnorm), np.array(converged)
 
     def derivatives(self, x):
         """(value, gradient, Hessian, verdict) in x, theta or the
@@ -461,11 +454,9 @@ class _Objective:
                 x = _from_z(z, self.positive)
                 val, g, H, record = self.derivatives(x)
         except (DomainError, NumericsError, FloatingPointError):
-            if np.ndim(z) == 1:
-                return np.inf, np.zeros_like(z), np.zeros((z.size, z.size)), None
             if len(z) == 1:
-                val, g, H, record = self.rows(0)(z[0])
-                return np.array([val]), g[None], H[None], [record]
+                return (np.array([np.inf]), np.zeros_like(z),
+                        np.zeros(z.shape + z.shape[-1:]), [None])
             # Halve the stack until the failing rows stand alone, rather than
             # go row by row (_per_row): a round of a study's solve evaluates
             # about 2000 rows, and one bad row then costs about 2 log2(R)
@@ -479,25 +470,17 @@ class _Objective:
         dx = np.where(self.positive, x, 1.0)
         diag = np.where(self._eye, np.where(self.positive, x * g, 0.0)[..., None, :], 0.0)
         H = dx[..., :, None] * H * dx[..., None, :] + diag
-        if np.ndim(z) != 1:
-            record = list(zip(record[0].tolist(), record[1].tolist()))
-        return val, dx * g, H, record
+        return val, dx * g, H, list(zip(record[0].tolist(), record[1].tolist()))
 
     def solve(self, z0):
-        """Minimize from z0: (x, value, n_iter, reason, ||g||, converged),
-        judged from the evaluation that accepted x, so no pass over the data
-        follows the solve; the solver's gradient stop asks the same verdict.
-        On a stack, z0 has a start per row and every output a row axis."""
-        if np.ndim(z0) == 1:
-            z, val, n_iter, reason, record = minimize_smooth(
-                self, z0, lambda z, record: self.verdict(record)[1])
-        else:
-            def at(rows):
-                return self if len(rows) == len(z0) else self.rows(rows)
-            z, val, n_iter, reason, record = minimize_smooth(
-                lambda z, rows: at(rows)(z), z0,
-                lambda z, records, rows: self.verdict(records)[1])
-        return (_from_z(z, self.positive), val, n_iter, reason) + self.verdict(record)
+        """Minimize from z0, a start per row: (x, value, n_iter, reason,
+        ||g||, converged), each with a row axis. Each row is judged from the
+        evaluation that accepted its x, so no pass over the data follows the
+        solve; the solver's gradient stop reads the same verdict."""
+        def at(rows):
+            return self if len(rows) == len(z0) else self.rows(rows)
+        z, val, n_iter, reason, records = minimize_smooth(lambda z, rows: at(rows)(z), z0)
+        return (_from_z(z, self.positive), val, n_iter, reason) + self.verdict(records)
 
 
 @functools.lru_cache(maxsize=None)
@@ -508,70 +491,86 @@ def _bool_eye(m):
     return eye
 
 
-def minimize_smooth(fun, z0, converged):
-    """Damped Newton minimization of
-    ``fun(z) -> (value, gradient, Hessian, record)``.
+def minimize_smooth(fun, z0):
+    """Damped Newton minimization of a stack of problems, a start per row
+    of z0; a single problem is a stack of one.
 
-    Each iteration solves for the Newton step, with the Hessian's spectrum
-    shifted where it is not positive definite, and halves it until the
-    trial point passes the Armijo test, or lowers ||g|| where f is flat to
-    round-off (F_NOISE). Returns (z, value, n_iter, reason, record), z
-    being the last accepted point and record what ``fun`` returned with
-    it. reason names why the solve stopped:
+    ``fun(z, rows)`` evaluates the rows ``rows`` (an index array) at their
+    points z and returns (values, gradients, Hessians, records) with a row
+    axis, records[j] being row j's record: (||g||, converged), the caller's
+    convergence verdict at its point, or None where its value is not
+    finite. Each row runs its own iteration: it solves for the Newton step,
+    with the Hessian's spectrum shifted where it is not positive definite,
+    and halves it until the trial point passes the Armijo test, or lowers
+    ||g|| where f is flat to round-off (F_NOISE). A round solves every
+    pending Newton system in one batch, then evaluates every pending trial
+    point in one call of fun; a row that has stopped is not evaluated
+    again. Returns (z, value, n_iter, reason, records), each with the row
+    axis and the records as a list, z being each row's last accepted point
+    and its record what fun returned with it. reason names why a row
+    stopped:
 
-    * "gradient": ||g|| <= SOLVER_GTOL, and ``converged(z, record)``, the
-      caller's verdict at z, holds or ||g|| has stopped falling;
+    * "gradient": ||g|| <= SOLVER_GTOL, and the record's verdict holds or
+      ||g|| has stopped falling;
     * "step": the Newton step, or a backtracked trial step, is shorter than
       STEP_FLOOR (1 + ||z||);
     * "no_decrease": 40 backtracks found no acceptable point;
     * "singular": the Newton system could not be solved;
     * "not_finite": the objective is not finite at z0;
     * "max_iter": MAX_ITER iterations ran out.
-
-    A stack of problems has a start per row of z0. ``fun(z, rows)`` then
-    evaluates the rows ``rows`` (an index array) at their points z and
-    returns (values, gradients, Hessians, records) with a row axis,
-    records[j] being row j's record, and ``converged(z, records, rows)``
-    gives their verdicts. Every row runs its own iteration, and in each
-    round one call of each serves every row still running that asks for
-    it; a row that has stopped is not evaluated again. Every output gains
-    the row axis; the records come as a list.
     """
     z0 = np.asarray(z0, dtype=float)
-    if z0.ndim == 2:
-        return _newton_rows(fun, z0, converged)
-    answer = {"verdict": converged, "step": _newton_step, "eval": fun}
-    solve = _newton(z0, *fun(z0))
-    try:
-        request = next(solve)
-        while True:
-            kind, *args = request
-            request = solve.send(answer[kind](*args))
-    except StopIteration as done:
-        return done.value
+    R = len(z0)
+    f, g, H, records = fun(z0, np.arange(R))
+    results = [None] * R
+    pending = {}
 
+    def advance(r, answer):
+        try:
+            pending[r] = solves[r].send(answer)
+        except StopIteration as done:
+            results[r] = done.value
+            pending.pop(r, None)
 
-def _newton_step(H, g):
-    """The Newton step of one system, or None where it cannot be solved."""
-    try:
-        return _newton_steps(H, g)
-    except NumericsError:
-        return None
+    def steps(rows, H, g):
+        H, g = np.array(H), np.array(g)
+        return [None if isinstance(step, Exception) else step
+                for step in _per_row(lambda at: _newton_steps(H[at], g[at]), len(rows))]
+
+    def trials(rows, z):
+        f, g, H, records = fun(np.array(z), rows)
+        return [(v, g[j], H[j], records[j]) for j, v in enumerate(f.tolist())]
+
+    answer = {"step": steps, "eval": trials}
+    solves = [_newton(z0[r], v, g[r], H[r], records[r]) for r, v in enumerate(f.tolist())]
+    for r in range(R):
+        advance(r, None)
+    while pending:
+        for kind in ("step", "eval"):
+            rows = np.array([r for r, q in pending.items() if q[0] == kind])
+            if rows.size:
+                replies = answer[kind](rows, *zip(*(pending[r][1:] for r in rows)))
+                for r, reply in zip(rows, replies):
+                    advance(r, reply)
+    z, f, n_iter, reason, records = zip(*results)
+    return (np.array(z), np.array(f), np.array(n_iter), np.array(reason, dtype=object),
+            list(records))
 
 
 def _newton(z, f, g, H, record):
-    """One problem's damped Newton iteration (see minimize_smooth), as a
-    generator of requests led by their kind. It yields ("verdict", z,
-    record) and is sent the caller's verdict at z; ("step", H, g) and is
-    sent the Newton step, or None where the system cannot be solved; and
+    """One row's damped Newton iteration (see minimize_smooth), as a
+    generator of requests led by their kind. It yields ("step", H, g) and
+    is sent the Newton step, or None where the system cannot be solved; and
     ("eval", z) at each trial point z and is sent fun's (value, gradient,
-    Hessian, record) there. It returns (z, value, n_iter, reason, record)."""
+    Hessian, record) there. The gradient stop reads the verdict from the
+    record at z, whose value is finite, so the record is never None. It
+    returns (z, value, n_iter, reason, record)."""
     if not np.isfinite(f):
         return z, f, 0, "not_finite", record
     n_iter, g_last = 0, np.inf
     while n_iter < MAX_ITER:
         g_norm = math.sqrt(g.dot(g))    # np.linalg.norm(g), without its dispatch
-        if g_norm <= SOLVER_GTOL and (g_norm >= g_last or (yield "verdict", z, record)):
+        if g_norm <= SOLVER_GTOL and (g_norm >= g_last or record[1]):
             return z, f, n_iter, "gradient", record
         g_last = g_norm
         step = yield "step", H, g
@@ -598,51 +597,6 @@ def _newton(z, f, g, H, record):
         if stop is not None:
             return z, f, n_iter, stop, record
     return z, f, n_iter, "max_iter", record
-
-
-def _newton_rows(fun, z0, converged):
-    """minimize_smooth over the rows of z0: each row's _newton, served in
-    rounds. A round solves every pending Newton system in one batch, then
-    evaluates every pending trial point in one call of fun; once every
-    running row waits for a verdict, one call of converged answers them."""
-    R = len(z0)
-    f, g, H, records = fun(z0, np.arange(R))
-    results = [None] * R
-    pending = {}
-
-    def advance(r, answer):
-        try:
-            pending[r] = solves[r].send(answer)
-        except StopIteration as done:
-            results[r] = done.value
-            pending.pop(r, None)
-
-    def steps(rows, H, g):
-        H, g = np.array(H), np.array(g)
-        return [None if isinstance(step, Exception) else step
-                for step in _per_row(lambda at: _newton_steps(H[at], g[at]), len(rows))]
-
-    def trials(rows, z):
-        f, g, H, records = fun(np.array(z), rows)
-        return [(v, g[j], H[j], records[j]) for j, v in enumerate(f.tolist())]
-
-    answer = {"verdict": lambda rows, z, recs: converged(np.array(z), list(recs), rows),
-              "step": steps, "eval": trials}
-    solves = [_newton(z0[r], v, g[r], H[r], records[r]) for r, v in enumerate(f.tolist())]
-    for r in range(R):
-        advance(r, None)
-    while pending:
-        # verdicts wait until every running row asks for one, so few calls serve them
-        asked = {q[0] for q in pending.values()}
-        for kind in ("step", "eval") if asked != {"verdict"} else ("verdict",):
-            rows = np.array([r for r, q in pending.items() if q[0] == kind])
-            if rows.size:
-                replies = answer[kind](rows, *zip(*(pending[r][1:] for r in rows)))
-                for r, reply in zip(rows, replies):
-                    advance(r, reply)
-    z, f, n_iter, reason, records = zip(*results)
-    return (np.array(z), np.array(f), np.array(n_iter), np.array(reason, dtype=object),
-            list(records))
 
 
 def _newton_steps(H, g):
@@ -681,6 +635,15 @@ def _per_row(stage, n):
     return list(zip(*out)) if isinstance(out, tuple) else list(out)
 
 
+def _only(items):
+    """The one item of a stack of one's per-row results; raises it where it
+    is the exception that row raised."""
+    [item] = items
+    if isinstance(item, Exception):
+        raise item
+    return item
+
+
 def _chunks(n_rows, n, d):
     """Slices that cut n_rows rows, datasets of n observations with d
     parameters, into stacks of at most STACK_ELEMENTS numbers per
@@ -712,10 +675,7 @@ def fit(rule, data, theta0=None):
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.ndim == 2:
         return _fit_rows(rule, data, theta0)
-    [out] = _fit_rows(rule, model.stack([data]), theta0[None])
-    if isinstance(out, Exception):
-        raise out
-    return out
+    return _only(_fit_rows(rule, model.stack([data]), theta0[None]))
 
 
 def _admissible(model, theta0):

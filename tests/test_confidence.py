@@ -17,7 +17,7 @@ from robustcd.confidence import (
     pivot_wald,
     profile,
 )
-from robustcd.errors import DomainError
+from robustcd.errors import DomainError, NumericsError
 from robustcd.models import ExponentialAUC, LinearRegression, NormalAUC, TwoSampleNormal
 from robustcd.scoring import ScoreRule, fit, interest_information
 from robustcd.simulate import H0Spec, MethodSpec, SimDesign, run_study
@@ -53,12 +53,12 @@ def test_constrained_fit_does_not_stall(monkeypatch):
     evals, reasons = [0], []
     solve = scoring.minimize_smooth
 
-    def counted(fun_grad, z0, converged):
-        def fg(z):
-            evals[0] += 1
-            return fun_grad(z)
-        out = solve(fg, z0, converged)
-        reasons.append(out[3])
+    def counted(fun, z0):
+        def fg(z, rows):
+            evals[0] += len(rows)
+            return fun(z, rows)
+        out = solve(fg, z0)
+        reasons.extend(out[3])
         return out
 
     monkeypatch.setattr(scoring, "minimize_smooth", counted)
@@ -513,3 +513,69 @@ def test_cd_follows_affine_maps_of_the_data(request, model, data_name, c, b, psi
     moved = build_cd(rule, tuple(c * s + b for s in data), kind, n_grid=41)
     assert np.allclose(moved.psi_grid, psi_scale * cd.psi_grid, rtol=1e-9, atol=1e-12)
     assert np.abs(moved.cdf_values - cd.cdf_values).max() <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# edge cases: ties, a zero MAD, tiny samples and psi near the AUC boundary
+# ---------------------------------------------------------------------------
+
+def _rules(model):
+    return [ScoreRule.log(model), ScoreRule.tsallis(model, 1.2)]
+
+
+def test_a_sample_with_zero_mad_fits_and_converges():
+    # 8 of the 12 values in the first sample are tied, so its MAD is zero
+    # and the start takes the standard deviation for the scale
+    m = TwoSampleNormal()
+    rng = np.random.default_rng(5)
+    x = np.r_[np.full(8, 1.5), rng.normal(1.5, 1.0, 4)]
+    y = rng.normal(0.0, 1.0, 12)
+    assert np.median(np.abs(x - np.median(x))) == 0.0
+    for rule in _rules(m):
+        fr = fit(rule, (x, y))
+        assert fr.converged and fr.stop_reason == "gradient", rule.label()
+        assert np.isfinite(fr.V).all() and (fr.theta_hat[2:] > 0).all(), rule.label()
+
+
+def test_a_constant_sample_raises_a_singular_k():
+    # a constant sample drives its variance to zero: the fit cannot form
+    # K, and says so
+    m = TwoSampleNormal()
+    y = np.random.default_rng(6).normal(0.0, 1.0, 10)
+    for rule in _rules(m):
+        for data in ((np.full(10, 2.0), y), (np.full(10, 2.0), np.full(10, 1.0))):
+            with pytest.raises(NumericsError, match="sensitivity matrix K is numerically singular"):
+                fit(rule, data)
+
+
+def test_two_points_per_sample_give_a_closed_root_interval():
+    m = TwoSampleNormal()
+    data = (np.array([0.3, 1.9]), np.array([-0.4, 0.2]))
+    for rule in _rules(m):
+        fr = fit(rule, data)
+        assert fr.converged, rule.label()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")          # no failed grid point, no open end
+            cd = build_cd(rule, data, "root", fit_result=fr)
+            iv = ci(cd, 0.95)
+        assert not (iv.lo_open or iv.hi_open), rule.label()
+        assert iv.lo < cd.psi_tilde < iv.hi, rule.label()
+
+
+def test_an_auc_near_one_keeps_its_grid_and_intervals_inside_the_unit_interval():
+    # P(X1 < X2) = 24 / 25 for rates (24, 1): the grid stops 1e-4 short of
+    # the boundary and the 95% intervals close inside (0, 1)
+    m = ExponentialAUC()
+    data = m.sample((24.0, 1.0), (20, 40), np.random.default_rng([1, 9]))
+    for rule in _rules(m):
+        fr = fit(rule, data)
+        assert fr.psi_tilde > 0.95, rule.label()
+        for kind in ("wald", "root"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cd = build_cd(rule, data, kind, fit_result=fr)
+                iv = ci(cd, 0.95)
+            what = (rule.label(), kind)
+            assert cd.psi_grid[-1] == pytest.approx(1.0 - 1e-4, rel=0, abs=1e-15), what
+            assert not (iv.lo_open or iv.hi_open), what
+            assert 0.0 < iv.lo < cd.psi_tilde < iv.hi < cd.psi_grid[-1], what

@@ -149,31 +149,54 @@ def test_fit_permutation_invariance(two_sample_data):
     assert np.allclose(f1.theta_hat, f2.theta_hat, atol=1e-9)
 
 
-def test_minimize_smooth_names_its_stop():
+class _Record(tuple):
+    """A record (||g||, converged) that notes each read of its verdict in
+    ``log``."""
+
+    def __new__(cls, gnorm, converged, log):
+        record = super().__new__(cls, (gnorm, converged))
+        record.log = log
+        return record
+
+    def __getitem__(self, i):
+        if i == 1:
+            self.log.append(self)
+        return super().__getitem__(i)
+
+
+def _rows_of(fun):
+    """The stacked ``fun(z, rows)`` of a one-problem ``fun(z) -> (value,
+    gradient, Hessian, record)``, evaluated row by row."""
+    def stacked(z, rows):
+        f, g, H, records = zip(*(fun(z_r) for z_r in z))
+        return np.array(f), np.array(g), np.array(H), list(records)
+    return stacked
+
+
+def _quadratic(converged, log):
+    """f(z) = z'z, its record's verdict ``converged`` wherever it is read."""
     def quadratic(z):
-        return float(z @ z), 2.0 * z, 2.0 * np.eye(z.size), None
+        return (float(z @ z), 2.0 * z, 2.0 * np.eye(z.size),
+                _Record(np.linalg.norm(2.0 * z), converged, log))
+    return _rows_of(quadratic)
 
-    z, f, _, reason, _ = minimize_smooth(quadratic, np.array([1.0, -2.0]), _holds)
-    assert reason == "gradient"
-    assert f == pytest.approx(0.0, abs=1e-18)
 
-    # the gradient stop needs the caller's verdict too; without it the
+def test_minimize_smooth_names_its_stop():
+    z, f, _, reason, _ = minimize_smooth(_quadratic(True, []), np.array([[1.0, -2.0]]))
+    assert list(reason) == ["gradient"]
+    assert f[0] == pytest.approx(0.0, abs=1e-18)
+
+    # the gradient stop needs the record's verdict too; without it the
     # solve runs on until its steps vanish
     asked = []
-    _, _, _, reason, _ = minimize_smooth(quadratic, np.array([1.0, -2.0]),
-                                         lambda z, record: asked.append(z) or False)
-    assert reason == "step" and len(asked) == 1
+    _, _, _, reason, _ = minimize_smooth(_quadratic(False, asked), np.array([[1.0, -2.0]]))
+    assert list(reason) == ["step"] and len(asked) == 1
 
     def nowhere_finite(z):
         return np.inf, np.zeros_like(z), np.zeros((z.size, z.size)), None
 
-    _, _, _, reason, _ = minimize_smooth(nowhere_finite, np.array([1.0]), _holds)
-    assert reason == "not_finite"
-
-
-def _holds(z, record):
-    """A verdict for which ||g|| <= SOLVER_GTOL is convergence."""
-    return True
+    _, _, _, reason, _ = minimize_smooth(_rows_of(nowhere_finite), np.array([[1.0]]))
+    assert list(reason) == ["not_finite"]
 
 
 def test_fit_validates_data_once(two_sample_data, monkeypatch):
@@ -335,19 +358,6 @@ def test_partitioned_info_invariant():
     assert k_pp == pytest.approx(np.linalg.inv(K)[2, 2], rel=1e-10)
 
 
-def test_weighted_score(two_sample_data):
-    m = TwoSampleNormal()
-    rule = ScoreRule.tsallis(m, 1.4)
-    theta = m.default_start(two_sample_data)
-    n = m.nobs(two_sample_data)
-    w = np.ones(n)
-    assert total_score(rule, two_sample_data, theta, weights=w) == pytest.approx(
-        total_score(rule, two_sample_data, theta))
-    w2 = np.zeros(n); w2[0] = 1.0
-    assert total_score(rule, two_sample_data, theta, weights=w2) == pytest.approx(
-        score_terms(rule, two_sample_data, theta)[0])
-
-
 def test_singular_k_raises():
     K = np.array([[1.0, 1.0], [1.0, 1.0]])
     J = np.eye(2)
@@ -402,27 +412,29 @@ def test_kernel_equals_value_and_gradient_paths(kernel_cases, gamma):
         assert np.array_equal(terms, _two_formula_terms(rule, data, theta))
         assert np.array_equal(grads, _two_formula_grads(rule, data, theta))
 
-        objective = _Objective(rule, data)
-        val, g, _, _ = objective.evaluate(theta)
-        assert val == total_score(rule, data, theta)
-        assert np.array_equal(g, score_gradient(rule, data, theta))
+        # the objective on the dataset as a stack of one
+        objective = _Objective(rule, model.stack([data]))
+        val, g, _, _ = objective.evaluate(theta[None])
+        assert val[0] == total_score(rule, data, theta)
+        assert np.array_equal(g[0], score_gradient(rule, data, theta))
         # the unconstrained coordinates see the same numbers
         z = _to_z(theta, objective.positive)
-        val_z, g_z, _, _ = objective(z)
+        val_z, g_z, _, _ = objective(z[None])
         x = _from_z(z, objective.positive)
         want = score_gradient(rule, data, x) * np.where(objective.positive, x, 1.0)
-        assert val_z == total_score(rule, data, x)
-        assert np.array_equal(g_z, want)
+        assert val_z[0] == total_score(rule, data, x)
+        assert np.array_equal(g_z[0], want)
 
         # the eps-mixture: (1 - eps) S_data + n eps S_frame, term by term
         eps, n = 1e-4, model.nobs(data)
         center, _ = model.obs_center_scale(data, theta, 0)
         frame = model.checked(model.contamination_frame([center + 0.3], data))
-        mixed = _Objective(rule, data, mixture=(eps, frame))
-        val_m, g_m, _, _ = mixed.evaluate(theta)
-        assert val_m == ((1.0 - eps) * total_score(rule, data, theta)
-                         + n * eps * total_score(rule, frame, theta))
-        assert np.array_equal(g_m, (1.0 - eps) * score_gradient(rule, data, theta)
+        mixed = _Objective(rule, model.stack([data]),
+                           mixture=(np.array([eps]), model.stack([frame])))
+        val_m, g_m, _, _ = mixed.evaluate(theta[None])
+        assert val_m[0] == ((1.0 - eps) * total_score(rule, data, theta)
+                            + n * eps * total_score(rule, frame, theta))
+        assert np.array_equal(g_m[0], (1.0 - eps) * score_gradient(rule, data, theta)
                               + n * eps * score_gradient(rule, frame, theta))
 
 
@@ -483,14 +495,14 @@ def test_no_kernel_pass_after_a_solve(two_sample_data, cd_grid_auc_normal, kerne
 
     # A solve that stops after rejected trial points: the verdict reads
     # the record of the pass at its last accepted point.
-    objective = _Objective(rule, m.checked(two_sample_data), 2.0)
+    objective = _Objective(rule, m.stack([m.checked(two_sample_data)]), np.array([2.0]))
     lam = m.profile_extract(fr.theta_hat)
-    z = _to_z(lam, objective.positive)
-    *_, record = objective(z)
+    z = _to_z(lam, objective.positive)[None]
+    *_, records = objective(z)
     objective(z + 0.1)
-    assert objective(z + 1e3)[3] is None        # overflows: an inadmissible trial
+    assert objective(z + 1e3)[3] == [None]      # overflows: an inadmissible trial
     del calls[:]
-    gnorm, _ = objective.verdict(record)
+    [gnorm], _ = objective.verdict(records)
     assert not calls and np.isfinite(gnorm)
 
     # A profile on 1050 points: its 201 grid points are solved as stacks of
@@ -524,7 +536,7 @@ def test_warm_profile_takes_few_kernel_passes(cd_grid_auc_normal, kernel_calls):
 
 
 def test_profile_memory_is_a_few_chunk_arrays(cd_grid_auc_normal):
-    # The 201-point Tsallis profile peaks at about 3.5 times one chunk's
+    # The 201-point Tsallis profile peaks at about 3.2 times one chunk's
     # (rows, n, d) array: the kernel's log-density and integral gradients
     # and its (rows, n) arrays. A record that kept a pass's per-observation
     # gradients alive would add at least one more such array per round.
@@ -547,15 +559,16 @@ def test_minimize_smooth_solves_a_quadratic_in_two_passes():
     # one evaluation at the start and one at the exact Newton step, where
     # the gradient vanishes
     evals = [0]
+    quadratic = _quadratic(True, [])
 
-    def quadratic(z):
-        evals[0] += 1
-        return float(z @ z), 2.0 * z, 2.0 * np.eye(z.size), None
+    def counted(z, rows):
+        evals[0] += len(rows)
+        return quadratic(z, rows)
 
-    z, f, n_iter, reason, _ = minimize_smooth(quadratic, np.array([1.0, -2.0]), _holds)
-    assert reason == "gradient" and n_iter == 1
+    z, f, n_iter, reason, _ = minimize_smooth(counted, np.array([[1.0, -2.0]]))
+    assert list(reason) == ["gradient"] and list(n_iter) == [1]
     assert evals[0] == 2
-    assert np.array_equal(z, [0.0, 0.0]) and f == 0.0
+    assert np.array_equal(z, [[0.0, 0.0]]) and list(f) == [0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +618,16 @@ def test_a_stack_row_scores_and_fits_as_its_dataset_alone(all_models, gamma):
                 fr.score_at_opt, fr.n_iter, fr.stop_reason, fr.grad_norm, fr.converged)
 
 
+def _constrained_alone(rule, data, psi, lam0, mixture=None):
+    """The constrained solve and nu of one dataset at psi from lam0, with
+    the mixture (eps, frame) if given, as a stack of one."""
+    model = rule.model
+    if mixture is not None:
+        mixture = (np.array([mixture[0]]), model.stack([mixture[1]]))
+    return scoring._only(confidence._constrained_at(
+        rule, model.stack([data]), np.array([psi]), lam0[None], mixture))
+
+
 @pytest.mark.parametrize("gamma", [None, 1.23])
 def test_a_psi_per_row_stack_solves_each_row_as_alone(all_models, gamma):
     # (dataset, psi) rows, each started at its dataset's free fit: every
@@ -626,7 +649,7 @@ def test_a_psi_per_row_stack_solves_each_row_as_alone(all_models, gamma):
                           (model.stack([datasets[0]] * 3), np.zeros(3, dtype=int))):
             rows = confidence._constrained_at(rule, stack, psis[:len(at)], lam0[:len(at)])
             for r, psi, lam, row in zip(at, psis, lam0, rows):
-                alone = confidence._constrained_at(rule, datasets[r], psi, lam)
+                alone = _constrained_alone(rule, datasets[r], psi, lam)
                 assert len(row) == 4, (model.name, psi, row)
                 for a, b in zip(row, alone):
                     assert np.array_equal(a, b), (model.name, rule.label(), psi)
@@ -652,11 +675,11 @@ def test_a_mixture_per_row_stack_solves_each_row_as_alone(all_models, gamma):
         rows = confidence._constrained_at(rule, model.stack([data] * 3), psis, lam0,
                                           (eps, model.stack(frames)))
         for psi, lam, e, frame, row in zip(psis, lam0, eps, frames, rows):
-            alone = confidence._constrained_at(rule, data, psi, lam, (e, frame))
+            alone = _constrained_alone(rule, data, psi, lam, (e, frame))
             assert len(row) == 4, (model.name, psi, row)
             for a, b in zip(row, alone):
                 assert np.array_equal(a, b), (model.name, rule.label(), psi)
-            assert row[1] != confidence._constrained_at(rule, data, psi, lam)[1]
+            assert row[1] != _constrained_alone(rule, data, psi, lam)[1]
 
 
 def _verdict_oracle(rule, data, x, psi=None, mixture=None):
@@ -728,9 +751,9 @@ def test_a_record_is_the_verdict_at_its_point(all_models, gamma):
                 records = objective(z)[3]
                 for r, record in enumerate(records):
                     what = (model.name, rule.label(), psi is not None, mix is not None, r)
-                    alone = objective.rows(r)(z[r])[3]
-                    assert objective.verdict(record) == objective.verdict(alone), what
-                    gnorm, converged = objective.verdict(record)
+                    [alone] = objective.rows(np.array([r]))(z[r:r + 1])[3]
+                    assert record == alone, what
+                    [gnorm], [converged] = objective.verdict([record])
                     g_oracle, bound = oracle(r, z[r])
                     assert abs(g_oracle - bound) > 1e-5 * bound, what   # not round-off
                     assert abs(gnorm - g_oracle) <= 1e-6 * bound, what
@@ -757,20 +780,18 @@ def test_minimize_smooth_solves_each_row_of_a_stack_as_alone():
         overflowed.extend(rows[~np.isfinite(out[0])])
         return out
 
-    def rows_verdict(z, records, rows):
-        return objective.rows(rows).verdict(records)[1]
-
-    z, f, n_iter, reason, records = minimize_smooth(rows_fun, z0, rows_verdict)
+    z, f, n_iter, reason, records = minimize_smooth(rows_fun, z0)
     assert list(reason) == ["gradient", "not_finite", "gradient"]
     assert 2 in overflowed
     for r, data in enumerate(datasets):
-        alone = _Objective(rule, data)
-        z_r, f_r, n_r, reason_r, record_r = minimize_smooth(
-            alone, z0[r], lambda z, rec: alone.verdict(rec)[1])
-        assert np.array_equal(z[r], z_r)
-        assert f[r] == f_r or np.isinf(f[r]) and np.isinf(f_r)
-        assert (n_iter[r], reason[r]) == (n_r, reason_r)
-        assert alone.verdict(record_r) == objective.rows(r).verdict(records[r])
+        # each row's reference is its own stack of one
+        alone = _Objective(rule, m.stack([data]))
+        z_r, f_r, n_r, reason_r, records_r = minimize_smooth(lambda z, rows: alone(z),
+                                                              z0[r:r + 1])
+        assert np.array_equal(z[r], z_r[0])
+        assert f[r] == f_r[0] or np.isinf(f[r]) and np.isinf(f_r[0])
+        assert (n_iter[r], reason[r]) == (n_r[0], reason_r[0])
+        assert records_r == [records[r]]
 
 
 # ---------------------------------------------------------------------------
@@ -805,23 +826,25 @@ def test_analytic_hessians_equal_finite_differences(curvature_cases, gamma):
         _assert_hessian(H, _fd_jacobian(
             lambda t: score_gradient(rule, data, t), theta), what + ("theta",))
 
+        # the objectives in z, on the dataset as a stack of one
         center, _ = model.obs_center_scale(data, theta, 0)
         frame = model.checked(model.contamination_frame([center + 0.3], data))
-        objectives = [("free z", _Objective(rule, data), theta),
-                      ("mixture z", _Objective(rule, data, mixture=(1e-4, frame)), theta)]
+        stack, mixture = model.stack([data]), (np.array([1e-4]), model.stack([frame]))
+        objectives = [("free z", _Objective(rule, stack), theta),
+                      ("mixture z", _Objective(rule, stack, mixture=mixture), theta)]
         if len(theta) > 1:
             # constrained off the free start, where NormalAUC's embedding
             # curvature meets a nonzero gradient
-            psi = model.interest(theta) * 0.98
+            psi = np.array([model.interest(theta) * 0.98])
             lam = model.profile_extract(theta)
-            objectives.append(("constrained z", _Objective(rule, data, psi), lam))
+            objectives.append(("constrained z", _Objective(rule, stack, psi), lam))
             objectives.append(("constrained mixture z",
-                               _Objective(rule, data, psi, (1e-4, frame)), lam))
+                               _Objective(rule, stack, psi, mixture), lam))
         for name, objective, x in objectives:
             z = _to_z(x, objective.positive)
-            val, _, H_z, _ = objective(z)
-            assert np.isfinite(val), what + (name,)
-            _assert_hessian(H_z, _fd_jacobian(lambda v: objective(v)[1], z),
+            val, _, H_z, _ = objective(z[None])
+            assert np.isfinite(val[0]), what + (name,)
+            _assert_hessian(H_z[0], _fd_jacobian(lambda v: objective(v[None])[1][0], z),
                             what + (name,))
 
 
