@@ -89,7 +89,8 @@ def _pow(base, exponent):
     """``base ** exponent`` for a scalar base or elementwise over an array,
     computed as numpy computes it for one scalar (the C library's pow).
     numpy's vectorized power can differ from it in the last bit, and a row
-    of a stack must score exactly as its dataset does alone."""
+    of a stack must score exactly as its dataset does alone. An array base
+    may take an exponent per entry (a gamma per row)."""
     if type(base) is np.float64:
         return base ** exponent
     if type(base) is not np.ndarray or not base.ndim:
@@ -99,7 +100,9 @@ def _pow(base, exponent):
         return np.power(base.astype(object), exponent).astype(float)
     except (OverflowError, ZeroDivisionError):
         # numpy scalars give inf there, and raise under the caller's errstate
-        return np.array([b ** exponent for b in base.ravel()]).reshape(base.shape)
+        base, exponent = np.broadcast_arrays(base, exponent)
+        return np.array([b ** e for b, e in zip(base.ravel(), exponent.ravel())]).reshape(
+            base.shape)
 
 
 def _cols(theta):
@@ -188,11 +191,12 @@ def auc_from_normal_grad(mu1, mu2, var1, var2):
 def _xi(var, t):
     # (2 pi v)^{-t/2} (1+t)^{-3/2} / v : expected curvature scale of the
     # location estimating function under power downweighting t.
-    return _pow(_TWO_PI * var, -t / 2.0) * (1.0 + t) ** -1.5 / var
+    return _pow(_TWO_PI * var, -t / 2.0) * _pow(1.0 + t, -1.5) / var
 
 
 def _varsigma(var, t):
-    return _pow(_TWO_PI * var, -t / 2.0) * (2.0 + t * t) * (1.0 + t) ** -2.5 / (4.0 * var * var)
+    return (_pow(_TWO_PI * var, -t / 2.0) * (2.0 + t * t) * _pow(1.0 + t, -2.5)
+            / (4.0 * var * var))
 
 
 def _normal_component_kj(var, gamma, rule_kind):
@@ -218,9 +222,9 @@ def _exponential_component_kj(rate, gamma, rule_kind):
         return k, k
     a = gamma - 1.0
     g = gamma
-    k = a * (1.0 + a * a) * _pow(rate, a - 2.0) / g ** 2
+    k = a * (1.0 + a * a) * _pow(rate, a - 2.0) / _pow(g, 2)
     j = a * a * _pow(rate, 2 * a - 2.0) * (
-        g ** 2 * (4 * a * a + 1.0) / (1.0 + 2 * a) ** 3 - a * a / g ** 2
+        _pow(g, 2) * (4 * a * a + 1.0) / _pow(1.0 + 2 * a, 3) - a * a / _pow(g, 2)
     )
     return k, j
 
@@ -240,14 +244,18 @@ def _mad_scale(y):
 
 def _fd_jacobian(func, x, rel_step=1e-6):
     """Central-difference Jacobian of ``func`` at the float array ``x``: one
-    column per coordinate j, with step rel_step (1 + |x_j|)."""
-    cols = []
-    for j in range(len(x)):
-        h = rel_step * (1.0 + abs(x[j]))
-        xp = x.copy(); xp[j] += h
-        xm = x.copy(); xm[j] -= h
-        cols.append((func(xp) - func(xm)) / (2 * h))
-    return np.stack(cols, axis=-1)
+    column per coordinate j, with step rel_step (1 + |x_j|). ``func`` maps a
+    stack of points, a row each, to a value per row, and is called once, on
+    the 2 d points x + h_j e_j, then x - h_j e_j."""
+    d = len(x)
+    h = rel_step * (1.0 + np.abs(x))
+    points = np.tile(np.asarray(x, dtype=float), (2 * d, 1))
+    i = np.arange(d)
+    points[i, i] += h
+    points[d + i, i] -= h
+    vals = np.asarray(func(points))
+    diff = (vals[:d] - vals[d:]) / (2 * h).reshape((d,) + (1,) * (vals.ndim - 1))
+    return np.moveaxis(diff, 0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -915,7 +923,7 @@ class LinearRegression(_CoordinateInterest):
     def stack(self, datasets):
         # the responses stack; the design is the one all the datasets share
         X = datasets[0][1]
-        if any(not np.array_equal(d[1], X) for d in datasets):
+        if any(d[1] is not X and not np.array_equal(d[1], X) for d in datasets):
             raise DomainError("a stack of regression datasets needs one design matrix")
         return self._remember((_stack_rows([d[0] for d in datasets]), X))
 

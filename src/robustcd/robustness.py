@@ -18,7 +18,7 @@ from scipy.special import ndtr
 
 from .errors import DomainError, NumericsError
 from .models import _fd_jacobian, normal_pdf
-from .confidence import _constrained_at, _nu_at, _signed_root, _wald_pivot
+from .confidence import _constrained_at, _nu_at, _signed_root, _tangent_starts, _wald_pivot
 from .scoring import (
     ScoreRule,
     _Objective,
@@ -50,9 +50,12 @@ ORACLE_EPS = 1e-4            # contamination mass of the oracle's refit
 # fitted scales; the far-tail shells lie 10 to 10^4 reaches out
 Y_GRID_POINTS = 401
 Y_GRID_REACH = 20.0
-# calibrate_gamma bisects on (1 + GAMMA_TOL, GAMMA_MAX] to width GAMMA_TOL
+# calibrate_gamma bisects on (1 + GAMMA_TOL, GAMMA_MAX] to width GAMMA_TOL,
+# GAMMA_TREE_DEPTH steps a round: a round evaluates, as one stack, every
+# midpoint that those steps can visit
 GAMMA_MAX = 3.0
 GAMMA_TOL = 1e-4
+GAMMA_TREE_DEPTH = 5
 # Monte Carlo K and J for a model without analytic ones: seed and total size
 MC_SEED = 0
 MC_SIZE = 20000
@@ -111,7 +114,8 @@ class TAIFProfile:
 
 
 def _wald_pivot_of_theta(rule, data, theta, psi):
-    """The Wald pivot at fixed psi seen as a smooth function of the estimate."""
+    """The Wald pivot at fixed psi seen as a smooth function of the estimate,
+    or one per row of a stack of datasets and estimates."""
     return _wald_pivot(rule.model, theta, *estimate_KJ(rule, data, theta), psi)[0]
 
 
@@ -146,9 +150,9 @@ def _root_taif_values(rule, data, fit_result, psi, ys, component):
     model = rule.model
     theta = fit_result.theta_hat
     n = model.nobs(data)
+    psi_row = np.array([psi], dtype=float)
     theta_c, s_con, lam_c, nu = _only(_constrained_at(
-        rule, model.stack([data]), np.array([psi], dtype=float),
-        model.profile_extract(theta)[None]))
+        rule, model.stack([data]), psi_row, _tangent_starts(model, data, fit_result, psi_row)))
     r_val = float(_signed_root(fit_result.psi_tilde, fit_result.score_at_opt, psi, s_con, nu))
     if abs(r_val) < 1e-4:
         return None
@@ -164,7 +168,8 @@ def _root_taif_values(rule, data, fit_result, psi, ys, component):
     _, _, H, _ = _Objective(rule, data, psi).derivatives(lam_c)   # observed nuisance Hessian
     s_c = single_obs_gradient(rule, data, theta_c, np.atleast_1d(ys), component=component)
     dlam = -n * np.linalg.solve(H, jac.T @ s_c.T).T
-    grad_nu = _fd_jacobian(lambda t: _nu_at(rule, data, t), theta_c)
+    stack = model.stack([data] * 2 * theta_c.size)
+    grad_nu = _fd_jacobian(lambda t: _nu_at(rule, stack, t), theta_c)
     dnu = (dlam @ jac.T) @ grad_nu
     dr = (dW / nu - (W / nu ** 2) * dnu) / (2.0 * r_val)
     return -normal_pdf(r_val) * dr
@@ -203,7 +208,8 @@ def taif(rule, data, pivot_kind, psi, y_grid=None, component=0, fit_result=None)
         # its estimate-sensitivity carries a minus sign; the Wald form is the
         # first-order representation shared by both pivot kinds, and the
         # observed sensitivity makes the composition the exact refit derivative
-        sens = -_fd_jacobian(lambda t: _wald_pivot_of_theta(rule, data, t, psi), theta,
+        stack = model.stack([data] * 2 * theta.size)
+        sens = -_fd_jacobian(lambda t: _wald_pivot_of_theta(rule, stack, t, psi), theta,
                              rel_step=1e-5)
         infl = influence_function(rule, data, theta, y_grid,
                                   component=component, k_mode="empirical")
@@ -234,24 +240,26 @@ def taif(rule, data, pivot_kind, psi, y_grid=None, component=0, fit_result=None)
 # epsilon-mixture oracle
 # ---------------------------------------------------------------------------
 
-def _tail_areas(objective, pivot_kind, psi, theta, score):
+def _tail_areas(objective, pivot_kind, psi, theta, score, lam0):
     """C(psi) = Phi(-pivot) from the estimate theta, with total score
     ``score``, for each row of a stacked free objective; a root pivot's
-    constrained fits are made on the objective's data and mixture. A list
-    with, for each row, C or the DomainError or NumericsError that the row
-    raises alone."""
+    constrained fits are made on the objective's data and mixture, from
+    lam0, a start per row (None for a Wald pivot). A list with, for each
+    row, (C, lam_psi), lam_psi being the root pivot's constrained nuisance
+    (None for a Wald pivot), or the DomainError or NumericsError that the
+    row raises alone."""
     rule, data, model = objective.rule, objective.data, objective.rule.model
     if pivot_kind == "wald":
-        return _per_row(lambda at: ndtr(-_wald_pivot(
-            model, theta[at], *estimate_KJ(rule, model.take(data, at), theta[at]), psi)[0]),
-            len(theta))
-    out = _constrained_at(rule, data, np.full(len(theta), float(psi)),
-                          model.profile_extract(theta), objective.mixture)
+        return [a if isinstance(a, Exception) else (a, None) for a in _per_row(
+            lambda at: ndtr(-_wald_pivot(
+                model, theta[at], *estimate_KJ(rule, model.take(data, at), theta[at]), psi)[0]),
+            len(theta))]
+    out = _constrained_at(rule, data, np.full(len(theta), float(psi)), lam0, objective.mixture)
     for r, row in enumerate(out):
         if not isinstance(row, Exception):
             try:
-                out[r] = ndtr(-_signed_root(model.interest(theta[r]), score[r], psi,
-                                            row[1], row[3]))
+                out[r] = (ndtr(-_signed_root(model.interest(theta[r]), score[r], psi,
+                                             row[1], row[3])), row[2])
             except NumericsError as exc:        # below the optimum
                 out[r] = exc
     return out
@@ -263,17 +271,22 @@ def taif_contamination_oracle(rule, data, pivot_kind, psi, ys, component=0,
 
     Refits on the eps-mixture, eps = ORACLE_EPS (with a Richardson step at
     eps/2 to remove the O(eps) bias) and differences Phi(pivot). The refits
-    at every point and both eps are solved together, a row each. Points
-    whose refit fails are returned as NaN, each with its warning; a pivot
-    that fails on the uncontaminated fit raises, as in ``taif``.
+    at every point and both eps are solved together, a row each. A root
+    pivot's constrained fit starts on the continuation predictor at psi,
+    and its refits at that fit's nuisance, which they move by O(eps).
+    Points whose refit fails are returned as NaN, each with its warning; a
+    pivot that fails on the uncontaminated fit raises, as in ``taif``.
     """
     model = rule.model
     data = model.checked(data)
     if fit_result is None:
         fit_result = fit_rule(rule, data)
     theta0 = fit_result.theta_hat
-    base = _only(_tail_areas(_Objective(rule, model.stack([data])), pivot_kind, psi,
-                             theta0[None], [fit_result.score_at_opt]))
+    lam0 = None
+    if pivot_kind == "root":
+        lam0 = _tangent_starts(model, data, fit_result, np.array([psi], dtype=float))
+    base, lam_psi = _only(_tail_areas(_Objective(rule, model.stack([data])), pivot_kind, psi,
+                                      theta0[None], [fit_result.score_at_opt], lam0))
     eps = ORACLE_EPS
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     frames = {}
@@ -291,8 +304,9 @@ def taif_contamination_oracle(rule, data, pivot_kind, psi, ys, component=0,
         z0 = np.tile(_to_z(theta0, objective.positive), (len(points[at]), 1))
         theta, score, *_ = objective.solve(z0)
         ok = np.flatnonzero(np.isfinite(score))
-        areas = _tail_areas(objective.rows(ok), pivot_kind, psi, theta[ok], score[ok])
-        tails[at][ok] = [np.nan if isinstance(a, Exception) else a for a in areas]
+        starts = None if lam_psi is None else np.tile(lam_psi, (ok.size, 1))
+        areas = _tail_areas(objective.rows(ok), pivot_kind, psi, theta[ok], score[ok], starts)
+        tails[at][ok] = [np.nan if isinstance(a, Exception) else a[0] for a in areas]
     out = np.full(ys.size, np.nan)
     out[list(frames)] = 2.0 * ((tails[1::2] - base) / (eps / 2.0)) - (tails[0::2] - base) / eps
     for y in ys[np.isnan(out)]:
@@ -305,9 +319,15 @@ def taif_contamination_oracle(rule, data, pivot_kind, psi, ys, component=0,
 # ---------------------------------------------------------------------------
 
 def _expected_kj_any(model, rule_kind, gamma, data, theta):
+    """The expected K and J at theta, or a pair per row of a stack of
+    datasets and estimates with a gamma per row."""
     kj = model.expected_kj(rule_kind, gamma, data, theta)
     if kj is not None:
         return kj
+    if np.ndim(theta) == 2:
+        K, J = zip(*(_expected_kj_any(model, rule_kind, g, model.take(data, r), theta[r])
+                     for r, g in enumerate(gamma)))
+        return np.stack(K), np.stack(J)
     # large-sample empirical expectation for models without analytic forms
     rng = np.random.default_rng(MC_SEED)
     n = model.nobs(data)
@@ -335,8 +355,8 @@ def efficiency_ratio(model, gamma, data, theta_ref, measure="min"):
     the summary: "min" (worst coordinate), "interest", "trace", or a
     coordinate index.
     """
-    return _efficiency(model, _log_variance(model, data, theta_ref), gamma, data,
-                       theta_ref, measure)
+    return float(_efficiency(model, _log_variance(model, data, theta_ref), gamma, data,
+                             theta_ref, measure))
 
 
 def _log_variance(model, data, theta_ref):
@@ -346,18 +366,38 @@ def _log_variance(model, data, theta_ref):
 
 
 def _efficiency(model, V0, gamma, data, theta_ref, measure):
-    """efficiency_ratio from the MLE's sandwich variance V0."""
-    Kg, Jg = _expected_kj_any(model, "tsallis", gamma, data, theta_ref)
-    Vg, _ = sandwich(Kg, Jg)
+    """efficiency_ratio from the MLE's sandwich variance V0, or one per
+    entry of an array of gammas, evaluated as a stack with theta_ref on
+    every row."""
+    grad = model.interest_grad(theta_ref)
+    if np.ndim(gamma):
+        rows = len(gamma)
+        data, theta_ref = model.stack([data] * rows), np.tile(theta_ref, (rows, 1))
+    Vg, _ = sandwich(*_expected_kj_any(model, "tsallis", gamma, data, theta_ref))
     if measure == "interest":
-        grad = model.interest_grad(theta_ref)
-        return float((grad @ V0 @ grad) / (grad @ Vg @ grad))
+        # vecdot takes each row's dot as the 1-D product of one gamma does
+        return (grad @ V0 @ grad) / np.vecdot(grad @ Vg, grad)
     if measure == "trace":
-        return float(np.trace(V0) / np.trace(Vg))
-    ratios = np.diag(V0) / np.diag(Vg)
+        return np.trace(V0) / np.trace(Vg, axis1=-2, axis2=-1)
+    ratios = np.diag(V0) / np.diagonal(Vg, axis1=-2, axis2=-1)
     if measure == "min":
-        return float(np.min(ratios))
-    return float(ratios[int(measure)])
+        return np.min(ratios, axis=-1)
+    return ratios[..., int(measure)]
+
+
+def _midpoint_tree(a, b, depth):
+    """The 2^depth - 1 midpoints that depth steps of bisection from [a, b]
+    can visit, in heap order: the first halves [a, b], and the children
+    2j + 1 and 2j + 2 of midpoint j halve the left and the right half of its
+    interval. Each is 0.5 (lo + hi) of its interval, as a step of bisection
+    forms it."""
+    intervals, mids = [(a, b)], []
+    for _ in range(depth):
+        level = [0.5 * (lo + hi) for lo, hi in intervals]
+        intervals = [half for (lo, hi), mid in zip(intervals, level)
+                     for half in ((lo, mid), (mid, hi))]
+        mids += level
+    return np.array(mids)
 
 
 def calibrate_gamma(model, theta_ref, target_efficiency, data_template,
@@ -366,20 +406,30 @@ def calibrate_gamma(model, theta_ref, target_efficiency, data_template,
 
     The efficiency curve is checked to be decreasing on the bracket. A target
     of (numerically) full efficiency returns the lower bracket edge with a
-    warning, since the log score is the gamma -> 1 limit.
+    warning, since the log score is the gamma -> 1 limit. The midpoints of
+    each GAMMA_TREE_DEPTH steps of bisection are evaluated as one stack,
+    the first with the probes; a gamma that cannot be evaluated raises only
+    where the probes or bisection visit it. A model without closed-form K
+    and J takes a Monte Carlo pass per gamma, so it evaluates only the
+    midpoints visited.
     """
     if not 0.0 < target_efficiency <= 1.0:
         raise DomainError("target efficiency must be in (0, 1]")
     theta_ref = np.asarray(theta_ref, dtype=float)
     data = model.checked(data_template)
     V0 = _log_variance(model, data, theta_ref)
+    depth = (1 if model.expected_kj("log", None, data, theta_ref) is None
+             else GAMMA_TREE_DEPTH)
 
-    def are(gamma):
-        return _efficiency(model, V0, gamma, data, theta_ref, measure)
+    def are(gammas):
+        return _per_row(lambda at: _efficiency(model, V0, gammas[at], data, theta_ref, measure),
+                        len(gammas))
 
     lo, hi = 1.0 + GAMMA_TOL, GAMMA_MAX
-    probe = np.linspace(lo, hi, 6)
-    vals = [are(g) for g in probe]
+    # the probes and the first round of bisection as one stack
+    mids = _midpoint_tree(lo, hi, depth)
+    effs = are(np.concatenate([np.linspace(lo, hi, 6), mids]))
+    vals, effs = [_only([v]) for v in effs[:6]], effs[6:]
     if np.any(np.diff(vals) >= 0):
         warnings.warn("efficiency is not monotone on the bracket; "
                       "bisection may return one of several roots", stacklevel=2)
@@ -392,11 +442,13 @@ def calibrate_gamma(model, theta_ref, target_efficiency, data_template,
         raise DomainError(
             f"target efficiency {target_efficiency:g} is below the bracket range: "
             f"efficiency({lo:g}) = {vals[0]:.4f}, efficiency({hi:g}) = {vals[-1]:.4f}")
-    a, b = lo, hi
+    a, b, j = lo, hi, 0
     while b - a > GAMMA_TOL:
-        mid = 0.5 * (a + b)
-        if are(mid) > target_efficiency:
-            a = mid
+        if j >= mids.size:
+            mids, j = _midpoint_tree(a, b, depth), 0
+            effs = are(mids)
+        if _only([effs[j]]) > target_efficiency:
+            a, j = mids[j], 2 * j + 2
         else:
-            b = mid
-    return 0.5 * (a + b)
+            b, j = mids[j], 2 * j + 1
+    return float(0.5 * (a + b))

@@ -162,8 +162,8 @@ def score_terms(rule, data, theta):
 
 
 def total_score(rule, data, theta):
-    """Total empirical score."""
-    return _finite_total(score_terms(rule, data, theta).sum())
+    """Total empirical score, or one per row of a stack."""
+    return _finite_total(score_terms(rule, data, theta).sum(axis=-1))
 
 
 def per_obs_gradient(rule, data, theta):
@@ -172,8 +172,8 @@ def per_obs_gradient(rule, data, theta):
 
 
 def score_gradient(rule, data, theta):
-    """Gradient of the total score: sum_i s(y_i; theta)."""
-    return per_obs_gradient(rule, data, theta).sum(axis=0)
+    """Gradient of the total score: sum_i s(y_i; theta), or one per row of a stack."""
+    return per_obs_gradient(rule, data, theta).sum(axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +191,15 @@ def _norm(v):
 
 def checked_inverse(a, what="matrix"):
     """Inverse of a symmetrized matrix, or of each in a stack, guarded by a
-    condition-number cap."""
+    cap on its condition number max|l| / min|l| over its eigenvalues l (for
+    a symmetric matrix, the 2-norm condition number)."""
     a = _sym(np.asarray(a, dtype=float))
-    cond = np.linalg.cond(a)
-    if not (np.isfinite(cond).all() and (cond <= MAX_CONDITION).all()):
+    if not np.isfinite(a).all():
+        raise NumericsError(f"{what} is not finite")
+    size = np.abs(np.linalg.eigvalsh(a))
+    top, bottom = size.max(axis=-1), size.min(axis=-1)
+    if not ((bottom > 0) & (top <= MAX_CONDITION * bottom)).all():
+        cond = np.divide(top, bottom, out=np.full_like(top, np.inf), where=bottom > 0)
         raise NumericsError(f"{what} is numerically singular",
                             detail={"condition": float(np.max(cond))})
     return _sym(np.linalg.inv(a))

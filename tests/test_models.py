@@ -24,7 +24,7 @@ from robustcd.models import (
     tsallis_integral_exponential,
     tsallis_integral_normal,
 )
-from robustcd.scoring import ScoreRule, fit, score_terms
+from robustcd.scoring import ScoreRule, estimate_KJ, fit, score_terms
 
 from oracles import fd_gradient, power_integral_quadrature
 
@@ -248,12 +248,50 @@ def test_embedding_jacobians_match_finite_differences(all_models):
     for model, theta in cases:
         psi, lam = model.interest(theta), model.profile_extract(theta)
         jac = model.profile_embed_jac(psi, lam)
-        fd = _fd_jacobian(lambda v: model.profile_embed(psi, v), lam)
+        fd = _fd_jacobian(lambda v: model.profile_embed(np.full(len(v), psi), v), lam)
         assert np.allclose(jac, fd, rtol=0.0, atol=1e-8), model.name
         if isinstance(model, (LinearRegression, ExpFamilyModel)):
             # a coordinate interest: theta is lam with psi inserted
             eye = np.eye(lam.size + 1)
             assert np.array_equal(jac, np.delete(eye, model.interest_index, axis=1)), model.name
+
+
+def _fd_columns(func, x, rel_step=1e-6):
+    """The central-difference Jacobian as it was: two calls of ``func`` on
+    one point per column."""
+    cols = []
+    for j in range(len(x)):
+        h = rel_step * (1.0 + abs(x[j]))
+        xp = x.copy(); xp[j] += h
+        xm = x.copy(); xm[j] -= h
+        cols.append((func(xp) - func(xm)) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
+def test_fd_jacobian_equals_the_per_column_loop(all_models):
+    # one call on the stack of the 2 d shifted points gives, bit for bit,
+    # the Jacobian of the column loop, for scalar, vector and matrix values
+    from robustcd.confidence import _nu_at
+    from robustcd.robustness import _wald_pivot_of_theta
+    for model, data in all_models:
+        data = model.checked(data)
+        for rule in (ScoreRule.log(model), ScoreRule.tsallis(model, 1.23)):
+            theta = fit(rule, data).theta_hat
+            psi, lam = model.interest(theta), model.profile_extract(theta)
+            stack = model.stack([data] * 2 * theta.size)
+            cases = [
+                (lambda t: _nu_at(rule, data, t), lambda t: _nu_at(rule, stack, t),
+                 theta, 1e-6),
+                (lambda t: _wald_pivot_of_theta(rule, data, t, 0.9 * psi),
+                 lambda t: _wald_pivot_of_theta(rule, stack, t, 0.9 * psi), theta, 1e-5),
+                (lambda v: model.profile_embed(psi, v),
+                 lambda v: model.profile_embed(np.full(len(v), psi), v), lam, 1e-6),
+                (lambda t: estimate_KJ(rule, data, t)[0],
+                 lambda t: estimate_KJ(rule, stack, t)[0], theta, 1e-6),
+            ]
+            for i, (one, stacked, x, step) in enumerate(cases):
+                assert np.array_equal(_fd_jacobian(stacked, x, rel_step=step),
+                                      _fd_columns(one, x, rel_step=step)), (model.name, i)
 
 
 def test_closed_forms_are_required():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from robustcd import robustness
 from robustcd.errors import DomainError
 from robustcd.expfam import expfam_gamma
 from robustcd.models import ExponentialAUC, LinearRegression, TwoSampleNormal
@@ -15,7 +16,7 @@ from robustcd.robustness import (
     taif,
     taif_contamination_oracle,
 )
-from robustcd.scoring import ScoreRule, fit
+from robustcd.scoring import ScoreRule, _Objective, fit, sandwich
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +165,34 @@ def test_oracle_stack_equals_its_points_alone(all_models, gamma, pivot):
         assert np.array_equal(together, alone, equal_nan=True), (model.name, rule.label())
 
 
+def test_oracle_refits_start_at_the_constrained_fit(all_models, monkeypatch):
+    # a root pivot's eps-mixture constrained refits start at the base
+    # constrained nuisance, O(eps) from their solutions
+    iters = []
+    solve = _Objective.solve
+
+    def counted(self, z0):
+        out = solve(self, z0)
+        if self.psi is not None and self.mixture is not None:
+            iters.extend(out[2].tolist())
+        return out
+
+    monkeypatch.setattr(_Objective, "solve", counted)
+    for model, data in all_models:
+        for rule in (ScoreRule.log(model), ScoreRule.tsallis(model, 1.23)):
+            fr = fit(rule, data)
+            center, scale = model.obs_center_scale(data, fr.theta_hat, 0)
+            grad = model.interest_grad(fr.theta_hat)
+            psi = model.interest(fr.theta_hat) + 0.8 * np.sqrt(grad @ fr.V @ grad)
+            lo_r, hi_r = model.interest_range()
+            psi = min(max(psi, lo_r + 1e-3), hi_r - 1e-3)
+            ys = center + scale * np.array([-0.8, -0.3, 0.7, 1.8])
+            vals = taif_contamination_oracle(rule, data, "root", psi, ys, fit_result=fr)
+            assert np.isfinite(vals).all(), (model.name, rule.label())
+    assert len(iters) == 4 * 2 * 2 * len(all_models)
+    assert np.mean(iters) <= 2.5, np.mean(iters)
+
+
 @pytest.mark.parametrize("pivot", ["wald", "root"])
 def test_oracle_point_that_fails_is_nan_alone(exp_auc_data, pivot, monkeypatch):
     model = ExponentialAUC()
@@ -230,6 +259,62 @@ def test_calibrate_gamma_regression(regression_template):
     # deterministic
     gamma2 = calibrate_gamma(model, theta_ref, 0.90, regression_template)
     assert gamma == gamma2
+
+
+def _plain_bisection(model, theta_ref, target, data, measure):
+    """calibrate_gamma as it was, the reference: one efficiency evaluation
+    per probe and per bisection step, each on one gamma."""
+    data = model.checked(data)
+    V0 = robustness._log_variance(model, data, theta_ref)
+
+    def are(gamma):
+        Vg, _ = sandwich(*robustness._expected_kj_any(model, "tsallis", gamma, data, theta_ref))
+        if measure == "interest":
+            grad = model.interest_grad(theta_ref)
+            return float((grad @ V0 @ grad) / (grad @ Vg @ grad))
+        if measure == "trace":
+            return float(np.trace(V0) / np.trace(Vg))
+        ratios = np.diag(V0) / np.diag(Vg)
+        return float(np.min(ratios)) if measure == "min" else float(ratios[int(measure)])
+
+    lo, hi = 1.0 + robustness.GAMMA_TOL, robustness.GAMMA_MAX
+    vals = [are(g) for g in np.linspace(lo, hi, 6)]
+    assert vals[-1] <= target < vals[0]
+    a, b = lo, hi
+    while b - a > robustness.GAMMA_TOL:
+        mid = 0.5 * (a + b)
+        if are(mid) > target:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b), vals
+
+
+@pytest.mark.parametrize("measure", ["min", "interest", "trace", 0])
+def test_calibrate_gamma_equals_plain_bisection(regression_template, measure):
+    # the stacked rounds of bisection return plain bisection's gamma, bit
+    # for bit; the expfam model has no closed-form K and J and takes the
+    # Monte Carlo branch
+    rng = np.random.default_rng(17)
+    gamma_model = expfam_gamma()
+    cases = [
+        (TwoSampleNormal(), [2.0, 0.0, 1.3, 0.7],
+         (rng.normal(2.0, 1.0, 12), rng.normal(0.0, 1.0, 24))),
+        (ExponentialAUC(), [0.5, 2.0], (rng.exponential(2.0, 20), rng.exponential(0.5, 40))),
+        (LinearRegression(interest_index=1), [1.0, 0.0, 1.0, 1.0], regression_template),
+        (gamma_model, [1.1, -2.2], rng.gamma(3.0, 0.5, 40)),
+    ]
+    assert gamma_model.expected_kj("log", None, cases[-1][2], np.array([1.1, -2.2])) is None
+    for model, theta_ref, data in cases:
+        theta_ref = np.array(theta_ref)
+        expected, probes = _plain_bisection(model, theta_ref, 0.9, data, measure)
+        assert calibrate_gamma(model, theta_ref, 0.9, data, measure=measure) == expected
+        # each row of a stacked evaluation is the evaluation of its gamma alone
+        gammas = np.linspace(1.0 + robustness.GAMMA_TOL, robustness.GAMMA_MAX, 6)
+        V0 = robustness._log_variance(model, model.checked(data), theta_ref)
+        stacked = robustness._efficiency(model, V0, gammas, model.checked(data), theta_ref,
+                                         measure)
+        assert stacked.tolist() == probes, (model.name, measure)
 
 
 def test_calibrate_gamma_full_efficiency_edge(regression_template):

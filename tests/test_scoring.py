@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from robustcd.scoring import (
     _Objective,
     _from_z,
     _to_z,
+    checked_inverse,
     eigenvalues_JKinv,
     empirical_J,
     empirical_K,
@@ -363,6 +365,61 @@ def test_singular_k_raises():
     J = np.eye(2)
     with pytest.raises(NumericsError):
         sandwich(K, J)
+
+
+def test_checked_inverse_raises_on_non_finite_matrices():
+    # a non-finite matrix, alone or in a stack, raises NumericsError (not
+    # numpy's LinAlgError), with no numpy warning, so the per-row rule
+    # catches it and its row fails alone
+    bad = np.diag([1.0, np.nan, 1.0])        # eigvalsh raises LinAlgError on it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (bad, np.array([[np.nan, 0.0], [0.0, 1.0]]),
+                  np.array([[np.inf, 0.0], [0.0, 1.0]]), np.stack([np.eye(3), bad])):
+            with pytest.raises(NumericsError):
+                checked_inverse(a)
+        stack = np.stack([2.0 * np.eye(3), bad, np.eye(3)])
+        rows = scoring._per_row(lambda at: checked_inverse(stack[at]), 3)
+    assert isinstance(rows[1], NumericsError)
+    assert np.array_equal(rows[0], 0.5 * np.eye(3)) and np.array_equal(rows[2], np.eye(3))
+
+
+def test_checked_inverse_caps_the_two_norm_condition_number():
+    # the cap reads the eigenvalue form of the 2-norm condition number,
+    # which np.linalg.cond computes from singular values
+    rng = np.random.default_rng(8)
+    for log_cond in np.linspace(10.0, 14.0, 41):
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        a = (q * np.array([1.0, -10.0 ** (log_cond / 3), 10.0 ** (log_cond / 2),
+                           10.0 ** log_cond])) @ q.T
+        cond = np.linalg.cond(0.5 * (a + a.T))
+        if abs(np.log10(cond) - 12.0) < 1e-6:
+            continue
+        if cond <= scoring.MAX_CONDITION:
+            assert np.array_equal(checked_inverse(a), checked_inverse(np.stack([a]))[0])
+        else:
+            with pytest.raises(NumericsError):
+                checked_inverse(a)
+
+
+def test_total_score_and_gradient_give_one_per_row_of_a_stack():
+    model = TwoSampleNormal()
+    rng = np.random.default_rng(3)
+    datasets = [model.checked((rng.normal(2.0, 1.0, 12), rng.normal(0.0, 1.0, 24)))
+                for _ in range(3)]
+    thetas = np.array([[2.0, 0.0, 1.0, 1.0], [1.8, 0.2, 1.3, 0.8], [2.1, -0.1, 0.9, 1.1]])
+    stack = model.stack(datasets)
+    for rule in (ScoreRule.log(model), ScoreRule.tsallis(model, 1.23)):
+        totals = total_score(rule, stack, thetas)
+        grads = score_gradient(rule, stack, thetas)
+        assert totals.shape == (3,) and grads.shape == (3, 4)
+        for r, (data, theta) in enumerate(zip(datasets, thetas)):
+            assert totals[r] == total_score(rule, data, theta)
+            assert np.array_equal(grads[r], score_gradient(rule, data, theta))
+            # one dataset keeps the bits of the sums over all entries
+            assert total_score(rule, data, theta) == score_terms(rule, data, theta).sum()
+            assert np.array_equal(score_gradient(rule, data, theta),
+                                  per_obs_gradient(rule, data, theta).sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -824,7 +881,8 @@ def test_analytic_hessians_equal_finite_differences(curvature_cases, gamma):
         # theta: the kernel's Hessian of the total score
         H = scoring._kernel(rule, data, theta, order=2)[2]
         _assert_hessian(H, _fd_jacobian(
-            lambda t: score_gradient(rule, data, t), theta), what + ("theta",))
+            lambda t: score_gradient(rule, model.stack([data] * len(t)), t), theta),
+            what + ("theta",))
 
         # the objectives in z, on the dataset as a stack of one
         center, _ = model.obs_center_scale(data, theta, 0)
@@ -844,8 +902,8 @@ def test_analytic_hessians_equal_finite_differences(curvature_cases, gamma):
             z = _to_z(x, objective.positive)
             val, _, H_z, _ = objective(z[None])
             assert np.isfinite(val[0]), what + (name,)
-            _assert_hessian(H_z[0], _fd_jacobian(lambda v: objective(v[None])[1][0], z),
-                            what + (name,))
+            _assert_hessian(H_z[0], _fd_jacobian(
+                lambda v: objective.rows(np.zeros(len(v), dtype=int))(v)[1], z), what + (name,))
 
 
 def test_normal_auc_embedding_curvature(normal_auc_data):
@@ -858,10 +916,13 @@ def test_normal_auc_embedding_curvature(normal_auc_data):
     objective = _Objective(rule, data, model.interest(theta) * 0.98)
     lam = model.profile_extract(theta)
     _, _, H, _ = objective.derivatives(lam)
-    H_fd = _fd_jacobian(lambda v: objective.derivatives(v)[1], lam)
+    shifted = _Objective(rule, model.stack([data] * 2 * lam.size),
+                         np.full(2 * lam.size, objective.psi))
+    H_fd = _fd_jacobian(lambda v: shifted.derivatives(v)[1], lam)
     g_theta = objective.evaluate(objective.theta(lam))[1]
     curvature = model.profile_embed_hess(objective.psi, lam, g_theta)
     assert np.abs(H - curvature - H_fd).max() > 1e-3 * np.abs(H_fd).max()
-    fd = _fd_jacobian(lambda v: model.profile_embed_jac(objective.psi, v).T @ g_theta, lam)
+    fd = _fd_jacobian(
+        lambda v: model.profile_embed_jac(np.full(len(v), objective.psi), v).mT @ g_theta, lam)
     fd = 0.5 * (fd + fd.T)
     assert np.allclose(fd, curvature, rtol=1e-6, atol=1e-8 * np.abs(curvature).max())
