@@ -114,7 +114,7 @@ def _load_model_data(model_name, data_path, interest, intercept):
         data = load_two_sample_csv(data_path)
     elif model_name == "linear-regression" or model_name.startswith("expfam:"):
         if model_name.startswith("expfam:"):
-            model = get_model(model_name, interest_index=interest or 0)
+            model = get_model(model_name, interest_index=interest)
             fields, columns = _read_rows(data_path)
             data = columns["value" if "value" in fields else fields[0]]
         else:

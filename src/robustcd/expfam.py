@@ -41,14 +41,14 @@ DECAY_RATIO = 0.1
 class _Family:
     name: str
     s: int
-    t: callable                  # t(y) -> (n, s)
-    c: callable                  # cumulant
-    c_grad: callable
-    c_hess: callable
+    t: callable                  # t(y) -> (..., n, s)
+    c: callable                  # cumulant, theta (..., s) -> (...)
+    c_grad: callable             # (..., s) -> (..., s)
+    c_hess: callable             # (..., s) -> (..., s, s)
     support: tuple
-    in_natural: callable
+    in_natural: callable         # (..., s) -> (...) bool
     sample: callable             # (theta, n, rng) -> (n,)
-    start: callable              # data -> theta
+    start: callable              # data (..., n) -> theta (..., s)
     open_left: bool = False
     open_right: bool = False
     scale: callable = None       # theta -> reference observation scale
@@ -59,6 +59,7 @@ class ExpFamilyModel(_CoordinateInterest):
     interest is one natural-parameter coordinate."""
 
     wald_scale = "identity"
+    observed_kj = True      # fits and CDs keep the observed K and J
 
     def __init__(self, family: _Family, interest_index=0):
         self.family = family
@@ -72,9 +73,7 @@ class ExpFamilyModel(_CoordinateInterest):
         theta = np.asarray(theta, dtype=float)
         if theta.ndim not in (1, 2) or theta.shape[-1] != self.family.s:
             return False
-        if not np.all(np.isfinite(theta)):
-            return False
-        return bool(np.asarray(_rowwise(self.family.in_natural, theta)).all())
+        return bool(np.isfinite(theta).all() and self.family.in_natural(theta).all())
 
     def validate_data(self, data):
         y = np.asarray(data, dtype=float)
@@ -97,52 +96,72 @@ class ExpFamilyModel(_CoordinateInterest):
     def logpdf_obs(self, data, theta):
         fam = self.family
         theta = np.asarray(theta, dtype=float)
-        c = np.asarray(_rowwise(fam.c, theta))
-        return (fam.t(data) @ theta[..., None])[..., 0] - c[..., None]
+        return (fam.t(data) @ theta[..., None])[..., 0] - fam.c(theta)[..., None]
 
     def dlogpdf_obs(self, data, theta):
         fam = self.family
-        return fam.t(data) - _rowwise(fam.c_grad, theta)[..., None, :]
+        return fam.t(data) - fam.c_grad(theta)[..., None, :]
 
     def d2logpdf_obs(self, data, theta, weights):
-        hess = _rowwise(self.family.c_hess, theta)
-        return -weights.sum(axis=-1)[..., None, None] * hess
+        return -weights.sum(axis=-1)[..., None, None] * self.family.c_hess(theta)
 
-    def _power_integral(self, theta, gamma):
+    def _tilt(self, b, theta, what):
+        """(b theta, int f^b = exp(c(b theta) - b c(theta))) for b one value
+        or one per row of a stack; raises where b theta leaves the natural
+        space, where the integral diverges."""
         fam = self.family
-        gt = gamma * np.asarray(theta, dtype=float)
-        if not fam.in_natural(gt):
-            raise DomainError(
-                f"gamma * theta leaves the natural space of {fam.name}; "
-                "no closed-form power integral")
-        return math.exp(fam.c(gt) - gamma * fam.c(theta))
+        bt = np.asarray(b)[..., None] * theta
+        if not fam.in_natural(bt).all():
+            raise DomainError(f"({what}) theta leaves the natural space of the {fam.name} "
+                              f"family, so int f^({what}) diverges")
+        return bt, np.exp(fam.c(bt) - b * fam.c(theta))
 
     def tsallis_integral_obs(self, data, theta, gamma):
-        value = _rowwise(lambda t: self._power_integral(t, gamma), theta)
-        return np.full(data.shape, np.asarray(value)[..., None])
+        value = self._tilt(gamma, theta, "gamma")[1]
+        return np.full(data.shape, value[..., None])
 
     def _log_integral_grad(self, theta, gamma):
         # gradient of log int f^gamma = c(gamma theta) - gamma c(theta)
-        fam = self.family
-        theta = np.asarray(theta, dtype=float)
-        return gamma * (fam.c_grad(gamma * theta) - fam.c_grad(theta))
+        c_grad = self.family.c_grad
+        return gamma * (c_grad(gamma * theta) - c_grad(theta))
 
     def tsallis_integral_grad_obs(self, data, theta, gamma, values):
-        u = _rowwise(lambda t: self._log_integral_grad(t, gamma), theta)
-        return values[..., None] * u[..., None, :]
+        return values[..., None] * self._log_integral_grad(theta, gamma)[..., None, :]
 
     def tsallis_integral_hess(self, data, theta, gamma, values):
-        fam = self.family
+        c_hess = self.family.c_hess
+        u = self._log_integral_grad(theta, gamma)
+        curvature = (u[..., :, None] * u[..., None, :] + gamma * gamma * c_hess(gamma * theta)
+                     - gamma * c_hess(theta))
+        return values.sum(axis=-1)[..., None, None] * curvature
 
-        def curvature(t):
-            u = self._log_integral_grad(t, gamma)
-            return (np.outer(u, u) + gamma * gamma * fam.c_hess(gamma * t)
-                    - gamma * fam.c_hess(t))
+    def expected_kj(self, rule_kind, gamma, data, theta):
+        """K = J = n Hess c(theta) for the log score. For the Tsallis score,
+        with a = gamma - 1, b = 2 gamma - 1, mu = grad c(theta) and, at the
+        tilt g theta, I_g = int f^g, d_g = grad c(g theta) - mu and
+        S_g = Hess c(g theta) + d_g d_g':
+        K = n gamma a I_gamma S_gamma and
+        J = n (gamma a)^2 (I_b S_b - I_gamma^2 d_gamma d_gamma')."""
+        fam, n = self.family, data.shape[-1]
+        theta = np.asarray(theta, dtype=float)
+        if rule_kind == "log":
+            K = n * fam.c_hess(theta)
+            return K, K
+        mu = fam.c_grad(theta)
 
-        return values.sum(axis=-1)[..., None, None] * _rowwise(curvature, theta)
+        def tilted(b, what):
+            bt, integral = self._tilt(b, theta, what)
+            d = fam.c_grad(bt) - mu
+            dd = d[..., :, None] * d[..., None, :]
+            return integral[..., None, None], dd, fam.c_hess(bt) + dd
+
+        i_g, dd_g, s_g = tilted(gamma, "gamma")
+        i_b, _, s_b = tilted(2.0 * gamma - 1.0, "2 gamma - 1")
+        ga = np.asarray(gamma * (gamma - 1.0))[..., None, None]
+        return n * ga * i_g * s_g, n * ga * ga * (i_b * s_b - i_g * i_g * dd_g)
 
     def default_start(self, data):
-        return _rowwise(self.family.start, data)
+        return self.family.start(data)
 
     def sample(self, theta, sizes, rng, *, design=None):
         n = sizes if np.isscalar(sizes) else sizes[0]
@@ -166,15 +185,6 @@ class ExpFamilyModel(_CoordinateInterest):
             return self.family.scale(np.asarray(theta, dtype=float))
         y = np.asarray(data, dtype=float)
         return float(np.median(y)), float(np.std(y) or 1.0)
-
-
-def _rowwise(f, a):
-    """f of one parameter vector (or one dataset), applied to ``a`` or to
-    each row of a stack of them. The family functions are scalar code."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim == 1:
-        return f(a)
-    return np.array([f(row) for row in a])
 
 
 # ---------------------------------------------------------------------------
@@ -261,30 +271,38 @@ def expfam_robustness_check(model: ExpFamilyModel, theta, gamma):
 # Built-in families
 # ---------------------------------------------------------------------------
 
+def _last(entries):
+    """Entries of one shape stacked along new last axes: (..., s) from a
+    list of s, (..., s, s) from s lists of s."""
+    if isinstance(entries[0], list):
+        return np.stack([_last(row) for row in entries], axis=-2)
+    return np.stack(entries, axis=-1)
+
+
 def expfam_normal():
     """N(mu, v) in natural form theta = (mu/v, -1/(2v))."""
     def c(th):
-        t1, t2 = th
-        return -t1 * t1 / (4.0 * t2) + 0.5 * math.log(math.pi / (-t2))
+        t1, t2 = th[..., 0], th[..., 1]
+        return -t1 * t1 / (4.0 * t2) + 0.5 * np.log(math.pi / -t2)
 
     def c_grad(th):
-        t1, t2 = th
-        return np.array([-t1 / (2.0 * t2), t1 * t1 / (4.0 * t2 * t2) - 1.0 / (2.0 * t2)])
+        t1, t2 = th[..., 0], th[..., 1]
+        return _last([-t1 / (2.0 * t2), t1 * t1 / (4.0 * t2 * t2) - 1.0 / (2.0 * t2)])
+
+    def c_hess(th):
+        t1, t2 = th[..., 0], th[..., 1]
+        off = t1 / (2.0 * t2 * t2)
+        return _last([[-1.0 / (2.0 * t2), off],
+                      [off, 1.0 / (2.0 * t2 * t2) - t1 * t1 / (2.0 * t2 * t2 * t2)]])
 
     def scale(th):
         t1, t2 = th
         v = -1.0 / (2.0 * t2)
         return (-t1 / (2.0 * t2), math.sqrt(v))
 
-    def c_hess(th):
-        t1, t2 = th
-        off = t1 / (2.0 * t2 * t2)
-        return np.array([[-1.0 / (2.0 * t2), off],
-                         [off, 1.0 / (2.0 * t2 * t2) - t1 * t1 / (2.0 * t2 ** 3)]])
-
     def start(y):
-        m, v = float(np.mean(y)), float(max(np.var(y), 1e-8))
-        return np.array([m / v, -0.5 / v])
+        m, v = np.mean(y, axis=-1), np.maximum(np.var(y, axis=-1), 1e-8)
+        return _last([m / v, -0.5 / v])
 
     def sample(th, n, rng):
         t1, t2 = th
@@ -296,7 +314,7 @@ def expfam_normal():
         t=lambda y: np.concatenate([y[..., None], (y ** 2)[..., None]], axis=-1),
         c=c, c_grad=c_grad, c_hess=c_hess,
         support=(-np.inf, np.inf),
-        in_natural=lambda th: th[1] < 0,
+        in_natural=lambda th: th[..., 1] < 0,
         sample=sample, start=start, scale=scale,
     ))
 
@@ -304,16 +322,16 @@ def expfam_normal():
 def expfam_exponential():
     """Exp(rate) in natural form theta = (-rate,)."""
     def start(y):
-        return np.array([-1.0 / max(float(np.mean(y)), 1e-12)])
+        return -1.0 / np.maximum(np.mean(y, axis=-1), 1e-12)[..., None]
 
     return ExpFamilyModel(_Family(
         name="exponential", s=1,
         t=lambda y: np.asarray(y, dtype=float)[..., None],
-        c=lambda th: -math.log(-th[0]),
-        c_grad=lambda th: np.array([-1.0 / th[0]]),
-        c_hess=lambda th: np.array([[1.0 / th[0] ** 2]]),
+        c=lambda th: -np.log(-th[..., 0]),
+        c_grad=lambda th: -1.0 / th,
+        c_hess=lambda th: (1.0 / (th * th))[..., None],
         support=(0.0, np.inf),
-        in_natural=lambda th: th[0] < 0,
+        in_natural=lambda th: th[..., 0] < 0,
         sample=lambda th, n, rng: rng.exponential(-1.0 / th[0], n),
         start=start,
         scale=lambda th: (-1.0 / th[0], -1.0 / th[0]),
@@ -323,15 +341,16 @@ def expfam_exponential():
 def expfam_gamma():
     """Gamma(shape, rate) in natural form theta = (shape - 1, -rate)."""
     def c(th):
-        return gammaln(th[0] + 1.0) - (th[0] + 1.0) * math.log(-th[1])
+        shape, t2 = th[..., 0] + 1.0, th[..., 1]
+        return gammaln(shape) - shape * np.log(-t2)
 
     def c_grad(th):
-        return np.array([digamma(th[0] + 1.0) - math.log(-th[1]),
-                         -(th[0] + 1.0) / th[1]])
+        shape, t2 = th[..., 0] + 1.0, th[..., 1]
+        return _last([digamma(shape) - np.log(-t2), -shape / t2])
 
     def c_hess(th):
-        return np.array([[polygamma(1, th[0] + 1.0), -1.0 / th[1]],
-                         [-1.0 / th[1], (th[0] + 1.0) / th[1] ** 2]])
+        shape, t2 = th[..., 0] + 1.0, th[..., 1]
+        return _last([[polygamma(1, shape), -1.0 / t2], [-1.0 / t2, shape / (t2 * t2)]])
 
     def scale(th):
         shape, rate = th[0] + 1.0, -th[1]
@@ -339,10 +358,9 @@ def expfam_gamma():
         return (mean, math.sqrt(shape) / rate)
 
     def start(y):
-        m, v = float(np.mean(y)), float(max(np.var(y), 1e-12))
-        shape = max(m * m / v, 1e-3)
-        rate = shape / m
-        return np.array([shape - 1.0, -rate])
+        m, v = np.mean(y, axis=-1), np.maximum(np.var(y, axis=-1), 1e-12)
+        shape = np.maximum(m * m / v, 1e-3)
+        return _last([shape - 1.0, -(shape / m)])
 
     def sample(th, n, rng):
         shape, rate = th[0] + 1.0, -th[1]
@@ -353,7 +371,7 @@ def expfam_gamma():
         t=lambda y: np.concatenate([np.log(y)[..., None], y[..., None]], axis=-1),
         c=c, c_grad=c_grad, c_hess=c_hess,
         support=(0.0, np.inf),
-        in_natural=lambda th: th[0] > -1.0 and th[1] < 0,
+        in_natural=lambda th: (th[..., 0] > -1.0) & (th[..., 1] < 0),
         sample=sample, start=start, scale=scale,
         open_left=True,
     ))
@@ -362,22 +380,22 @@ def expfam_gamma():
 def expfam_beta():
     """Beta(a, b) in natural form theta = (a - 1, b - 1)."""
     def c(th):
-        return betaln(th[0] + 1.0, th[1] + 1.0)
+        return betaln(th[..., 0] + 1.0, th[..., 1] + 1.0)
 
     def c_grad(th):
-        a, b = th[0] + 1.0, th[1] + 1.0
+        a, b = th[..., 0] + 1.0, th[..., 1] + 1.0
         d = digamma(a + b)
-        return np.array([digamma(a) - d, digamma(b) - d])
+        return _last([digamma(a) - d, digamma(b) - d])
 
     def c_hess(th):
-        a, b = th[0] + 1.0, th[1] + 1.0
+        a, b = th[..., 0] + 1.0, th[..., 1] + 1.0
         ab = polygamma(1, a + b)
-        return np.array([[polygamma(1, a) - ab, -ab], [-ab, polygamma(1, b) - ab]])
+        return _last([[polygamma(1, a) - ab, -ab], [-ab, polygamma(1, b) - ab]])
 
     def start(y):
-        m, v = float(np.mean(y)), float(max(np.var(y), 1e-12))
-        common = max(m * (1 - m) / v - 1.0, 1e-3)
-        return np.array([m * common - 1.0, (1 - m) * common - 1.0])
+        m, v = np.mean(y, axis=-1), np.maximum(np.var(y, axis=-1), 1e-12)
+        common = np.maximum(m * (1 - m) / v - 1.0, 1e-3)
+        return _last([m * common - 1.0, (1 - m) * common - 1.0])
 
     def sample(th, n, rng):
         return rng.beta(th[0] + 1.0, th[1] + 1.0, n)
@@ -387,7 +405,7 @@ def expfam_beta():
         t=lambda y: np.concatenate([np.log(y)[..., None], np.log1p(-y)[..., None]], axis=-1),
         c=c, c_grad=c_grad, c_hess=c_hess,
         support=(0.0, 1.0),
-        in_natural=lambda th: th[0] > -1.0 and th[1] > -1.0,
+        in_natural=lambda th: (th[..., 0] > -1.0) & (th[..., 1] > -1.0),
         sample=sample, start=start,
         scale=lambda th: (0.5, 0.25),
         open_left=True, open_right=True,
@@ -407,7 +425,12 @@ def load_expfam_model(spec_path, **options):
 
     Schema: {"family": "normal" | "exponential" | "gamma" | "beta",
              "interest_index": 0}
+    The one option, ``interest_index``, overrides the spec's unless None.
     """
+    idx = options.pop("interest_index", None)
+    if options:
+        raise DomainError(f"exponential-family models accept only interest_index, "
+                          f"got {sorted(options)}")
     if not os.path.exists(spec_path):
         raise DomainError(f"exponential-family spec file not found: {spec_path}")
     with open(spec_path) as fh:
@@ -417,7 +440,7 @@ def load_expfam_model(spec_path, **options):
         raise DomainError(f"unknown exponential family {family!r}; "
                           f"choose from {sorted(_FAMILIES)}")
     model = _FAMILIES[family]()
-    idx = int(spec.get("interest_index", options.pop("interest_index", 0)))
+    idx = int(spec.get("interest_index", 0) if idx is None else idx)
     if not 0 <= idx < model.family.s:
         raise DomainError("interest_index out of range")
     model.interest_index = idx

@@ -6,8 +6,11 @@ and its derivatives, samplers, the scalar interest parameter with its
 gradient, and the (interest, nuisance) reparameterization used for profiling
 with its Jacobian and curvature. The closed forms are part of the model
 contract: the scoring layer has no quadrature or finite-difference stand-in
-for them. New families come in through ``expfam``, whose ``_Family`` gets
-every closed form from its cumulant ``c``, ``c_grad`` and ``c_hess``.
+for them, and every model gives the expected sensitivity K and variability
+J of its scores in closed form, which ``calibrate_gamma`` uses. New
+families come in through ``expfam``, whose ``_Family`` gets every closed
+form, K and J among them, from its cumulant ``c``, ``c_grad`` and
+``c_hess``, written over stacks of parameters.
 
 Built-in families: two-sample heteroscedastic normal, two-sample exponential
 AUC, two-sample normal AUC, and the normal linear regression model.
@@ -275,6 +278,7 @@ class ModelSpec(abc.ABC):
     positive: tuple = ()
     interest_name: str = "psi"
     wald_scale: str = "identity"  # "logit" for (0,1)-valued interest
+    observed_kj: bool = False     # estimate_KJ takes observed, not expected, K and J
     lam_positive: tuple = ()
 
     @property
@@ -480,9 +484,11 @@ class ModelSpec(abc.ABC):
         linear in lam."""
 
     # ---- analytic expectations -------------------------------------------
+    @abc.abstractmethod
     def expected_kj(self, rule_kind, gamma, data, theta):
-        """Analytic E[K], E[J] of the total estimating function; None if unknown."""
-        return None
+        """Expected K and J of the total estimating function at theta under
+        the model; for a stack, a pair per row, gamma one value or one per
+        row."""
 
 
 def _stack_rows(arrays):

@@ -20,14 +20,12 @@ from .errors import DomainError, NumericsError
 from .models import _fd_jacobian, normal_pdf
 from .confidence import _constrained_at, _nu_at, _signed_root, _tangent_starts, _wald_pivot
 from .scoring import (
-    ScoreRule,
     _Objective,
     _chunks,
     _only,
     _per_row,
     _to_z,
     checked_inverse,
-    empirical_J,
     empirical_K,
     estimate_KJ,
     fit as fit_rule,
@@ -56,9 +54,6 @@ Y_GRID_REACH = 20.0
 GAMMA_MAX = 3.0
 GAMMA_TOL = 1e-4
 GAMMA_TREE_DEPTH = 5
-# Monte Carlo K and J for a model without analytic ones: seed and total size
-MC_SEED = 0
-MC_SIZE = 20000
 
 
 def single_obs_gradient(rule, data, theta, ys, component=0):
@@ -318,35 +313,6 @@ def taif_contamination_oracle(rule, data, pivot_kind, psi, ys, component=0,
 # gamma calibration
 # ---------------------------------------------------------------------------
 
-def _expected_kj_any(model, rule_kind, gamma, data, theta):
-    """The expected K and J at theta, or a pair per row of a stack of
-    datasets and estimates with a gamma per row."""
-    kj = model.expected_kj(rule_kind, gamma, data, theta)
-    if kj is not None:
-        return kj
-    if np.ndim(theta) == 2:
-        K, J = zip(*(_expected_kj_any(model, rule_kind, g, model.take(data, r), theta[r])
-                     for r, g in enumerate(gamma)))
-        return np.stack(K), np.stack(J)
-    # large-sample empirical expectation for models without analytic forms
-    rng = np.random.default_rng(MC_SEED)
-    n = model.nobs(data)
-    big = model.checked(model.sample(theta, _scaled_sizes(data, MC_SIZE), rng))
-    rule = ScoreRule.log(model) if rule_kind == "log" else ScoreRule.tsallis(model, gamma)
-    scale = n / model.nobs(big)
-    return (empirical_K(rule, big, theta) * scale,
-            empirical_J(rule, big, theta) * scale)
-
-
-def _scaled_sizes(data, target):
-    try:
-        x, y = data
-        total = len(x) + len(y)
-        return (max(int(target * len(x) / total), 2), max(int(target * len(y) / total), 2))
-    except (TypeError, ValueError):
-        return target
-
-
 def efficiency_ratio(model, gamma, data, theta_ref, measure="min"):
     """Asymptotic efficiency of the Tsallis estimator relative to the MLE.
 
@@ -361,7 +327,7 @@ def efficiency_ratio(model, gamma, data, theta_ref, measure="min"):
 
 def _log_variance(model, data, theta_ref):
     """The MLE's sandwich variance at theta_ref, which no gamma changes."""
-    V0, _ = sandwich(*_expected_kj_any(model, "log", None, data, theta_ref))
+    V0, _ = sandwich(*model.expected_kj("log", None, data, theta_ref))
     return V0
 
 
@@ -373,7 +339,7 @@ def _efficiency(model, V0, gamma, data, theta_ref, measure):
     if np.ndim(gamma):
         rows = len(gamma)
         data, theta_ref = model.stack([data] * rows), np.tile(theta_ref, (rows, 1))
-    Vg, _ = sandwich(*_expected_kj_any(model, "tsallis", gamma, data, theta_ref))
+    Vg, _ = sandwich(*model.expected_kj("tsallis", gamma, data, theta_ref))
     if measure == "interest":
         # vecdot takes each row's dot as the 1-D product of one gamma does
         return (grad @ V0 @ grad) / np.vecdot(grad @ Vg, grad)
@@ -385,14 +351,14 @@ def _efficiency(model, V0, gamma, data, theta_ref, measure):
     return ratios[..., int(measure)]
 
 
-def _midpoint_tree(a, b, depth):
-    """The 2^depth - 1 midpoints that depth steps of bisection from [a, b]
-    can visit, in heap order: the first halves [a, b], and the children
+def _midpoint_tree(a, b):
+    """The 2^GAMMA_TREE_DEPTH - 1 midpoints that GAMMA_TREE_DEPTH steps of
+    bisection from [a, b] can visit, in heap order: the first halves [a, b], and the children
     2j + 1 and 2j + 2 of midpoint j halve the left and the right half of its
     interval. Each is 0.5 (lo + hi) of its interval, as a step of bisection
     forms it."""
     intervals, mids = [(a, b)], []
-    for _ in range(depth):
+    for _ in range(GAMMA_TREE_DEPTH):
         level = [0.5 * (lo + hi) for lo, hi in intervals]
         intervals = [half for (lo, hi), mid in zip(intervals, level)
                      for half in ((lo, mid), (mid, hi))]
@@ -408,18 +374,15 @@ def calibrate_gamma(model, theta_ref, target_efficiency, data_template,
     of (numerically) full efficiency returns the lower bracket edge with a
     warning, since the log score is the gamma -> 1 limit. The midpoints of
     each GAMMA_TREE_DEPTH steps of bisection are evaluated as one stack,
-    the first with the probes; a gamma that cannot be evaluated raises only
-    where the probes or bisection visit it. A model without closed-form K
-    and J takes a Monte Carlo pass per gamma, so it evaluates only the
-    midpoints visited.
+    the first with the probes, from the model's closed-form expected K and
+    J; a gamma that cannot be evaluated raises only where the probes or
+    bisection visit it.
     """
     if not 0.0 < target_efficiency <= 1.0:
         raise DomainError("target efficiency must be in (0, 1]")
     theta_ref = np.asarray(theta_ref, dtype=float)
     data = model.checked(data_template)
     V0 = _log_variance(model, data, theta_ref)
-    depth = (1 if model.expected_kj("log", None, data, theta_ref) is None
-             else GAMMA_TREE_DEPTH)
 
     def are(gammas):
         return _per_row(lambda at: _efficiency(model, V0, gammas[at], data, theta_ref, measure),
@@ -427,7 +390,7 @@ def calibrate_gamma(model, theta_ref, target_efficiency, data_template,
 
     lo, hi = 1.0 + GAMMA_TOL, GAMMA_MAX
     # the probes and the first round of bisection as one stack
-    mids = _midpoint_tree(lo, hi, depth)
+    mids = _midpoint_tree(lo, hi)
     effs = are(np.concatenate([np.linspace(lo, hi, 6), mids]))
     vals, effs = [_only([v]) for v in effs[:6]], effs[6:]
     if np.any(np.diff(vals) >= 0):
@@ -445,7 +408,7 @@ def calibrate_gamma(model, theta_ref, target_efficiency, data_template,
     a, b, j = lo, hi, 0
     while b - a > GAMMA_TOL:
         if j >= mids.size:
-            mids, j = _midpoint_tree(a, b, depth), 0
+            mids, j = _midpoint_tree(a, b), 0
             effs = are(mids)
         if _only([effs[j]]) > target_efficiency:
             a, j = mids[j], 2 * j + 2

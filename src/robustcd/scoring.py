@@ -222,17 +222,16 @@ def empirical_J(rule, data, theta):
 
 def estimate_KJ(rule, data, theta):
     """Sensitivity and variability matrices of the total estimating function:
-    the model's analytic expectations where it has them, else the empirical
-    estimates ``empirical_K`` and ``empirical_J``."""
+    the model's expected K and J, or, for a model that declares
+    ``observed_kj``, the observed ``empirical_K`` and ``empirical_J``."""
     model = rule.model
     data = model.checked(data)
     theta = np.asarray(theta, dtype=float)
-    expected = model.expected_kj(rule.kind, rule.gamma, data, theta)
-    if expected is None:
+    if model.observed_kj:
         # empirical_K and empirical_J from one pass
         _, grads, H = _kernel(rule, data, theta, order=2)
         return _sym(H), _sym(grads.mT @ grads)
-    K, J = expected
+    K, J = model.expected_kj(rule.kind, rule.gamma, data, theta)
     return _sym(np.asarray(K, dtype=float)), _sym(np.asarray(J, dtype=float))
 
 

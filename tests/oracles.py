@@ -6,10 +6,12 @@ finite differences) and must not import the package's scoring or profiling
 internals, so that agreement is a genuine two-route check.
 """
 
+import math
+
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize, minimize_scalar
-from scipy.special import ndtr
+from scipy.special import betaln, digamma, gammaln, ndtr, polygamma
 
 
 def power_integral_quadrature(pdf, lo, hi, gamma):
@@ -57,6 +59,81 @@ def expfam_score_gradient(model, y, theta, gamma):
     out = gamma * (gamma - 1.0) * (integral * cdiff[None, :]
                                    - (f ** (gamma - 1.0))[:, None] * tdiff)
     return out[0] if out.shape[0] == 1 else out
+
+
+# ---------------------------------------------------------------------------
+# The exponential families' cumulant c, its gradient and Hessian, and the
+# moment start, in scalar form: one parameter vector or one dataset at a time
+# ---------------------------------------------------------------------------
+
+def _normal_c(th):
+    t1, t2 = th
+    return -t1 * t1 / (4.0 * t2) + 0.5 * math.log(math.pi / (-t2))
+
+
+def _normal_c_grad(th):
+    t1, t2 = th
+    return np.array([-t1 / (2.0 * t2), t1 * t1 / (4.0 * t2 * t2) - 1.0 / (2.0 * t2)])
+
+
+def _normal_c_hess(th):
+    t1, t2 = th
+    off = t1 / (2.0 * t2 * t2)
+    return np.array([[-1.0 / (2.0 * t2), off],
+                     [off, 1.0 / (2.0 * t2 * t2) - t1 * t1 / (2.0 * t2 ** 3)]])
+
+
+def _normal_start(y):
+    m, v = float(np.mean(y)), float(max(np.var(y), 1e-8))
+    return np.array([m / v, -0.5 / v])
+
+
+def _gamma_c(th):
+    return gammaln(th[0] + 1.0) - (th[0] + 1.0) * math.log(-th[1])
+
+
+def _gamma_c_grad(th):
+    return np.array([digamma(th[0] + 1.0) - math.log(-th[1]), -(th[0] + 1.0) / th[1]])
+
+
+def _gamma_c_hess(th):
+    return np.array([[polygamma(1, th[0] + 1.0), -1.0 / th[1]],
+                     [-1.0 / th[1], (th[0] + 1.0) / th[1] ** 2]])
+
+
+def _gamma_start(y):
+    m, v = float(np.mean(y)), float(max(np.var(y), 1e-12))
+    shape = max(m * m / v, 1e-3)
+    return np.array([shape - 1.0, -shape / m])
+
+
+def _beta_c_grad(th):
+    a, b = th[0] + 1.0, th[1] + 1.0
+    return np.array([digamma(a) - digamma(a + b), digamma(b) - digamma(a + b)])
+
+
+def _beta_c_hess(th):
+    a, b = th[0] + 1.0, th[1] + 1.0
+    ab = polygamma(1, a + b)
+    return np.array([[polygamma(1, a) - ab, -ab], [-ab, polygamma(1, b) - ab]])
+
+
+def _beta_start(y):
+    m, v = float(np.mean(y)), float(max(np.var(y), 1e-12))
+    common = max(m * (1 - m) / v - 1.0, 1e-3)
+    return np.array([m * common - 1.0, (1 - m) * common - 1.0])
+
+
+# family name -> (c, c_grad, c_hess, start)
+SCALAR_FAMILIES = {
+    "normal": (_normal_c, _normal_c_grad, _normal_c_hess, _normal_start),
+    "exponential": (lambda th: -math.log(-th[0]), lambda th: np.array([-1.0 / th[0]]),
+                    lambda th: np.array([[1.0 / th[0] ** 2]]),
+                    lambda y: np.array([-1.0 / max(float(np.mean(y)), 1e-12)])),
+    "gamma": (_gamma_c, _gamma_c_grad, _gamma_c_hess, _gamma_start),
+    "beta": (lambda th: betaln(th[0] + 1.0, th[1] + 1.0), _beta_c_grad, _beta_c_hess,
+             _beta_start),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,35 @@ def test_calibrate_regression_default(runner):
     assert doc["efficiency_at_gamma"] == pytest.approx(0.9, abs=0.01)
 
 
+@pytest.fixture()
+def gamma_spec_csv(tmp_path):
+    spec = tmp_path / "g.json"
+    spec.write_text(json.dumps({"family": "gamma", "interest_index": 0}))
+    path = tmp_path / "g.csv"
+    y = np.random.default_rng(17).gamma(0.75, 1.0, 40)
+    path.write_text("value\n" + "".join(f"{v!r}\n" for v in y.tolist()))
+    return f"expfam:{spec}", str(path)
+
+
+def test_expfam_interest_flag_overrides_the_spec(runner, gamma_spec_csv):
+    model, path = gamma_spec_csv
+    for extra, name in (([], "theta_1"), (["--interest", "1"], "theta_2"),
+                        (["--interest", "0"], "theta_1")):
+        res = runner.invoke(main, ["fit", "--model", model, "--data", path, *extra])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.stdout)["interest"]["name"] == name, extra
+
+
+def test_calibrate_expfam_exits_1_where_J_is_infinite(runner, gamma_spec_csv):
+    # (2 gamma - 1) theta leaves the gamma family's natural space for
+    # gamma >= 2.5 at this reference
+    model, path = gamma_spec_csv
+    res = runner.invoke(main, ["calibrate", "--model", model, "--data", path,
+                               "--theta", "-0.25,-1", "--target", "0.9"])
+    assert res.exit_code == 1, res.output
+    assert "natural space" in res.stderr
+
+
 @pytest.mark.parametrize("theta", ["1,abc", "2,0,1", "2,0,1,1,1"])
 def test_calibrate_rejects_a_bad_theta(runner, two_sample_csv, theta):
     path, _, _ = two_sample_csv

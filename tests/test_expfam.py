@@ -13,9 +13,18 @@ from robustcd.expfam import (
     load_expfam_model,
 )
 from robustcd.models import TwoSampleNormal
-from robustcd.scoring import ScoreRule, fit, score_terms
+from robustcd.robustness import calibrate_gamma
+from robustcd.scoring import ScoreRule, empirical_J, empirical_K, fit, score_terms
 
-from oracles import expfam_score_gradient, expfam_tsallis_score, fd_gradient
+from oracles import SCALAR_FAMILIES, expfam_score_gradient, expfam_tsallis_score, fd_gradient
+
+# (family, three natural parameters)
+FAMILY_THETAS = [
+    (expfam_normal, [[0.5, -0.4], [-1.2, -0.05], [3.0, -2.5]]),
+    (expfam_exponential, [[-1.7], [-0.02], [-40.0]]),
+    (expfam_gamma, [[1.5, -2.0], [-0.6, -0.3], [7.0, -11.0]]),
+    (expfam_beta, [[1.0, 2.0], [-0.5, -0.7], [12.0, 0.3]]),
+]
 
 
 def test_normal_natural_form_matches_density_model():
@@ -74,6 +83,66 @@ def test_expfam_gradient_matches_generic_machinery():
     assert np.allclose(got, want, rtol=1e-10)
 
 
+@pytest.mark.parametrize("maker,thetas", FAMILY_THETAS)
+def test_array_family_equals_its_scalar_form(maker, thetas):
+    # c, c_grad, c_hess and start on one theta (one dataset) and on a stack
+    # of three equal the scalar forms within 1e-14 relative
+    fam = maker().family
+    thetas = np.array(thetas, dtype=float)
+    rng = np.random.default_rng(3)
+    data = np.stack([fam.sample(th, 30, rng) for th in thetas])
+    for array_form, scalar_form, args in zip(
+            (fam.c, fam.c_grad, fam.c_hess, fam.start), SCALAR_FAMILIES[fam.name],
+            (thetas,) * 3 + (data,)):
+        want = np.array([scalar_form(a) for a in args])
+        np.testing.assert_allclose(array_form(args), want, rtol=1e-14, atol=0)
+        one = array_form(args[0])
+        assert np.shape(one) == want.shape[1:]
+        np.testing.assert_allclose(one, want[0], rtol=1e-14, atol=0)
+    assert fam.in_natural(thetas).all() and fam.in_natural(thetas[0])
+
+
+@pytest.mark.parametrize("gamma", [None, 1.23, 1.8])
+@pytest.mark.parametrize("maker,thetas", FAMILY_THETAS)
+def test_expected_kj_matches_a_large_sample(maker, thetas, gamma):
+    # the closed-form K and J against the observed ones on 40 batches of
+    # 5000 draws, within 5 standard errors of the batch mean
+    model = maker()
+    theta = np.array(thetas[0])
+    rule = ScoreRule.log(model) if gamma is None else ScoreRule.tsallis(model, gamma)
+    batches = model.stack(list(model.family.sample(theta, 200000, np.random.default_rng(8))
+                               .reshape(40, 5000)))
+    thetas = np.tile(theta, (40, 1))
+    K, J = model.expected_kj(rule.kind, gamma, model.take(batches, 0), theta)
+    for closed, observed in ((K, empirical_K(rule, batches, thetas)),
+                             (J, empirical_J(rule, batches, thetas))):
+        se = observed.std(axis=0, ddof=1) / np.sqrt(40)
+        assert np.all(np.abs(observed.mean(axis=0) - closed)
+                      <= 5 * se + 1e-12 * np.abs(closed)), (model.name, gamma)
+    if gamma is not None:
+        # a gamma per row of a stack gives each row's pair alone, bit for bit
+        gammas = np.array([gamma, 1.5, 1.0001])
+        stacked = model.expected_kj("tsallis", gammas, model.take(batches, np.arange(3)),
+                                    thetas[:3])
+        for r, g in enumerate(gammas):
+            alone = model.expected_kj("tsallis", g, model.take(batches, r), theta)
+            assert all(np.array_equal(a[r], b) for a, b in zip(stacked, alone))
+
+
+def test_calibrate_gamma_raises_where_J_is_infinite():
+    # at theta = (-0.25, -1) the tilt gamma theta stays in the natural space
+    # on the whole bracket, but (2 gamma - 1) theta leaves it for gamma >= 2.5,
+    # where J is infinite
+    model = expfam_gamma()
+    y = np.random.default_rng(17).gamma(0.75, 1.0, 40)
+    with pytest.raises(DomainError, match="natural space"):
+        calibrate_gamma(model, np.array([-0.25, -1.0]), 0.9, y)
+    K, J = model.expected_kj("tsallis", 2.4, model.checked(y), np.array([-0.25, -1.0]))
+    assert np.isfinite(K).all() and np.isfinite(J).all()
+    with pytest.raises(DomainError, match="natural space"):
+        model.expected_kj("tsallis", 2.5, model.checked(y), np.array([-0.25, -1.0]))
+
+
 def test_natural_space_violation_raises():
     ef = expfam_gamma()
     # shape 0.5: gamma * theta_1 = 2.2 * (-0.5) = -1.1 < -1 leaves the space
@@ -126,6 +195,11 @@ def test_load_expfam_model(tmp_path):
     model = load_expfam_model(str(spec))
     assert model.name == "expfam-gamma"
     assert model.interest_index == 1
+    # an explicit interest_index overrides the spec's; None keeps it
+    assert load_expfam_model(str(spec), interest_index=0).interest_name == "theta_1"
+    assert load_expfam_model(str(spec), interest_index=None).interest_index == 1
+    with pytest.raises(DomainError, match="interest_index"):
+        load_expfam_model(str(spec), intercept=True)
     with pytest.raises(DomainError):
         load_expfam_model(str(tmp_path / "missing.json"))
     bad = tmp_path / "bad.json"
