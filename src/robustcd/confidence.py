@@ -143,11 +143,28 @@ def _tangent_starts(model, data, fit_result, psi_grid):
             positive, dlam / lam, dlam)), positive)
 
 
+def _cubic_starts(nodes, z, at):
+    """The 4-point Lagrange interpolant of z, a row per node of the sorted
+    nodes, at each point of at, through the four nodes around the point,
+    the window clamped to the ends."""
+    lo = np.clip(np.searchsorted(nodes, at) - 2, 0, nodes.size - 4)
+    window = lo[:, None] + np.arange(4)
+    x, off = nodes[window], ~np.eye(4, dtype=bool)
+    weights = (np.where(off, at[:, None, None] - x[:, None, :], 1.0).prod(-1)
+               / np.where(off, x[:, :, None] - x[:, None, :], 1.0).prod(-1))
+    return np.einsum("mj,mjk->mk", weights, z[window])
+
+
 def profile(rule, data, psi_grid, fit_result=None):
-    """Constrained fits and nu along the interest grid, solved together,
-    each point started on the first-order continuation predictor at the
-    free fit; failed points are interpolated from their neighbors and
-    flagged."""
+    """Constrained fits and nu along the interest grid, solved in two waves
+    of stacks. The first wave is one stack's worth of evenly spaced grid
+    points, both ends included, each started on the first-order
+    continuation predictor at the free fit; it is the whole grid where the
+    grid fits in one stack. The second wave starts every other point from
+    the cubic interpolant of the first wave's solved nuisances, in the
+    solver's coordinates, or on the predictor where fewer than four first-
+    wave points were solved. Failed points are interpolated from their
+    neighbors and flagged."""
     model = rule.model
     data = model.checked(data)
     psi_grid = np.asarray(psi_grid, dtype=float)
@@ -156,7 +173,21 @@ def profile(rule, data, psi_grid, fit_result=None):
     if fit_result is None:
         fit_result = fit_rule(rule, data)
     starts = _tangent_starts(model, data, fit_result, psi_grid)
-    rows = _constrained_at(rule, model.stack([data] * psi_grid.size), psi_grid, starts)
+    size = _chunks(psi_grid.size, model.nobs(data), starts.shape[1] + 1)[0].stop
+    first = np.round(np.linspace(0, psi_grid.size - 1, min(size, psi_grid.size))).astype(int)
+    rest = np.setdiff1d(np.arange(psi_grid.size), first)
+    rows = _constrained_at(rule, model.stack([data] * first.size), psi_grid[first], starts[first])
+    if rest.size:
+        solved = [(i, row[2]) for i, row in zip(first, rows) if not isinstance(row, Exception)]
+        if len(solved) >= 4:
+            nodes, lam = map(np.array, zip(*solved))
+            positive = model.lam_positive_mask(data)
+            with np.errstate(over="ignore"):     # a start that overflows fails its row alone
+                starts[rest] = _from_z(_cubic_starts(psi_grid[nodes], _to_z(lam, positive),
+                                                     psi_grid[rest]), positive)
+        rows += _constrained_at(rule, model.stack([data] * rest.size), psi_grid[rest],
+                                starts[rest])
+    rows = [rows[k] for k in np.argsort(np.r_[first, rest])]
     failed = np.array([isinstance(row, Exception) for row in rows])
     # per grid point: the score, nu, then the nuisance
     table = np.array([np.full(starts.shape[1] + 2, np.nan) if lost

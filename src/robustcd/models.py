@@ -1058,8 +1058,7 @@ def get_model(name, **options):
         cls = _REGISTRY[name]
     except KeyError:
         raise DomainError(f"unknown model {name!r}; choose from {sorted(_REGISTRY)}") from None
-    if cls is LinearRegression:
-        return cls(interest_index=options.pop("interest_index", 1))
+    kwargs = {"interest_index": options.pop("interest_index", 1)} if cls is LinearRegression else {}
     if options:
-        raise DomainError(f"model {name!r} accepts no options, got {sorted(options)}")
-    return cls()
+        raise DomainError(f"model {name!r} does not accept the option(s) {sorted(options)}")
+    return cls(**kwargs)

@@ -375,7 +375,10 @@ def calibrate_gamma(model, theta_ref, target_efficiency, data_template,
     warning, since the log score is the gamma -> 1 limit. The midpoints of
     each GAMMA_TREE_DEPTH steps of bisection are evaluated as one stack,
     the first with the probes, from the model's closed-form expected K and
-    J; a gamma that cannot be evaluated raises only where the probes or
+    J. Where expected K and J raise DomainError (J is infinite at that
+    gamma), the efficiency counts as 0, its limit as J grows, so bisection
+    moves below that gamma and the monotonicity check reads only the
+    probes where it is defined; a NumericsError raises where the probes or
     bisection visit it.
     """
     if not 0.0 < target_efficiency <= 1.0:
@@ -385,15 +388,16 @@ def calibrate_gamma(model, theta_ref, target_efficiency, data_template,
     V0 = _log_variance(model, data, theta_ref)
 
     def are(gammas):
-        return _per_row(lambda at: _efficiency(model, V0, gammas[at], data, theta_ref, measure),
-                        len(gammas))
+        return [0.0 if isinstance(eff, DomainError) else eff for eff in _per_row(
+            lambda at: _efficiency(model, V0, gammas[at], data, theta_ref, measure), len(gammas))]
 
     lo, hi = 1.0 + GAMMA_TOL, GAMMA_MAX
     # the probes and the first round of bisection as one stack
     mids = _midpoint_tree(lo, hi)
     effs = are(np.concatenate([np.linspace(lo, hi, 6), mids]))
-    vals, effs = [_only([v]) for v in effs[:6]], effs[6:]
-    if np.any(np.diff(vals) >= 0):
+    vals, effs = np.array([_only([v]) for v in effs[:6]]), effs[6:]
+    # a defined efficiency is positive; 0 marks a probe where J is infinite
+    if np.any(np.diff(vals[vals > 0]) >= 0):
         warnings.warn("efficiency is not monotone on the bracket; "
                       "bisection may return one of several roots", stacklevel=2)
     if target_efficiency >= vals[0]:

@@ -244,14 +244,16 @@ def test_expfam_interest_flag_overrides_the_spec(runner, gamma_spec_csv):
         assert json.loads(res.stdout)["interest"]["name"] == name, extra
 
 
-def test_calibrate_expfam_exits_1_where_J_is_infinite(runner, gamma_spec_csv):
+def test_calibrate_expfam_bisects_below_where_J_is_infinite(runner, gamma_spec_csv):
     # (2 gamma - 1) theta leaves the gamma family's natural space for
-    # gamma >= 2.5 at this reference
+    # gamma >= 2.5 at this reference; the target lies below that
     model, path = gamma_spec_csv
     res = runner.invoke(main, ["calibrate", "--model", model, "--data", path,
                                "--theta", "-0.25,-1", "--target", "0.9"])
-    assert res.exit_code == 1, res.output
-    assert "natural space" in res.stderr
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.stdout)
+    assert 1.1 < doc["gamma"] < 1.2
+    assert doc["efficiency_at_gamma"] == pytest.approx(0.9, abs=1e-3)
 
 
 @pytest.mark.parametrize("theta", ["1,abc", "2,0,1", "2,0,1,1,1"])

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from robustcd.expfam import (
     load_expfam_model,
 )
 from robustcd.models import TwoSampleNormal
-from robustcd.robustness import calibrate_gamma
+from robustcd.robustness import calibrate_gamma, efficiency_ratio
 from robustcd.scoring import ScoreRule, empirical_J, empirical_K, fit, score_terms
 
 from oracles import SCALAR_FAMILIES, expfam_score_gradient, expfam_tsallis_score, fd_gradient
@@ -129,18 +130,23 @@ def test_expected_kj_matches_a_large_sample(maker, thetas, gamma):
             assert all(np.array_equal(a[r], b) for a, b in zip(stacked, alone))
 
 
-def test_calibrate_gamma_raises_where_J_is_infinite():
+def test_calibrate_gamma_bisects_below_where_J_is_infinite():
     # at theta = (-0.25, -1) the tilt gamma theta stays in the natural space
     # on the whole bracket, but (2 gamma - 1) theta leaves it for gamma >= 2.5,
-    # where J is infinite
+    # where J is infinite and the efficiency counts as its limit 0; the
+    # target 0.9 lies between the efficiencies at 1.1 (0.948) and 1.2 (0.831)
     model = expfam_gamma()
     y = np.random.default_rng(17).gamma(0.75, 1.0, 40)
-    with pytest.raises(DomainError, match="natural space"):
-        calibrate_gamma(model, np.array([-0.25, -1.0]), 0.9, y)
     K, J = model.expected_kj("tsallis", 2.4, model.checked(y), np.array([-0.25, -1.0]))
     assert np.isfinite(K).all() and np.isfinite(J).all()
     with pytest.raises(DomainError, match="natural space"):
         model.expected_kj("tsallis", 2.5, model.checked(y), np.array([-0.25, -1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no monotonicity warning from the undefined probes
+        gamma = calibrate_gamma(model, np.array([-0.25, -1.0]), 0.9, y)
+    assert 1.1 < gamma < 1.2
+    assert efficiency_ratio(model, gamma, y, np.array([-0.25, -1.0])) == pytest.approx(
+        0.9, abs=1e-3)
 
 
 def test_natural_space_violation_raises():

@@ -332,6 +332,8 @@ def test_registry():
         get_model("no-such-model")
     with pytest.raises(DomainError):
         get_model("auc-normal", interest_index=1)
+    with pytest.raises(DomainError, match="bogus"):
+        get_model("linear-regression", interest_index=2, bogus=5)
 
 
 def test_normal_auc_profile_embedding_hits_target():

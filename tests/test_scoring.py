@@ -589,7 +589,61 @@ def test_warm_profile_takes_few_kernel_passes(cd_grid_auc_normal, kernel_calls):
     grid = _default_profile_grid(fr)
     trace = confidence.profile(rule, cd_grid_auc_normal, grid, fit_result=fr)
     assert not trace.failed.any() and len(solves) == len(scoring._chunks(grid.size, 1050, 4))
-    assert sum(calls) / grid.size <= 5.0
+    assert sum(calls) / grid.size <= 2.5
+
+
+@pytest.fixture(scope="module")
+def cd_grid_regression():
+    """The benchmark's cd-grid regression input: 1000 rows, two covariates."""
+    rng = np.random.default_rng([20251017, 1, 3, 0])
+    x1, x2 = rng.standard_normal(1000), rng.uniform(size=1000)
+    y = 1.0 + 0.5 * x1 - 0.3 * x2 + rng.normal(0.0, 1.0, 1000)
+    return LinearRegression(1).checked((y, np.column_stack([np.ones(1000), x1, x2])))
+
+
+@pytest.mark.parametrize("model,data_name", [(NormalAUC(), "cd_grid_auc_normal"),
+                                             (LinearRegression(1), "cd_grid_regression")])
+@pytest.mark.parametrize("gamma", [None, 1.23])
+def test_two_wave_profile_equals_a_single_wave(request, model, data_name, gamma):
+    # the second wave starts from the cubic interpolant of the first, and
+    # lands where the whole grid started on the continuation predictor does
+    data = request.getfixturevalue(data_name)
+    rule = ScoreRule.log(model) if gamma is None else ScoreRule.tsallis(model, gamma)
+    fr = fit(rule, data)
+    grid = _default_profile_grid(fr)
+    assert len(scoring._chunks(grid.size, model.nobs(data), 4)) > 1
+    trace = confidence.profile(rule, data, grid, fit_result=fr)
+    starts = confidence._tangent_starts(model, data, fr, grid)
+    rows = confidence._constrained_at(rule, model.stack([data] * grid.size), grid, starts)
+    score, nu = (np.array([row[k] for row in rows]) for k in (1, 3))
+    assert not trace.failed.any()
+    np.testing.assert_allclose(trace.score_profile, score, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(trace.nu, nu, rtol=1e-8, atol=0)
+
+
+@pytest.mark.parametrize("n_failed", [1, "all but three"])
+def test_a_failed_first_wave_point_is_dropped_from_the_interpolant(
+        cd_grid_auc_normal, monkeypatch, n_failed):
+    # With one failed first-wave point the rest start from the interpolant
+    # of the others; with fewer than four solved, on the predictor. Either
+    # way only the failed points are flagged.
+    rule = ScoreRule.tsallis(NormalAUC(), 1.23)
+    fr = fit(rule, cd_grid_auc_normal)
+    grid = _default_profile_grid(fr)
+    size = scoring._chunks(grid.size, 1050, 4)[0].stop
+    first = np.round(np.linspace(0, grid.size - 1, size)).astype(int)
+    lost = first[5:6] if n_failed == 1 else np.delete(first, [0, 15, -1])
+    converged_at = confidence._converged_at
+
+    def failing(rule, data, psi, *solved):
+        if np.isin(psi, grid[lost]).any():
+            raise NumericsError("planted failure")
+        return converged_at(rule, data, psi, *solved)
+
+    monkeypatch.setattr(confidence, "_converged_at", failing)
+    with pytest.warns(UserWarning, match=f"{lost.size} profile grid point"):
+        trace = confidence.profile(rule, cd_grid_auc_normal, grid, fit_result=fr)
+    np.testing.assert_array_equal(np.flatnonzero(trace.failed), lost)
 
 
 def test_profile_memory_is_a_few_chunk_arrays(cd_grid_auc_normal):

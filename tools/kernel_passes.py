@@ -1,0 +1,101 @@
+"""Kernel row-passes of one pass of a benchmark workload.
+
+Runs every op of one pass of a ``perfbench`` workload in this process, with
+``robustcd.scoring._kernel`` wrapped, and prints the kernel row-passes by
+``order`` (0: terms, 1: with gradients, 2: with the Hessian) for each op and
+in total. A call on one dataset is one row-pass and a call on a stack one
+per row. The counts do not depend on the machine, so they compare two
+versions of the program where wall times are too noisy to.
+
+Run from the repository root:
+``python tools/kernel_passes.py --workload {cd-grid,study,robustness}``.
+The benchmark's ``perfbench/workloads.py`` is loaded read-only, and each op's
+outputs are checked against its recorded reference.
+"""
+
+from __future__ import annotations
+
+import os
+
+# one BLAS thread, as the benchmark runs, so that round-off and with it the
+# solvers' iteration counts are those of a benchmark run
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import collections
+import importlib.util
+import json
+import pathlib
+import sys
+import tempfile
+
+import numpy as np
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import robustcd  # noqa: E402
+import robustcd.cli  # noqa: E402
+from robustcd import scoring  # noqa: E402
+
+ORDERS = (0, 1, 2)
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.bind(robustcd, robustcd.cli)
+    return module
+
+
+def count_passes(workload):
+    """{op key: Counter of row-passes by order} over one pass of the
+    workload, and the keys of the ops whose outputs left their reference."""
+    workloads = _workloads()
+    with open(ROOT / "perfbench" / "reference" / f"{workload}.json") as fh:
+        reference = json.load(fh)["ops"]
+    counts, current = {}, collections.Counter()
+    kernel = scoring._kernel
+
+    def counted(rule, data, theta, order=1):
+        current[order] += len(theta) if np.ndim(theta) == 2 else 1
+        return kernel(rule, data, theta, order)
+
+    scoring._kernel = counted
+    mismatched = []
+    try:
+        with tempfile.TemporaryDirectory() as workdir:
+            instances = list(range(workloads.PASS_INSTANCES[workload]))
+            for key, run, arg in workloads.SETUP[workload](workdir, instances):
+                current.clear()
+                outputs = run(arg)
+                counts[key] = collections.Counter(current)
+                if workloads.compare(outputs, reference[key]["outputs"]) is not None:
+                    mismatched.append(key)
+    finally:
+        scoring._kernel = kernel
+    return counts, mismatched
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True, choices=("cd-grid", "study", "robustness"))
+    args = parser.parse_args(argv)
+    counts, mismatched = count_passes(args.workload)
+    print(f"{'op':<40}" + "".join(f"{f'order {o}':>10}" for o in ORDERS) + f"{'all':>10}")
+    total = collections.Counter()
+    for key, c in counts.items():
+        total += c
+        print(f"{key:<40}" + "".join(f"{c[o]:>10}" for o in ORDERS) + f"{sum(c.values()):>10}")
+    print(f"{'total':<40}" + "".join(f"{total[o]:>10}" for o in ORDERS)
+          + f"{sum(total.values()):>10}")
+    for key in mismatched:
+        print(f"outputs differ from the reference: {key}", file=sys.stderr)
+    return 1 if mismatched else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
