@@ -133,6 +133,38 @@ def _default_y_grid(model, data, theta, component):
     return np.concatenate([left, interior, right]), left.size, right.size
 
 
+def _fit_for(rule, data, fit_result):
+    """fit_result, or the fit of rule to data where it is None. The
+    diagnostics of one fit share the solves held in its memo, so it must be
+    a fit of this rule to these data, and the estimate: raises NumericsError
+    where it has not converged and DomainError where its rule or its data
+    differ."""
+    if fit_result is None:
+        fit_result = fit_rule(rule, data)
+    elif fit_result.rule != rule or not _same_data(fit_result.data, data):
+        raise DomainError("fit_result is not a fit of this rule to these data")
+    if not fit_result.converged:
+        raise NumericsError("the tail-area influence requires a converged fit")
+    return fit_result
+
+
+def _same_data(a, b):
+    """Whether a and b, datasets of one model, hold equal arrays."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(np.array_equal, a, b))
+    return np.array_equal(a, b)
+
+
+def _root_fit(rule, data, fit_result, psi):
+    """The root pivot's constrained fit at psi, started on the continuation
+    predictor: the ``_constrained_at`` item, (theta_psi, S(theta_psi),
+    lam_psi, nu) or the exception it raises. Made once per fit and psi and
+    shared by the root TAIF and the root oracle's uncontaminated tail area."""
+    model, psi_row = rule.model, np.array([psi], dtype=float)
+    return fit_result._derived(("root", float(psi)), lambda: _constrained_at(
+        rule, model.stack([data]), psi_row, _tangent_starts(model, data, fit_result, psi_row))[0])
+
+
 def _root_taif_values(rule, data, fit_result, psi, ys, component):
     """Exact first-order tail-area derivative for the root pivot.
 
@@ -145,9 +177,7 @@ def _root_taif_values(rule, data, fit_result, psi, ys, component):
     model = rule.model
     theta = fit_result.theta_hat
     n = model.nobs(data)
-    psi_row = np.array([psi], dtype=float)
-    theta_c, s_con, lam_c, nu = _only(_constrained_at(
-        rule, model.stack([data]), psi_row, _tangent_starts(model, data, fit_result, psi_row)))
+    theta_c, s_con, lam_c, nu = _only([_root_fit(rule, data, fit_result, psi)])
     r_val = float(_signed_root(fit_result.psi_tilde, fit_result.score_at_opt, psi, s_con, nu))
     if abs(r_val) < 1e-4:
         return None
@@ -176,14 +206,15 @@ def taif(rule, data, pivot_kind, psi, y_grid=None, component=0, fit_result=None)
     Computed by the chain rule: the pivot sensitivity in the estimate,
     composed with the influence function, times the normal density at the
     pivot. The verdict is "bounded" when the outermost grid shells have
-    decayed below a tenth of the interior maximum.
+    decayed below a tenth of the interior maximum. ``fit_result`` must be a
+    converged fit of rule to data; the root pivot's constrained fit at psi
+    is made once per fit and shared with ``taif_contamination_oracle``.
     """
     if pivot_kind not in ("wald", "root"):
         raise DomainError("pivot_kind must be 'wald' or 'root'")
     model = rule.model
     data = model.checked(data)
-    if fit_result is None:
-        fit_result = fit_rule(rule, data)
+    fit_result = _fit_for(rule, data, fit_result)
     theta = fit_result.theta_hat
     if y_grid is None:
         y_grid, n_left, n_right = _default_y_grid(model, data, theta, component)
@@ -235,21 +266,21 @@ def taif(rule, data, pivot_kind, psi, y_grid=None, component=0, fit_result=None)
 # epsilon-mixture oracle
 # ---------------------------------------------------------------------------
 
-def _tail_areas(objective, pivot_kind, psi, theta, score, lam0):
+def _tail_areas(rule, data, psi, theta, score, solved):
     """C(psi) = Phi(-pivot) from the estimate theta, with total score
-    ``score``, for each row of a stacked free objective; a root pivot's
-    constrained fits are made on the objective's data and mixture, from
-    lam0, a start per row (None for a Wald pivot). A list with, for each
-    row, (C, lam_psi), lam_psi being the root pivot's constrained nuisance
-    (None for a Wald pivot), or the DomainError or NumericsError that the
-    row raises alone."""
-    rule, data, model = objective.rule, objective.data, objective.rule.model
-    if pivot_kind == "wald":
+    ``score``, for each row of a stack of datasets: the Wald pivot where
+    ``solved`` is None, else the root pivot from solved, each row's
+    constrained fit at psi (a ``_constrained_at`` item). A list with, for
+    each row, (C, lam_psi), lam_psi being the root pivot's constrained
+    nuisance (None for a Wald pivot), or the DomainError or NumericsError
+    that the row raises alone."""
+    model = rule.model
+    if solved is None:
         return [a if isinstance(a, Exception) else (a, None) for a in _per_row(
             lambda at: ndtr(-_wald_pivot(
                 model, theta[at], *estimate_KJ(rule, model.take(data, at), theta[at]), psi)[0]),
             len(theta))]
-    out = _constrained_at(rule, data, np.full(len(theta), float(psi)), lam0, objective.mixture)
+    out = list(solved)
     for r, row in enumerate(out):
         if not isinstance(row, Exception):
             try:
@@ -258,6 +289,39 @@ def _tail_areas(objective, pivot_kind, psi, theta, score, lam0):
             except NumericsError as exc:        # below the optimum
                 out[r] = exc
     return out
+
+
+def _mixture_refits(rule, data, fit_result, ys, component):
+    """The oracle's free eps-mixture refits from the estimate, a row per
+    point of ys whose frame is admissible and per eps (ORACLE_EPS, then
+    ORACLE_EPS / 2), solved together in stacks of at most STACK_ELEMENTS
+    numbers per (rows, n, d) array. Returns (points, refits): each row's
+    index in ys, and for each stack (at, ok, objective, theta, score), its
+    rows, the positions among them of the rows whose refit is finite, and
+    the objective, estimates and total scores of those rows. Made once per
+    fit, points and component, and shared by the Wald and the root oracle."""
+    def make():
+        model, eps = rule.model, ORACLE_EPS
+        frames = {}
+        for i, y in enumerate(ys):
+            try:
+                frames[i] = model.checked(model.contamination_frame([y], data,
+                                                                    component=component))
+            except DomainError:
+                pass
+        # a row per point and eps: eps, then eps / 2
+        points = np.repeat(np.array(list(frames), dtype=int), 2)
+        eps_rows = np.tile([eps, eps / 2.0], len(frames))
+        theta0, refits = fit_result.theta_hat, []
+        for at in _chunks(points.size, model.nobs(data), theta0.size):
+            objective = _Objective(rule, model.stack([data] * len(points[at])), mixture=(
+                eps_rows[at], model.stack([frames[i] for i in points[at]])))
+            z0 = np.tile(_to_z(theta0, objective.positive), (len(points[at]), 1))
+            theta, score, *_ = objective.solve(z0)
+            ok = np.flatnonzero(np.isfinite(score))
+            refits.append((at, ok, objective.rows(ok), theta[ok], score[ok]))
+        return points, refits
+    return fit_result._derived(("mixture", component, ys.tobytes()), make)
 
 
 def taif_contamination_oracle(rule, data, pivot_kind, psi, ys, component=0,
@@ -271,39 +335,32 @@ def taif_contamination_oracle(rule, data, pivot_kind, psi, ys, component=0,
     and its refits at that fit's nuisance, which they move by O(eps).
     Points whose refit fails are returned as NaN, each with its warning; a
     pivot that fails on the uncontaminated fit raises, as in ``taif``.
+    ``fit_result`` must be a converged fit of rule to data; the free
+    refits at ys are made once per fit and shared by both pivots, and the
+    root pivot's constrained fit at psi is shared with ``taif``.
     """
+    if pivot_kind not in ("wald", "root"):
+        raise DomainError("pivot_kind must be 'wald' or 'root'")
     model = rule.model
     data = model.checked(data)
-    if fit_result is None:
-        fit_result = fit_rule(rule, data)
-    theta0 = fit_result.theta_hat
-    lam0 = None
-    if pivot_kind == "root":
-        lam0 = _tangent_starts(model, data, fit_result, np.array([psi], dtype=float))
-    base, lam_psi = _only(_tail_areas(_Objective(rule, model.stack([data])), pivot_kind, psi,
-                                      theta0[None], [fit_result.score_at_opt], lam0))
+    fit_result = _fit_for(rule, data, fit_result)
+    root = pivot_kind == "root"
+    base, lam_psi = _only(_tail_areas(
+        rule, model.stack([data]), psi, fit_result.theta_hat[None], [fit_result.score_at_opt],
+        [_root_fit(rule, data, fit_result, psi)] if root else None))
     eps = ORACLE_EPS
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    frames = {}
-    for i, y in enumerate(ys):
-        try:
-            frames[i] = model.checked(model.contamination_frame([y], data, component=component))
-        except DomainError:
-            pass
-    # a row per point and eps: eps, then eps / 2
-    points, eps_rows = np.repeat(list(frames), 2), np.tile([eps, eps / 2.0], len(frames))
+    points, refits = _mixture_refits(rule, data, fit_result, ys, component)
     tails = np.full(points.size, np.nan)
-    for at in _chunks(points.size, model.nobs(data), theta0.size):
-        objective = _Objective(rule, model.stack([data] * len(points[at])), mixture=(
-            eps_rows[at], model.stack([frames[i] for i in points[at]])))
-        z0 = np.tile(_to_z(theta0, objective.positive), (len(points[at]), 1))
-        theta, score, *_ = objective.solve(z0)
-        ok = np.flatnonzero(np.isfinite(score))
-        starts = None if lam_psi is None else np.tile(lam_psi, (ok.size, 1))
-        areas = _tail_areas(objective.rows(ok), pivot_kind, psi, theta[ok], score[ok], starts)
+    for at, ok, objective, theta, score in refits:
+        solved = None
+        if root:
+            solved = _constrained_at(rule, objective.data, np.full(ok.size, float(psi)),
+                                     np.tile(lam_psi, (ok.size, 1)), objective.mixture)
+        areas = _tail_areas(rule, objective.data, psi, theta, score, solved)
         tails[at][ok] = [np.nan if isinstance(a, Exception) else a[0] for a in areas]
     out = np.full(ys.size, np.nan)
-    out[list(frames)] = 2.0 * ((tails[1::2] - base) / (eps / 2.0)) - (tails[0::2] - base) / eps
+    out[points[::2]] = 2.0 * ((tails[1::2] - base) / (eps / 2.0)) - (tails[0::2] - base) / eps
     for y in ys[np.isnan(out)]:
         warnings.warn(f"oracle refit failed at y={y:g}; point skipped", stacklevel=2)
     return out
@@ -388,8 +445,13 @@ def calibrate_gamma(model, theta_ref, target_efficiency, data_template,
     V0 = _log_variance(model, data, theta_ref)
 
     def are(gammas):
-        return [0.0 if isinstance(eff, DomainError) else eff for eff in _per_row(
-            lambda at: _efficiency(model, V0, gammas[at], data, theta_ref, measure), len(gammas))]
+        # in increasing order: J is infinite above some gamma, so the rows
+        # that raise form one run, which _per_row isolates in a few halvings
+        order = np.argsort(gammas)
+        ordered = gammas[order]
+        effs = dict(zip(order.tolist(), _per_row(
+            lambda at: _efficiency(model, V0, ordered[at], data, theta_ref, measure), len(gammas))))
+        return [0.0 if isinstance(effs[i], DomainError) else effs[i] for i in range(len(gammas))]
 
     lo, hi = 1.0 + GAMMA_TOL, GAMMA_MAX
     # the probes and the first round of bisection as one stack

@@ -315,9 +315,14 @@ def partitioned_info(K, J, interest_index=0):
 # Fitting
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(eq=False)
+@dataclasses.dataclass(eq=False, frozen=True)
 class Fit:
-    """Result of minimizing a total score, with the information matrices."""
+    """Result of minimizing a total score, with the information matrices.
+
+    Frozen, so that the solves derived from it and held in its memo (see
+    ``_derived``) cannot go stale; ``dataclasses.replace`` gives a copy
+    with an empty memo.
+    """
 
     theta_hat: np.ndarray
     score_at_opt: float
@@ -331,6 +336,7 @@ class Fit:
     rule: ScoreRule = dataclasses.field(repr=False, default=None)
     data: object = dataclasses.field(repr=False, default=None)
     stop_reason: str = ""        # why minimize_smooth stopped on the kept start
+    _memo: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     @property
     def psi_tilde(self):
@@ -338,6 +344,25 @@ class Fit:
 
     def stderr(self):
         return np.sqrt(np.diag(self.V))
+
+    def _derived(self, key, make):
+        """``make()``, a result derived from this fit and its data, made on
+        the first call with ``key`` and read from the memo on later ones,
+        so that diagnostics of one fit share their solves. Its arrays, in
+        nested tuples and lists, are made read-only."""
+        if key not in self._memo:
+            self._memo[key] = _read_only(make())
+        return self._memo[key]
+
+
+def _read_only(value):
+    """value, with the arrays in it, through tuples and lists, made read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _read_only(item)
+    return value
 
 
 def _to_z(theta, positive):
@@ -461,10 +486,10 @@ class _Objective:
             if len(z) == 1:
                 return (np.array([np.inf]), np.zeros_like(z),
                         np.zeros(z.shape + z.shape[-1:]), [None])
-            # Halve the stack until the failing rows stand alone, rather than
-            # go row by row (_per_row): a round of a study's solve evaluates
-            # about 2000 rows, and one bad row then costs about 2 log2(R)
-            # stacked calls in place of R single ones.
+            # Halve the stack until the failing rows stand alone, as _per_row
+            # does: a round of a study's solve evaluates about 2000 rows, and
+            # one bad row then costs about 2 log2(R) stacked calls in place
+            # of R single ones.
             half = len(z) // 2
             first = self.rows(slice(None, half))(z[:half])
             second = self.rows(slice(half, None))(z[half:])
@@ -622,21 +647,29 @@ def _newton_steps(H, g):
 def _per_row(stage, n):
     """``stage(rows)`` on the n rows of a stack at once, with rows a slice so
     that indexing the stack does not copy it; where that raises DomainError
-    or NumericsError, ``stage(r)`` on each row r alone. Returns a list with,
-    for each row, its result, or the exception it raises alone. A stacked
-    result is split along its leading axis, a tuple of them into a tuple
-    per row."""
-    try:
-        out = stage(slice(None))
-    except (DomainError, NumericsError):
-        items = []
-        for r in range(n):
-            try:
-                items.append(stage(r))
-            except (DomainError, NumericsError) as exc:
-                items.append(exc)
-        return items
-    return list(zip(*out)) if isinstance(out, tuple) else list(out)
+    or NumericsError, the stack is halved until the failing rows stand
+    alone, a row alone r being ``stage(r)``. Returns a list with, for each
+    row, its result, or the exception it raises alone. A stacked result is
+    split along its leading axis, a tuple of them into a tuple per row."""
+    def alone(r):
+        try:
+            return [stage(r)]
+        except (DomainError, NumericsError) as exc:
+            return [exc]
+
+    def rows(lo, hi):
+        if hi - lo == 1 and n > 1:      # a half of one row
+            return alone(lo)
+        try:
+            out = stage(slice(None) if hi - lo == n else slice(lo, hi))
+        except (DomainError, NumericsError):
+            if hi - lo == 1:
+                return alone(lo)
+            mid = (lo + hi) // 2
+            return rows(lo, mid) + rows(mid, hi)
+        return list(zip(*out)) if isinstance(out, tuple) else list(out)
+
+    return rows(0, n)
 
 
 def _only(items):

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from robustcd import robustness
-from robustcd.errors import DomainError
+from robustcd.errors import DomainError, NumericsError
 from robustcd.expfam import expfam_gamma
 from robustcd.models import ExponentialAUC, LinearRegression, TwoSampleNormal
 from robustcd.robustness import (
@@ -200,17 +202,17 @@ def test_oracle_point_that_fails_is_nan_alone(exp_auc_data, pivot, monkeypatch):
     fr = fit(rule, exp_auc_data)
     ys = np.array([-1.0, 0.1, 0.5, 2.0])
 
-    def oracle(ys):
+    def oracle(ys, fr):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             vals = taif_contamination_oracle(rule, exp_auc_data, pivot, 0.8, ys, fit_result=fr)
         return vals, [str(w.message) for w in caught]
 
     # -1 lies outside the support: its frame is rejected before any refit
-    vals, messages = oracle(ys)
+    vals, messages = oracle(ys, fr)
     assert messages == ["oracle refit failed at y=-1; point skipped"]
     assert np.isnan(vals[0]) and np.isfinite(vals[1:]).all()
-    rest, messages = oracle(ys[1:])
+    rest, messages = oracle(ys[1:], fr)
     assert messages == [] and np.array_equal(vals[1:], rest)
 
     # a point whose refit rows cannot be scored fail inside the stack, and
@@ -223,7 +225,8 @@ def test_oracle_point_that_fails_is_nan_alone(exp_auc_data, pivot, monkeypatch):
         return logpdf(data, theta)
 
     monkeypatch.setattr(model, "logpdf_obs", refuses)
-    vals, messages = oracle(ys[1:])
+    # a fresh fit: fr holds the refits made before the patch in its memo
+    vals, messages = oracle(ys[1:], fit(rule, exp_auc_data))
     assert messages == ["oracle refit failed at y=0.5; point skipped"]
     assert np.isnan(vals[1])
     assert np.array_equal(vals[[0, 2]], rest[[0, 2]])
@@ -233,6 +236,77 @@ def test_taif_input_validation(small_two_sample_data, ts_small):
     rule, fr = ts_small["tsallis"]
     with pytest.raises(DomainError):
         taif(rule, small_two_sample_data, "likelihood", 2.0, fit_result=fr)
+    with pytest.raises(DomainError, match="pivot_kind"):
+        taif_contamination_oracle(rule, small_two_sample_data, "likelihood", 2.0, [0.0],
+                                  fit_result=fr)
+
+
+@pytest.mark.parametrize("pivot", ["wald", "root"])
+@pytest.mark.parametrize("diagnostic", [taif, taif_contamination_oracle])
+def test_diagnostics_need_a_converged_fit_of_their_rule_and_data(small_two_sample_data,
+                                                                 ts_small, pivot, diagnostic):
+    # the diagnostics of one fit share the solves held in its memo, so a
+    # fit that has not converged, or is of another rule or other data, raises
+    rule, fr = ts_small["tsallis"]
+    ys = np.array([0.0, 1.0])
+
+    def run(rule, data, fit_result):
+        if diagnostic is taif:
+            return taif(rule, data, pivot, 2.0, y_grid=ys, fit_result=fit_result)
+        return taif_contamination_oracle(rule, data, pivot, 2.0, ys, fit_result=fit_result)
+
+    with pytest.raises(NumericsError, match="converged fit"):
+        run(rule, small_two_sample_data, dataclasses.replace(fr, converged=False))
+    x1, x2 = small_two_sample_data
+    with pytest.raises(DomainError, match="not a fit of this rule to these data"):
+        run(rule, (x1 + 0.1, x2), fr)
+    with pytest.raises(DomainError, match="not a fit of this rule to these data"):
+        run(rule, (x1, x2[:-1]), fr)
+    with pytest.raises(DomainError, match="not a fit of this rule to these data"):
+        run(ts_small["log"][0], small_two_sample_data, fr)
+    # the same data, as another copy, are these data
+    run(rule, (x1.copy(), x2.copy()), fr)
+
+
+def test_diagnostics_of_one_fit_share_their_solves(all_models, monkeypatch):
+    # the root TAIF and the root oracle share one constrained fit at psi,
+    # and the Wald and the root oracle one stack of free mixture refits;
+    # every value is, bit for bit, that of a call on a fresh fit
+    kinds = collections.Counter()
+    solve = _Objective.solve
+
+    def counted(self, z0):
+        kinds[("free", "constrained")[self.psi is not None]
+              + ("", "-mixture")[self.mixture is not None]] += 1
+        return solve(self, z0)
+
+    monkeypatch.setattr(_Objective, "solve", counted)
+    for model, data in all_models:
+        rule = ScoreRule.tsallis(model, 1.23)
+        fr = fit(rule, data)
+        center, scale = model.obs_center_scale(data, fr.theta_hat, 0)
+        grad = model.interest_grad(fr.theta_hat)
+        psi = model.interest(fr.theta_hat) + 0.8 * np.sqrt(grad @ fr.V @ grad)
+        lo_r, hi_r = model.interest_range()
+        psi = min(max(psi, lo_r + 1e-3), hi_r - 1e-3)
+        ys = center + scale * np.array([-0.8, -0.3, 0.7, 1.8])
+        diagnostics = [
+            lambda fr: taif(rule, data, "wald", psi, fit_result=fr).taif_values,
+            lambda fr: taif(rule, data, "root", psi, fit_result=fr).taif_values,
+            lambda fr: taif_contamination_oracle(rule, data, "wald", psi, ys, fit_result=fr),
+            lambda fr: taif_contamination_oracle(rule, data, "root", psi, ys, fit_result=fr),
+        ]
+        kinds.clear()
+        shared = [diagnostic(fr) for diagnostic in diagnostics]
+        assert kinds == {"constrained": 1, "free-mixture": 1, "constrained-mixture": 1}, (
+            model.name, kinds)
+        for diagnostic, value in zip(diagnostics, shared):
+            assert np.array_equal(diagnostic(fit(rule, data)), value), model.name
+        # what the memo holds is read-only, and a replaced fit starts afresh
+        assert not robustness._root_fit(rule, data, fr, psi)[0].flags.writeable
+        assert fr._memo and not dataclasses.replace(fr)._memo
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fr.converged = False
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +362,45 @@ def _plain_bisection(model, theta_ref, target, data, measure):
         else:
             b = mid
     return 0.5 * (a + b), vals
+
+
+def _per_row_one_by_one(stage, n):
+    """scoring._per_row as it was, the reference: where the stack raises,
+    every row alone."""
+    try:
+        out = stage(slice(None))
+    except (DomainError, NumericsError):
+        items = []
+        for r in range(n):
+            try:
+                items.append(stage(r))
+            except (DomainError, NumericsError) as exc:
+                items.append(exc)
+        return items
+    return list(zip(*out)) if isinstance(out, tuple) else list(out)
+
+
+def test_calibrate_gamma_halves_the_stack_where_J_is_infinite(monkeypatch):
+    # at theta_ref (-0.25, -1) the expfam gamma family's J is infinite for
+    # gamma >= 2.5: halving the stack isolates those rows in fewer
+    # efficiency evaluations than running every row alone, for the same gamma
+    model = expfam_gamma()
+    y = np.random.default_rng(17).gamma(0.75, 1.0, 40)
+    theta_ref = np.array([-0.25, -1.0])
+    calls = []
+    efficiency = robustness._efficiency
+
+    def counted(*args):
+        calls.append(np.size(args[2]))
+        return efficiency(*args)
+
+    monkeypatch.setattr(robustness, "_efficiency", counted)
+    gamma = calibrate_gamma(model, theta_ref, 0.9, y)
+    halved = len(calls)
+    calls.clear()
+    monkeypatch.setattr(robustness, "_per_row", _per_row_one_by_one)
+    assert calibrate_gamma(model, theta_ref, 0.9, y) == gamma == 1.145020732116699
+    assert halved < len(calls) == 40, (halved, len(calls))
 
 
 @pytest.mark.parametrize("measure", ["min", "interest", "trace", 0])

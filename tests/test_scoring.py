@@ -384,6 +384,29 @@ def test_checked_inverse_raises_on_non_finite_matrices():
     assert np.array_equal(rows[0], 0.5 * np.eye(3)) and np.array_equal(rows[2], np.eye(3))
 
 
+def test_per_row_halves_a_stack_until_its_failing_rows_stand_alone():
+    # one failing row of 64 costs about 2 log2(64) stacked calls, not 64
+    # single ones, and every row gets what it gets alone
+    values = np.arange(64.0)
+    calls = []
+
+    def stage(at):
+        calls.append(at)
+        part = values[at]
+        if np.any(part == 37.0):
+            raise DomainError("planted")
+        return 2.0 * part
+
+    rows = scoring._per_row(stage, 64)
+    assert isinstance(rows[37], DomainError)
+    assert [float(v) for r, v in enumerate(rows) if r != 37] == [
+        2.0 * r for r in range(64) if r != 37]
+    # the whole stack, each failing part's two halves, and rows 36 and 37
+    # alone, the halves of the last failing pair
+    assert calls[0] == slice(None) and len(calls) == 2 * 6 + 1
+    assert [at for at in calls if isinstance(at, int)] == [36, 37]
+
+
 def test_checked_inverse_caps_the_two_norm_condition_number():
     # the cap reads the eigenvalue form of the 2-norm condition number,
     # which np.linalg.cond computes from singular values

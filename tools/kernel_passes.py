@@ -1,11 +1,14 @@
-"""Kernel row-passes of one pass of a benchmark workload.
+"""Kernel row-passes and stacked solves of one pass of a benchmark workload.
 
 Runs every op of one pass of a ``perfbench`` workload in this process, with
-``robustcd.scoring._kernel`` wrapped, and prints the kernel row-passes by
-``order`` (0: terms, 1: with gradients, 2: with the Hessian) for each op and
-in total. A call on one dataset is one row-pass and a call on a stack one
-per row. The counts do not depend on the machine, so they compare two
-versions of the program where wall times are too noisy to.
+``robustcd.scoring._kernel`` and ``_Objective.solve`` wrapped, and prints
+for each op and in total the kernel row-passes by ``order`` (0: terms, 1:
+with gradients, 2: with the Hessian), then the stacked solves by the kind
+of objective (free, constrained at a psi, free eps-mixture, constrained
+eps-mixture). A kernel call on one dataset is one row-pass and a call on a
+stack one per row; a solve is one however many rows its stack holds. The
+counts do not depend on the machine, so they compare two versions of the
+program where wall times are too noisy to.
 
 Run from the repository root:
 ``python tools/kernel_passes.py --workload {cd-grid,study,robustness}``.
@@ -40,6 +43,7 @@ import robustcd.cli  # noqa: E402
 from robustcd import scoring  # noqa: E402
 
 ORDERS = (0, 1, 2)
+SOLVES = ("free", "constrained", "free-mixture", "constrained-mixture")
 
 
 def _workloads():
@@ -51,20 +55,30 @@ def _workloads():
     return module
 
 
+def _solve_kind(objective):
+    return SOLVES[(objective.psi is not None) + 2 * (objective.mixture is not None)]
+
+
 def count_passes(workload):
-    """{op key: Counter of row-passes by order} over one pass of the
-    workload, and the keys of the ops whose outputs left their reference."""
+    """{op key: Counter of row-passes by order and of stacked solves by
+    kind} over one pass of the workload, and the keys of the ops whose
+    outputs left their reference."""
     workloads = _workloads()
     with open(ROOT / "perfbench" / "reference" / f"{workload}.json") as fh:
         reference = json.load(fh)["ops"]
     counts, current = {}, collections.Counter()
-    kernel = scoring._kernel
+    kernel, solve = scoring._kernel, scoring._Objective.solve
 
     def counted(rule, data, theta, order=1):
         current[order] += len(theta) if np.ndim(theta) == 2 else 1
         return kernel(rule, data, theta, order)
 
+    def counted_solve(objective, z0):
+        current[_solve_kind(objective)] += 1
+        return solve(objective, z0)
+
     scoring._kernel = counted
+    scoring._Objective.solve = counted_solve
     mismatched = []
     try:
         with tempfile.TemporaryDirectory() as workdir:
@@ -77,7 +91,18 @@ def count_passes(workload):
                     mismatched.append(key)
     finally:
         scoring._kernel = kernel
+        scoring._Objective.solve = solve
     return counts, mismatched
+
+
+def _table(counts, columns, heads):
+    """Print, for each op and in total, its counts in columns and their sum."""
+    widths = [max(10, len(h) + 1) for h in heads]
+    print(f"{'op':<40}" + "".join(f"{h:>{w}}" for h, w in zip(heads, widths)) + f"{'all':>10}")
+    total = sum(counts.values(), collections.Counter())
+    for key, c in [*counts.items(), ("total", total)]:
+        print(f"{key:<40}" + "".join(f"{c[k]:>{w}}" for k, w in zip(columns, widths))
+              + f"{sum(c[k] for k in columns):>10}")
 
 
 def main(argv=None):
@@ -85,13 +110,9 @@ def main(argv=None):
     parser.add_argument("--workload", required=True, choices=("cd-grid", "study", "robustness"))
     args = parser.parse_args(argv)
     counts, mismatched = count_passes(args.workload)
-    print(f"{'op':<40}" + "".join(f"{f'order {o}':>10}" for o in ORDERS) + f"{'all':>10}")
-    total = collections.Counter()
-    for key, c in counts.items():
-        total += c
-        print(f"{key:<40}" + "".join(f"{c[o]:>10}" for o in ORDERS) + f"{sum(c.values()):>10}")
-    print(f"{'total':<40}" + "".join(f"{total[o]:>10}" for o in ORDERS)
-          + f"{sum(total.values()):>10}")
+    _table(counts, ORDERS, [f"order {o}" for o in ORDERS])
+    print("\nstacked solves")
+    _table(counts, SOLVES, SOLVES)
     for key in mismatched:
         print(f"outputs differ from the reference: {key}", file=sys.stderr)
     return 1 if mismatched else 0
