@@ -50,6 +50,11 @@ __all__ = [
 # A constrained score below the free optimum by more than W_TOL (1 + |S|)
 # means the free fit is not the optimum; a smaller dip is round-off.
 W_TOL = 1e-8
+# The profile's second wave starts from the Lagrange interpolant through this
+# many solved first-wave points around each grid point. Through 8, nearly
+# every second-wave row meets the solver's gradient stop at its start; a
+# cubic through 4 leaves a gradient of about 1e-6, and a Newton step.
+LAGRANGE_NODES = 8
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +148,15 @@ def _tangent_starts(model, data, fit_result, psi_grid):
             positive, dlam / lam, dlam)), positive)
 
 
-def _cubic_starts(nodes, z, at):
-    """The 4-point Lagrange interpolant of z, a row per node of the sorted
-    nodes, at each point of at, through the four nodes around the point,
-    the window clamped to the ends."""
-    lo = np.clip(np.searchsorted(nodes, at) - 2, 0, nodes.size - 4)
-    window = lo[:, None] + np.arange(4)
-    x, off = nodes[window], ~np.eye(4, dtype=bool)
+def _lagrange_starts(nodes, z, at):
+    """The local Lagrange interpolant of z, a row per node of the sorted
+    nodes, at each point of at: through the LAGRANGE_NODES nodes around the
+    point, or all of them where there are fewer, the window clamped to the
+    ends."""
+    size = min(LAGRANGE_NODES, nodes.size)
+    lo = np.clip(np.searchsorted(nodes, at) - size // 2, 0, nodes.size - size)
+    window = lo[:, None] + np.arange(size)
+    x, off = nodes[window], ~np.eye(size, dtype=bool)
     weights = (np.where(off, at[:, None, None] - x[:, None, :], 1.0).prod(-1)
                / np.where(off, x[:, :, None] - x[:, None, :], 1.0).prod(-1))
     return np.einsum("mj,mjk->mk", weights, z[window])
@@ -161,10 +168,11 @@ def profile(rule, data, psi_grid, fit_result=None):
     points, both ends included, each started on the first-order
     continuation predictor at the free fit; it is the whole grid where the
     grid fits in one stack. The second wave starts every other point from
-    the cubic interpolant of the first wave's solved nuisances, in the
-    solver's coordinates, or on the predictor where fewer than four first-
-    wave points were solved. Failed points are interpolated from their
-    neighbors and flagged."""
+    the local Lagrange interpolant through the LAGRANGE_NODES (8) solved
+    first-wave nuisances around it, in the solver's coordinates, or through
+    all of them where fewer are solved, or on the predictor where fewer
+    than four first-wave points were solved. Failed points are
+    interpolated from their neighbors and flagged."""
     model = rule.model
     data = model.checked(data)
     psi_grid = np.asarray(psi_grid, dtype=float)
@@ -183,8 +191,8 @@ def profile(rule, data, psi_grid, fit_result=None):
             nodes, lam = map(np.array, zip(*solved))
             positive = model.lam_positive_mask(data)
             with np.errstate(over="ignore"):     # a start that overflows fails its row alone
-                starts[rest] = _from_z(_cubic_starts(psi_grid[nodes], _to_z(lam, positive),
-                                                     psi_grid[rest]), positive)
+                starts[rest] = _from_z(_lagrange_starts(psi_grid[nodes], _to_z(lam, positive),
+                                                        psi_grid[rest]), positive)
         rows += _constrained_at(rule, model.stack([data] * rest.size), psi_grid[rest],
                                 starts[rest])
     rows = [rows[k] for k in np.argsort(np.r_[first, rest])]

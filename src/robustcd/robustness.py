@@ -183,7 +183,7 @@ def _root_taif_values(rule, data, fit_result, psi, ys, component):
         return None
     W = 2.0 * (s_con - fit_result.score_at_opt)      # positive, as |r_val| >= 1e-4
 
-    frame = model.contamination_frame(ys, data, component=component)
+    frame = model.checked(model.contamination_frame(ys, data, component=component))
     sy_con = score_terms(rule, frame, theta_c)
     sy_free = score_terms(rule, frame, theta)
     dW = 2.0 * ((n * sy_con - s_con) - (n * sy_free - fit_result.score_at_opt))
@@ -191,7 +191,7 @@ def _root_taif_values(rule, data, fit_result, psi, ys, component):
     # motion of nu through the constrained estimate
     jac = model.profile_embed_jac(psi, lam_c)
     _, _, H, _ = _Objective(rule, data, psi).derivatives(lam_c)   # observed nuisance Hessian
-    s_c = single_obs_gradient(rule, data, theta_c, np.atleast_1d(ys), component=component)
+    s_c = per_obs_gradient(rule, frame, theta_c)
     dlam = -n * np.linalg.solve(H, jac.T @ s_c.T).T
     stack = model.stack([data] * 2 * theta_c.size)
     grad_nu = _fd_jacobian(lambda t: _nu_at(rule, stack, t), theta_c)

@@ -601,18 +601,21 @@ def test_no_kernel_pass_after_a_solve(two_sample_data, cd_grid_auc_normal, kerne
     assert sum(calls) == ends[-1]
 
 
-def test_warm_profile_takes_few_kernel_passes(cd_grid_auc_normal, kernel_calls):
+@pytest.mark.parametrize("gamma", [None, 1.23])
+def test_warm_profile_takes_few_kernel_passes(cd_grid_auc_normal, kernel_calls, gamma):
     # exact curvature: a constrained fit started on the continuation
     # predictor converges in a few Newton steps, on each row of the
-    # profile's stacks
+    # profile's first wave, and a second-wave row started on the 8-point
+    # interpolant meets the solver's stop at its start, in one pass
     calls, solves = kernel_calls
-    rule = ScoreRule.tsallis(NormalAUC(), 1.23)
+    model = NormalAUC()
+    rule = ScoreRule.log(model) if gamma is None else ScoreRule.tsallis(model, gamma)
     fr = fit(rule, cd_grid_auc_normal)
     del calls[:], solves[:]
     grid = _default_profile_grid(fr)
     trace = confidence.profile(rule, cd_grid_auc_normal, grid, fit_result=fr)
     assert not trace.failed.any() and len(solves) == len(scoring._chunks(grid.size, 1050, 4))
-    assert sum(calls) / grid.size <= 2.5
+    assert sum(calls) / grid.size <= 1.6
 
 
 @pytest.fixture(scope="module")
@@ -628,7 +631,7 @@ def cd_grid_regression():
                                              (LinearRegression(1), "cd_grid_regression")])
 @pytest.mark.parametrize("gamma", [None, 1.23])
 def test_two_wave_profile_equals_a_single_wave(request, model, data_name, gamma):
-    # the second wave starts from the cubic interpolant of the first, and
+    # the second wave starts from the 8-point interpolant of the first, and
     # lands where the whole grid started on the continuation predictor does
     data = request.getfixturevalue(data_name)
     rule = ScoreRule.log(model) if gamma is None else ScoreRule.tsallis(model, gamma)
@@ -644,12 +647,33 @@ def test_two_wave_profile_equals_a_single_wave(request, model, data_name, gamma)
     np.testing.assert_allclose(trace.nu, nu, rtol=1e-8, atol=0)
 
 
+@pytest.mark.parametrize("n_nodes", [4, 5, 7, 8, 20])
+def test_lagrange_starts_reproduce_polynomials_through_their_window(n_nodes):
+    # The window holds min(8, n_nodes) nodes, so the interpolant reproduces
+    # every polynomial of degree below that, at interior points and in the
+    # windows clamped to either end, with the nodes unevenly spaced as where
+    # a first-wave point failed.
+    rng = np.random.default_rng(n_nodes)
+    nodes = np.sort(rng.uniform(-1.0, 1.0, n_nodes))
+    at = np.r_[np.linspace(nodes[0], nodes[-1], 41), nodes[1:] - 1e-3]
+    degree = min(8, n_nodes) - 1
+    coef = rng.standard_normal((degree + 1, 3))
+    z = np.polynomial.polynomial.polyval(nodes, coef).T
+    want = np.polynomial.polynomial.polyval(at, coef).T
+    got = confidence._lagrange_starts(nodes, z, at)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # one degree more is out of the window's reach
+    coef = np.vstack([coef, np.ones(3)])
+    got = confidence._lagrange_starts(nodes, np.polynomial.polynomial.polyval(nodes, coef).T, at)
+    assert np.abs(got - np.polynomial.polynomial.polyval(at, coef).T).max() > 1e-6
+
+
 @pytest.mark.parametrize("n_failed", [1, "all but three"])
 def test_a_failed_first_wave_point_is_dropped_from_the_interpolant(
         cd_grid_auc_normal, monkeypatch, n_failed):
-    # With one failed first-wave point the rest start from the interpolant
-    # of the others; with fewer than four solved, on the predictor. Either
-    # way only the failed points are flagged.
+    # With one failed first-wave point the rest start from the 8-point
+    # interpolant of the others; with fewer than four solved, on the
+    # predictor. Either way only the failed points are flagged.
     rule = ScoreRule.tsallis(NormalAUC(), 1.23)
     fr = fit(rule, cd_grid_auc_normal)
     grid = _default_profile_grid(fr)
