@@ -601,21 +601,21 @@ def test_no_kernel_pass_after_a_solve(two_sample_data, cd_grid_auc_normal, kerne
     assert sum(calls) == ends[-1]
 
 
-@pytest.mark.parametrize("gamma", [None, 1.23])
-def test_warm_profile_takes_few_kernel_passes(cd_grid_auc_normal, kernel_calls, gamma):
+def test_warm_profile_takes_few_kernel_passes(cd_grid_auc_normal, kernel_calls):
     # exact curvature: a constrained fit started on the continuation
     # predictor converges in a few Newton steps, on each row of the
     # profile's first wave, and a second-wave row started on the 8-point
-    # interpolant meets the solver's stop at its start, in one pass
+    # interpolant meets the solver's stop at its start, in one pass; so
+    # under either rule
     calls, solves = kernel_calls
     model = NormalAUC()
-    rule = ScoreRule.log(model) if gamma is None else ScoreRule.tsallis(model, gamma)
-    fr = fit(rule, cd_grid_auc_normal)
-    del calls[:], solves[:]
-    grid = _default_profile_grid(fr)
-    trace = confidence.profile(rule, cd_grid_auc_normal, grid, fit_result=fr)
-    assert not trace.failed.any() and len(solves) == len(scoring._chunks(grid.size, 1050, 4))
-    assert sum(calls) / grid.size <= 1.6
+    for rule in (ScoreRule.log(model), ScoreRule.tsallis(model, 1.23)):
+        fr = fit(rule, cd_grid_auc_normal)
+        del calls[:], solves[:]
+        grid = _default_profile_grid(fr)
+        trace = confidence.profile(rule, cd_grid_auc_normal, grid, fit_result=fr)
+        assert not trace.failed.any() and len(solves) == len(scoring._chunks(grid.size, 1050, 4))
+        assert sum(calls) / grid.size <= 1.6
 
 
 @pytest.fixture(scope="module")
