@@ -399,12 +399,12 @@ class _Objective:
     list of records, row j's being the record of that row evaluated alone.
     The record of a row is two numbers, (||g||, converged), the convergence
     verdict taken at its point (see ``derivatives``), which ``verdict``
-    reads; it holds no array. A row's value is +inf and its record None
-    where its theta is inadmissible, its score cannot be evaluated, or the
-    arithmetic overflows: where the stacked evaluation fails, the stack is
-    halved until the failing rows stand alone, so a bad point is +inf on
-    its own row only. ``evaluate`` and ``derivatives`` take any shape, and
-    also serve one dataset at one point (the root TAIF's nuisance Hessian).
+    reads; it holds no array. A call raises DomainError or NumericsError
+    where a row's theta is inadmissible, its score cannot be evaluated, or
+    the arithmetic overflows; the solver then halves the stack (see
+    ``minimize_smooth``). ``evaluate`` and ``derivatives`` take any shape,
+    and also serve one dataset at one point (the root TAIF's nuisance
+    Hessian).
     """
 
     def __init__(self, rule, data, psi=None, mixture=None):
@@ -482,19 +482,8 @@ class _Objective:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 x = _from_z(z, self.positive)
                 val, g, H, record = self.derivatives(x)
-        except (DomainError, NumericsError, FloatingPointError):
-            if len(z) == 1:
-                return (np.array([np.inf]), np.zeros_like(z),
-                        np.zeros(z.shape + z.shape[-1:]), [None])
-            # Halve the stack until the failing rows stand alone, as _per_row
-            # does: a round of a study's solve evaluates about 2000 rows, and
-            # one bad row then costs about 2 log2(R) stacked calls in place
-            # of R single ones.
-            half = len(z) // 2
-            first = self.rows(slice(None, half))(z[:half])
-            second = self.rows(slice(half, None))(z[half:])
-            return (*(np.concatenate(pair) for pair in zip(first[:3], second[:3])),
-                    first[3] + second[3])
+        except FloatingPointError as exc:
+            raise NumericsError("the score overflows") from exc
         # chain rule through the log transform
         dx = np.where(self.positive, x, 1.0)
         diag = np.where(self._eye, np.where(self.positive, x * g, 0.0)[..., None, :], 0.0)
@@ -528,13 +517,16 @@ def minimize_smooth(fun, z0):
     points z and returns (values, gradients, Hessians, records) with a row
     axis, records[j] being row j's record: (||g||, converged), the caller's
     convergence verdict at its point, or None where its value is not
-    finite. Each row runs its own iteration: it solves for the Newton step,
-    with the Hessian's spectrum shifted where it is not positive definite,
-    and halves it until the trial point passes the Armijo test, or lowers
-    ||g|| where f is flat to round-off (F_NOISE). A round solves every
-    pending Newton system in one batch, then evaluates every pending trial
-    point in one call of fun; a row that has stopped is not evaluated
-    again. Returns (z, value, n_iter, reason, records), each with the row
+    finite. It may raise DomainError or NumericsError instead; the stack is
+    then halved until the failing rows stand alone (``_per_row``), a row
+    alone being a stack of one, and a row that fails alone is +inf there,
+    with no record. Each row runs its own iteration: it solves for the
+    Newton step, with the Hessian's spectrum shifted where it is not
+    positive definite, and halves it until the trial point passes the
+    Armijo test, or lowers ||g|| where f is flat to round-off (F_NOISE). A
+    round solves every pending Newton system in one batch, then evaluates
+    every pending trial point in one call of fun; a row that has stopped
+    is not evaluated again. Returns (z, value, n_iter, reason, records), each with the row
     axis and the records as a list, z being each row's last accepted point
     and its record what fun returned with it. reason names why a row
     stopped:
@@ -550,7 +542,6 @@ def minimize_smooth(fun, z0):
     """
     z0 = np.asarray(z0, dtype=float)
     R = len(z0)
-    f, g, H, records = fun(z0, np.arange(R))
     results = [None] * R
     pending = {}
 
@@ -567,11 +558,19 @@ def minimize_smooth(fun, z0):
                 for step in _per_row(lambda at: _newton_steps(H[at], g[at]), len(rows))]
 
     def trials(rows, z):
-        f, g, H, records = fun(np.array(z), rows)
-        return [(v, g[j], H[j], records[j]) for j, v in enumerate(f.tolist())]
+        z = np.array(z)
+
+        def stage(at):
+            if isinstance(at, slice):
+                return fun(z[at], rows[at])
+            return tuple(out[0] for out in fun(z[at:at + 1], rows[at:at + 1]))
+
+        return [(np.inf, np.zeros_like(z[0]), np.zeros(z.shape[1:] * 2), None)
+                if isinstance(out, Exception) else (float(out[0]),) + out[1:]
+                for out in _per_row(stage, len(rows))]
 
     answer = {"step": steps, "eval": trials}
-    solves = [_newton(z0[r], v, g[r], H[r], records[r]) for r, v in enumerate(f.tolist())]
+    solves = [_newton(z0[r], *start) for r, start in enumerate(trials(np.arange(R), z0))]
     for r in range(R):
         advance(r, None)
     while pending:
@@ -651,20 +650,14 @@ def _per_row(stage, n):
     alone, a row alone r being ``stage(r)``. Returns a list with, for each
     row, its result, or the exception it raises alone. A stacked result is
     split along its leading axis, a tuple of them into a tuple per row."""
-    def alone(r):
-        try:
-            return [stage(r)]
-        except (DomainError, NumericsError) as exc:
-            return [exc]
-
     def rows(lo, hi):
-        if hi - lo == 1 and n > 1:      # a half of one row
-            return alone(lo)
         try:
+            if hi - lo == 1 and n > 1:      # a half of one row
+                return [stage(lo)]
             out = stage(slice(None) if hi - lo == n else slice(lo, hi))
-        except (DomainError, NumericsError):
-            if hi - lo == 1:
-                return alone(lo)
+        except (DomainError, NumericsError) as exc:
+            if hi - lo == 1:            # a row alone, or a stack of one
+                return [exc]
             mid = (lo + hi) // 2
             return rows(lo, mid) + rows(mid, hi)
         return list(zip(*out)) if isinstance(out, tuple) else list(out)

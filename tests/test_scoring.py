@@ -406,6 +406,12 @@ def test_per_row_halves_a_stack_until_its_failing_rows_stand_alone():
     assert calls[0] == slice(None) and len(calls) == 2 * 6 + 1
     assert [at for at in calls if isinstance(at, int)] == [36, 37]
 
+    # a failing stack of one is that row alone: it is not evaluated again
+    values = np.array([37.0])
+    del calls[:]
+    [row] = scoring._per_row(stage, 1)
+    assert isinstance(row, DomainError) and calls == [slice(None)]
+
 
 def test_checked_inverse_caps_the_two_norm_condition_number():
     # the cap reads the eigenvalue form of the 2-norm condition number,
@@ -580,7 +586,8 @@ def test_no_kernel_pass_after_a_solve(two_sample_data, cd_grid_auc_normal, kerne
     z = _to_z(lam, objective.positive)[None]
     *_, records = objective(z)
     objective(z + 0.1)
-    assert objective(z + 1e3)[3] == [None]      # overflows: an inadmissible trial
+    with pytest.raises(NumericsError):          # overflows: an inadmissible trial
+        objective(z + 1e3)
     del calls[:]
     [gnorm], _ = objective.verdict(records)
     assert not calls and np.isfinite(gnorm)
@@ -946,9 +953,12 @@ def test_minimize_smooth_solves_each_row_of_a_stack_as_alone():
     overflowed = []
 
     def rows_fun(z, rows):
-        out = objective.rows(rows)(z)
-        overflowed.extend(rows[~np.isfinite(out[0])])
-        return out
+        try:
+            return objective.rows(rows)(z)
+        except NumericsError:
+            if len(rows) == 1:          # the row fails alone
+                overflowed.extend(rows)
+            raise
 
     z, f, n_iter, reason, records = minimize_smooth(rows_fun, z0)
     assert list(reason) == ["gradient", "not_finite", "gradient"]
