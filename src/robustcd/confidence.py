@@ -269,24 +269,29 @@ def _undercut(s_opt, s_con):
     return 2.0 * (s_con - s_opt) < -W_TOL * (1.0 + np.abs(s_opt))
 
 
-def pivot_root(trace, fit_result, psi):
-    """Adjusted profile score-ratio root at one interest value.
+def _root_fit(fit_result, psi):
+    """The root pivot's constrained fit at psi, started on the continuation
+    predictor: the ``_constrained_at`` item, (theta_psi, S(theta_psi),
+    lam_psi, nu) or the exception it raises. Made once per fit and psi and
+    shared by ``pivot_root``, the root TAIF and the root oracle's
+    uncontaminated tail area."""
+    rule, data, psi_row = fit_result.rule, fit_result.data, np.array([psi], dtype=float)
+    model = rule.model
+    return fit_result._derived(("root", float(psi)), lambda: _constrained_at(
+        rule, model.stack([data]), psi_row, _tangent_starts(model, data, fit_result, psi_row))[0])
 
-    Re-solves the constrained problem at psi (warm-started from the trace)
-    and returns sign(psi_tilde - psi) sqrt(W / nu) with
-    W = 2 (S(theta_psi) - S(theta_hat)) and nu interpolated along the trace.
-    Raises NumericsError when the solve does not converge or W is below the
-    optimum.
+
+def pivot_root(fit_result, psi):
+    """Adjusted profile score-ratio root at one interest value,
+    sign(psi_tilde - psi) sqrt(W / nu) with W = 2 (S(theta_psi) - S(theta_hat))
+    and nu at the constrained estimate theta_psi. The constrained fit at psi
+    is the one the root TAIF and its oracle share (``_root_fit``). Raises
+    NumericsError where the fit has not converged, the constrained solve
+    does not, or W is below the optimum.
     """
-    psi = float(psi)
-    grid = trace.psi_grid
-    if not grid[0] <= psi <= grid[-1]:
-        raise DomainError("psi outside the profile grid hull")
-    warm = trace.lam_hat[int(np.argmin(np.abs(grid - psi)))]
-    model = fit_result.rule.model
-    _, s_con, _, _ = _only(_constrained_at(fit_result.rule, model.stack([fit_result.data]),
-                                           np.array([psi]), warm[None]))
-    nu = float(np.interp(psi, grid, trace.nu))
+    if not fit_result.converged:
+        raise NumericsError("root pivot requires a converged fit")
+    _, s_con, _, nu = _only([_root_fit(fit_result, psi)])
     return float(_signed_root(fit_result.psi_tilde, fit_result.score_at_opt, psi, s_con, nu))
 
 

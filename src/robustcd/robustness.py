@@ -18,7 +18,7 @@ from scipy.special import ndtr
 
 from .errors import DomainError, NumericsError
 from .models import _fd_jacobian, normal_pdf
-from .confidence import _constrained_at, _nu_at, _signed_root, _tangent_starts, _wald_pivot
+from .confidence import _constrained_at, _nu_at, _root_fit, _signed_root, _wald_pivot
 from .scoring import (
     _Objective,
     _chunks,
@@ -155,16 +155,6 @@ def _same_data(a, b):
     return np.array_equal(a, b)
 
 
-def _root_fit(rule, data, fit_result, psi):
-    """The root pivot's constrained fit at psi, started on the continuation
-    predictor: the ``_constrained_at`` item, (theta_psi, S(theta_psi),
-    lam_psi, nu) or the exception it raises. Made once per fit and psi and
-    shared by the root TAIF and the root oracle's uncontaminated tail area."""
-    model, psi_row = rule.model, np.array([psi], dtype=float)
-    return fit_result._derived(("root", float(psi)), lambda: _constrained_at(
-        rule, model.stack([data]), psi_row, _tangent_starts(model, data, fit_result, psi_row))[0])
-
-
 def _root_taif_values(rule, data, fit_result, psi, ys, component):
     """Exact first-order tail-area derivative for the root pivot.
 
@@ -177,7 +167,7 @@ def _root_taif_values(rule, data, fit_result, psi, ys, component):
     model = rule.model
     theta = fit_result.theta_hat
     n = model.nobs(data)
-    theta_c, s_con, lam_c, nu = _only([_root_fit(rule, data, fit_result, psi)])
+    theta_c, s_con, lam_c, nu = _only([_root_fit(fit_result, psi)])
     r_val = float(_signed_root(fit_result.psi_tilde, fit_result.score_at_opt, psi, s_con, nu))
     if abs(r_val) < 1e-4:
         return None
@@ -347,7 +337,7 @@ def taif_contamination_oracle(rule, data, pivot_kind, psi, ys, component=0,
     root = pivot_kind == "root"
     base, lam_psi = _only(_tail_areas(
         rule, model.stack([data]), psi, fit_result.theta_hat[None], [fit_result.score_at_opt],
-        [_root_fit(rule, data, fit_result, psi)] if root else None))
+        [_root_fit(fit_result, psi)] if root else None))
     eps = ORACLE_EPS
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     points, refits = _mixture_refits(rule, data, fit_result, ys, component)

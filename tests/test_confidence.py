@@ -7,6 +7,9 @@ from scipy.special import ndtr, ndtri
 
 from robustcd.confidence import (
     ConfidenceObject,
+    _constrained_at,
+    _signed_root,
+    _tangent_starts,
     build_cd,
     ci,
     constrained_fit,
@@ -19,7 +22,7 @@ from robustcd.confidence import (
 )
 from robustcd.errors import DomainError, NumericsError
 from robustcd.models import ExponentialAUC, LinearRegression, NormalAUC, TwoSampleNormal
-from robustcd.scoring import ScoreRule, fit, interest_information
+from robustcd.scoring import ScoreRule, _only, fit, interest_information
 from robustcd.simulate import H0Spec, MethodSpec, SimDesign, run_study
 
 from oracles import (
@@ -222,20 +225,27 @@ def test_wald_pivot_matches_profile_information_oracle():
 def test_root_pivot_properties(two_sample_data, ts_fits):
     fr = ts_fits["tsallis"]
     psi_t = fr.psi_tilde
-    grid = np.linspace(psi_t - 1.2, psi_t + 1.2, 41)
-    tr = profile(fr.rule, two_sample_data, grid, fit_result=fr)
-    r_at_opt = pivot_root(tr, fr, psi_t)
-    assert r_at_opt == pytest.approx(0.0, abs=1e-4)
-    vals = np.array([pivot_root(tr, fr, p) for p in grid[::4]])
+    assert pivot_root(fr, psi_t) == pytest.approx(0.0, abs=1e-4)
+    # off any grid, nu is the exact nu of the constrained fit at psi, as a
+    # fresh solve from the continuation predictor gives it
+    psis = np.linspace(psi_t - 1.2, psi_t + 1.2, 11) + 0.0137
+    vals = np.array([pivot_root(fr, p) for p in psis])
     assert np.all(np.diff(vals) < 0)
-    with pytest.raises(DomainError):
-        pivot_root(tr, fr, grid[-1] + 1.0)
+    model = fr.rule.model
+    for psi, val in zip(psis, vals):
+        psi_row = np.array([psi])
+        _, s_con, _, nu = _only(_constrained_at(
+            fr.rule, model.stack([two_sample_data]), psi_row,
+            _tangent_starts(model, two_sample_data, fr, psi_row)))
+        assert val == pytest.approx(_signed_root(psi_t, fr.score_at_opt, psi, s_con, nu),
+                                    rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("caller", ["pivot_root", "taif", "oracle"])
+@pytest.mark.parametrize("caller", ["pivot_root", "taif", "oracle", "unconverged"])
 def test_root_pivot_rejects_profile_below_optimum(two_sample_data, ts_fits, caller):
     # Every root-pivot caller shares one below-optimum check; none clamps
-    # W < 0 to a zero pivot.
+    # W < 0 to a zero pivot. A fit that has not converged gives no root
+    # pivot either.
     import dataclasses
     from robustcd.errors import NumericsError
     from robustcd.robustness import taif, taif_contamination_oracle
@@ -245,15 +255,16 @@ def test_root_pivot_rejects_profile_below_optimum(two_sample_data, ts_fits, call
     # a fake non-optimal "fit" makes the profile dip below the optimum
     fake = dataclasses.replace(fr, score_at_opt=fr.score_at_opt + 5.0)
     ys = np.array([0.0, 1.0])
-    with pytest.raises(NumericsError, match="optimum"):
+    with pytest.raises(NumericsError, match="converged" if caller == "unconverged" else "optimum"):
         if caller == "pivot_root":
-            grid = np.linspace(fr.psi_tilde - 1.0, fr.psi_tilde + 1.0, 11)
-            pivot_root(profile(fr.rule, two_sample_data, grid, fit_result=fr), fake, psi)
+            pivot_root(fake, psi)
         elif caller == "taif":
             taif(fr.rule, two_sample_data, "root", psi, y_grid=ys, fit_result=fake)
-        else:
+        elif caller == "oracle":
             taif_contamination_oracle(fr.rule, two_sample_data, "root", psi, ys,
                                       fit_result=fake)
+        else:
+            pivot_root(dataclasses.replace(fr, converged=False), psi)
 
 
 def test_build_cd_warns_on_irregular_profile(two_sample_data, ts_fits, monkeypatch):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from robustcd import robustness
+from robustcd import confidence, robustness
+from robustcd.confidence import pivot_root
 from robustcd.errors import DomainError, NumericsError
 from robustcd.expfam import expfam_gamma
 from robustcd.models import ExponentialAUC, LinearRegression, TwoSampleNormal
@@ -269,9 +270,10 @@ def test_diagnostics_need_a_converged_fit_of_their_rule_and_data(small_two_sampl
 
 
 def test_diagnostics_of_one_fit_share_their_solves(all_models, monkeypatch):
-    # the root TAIF and the root oracle share one constrained fit at psi,
-    # and the Wald and the root oracle one stack of free mixture refits;
-    # every value is, bit for bit, that of a call on a fresh fit
+    # the root pivot, the root TAIF and the root oracle share one
+    # constrained fit at psi, and the Wald and the root oracle one stack of
+    # free mixture refits; every value is, bit for bit, that of a call on a
+    # fresh fit
     kinds = collections.Counter()
     solve = _Objective.solve
 
@@ -291,6 +293,7 @@ def test_diagnostics_of_one_fit_share_their_solves(all_models, monkeypatch):
         psi = min(max(psi, lo_r + 1e-3), hi_r - 1e-3)
         ys = center + scale * np.array([-0.8, -0.3, 0.7, 1.8])
         diagnostics = [
+            lambda fr: pivot_root(fr, psi),
             lambda fr: taif(rule, data, "wald", psi, fit_result=fr).taif_values,
             lambda fr: taif(rule, data, "root", psi, fit_result=fr).taif_values,
             lambda fr: taif_contamination_oracle(rule, data, "wald", psi, ys, fit_result=fr),
@@ -303,7 +306,7 @@ def test_diagnostics_of_one_fit_share_their_solves(all_models, monkeypatch):
         for diagnostic, value in zip(diagnostics, shared):
             assert np.array_equal(diagnostic(fit(rule, data)), value), model.name
         # what the memo holds is read-only, and a replaced fit starts afresh
-        assert not robustness._root_fit(rule, data, fr, psi)[0].flags.writeable
+        assert not confidence._root_fit(fr, psi)[0].flags.writeable
         assert fr._memo and not dataclasses.replace(fr)._memo
         with pytest.raises(dataclasses.FrozenInstanceError):
             fr.converged = False
