@@ -45,13 +45,10 @@ from .robustness import (
 )
 from .scoring import (
     Fit,
-    PartitionedInfo,
     ScoreRule,
-    eigenvalues_JKinv,
     estimate_KJ,
     fit,
     interest_information,
-    partitioned_info,
     per_obs_gradient,
     score_gradient,
     total_score,

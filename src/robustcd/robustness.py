@@ -56,12 +56,6 @@ GAMMA_TOL = 1e-4
 GAMMA_TREE_DEPTH = 5
 
 
-def single_obs_gradient(rule, data, theta, ys, component=0):
-    """Estimating-function contribution s(y; theta) of hypothetical points."""
-    frame = rule.model.contamination_frame(ys, data, component=component)
-    return per_obs_gradient(rule, frame, theta)
-
-
 def influence_function(rule, data, theta, ys, component=0, k_mode="auto"):
     """First-order effect on the estimator of contaminating the sample at y.
 
@@ -76,7 +70,8 @@ def influence_function(rule, data, theta, ys, component=0, k_mode="auto"):
     K = (empirical_K(rule, data, theta) if k_mode == "empirical"
          else estimate_KJ(rule, data, theta)[0])
     Kinv = checked_inverse(K, "sensitivity matrix K")
-    s = single_obs_gradient(rule, data, theta, ys, component=component)
+    s = per_obs_gradient(rule, rule.model.contamination_frame(ys, data, component=component),
+                         theta)
     out = -rule.model.nobs(data) * (s @ Kinv.T)
     return out[0] if np.isscalar(ys) else out
 

@@ -29,16 +29,13 @@ from .models import ModelSpec
 __all__ = [
     "ScoreRule",
     "Fit",
-    "PartitionedInfo",
     "total_score",
     "score_terms",
     "score_gradient",
     "per_obs_gradient",
     "fit",
     "estimate_KJ",
-    "eigenvalues_JKinv",
     "interest_information",
-    "partitioned_info",
 ]
 
 MAX_CONDITION = 1e12
@@ -243,14 +240,6 @@ def sandwich(K, J):
     return V, G
 
 
-def eigenvalues_JKinv(fit_result):
-    """Eigenvalues of J K^-1, sorted descending; the weights of the score-ratio null law."""
-    Kinv = checked_inverse(fit_result.K, "sensitivity matrix K")
-    vals = np.linalg.eigvals(fit_result.J @ Kinv)
-    vals = np.real_if_close(vals, tol=1e6)
-    return np.sort(np.real(vals))[::-1]
-
-
 # ---------------------------------------------------------------------------
 # Interest-parameter information
 # ---------------------------------------------------------------------------
@@ -272,43 +261,6 @@ def interest_information(K, J, grad):
         raise NumericsError("interest information is not positive",
                             detail={"k_psipsi": np.min(k_pp), "g_psipsi": np.min(g_pp)})
     return k_pp, g_pp
-
-
-@dataclasses.dataclass(frozen=True)
-class PartitionedInfo:
-    """(interest, nuisance) partition of K and G with the interest entries of
-    their inverses."""
-
-    K_blocks: dict
-    G_blocks: dict
-    k_psipsi: float
-    g_psipsi: float
-
-
-def _partition(M, idx):
-    rest = [i for i in range(M.shape[0]) if i != idx]
-    return {
-        "pp": float(M[idx, idx]),
-        "pl": M[idx, rest].copy(),
-        "lp": M[rest, idx].copy(),
-        "ll": M[np.ix_(rest, rest)].copy(),
-    }
-
-
-def partitioned_info(K, J, interest_index=0):
-    """Partition K and G around a coordinate interest parameter."""
-    K = _sym(np.asarray(K, dtype=float))
-    d = K.shape[0]
-    grad = np.zeros(d)
-    grad[interest_index] = 1.0
-    k_pp, g_pp = interest_information(K, J, grad)
-    _, G = sandwich(K, J)
-    return PartitionedInfo(
-        K_blocks=_partition(K, interest_index),
-        G_blocks=_partition(G, interest_index),
-        k_psipsi=k_pp,
-        g_psipsi=g_pp,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +285,9 @@ class Fit:
     converged: bool
     n_iter: int
     grad_norm: float
-    rule: ScoreRule = dataclasses.field(repr=False, default=None)
-    data: object = dataclasses.field(repr=False, default=None)
-    stop_reason: str = ""        # why minimize_smooth stopped on the kept start
+    rule: ScoreRule = dataclasses.field(repr=False)
+    data: object = dataclasses.field(repr=False)
+    stop_reason: str             # why minimize_smooth stopped on the kept start
     _memo: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     @property

@@ -15,11 +15,10 @@ from robustcd.robustness import (
     calibrate_gamma,
     efficiency_ratio,
     influence_function,
-    single_obs_gradient,
     taif,
     taif_contamination_oracle,
 )
-from robustcd.scoring import ScoreRule, _Objective, fit, sandwich
+from robustcd.scoring import ScoreRule, _Objective, fit, per_obs_gradient, sandwich
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +112,8 @@ def test_taif_vanishes_with_estimating_function(exp_auc_data):
     theta = fr.theta_hat
 
     def s1(y):
-        return single_obs_gradient(rule, exp_auc_data, theta, np.array([y]))[0, 0]
+        frame = m.contamination_frame(np.array([y]), exp_auc_data)
+        return per_obs_gradient(rule, frame, theta)[0, 0]
 
     r1 = theta[0]
     y_star = brentq(s1, 0.5 / r1, 10.0 / r1)
