@@ -435,7 +435,7 @@ class _Objective:
                 x = _from_z(z, self.positive)
                 val, g, H, record = self.derivatives(x)
         except FloatingPointError as exc:
-            raise NumericsError("the score overflows") from exc
+            raise NumericsError("the score overflows or is undefined") from exc
         # chain rule through the log transform
         dx = np.where(self.positive, x, 1.0)
         diag = np.where(self._eye, np.where(self.positive, x * g, 0.0)[..., None, :], 0.0)
@@ -478,10 +478,10 @@ def minimize_smooth(fun, z0):
     Armijo test, or lowers ||g|| where f is flat to round-off (F_NOISE). A
     round solves every pending Newton system in one batch, then evaluates
     every pending trial point in one call of fun; a row that has stopped
-    is not evaluated again. Returns (z, value, n_iter, reason, records), each with the row
-    axis and the records as a list, z being each row's last accepted point
-    and its record what fun returned with it. reason names why a row
-    stopped:
+    is not evaluated again. Returns (z, value, n_iter, reason, records),
+    each with the row axis and the records as a list, z being each row's
+    last accepted point and its record what fun returned with it. reason
+    names why a row stopped:
 
     * "gradient": ||g|| <= SOLVER_GTOL, and the record's verdict holds or
       ||g|| has stopped falling;
@@ -599,7 +599,8 @@ def _per_row(stage, n):
     """``stage(rows)`` on the n rows of a stack at once, with rows a slice so
     that indexing the stack does not copy it; where that raises DomainError
     or NumericsError, the stack is halved until the failing rows stand
-    alone, a row alone r being ``stage(r)``. Returns a list with, for each
+    alone, a row alone r being ``stage(r)``; a stack of one that raises is
+    its row alone and is not run again. Returns a list with, for each
     row, its result, or the exception it raises alone. A stacked result is
     split along its leading axis, a tuple of them into a tuple per row."""
     def rows(lo, hi):

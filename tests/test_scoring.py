@@ -309,7 +309,8 @@ def test_tsallis_location_fit_monte_carlo_sanity():
     assert hits >= 0.995 * n_seeds
 
 
-def test_interest_information_invariant():
+def test_partitioned_info_invariant():
+    # the interest entries of K^-1 and G^-1 for a coordinate interest
     rng = np.random.default_rng(9)
     A = rng.normal(size=(4, 4)); K = A @ A.T + 4 * np.eye(4)
     B = rng.normal(size=(4, 4)); J = B @ B.T + np.eye(4)
