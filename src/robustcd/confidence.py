@@ -162,7 +162,7 @@ def _lagrange_starts(nodes, z, at):
     return np.einsum("mj,mjk->mk", weights, z[window])
 
 
-def profile(rule, data, psi_grid, fit_result=None):
+def profile(rule, data, psi_grid, fit_result):
     """Constrained fits and nu along the interest grid, solved in two waves
     of stacks. The first wave is one stack's worth of evenly spaced grid
     points, both ends included, each started on the first-order
@@ -172,14 +172,13 @@ def profile(rule, data, psi_grid, fit_result=None):
     first-wave nuisances around it, in the solver's coordinates, or through
     all of them where fewer are solved, or on the predictor where fewer
     than four first-wave points were solved. Failed points are
-    interpolated from their neighbors and flagged."""
+    interpolated from their neighbors and flagged. ``fit_result`` is the
+    free fit of rule to data, from which the predictor starts."""
     model = rule.model
     data = model.checked(data)
     psi_grid = np.asarray(psi_grid, dtype=float)
     if psi_grid.ndim != 1 or psi_grid.size < 2 or np.any(np.diff(psi_grid) <= 0):
         raise DomainError("psi_grid must be a sorted 1-D grid")
-    if fit_result is None:
-        fit_result = fit_rule(rule, data)
     starts = _tangent_starts(model, data, fit_result, psi_grid)
     size = _chunks(psi_grid.size, model.nobs(data), starts.shape[1] + 1)[0].stop
     first = np.round(np.linspace(0, psi_grid.size - 1, min(size, psi_grid.size))).astype(int)
@@ -371,13 +370,12 @@ class ConfidenceInterval:
     lo_open: bool = False
     hi_open: bool = False
 
-    def __iter__(self):
-        return iter((self.lo, self.hi))
-
 
 def default_grid(psi_tilde, se_natural, interest_range, n_points=201, span=6.0):
-    """Symmetric grid around the estimate, clipped to the admissible range,
-    always containing the estimate as a grid point."""
+    """Grid of n_points around the estimate, clipped to the admissible range,
+    always containing the estimate as a grid point: (n_points + 1) // 2
+    points up to the estimate, the rest above it, so an odd grid is
+    symmetric in its point counts."""
     lo_r, hi_r = interest_range
     width = hi_r - lo_r if np.isfinite(hi_r - lo_r) else np.inf
     # keep a finite-boundary margin wide enough that the constrained model
@@ -389,7 +387,7 @@ def default_grid(psi_tilde, se_natural, interest_range, n_points=201, span=6.0):
         raise NumericsError("interest estimate too close to the admissible boundary")
     half = (n_points + 1) // 2
     left = np.linspace(lo, psi_tilde, half)
-    right = np.linspace(psi_tilde, hi, half)[1:]
+    right = np.linspace(psi_tilde, hi, n_points - half + 1)[1:]
     return np.concatenate([left, right])
 
 
@@ -515,20 +513,21 @@ def _check_alternative(alternative):
 
 
 def _tail_p(q, alternative):
-    """P-value of the pivot value q: Phi(-q), Phi(q) or 2 (1 - Phi(|q|))."""
+    """P-value of the pivot value q: Phi(-q), Phi(q) or 2 Phi(-|q|), which
+    stays positive where 1 - Phi(|q|) rounds to 0 (|q| above about 8.3)."""
     _check_alternative(alternative)
     if alternative == "less":
         return float(ndtr(-q))
     if alternative == "greater":
         return float(ndtr(q))
-    return float(2.0 * (1.0 - ndtr(abs(q))))
+    return float(2.0 * ndtr(-abs(q)))
 
 
 def p_value(cd, psi0, alternative="two_sided"):
     """P-value for H0: psi = psi0 against the given alternative.
 
     "less" and "greater" are the CD tail areas C(psi0) and 1 - C(psi0); the
-    two-sided p-value is 2 (1 - Phi(|pivot(psi0)|)). A psi0 outside the
+    two-sided p-value is 2 Phi(-|pivot(psi0)|). A psi0 outside the
     grid hull gives the bound at the hull edge, with a warning.
     """
     return _tail_p(float(cd.pivot_at(psi0)), alternative)

@@ -20,6 +20,7 @@ from scipy.special import betaln, digamma, gammaln, polygamma
 
 from .errors import DomainError
 from .models import _CoordinateInterest
+from .robustness import _decay_verdict
 
 __all__ = [
     "ExpFamilyModel",
@@ -31,10 +32,6 @@ __all__ = [
     "expfam_beta",
     "load_expfam_model",
 ]
-
-# A coordinate is bounded when its outermost probes have decayed below this
-# fraction of its interior maximum.
-DECAY_RATIO = 0.1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -49,9 +46,9 @@ class _Family:
     in_natural: callable         # (..., s) -> (...) bool
     sample: callable             # (theta, n, rng) -> (n,)
     start: callable              # data (..., n) -> theta (..., s)
+    scale: callable              # theta -> (center, scale) of an observation
     open_left: bool = False
     open_right: bool = False
-    scale: callable = None       # theta -> reference observation scale
 
 
 class ExpFamilyModel(_CoordinateInterest):
@@ -181,10 +178,7 @@ class ExpFamilyModel(_CoordinateInterest):
         return self.family.support
 
     def obs_center_scale(self, data, theta, component=0):
-        if self.family.scale is not None:
-            return self.family.scale(np.asarray(theta, dtype=float))
-        y = np.asarray(data, dtype=float)
-        return float(np.median(y)), float(np.std(y) or 1.0)
+        return self.family.scale(np.asarray(theta, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -228,19 +222,20 @@ def expfam_robustness_check(model: ExpFamilyModel, theta, gamma):
     """Probe b_i(y) = f(y)^{gamma-1} (t_i(y) - E_theta t_i(y)) toward the
     support boundary and flag each coordinate bounded or not.
 
-    A coordinate is bounded when the outermost probe values on every side
-    have decayed below DECAY_RATIO of the interior maximum.
+    The verdict is ``robustness._decay_verdict``, the one TAIF reads: a
+    coordinate is bounded when the shell probes it reads are finite and at
+    most DECAY_RATIO of the interior maximum. It reads the first two probes
+    of each side's shell from ``_boundary_grid``: on a finite side the two
+    nearest the boundary, 10^-12 and 10^-11 scales (spans, on a bounded
+    support) from it; on an infinite side the two nearest the center, 10^2
+    and 10^3 scales out.
     """
     fam = model.family
     theta = np.asarray(theta, dtype=float)
     if not model.in_domain(theta):
         raise DomainError("theta outside the natural parameter space")
-    if fam.scale is not None:
-        center, scale = fam.scale(theta)
-    else:
-        center, scale = 0.0, 1.0
     interior, left, right = _boundary_grid(
-        fam.support, center, scale, fam.open_left, fam.open_right)
+        fam.support, *fam.scale(theta), fam.open_left, fam.open_right)
 
     def b(y):
         logf = model.logpdf_obs(y, theta)
@@ -249,22 +244,10 @@ def expfam_robustness_check(model: ExpFamilyModel, theta, gamma):
         tdiff = fam.t(y) - fam.c_grad(theta)[None, :]
         return np.abs(fa[:, None] * tdiff)
 
-    b_int = b(interior)
-    b_left = b(left)
-    b_right = b(right)
-    bounded, gmax, smax, imax = [], [], [], []
-    for i in range(fam.s):
-        interior_max = float(np.nanmax(b_int[:, i]))
-        # outermost two probes per side
-        outer = np.concatenate([b_left[:2, i], b_right[:2, i]])
-        outer = outer[np.isfinite(outer)] if np.any(np.isfinite(outer)) else np.array([np.inf])
-        shell = float(np.max(outer)) if outer.size else 0.0
-        ok = np.all(np.isfinite(outer)) and shell <= DECAY_RATIO * max(interior_max, 1e-300)
-        bounded.append(bool(ok))
-        gmax.append(float(max(interior_max, shell)))
-        smax.append(shell)
-        imax.append(interior_max)
-    return BoundednessReport(tuple(bounded), tuple(gmax), tuple(smax), tuple(imax))
+    bounded, shell, interior_max = _decay_verdict(
+        b(np.concatenate([left[:2], interior, right[:2]])), 2, 2)
+    return BoundednessReport(*(tuple(a.tolist()) for a in (
+        bounded, np.maximum(interior_max, shell), shell, interior_max)))
 
 
 # ---------------------------------------------------------------------------

@@ -279,7 +279,6 @@ class ModelSpec(abc.ABC):
     interest_name: str = "psi"
     wald_scale: str = "identity"  # "logit" for (0,1)-valued interest
     observed_kj: bool = False     # estimate_KJ takes observed, not expected, K and J
-    lam_positive: tuple = ()
 
     @property
     def dim(self):
@@ -289,7 +288,9 @@ class ModelSpec(abc.ABC):
         return self.positive
 
     def lam_positive_mask(self, data):
-        return self.lam_positive
+        """The positivity flags of the nuisance: every model's nuisance is a
+        subset of theta's coordinates, which ``profile_extract`` picks."""
+        return self.profile_extract(np.asarray(self.positive_mask(data), dtype=float)) > 0
 
     # ---- data handling ------------------------------------------------
     @abc.abstractmethod
@@ -551,11 +552,6 @@ class _CoordinateInterest(ModelSpec):
     def profile_embed_hess(self, psi, lam, grad):
         return None
 
-    def lam_positive_mask(self, data):
-        mask = list(self.positive_mask(data))
-        del mask[self.interest_index]
-        return tuple(mask)
-
 
 # ---------------------------------------------------------------------------
 # Two-sample models
@@ -624,7 +620,6 @@ class TwoSampleNormal(_TwoSampleBase):
     param_names = ("mu_x", "mu_y", "var_x", "var_y")
     positive = (False, False, True, True)
     interest_name = "mu_x - mu_y"
-    lam_positive = (False, True, True)
 
     def logpdf_obs(self, data, theta):
         x, y = data
@@ -775,7 +770,6 @@ class ExponentialAUC(_TwoSampleBase):
     positive = (True, True)
     interest_name = "P(X1 < X2)"
     wald_scale = "logit"
-    lam_positive = (True,)
 
     def logpdf_obs(self, data, theta):
         x, y = data

@@ -28,7 +28,6 @@ from .scoring import (
     checked_inverse,
     empirical_K,
     estimate_KJ,
-    fit as fit_rule,
     per_obs_gradient,
     sandwich,
     score_terms,
@@ -44,6 +43,9 @@ __all__ = [
 ]
 
 ORACLE_EPS = 1e-4            # contamination mass of the oracle's refit
+# A column of |b| over a probe grid is bounded when its far-tail shell
+# probes have decayed to at most this fraction of its interior maximum.
+DECAY_RATIO = 0.1
 # TAIF observation grid: interior points, and the reach of the interior in
 # fitted scales; the far-tail shells lie 10 to 10^4 reaches out
 Y_GRID_POINTS = 401
@@ -128,15 +130,29 @@ def _default_y_grid(model, data, theta, component):
     return np.concatenate([left, interior, right]), left.size, right.size
 
 
+def _decay_verdict(absvals, n_left, n_right):
+    """(bounded, shell max, interior max), per column, of absolute values
+    over a probe grid whose first n_left and last n_right rows are far-tail
+    shell probes. The verdict reads at most the first two and the last two
+    rows: a column is bounded where they are finite and at most DECAY_RATIO
+    of its interior maximum, which is NaN where a NaN is among the interior
+    rows. Without shells, on a compact support, the grid maximum is the
+    supremum, and the column reads bounded unless that maximum is NaN."""
+    size = absvals.shape[0]
+    interior_max = np.max(absvals[n_left:size - n_right], axis=0)
+    shell = np.concatenate([absvals[:min(2, n_left)], absvals[size - min(2, n_right):]])
+    shell_max = np.max(shell, axis=0, initial=0.0)
+    bounded = np.all(np.isfinite(shell), axis=0) & (
+        shell_max <= DECAY_RATIO * np.maximum(interior_max, 1e-300))
+    return bounded, shell_max, interior_max
+
+
 def _fit_for(rule, data, fit_result):
-    """fit_result, or the fit of rule to data where it is None. The
-    diagnostics of one fit share the solves held in its memo, so it must be
-    a fit of this rule to these data, and the estimate: raises NumericsError
-    where it has not converged and DomainError where its rule or its data
-    differ."""
-    if fit_result is None:
-        fit_result = fit_rule(rule, data)
-    elif fit_result.rule != rule or not _same_data(fit_result.data, data):
+    """fit_result, checked. The diagnostics of one fit share the solves held
+    in its memo, so it must be a fit of this rule to these data, and the
+    estimate: raises NumericsError where it has not converged and
+    DomainError where its rule or its data differ."""
+    if fit_result.rule != rule or not _same_data(fit_result.data, data):
         raise DomainError("fit_result is not a fit of this rule to these data")
     if not fit_result.converged:
         raise NumericsError("the tail-area influence requires a converged fit")
@@ -185,13 +201,13 @@ def _root_taif_values(rule, data, fit_result, psi, ys, component):
     return -normal_pdf(r_val) * dr
 
 
-def taif(rule, data, pivot_kind, psi, y_grid=None, component=0, fit_result=None):
+def taif(rule, data, pivot_kind, psi, y_grid=None, component=0, *, fit_result):
     """Tail-area influence of a contamination at y on C(psi), over a y grid.
 
     Computed by the chain rule: the pivot sensitivity in the estimate,
     composed with the influence function, times the normal density at the
-    pivot. The verdict is "bounded" when the outermost grid shells have
-    decayed below a tenth of the interior maximum. ``fit_result`` must be a
+    pivot. The verdict is ``_decay_verdict`` of the two outermost grid
+    shells on each side. ``fit_result`` must be a
     converged fit of rule to data; the root pivot's constrained fit at psi
     is made once per fit and shared with ``taif_contamination_oracle``.
     """
@@ -227,19 +243,7 @@ def taif(rule, data, pivot_kind, psi, y_grid=None, component=0, fit_result=None)
         vals = float(normal_pdf(q)) * (infl @ sens)
 
     absvals = np.abs(vals)
-    interior = absvals[n_left:absvals.size - n_right] if n_right else absvals[n_left:]
-    interior_max = float(np.max(interior)) if interior.size else float(np.max(absvals))
-    shell_parts = []
-    if n_left:
-        shell_parts.append(absvals[:min(2, n_left)])
-    if n_right:
-        shell_parts.append(absvals[-min(2, n_right):])
-    if shell_parts:
-        shell = float(np.max(np.concatenate(shell_parts)))
-        bounded = bool(shell <= 0.1 * max(interior_max, 1e-300))
-    else:
-        # compact support: the grid maximum is the (finite) supremum
-        bounded = True
+    bounded = bool(_decay_verdict(absvals, n_left, n_right)[0])
     return TAIFProfile(
         y_grid=y_grid, taif_values=vals, sup_abs=float(absvals.max()),
         bounded_verdict=bounded, pivot_kind=pivot_kind, psi_fixed=float(psi),
@@ -309,8 +313,7 @@ def _mixture_refits(rule, data, fit_result, ys, component):
     return fit_result._derived(("mixture", component, ys.tobytes()), make)
 
 
-def taif_contamination_oracle(rule, data, pivot_kind, psi, ys, component=0,
-                              fit_result=None):
+def taif_contamination_oracle(rule, data, pivot_kind, psi, ys, component=0, *, fit_result):
     """Finite-epsilon derivative of the CD tail area under point contamination.
 
     Refits on the eps-mixture, eps = ORACLE_EPS (with a Richardson step at

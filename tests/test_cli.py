@@ -216,6 +216,17 @@ def test_cd_rejects_too_few_grid_points(runner, two_sample_csv, points):
     assert res.exit_code == 2 and "--grid-points" in res.stderr, res.output
 
 
+@pytest.mark.parametrize("points", [3, 4])
+def test_cd_grid_has_the_requested_points(runner, two_sample_csv, points):
+    path, _, _ = two_sample_csv
+    res = runner.invoke(main, ["cd", "--model", "two-sample-normal", "--rule", "log",
+                               "--data", path, "--pivot", "wald", "--pivot", "root",
+                               "--grid-points", str(points)])
+    assert res.exit_code == 0, res.output
+    for entry in json.loads(res.stdout)["curves"].values():
+        assert len(entry["psi_grid"]) == points
+
+
 def test_calibrate_regression_default(runner):
     res = runner.invoke(main, ["calibrate", "--model", "linear-regression",
                                "--target", "0.9"])

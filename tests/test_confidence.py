@@ -9,6 +9,7 @@ from robustcd.confidence import (
     ConfidenceObject,
     _constrained_at,
     _signed_root,
+    _tail_p,
     _tangent_starts,
     build_cd,
     ci,
@@ -379,6 +380,14 @@ def test_p_values(two_sample_data, ts_fits):
         p_value(cd, cd.psi_tilde, "weird")
 
 
+@pytest.mark.parametrize("q", [0.5, 9.0, 20.0])
+def test_two_sided_p_value_keeps_its_far_tail(q):
+    # 2 (1 - Phi(|q|)) rounds to 0 from |q| of about 8.3; 2 Phi(-|q|) does not
+    for pivot in (q, -q):
+        p = _tail_p(pivot, "two_sided")
+        assert p == pytest.approx(2.0 * ndtr(-abs(q)), rel=1e-15, abs=0.0) and p > 0.0
+
+
 def test_evidence(two_sample_data, ts_fits):
     fr = ts_fits["log"]
     cd = build_cd(fr.rule, two_sample_data, "root", fit_result=fr)
@@ -460,6 +469,14 @@ def test_pav_is_monotone_idempotent_mean_preserving(values):
     assert np.all(np.diff(out) <= 1e-9)
     assert np.allclose(_repair(out), out, atol=1e-12)
     assert out.mean() == pytest.approx(y.mean(), abs=1e-9)
+
+
+@pytest.mark.parametrize("n_grid", [3, 4, 200, 201])
+def test_default_grid_has_the_requested_points(two_sample_data, ts_fits, n_grid):
+    fr = ts_fits["log"]
+    grid = build_cd(fr.rule, two_sample_data, "wald", fit_result=fr, n_grid=n_grid).psi_grid
+    assert grid.size == n_grid
+    assert np.all(np.diff(grid) > 0) and fr.psi_tilde in grid
 
 
 def test_supplied_grid_must_cover_estimate(two_sample_data, ts_fits):

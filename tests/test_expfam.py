@@ -14,7 +14,7 @@ from robustcd.expfam import (
     load_expfam_model,
 )
 from robustcd.models import TwoSampleNormal
-from robustcd.robustness import calibrate_gamma, efficiency_ratio
+from robustcd.robustness import _decay_verdict, calibrate_gamma, efficiency_ratio
 from robustcd.scoring import ScoreRule, empirical_J, empirical_K, fit, score_terms
 
 from oracles import SCALAR_FAMILIES, expfam_score_gradient, expfam_tsallis_score, fd_gradient
@@ -171,6 +171,14 @@ def test_boundedness_verdicts():
     assert rep.all_bounded
     rep = expfam_robustness_check(expfam_beta(), np.array([-0.5, -0.5]), 1.5)
     assert not rep.all_bounded
+    # the shared verdict: two leading and two trailing shell probes, two
+    # interior rows; a non-finite shell probe reads as unbounded even where
+    # the finite ones have decayed
+    absvals = np.array([[np.inf, 0.0, 0.0], [0.0, 0.0, 0.1], [1.0, 1.0, 1.0],
+                        [2.0, 2.0, 2.0], [0.0, np.nan, 0.2], [0.0, 0.0, 0.0]])
+    bounded, shell, interior = _decay_verdict(absvals, 2, 2)
+    assert bounded.tolist() == [False, False, True]
+    assert np.array_equal(interior, [2.0, 2.0, 2.0]) and shell[2] == 0.2
 
 
 def test_expfam_model_fits():

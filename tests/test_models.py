@@ -9,7 +9,13 @@ from scipy.stats import norm
 
 import robustcd
 from robustcd.errors import DomainError
-from robustcd.expfam import ExpFamilyModel, expfam_beta, expfam_gamma, expfam_normal
+from robustcd.expfam import (
+    ExpFamilyModel,
+    expfam_beta,
+    expfam_exponential,
+    expfam_gamma,
+    expfam_normal,
+)
 from robustcd.models import (
     ExponentialAUC,
     LinearRegression,
@@ -383,6 +389,22 @@ def test_coordinate_embeddings_equal_insert_and_delete():
         assert np.array_equal(m.profile_extract(full), lam)
         assert np.array_equal(m.profile_embed(full[i], lam), np.insert(lam, i, full[i]))
         assert np.array_equal(m.profile_embed(full[i], lam), full)
+
+
+def test_nuisance_positivity_masks(regression_data):
+    # the nuisance's flags are those of the theta coordinates it keeps
+    cases = [(TwoSampleNormal(), None, (False, True, True)),
+             (NormalAUC(), None, (False, True, True)),
+             (ExponentialAUC(), None, (True,))]
+    for i in range(3):
+        m = LinearRegression(interest_index=i)
+        cases.append((m, regression_data,
+                      tuple(np.delete(m.positive_mask(regression_data), i))))
+    for make in (expfam_normal, expfam_exponential, expfam_gamma, expfam_beta):
+        m = make()
+        cases.append((m, None, (False,) * (m.family.s - 1)))
+    for m, data, mask in cases:
+        assert tuple(map(bool, m.lam_positive_mask(data))) == mask, m.name
 
 
 def test_normal_density_and_auc_equal_scipy_stats():

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from robustcd import confidence, robustness
-from robustcd.confidence import pivot_root
+from robustcd.confidence import pivot_root, profile
 from robustcd.errors import DomainError, NumericsError
 from robustcd.expfam import expfam_gamma
 from robustcd.models import ExponentialAUC, LinearRegression, TwoSampleNormal
@@ -267,6 +267,17 @@ def test_diagnostics_need_a_converged_fit_of_their_rule_and_data(small_two_sampl
         run(ts_small["log"][0], small_two_sample_data, fr)
     # the same data, as another copy, are these data
     run(rule, (x1.copy(), x2.copy()), fr)
+
+
+def test_diagnostics_and_the_profile_take_the_fit(small_two_sample_data, ts_small):
+    # fit_result is required: none of them fits the data behind the caller
+    rule, _ = ts_small["tsallis"]
+    ys = np.array([0.0, 1.0])
+    for call in (lambda: taif(rule, small_two_sample_data, "wald", 2.0, ys),
+                 lambda: taif_contamination_oracle(rule, small_two_sample_data, "wald", 2.0, ys),
+                 lambda: profile(rule, small_two_sample_data, np.linspace(1.5, 2.5, 5))):
+        with pytest.raises(TypeError, match="fit_result"):
+            call()
 
 
 def test_diagnostics_of_one_fit_share_their_solves(all_models, monkeypatch):

@@ -197,6 +197,48 @@ def test_minimize_smooth_names_its_stop():
     assert list(reason) == ["not_finite"]
 
 
+def test_minimize_smooth_stops_a_row_whose_newton_system_is_singular(monkeypatch):
+    # The spectrum shift leaves no finite system that reliably cannot be
+    # solved, so the failure is injected: a zero Hessian is refused. Row 1
+    # stops where it started; the other rows solve on.
+    solve = scoring._newton_steps
+
+    def refusing(H, g):
+        if np.any(H[..., 0, 0] == 0.0):
+            raise NumericsError("the Newton system cannot be solved")
+        return solve(H, g)
+
+    monkeypatch.setattr(scoring, "_newton_steps", refusing)
+    quadratic = _quadratic(True, [])
+
+    def fun(z, rows):
+        f, g, H, records = quadratic(z, rows)
+        H[rows == 1] = 0.0
+        return f, g, H, records
+
+    z0 = np.array([[1.0, -2.0], [3.0, 4.0], [-1.0, 0.5]])
+    z, f, n_iter, reason, _ = minimize_smooth(fun, z0)
+    assert list(reason) == ["gradient", "singular", "gradient"]
+    assert n_iter[1] == 0 and np.array_equal(z[1], z0[1]) and f[1] == 25.0
+    assert np.array_equal(z[[0, 2]], np.zeros((2, 2)))
+
+
+def test_fit_gives_up_a_row_whose_start_cannot_be_scored():
+    # gamma theta_1 = 1.5 * -0.9 leaves the gamma family's natural space, so
+    # the Tsallis score of row 1's admissible start raises: the row is given
+    # up with what scoring it alone raises, and the other rows fit as alone
+    rule = ScoreRule.tsallis(expfam_gamma(), 1.5)
+    y = np.random.default_rng(8).gamma(3.0, 0.5, (3, 40))
+    starts = np.array([[1.0, -1.0], [-0.9, -1.0], [1.0, -1.5]])
+    out = fit(rule, y, theta0=starts)
+    with pytest.raises(DomainError) as alone:
+        total_score(rule, y[1], starts[1])
+    assert type(out[1]) is DomainError and str(out[1]) == str(alone.value)
+    for r in (0, 2):
+        ref = fit(rule, y[r], theta0=starts[r])
+        assert out[r].converged and np.array_equal(out[r].theta_hat, ref.theta_hat)
+
+
 def test_fit_validates_data_once(two_sample_data, monkeypatch):
     calls = []
     original = TwoSampleNormal.validate_data

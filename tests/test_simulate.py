@@ -114,7 +114,7 @@ def test_h0_alternative_is_validated_and_sets_the_p_value():
         q = float(pivot_wald(fit(ScoreRule.log(model), data), 1.5))
         assert pvalues["less"][rep] == float(ndtr(-q))
         assert pvalues["greater"][rep] == float(ndtr(q))
-        two = float(2.0 * (1.0 - ndtr(abs(q))))
+        two = float(2.0 * ndtr(-abs(q)))
         assert pvalues["two_sided"][rep] == pvalues["two-sided"][rep] == two
 
 
@@ -197,6 +197,27 @@ def test_regression_study_runs():
     assert X.shape == (50, 3)
     assert np.allclose(X[:, 0], 1.0)
     assert np.array_equal(X, default_regression_design(50, 21))
+
+
+def test_expfam_study_samples_and_contaminates(tmp_path):
+    # a gamma family from a spec file, interest -rate: one observation moved
+    # 30 out drags every log-score estimate of -rate toward 0, and the
+    # Tsallis estimates by far less
+    spec = tmp_path / "gamma.json"
+    spec.write_text('{"family": "gamma", "interest_index": 1}')
+    medians = {}
+    for cont in (None, Contamination(0, -1, 30.0)):
+        design = SimDesign(model=f"expfam:{spec}", theta=(1.0, -1.0), sizes=(30,), n_reps=4,
+                           seed=5, methods=(MethodSpec("log", "wald"),
+                                            MethodSpec("tsallis", "root", 1.2)),
+                           levels=(0.9,), h0=H0Spec(-1.0, "less"), contamination=cont)
+        rep = run_study(design)
+        assert all(res.n_used == 4 for res in rep.results.values())
+        medians[cont] = {k: np.array(res.medians) for k, res in rep.results.items()}
+    clean, dirty = medians.values()
+    log_moved = dirty["log-wald"] - clean["log-wald"]
+    assert np.all(log_moved > 0.2)
+    assert np.all(np.abs(dirty["tsallis(1.2)-root"] - clean["tsallis(1.2)-root"]) < log_moved / 3)
 
 
 def test_clean_data_estimator_agreement():

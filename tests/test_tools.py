@@ -4,10 +4,48 @@ import collections
 import importlib.util
 import pathlib
 import sys
+import textwrap
 
 import pytest
 
 TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_code_size_counts(tmp_path, capsys):
+    # docstrings, comments and blank lines are not code; keyword-only and
+    # lambda defaults are defaults; the total is the sum of the rows
+    (tmp_path / "a.py").write_text(textwrap.dedent('''\
+        """A module docstring
+        over two lines."""
+
+        # a comment
+        import os
+
+
+        def f(x, y=1, *, z=2, w):
+            """A function docstring."""
+            g = lambda q=3: q    # a trailing comment leaves a code line
+            return x
+
+
+        class C:
+            """A class docstring."""
+
+            def m(self, a=None):
+                return a
+        '''))
+    (tmp_path / "b.py").write_text("x = 1\n")
+    _load("code_size").main(tmp_path)
+    rows = {name: (int(lines), int(defaults)) for name, lines, defaults
+            in (line.split() for line in capsys.readouterr().out.splitlines()[1:])}
+    assert rows == {"a": (7, 4), "b": (1, 0), "total": (8, 4)}
 
 
 @pytest.mark.parametrize("workload, solves, row_passes", [
@@ -15,7 +53,7 @@ TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
     ("study", 60, 3780),        # 3669 measured
     ("robustness", 96, 2670),   # 2590 measured
 ], ids=["cd-grid", "study", "robustness"])
-def test_cd_grid_pass_counts(monkeypatch, workload, solves, row_passes):
+def test_workload_pass_counts(monkeypatch, workload, solves, row_passes):
     # One pass of each workload: its stacked solves exactly, and a bound on
     # its kernel row-passes a little above those measured. On cd-grid the
     # second wave of each profile starts on the 8-point interpolant; on
@@ -26,9 +64,7 @@ def test_cd_grid_pass_counts(monkeypatch, workload, solves, row_passes):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
     monkeypatch.setattr(sys, "path", sys.path[:])
-    spec = importlib.util.spec_from_file_location("kernel_passes", TOOLS / "kernel_passes.py")
-    kernel_passes = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(kernel_passes)
+    kernel_passes = _load("kernel_passes")
     counts, mismatched = kernel_passes.count_passes(workload)
     assert mismatched == []
     total = sum(counts.values(), collections.Counter())
