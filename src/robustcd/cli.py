@@ -341,8 +341,7 @@ def cmd_calibrate(model_name, target, data_path, theta_spec, measure, interest,
             else:
                 _fail("calibrate without --data supports the built-in models only", 2)
         gamma = calibrate_gamma(model, theta_ref, target, data, measure=measure)
-        eff = efficiency_ratio(model, gamma, model.checked(data), theta_ref,
-                               measure=measure)
+        eff = efficiency_ratio(model, gamma, data, theta_ref, measure=measure)
     except (DomainError, NumericsError) as exc:
         _fail(str(exc), 1)
     _emit({

@@ -67,7 +67,7 @@ def constrained_fit(rule, data, psi, lam0=None):
     Returns (theta, score, lam, converged).
     """
     model = rule.model
-    data = model.checked(data)
+    data = model.one(data)
     if lam0 is None:
         lam0 = model.profile_extract(model.default_start(data))
     objective = _Objective(rule, model.stack([data]), np.array([psi], dtype=float))
@@ -175,7 +175,7 @@ def profile(rule, data, psi_grid, fit_result):
     interpolated from their neighbors and flagged. ``fit_result`` is the
     free fit of rule to data, from which the predictor starts."""
     model = rule.model
-    data = model.checked(data)
+    data = model.one(data)
     psi_grid = np.asarray(psi_grid, dtype=float)
     if psi_grid.ndim != 1 or psi_grid.size < 2 or np.any(np.diff(psi_grid) <= 0):
         raise DomainError("psi_grid must be a sorted 1-D grid")
@@ -407,7 +407,7 @@ def build_cd(rule, data, kind, psi_grid=None, fit_result=None, n_grid=201,
     if kind not in ("wald", "root"):
         raise DomainError("kind must be 'wald' or 'root'")
     model = rule.model
-    data = model.checked(data)
+    data = model.one(data)
     if fit_result is None:
         fit_result = fit_rule(rule, data)
     theta = fit_result.theta_hat

@@ -49,7 +49,6 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _SQRT_TWO_PI = np.sqrt(_TWO_PI)
-_CHECKED_MEMO = 8  # checked data objects each model remembers
 
 
 # ---------------------------------------------------------------------------
@@ -298,48 +297,33 @@ class ModelSpec(abc.ABC):
         """Return data in canonical form; raise DomainError if unusable."""
 
     def checked(self, data):
-        """``data`` in canonical form: this model's own earlier check of it
-        if ``data`` is that very object, else a validated read-only copy.
-
-        The most recently used checked objects, at most _CHECKED_MEMO, are
-        held by identity, so a solve that evaluates the score many times
-        scans its data once. Their arrays are read-only, and a caller's own
-        arrays are copied, not held, so checked data cannot change after
-        their check.
-        """
-        memo = self.__dict__.setdefault("_checked", {})
-        if memo.get(id(data)) is data:
-            memo[id(data)] = memo.pop(id(data), data)  # most recently used last
+        """``data`` in canonical form: ``data`` itself where this model
+        checked it (a ``_Checked`` of this model, one dataset or a stack),
+        else one dataset, validated, as a read-only copy."""
+        if type(data) is _Checked and data.model is self:
             return data
-        data = self.validate_data(data)
-        return self._remember(tuple(map(np.array, data)) if isinstance(data, tuple)
-                              else np.array(data))
+        return _Checked(map(np.array, self.validate_data(data)), self)
 
-    def _remember(self, data):
-        """Hold data, checked and owned by this module, as checked; its
-        arrays become read-only."""
-        memo = self.__dict__.setdefault("_checked", {})
-        if len(memo) >= _CHECKED_MEMO:
-            del memo[next(iter(memo))]
-        for a in data if isinstance(data, tuple) else (data,):
-            a.flags.writeable = False
-        memo[id(data)] = data
+    def one(self, data):
+        """``checked(data)``, which must be one dataset: raises DomainError
+        on a stack. The functions that give one result for one dataset
+        (a profile, a CD, a TAIF, a calibration) take data through here;
+        the kernel, ``fit`` and ``estimate_KJ`` take a stack and give one
+        result per row."""
+        data = self.checked(data)
+        if data[0].ndim != 1:
+            raise DomainError(f"{self.name}: a stack of datasets where one dataset is needed")
         return data
 
     def stack(self, datasets):
-        """Checked datasets of equal sizes as one checked stack, each data
-        array gaining a leading row axis."""
-        first = datasets[0]
-        if isinstance(first, tuple):
-            return self._remember(tuple(_stack_rows(parts) for parts in zip(*datasets)))
-        return self._remember(_stack_rows(datasets))
+        """Datasets of equal sizes, each checked, as one checked stack, each
+        data array gaining a leading row axis."""
+        return _Checked(map(_stack_rows, zip(*map(self.one, datasets))), self)
 
     def take(self, data, rows):
         """Rows of a checked stack, themselves checked: one dataset for an
         integer, a smaller stack for an index array or a slice."""
-        if isinstance(data, tuple):
-            return self._remember(tuple(_take_rows(a, rows) for a in data))
-        return self._remember(_take_rows(data, rows))
+        return _Checked((_take_rows(a, rows) for a in data), self)
 
     @abc.abstractmethod
     def nobs(self, data) -> int:
@@ -492,6 +476,21 @@ class ModelSpec(abc.ABC):
         row."""
 
 
+class _Checked(tuple):
+    """The arrays of data that ``model`` checked: of one dataset, each 1-D
+    but a regression's design, or of a stack of datasets, each with a
+    leading row axis. They are read-only and owned by this module, so
+    checked data cannot change after their check. Only ``ModelSpec.checked``,
+    ``stack`` and ``take`` make them."""
+
+    def __new__(cls, arrays, model):
+        self = super().__new__(cls, arrays)
+        for a in self:
+            a.flags.writeable = False
+        self.model = model
+        return self
+
+
 def _stack_rows(arrays):
     """Arrays of one shape along a new leading axis; one array repeated
     becomes a read-only broadcast of it, which takes no memory."""
@@ -562,12 +561,10 @@ def _validate_two_samples(data):
         x, y = data
     except (TypeError, ValueError) as exc:
         raise DomainError("two-sample data must be a pair of arrays") from exc
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if not (x.ndim == y.ndim == 2 and len(x) == len(y)):    # one dataset, not a stack
-        x, y = x.ravel(), y.ravel()
+    x, y = np.asarray(x, dtype=float).ravel(), np.asarray(y, dtype=float).ravel()
     # one component may be empty in internal single-point evaluation frames;
     # fitting entry points require both (see default_start)
-    if x.shape[-1] + y.shape[-1] == 0:
+    if x.size + y.size == 0:
         raise DomainError("data must be nonempty")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise DomainError("data contain non-finite values")
@@ -888,10 +885,8 @@ class LinearRegression(_CoordinateInterest):
             y, X = data
         except (TypeError, ValueError) as exc:
             raise DomainError("regression data must be (y, X)") from exc
-        y, X = np.asarray(y, dtype=float), np.asarray(X, dtype=float)
-        if y.ndim != 2:                      # one dataset, not a stack of responses
-            y = y.ravel()
-        if X.ndim != 2 or X.shape[0] != y.shape[-1] or y.shape[-1] == 0:
+        y, X = np.asarray(y, dtype=float).ravel(), np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[0] != y.size or y.size == 0:
             raise DomainError("design matrix must be (n, p) matching y")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(X))):
             raise DomainError("data contain non-finite values")
@@ -922,14 +917,15 @@ class LinearRegression(_CoordinateInterest):
 
     def stack(self, datasets):
         # the responses stack; the design is the one all the datasets share
-        X = datasets[0][1]
-        if any(d[1] is not X and not np.array_equal(d[1], X) for d in datasets):
+        ys, designs = zip(*map(self.one, datasets))
+        X = designs[0]
+        if any(D is not X and not np.array_equal(D, X) for D in designs):
             raise DomainError("a stack of regression datasets needs one design matrix")
-        return self._remember((_stack_rows([d[0] for d in datasets]), X))
+        return _Checked((_stack_rows(ys), X), self)
 
     def take(self, data, rows):
         y, X = data
-        return self._remember((_take_rows(y, rows), X))
+        return _Checked((_take_rows(y, rows), X), self)
 
     @staticmethod
     def _split(theta):

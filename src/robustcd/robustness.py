@@ -44,8 +44,11 @@ __all__ = [
 
 ORACLE_EPS = 1e-4            # contamination mass of the oracle's refit
 # A column of |b| over a probe grid is bounded when its far-tail shell
-# probes have decayed to at most this fraction of its interior maximum.
+# probes have decayed to at most this fraction of its interior maximum, or,
+# toward a finite edge of the support, when |b| no longer grows there: the
+# probe nearer the edge is at most (1 + EDGE_GROWTH) times the other.
 DECAY_RATIO = 0.1
+EDGE_GROWTH = 1e-6
 # TAIF observation grid: interior points, and the reach of the interior in
 # fitted scales; the far-tail shells lie 10 to 10^4 reaches out
 Y_GRID_POINTS = 401
@@ -69,6 +72,7 @@ def influence_function(rule, data, theta, ys, component=0, k_mode="auto"):
     sensitivity, which makes this the exact refit derivative in finite
     samples; "auto" takes K from ``estimate_KJ``.
     """
+    data = rule.model.one(data)
     K = (empirical_K(rule, data, theta) if k_mode == "empirical"
          else estimate_KJ(rule, data, theta)[0])
     Kinv = checked_inverse(K, "sensitivity matrix K")
@@ -130,21 +134,30 @@ def _default_y_grid(model, data, theta, component):
     return np.concatenate([left, interior, right]), left.size, right.size
 
 
-def _decay_verdict(absvals, n_left, n_right):
+def _decay_verdict(absvals, n_left, n_right, edges):
     """(bounded, shell max, interior max), per column, of absolute values
-    over a probe grid whose first n_left and last n_right rows are far-tail
-    shell probes. The verdict reads at most the first two and the last two
-    rows: a column is bounded where they are finite and at most DECAY_RATIO
-    of its interior maximum, which is NaN where a NaN is among the interior
-    rows. Without shells, on a compact support, the grid maximum is the
+    over a probe grid, in increasing y, whose first n_left and last n_right
+    rows are shell probes. The verdict reads at most the first two and the
+    last two rows, the outermost of each side. A side holds where its
+    probes are finite and at most DECAY_RATIO of the column's interior
+    maximum (NaN where a NaN is among the interior rows) or, where its flag
+    in ``edges`` (left, right) says that its two probes approach a finite
+    edge of the support, where the one nearer the edge is at most
+    (1 + EDGE_GROWTH) times the other; a column is bounded where both sides
+    hold. Without shells, on a compact support, the grid maximum is the
     supremum, and the column reads bounded unless that maximum is NaN."""
     size = absvals.shape[0]
     interior_max = np.max(absvals[n_left:size - n_right], axis=0)
-    shell = np.concatenate([absvals[:min(2, n_left)], absvals[size - min(2, n_right):]])
-    shell_max = np.max(shell, axis=0, initial=0.0)
-    bounded = np.all(np.isfinite(shell), axis=0) & (
-        shell_max <= DECAY_RATIO * np.maximum(interior_max, 1e-300))
-    return bounded, shell_max, interior_max
+    ceiling = DECAY_RATIO * np.maximum(interior_max, 1e-300)
+    # each side's shell probes, the outermost first
+    sides = (absvals[:min(2, n_left)], absvals[size - min(2, n_right):][::-1])
+    bounded = True
+    for shell, edge in zip(sides, edges):
+        held = np.max(shell, axis=0, initial=0.0) <= ceiling
+        if edge:
+            held |= shell[0] <= (1.0 + EDGE_GROWTH) * shell[1]
+        bounded = bounded & np.all(np.isfinite(shell), axis=0) & held
+    return bounded, np.max(np.concatenate(sides), axis=0, initial=0.0), interior_max
 
 
 def _fit_for(rule, data, fit_result):
@@ -160,10 +173,8 @@ def _fit_for(rule, data, fit_result):
 
 
 def _same_data(a, b):
-    """Whether a and b, datasets of one model, hold equal arrays."""
-    if isinstance(a, tuple):
-        return len(a) == len(b) and all(map(np.array_equal, a, b))
-    return np.array_equal(a, b)
+    """Whether a and b, checked datasets of one model, hold equal arrays."""
+    return len(a) == len(b) and all(map(np.array_equal, a, b))
 
 
 def _root_taif_values(rule, data, fit_result, psi, ys, component):
@@ -214,7 +225,7 @@ def taif(rule, data, pivot_kind, psi, y_grid=None, component=0, *, fit_result):
     if pivot_kind not in ("wald", "root"):
         raise DomainError("pivot_kind must be 'wald' or 'root'")
     model = rule.model
-    data = model.checked(data)
+    data = model.one(data)
     fit_result = _fit_for(rule, data, fit_result)
     theta = fit_result.theta_hat
     if y_grid is None:
@@ -243,7 +254,7 @@ def taif(rule, data, pivot_kind, psi, y_grid=None, component=0, *, fit_result):
         vals = float(normal_pdf(q)) * (infl @ sens)
 
     absvals = np.abs(vals)
-    bounded = bool(_decay_verdict(absvals, n_left, n_right)[0])
+    bounded = bool(_decay_verdict(absvals, n_left, n_right, (False, False))[0])
     return TAIFProfile(
         y_grid=y_grid, taif_values=vals, sup_abs=float(absvals.max()),
         bounded_verdict=bounded, pivot_kind=pivot_kind, psi_fixed=float(psi),
@@ -330,7 +341,7 @@ def taif_contamination_oracle(rule, data, pivot_kind, psi, ys, component=0, *, f
     if pivot_kind not in ("wald", "root"):
         raise DomainError("pivot_kind must be 'wald' or 'root'")
     model = rule.model
-    data = model.checked(data)
+    data = model.one(data)
     fit_result = _fit_for(rule, data, fit_result)
     root = pivot_kind == "root"
     base, lam_psi = _only(_tail_areas(
@@ -366,6 +377,7 @@ def efficiency_ratio(model, gamma, data, theta_ref, measure="min"):
     the summary: "min" (worst coordinate), "interest", "trace", or a
     coordinate index.
     """
+    data = model.one(data)
     return float(_efficiency(model, _log_variance(model, data, theta_ref), gamma, data,
                              theta_ref, measure))
 
@@ -429,7 +441,7 @@ def calibrate_gamma(model, theta_ref, target_efficiency, data_template,
     if not 0.0 < target_efficiency <= 1.0:
         raise DomainError("target efficiency must be in (0, 1]")
     theta_ref = np.asarray(theta_ref, dtype=float)
-    data = model.checked(data_template)
+    data = model.one(data_template)
     V0 = _log_variance(model, data, theta_ref)
 
     def are(gammas):

@@ -511,15 +511,9 @@ def minimize_smooth(fun, z0):
 
     def trials(rows, z):
         z = np.array(z)
-
-        def stage(at):
-            if isinstance(at, slice):
-                return fun(z[at], rows[at])
-            return tuple(out[0] for out in fun(z[at:at + 1], rows[at:at + 1]))
-
         return [(np.inf, np.zeros_like(z[0]), np.zeros(z.shape[1:] * 2), None)
                 if isinstance(out, Exception) else (float(out[0]),) + out[1:]
-                for out in _per_row(stage, len(rows))]
+                for out in _per_row(lambda at: fun(z[at], rows[at]), len(rows))]
 
     answer = {"step": steps, "eval": trials}
     solves = [_newton(z0[r], *start) for r, start in enumerate(trials(np.arange(R), z0))]
@@ -599,17 +593,15 @@ def _per_row(stage, n):
     """``stage(rows)`` on the n rows of a stack at once, with rows a slice so
     that indexing the stack does not copy it; where that raises DomainError
     or NumericsError, the stack is halved until the failing rows stand
-    alone, a row alone r being ``stage(r)``; a stack of one that raises is
-    its row alone and is not run again. Returns a list with, for each
-    row, its result, or the exception it raises alone. A stacked result is
-    split along its leading axis, a tuple of them into a tuple per row."""
+    alone, a row alone being a stack of one, ``stage(slice(r, r + 1))``.
+    Returns a list with, for each row, its result, or the exception it
+    raises alone. A stacked result is split along its leading axis, a tuple
+    of them into a tuple per row."""
     def rows(lo, hi):
         try:
-            if hi - lo == 1 and n > 1:      # a half of one row
-                return [stage(lo)]
             out = stage(slice(None) if hi - lo == n else slice(lo, hi))
         except (DomainError, NumericsError) as exc:
-            if hi - lo == 1:            # a row alone, or a stack of one
+            if hi - lo == 1:
                 return [exc]
             mid = (lo + hi) // 2
             return rows(lo, mid) + rows(mid, hi)
@@ -656,7 +648,7 @@ def fit(rule, data, theta0=None):
         if theta0 is None:
             theta0 = model.default_start(data)
     theta0 = np.asarray(theta0, dtype=float)
-    if theta0.ndim == 2:
+    if data[0].ndim != 1:
         return _fit_rows(rule, data, theta0)
     return _only(_fit_rows(rule, model.stack([data]), theta0[None]))
 

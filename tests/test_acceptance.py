@@ -264,7 +264,8 @@ def test_criterion_4_gamma_calibration():
     # fitted as stacks of replicates, each row as it fits alone
     rows = STACK_ELEMENTS // (n * theta_true.size)
     est_rob = np.array([fr.theta_hat for i in range(0, B, rows)
-                        for fr in fit(rule_t, (ys[i:i + rows], X), theta0=est_mle[i:i + rows])])
+                        for fr in fit(rule_t, model.stack([(y, X) for y in ys[i:i + rows]]),
+                                      theta0=est_mle[i:i + rows])])
     are_mc = float(np.min(est_mle.var(axis=0) / est_rob.var(axis=0)))
     elapsed = time.time() - t0
     ok = in_band and abs(are_mc - 0.90) <= 0.02 and elapsed < 300

@@ -171,14 +171,25 @@ def test_boundedness_verdicts():
     assert rep.all_bounded
     rep = expfam_robustness_check(expfam_beta(), np.array([-0.5, -0.5]), 1.5)
     assert not rep.all_bounded
+    # exponential: b(y) tends to the finite -rate^(gamma - 1) / rate as y -> 0,
+    # above a tenth of the interior maximum, so only the edge limit reads it
+    for gamma in (1.1, 1.5, 2.5):
+        rep = expfam_robustness_check(expfam_exponential(), np.array([-1.0]), gamma)
+        assert rep.all_bounded and rep.shell_max[0] > 0.1 * rep.interior_max[0]
     # the shared verdict: two leading and two trailing shell probes, two
     # interior rows; a non-finite shell probe reads as unbounded even where
     # the finite ones have decayed
     absvals = np.array([[np.inf, 0.0, 0.0], [0.0, 0.0, 0.1], [1.0, 1.0, 1.0],
                         [2.0, 2.0, 2.0], [0.0, np.nan, 0.2], [0.0, 0.0, 0.0]])
-    bounded, shell, interior = _decay_verdict(absvals, 2, 2)
+    bounded, shell, interior = _decay_verdict(absvals, 2, 2, (False, False))
     assert bounded.tolist() == [False, False, True]
     assert np.array_equal(interior, [2.0, 2.0, 2.0]) and shell[2] == 0.2
+    # toward a finite left edge, a column that no longer grows there holds
+    # its side; one that still grows, or a non-finite probe, does not
+    absvals = np.array([[1.5, 1.6, np.inf], [1.5, 1.5, 1.0], [1.0, 1.0, 1.0],
+                        [2.0, 2.0, 2.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert _decay_verdict(absvals, 2, 2, (True, False))[0].tolist() == [True, False, False]
+    assert not _decay_verdict(absvals, 2, 2, (False, False))[0].any()
 
 
 def test_expfam_model_fits():

@@ -30,7 +30,16 @@ from robustcd.models import (
     tsallis_integral_exponential,
     tsallis_integral_normal,
 )
-from robustcd.scoring import ScoreRule, estimate_KJ, fit, score_terms
+from robustcd.scoring import (
+    Fit,
+    ScoreRule,
+    estimate_KJ,
+    fit,
+    per_obs_gradient,
+    score_gradient,
+    score_terms,
+    total_score,
+)
 
 from oracles import fd_gradient, power_integral_quadrature
 
@@ -222,9 +231,118 @@ def test_checked_data_do_not_follow_their_source():
         assert np.array_equal(after.V, before.V)
         assert after.score_at_opt == before.score_at_opt
         with pytest.raises(ValueError):
-            (d[0] if isinstance(d, tuple) else d)[0] = 0.0
+            d[0][0] = 0.0
         with pytest.raises(DomainError, match=message):
             fit(rule, source)
+
+
+# ---------------------------------------------------------------------------
+# the stack contract: one dataset or a stack, by the checked data's type
+# ---------------------------------------------------------------------------
+
+def _three_datasets(name):
+    """(model, three datasets of one size) for a model by name."""
+    rng = np.random.default_rng(23)
+    if name == "regression":
+        X = np.column_stack([np.ones(30), rng.standard_normal(30)])
+        return LinearRegression(1), [(X @ [1.0, 0.5] + rng.normal(0.0, 1.0, 30), X)
+                                     for _ in range(3)]
+    if name == "expfam-gamma":
+        return expfam_gamma(), list(rng.gamma(3.0, 0.5, (3, 40)))
+    if name == "auc-exponential":
+        return ExponentialAUC(), [(rng.gamma(2.0, 1.0, 12), rng.gamma(1.0, 1.5, 24))
+                                  for _ in range(3)]
+    return TwoSampleNormal(), [(rng.normal(2.0, 1.0, 12), rng.normal(1.0, 1.5, 24))
+                               for _ in range(3)]
+
+
+@pytest.mark.parametrize("name", ["two-sample-normal", "auc-exponential", "regression",
+                                  "expfam-gamma"])
+def test_the_stack_contract(name):
+    # The kernel's functions, fit and estimate_KJ give, for row r of a stack
+    # of three, exactly what dataset r gives alone; every function that
+    # gives one result for one dataset rejects the stack with DomainError.
+    from robustcd.confidence import build_cd, constrained_fit, profile
+    from robustcd.robustness import (
+        calibrate_gamma, efficiency_ratio, influence_function, taif,
+        taif_contamination_oracle)
+    model, datasets = _three_datasets(name)
+    rule = ScoreRule.tsallis(model, 1.23)
+    stack = model.stack(datasets)
+    thetas = np.stack([model.default_start(model.checked(d)) for d in datasets])
+    per_row = {"total_score": total_score, "score_terms": score_terms,
+               "per_obs_gradient": per_obs_gradient, "score_gradient": score_gradient}
+    fits = fit(rule, stack)
+    K, J = estimate_KJ(rule, stack, thetas)
+    for r, data in enumerate(datasets):
+        for label, func in per_row.items():
+            assert np.array_equal(func(rule, stack, thetas)[r], func(rule, data, thetas[r])), label
+        K_r, J_r = estimate_KJ(rule, data, thetas[r])
+        assert np.array_equal(K[r], K_r) and np.array_equal(J[r], J_r)
+        alone = fit(rule, data)
+        assert isinstance(alone, Fit) and np.array_equal(fits[r].theta_hat, alone.theta_hat)
+        assert (fits[r].score_at_opt, fits[r].n_iter) == (alone.score_at_opt, alone.n_iter)
+    fr = fits[0]
+    psi, theta, ys = fr.psi_tilde, fr.theta_hat, np.array([0.5, 1.0])
+    one_only = {
+        "constrained_fit": lambda: constrained_fit(rule, stack, psi),
+        "profile": lambda: profile(rule, stack, psi + np.array([-0.1, 0.0, 0.1]),
+                                   fit_result=fr),
+        "build_cd": lambda: build_cd(rule, stack, "wald", fit_result=fr),
+        "taif": lambda: taif(rule, stack, "wald", psi, fit_result=fr),
+        "taif_contamination_oracle": lambda: taif_contamination_oracle(
+            rule, stack, "wald", psi, ys, fit_result=fr),
+        "influence_function": lambda: influence_function(rule, stack, theta, ys),
+        "calibrate_gamma": lambda: calibrate_gamma(model, theta, 0.9, stack),
+        "efficiency_ratio": lambda: efficiency_ratio(model, 1.2, stack, theta),
+    }
+    for call in one_only.values():
+        with pytest.raises(DomainError, match="stack"):
+            call()
+
+
+def test_column_vectors_are_one_dataset():
+    # a column holds one dataset, whatever the sizes: its fit is one Fit,
+    # bit for bit the fit of the raveled data
+    rng = np.random.default_rng(29)
+    x, y = rng.normal(2.0, 1.0, (5, 1)), rng.normal(0.0, 1.0, (5, 1))
+    g = rng.gamma(3.0, 0.5, (40, 1))
+    X = np.column_stack([np.ones(20), rng.standard_normal(20)])
+    yr = X @ [1.0, 0.5] + rng.normal(0.0, 1.0, 20)
+    for model, column, flat in ((TwoSampleNormal(), (x, y), (x.ravel(), y.ravel())),
+                                (expfam_gamma(), g, g.ravel()),
+                                (LinearRegression(1), (yr[:, None], X), (yr, X))):
+        for rule in (ScoreRule.log(model), ScoreRule.tsallis(model, 1.23)):
+            got, want = fit(rule, column), fit(rule, flat)
+            assert isinstance(got, Fit), model.name
+            assert np.array_equal(got.theta_hat, want.theta_hat), model.name
+            assert np.array_equal(got.V, want.V) and got.score_at_opt == want.score_at_opt
+
+
+def test_checked_data_are_this_models_own():
+    # checked data pass through their own model unchanged; raw data, and
+    # data another model checked, are validated, also when stacked
+    m, other = ExponentialAUC(), TwoSampleNormal()
+    bad = (np.array([0.5, -1.0, 2.0]), np.array([1.0, 2.0]))
+    with pytest.raises(DomainError, match="nonnegative"):
+        m.checked(bad)
+    with pytest.raises(DomainError, match="nonnegative"):
+        m.stack([bad, bad])
+    foreign = other.checked(bad)
+    with pytest.raises(DomainError, match="nonnegative"):
+        m.checked(foreign)
+    with pytest.raises(DomainError, match="nonnegative"):
+        m.stack([foreign, foreign])
+    with pytest.raises(DomainError, match="nonnegative"):
+        fit(ScoreRule.log(m), foreign)
+    good = other.checked((np.array([0.5, 1.0, 2.0]), np.array([1.0, 2.0])))
+    mine = m.checked(good)
+    assert mine is not good and mine.model is m and m.checked(mine) is mine
+    assert all(np.array_equal(a, b) for a, b in zip(mine, good))
+    stack = m.stack([mine, mine])
+    assert m.checked(stack) is stack
+    with pytest.raises(DomainError, match="stack"):
+        m.one(stack)
 
 
 def test_profile_embed_roundtrip(all_models):

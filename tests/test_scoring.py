@@ -230,7 +230,7 @@ def test_fit_gives_up_a_row_whose_start_cannot_be_scored():
     rule = ScoreRule.tsallis(expfam_gamma(), 1.5)
     y = np.random.default_rng(8).gamma(3.0, 0.5, (3, 40))
     starts = np.array([[1.0, -1.0], [-0.9, -1.0], [1.0, -1.5]])
-    out = fit(rule, y, theta0=starts)
+    out = fit(rule, rule.model.stack(list(y)), theta0=starts)
     with pytest.raises(DomainError) as alone:
         total_score(rule, y[1], starts[1])
     assert type(out[1]) is DomainError and str(out[1]) == str(alone.value)
@@ -305,7 +305,7 @@ def test_estimate_kj_modes(regression_data):
     # and the empirical pair where it has none: a one-parameter expfam family
     me = expfam_exponential()
     re_ = ScoreRule.tsallis(me, 1.5)
-    y = np.random.default_rng(1).exponential(1.0, 300)
+    y = me.checked(np.random.default_rng(1).exponential(1.0, 300))
     t0 = me.default_start(y)
     K1, J1 = estimate_KJ(re_, y, t0)
     assert K1.shape == (1, 1) and K1[0, 0] > 0 and J1[0, 0] > 0
@@ -407,9 +407,10 @@ def test_per_row_halves_a_stack_until_its_failing_rows_stand_alone():
     assert [float(v) for r, v in enumerate(rows) if r != 37] == [
         2.0 * r for r in range(64) if r != 37]
     # the whole stack, each failing part's two halves, and rows 36 and 37
-    # alone, the halves of the last failing pair
+    # alone, each a stack of one, the halves of the last failing pair
     assert calls[0] == slice(None) and len(calls) == 2 * 6 + 1
-    assert [at for at in calls if isinstance(at, int)] == [36, 37]
+    assert all(isinstance(at, slice) for at in calls)
+    assert [at for at in calls[1:] if at.stop - at.start == 1] == [slice(36, 37), slice(37, 38)]
 
     # a failing stack of one is that row alone: it is not evaluated again
     values = np.array([37.0])
@@ -488,8 +489,7 @@ def _two_formula_grads(rule, data, theta):
 @pytest.fixture(scope="module")
 def kernel_cases(all_models):
     y = np.random.default_rng(11).gamma(3.0, 0.5, 80)
-    cases = [(model, model.checked(data)) for model, data in all_models]
-    cases.append((expfam_gamma(), y))
+    cases = [(model, model.checked(data)) for model, data in all_models + [(expfam_gamma(), y)]]
     return cases
 
 

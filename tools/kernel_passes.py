@@ -1,14 +1,16 @@
 """Kernel row-passes and stacked solves of one pass of a benchmark workload.
 
 Runs every op of one pass of a ``perfbench`` workload in this process, with
-``robustcd.scoring._kernel`` and ``_Objective.solve`` wrapped, and prints
-for each op and in total the kernel row-passes by ``order`` (0: terms, 1:
-with gradients, 2: with the Hessian), then the stacked solves by the kind
-of objective (free, constrained at a psi, free eps-mixture, constrained
-eps-mixture). A kernel call on one dataset is one row-pass and a call on a
-stack one per row; a solve is one however many rows its stack holds. The
-counts do not depend on the machine, so they compare two versions of the
-program where wall times are too noisy to.
+``robustcd.scoring._kernel``, ``_Objective.solve`` and every model's
+``validate_data`` wrapped, and prints for each op and in total the kernel
+row-passes by ``order`` (0: terms, 1: with gradients, 2: with the
+Hessian), then the stacked solves by the kind of objective (free,
+constrained at a psi, free eps-mixture, constrained eps-mixture), then the
+``validate_data`` calls. A kernel call on one dataset is one row-pass and a
+call on a stack one per row; a solve is one however many rows its stack
+holds; data a model has checked are not validated again. The counts do not
+depend on the machine, so they compare two versions of the program where
+wall times are too noisy to.
 
 Run from the repository root:
 ``python tools/kernel_passes.py --workload {cd-grid,study,robustness}``.
@@ -40,10 +42,19 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import robustcd  # noqa: E402
 import robustcd.cli  # noqa: E402
-from robustcd import scoring  # noqa: E402
+from robustcd import expfam, models, scoring  # noqa: E402
 
 ORDERS = (0, 1, 2)
 SOLVES = ("free", "constrained", "free-mixture", "constrained-mixture")
+VALIDATIONS = "validate_data"
+
+
+def _validators():
+    """(class, its validate_data) for each model class that defines one."""
+    return [(cls, vars(cls)["validate_data"]) for module in (models, expfam)
+            for cls in vars(module).values()
+            if isinstance(cls, type) and cls.__module__ == module.__name__
+            and "validate_data" in vars(cls) and cls is not models.ModelSpec]
 
 
 def _workloads():
@@ -60,9 +71,9 @@ def _solve_kind(objective):
 
 
 def count_passes(workload):
-    """{op key: Counter of row-passes by order and of stacked solves by
-    kind} over one pass of the workload, and the keys of the ops whose
-    outputs left their reference."""
+    """{op key: Counter of row-passes by order, of stacked solves by kind
+    and of validate_data calls} over one pass of the workload, and the keys
+    of the ops whose outputs left their reference."""
     workloads = _workloads()
     with open(ROOT / "perfbench" / "reference" / f"{workload}.json") as fh:
         reference = json.load(fh)["ops"]
@@ -77,8 +88,17 @@ def count_passes(workload):
         current[_solve_kind(objective)] += 1
         return solve(objective, z0)
 
+    def counted_validation(original):
+        def validate_data(model, data):
+            current[VALIDATIONS] += 1
+            return original(model, data)
+        return validate_data
+
+    validators = _validators()
     scoring._kernel = counted
     scoring._Objective.solve = counted_solve
+    for cls, original in validators:
+        cls.validate_data = counted_validation(original)
     mismatched = []
     try:
         with tempfile.TemporaryDirectory() as workdir:
@@ -92,6 +112,8 @@ def count_passes(workload):
     finally:
         scoring._kernel = kernel
         scoring._Objective.solve = solve
+        for cls, original in validators:
+            cls.validate_data = original
     return counts, mismatched
 
 
@@ -113,6 +135,8 @@ def main(argv=None):
     _table(counts, ORDERS, [f"order {o}" for o in ORDERS])
     print("\nstacked solves")
     _table(counts, SOLVES, SOLVES)
+    print("\nvalidations")
+    _table(counts, (VALIDATIONS,), (VALIDATIONS,))
     for key in mismatched:
         print(f"outputs differ from the reference: {key}", file=sys.stderr)
     return 1 if mismatched else 0
