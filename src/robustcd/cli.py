@@ -340,6 +340,7 @@ def cmd_calibrate(model_name, target, data_path, theta_spec, measure, interest,
                 data = model.sample(theta_ref, sizes, rng)
             else:
                 _fail("calibrate without --data supports the built-in models only", 2)
+        data = model.one(data)      # checked once for both calls
         gamma = calibrate_gamma(model, theta_ref, target, data, measure=measure)
         eff = efficiency_ratio(model, gamma, data, theta_ref, measure=measure)
     except (DomainError, NumericsError) as exc:

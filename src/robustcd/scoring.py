@@ -347,13 +347,12 @@ class _Objective:
     (1 - eps) S_data + n eps S_frame (a frame holds one point, for the
     TAIF's oracle).
 
-    A call at z returns a value, gradient and Hessian in z per row and a
-    list of records, row j's being the record of that row evaluated alone.
-    The record of a row is two numbers, (||g||, converged), the convergence
-    verdict taken at its point (see ``derivatives``), which ``verdict``
-    reads; it holds no array. A call raises DomainError or NumericsError
-    where a row's theta is inadmissible, its score cannot be evaluated, or
-    the arithmetic overflows; the solver then halves the stack (see
+    A call at z returns, each with a row axis, the value, gradient and
+    Hessian in z and the convergence verdict at z, ||g|| and converged (see
+    ``derivatives``), row j's being what that row evaluated alone gives. A
+    call raises DomainError or NumericsError where a row's theta is
+    inadmissible, its score cannot be evaluated, or the arithmetic
+    overflows; the solver then halves the stack (see
     ``minimize_smooth``). ``evaluate`` and ``derivatives`` take any shape,
     and also serve one dataset at one point (the root TAIF's nuisance
     Hessian).
@@ -402,13 +401,6 @@ class _Objective:
             parts = [(1.0 - eps, grads), (self.rule.model.nobs(self.data) * eps, grads_y)]
         return val, g, H, parts
 
-    @staticmethod
-    def verdict(records):
-        """(||g||, converged) per row, read from the records of the rows'
-        evaluations; no record means the point could not be evaluated."""
-        gnorm, converged = zip(*(rec or (np.inf, False) for rec in records))
-        return np.array(gnorm), np.array(converged)
-
     def derivatives(self, x):
         """(value, gradient, Hessian, verdict) in x, theta or the
         constrained lam. The verdict is (||g||, converged), g being the
@@ -433,24 +425,23 @@ class _Objective:
             # an overflowing trial point is an inadmissible one
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 x = _from_z(z, self.positive)
-                val, g, H, record = self.derivatives(x)
+                val, g, H, (gnorm, converged) = self.derivatives(x)
         except FloatingPointError as exc:
             raise NumericsError("the score overflows or is undefined") from exc
         # chain rule through the log transform
         dx = np.where(self.positive, x, 1.0)
         diag = np.where(self._eye, np.where(self.positive, x * g, 0.0)[..., None, :], 0.0)
         H = dx[..., :, None] * H * dx[..., None, :] + diag
-        return val, dx * g, H, list(zip(record[0].tolist(), record[1].tolist()))
+        return val, dx * g, H, gnorm, converged
 
     def solve(self, z0):
         """Minimize from z0, a start per row: (x, value, n_iter, reason,
         ||g||, converged), each with a row axis. Each row is judged from the
         evaluation that accepted its x, so no pass over the data follows the
         solve; the solver's gradient stop reads the same verdict."""
-        def at(rows):
-            return self if len(rows) == len(z0) else self.rows(rows)
-        z, val, n_iter, reason, records = minimize_smooth(lambda z, rows: at(rows)(z), z0)
-        return (_from_z(z, self.positive), val, n_iter, reason) + self.verdict(records)
+        z, *out = minimize_smooth(
+            lambda z, rows: (self if len(rows) == len(z0) else self.rows(rows))(z), z0)
+        return (_from_z(z, self.positive), *out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -466,25 +457,26 @@ def minimize_smooth(fun, z0):
     of z0; a single problem is a stack of one.
 
     ``fun(z, rows)`` evaluates the rows ``rows`` (an index array) at their
-    points z and returns (values, gradients, Hessians, records) with a row
-    axis, records[j] being row j's record: (||g||, converged), the caller's
-    convergence verdict at its point, or None where its value is not
-    finite. It may raise DomainError or NumericsError instead; the stack is
-    then halved until the failing rows stand alone (``_per_row``), a row
+    points z and returns, each with a row axis, the values, gradients,
+    Hessians and the caller's convergence verdict at each point: ||g|| and
+    converged. It may raise DomainError or NumericsError instead; the stack
+    is then halved until the failing rows stand alone (``_stacked``), a row
     alone being a stack of one, and a row that fails alone is +inf there,
-    with no record. Each row runs its own iteration: it solves for the
-    Newton step, with the Hessian's spectrum shifted where it is not
-    positive definite, and halves it until the trial point passes the
-    Armijo test, or lowers ||g|| where f is flat to round-off (F_NOISE). A
-    round solves every pending Newton system in one batch, then evaluates
-    every pending trial point in one call of fun; a row that has stopped
-    is not evaluated again. Returns (z, value, n_iter, reason, records),
-    each with the row axis and the records as a list, z being each row's
-    last accepted point and its record what fun returned with it. reason
+    with the verdict (inf, False). Each row runs its own iteration: it
+    solves for the Newton step, with the Hessian's spectrum shifted where
+    it is not safely positive definite, and halves it until the trial
+    point passes the Armijo test, or lowers ||g|| where f is flat to
+    round-off (F_NOISE). The rows' state is held in arrays with a row axis,
+    and a round is three steps: it solves the Newton systems of the rows
+    at a new point in one batch, evaluates every pending trial point in one
+    call of fun, and applies the tests below to them as masked updates; a
+    row that has stopped is not evaluated again. Returns (z, value, n_iter,
+    reason, ||g||, converged), each with the row axis, z being each row's
+    last accepted point and the verdict what fun returned with it. reason
     names why a row stopped:
 
-    * "gradient": ||g|| <= SOLVER_GTOL, and the record's verdict holds or
-      ||g|| has stopped falling;
+    * "gradient": ||g|| <= SOLVER_GTOL, and the verdict holds or ||g|| has
+      stopped falling;
     * "step": the Newton step, or a backtracked trial step, is shorter than
       STEP_FLOOR (1 + ||z||);
     * "no_decrease": 40 backtracks found no acceptable point;
@@ -492,122 +484,127 @@ def minimize_smooth(fun, z0):
     * "not_finite": the objective is not finite at z0;
     * "max_iter": MAX_ITER iterations ran out.
     """
-    z0 = np.asarray(z0, dtype=float)
-    R = len(z0)
-    results = [None] * R
-    pending = {}
+    z = np.array(z0, dtype=float)
+    # the solver's own copies: its state is updated in place
+    f, g, H, gnorm, converged = map(np.array, _evaluated(fun, z, np.arange(len(z))))
+    active = np.isfinite(f)
+    reason, n_iter = np.where(active, None, "not_finite"), np.zeros(len(z), dtype=int)
+    g_last, t, step_len, slope, floor = np.full(len(z), np.inf), *np.zeros((4, len(z)))
+    step, new = np.zeros_like(z), active.nonzero()[0]     # new: the rows at a new point
 
-    def advance(r, answer):
-        try:
-            pending[r] = solves[r].send(answer)
-        except StopIteration as done:
-            results[r] = done.value
-            pending.pop(r, None)
+    def stop(rows, why):
+        if rows.size:
+            reason[rows], active[rows] = why, False
 
-    def steps(rows, H, g):
-        H, g = np.array(H), np.array(g)
-        return [None if isinstance(step, Exception) else step
-                for step in _per_row(lambda at: _newton_steps(H[at], g[at]), len(rows))]
+    while True:
+        # at a new point: the gradient stop, then the iteration cap, which
+        # takes precedence over it, then a Newton step
+        g_norm = _norm(g[new])
+        stop(new[(g_norm <= SOLVER_GTOL) & ((g_norm >= g_last[new]) | converged[new])], "gradient")
+        stop(new[n_iter[new] >= MAX_ITER], "max_iter")
+        g_last[new] = g_norm
+        rows = new[active[new]]
+        if rows.size:
+            dz, failed, _ = _stacked(lambda at: _newton_steps(H[rows[at]], g[rows[at]]), rows.size)
+            if np.count_nonzero(failed):
+                stop(rows[failed], "singular")
+                rows = rows[~failed]
+        if rows.size:
+            step[rows], step_len[rows], slope[rows] = dz, _norm(dz), np.vecdot(g[rows], dz)
+            floor[rows] = STEP_FLOOR * (1.0 + _norm(z[rows]))
+            # the iteration counts once its step is taken or the row stops on it
+            t[rows], n_iter[rows] = 1.0, n_iter[rows] + 1
+            stop(rows[step_len[rows] <= floor[rows]], "step")
+        # every pending trial point
+        rows = active.nonzero()[0]
+        if not rows.size:
+            return z, f, n_iter, reason, gnorm, converged
+        trial = z[rows] + t[rows, None] * step[rows]
+        f_new, g_new, H_new, gnorm_new, converged_new = _evaluated(fun, trial, rows)
+        accept = np.isfinite(f_new) & (f_new <= f[rows] + 1e-4 * t[rows] * slope[rows])
+        # or, where f is flat to round-off, a lower ||g||
+        if np.count_nonzero(accept) < rows.size:
+            accept |= np.isfinite(f_new) & (f_new <= f[rows] + F_NOISE * (1.0 + abs(f[rows]))) & (
+                _norm(g_new) < g_last[rows])
+        # a view, not a copy, where every row moves
+        keep = slice(None) if np.count_nonzero(accept) == rows.size else accept
+        new = rows[keep]
+        z[new], f[new], g[new], H[new] = trial[keep], f_new[keep], g_new[keep], H_new[keep]
+        gnorm[new], converged[new] = gnorm_new[keep], converged_new[keep]
+        rows = rows[~accept]
+        if rows.size:
+            t[rows] *= 0.5      # exactly 2^-k after k backtracks
+            out = rows[(t[rows] == 0.5 ** 40) | (t[rows] * step_len[rows] <= floor[rows])]
+            stop(out, np.where(t[out] == 0.5 ** 40, "no_decrease", "step"))
 
-    def trials(rows, z):
-        z = np.array(z)
-        return [(np.inf, np.zeros_like(z[0]), np.zeros(z.shape[1:] * 2), None)
-                if isinstance(out, Exception) else (float(out[0]),) + out[1:]
-                for out in _per_row(lambda at: fun(z[at], rows[at]), len(rows))]
 
-    answer = {"step": steps, "eval": trials}
-    solves = [_newton(z0[r], *start) for r, start in enumerate(trials(np.arange(R), z0))]
-    for r in range(R):
-        advance(r, None)
-    while pending:
-        for kind in ("step", "eval"):
-            rows = np.array([r for r, q in pending.items() if q[0] == kind])
-            if rows.size:
-                replies = answer[kind](rows, *zip(*(pending[r][1:] for r in rows)))
-                for r, reply in zip(rows, replies):
-                    advance(r, reply)
-    z, f, n_iter, reason, records = zip(*results)
-    return (np.array(z), np.array(f), np.array(n_iter), np.array(reason, dtype=object),
-            list(records))
-
-
-def _newton(z, f, g, H, record):
-    """One row's damped Newton iteration (see minimize_smooth), as a
-    generator of requests led by their kind. It yields ("step", H, g) and
-    is sent the Newton step, or None where the system cannot be solved; and
-    ("eval", z) at each trial point z and is sent fun's (value, gradient,
-    Hessian, record) there. The gradient stop reads the verdict from the
-    record at z, whose value is finite, so the record is never None. It
-    returns (z, value, n_iter, reason, record)."""
-    if not np.isfinite(f):
-        return z, f, 0, "not_finite", record
-    n_iter, g_last = 0, np.inf
-    while n_iter < MAX_ITER:
-        g_norm = math.sqrt(g.dot(g))    # np.linalg.norm(g), without its dispatch
-        if g_norm <= SOLVER_GTOL and (g_norm >= g_last or record[1]):
-            return z, f, n_iter, "gradient", record
-        g_last = g_norm
-        step = yield "step", H, g
-        if step is None:
-            return z, f, n_iter, "singular", record
-        floor = STEP_FLOOR * (1.0 + math.sqrt(z.dot(z)))
-        step_norm, slope = math.sqrt(step.dot(step)), float(g @ step)
-        t = 1.0
-        stop = "no_decrease"
-        for _ in range(40):
-            if t * step_norm <= floor:
-                stop = "step"
-                break
-            trial = z + t * step
-            f_new, g_new, H_new, rec_new = yield "eval", trial
-            flat = (f_new <= f + F_NOISE * (1.0 + abs(f))
-                    and math.sqrt(g_new.dot(g_new)) < g_norm)
-            if np.isfinite(f_new) and (f_new <= f + 1e-4 * t * slope or flat):
-                z, f, g, H, record = trial, f_new, g_new, H_new, rec_new
-                stop = None
-                break
-            t *= 0.5
-        n_iter += 1
-        if stop is not None:
-            return z, f, n_iter, stop, record
-    return z, f, n_iter, "max_iter", record
+def _evaluated(fun, z, rows):
+    """fun(z, rows) through ``_stacked``: a row that fails alone is +inf,
+    with a zero gradient and Hessian and the verdict (inf, False)."""
+    out, failed, errors = _stacked(lambda at: fun(z[at], rows[at]), len(rows))
+    if not errors:
+        return out
+    filled = (np.full(len(rows), np.inf), np.zeros_like(z), np.zeros(z.shape + z.shape[1:]),
+              np.full(len(rows), np.inf), np.zeros(len(rows), dtype=bool))
+    for a, b in zip(filled, out or ()):
+        a[~failed] = b
+    return filled
 
 
 def _newton_steps(H, g):
     """The Newton steps -H^-1 g of one system or of a stack, each Hessian's
-    spectrum shifted where it is not positive definite. Raises
-    NumericsError where a system cannot be solved."""
+    spectrum shifted where its smallest eigenvalue is not above
+    1e-8 max(1, |largest|). Raises NumericsError where a system cannot be
+    solved."""
     try:
         A = _sym(H)
         w = np.linalg.eigvalsh(A)
-        neg = w[..., 0] <= 0
-        if neg.any():
-            shift = np.abs(w[..., 0]) + 1e-8 * np.maximum(1.0, np.abs(w[..., -1]))
-            A = np.where(neg[..., None, None], A + shift[..., None, None] * np.eye(A.shape[-1]), A)
+        floor = 1e-8 * np.maximum(1.0, np.abs(w[..., -1]))
+        if np.count_nonzero(w[..., 0] <= floor):
+            low, floor = w[..., :1, None], floor[..., None, None]     # (1, 1) per system
+            A = np.where(low <= floor, A + (np.abs(low) + floor) * np.eye(A.shape[-1]), A)
         return np.linalg.solve(A, -g[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NumericsError("the Newton system cannot be solved") from exc
 
 
-def _per_row(stage, n):
+def _stacked(stage, n):
     """``stage(rows)`` on the n rows of a stack at once, with rows a slice so
     that indexing the stack does not copy it; where that raises DomainError
     or NumericsError, the stack is halved until the failing rows stand
     alone, a row alone being a stack of one, ``stage(slice(r, r + 1))``.
-    Returns a list with, for each row, its result, or the exception it
-    raises alone. A stacked result is split along its leading axis, a tuple
-    of them into a tuple per row."""
-    def rows(lo, hi):
+    Returns (out, failed, errors): out, the stacked outputs of the rows
+    that did not raise, a tuple of them where the stage returns a tuple
+    (the output of the one call that succeeded where only one did, so a
+    stack with no failing row is not stacked again; None where every row
+    failed); failed, the mask of the rows that raised; and errors, each
+    failed row's exception by its row."""
+    failed, errors, parts = np.zeros(n, dtype=bool), {}, []
+
+    def halve(lo, hi):
         try:
-            out = stage(slice(None) if hi - lo == n else slice(lo, hi))
+            parts.append(stage(slice(None) if hi - lo == n else slice(lo, hi)))
         except (DomainError, NumericsError) as exc:
             if hi - lo == 1:
-                return [exc]
-            mid = (lo + hi) // 2
-            return rows(lo, mid) + rows(mid, hi)
-        return list(zip(*out)) if isinstance(out, tuple) else list(out)
+                failed[lo], errors[lo] = True, exc
+            else:
+                halve(lo, (lo + hi) // 2)
+                halve((lo + hi) // 2, hi)
 
-    return rows(0, n)
+    halve(0, n)
+    if len(parts) > 1 and isinstance(parts[0], tuple):
+        parts = [tuple(map(np.concatenate, zip(*parts)))]
+    out = np.concatenate(parts) if len(parts) > 1 else parts[0] if parts else None
+    return out, failed, errors
+
+
+def _per_row(stage, n):
+    """``_stacked(stage, n)`` split into a list with, for each row, its
+    result, or the exception it raises alone. A stacked result is split
+    along its leading axis, a tuple of them into a tuple per row."""
+    out, _, errors = _stacked(stage, n)
+    rows = iter(() if out is None else zip(*out) if isinstance(out, tuple) else out)
+    return [errors[r] if r in errors else next(rows) for r in range(n)] if errors else list(rows)
 
 
 def _only(items):

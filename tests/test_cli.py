@@ -236,6 +236,25 @@ def test_calibrate_regression_default(runner):
     assert doc["efficiency_at_gamma"] == pytest.approx(0.9, abs=0.01)
 
 
+def test_calibrate_validates_a_drawn_template_once(runner, monkeypatch):
+    # without --data the template is drawn raw; it is checked once, and
+    # calibrate_gamma and efficiency_ratio share the checked copy
+    from robustcd.models import TwoSampleNormal
+
+    calls = []
+    original = TwoSampleNormal.validate_data
+
+    def counted(self, data):
+        calls.append(1)
+        return original(self, data)
+
+    monkeypatch.setattr(TwoSampleNormal, "validate_data", counted)
+    res = runner.invoke(main, ["calibrate", "--model", "two-sample-normal",
+                               "--theta", "2,0,1,1", "--target", "0.9"])
+    assert res.exit_code == 0, res.output
+    assert len(calls) == 1
+
+
 @pytest.fixture()
 def gamma_spec_csv(tmp_path):
     spec = tmp_path / "g.json"

@@ -147,53 +147,35 @@ def test_fit_permutation_invariance(two_sample_data):
     assert np.allclose(f1.theta_hat, f2.theta_hat, atol=1e-9)
 
 
-class _Record(tuple):
-    """A record (||g||, converged) that notes each read of its verdict in
-    ``log``."""
-
-    def __new__(cls, gnorm, converged, log):
-        record = super().__new__(cls, (gnorm, converged))
-        record.log = log
-        return record
-
-    def __getitem__(self, i):
-        if i == 1:
-            self.log.append(self)
-        return super().__getitem__(i)
-
-
 def _rows_of(fun):
     """The stacked ``fun(z, rows)`` of a one-problem ``fun(z) -> (value,
-    gradient, Hessian, record)``, evaluated row by row."""
+    gradient, Hessian, ||g||, converged)``, evaluated row by row."""
     def stacked(z, rows):
-        f, g, H, records = zip(*(fun(z_r) for z_r in z))
-        return np.array(f), np.array(g), np.array(H), list(records)
+        return tuple(map(np.array, zip(*(fun(z_r) for z_r in z))))
     return stacked
 
 
-def _quadratic(converged, log):
-    """f(z) = z'z, its record's verdict ``converged`` wherever it is read."""
+def _quadratic(converged):
+    """f(z) = z'z, its verdict ``converged`` everywhere."""
     def quadratic(z):
-        return (float(z @ z), 2.0 * z, 2.0 * np.eye(z.size),
-                _Record(np.linalg.norm(2.0 * z), converged, log))
+        return float(z @ z), 2.0 * z, 2.0 * np.eye(z.size), np.linalg.norm(2.0 * z), converged
     return _rows_of(quadratic)
 
 
 def test_minimize_smooth_names_its_stop():
-    z, f, _, reason, _ = minimize_smooth(_quadratic(True, []), np.array([[1.0, -2.0]]))
+    z, f, _, reason, _, _ = minimize_smooth(_quadratic(True), np.array([[1.0, -2.0]]))
     assert list(reason) == ["gradient"]
     assert f[0] == pytest.approx(0.0, abs=1e-18)
 
-    # the gradient stop needs the record's verdict too; without it the
-    # solve runs on until its steps vanish
-    asked = []
-    _, _, _, reason, _ = minimize_smooth(_quadratic(False, asked), np.array([[1.0, -2.0]]))
-    assert list(reason) == ["step"] and len(asked) == 1
+    # the gradient stop needs the verdict too; without it the solve runs on
+    # until its steps vanish
+    _, _, _, reason, _, _ = minimize_smooth(_quadratic(False), np.array([[1.0, -2.0]]))
+    assert list(reason) == ["step"]
 
     def nowhere_finite(z):
-        return np.inf, np.zeros_like(z), np.zeros((z.size, z.size)), None
+        return np.inf, np.zeros_like(z), np.zeros((z.size, z.size)), np.inf, False
 
-    _, _, _, reason, _ = minimize_smooth(_rows_of(nowhere_finite), np.array([[1.0]]))
+    _, _, _, reason, _, _ = minimize_smooth(_rows_of(nowhere_finite), np.array([[1.0]]))
     assert list(reason) == ["not_finite"]
 
 
@@ -201,6 +183,44 @@ def test_minimize_smooth_stops_a_row_whose_newton_system_is_singular(monkeypatch
     # The spectrum shift leaves no finite system that reliably cannot be
     # solved, so the failure is injected: a zero Hessian is refused. Row 1
     # stops where it started; the other rows solve on.
+    _refusing_zero_hessians(monkeypatch)
+    quadratic = _quadratic(True)
+
+    def fun(z, rows):
+        f, g, H, gnorm, converged = quadratic(z, rows)
+        H[rows == 1] = 0.0
+        return f, g, H, gnorm, converged
+
+    z0 = np.array([[1.0, -2.0], [3.0, 4.0], [-1.0, 0.5]])
+    z, f, n_iter, reason, _, _ = minimize_smooth(fun, z0)
+    assert list(reason) == ["gradient", "singular", "gradient"]
+    assert n_iter[1] == 0 and np.array_equal(z[1], z0[1]) and f[1] == 25.0
+    assert np.array_equal(z[[0, 2]], np.zeros((2, 2)))
+
+
+def _stop_case(kind, z):
+    """(value, gradient, Hessian, ||g||, converged) at z of a problem whose
+    solve from (1, -2) stops for the reason ``kind``, MAX_ITER being 3 and a
+    zero Hessian refused (see ``_refusing_zero_hessians``)."""
+    if kind in ("gradient", "step"):
+        # z'z: one exact step; without the verdict the next step vanishes
+        converged = kind == "gradient"
+        return float(z @ z), 2.0 * z, 2.0 * np.eye(z.size), np.linalg.norm(2.0 * z), converged
+    if kind == "no_decrease":
+        # f rises along every step: the gradient's sign is wrong and the
+        # curvature is small, so the step stays long while it is halved
+        return float(z.sum()), -np.ones_like(z), 1e-3 * np.eye(z.size), 1.0, False
+    if kind == "singular":
+        return float(z @ z), 2.0 * z, np.zeros((z.size, z.size)), np.linalg.norm(2.0 * z), False
+    if kind == "not_finite":
+        return np.inf, np.zeros_like(z), np.zeros((z.size, z.size)), np.inf, False
+    # sum z^4 / 4: each Newton step shrinks z by a third, so the cap comes first
+    return (float((z ** 4).sum() / 4.0), z ** 3, np.diag(3.0 * z ** 2),
+            np.linalg.norm(z ** 3), False)
+
+
+def _refusing_zero_hessians(monkeypatch):
+    """Make _newton_steps refuse, as singular, a stack with a zero Hessian."""
     solve = scoring._newton_steps
 
     def refusing(H, g):
@@ -209,18 +229,62 @@ def test_minimize_smooth_stops_a_row_whose_newton_system_is_singular(monkeypatch
         return solve(H, g)
 
     monkeypatch.setattr(scoring, "_newton_steps", refusing)
-    quadratic = _quadratic(True, [])
 
+
+def _stop_cases(kinds, calls):
+    """The stacked fun(z, rows) of _stop_case, row i of the stack being
+    kinds[i]; each call's row count is appended to calls."""
     def fun(z, rows):
-        f, g, H, records = quadratic(z, rows)
-        H[rows == 1] = 0.0
-        return f, g, H, records
+        calls.append(len(rows))
+        return tuple(map(np.array, zip(*(_stop_case(kinds[i], z_i) for i, z_i in zip(rows, z)))))
+    return fun
 
-    z0 = np.array([[1.0, -2.0], [3.0, 4.0], [-1.0, 0.5]])
-    z, f, n_iter, reason, _ = minimize_smooth(fun, z0)
-    assert list(reason) == ["gradient", "singular", "gradient"]
-    assert n_iter[1] == 0 and np.array_equal(z[1], z0[1]) and f[1] == 25.0
-    assert np.array_equal(z[[0, 2]], np.zeros((2, 2)))
+
+STOP_REASONS = ["gradient", "step", "no_decrease", "singular", "not_finite", "max_iter"]
+
+
+def test_minimize_smooth_stops_each_row_for_its_reason_as_alone(monkeypatch):
+    # one stack whose rows stop for the six reasons: every row's z, f,
+    # n_iter, reason and verdict are, bit for bit, its stack of one's
+    monkeypatch.setattr(scoring, "MAX_ITER", 3)
+    _refusing_zero_hessians(monkeypatch)
+    z0 = np.tile([1.0, -2.0], (len(STOP_REASONS), 1))
+    out = minimize_smooth(_stop_cases(STOP_REASONS, []), z0)
+    assert list(out[3]) == STOP_REASONS
+    assert list(out[2]) == [1, 2, 1, 0, 0, 3]
+    for r, kind in enumerate(STOP_REASONS):
+        alone = minimize_smooth(_stop_cases([kind], []), z0[r:r + 1])
+        assert np.array_equal(out[0][r], alone[0][0]), kind
+        assert [a[r] for a in out[1:]] == [a[0] for a in alone[1:]], kind
+
+
+def test_a_round_evaluates_its_trial_points_in_one_call(monkeypatch):
+    # rows that take different numbers of rounds, backtracking or not, and
+    # none raising: each round evaluates every pending trial point in one
+    # call, so the stack takes as many calls as its slowest row alone, and
+    # evaluates each row as often as that row alone
+    _refusing_zero_hessians(monkeypatch)
+    z0 = np.tile([1.0, -2.0], (len(STOP_REASONS), 1))
+    calls = []
+    minimize_smooth(_stop_cases(STOP_REASONS, calls), z0)
+    alone = []
+    for r, kind in enumerate(STOP_REASONS):
+        alone.append([])
+        minimize_smooth(_stop_cases([kind], alone[-1]), z0[r:r + 1])
+    assert len(calls) == max(map(len, alone)) > 40
+    assert sum(calls) == sum(map(sum, alone))
+
+
+def test_newton_steps_shift_a_spectrum_small_next_to_its_largest():
+    # [[1, 3], [3, 9]] is singular, but its smallest eigenvalue reads as a
+    # round-off positive; shifted relative to the largest, its system is
+    # solved, alone and in a stack, where the other row is not shifted
+    H = np.array([[1.0, 3.0], [3.0, 9.0]])
+    step = scoring._newton_steps(H, np.array([1.0, -1.0]))
+    assert np.isfinite(step).all()
+    steps = scoring._newton_steps(np.stack([H, 2.0 * np.eye(2)]),
+                                  np.array([[1.0, -1.0], [1.0, 1.0]]))
+    assert np.array_equal(steps[0], step) and np.array_equal(steps[1], [-0.5, -0.5])
 
 
 def test_fit_gives_up_a_row_whose_start_cannot_be_scored():
@@ -510,7 +574,7 @@ def test_kernel_equals_value_and_gradient_paths(kernel_cases, gamma):
         assert np.array_equal(g[0], score_gradient(rule, data, theta))
         # the unconstrained coordinates see the same numbers
         z = _to_z(theta, objective.positive)
-        val_z, g_z, _, _ = objective(z[None])
+        val_z, g_z, *_ = objective(z[None])
         x = _from_z(z, objective.positive)
         want = score_gradient(rule, data, x) * np.where(objective.positive, x, 1.0)
         assert val_z[0] == total_score(rule, data, x)
@@ -584,18 +648,19 @@ def test_no_kernel_pass_after_a_solve(two_sample_data, cd_grid_auc_normal, kerne
     assert fr.converged and len(solves) == 1     # the first start converged
     assert sum(calls) == solves[-1][1]           # K and J are analytic here
 
-    # A solve that stops after rejected trial points: the verdict reads
-    # the record of the pass at its last accepted point.
+    # A solve that stops after rejected trial points: the verdict is the
+    # one returned with the pass at its last accepted point, arrays that
+    # the later passes leave as they were.
     objective = _Objective(rule, m.stack([m.checked(two_sample_data)]), np.array([2.0]))
     lam = m.profile_extract(fr.theta_hat)
     z = _to_z(lam, objective.positive)[None]
-    *_, records = objective(z)
+    *_, gnorm, converged = objective(z)
+    kept = gnorm.copy(), converged.copy()
     objective(z + 0.1)
     with pytest.raises(NumericsError):          # overflows: an inadmissible trial
         objective(z + 1e3)
-    del calls[:]
-    [gnorm], _ = objective.verdict(records)
-    assert not calls and np.isfinite(gnorm)
+    assert np.isfinite(gnorm[0])
+    assert np.array_equal(gnorm, kept[0]) and np.array_equal(converged, kept[1])
 
     # A profile on 1050 points: its 201 grid points are solved as stacks of
     # at most STACK_ELEMENTS // (1050 * 4) rows, one solve each, and some
@@ -729,13 +794,13 @@ def test_minimize_smooth_solves_a_quadratic_in_two_passes():
     # one evaluation at the start and one at the exact Newton step, where
     # the gradient vanishes
     evals = [0]
-    quadratic = _quadratic(True, [])
+    quadratic = _quadratic(True)
 
     def counted(z, rows):
         evals[0] += len(rows)
         return quadratic(z, rows)
 
-    z, f, n_iter, reason, _ = minimize_smooth(counted, np.array([[1.0, -2.0]]))
+    z, f, n_iter, reason, _, _ = minimize_smooth(counted, np.array([[1.0, -2.0]]))
     assert list(reason) == ["gradient"] and list(n_iter) == [1]
     assert evals[0] == 2
     assert np.array_equal(z, [[0.0, 0.0]]) and list(f) == [0.0]
@@ -930,12 +995,11 @@ def test_a_record_is_the_verdict_at_its_point(all_models, gamma):
             crossing = np.array(crossing)[:, None]
             for z in (z_solved, z_solved + 0.1 * crossing * (1.0 - 1e-4),
                       z_solved + 0.1 * crossing * (1.0 + 1e-4)):
-                records = objective(z)[3]
-                for r, record in enumerate(records):
+                gnorms, convergeds = objective(z)[3:]
+                for r, (gnorm, converged) in enumerate(zip(gnorms, convergeds)):
                     what = (model.name, rule.label(), psi is not None, mix is not None, r)
-                    [alone] = objective.rows(np.array([r]))(z[r:r + 1])[3]
-                    assert record == alone, what
-                    [gnorm], [converged] = objective.verdict([record])
+                    [gnorm_alone], [converged_alone] = objective.rows(np.array([r]))(z[r:r + 1])[3:]
+                    assert (gnorm, converged) == (gnorm_alone, converged_alone), what
                     g_oracle, bound = oracle(r, z[r])
                     assert abs(g_oracle - bound) > 1e-5 * bound, what   # not round-off
                     assert abs(gnorm - g_oracle) <= 1e-6 * bound, what
@@ -965,18 +1029,18 @@ def test_minimize_smooth_solves_each_row_of_a_stack_as_alone():
                 overflowed.extend(rows)
             raise
 
-    z, f, n_iter, reason, records = minimize_smooth(rows_fun, z0)
+    z, f, n_iter, reason, gnorm, converged = minimize_smooth(rows_fun, z0)
     assert list(reason) == ["gradient", "not_finite", "gradient"]
     assert 2 in overflowed
     for r, data in enumerate(datasets):
         # each row's reference is its own stack of one
         alone = _Objective(rule, m.stack([data]))
-        z_r, f_r, n_r, reason_r, records_r = minimize_smooth(lambda z, rows: alone(z),
-                                                              z0[r:r + 1])
+        z_r, f_r, n_r, reason_r, gnorm_r, converged_r = minimize_smooth(
+            lambda z, rows: alone(z), z0[r:r + 1])
         assert np.array_equal(z[r], z_r[0])
         assert f[r] == f_r[0] or np.isinf(f[r]) and np.isinf(f_r[0])
         assert (n_iter[r], reason[r]) == (n_r[0], reason_r[0])
-        assert records_r == [records[r]]
+        assert (gnorm_r[0], converged_r[0]) == (gnorm[r], converged[r])
 
 
 # ---------------------------------------------------------------------------
@@ -1028,7 +1092,7 @@ def test_analytic_hessians_equal_finite_differences(curvature_cases, gamma):
                                _Objective(rule, stack, psi, mixture), lam))
         for name, objective, x in objectives:
             z = _to_z(x, objective.positive)
-            val, _, H_z, _ = objective(z[None])
+            val, _, H_z, *_ = objective(z[None])
             assert np.isfinite(val[0]), what + (name,)
             _assert_hessian(H_z[0], _fd_jacobian(
                 lambda v: objective.rows(np.zeros(len(v), dtype=int))(v)[1], z), what + (name,))

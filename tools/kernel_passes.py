@@ -6,11 +6,13 @@ Runs every op of one pass of a ``perfbench`` workload in this process, with
 row-passes by ``order`` (0: terms, 1: with gradients, 2: with the
 Hessian), then the stacked solves by the kind of objective (free,
 constrained at a psi, free eps-mixture, constrained eps-mixture), then the
-``validate_data`` calls. A kernel call on one dataset is one row-pass and a
-call on a stack one per row; a solve is one however many rows its stack
-holds; data a model has checked are not validated again. The counts do not
-depend on the machine, so they compare two versions of the program where
-wall times are too noisy to.
+``validate_data`` calls, then the solver's rounds: the stacked objective
+evaluations (``_Objective.__call__``) and the rows they carry, and the
+stacked Newton-step solves (``_newton_steps``) and their rows. A kernel
+call on one dataset is one row-pass and a call on a stack one per row; a
+solve is one however many rows its stack holds; data a model has checked
+are not validated again. The counts do not depend on the machine, so they
+compare two versions of the program where wall times are too noisy to.
 
 Run from the repository root:
 ``python tools/kernel_passes.py --workload {cd-grid,study,robustness}``.
@@ -47,6 +49,8 @@ from robustcd import expfam, models, scoring  # noqa: E402
 ORDERS = (0, 1, 2)
 SOLVES = ("free", "constrained", "free-mixture", "constrained-mixture")
 VALIDATIONS = "validate_data"
+# (stacked calls, rows they carry) of the objective and of the Newton steps
+ROUNDS = ("evaluations", "evaluated rows", "step solves", "stepped rows")
 
 
 def _validators():
@@ -79,6 +83,7 @@ def count_passes(workload):
         reference = json.load(fh)["ops"]
     counts, current = {}, collections.Counter()
     kernel, solve = scoring._kernel, scoring._Objective.solve
+    evaluate, newton_steps = scoring._Objective.__call__, scoring._newton_steps
 
     def counted(rule, data, theta, order=1):
         current[order] += len(theta) if np.ndim(theta) == 2 else 1
@@ -87,6 +92,14 @@ def count_passes(workload):
     def counted_solve(objective, z0):
         current[_solve_kind(objective)] += 1
         return solve(objective, z0)
+
+    def counted_evaluation(objective, z):
+        current.update({"evaluations": 1, "evaluated rows": len(z)})
+        return evaluate(objective, z)
+
+    def counted_steps(H, g):
+        current.update({"step solves": 1, "stepped rows": len(g)})
+        return newton_steps(H, g)
 
     def counted_validation(original):
         def validate_data(model, data):
@@ -97,6 +110,8 @@ def count_passes(workload):
     validators = _validators()
     scoring._kernel = counted
     scoring._Objective.solve = counted_solve
+    scoring._Objective.__call__ = counted_evaluation
+    scoring._newton_steps = counted_steps
     for cls, original in validators:
         cls.validate_data = counted_validation(original)
     mismatched = []
@@ -112,19 +127,23 @@ def count_passes(workload):
     finally:
         scoring._kernel = kernel
         scoring._Objective.solve = solve
+        scoring._Objective.__call__ = evaluate
+        scoring._newton_steps = newton_steps
         for cls, original in validators:
             cls.validate_data = original
     return counts, mismatched
 
 
-def _table(counts, columns, heads):
-    """Print, for each op and in total, its counts in columns and their sum."""
+def _table(counts, columns, heads, summed=True):
+    """Print, for each op and in total, its counts in columns and, where
+    ``summed``, their sum."""
     widths = [max(10, len(h) + 1) for h in heads]
-    print(f"{'op':<40}" + "".join(f"{h:>{w}}" for h, w in zip(heads, widths)) + f"{'all':>10}")
+    print(f"{'op':<40}" + "".join(f"{h:>{w}}" for h, w in zip(heads, widths))
+          + (f"{'all':>10}" if summed else ""))
     total = sum(counts.values(), collections.Counter())
     for key, c in [*counts.items(), ("total", total)]:
         print(f"{key:<40}" + "".join(f"{c[k]:>{w}}" for k, w in zip(columns, widths))
-              + f"{sum(c[k] for k in columns):>10}")
+              + (f"{sum(c[k] for k in columns):>10}" if summed else ""))
 
 
 def main(argv=None):
@@ -137,6 +156,8 @@ def main(argv=None):
     _table(counts, SOLVES, SOLVES)
     print("\nvalidations")
     _table(counts, (VALIDATIONS,), (VALIDATIONS,))
+    print("\nsolver rounds: stacked calls and the rows they carry")
+    _table(counts, ROUNDS, ROUNDS, summed=False)
     for key in mismatched:
         print(f"outputs differ from the reference: {key}", file=sys.stderr)
     return 1 if mismatched else 0
