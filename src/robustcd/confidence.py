@@ -25,8 +25,7 @@ from .scoring import (
     _Objective,
     _chunks,
     _from_z,
-    _only,
-    _per_row,
+    _stacked,
     _to_z,
     estimate_KJ,
     fit as fit_rule,
@@ -86,30 +85,36 @@ def _constrained_at(rule, data, psi, lam0, mixture=None):
     """The constrained solves on a stack of datasets, at psi, a value per
     row, from lam0, a start per row, on the eps-mixture objective when
     ``mixture=(eps, frames)`` holds an eps and a frame per row (see
-    ``_Objective``), and nu at their estimates. A list with, for each row,
-    (theta_psi, S(theta_psi), lam_psi, nu) or the DomainError or
-    NumericsError the row raises alone; a solve that did not converge
-    raises NumericsError. The rows are solved together, in stacks of at
-    most STACK_ELEMENTS numbers per (rows, n, d) array.
+    ``_Objective``), and nu at their estimates. Returns ((theta_psi,
+    S(theta_psi), lam_psi, nu), failed, errors): the four with a row axis
+    and NaN in the rows that failed, failed their mask, and errors each
+    failed row's exception by its row, a NumericsError where its solve did
+    not converge, else what nu raises at its estimate alone. The rows are
+    solved together, in stacks of at most STACK_ELEMENTS numbers per
+    (rows, n, d) array; nu is evaluated on the converged rows only.
 
     Every constrained solve of a profile or a root pivot comes from here.
     """
     model, objective = rule.model, _Objective(rule, data, psi, mixture)
-    out = []
+    parts, errors = [], {}
     for at in _chunks(len(lam0), model.nobs(data), lam0.shape[-1] + 1):
         part = objective.rows(at)
-        solved = _constrained_solve(part, lam0[at])
-        out += _per_row(lambda j: _converged_at(rule, model.take(part.data, j), part.psi[j],
-                                                *(a[j] for a in solved)), len(part.psi))
-    return out
-
-
-def _converged_at(rule, data, psi, theta, score, lam, converged):
-    """(theta, score, lam, nu) of a constrained solve at psi, or of each row
-    of a stack; raises NumericsError where a solve did not converge."""
-    if not np.all(converged):
-        raise NumericsError("constrained fit did not converge", detail={"psi": psi})
-    return theta, score, lam, _nu_at(rule, data, theta)
+        theta, score, lam, converged = _constrained_solve(part, lam0[at])
+        for r in np.flatnonzero(~converged).tolist():
+            errors[at.start + r] = NumericsError("constrained fit did not converge",
+                                                 detail={"psi": float(part.psi[r])})
+        rows = np.flatnonzero(converged)
+        kept = part.data if rows.size == len(converged) else model.take(part.data, rows)
+        theta_kept, nu = theta[rows], np.full(len(converged), np.nan)
+        out, lost, errs = _stacked(
+            lambda j: _nu_at(rule, model.take(kept, j), theta_kept[j]), rows.size)
+        nu[rows[~lost]] = out
+        errors.update((at.start + int(rows[j]), exc) for j, exc in errs.items())
+        parts.append((theta, score, lam, nu))
+    theta, score, lam, nu = map(np.concatenate, zip(*parts))
+    failed = np.isin(np.arange(len(lam0)), list(errors))
+    theta[failed], score[failed], lam[failed] = np.nan, np.nan, np.nan
+    return (theta, score, lam, nu), failed, errors
 
 
 def _nu_at(rule, data, theta):
@@ -183,22 +188,24 @@ def profile(rule, data, psi_grid, fit_result):
     size = _chunks(psi_grid.size, model.nobs(data), starts.shape[1] + 1)[0].stop
     first = np.round(np.linspace(0, psi_grid.size - 1, min(size, psi_grid.size))).astype(int)
     rest = np.setdiff1d(np.arange(psi_grid.size), first)
-    rows = _constrained_at(rule, model.stack([data] * first.size), psi_grid[first], starts[first])
+    # per grid point: the score, nu, then the nuisance
+    table = np.full((psi_grid.size, starts.shape[1] + 2), np.nan)
+    failed = np.zeros(psi_grid.size, dtype=bool)
+
+    def solve(at):
+        (_, score, lam, nu), failed[at], _ = _constrained_at(
+            rule, model.stack([data] * at.size), psi_grid[at], starts[at])
+        table[at] = np.column_stack([score, nu, lam])
+
+    solve(first)
     if rest.size:
-        solved = [(i, row[2]) for i, row in zip(first, rows) if not isinstance(row, Exception)]
-        if len(solved) >= 4:
-            nodes, lam = map(np.array, zip(*solved))
+        nodes = first[~failed[first]]
+        if nodes.size >= 4:
             positive = model.lam_positive_mask(data)
             with np.errstate(over="ignore"):     # a start that overflows fails its row alone
-                starts[rest] = _from_z(_lagrange_starts(psi_grid[nodes], _to_z(lam, positive),
-                                                        psi_grid[rest]), positive)
-        rows += _constrained_at(rule, model.stack([data] * rest.size), psi_grid[rest],
-                                starts[rest])
-    rows = [rows[k] for k in np.argsort(np.r_[first, rest])]
-    failed = np.array([isinstance(row, Exception) for row in rows])
-    # per grid point: the score, nu, then the nuisance
-    table = np.array([np.full(starts.shape[1] + 2, np.nan) if lost
-                      else np.r_[row[1], row[3], row[2]] for lost, row in zip(failed, rows)])
+                starts[rest] = _from_z(_lagrange_starts(psi_grid[nodes], _to_z(
+                    table[nodes, 2:], positive), psi_grid[rest]), positive)
+        solve(rest)
     if failed.any():
         warnings.warn(f"{int(failed.sum())} profile grid point(s) failed; "
                       "interpolating from neighbors", stacklevel=2)
@@ -270,14 +277,16 @@ def _undercut(s_opt, s_con):
 
 def _root_fit(fit_result, psi):
     """The root pivot's constrained fit at psi, started on the continuation
-    predictor: the ``_constrained_at`` item, (theta_psi, S(theta_psi),
-    lam_psi, nu) or the exception it raises. Made once per fit and psi and
-    shared by ``pivot_root``, the root TAIF and the root oracle's
-    uncontaminated tail area."""
-    rule, data, psi_row = fit_result.rule, fit_result.data, np.array([psi], dtype=float)
-    model = rule.model
-    return fit_result._derived(("root", float(psi)), lambda: _constrained_at(
-        rule, model.stack([data]), psi_row, _tangent_starts(model, data, fit_result, psi_row))[0])
+    predictor: (theta_psi, S(theta_psi), lam_psi, nu), or the DomainError
+    or NumericsError of that solve, raised. Made once per fit and psi and
+    shared by ``pivot_root``, the root TAIF and the root oracle."""
+    model, data, psi_row = fit_result.rule.model, fit_result.data, np.array([psi], dtype=float)
+    out, _, errors = fit_result._derived(("root", float(psi)), lambda: _constrained_at(
+        fit_result.rule, model.stack([data]), psi_row,
+        _tangent_starts(model, data, fit_result, psi_row)))
+    if errors:
+        raise errors[0]
+    return tuple(a[0] for a in out)
 
 
 def pivot_root(fit_result, psi):
@@ -290,7 +299,7 @@ def pivot_root(fit_result, psi):
     """
     if not fit_result.converged:
         raise NumericsError("root pivot requires a converged fit")
-    _, s_con, _, nu = _only([_root_fit(fit_result, psi)])
+    _, s_con, _, nu = _root_fit(fit_result, psi)
     return float(_signed_root(fit_result.psi_tilde, fit_result.score_at_opt, psi, s_con, nu))
 
 

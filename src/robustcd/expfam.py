@@ -193,10 +193,6 @@ class BoundednessReport:
     shell_max: tuple
     interior_max: tuple
 
-    @property
-    def all_bounded(self):
-        return all(self.bounded)
-
 
 def _boundary_grid(support, center, scale):
     """(interior, left, right): 201 interior probes and the two shell probes

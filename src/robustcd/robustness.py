@@ -18,12 +18,12 @@ from scipy.special import ndtr
 
 from .errors import DomainError, NumericsError
 from .models import _fd_jacobian, normal_pdf
-from .confidence import _constrained_at, _nu_at, _root_fit, _signed_root, _wald_pivot
+from .confidence import (_constrained_at, _nu_at, _root_fit, _signed_root, _undercut,
+                         _wald_pivot, pivot_root, pivot_wald)
 from .scoring import (
     _Objective,
     _chunks,
-    _only,
-    _per_row,
+    _stacked,
     _to_z,
     checked_inverse,
     empirical_K,
@@ -189,7 +189,7 @@ def _root_taif_values(rule, data, fit_result, psi, ys, component):
     model = rule.model
     theta = fit_result.theta_hat
     n = model.nobs(data)
-    theta_c, s_con, lam_c, nu = _only([_root_fit(fit_result, psi)])
+    theta_c, s_con, lam_c, nu = _root_fit(fit_result, psi)
     r_val = float(_signed_root(fit_result.psi_tilde, fit_result.score_at_opt, psi, s_con, nu))
     if abs(r_val) < 1e-4:
         return None
@@ -268,27 +268,23 @@ def taif(rule, data, pivot_kind, psi, y_grid=None, component=0, *, fit_result):
 
 def _tail_areas(rule, data, psi, theta, score, solved):
     """C(psi) = Phi(-pivot) from the estimate theta, with total score
-    ``score``, for each row of a stack of datasets: the Wald pivot where
-    ``solved`` is None, else the root pivot from solved, each row's
-    constrained fit at psi (a ``_constrained_at`` item). A list with, for
-    each row, (C, lam_psi), lam_psi being the root pivot's constrained
-    nuisance (None for a Wald pivot), or the DomainError or NumericsError
-    that the row raises alone."""
-    model = rule.model
-    if solved is None:
-        return [a if isinstance(a, Exception) else (a, None) for a in _per_row(
-            lambda at: ndtr(-_wald_pivot(
-                model, theta[at], *estimate_KJ(rule, model.take(data, at), theta[at]), psi)[0]),
-            len(theta))]
-    out = list(solved)
-    for r, row in enumerate(out):
-        if not isinstance(row, Exception):
-            try:
-                out[r] = (ndtr(-_signed_root(model.interest(theta[r]), score[r], psi,
-                                             row[1], row[3])), row[2])
-            except NumericsError as exc:        # below the optimum
-                out[r] = exc
-    return out
+    ``score``, for each row of a stack of datasets, NaN in a row that fails
+    alone: the Wald pivot where ``solved`` is False, else the root pivot
+    from solved, the rows' constrained fits at psi as ``_constrained_at``
+    returns them. A root row fails where its constrained fit failed or its
+    constrained score lies below its free optimum (``_undercut``)."""
+    model, C = rule.model, np.full(len(theta), np.nan)
+    if not solved:
+        out, failed, _ = _stacked(lambda at: ndtr(-_wald_pivot(
+            model, theta[at], *estimate_KJ(rule, model.take(data, at), theta[at]), psi)[0]),
+            len(theta))
+    else:
+        (_, s_con, _, nu), failed, _ = solved
+        failed = failed | _undercut(score, s_con)
+        ok = ~failed
+        out = ndtr(-_signed_root(model.interest(theta[ok]), score[ok], psi, s_con[ok], nu[ok]))
+    C[~failed] = out
+    return C
 
 
 def _mixture_refits(rule, data, fit_result, ys, component):
@@ -296,10 +292,11 @@ def _mixture_refits(rule, data, fit_result, ys, component):
     point of ys whose frame is admissible and per eps (ORACLE_EPS, then
     ORACLE_EPS / 2), solved together in stacks of at most STACK_ELEMENTS
     numbers per (rows, n, d) array. Returns (points, refits): each row's
-    index in ys, and for each stack (at, ok, objective, theta, score), its
-    rows, the positions among them of the rows whose refit is finite, and
-    the objective, estimates and total scores of those rows. Made once per
-    fit, points and component, and shared by the Wald and the root oracle."""
+    index in ys, and for each stack with a converged refit (at, ok,
+    objective, theta, score), its rows, the positions among them of the
+    rows whose refit is finite and converged, and the objective, estimates
+    and total scores of those rows. Made once per fit, points and
+    component, and shared by the Wald and the root oracle."""
     def make():
         model, eps = rule.model, ORACLE_EPS
         frames = {}
@@ -317,9 +314,10 @@ def _mixture_refits(rule, data, fit_result, ys, component):
             objective = _Objective(rule, model.stack([data] * len(points[at])), mixture=(
                 eps_rows[at], model.stack([frames[i] for i in points[at]])))
             z0 = np.tile(_to_z(theta0, objective.positive), (len(points[at]), 1))
-            theta, score, *_ = objective.solve(z0)
-            ok = np.flatnonzero(np.isfinite(score))
-            refits.append((at, ok, objective.rows(ok), theta[ok], score[ok]))
+            theta, score, *_, converged = objective.solve(z0)
+            ok = np.flatnonzero(np.isfinite(score) & converged)
+            if ok.size:
+                refits.append((at, ok, objective.rows(ok), theta[ok], score[ok]))
         return points, refits
     return fit_result._derived(("mixture", component, ys.tobytes()), make)
 
@@ -332,7 +330,8 @@ def taif_contamination_oracle(rule, data, pivot_kind, psi, ys, component=0, *, f
     at every point and both eps are solved together, a row each. A root
     pivot's constrained fit starts on the continuation predictor at psi,
     and its refits at that fit's nuisance, which they move by O(eps).
-    Points whose refit fails are returned as NaN, each with its warning; a
+    Points whose refit fails, a free or a constrained refit that does not
+    converge among them, are returned as NaN, each with its warning; a
     pivot that fails on the uncontaminated fit raises, as in ``taif``.
     ``fit_result`` must be a converged fit of rule to data; the free
     refits at ys are made once per fit and shared by both pivots, and the
@@ -344,20 +343,17 @@ def taif_contamination_oracle(rule, data, pivot_kind, psi, ys, component=0, *, f
     data = model.one(data)
     fit_result = _fit_for(rule, data, fit_result)
     root = pivot_kind == "root"
-    base, lam_psi = _only(_tail_areas(
-        rule, model.stack([data]), psi, fit_result.theta_hat[None], [fit_result.score_at_opt],
-        [_root_fit(fit_result, psi)] if root else None))
+    # the uncontaminated tail area: where the pivot fails, this raises
+    base = ndtr(-(pivot_root if root else pivot_wald)(fit_result, psi))
     eps = ORACLE_EPS
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     points, refits = _mixture_refits(rule, data, fit_result, ys, component)
     tails = np.full(points.size, np.nan)
     for at, ok, objective, theta, score in refits:
-        solved = None
-        if root:
-            solved = _constrained_at(rule, objective.data, np.full(ok.size, float(psi)),
-                                     np.tile(lam_psi, (ok.size, 1)), objective.mixture)
-        areas = _tail_areas(rule, objective.data, psi, theta, score, solved)
-        tails[at][ok] = [np.nan if isinstance(a, Exception) else a[0] for a in areas]
+        solved = root and _constrained_at(
+            rule, objective.data, np.full(ok.size, float(psi)),
+            np.tile(_root_fit(fit_result, psi)[2], (ok.size, 1)), objective.mixture)
+        tails[at][ok] = _tail_areas(rule, objective.data, psi, theta, score, solved)
     out = np.full(ys.size, np.nan)
     out[points[::2]] = 2.0 * ((tails[1::2] - base) / (eps / 2.0)) - (tails[0::2] - base) / eps
     for y in ys[np.isnan(out)]:
@@ -445,19 +441,28 @@ def calibrate_gamma(model, theta_ref, target_efficiency, data_template,
     V0 = _log_variance(model, data, theta_ref)
 
     def are(gammas):
-        # in increasing order: J is infinite above some gamma, so the rows
-        # that raise form one run, which _per_row isolates in a few halvings
+        """The efficiency at each gamma, 0 where expected K and J raise
+        DomainError, and the NumericsError of each gamma that raises it, by
+        its index. In increasing order: J is infinite above some gamma, so
+        the rows that raise form one run, which _stacked isolates in a few
+        halvings."""
         order = np.argsort(gammas)
         ordered = gammas[order]
-        effs = dict(zip(order.tolist(), _per_row(
-            lambda at: _efficiency(model, V0, ordered[at], data, theta_ref, measure), len(gammas))))
-        return [0.0 if isinstance(effs[i], DomainError) else effs[i] for i in range(len(gammas))]
+        out, failed, errors = _stacked(
+            lambda at: _efficiency(model, V0, ordered[at], data, theta_ref, measure), len(gammas))
+        effs = np.zeros(len(gammas))
+        effs[order[~failed]] = out
+        return effs, {int(order[r]): exc for r, exc in errors.items()
+                      if isinstance(exc, NumericsError)}
 
     lo, hi = 1.0 + GAMMA_TOL, GAMMA_MAX
-    # the probes and the first round of bisection as one stack
+    # the probes and the first round of bisection as one stack; a
+    # NumericsError raises where the probes or bisection read its gamma
     mids = _midpoint_tree(lo, hi)
-    effs = are(np.concatenate([np.linspace(lo, hi, 6), mids]))
-    vals, effs = np.array([_only([v]) for v in effs[:6]]), effs[6:]
+    effs, raised = are(np.concatenate([np.linspace(lo, hi, 6), mids]))
+    if raised.keys() & set(range(6)):
+        raise raised[min(raised)]
+    vals, base = effs[:6], 6
     # a defined efficiency is positive; 0 marks a probe where J is infinite
     if np.any(np.diff(vals[vals > 0]) >= 0):
         warnings.warn("efficiency is not monotone on the bracket; "
@@ -474,9 +479,11 @@ def calibrate_gamma(model, theta_ref, target_efficiency, data_template,
     a, b, j = lo, hi, 0
     while b - a > GAMMA_TOL:
         if j >= mids.size:
-            mids, j = _midpoint_tree(a, b), 0
-            effs = are(mids)
-        if _only([effs[j]]) > target_efficiency:
+            mids, j, base = _midpoint_tree(a, b), 0, 0
+            effs, raised = are(mids)
+        if base + j in raised:
+            raise raised[base + j]
+        if effs[base + j] > target_efficiency:
             a, j = mids[j], 2 * j + 2
         else:
             b, j = mids[j], 2 * j + 1

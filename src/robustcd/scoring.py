@@ -29,6 +29,7 @@ from .models import ModelSpec
 __all__ = [
     "ScoreRule",
     "Fit",
+    "Fits",
     "total_score",
     "score_terms",
     "score_gradient",
@@ -268,13 +269,10 @@ def interest_information(K, J, grad):
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(eq=False, frozen=True)
-class Fit:
-    """Result of minimizing a total score, with the information matrices.
-
-    Frozen, so that the solves derived from it and held in its memo (see
-    ``_derived``) cannot go stale; ``dataclasses.replace`` gives a copy
-    with an empty memo.
-    """
+class _FitFields:
+    """What minimizing a total score gives, with the information matrices:
+    for one dataset (``Fit``), or each with a row axis, for a stack of them
+    (``Fits``)."""
 
     theta_hat: np.ndarray
     score_at_opt: float
@@ -285,9 +283,20 @@ class Fit:
     converged: bool
     n_iter: int
     grad_norm: float
+    stop_reason: str             # why minimize_smooth stopped on the kept start
     rule: ScoreRule = dataclasses.field(repr=False)
     data: object = dataclasses.field(repr=False)
-    stop_reason: str             # why minimize_smooth stopped on the kept start
+
+
+@dataclasses.dataclass(eq=False, frozen=True)
+class Fit(_FitFields):
+    """Result of minimizing a total score, with the information matrices.
+
+    Frozen, so that the solves derived from it and held in its memo (see
+    ``_derived``) cannot go stale; ``dataclasses.replace`` gives a copy
+    with an empty memo.
+    """
+
     _memo: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -305,6 +314,28 @@ class Fit:
         if key not in self._memo:
             self._memo[key] = _read_only(make())
         return self._memo[key]
+
+
+@dataclasses.dataclass(eq=False, frozen=True)
+class Fits(_FitFields):
+    """The fits of a stack of datasets (``data``, the checked stack), each
+    field with a row axis: row r holds what fitting dataset r alone gives.
+    A row given up has NaN in its estimate, score and matrices and
+    converged False, and ``errors`` holds its DomainError or NumericsError
+    by its row. ``fits[r]`` is row r's Fit, or raises that row's error."""
+
+    errors: dict
+
+    def __len__(self):
+        return len(self.converged)
+
+    def __getitem__(self, r):
+        if r in self.errors:
+            raise self.errors[r]
+        return Fit(self.theta_hat[r], float(self.score_at_opt[r]), self.K[r], self.J[r],
+                   self.V[r], self.G[r], bool(self.converged[r]), int(self.n_iter[r]),
+                   float(self.grad_norm[r]), self.stop_reason[r], self.rule,
+                   self.rule.model.take(self.data, r))
 
 
 def _read_only(value):
@@ -577,8 +608,10 @@ def _stacked(stage, n):
     that did not raise, a tuple of them where the stage returns a tuple
     (the output of the one call that succeeded where only one did, so a
     stack with no failing row is not stacked again; None where every row
-    failed); failed, the mask of the rows that raised; and errors, each
-    failed row's exception by its row."""
+    failed, or where n is 0 and no stage runs); failed, the mask of the
+    rows that raised; and errors, each failed row's exception by its row.
+    This is the one per-row outcome of a stacked stage: its callers read
+    the mask and the arrays."""
     failed, errors, parts = np.zeros(n, dtype=bool), {}, []
 
     def halve(lo, hi):
@@ -591,29 +624,12 @@ def _stacked(stage, n):
                 halve(lo, (lo + hi) // 2)
                 halve((lo + hi) // 2, hi)
 
-    halve(0, n)
+    if n:
+        halve(0, n)
     if len(parts) > 1 and isinstance(parts[0], tuple):
         parts = [tuple(map(np.concatenate, zip(*parts)))]
     out = np.concatenate(parts) if len(parts) > 1 else parts[0] if parts else None
     return out, failed, errors
-
-
-def _per_row(stage, n):
-    """``_stacked(stage, n)`` split into a list with, for each row, its
-    result, or the exception it raises alone. A stacked result is split
-    along its leading axis, a tuple of them into a tuple per row."""
-    out, _, errors = _stacked(stage, n)
-    rows = iter(() if out is None else zip(*out) if isinstance(out, tuple) else out)
-    return [errors[r] if r in errors else next(rows) for r in range(n)] if errors else list(rows)
-
-
-def _only(items):
-    """The one item of a stack of one's per-row results; raises it where it
-    is the exception that row raised."""
-    [item] = items
-    if isinstance(item, Exception):
-        raise item
-    return item
 
 
 def _chunks(n_rows, n, d):
@@ -634,20 +650,24 @@ def fit(rule, data, theta0=None):
     tried.
 
     ``data`` may be a stack of datasets (see ``ModelSpec.stack``), with
-    ``theta0`` None or a start per row. The result is then a list with, for
-    each row, the Fit of that dataset alone, or the DomainError or
-    NumericsError that fitting it alone raises.
+    ``theta0`` None or a start per row. The result is then one ``Fits``,
+    arrays whose row r is the fit of dataset r alone, with the DomainError
+    or NumericsError that fitting a row alone raises in its ``errors``. A
+    single dataset is fitted as a stack of one, and its Fit is that stack's
+    row 0.
     """
-    model = rule.model
-    data = model.checked(data)
-    if theta0 is None:
-        theta0 = model.mle_start(data) if rule.kind == "log" else None
-        if theta0 is None:
-            theta0 = model.default_start(data)
-    theta0 = np.asarray(theta0, dtype=float)
+    data = rule.model.checked(data)
+    theta0 = np.asarray(_start(rule, data) if theta0 is None else theta0, dtype=float)
     if data[0].ndim != 1:
         return _fit_rows(rule, data, theta0)
-    return _only(_fit_rows(rule, model.stack([data]), theta0[None]))
+    return _fit_rows(rule, rule.model.stack([data]), theta0[None])[0]
+
+
+def _start(rule, data):
+    """fit's start, or one per row of a stack: the closed-form MLE for the
+    log score where the model has one, else the model's default start."""
+    theta0 = rule.model.mle_start(data) if rule.kind == "log" else None
+    return rule.model.default_start(data) if theta0 is None else theta0
 
 
 def _admissible(model, theta0):
@@ -659,53 +679,53 @@ def _admissible(model, theta0):
 
 
 def _fit_rows(rule, data, theta0):
-    """fit's outcome per row of a stack of datasets from a start per row.
-    Each row keeps its best solve of the first start and up to
-    N_STARTS - 1 jittered restarts, made while it has not converged; a row
-    whose start cannot be scored is given up with what scoring it raises."""
+    """fit on a stack of datasets from a start per row: one Fits. Each row
+    keeps its best solve of the first start and up to N_STARTS - 1 jittered
+    restarts, made while it has not converged; a row whose start cannot be
+    scored is given up with what scoring it alone raises."""
     model = rule.model
-    n_rows = len(theta0)
-    out = _per_row(lambda at: _admissible(model, theta0[at]), n_rows)
-    rows = np.array([r for r, o in enumerate(out) if not isinstance(o, Exception)], dtype=int)
-    if not rows.size:
-        return out
-    objective = _Objective(rule, data if rows.size == n_rows else model.take(data, rows))
-    z0 = _to_z(theta0[rows], objective.positive)
-    best = list(zip(*objective.solve(z0)))
-    for j in [j for j, b in enumerate(best) if b[3] == "not_finite"]:
-        try:
-            total_score(rule, model.take(data, rows[j]), theta0[rows[j]])
-        except (DomainError, NumericsError) as exc:
-            out[rows[j]], best[j] = exc, None
-    rng = np.random.default_rng(0)
-    for _ in range(N_STARTS - 1):
-        redo = [j for j, b in enumerate(best) if b is not None and not b[5]]
-        if not redo:
-            break
-        # each row's restart k draws the same jitter as its fit alone would
-        jitter = rng.standard_normal(z0.shape[-1])
-        starts = z0[redo] + 0.2 * (1.0 + np.abs(z0[redo])) * jitter
-        for j, cand in zip(redo, zip(*objective.rows(np.array(redo)).solve(starts))):
-            if (cand[5], -cand[1]) > (best[j][5], -best[j][1]):
-                best[j] = cand
-    keep = [j for j, b in enumerate(best) if b is not None]
-    if not keep:
-        return out
-    theta = np.array([best[j][0] for j in keep])
-    kept = data if len(keep) == n_rows else model.take(data, rows[keep])
+    n_rows, d = theta0.shape
+    _, failed, errors = _stacked(lambda at: _admissible(model, theta0[at]), n_rows)
+    # the kept solve per row: (x, value, n_iter, reason, ||g||, converged)
+    best = (np.full((n_rows, d), np.nan), np.full(n_rows, np.nan), np.zeros(n_rows, dtype=int),
+            np.full(n_rows, None, dtype=object), np.full(n_rows, np.nan),
+            np.zeros(n_rows, dtype=bool))
+    theta, val, n_iter, reason, gnorm, converged = best
+    rows = np.flatnonzero(~failed)
+    if rows.size:
+        objective = _Objective(rule, data if rows.size == n_rows else model.take(data, rows))
+        z0 = _to_z(theta0[rows], objective.positive)
+        for a, b in zip(best, objective.solve(z0)):
+            a[rows] = b
+        for r in rows[reason[rows] == "not_finite"].tolist():
+            try:
+                total_score(rule, model.take(data, r), theta0[r])
+            except (DomainError, NumericsError) as exc:
+                failed[r], errors[r] = True, exc
+        rng = np.random.default_rng(0)
+        for _ in range(N_STARTS - 1):
+            redo = np.flatnonzero(~(converged | failed)[rows])     # positions in rows
+            if not redo.size:
+                break
+            # each row's restart k draws the same jitter as its fit alone would
+            jitter = rng.standard_normal(d)
+            starts = z0[redo] + 0.2 * (1.0 + np.abs(z0[redo])) * jitter
+            cand, at = objective.rows(redo).solve(starts), rows[redo]
+            # a converged solve, then a lower score
+            better = (cand[5] > converged[at]) | ((cand[5] == converged[at]) & (cand[1] < val[at]))
+            for a, b in zip(best, cand):
+                a[at[better]] = b[better]
+    keep = np.flatnonzero(~failed)
+    kept, theta_kept = data if keep.size == n_rows else model.take(data, keep), theta[keep]
 
-    def matrices(at):
-        K, J = estimate_KJ(rule, model.take(kept, at), theta[at])
+    def stage(at):
+        K, J = estimate_KJ(rule, model.take(kept, at), theta_kept[at])
         return (K, J) + sandwich(K, J)
 
-    for j, m in zip(keep, _per_row(matrices, len(keep))):
-        r = rows[j]
-        if isinstance(m, Exception):
-            out[r] = m
-            continue
-        x, val, n_iter, reason, gnorm, converged = best[j]
-        K, J, V, G = m
-        out[r] = Fit(theta_hat=x, score_at_opt=float(val), K=K, J=J, V=V, G=G,
-                     converged=bool(converged), n_iter=int(n_iter), grad_norm=float(gnorm),
-                     rule=rule, data=model.take(data, r), stop_reason=reason)
-    return out
+    out, lost, errs = _stacked(stage, keep.size)
+    matrices = np.full((4, n_rows, d, d), np.nan)     # K, J, V and G
+    matrices[:, keep[~lost]] = out
+    failed[keep[lost]] = True
+    errors.update((int(keep[j]), exc) for j, exc in errs.items())
+    theta[failed], val[failed], converged[failed] = np.nan, np.nan, False
+    return Fits(theta, val, *matrices, converged, n_iter, gnorm, reason, rule, data, errors)

@@ -13,7 +13,9 @@ grid construction is needed inside the replicate loop.
 The replicates of a method are solved together, as stacks of at most
 ``scoring.STACK_ELEMENTS`` numbers per (rows, n, d) array: one kernel pass
 and one batch of Newton steps serve every replicate still running. Each
-replicate's results are those of fitting it alone.
+replicate's results are those of fitting it alone. A stack's results are
+arrays with a replicate axis, with a mask of the replicates given up and
+the exception that gives each up (see ``scoring._stacked``).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .confidence import (
 )
 from .models import _TwoSampleBase, get_model
 from .robustness import calibrate_gamma
-from .scoring import Fit, ScoreRule, _chunks, _per_row, fit as fit_rule
+from .scoring import ScoreRule, _chunks, _fit_rows, _stacked, _start
 
 __all__ = [
     "Contamination",
@@ -197,9 +199,12 @@ def contaminate(model, data, spec: Contamination):
 # ---------------------------------------------------------------------------
 
 def _point_pivots(rule, fits, psis, kind):
-    """For each outcome in ``fits``, the list ``fit`` returns for a stack of
-    replicates: the pair (pivots at each psi, the free fit they are
-    measured from), or the DomainError or NumericsError that gives the
+    """The pivots at each psi of the replicates of ``fits``, the ``Fits``
+    of a stack of replicates. Returns (pivots, psi_hat, failed, errors):
+    the pivots, a row per replicate and a column per psi; the interest
+    estimate of each replicate's kept free fit; the mask of the replicates
+    given up, whose pivots and estimate are NaN; and each one's DomainError
+    or NumericsError by its row. A free fit that did not converge gives its
     replicate up.
 
     A root pivot takes one constrained solve per psi, warm-started at the
@@ -212,75 +217,69 @@ def _point_pivots(rule, fits, psis, kind):
 
     Each step runs on the replicates together, the constrained solves on
     one (replicate, psi) row each, and the results and failures are those
-    of each replicate alone (``_per_row``).
+    of each replicate alone (``_stacked``).
     """
     model = rule.model
     psis = np.asarray(psis, dtype=float)
-    out = [fr if not isinstance(fr, Fit) or fr.converged
-           else NumericsError("fit did not converge") for fr in fits]
-    rows = np.array([i for i, fr in enumerate(out) if isinstance(fr, Fit)], dtype=int)
-    if not rows.size:
-        return out
-    fits = [out[i] for i in rows]
-    theta = np.stack([fr.theta_hat for fr in fits])
-    k = len(rows)
+    errors = {r: fits.errors.get(r, NumericsError("fit did not converge"))
+              for r in np.flatnonzero(~fits.converged).tolist()}
+    rows = np.flatnonzero(fits.converged)
+    theta, k = fits.theta_hat[rows], rows.size
+    given_up = {}                # position in rows -> the exception that gives it up
     if kind == "wald":
-        K, J = np.stack([fr.K for fr in fits]), np.stack([fr.J for fr in fits])
+        K, J = fits.K[rows], fits.J[rows]
 
-        def wald(at):
+        def pivot(at, _):
             piv = np.stack([_wald_pivot(model, theta[at], K[at], J[at], psi)[0] for psi in psis],
                            axis=-1)
             # NaN, as at a null value outside the interest's range, gives a row up
             if np.isnan(piv).any():
                 raise NumericsError("Wald pivot failed")
             return piv
+    else:
+        data = fits.data if k == len(fits) else model.take(fits.data, rows)
+        s_opt = fits.score_at_opt[rows]
+        theta_c = np.full((k, psis.size, theta.shape[-1]), np.nan)
+        s_con, nu = np.full((k, psis.size), np.nan), np.full((k, psis.size), np.nan)
 
-        for i, p, fr in zip(rows, _per_row(wald, k), fits):
-            out[i] = p if isinstance(p, Exception) else ([float(v) for v in p], fr)
-        return out
+        def solve(reps, at):
+            """The constrained solves, and nu, of the replicates reps at
+            psis[at], warm-started at their free fits; a row whose solve did
+            not converge, or whose nu raises, gives its replicate up."""
+            (theta_c[reps, at], s_con[reps, at], _, nu[reps, at]), _, errs = _constrained_at(
+                rule, model.take(data, reps), psis[at], model.profile_extract(theta[reps]))
+            for j in sorted(errs):
+                given_up.setdefault(int(reps[j]), errs[j])
 
-    data = model.stack([fr.data for fr in fits])
-    s_opt = np.array([fr.score_at_opt for fr in fits])
-    theta_c = np.empty((k, psis.size, theta.shape[-1]))
-    s_con, nu = np.full((k, psis.size), np.nan), np.full((k, psis.size), np.nan)
-    given_up = {}                # row -> the exception that gives it up
-
-    def solve(reps, at):
-        """The constrained solves, and nu, of the replicates reps at psis[at],
-        warm-started at their free fits; a row whose solve did not converge,
-        or whose nu raises, gives its replicate up."""
-        rows = _constrained_at(rule, model.take(data, reps), psis[at],
-                               model.profile_extract(theta[reps]))
-        for r, i, row in zip(reps, at, rows):
-            if isinstance(row, Exception):
-                given_up.setdefault(r, row)
-            else:
-                theta_c[r, i], s_con[r, i], _, nu[r, i] = row
-
-    solve(*np.divmod(np.arange(k * psis.size), psis.size))
-    spurious = np.array([r for r in np.flatnonzero(_undercut(s_opt[:, None], s_con).any(axis=1))
-                         if r not in given_up], dtype=int)
-    if spurious.size:
-        low = np.argmin(s_con[spurious], axis=1)
-        refits = fit_rule(rule, model.take(data, spurious), theta0=theta_c[spurious, low])
-        again = []
-        for r, j, rf in zip(spurious, low, refits):
-            if isinstance(rf, Fit) and rf.converged and rf.score_at_opt < s_opt[r]:
-                fits[r], theta[r], s_opt[r] = rf, rf.theta_hat, rf.score_at_opt
-                again += [(r, i) for i in range(psis.size) if i != j]
-            else:
+        if k:
+            solve(*np.divmod(np.arange(k * psis.size), psis.size))
+        spurious = np.setdiff1d(np.flatnonzero(_undercut(s_opt[:, None], s_con).any(axis=1)),
+                                list(given_up))
+        if spurious.size:
+            low = np.argmin(s_con[spurious], axis=1)
+            refits = _fit_rows(rule, model.take(data, spurious), theta_c[spurious, low])
+            better = refits.converged & (refits.score_at_opt < s_opt[spurious])
+            for r in spurious[~better].tolist():
                 given_up[r] = NumericsError("profile score below the optimum, and no refit "
                                             "lowers it")
-        if again:
-            solve(*np.array(again).T)
-    ok = np.array([r for r in range(k) if r not in given_up], dtype=int)
-    psi_tilde = model.interest(theta[ok])[:, None]
-    # a refitted row whose profile still undercuts raises here
-    piv = _per_row(lambda j: _signed_root(psi_tilde[j], s_opt[ok][j, None], psis,
-                                          s_con[ok][j], nu[ok][j]), ok.size)
-    for r, p in [*zip(ok, piv), *given_up.items()]:
-        out[rows[r]] = p if isinstance(p, Exception) else ([float(v) for v in p], fits[r])
-    return out
+            kept = spurious[better]
+            theta[kept], s_opt[kept] = refits.theta_hat[better], refits.score_at_opt[better]
+            again = [(r, i) for r, j in zip(kept, low[better]) for i in range(psis.size) if i != j]
+            if again:
+                solve(*np.array(again).T)
+
+        def pivot(at, psi_tilde):
+            # a refitted row whose profile still undercuts raises here
+            return _signed_root(psi_tilde[:, None], s_opt[at, None], psis, s_con[at], nu[at])
+    ok = np.setdiff1d(np.arange(k), list(given_up))
+    psi_tilde = model.interest(theta[ok])
+    out, lost, errs = _stacked(lambda at: pivot(ok[at], psi_tilde[at]), ok.size)
+    given_up.update((int(ok[j]), exc) for j, exc in errs.items())
+    errors.update((int(rows[j]), exc) for j, exc in given_up.items())
+    failed = np.isin(np.arange(len(fits)), list(errors))
+    pivots, psi_hat = np.full((len(fits), psis.size), np.nan), np.full(len(fits), np.nan)
+    pivots[rows[ok[~lost]]], psi_hat[rows[ok[~lost]]] = out, psi_tilde[~lost]
+    return pivots, psi_hat, failed, errors
 
 
 @dataclasses.dataclass
@@ -353,8 +352,8 @@ def run_study(design: SimDesign):
 
     Replicates whose fit (or constrained fit) fails are dropped for that
     method only and counted; more than MAX_FAILURE_RATE failures for any
-    method aborts the study. The replicates of a method are solved as
-    stacks, with the results of solving each alone.
+    method aborts the study. The replicates are stacked once, in chunks
+    that every method solves, with the results of solving each alone.
     """
     if design.model == "linear-regression":
         model = get_model(design.model, interest_index=design.interest_index)
@@ -371,15 +370,6 @@ def run_study(design: SimDesign):
     psis = [psi_true]
     if design.h0 is not None and design.h0.psi0 != psi_true:
         psis.append(design.h0.psi0)
-    rules = {}
-    results = {}
-    for meth in design.methods:
-        gamma = _resolve_gamma(meth, model, theta_true, template)
-        rule = ScoreRule.log(model) if meth.rule == "log" else ScoreRule.tsallis(model, gamma)
-        label = meth.label()
-        rules[label] = (rule, meth)
-        results[label] = MethodResult(label=label, levels=design.levels)
-
     datasets = []
     for rep in range(design.n_reps):
         rng = np.random.default_rng([design.seed, rep])
@@ -387,25 +377,25 @@ def run_study(design: SimDesign):
         if design.contamination is not None:
             data = contaminate(model, data, design.contamination)
         datasets.append(model.checked(data))
-    stacks = [datasets[at] for at in _chunks(design.n_reps, model.nobs(datasets[0]),
-                                             theta_true.size)]
-    for label, (rule, meth) in rules.items():
-        res = results[label]
-        for part in stacks:
-            stack = model.stack(part)
-            fits = _per_row(lambda rows: fit_rule(rule, model.take(stack, rows)), len(part))
-            for out in _point_pivots(rule, fits, psis, meth.pivot):
-                if isinstance(out, Exception):
-                    res.n_failed += 1
-                    continue
-                pivots, fr = out
-                res.n_used += 1
-                for lv in design.levels:
-                    if abs(pivots[0]) <= z[lv]:
-                        res.cover_counts[lv] = res.cover_counts.get(lv, 0) + 1
-                if design.h0 is not None:
-                    res.pvalues.append(_tail_p(pivots[-1], design.h0.alternative))
-                res.medians.append(float(model.interest(fr.theta_hat)))
+    stacks = [model.stack(datasets[at]) for at in _chunks(design.n_reps, model.nobs(datasets[0]),
+                                                          theta_true.size)]
+    results = {}
+    for meth in design.methods:
+        gamma = _resolve_gamma(meth, model, theta_true, template)
+        rule = ScoreRule.log(model) if meth.rule == "log" else ScoreRule.tsallis(model, gamma)
+        res = results[meth.label()] = MethodResult(label=meth.label(), levels=design.levels)
+        for stack in stacks:
+            pivots, psi_hat, failed, _ = _point_pivots(
+                rule, _fit_rows(rule, stack, _start(rule, stack)), psis, meth.pivot)
+            pivots, psi_hat = pivots[~failed], psi_hat[~failed]
+            res.n_failed += int(np.count_nonzero(failed))
+            res.n_used += len(psi_hat)
+            for lv in design.levels:
+                res.cover_counts[lv] = res.cover_counts.get(lv, 0) + int(np.sum(
+                    np.abs(pivots[:, 0]) <= z[lv]))
+            if design.h0 is not None:
+                res.pvalues += [_tail_p(q, design.h0.alternative) for q in pivots[:, -1]]
+            res.medians += psi_hat.tolist()
 
     for label, res in results.items():
         if res.n_failed > MAX_FAILURE_RATE * design.n_reps:

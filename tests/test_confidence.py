@@ -23,7 +23,7 @@ from robustcd.confidence import (
 )
 from robustcd.errors import DomainError, NumericsError
 from robustcd.models import ExponentialAUC, LinearRegression, NormalAUC, TwoSampleNormal
-from robustcd.scoring import ScoreRule, _only, fit, interest_information
+from robustcd.scoring import ScoreRule, fit, interest_information
 from robustcd.simulate import H0Spec, MethodSpec, SimDesign, run_study
 
 from oracles import (
@@ -235,9 +235,11 @@ def test_root_pivot_properties(two_sample_data, ts_fits):
     model = fr.rule.model
     for psi, val in zip(psis, vals):
         psi_row = np.array([psi])
-        _, s_con, _, nu = _only(_constrained_at(
+        (_, s_con, _, nu), failed, _ = _constrained_at(
             fr.rule, model.stack([two_sample_data]), psi_row,
-            _tangent_starts(model, two_sample_data, fr, psi_row)))
+            _tangent_starts(model, two_sample_data, fr, psi_row))
+        assert not failed.any()
+        s_con, nu = s_con[0], nu[0]
         assert val == pytest.approx(_signed_root(psi_t, fr.score_at_opt, psi, s_con, nu),
                                     rel=1e-12, abs=1e-12)
 

@@ -159,23 +159,23 @@ def test_natural_space_violation_raises():
 def test_boundedness_verdicts():
     # normal: bounded for any gamma > 1
     rep = expfam_robustness_check(expfam_normal(), np.array([0.0, -0.5]), 1.5)
-    assert rep.all_bounded
+    assert all(rep.bounded)
     # gamma family with shape < 1: unbounded near the origin
     rep = expfam_robustness_check(expfam_gamma(), np.array([-0.5, -1.0]), 1.5)
-    assert not rep.all_bounded
+    assert not all(rep.bounded)
     # gamma family with shape > 1: bounded
     rep = expfam_robustness_check(expfam_gamma(), np.array([1.0, -1.0]), 1.5)
-    assert rep.all_bounded
+    assert all(rep.bounded)
     # beta(2, 2): bounded; beta(0.5, 0.5): not
     rep = expfam_robustness_check(expfam_beta(), np.array([1.0, 1.0]), 1.5)
-    assert rep.all_bounded
+    assert all(rep.bounded)
     rep = expfam_robustness_check(expfam_beta(), np.array([-0.5, -0.5]), 1.5)
-    assert not rep.all_bounded
+    assert not all(rep.bounded)
     # exponential: b(y) tends to the finite -rate^(gamma - 1) / rate as y -> 0,
     # above a tenth of the interior maximum, so only the edge limit reads it
     for gamma in (1.1, 1.5, 2.5):
         rep = expfam_robustness_check(expfam_exponential(), np.array([-1.0]), gamma)
-        assert rep.all_bounded and rep.shell_max[0] > 0.1 * rep.interior_max[0]
+        assert all(rep.bounded) and rep.shell_max[0] > 0.1 * rep.interior_max[0]
     # the shared verdict: two leading and two trailing shell probes, two
     # interior rows; a non-finite shell probe reads as unbounded even where
     # the finite ones have decayed

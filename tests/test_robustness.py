@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from robustcd import confidence, robustness
+from robustcd import confidence, robustness, scoring
 from robustcd.confidence import pivot_root, profile
 from robustcd.errors import DomainError, NumericsError
 from robustcd.expfam import expfam_gamma
@@ -233,6 +233,27 @@ def test_oracle_point_that_fails_is_nan_alone(exp_auc_data, pivot, monkeypatch):
     assert np.array_equal(vals[[0, 2]], rest[[0, 2]])
 
 
+def test_oracle_drops_a_free_refit_that_did_not_converge(exp_auc_data, monkeypatch):
+    # With no iterations left, every free eps-mixture refit stops at its
+    # start, the estimate itself, with a finite score and no convergence;
+    # differencing its tail area would read a TAIF of 0. Such a refit is
+    # dropped: each point is NaN, with its warning.
+    rule = ScoreRule.tsallis(ExponentialAUC(), 1.25)
+    fr = fit(rule, exp_auc_data)
+    ys = np.array([0.1, 0.5, 2.0])
+    want = taif_contamination_oracle(rule, exp_auc_data, "wald", 0.8, ys, fit_result=fr)
+    assert np.isfinite(want).all() and np.all(np.abs(want) > 0.1)
+    monkeypatch.setattr(scoring, "MAX_ITER", 0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        # a copy of the fit, with an empty memo, refits under the patch
+        got = taif_contamination_oracle(rule, exp_auc_data, "wald", 0.8, ys,
+                                        fit_result=dataclasses.replace(fr))
+    assert np.isnan(got).all()
+    assert [str(w.message) for w in caught] == [
+        f"oracle refit failed at y={y:g}; point skipped" for y in ys]
+
+
 def test_taif_input_validation(small_two_sample_data, ts_small):
     rule, fr = ts_small["tsallis"]
     with pytest.raises(DomainError):
@@ -378,20 +399,19 @@ def _plain_bisection(model, theta_ref, target, data, measure):
     return 0.5 * (a + b), vals
 
 
-def _per_row_one_by_one(stage, n):
-    """scoring._per_row as it was, the reference: where the stack raises,
-    every row alone."""
+def _stacked_one_by_one(stage, n):
+    """scoring._stacked without its halving, the reference: where the
+    stack raises, every row alone, each a stack of one."""
     try:
-        out = stage(slice(None))
+        return stage(slice(None)), np.zeros(n, dtype=bool), {}
     except (DomainError, NumericsError):
-        items = []
+        parts, failed, errors = [], np.zeros(n, dtype=bool), {}
         for r in range(n):
             try:
-                items.append(stage(r))
+                parts.append(stage(slice(r, r + 1)))
             except (DomainError, NumericsError) as exc:
-                items.append(exc)
-        return items
-    return list(zip(*out)) if isinstance(out, tuple) else list(out)
+                failed[r], errors[r] = True, exc
+        return np.concatenate(parts) if parts else None, failed, errors
 
 
 def test_calibrate_gamma_halves_the_stack_where_J_is_infinite(monkeypatch):
@@ -412,7 +432,7 @@ def test_calibrate_gamma_halves_the_stack_where_J_is_infinite(monkeypatch):
     gamma = calibrate_gamma(model, theta_ref, 0.9, y)
     halved = len(calls)
     calls.clear()
-    monkeypatch.setattr(robustness, "_per_row", _per_row_one_by_one)
+    monkeypatch.setattr(robustness, "_stacked", _stacked_one_by_one)
     assert calibrate_gamma(model, theta_ref, 0.9, y) == gamma == 1.145020732116699
     assert halved < len(calls) == 40, (halved, len(calls))
 

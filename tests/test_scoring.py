@@ -297,7 +297,10 @@ def test_fit_gives_up_a_row_whose_start_cannot_be_scored():
     out = fit(rule, rule.model.stack(list(y)), theta0=starts)
     with pytest.raises(DomainError) as alone:
         total_score(rule, y[1], starts[1])
-    assert type(out[1]) is DomainError and str(out[1]) == str(alone.value)
+    assert list(out.errors) == [1] and not out.converged[1]
+    assert type(out.errors[1]) is DomainError and str(out.errors[1]) == str(alone.value)
+    with pytest.raises(DomainError):
+        out[1]
     for r in (0, 2):
         ref = fit(rule, y[r], theta0=starts[r])
         assert out[r].converged and np.array_equal(out[r].theta_hat, ref.theta_hat)
@@ -448,12 +451,13 @@ def test_checked_inverse_raises_on_non_finite_matrices():
             with pytest.raises(NumericsError):
                 checked_inverse(a)
         stack = np.stack([2.0 * np.eye(3), bad, np.eye(3)])
-        rows = scoring._per_row(lambda at: checked_inverse(stack[at]), 3)
-    assert isinstance(rows[1], NumericsError)
-    assert np.array_equal(rows[0], 0.5 * np.eye(3)) and np.array_equal(rows[2], np.eye(3))
+        out, failed, errors = scoring._stacked(lambda at: checked_inverse(stack[at]), 3)
+    assert list(failed) == [False, True, False] and list(errors) == [1]
+    assert isinstance(errors[1], NumericsError)
+    assert np.array_equal(out[0], 0.5 * np.eye(3)) and np.array_equal(out[1], np.eye(3))
 
 
-def test_per_row_halves_a_stack_until_its_failing_rows_stand_alone():
+def test_stacked_halves_a_stack_until_its_failing_rows_stand_alone():
     # one failing row of 64 costs about 2 log2(64) stacked calls, not 64
     # single ones, and every row gets what it gets alone
     values = np.arange(64.0)
@@ -466,10 +470,10 @@ def test_per_row_halves_a_stack_until_its_failing_rows_stand_alone():
             raise DomainError("planted")
         return 2.0 * part
 
-    rows = scoring._per_row(stage, 64)
-    assert isinstance(rows[37], DomainError)
-    assert [float(v) for r, v in enumerate(rows) if r != 37] == [
-        2.0 * r for r in range(64) if r != 37]
+    out, failed, errors = scoring._stacked(stage, 64)
+    assert list(errors) == [37] and isinstance(errors[37], DomainError)
+    assert list(np.flatnonzero(failed)) == [37]
+    assert out.tolist() == [2.0 * r for r in range(64) if r != 37]
     # the whole stack, each failing part's two halves, and rows 36 and 37
     # alone, each a stack of one, the halves of the last failing pair
     assert calls[0] == slice(None) and len(calls) == 2 * 6 + 1
@@ -479,8 +483,9 @@ def test_per_row_halves_a_stack_until_its_failing_rows_stand_alone():
     # a failing stack of one is that row alone: it is not evaluated again
     values = np.array([37.0])
     del calls[:]
-    [row] = scoring._per_row(stage, 1)
-    assert isinstance(row, DomainError) and calls == [slice(None)]
+    out, failed, errors = scoring._stacked(stage, 1)
+    assert out is None and list(failed) == [True]
+    assert isinstance(errors[0], DomainError) and calls == [slice(None)]
 
 
 def test_checked_inverse_caps_the_two_norm_condition_number():
@@ -717,8 +722,9 @@ def test_two_wave_profile_equals_a_single_wave(request, model, data_name, gamma)
     assert len(scoring._chunks(grid.size, model.nobs(data), 4)) > 1
     trace = confidence.profile(rule, data, grid, fit_result=fr)
     starts = confidence._tangent_starts(model, data, fr, grid)
-    rows = confidence._constrained_at(rule, model.stack([data] * grid.size), grid, starts)
-    score, nu = (np.array([row[k] for row in rows]) for k in (1, 3))
+    (_, score, _, nu), failed, _ = confidence._constrained_at(
+        rule, model.stack([data] * grid.size), grid, starts)
+    assert not failed.any()
     assert not trace.failed.any()
     np.testing.assert_allclose(trace.score_profile, score, rtol=1e-10, atol=0)
     np.testing.assert_allclose(trace.nu, nu, rtol=1e-8, atol=0)
@@ -757,14 +763,14 @@ def test_a_failed_first_wave_point_is_dropped_from_the_interpolant(
     size = scoring._chunks(grid.size, 1050, 4)[0].stop
     first = np.round(np.linspace(0, grid.size - 1, size)).astype(int)
     lost = first[5:6] if n_failed == 1 else np.delete(first, [0, 15, -1])
-    converged_at = confidence._converged_at
+    constrained_solve = confidence._constrained_solve
 
-    def failing(rule, data, psi, *solved):
-        if np.isin(psi, grid[lost]).any():
-            raise NumericsError("planted failure")
-        return converged_at(rule, data, psi, *solved)
+    def failing(objective, lam0):
+        # a planted failure: the rows at the lost grid points do not converge
+        theta, score, lam, converged = constrained_solve(objective, lam0)
+        return theta, score, lam, converged & ~np.isin(objective.psi, grid[lost])
 
-    monkeypatch.setattr(confidence, "_converged_at", failing)
+    monkeypatch.setattr(confidence, "_constrained_solve", failing)
     with pytest.warns(UserWarning, match=f"{lost.size} profile grid point"):
         trace = confidence.profile(rule, cd_grid_auc_normal, grid, fit_result=fr)
     np.testing.assert_array_equal(np.flatnonzero(trace.failed), lost)
@@ -867,12 +873,16 @@ def _frames(model, data, theta):
 
 def _constrained_alone(rule, data, psi, lam0, mixture=None):
     """The constrained solve and nu of one dataset at psi from lam0, with
-    the mixture (eps, frame) if given, as a stack of one."""
+    the mixture (eps, frame) if given, as a stack of one; raises the
+    row's error where it fails."""
     model = rule.model
     if mixture is not None:
         mixture = (np.array([mixture[0]]), model.stack([mixture[1]]))
-    return scoring._only(confidence._constrained_at(
-        rule, model.stack([data]), np.array([psi]), lam0[None], mixture))
+    out, _, errors = confidence._constrained_at(
+        rule, model.stack([data]), np.array([psi]), lam0[None], mixture)
+    if errors:
+        raise errors[0]
+    return tuple(a[0] for a in out)
 
 
 @pytest.mark.parametrize("gamma", [None, 1.23])
@@ -894,8 +904,10 @@ def test_a_psi_per_row_stack_solves_each_row_as_alone(all_models, gamma):
         lam0 = np.stack([model.profile_extract(fits[r].theta_hat) for r in reps])
         for stack, at in ((model.stack([datasets[r] for r in reps]), reps),
                           (model.stack([datasets[0]] * 3), np.zeros(3, dtype=int))):
-            rows = confidence._constrained_at(rule, stack, psis[:len(at)], lam0[:len(at)])
-            for r, psi, lam, row in zip(at, psis, lam0, rows):
+            out, failed, _ = confidence._constrained_at(rule, stack, psis[:len(at)],
+                                                        lam0[:len(at)])
+            assert not failed.any(), (model.name, rule.label())
+            for r, psi, lam, row in zip(at, psis, lam0, zip(*out)):
                 alone = _constrained_alone(rule, datasets[r], psi, lam)
                 assert len(row) == 4, (model.name, psi, row)
                 for a, b in zip(row, alone):
@@ -917,9 +929,10 @@ def test_a_mixture_per_row_stack_solves_each_row_as_alone(all_models, gamma):
         eps = np.array([1e-4, 5e-5, 1e-2])
         frames = _frames(model, data, fr.theta_hat)
         lam0 = np.tile(model.profile_extract(fr.theta_hat), (3, 1))
-        rows = confidence._constrained_at(rule, model.stack([data] * 3), psis, lam0,
-                                          (eps, model.stack(frames)))
-        for psi, lam, e, frame, row in zip(psis, lam0, eps, frames, rows):
+        out, failed, _ = confidence._constrained_at(rule, model.stack([data] * 3), psis, lam0,
+                                                    (eps, model.stack(frames)))
+        assert not failed.any(), (model.name, rule.label())
+        for psi, lam, e, frame, row in zip(psis, lam0, eps, frames, zip(*out)):
             alone = _constrained_alone(rule, data, psi, lam, (e, frame))
             assert len(row) == 4, (model.name, psi, row)
             for a, b in zip(row, alone):

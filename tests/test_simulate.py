@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from robustcd.confidence import pivot_wald
+from robustcd.confidence import constrained_fit, pivot_wald
 from robustcd.errors import DomainError, NumericsError
 from robustcd.models import ExponentialAUC, TwoSampleNormal
 from robustcd.scoring import ScoreRule, fit
@@ -265,17 +265,33 @@ def test_pvalue_uniformity_stat():
 
 
 def test_failure_rate_guard(monkeypatch):
+    import dataclasses
+
     import robustcd.simulate as sim
 
-    def broken_fit(rule, data, **kw):
-        raise NumericsError("boom")
+    fit_rows = sim._fit_rows
 
-    monkeypatch.setattr(sim, "fit_rule", broken_fit)
+    def broken_fit(rule, data, theta0):
+        # every replicate's fit is given up
+        fits = fit_rows(rule, data, theta0)
+        return dataclasses.replace(fits, converged=np.zeros(len(fits), dtype=bool),
+                                   errors={r: NumericsError("boom") for r in range(len(fits))})
+
+    monkeypatch.setattr(sim, "_fit_rows", broken_fit)
     design = SimDesign(model="two-sample-normal", theta=(2, 0, 1, 1), sizes=(10, 20),
                        n_reps=4, seed=1, methods=(MethodSpec("log", "wald"),),
                        levels=(0.9,))
     with pytest.raises(NumericsError, match="failed"):
         run_study(design)
+
+
+def _refit(rule, data, fr, psis):
+    """The free refit that _point_pivots makes of the spurious fit fr, as
+    the fits of a stack of one: from the constrained estimate of lowest
+    score among psis, each solved from fr."""
+    lam0 = rule.model.profile_extract(fr.theta_hat)
+    theta_c = min((constrained_fit(rule, data, psi, lam0) for psi in psis), key=lambda c: c[1])[0]
+    return fit(rule, rule.model.stack([data]), theta0=theta_c[None])
 
 
 @pytest.mark.parametrize("rep, shift, score, pivot", [
@@ -291,10 +307,12 @@ def test_point_pivot_refits_a_spurious_free_optimum(rep, shift, score, pivot):
     data = contaminate(m, data, Contamination(0, -1, shift))
     fr = fit(rule, data)
     assert fr.converged and fr.score_at_opt > score + 0.1
-    (piv,), kept = _point_pivots(rule, [fr], [2.0], "root")[0]
+    pivots, psi_hat, failed, _ = _point_pivots(rule, fit(rule, m.stack([data])), [2.0], "root")
+    kept = _refit(rule, data, fr, [2.0])[0]
+    assert not failed[0] and kept.psi_tilde == psi_hat[0]
     assert kept.converged
     assert kept.score_at_opt == pytest.approx(score, abs=1e-4)
-    assert piv == pytest.approx(pivot, abs=1e-4)
+    assert pivots[0, 0] == pytest.approx(pivot, abs=1e-4)
 
 
 def test_point_pivots_solve_again_from_the_refit():
@@ -307,11 +325,15 @@ def test_point_pivots_solve_again_from_the_refit():
     data = m.sample((2.0, 0.0, 1.0, 1.0), (10, 20), np.random.default_rng([20250801, 1671]))
     data = contaminate(m, data, Contamination(0, -1, -7.0))
     fr = fit(rule, data)
-    (piv_true, piv0), kept = _point_pivots(rule, [fr], [2.0, 1.5], "root")[0]
+    pivots, psi_hat, _, _ = _point_pivots(rule, fit(rule, m.stack([data])), [2.0, 1.5], "root")
+    piv_true, piv0 = pivots[0]
+    refits = _refit(rule, data, fr, [2.0, 1.5])
+    kept = refits[0]
+    assert kept.psi_tilde == psi_hat[0]
     assert kept.score_at_opt == pytest.approx(-20.07119, abs=1e-4)
     assert piv_true == pytest.approx(-2.20172, abs=1e-4)
     assert piv0 == pytest.approx(-1.45739, abs=1e-4)
-    assert [piv0] == _point_pivots(rule, [kept], [1.5], "root")[0][0]
+    assert [piv0] == _point_pivots(rule, refits, [1.5], "root")[0][0].tolist()
 
 
 @pytest.mark.parametrize("gamma", [None, 1.23])
@@ -324,26 +346,22 @@ def test_point_pivots_fail_per_row_as_each_replicate_alone(gamma):
     reps = [contaminate(m, m.sample((2.0, 0.0, 1.0, 1.0), (2, 3), np.random.default_rng([7, r])),
                         Contamination(0, -1, 30.0)) for r in range(60)]
     fits = fit(rule, m.stack([m.checked(d) for d in reps]))
-    alone = []
-    for d in reps:
-        try:
-            alone.append(fit(rule, d))
-        except (DomainError, NumericsError) as exc:
-            alone.append(exc)
+    alone = [fit(rule, m.stack([d])) for d in reps]
     for kind in ("root", "wald"):
-        got = _point_pivots(rule, fits, [2.0, 1.5], kind)
-        want = [_point_pivots(rule, [fr], [2.0, 1.5], kind)[0] for fr in alone]
-        for g, w in zip(got, want):
-            if isinstance(w, Exception):
-                assert type(g) is type(w)
+        pivots, psi_hat, failed, errors = _point_pivots(rule, fits, [2.0, 1.5], kind)
+        for r, fits_r in enumerate(alone):
+            want, want_psi, want_failed, want_errors = _point_pivots(
+                rule, fits_r, [2.0, 1.5], kind)
+            assert failed[r] == want_failed[0]
+            if want_failed[0]:
+                assert type(errors[r]) is type(want_errors[0])
             else:
-                assert g[0] == w[0] and g[1].psi_tilde == w[1].psi_tilde
+                assert pivots[r].tolist() == want[0].tolist() and psi_hat[r] == want_psi[0]
         if gamma is not None and kind == "root":
             # the stacked K of the free fits and the stacked nu both raise
-            fit_failed = [isinstance(fr, Exception) for fr in fits]
-            pivot_failed = [isinstance(o, Exception) for o in got]
-            assert sum(fit_failed) == 4
-            assert sum(p and not f for p, f in zip(pivot_failed, fit_failed)) == 3
+            fit_failed = np.isin(np.arange(len(reps)), list(fits.errors))
+            assert np.count_nonzero(fit_failed) == 4
+            assert np.count_nonzero(failed & ~fit_failed) == 3
 
 
 def test_no_warning_escapes_a_solve():

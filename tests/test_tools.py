@@ -48,12 +48,13 @@ def test_code_size_counts(tmp_path, capsys):
     assert rows == {"a": (7, 4), "b": (1, 0), "total": (8, 4)}
 
 
-@pytest.mark.parametrize("workload, solves, row_passes, validations, rounds", [
-    ("cd-grid", 68, 3450, 10, (114, 2949, 77, 1559)),      # 3353 row-passes measured
-    ("study", 60, 3780, 372, (404, 3735, 258, 2638)),      # 3669 measured
-    ("robustness", 96, 2670, 288, (300, 1301, 204, 871)),  # 2590 measured
+@pytest.mark.parametrize("workload, solves, row_passes, validations, rounds, objects", [
+    ("cd-grid", 68, 3450, 10, (114, 2949, 77, 1559), (10, 195)),     # 3353 row-passes measured
+    ("study", 60, 3780, 372, (404, 3735, 258, 2638), (0, 547)),      # 3669 measured
+    ("robustness", 96, 2670, 288, (300, 1301, 204, 871), (24, 756)),  # 2590 measured
 ], ids=["cd-grid", "study", "robustness"])
-def test_workload_pass_counts(monkeypatch, workload, solves, row_passes, validations, rounds):
+def test_workload_pass_counts(monkeypatch, workload, solves, row_passes, validations, rounds,
+                              objects):
     # One pass of each workload: its stacked solves and its validate_data
     # calls exactly, and a bound on its kernel row-passes a little above
     # those measured. On cd-grid the second wave of each profile starts on
@@ -62,6 +63,8 @@ def test_workload_pass_counts(monkeypatch, workload, solves, row_passes, validat
     # again. The solver's rounds are pinned exactly: its stacked objective
     # evaluations and Newton-step solves, and the rows each carries, so a
     # change to the solver takes the same rounds with the same stacks. The
+    # Fit objects and the checked data made are pinned too: a stack's fits
+    # and pivots are arrays, so a study builds no Fit per replicate. The
     # counts do not depend on the machine, so this checks the warm starts,
     # the shared solves, the checks and the rounds without a timing.
     # the tool sets these and prepends its source path; restored after the test
@@ -76,3 +79,4 @@ def test_workload_pass_counts(monkeypatch, workload, solves, row_passes, validat
     assert sum(total[order] for order in kernel_passes.ORDERS) <= row_passes
     assert total[kernel_passes.VALIDATIONS] == validations
     assert tuple(total[key] for key in kernel_passes.ROUNDS) == rounds
+    assert tuple(total[key] for key in kernel_passes.OBJECTS) == objects

@@ -8,10 +8,12 @@ Hessian), then the stacked solves by the kind of objective (free,
 constrained at a psi, free eps-mixture, constrained eps-mixture), then the
 ``validate_data`` calls, then the solver's rounds: the stacked objective
 evaluations (``_Objective.__call__``) and the rows they carry, and the
-stacked Newton-step solves (``_newton_steps``) and their rows. A kernel
-call on one dataset is one row-pass and a call on a stack one per row; a
-solve is one however many rows its stack holds; data a model has checked
-are not validated again. The counts do not depend on the machine, so they
+stacked Newton-step solves (``_newton_steps``) and their rows, then the
+objects built: ``scoring.Fit`` objects and checked data
+(``models._Checked``: a checked dataset, a stack or the rows taken from
+one). A kernel call on one dataset is one row-pass and a call on a stack
+one per row; a solve is one however many rows its stack holds; data a
+model has checked are not validated again. The counts do not depend on the machine, so they
 compare two versions of the program where wall times are too noisy to.
 
 Run from the repository root:
@@ -51,6 +53,7 @@ SOLVES = ("free", "constrained", "free-mixture", "constrained-mixture")
 VALIDATIONS = "validate_data"
 # (stacked calls, rows they carry) of the objective and of the Newton steps
 ROUNDS = ("evaluations", "evaluated rows", "step solves", "stepped rows")
+OBJECTS = ("Fit", "_Checked")
 
 
 def _validators():
@@ -75,15 +78,17 @@ def _solve_kind(objective):
 
 
 def count_passes(workload):
-    """{op key: Counter of row-passes by order, of stacked solves by kind
-    and of validate_data calls} over one pass of the workload, and the keys
-    of the ops whose outputs left their reference."""
+    """{op key: Counter of row-passes by order, of stacked solves by kind,
+    of validate_data calls, of solver rounds and of objects built} over one
+    pass of the workload, and the keys of the ops whose outputs left their
+    reference."""
     workloads = _workloads()
     with open(ROOT / "perfbench" / "reference" / f"{workload}.json") as fh:
         reference = json.load(fh)["ops"]
     counts, current = {}, collections.Counter()
     kernel, solve = scoring._kernel, scoring._Objective.solve
     evaluate, newton_steps = scoring._Objective.__call__, scoring._newton_steps
+    fit_init, checked_new = scoring.Fit.__init__, vars(models._Checked)["__new__"]
 
     def counted(rule, data, theta, order=1):
         current[order] += len(theta) if np.ndim(theta) == 2 else 1
@@ -101,6 +106,14 @@ def count_passes(workload):
         current.update({"step solves": 1, "stepped rows": len(g)})
         return newton_steps(H, g)
 
+    def counted_fit(fit, *args, **kwargs):
+        current["Fit"] += 1
+        fit_init(fit, *args, **kwargs)
+
+    def counted_checked(cls, arrays, model):
+        current["_Checked"] += 1
+        return checked_new.__func__(cls, arrays, model)
+
     def counted_validation(original):
         def validate_data(model, data):
             current[VALIDATIONS] += 1
@@ -112,6 +125,7 @@ def count_passes(workload):
     scoring._Objective.solve = counted_solve
     scoring._Objective.__call__ = counted_evaluation
     scoring._newton_steps = counted_steps
+    scoring.Fit.__init__, models._Checked.__new__ = counted_fit, staticmethod(counted_checked)
     for cls, original in validators:
         cls.validate_data = counted_validation(original)
     mismatched = []
@@ -129,6 +143,7 @@ def count_passes(workload):
         scoring._Objective.solve = solve
         scoring._Objective.__call__ = evaluate
         scoring._newton_steps = newton_steps
+        scoring.Fit.__init__, models._Checked.__new__ = fit_init, checked_new
         for cls, original in validators:
             cls.validate_data = original
     return counts, mismatched
@@ -158,6 +173,8 @@ def main(argv=None):
     _table(counts, (VALIDATIONS,), (VALIDATIONS,))
     print("\nsolver rounds: stacked calls and the rows they carry")
     _table(counts, ROUNDS, ROUNDS, summed=False)
+    print("\nobjects built")
+    _table(counts, OBJECTS, OBJECTS, summed=False)
     for key in mismatched:
         print(f"outputs differ from the reference: {key}", file=sys.stderr)
     return 1 if mismatched else 0
