@@ -49,11 +49,13 @@ __all__ = [
 # A constrained score below the free optimum by more than W_TOL (1 + |S|)
 # means the free fit is not the optimum; a smaller dip is round-off.
 W_TOL = 1e-8
-# The profile's second wave starts from the Lagrange interpolant through this
-# many solved first-wave points around each grid point. Through 8, nearly
-# every second-wave row meets the solver's gradient stop at its start; a
-# cubic through 4 leaves a gradient of about 1e-6, and a Newton step.
-LAGRANGE_NODES = 8
+# A profile too large for one stack is solved at nested Chebyshev-Lobatto
+# levels of the grid's span, each holding the last level's nodes
+# (Trefethen 2013). It stops at the first level whose new nodes the last
+# level's interpolant reads within PROFILE_TOL (1 + |v|), v each node's
+# score, nu and nuisance in the solver's coordinates.
+PROFILE_LEVELS = (9, 17, 33, 65)
+PROFILE_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +135,9 @@ class ProfileTrace:
     lam_hat: np.ndarray          # (n_grid, d-1)
     score_profile: np.ndarray
     nu: np.ndarray
-    failed: np.ndarray           # bool flags for interpolated grid points
+    failed: np.ndarray           # bool flags for grid points whose own solve failed
+    n_nodes: int                 # points solved: the nodes, or the grid point by point
+    interp_error: float          # the last level's error estimate, or 0.0
 
 
 def _tangent_starts(model, data, fit_result, psi_grid):
@@ -153,59 +157,96 @@ def _tangent_starts(model, data, fit_result, psi_grid):
             positive, dlam / lam, dlam)), positive)
 
 
-def _lagrange_starts(nodes, z, at):
-    """The local Lagrange interpolant of z, a row per node of the sorted
-    nodes, at each point of at: through the LAGRANGE_NODES nodes around the
-    point, or all of them where there are fewer, the window clamped to the
-    ends."""
-    size = min(LAGRANGE_NODES, nodes.size)
-    lo = np.clip(np.searchsorted(nodes, at) - size // 2, 0, nodes.size - size)
-    window = lo[:, None] + np.arange(size)
-    x, off = nodes[window], ~np.eye(size, dtype=bool)
-    weights = (np.where(off, at[:, None, None] - x[:, None, :], 1.0).prod(-1)
-               / np.where(off, x[:, :, None] - x[:, None, :], 1.0).prod(-1))
-    return np.einsum("mj,mjk->mk", weights, z[window])
+def _lobatto(lo, hi, size):
+    """The size Chebyshev-Lobatto points of [lo, hi], hi first, both ends
+    exact. The points of size 2 m - 1 hold those of size m at their even
+    positions, bit for bit."""
+    x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(size) / (size - 1))
+    x[0], x[-1] = hi, lo
+    return x
+
+
+def _barycentric(nodes, values, at):
+    """The polynomial through values, a row per point of ``_lobatto`` nodes,
+    at each point of at: the barycentric formula of the second kind, with
+    weights (-1)^j halved at the ends (Berrut & Trefethen 2004); exactly the
+    node's row at a node."""
+    w = (-1.0) ** np.arange(nodes.size)
+    w[[0, -1]] *= 0.5
+    diff = at[:, None] - nodes
+    hit, node = np.nonzero(diff == 0)
+    diff[hit, node] = 1.0
+    c = w / diff
+    out = (c @ values) / c.sum(1)[:, None]
+    out[hit] = values[node]
+    return out
+
+
+def _lobatto_profile(rule, data, fit_result, lo, hi):
+    """The profile at the PROFILE_LEVELS nested Chebyshev-Lobatto levels of
+    [lo, hi], each level's new nodes one stack, the first started on the
+    continuation predictor and each later one from the last level's
+    interpolant. Returns (nodes, table, error) at the first level whose new
+    nodes the last level's interpolant reads within PROFILE_TOL: table a row
+    per node of its score, nu and nuisance in the solver's coordinates, and
+    error the largest |estimate - solved| / (1 + |solved|) at the new nodes.
+    Returns None where a node fails or no level meets the tolerance."""
+    model = rule.model
+    positive = model.lam_positive_mask(data)
+
+    def solve(at, lam0):
+        (_, score, lam, nu), failed, _ = _constrained_at(
+            rule, model.stack([data] * at.size), at, lam0)
+        return None if failed.any() else np.column_stack([score, nu, _to_z(lam, positive)])
+
+    nodes = _lobatto(lo, hi, PROFILE_LEVELS[0])
+    table = solve(nodes, _tangent_starts(model, data, fit_result, nodes))
+    for size in PROFILE_LEVELS[1:]:
+        if table is None:
+            return None
+        at = _lobatto(lo, hi, size)
+        estimate = _barycentric(nodes, table, at[1::2])
+        with np.errstate(over="ignore"):     # a start that overflows fails its row alone
+            lam0 = _from_z(estimate[:, 2:], positive)
+        solved = solve(at[1::2], lam0)
+        if solved is None:
+            return None
+        error = float(np.max(np.abs(estimate - solved) / (1.0 + np.abs(solved))))
+        # the last level's nodes are this level's even ones
+        nodes, table = at, np.insert(table, np.arange(1, nodes.size), solved, axis=0)
+        if error <= PROFILE_TOL:
+            return nodes, table, error
+    return None
 
 
 def profile(rule, data, psi_grid, fit_result):
-    """Constrained fits and nu along the interest grid, solved in two waves
-    of stacks. The first wave is one stack's worth of evenly spaced grid
-    points, both ends included, each started on the first-order
-    continuation predictor at the free fit; it is the whole grid where the
-    grid fits in one stack. The second wave starts every other point from
-    the local Lagrange interpolant through the LAGRANGE_NODES (8) solved
-    first-wave nuisances around it, in the solver's coordinates, or through
-    all of them where fewer are solved, or on the predictor where fewer
-    than four first-wave points were solved. Failed points are
-    interpolated from their neighbors and flagged. ``fit_result`` is the
-    free fit of rule to data, from which the predictor starts."""
+    """Constrained fits and nu along the interest grid. A grid that fits in
+    one stack is solved point by point, each point started on the
+    first-order continuation predictor at the free fit. A larger grid is
+    solved at the nested Chebyshev-Lobatto levels PROFILE_LEVELS of its
+    span (``_lobatto_profile``) and filled from the last level's
+    interpolant; where a node fails, or no level meets PROFILE_TOL, the
+    grid is solved point by point. A grid point whose own solve fails is
+    interpolated from its neighbors and flagged. ``fit_result`` is the free
+    fit of rule to data, from which the predictor starts."""
     model = rule.model
     data = model.one(data)
-    psi_grid = np.asarray(psi_grid, dtype=float)
-    if psi_grid.ndim != 1 or psi_grid.size < 2 or np.any(np.diff(psi_grid) <= 0):
-        raise DomainError("psi_grid must be a sorted 1-D grid")
-    starts = _tangent_starts(model, data, fit_result, psi_grid)
-    size = _chunks(psi_grid.size, model.nobs(data), starts.shape[1] + 1)[0].stop
-    first = np.round(np.linspace(0, psi_grid.size - 1, min(size, psi_grid.size))).astype(int)
-    rest = np.setdiff1d(np.arange(psi_grid.size), first)
-    # per grid point: the score, nu, then the nuisance
-    table = np.full((psi_grid.size, starts.shape[1] + 2), np.nan)
+    psi_grid = _checked_grid(psi_grid)
+    positive = model.lam_positive_mask(data)
     failed = np.zeros(psi_grid.size, dtype=bool)
-
-    def solve(at):
-        (_, score, lam, nu), failed[at], _ = _constrained_at(
-            rule, model.stack([data] * at.size), psi_grid[at], starts[at])
-        table[at] = np.column_stack([score, nu, lam])
-
-    solve(first)
-    if rest.size:
-        nodes = first[~failed[first]]
-        if nodes.size >= 4:
-            positive = model.lam_positive_mask(data)
-            with np.errstate(over="ignore"):     # a start that overflows fails its row alone
-                starts[rest] = _from_z(_lagrange_starts(psi_grid[nodes], _to_z(
-                    table[nodes, 2:], positive), psi_grid[rest]), positive)
-        solve(rest)
+    levels = (len(_chunks(psi_grid.size, model.nobs(data), positive.size + 1)) > 1
+              and _lobatto_profile(rule, data, fit_result, psi_grid[0], psi_grid[-1]))
+    if levels:
+        nodes, table, interp_error = levels
+        # per grid point: the score, nu, then the nuisance
+        table = _barycentric(nodes, table, psi_grid)
+        table[:, 2:] = _from_z(table[:, 2:], positive)
+        n_nodes = nodes.size
+    else:
+        (_, score, lam, nu), failed, _ = _constrained_at(
+            rule, model.stack([data] * psi_grid.size), psi_grid,
+            _tangent_starts(model, data, fit_result, psi_grid))
+        table, n_nodes, interp_error = np.column_stack([score, nu, lam]), psi_grid.size, 0.0
     if failed.any():
         warnings.warn(f"{int(failed.sum())} profile grid point(s) failed; "
                       "interpolating from neighbors", stacklevel=2)
@@ -217,8 +258,8 @@ def profile(rule, data, psi_grid, fit_result):
     score, nu, lam_hat = table[:, 0], table[:, 1], table[:, 2:]
     if np.any(nu <= 0):
         raise NumericsError("nonpositive nu along the profile")
-    return ProfileTrace(psi_grid=psi_grid, lam_hat=lam_hat,
-                        score_profile=score, nu=nu, failed=failed)
+    return ProfileTrace(psi_grid=psi_grid, lam_hat=lam_hat, score_profile=score, nu=nu,
+                        failed=failed, n_nodes=n_nodes, interp_error=interp_error)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +441,15 @@ def default_grid(psi_tilde, se_natural, interest_range, n_points=201, span=6.0):
     return np.concatenate([left, right])
 
 
+def _checked_grid(psi_grid):
+    """psi_grid as a float array; DomainError unless it is 1-D, strictly
+    increasing and of at least 2 points."""
+    psi_grid = np.asarray(psi_grid, dtype=float)
+    if psi_grid.ndim != 1 or psi_grid.size < 2 or not np.all(np.diff(psi_grid) > 0):
+        raise DomainError("psi_grid must be a strictly increasing 1-D grid of at least 2 points")
+    return psi_grid
+
+
 def build_cd(rule, data, kind, psi_grid=None, fit_result=None, n_grid=201,
              span=6.0):
     """Construct a confidence distribution of the requested kind.
@@ -427,7 +477,7 @@ def build_cd(rule, data, kind, psi_grid=None, fit_result=None, n_grid=201,
         psi_grid = default_grid(psi_tilde, se_natural, model.interest_range(),
                                 n_points=n_grid, span=span)
     else:
-        psi_grid = np.asarray(psi_grid, dtype=float)
+        psi_grid = _checked_grid(psi_grid)
         if psi_tilde < psi_grid[0] or psi_tilde > psi_grid[-1]:
             raise DomainError("supplied grid does not cover the interest estimate")
         if not np.any(np.isclose(psi_grid, psi_tilde, rtol=0, atol=1e-12)):

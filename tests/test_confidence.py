@@ -490,6 +490,24 @@ def test_supplied_grid_must_cover_estimate(two_sample_data, ts_fits):
         build_cd(fr.rule, two_sample_data, "banana", fit_result=fr)
 
 
+@pytest.mark.parametrize("kind", ["wald", "root"])
+def test_a_supplied_grid_must_be_a_strictly_increasing_line(two_sample_data, ts_fits, kind):
+    # Both kinds check the grid alike. An unsorted grid that holds the
+    # estimate once gave a Wald CD whose p-value at psi~ + 0.3 read 0.540
+    # where the exact Wald value is 0.168.
+    fr = ts_fits["log"]
+    psi = fr.psi_tilde
+    for grid in (psi + np.array([-1.0, 0.5, 0.0, -0.5, 1.0]),    # unsorted
+                 psi + np.array([-1.0, 0.0, 0.0, 1.0]),          # a repeated point
+                 psi + np.array([[-1.0, 0.0, 1.0]]),             # not 1-D
+                 np.array([psi])):                               # one point
+        with pytest.raises(DomainError, match="strictly increasing"):
+            build_cd(fr.rule, two_sample_data, kind, psi_grid=grid, fit_result=fr)
+    cd = build_cd(fr.rule, two_sample_data, kind, psi_grid=psi + np.linspace(-1.0, 1.0, 5),
+                  fit_result=fr)
+    assert np.all(np.diff(cd.psi_grid) > 0)
+
+
 # ---------------------------------------------------------------------------
 # sampling-distribution checks (Monte Carlo)
 # ---------------------------------------------------------------------------

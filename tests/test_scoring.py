@@ -667,17 +667,19 @@ def test_no_kernel_pass_after_a_solve(two_sample_data, cd_grid_auc_normal, kerne
     assert np.isfinite(gnorm[0])
     assert np.array_equal(gnorm, kept[0]) and np.array_equal(converged, kept[1])
 
-    # A profile on 1050 points: its 201 grid points are solved as stacks of
-    # at most STACK_ELEMENTS // (1050 * 4) rows, one solve each, and some
-    # rows stop on "step". nu comes from the analytic K and J, so every pass
-    # belongs to a solve.
+    # A profile on 1050 points: its 201 grid points take more than one
+    # stack, so it solves the Chebyshev-Lobatto levels of 9, 17 and 33
+    # nodes, the new nodes of each level one solve, and the rows of the
+    # first level stop on "step". nu comes from the analytic K and J, so
+    # every pass belongs to a solve.
     rule = ScoreRule.log(NormalAUC())
     fr = fit(rule, cd_grid_auc_normal)
     del calls[:], solves[:]
     grid = _default_profile_grid(fr)
     trace = confidence.profile(rule, cd_grid_auc_normal, grid, fit_result=fr)
-    assert not trace.failed.any() and len(solves) == len(scoring._chunks(grid.size, 1050, 4))
-    assert "step" in {reason for _, _, reasons in solves for reason in reasons}
+    assert not trace.failed.any() and trace.n_nodes == 33
+    assert [len(reasons) for _, _, reasons in solves] == [9, 8, 16]
+    assert "step" in set(solves[0][2])
     ends = [0] + [end for _, end, _ in solves]
     assert [entry for entry, _, _ in solves] == ends[:-1]
     assert sum(calls) == ends[-1]
@@ -685,10 +687,10 @@ def test_no_kernel_pass_after_a_solve(two_sample_data, cd_grid_auc_normal, kerne
 
 def test_warm_profile_takes_few_kernel_passes(cd_grid_auc_normal, kernel_calls):
     # exact curvature: a constrained fit started on the continuation
-    # predictor converges in a few Newton steps, on each row of the
-    # profile's first wave, and a second-wave row started on the 8-point
-    # interpolant meets the solver's stop at its start, in one pass; so
-    # under either rule
+    # predictor converges in a few Newton steps, on each node of the
+    # profile's first level, and a node of a later level started on the
+    # last level's interpolant meets the solver's stop in a pass or two;
+    # 33 nodes fix the 201-point grid, so under either rule
     calls, solves = kernel_calls
     model = NormalAUC()
     for rule in (ScoreRule.log(model), ScoreRule.tsallis(model, 1.23)):
@@ -696,31 +698,65 @@ def test_warm_profile_takes_few_kernel_passes(cd_grid_auc_normal, kernel_calls):
         del calls[:], solves[:]
         grid = _default_profile_grid(fr)
         trace = confidence.profile(rule, cd_grid_auc_normal, grid, fit_result=fr)
-        assert not trace.failed.any() and len(solves) == len(scoring._chunks(grid.size, 1050, 4))
-        assert sum(calls) / grid.size <= 1.6
+        assert not trace.failed.any() and len(solves) == 3 and trace.n_nodes == 33
+        assert 0.0 < trace.interp_error <= confidence.PROFILE_TOL
+        assert sum(calls) / grid.size <= 0.5
+
+
+def _cd_grid_rng(family):
+    return np.random.default_rng([20251017, 1, family, 0])
 
 
 @pytest.fixture(scope="module")
 def cd_grid_regression():
     """The benchmark's cd-grid regression input: 1000 rows, two covariates."""
-    rng = np.random.default_rng([20251017, 1, 3, 0])
+    rng = _cd_grid_rng(3)
     x1, x2 = rng.standard_normal(1000), rng.uniform(size=1000)
     y = 1.0 + 0.5 * x1 - 0.3 * x2 + rng.normal(0.0, 1.0, 1000)
     return LinearRegression(1).checked((y, np.column_stack([np.ones(1000), x1, x2])))
 
 
-@pytest.mark.parametrize("model,data_name", [(NormalAUC(), "cd_grid_auc_normal"),
-                                             (LinearRegression(1), "cd_grid_regression")])
+@pytest.fixture(scope="module")
+def cd_grid_two_sample_normal():
+    """The benchmark's cd-grid two-sample normal input: 350 + 700 points."""
+    rng = _cd_grid_rng(0)
+    return TwoSampleNormal().checked((rng.normal(2.0, 1.0, 350), rng.normal(0.0, 1.5, 700)))
+
+
+@pytest.fixture(scope="module")
+def cd_grid_auc_exponential():
+    """The benchmark's cd-grid exponential AUC input: 350 + 700 points with
+    P(X1 < X2) = 0.85."""
+    rng, lam2 = _cd_grid_rng(1), 2.0 / 3.0
+    lam1 = 0.85 * lam2 / 0.15
+    return ExponentialAUC().checked((rng.exponential(1.0 / lam1, 350),
+                                     rng.exponential(1.0 / lam2, 700)))
+
+
+@pytest.fixture(scope="module")
+def cd_grid_expfam_gamma():
+    """The benchmark's cd-grid exponential-family input: 1000 Gamma(3, 2)
+    draws."""
+    return expfam_gamma().checked(_cd_grid_rng(4).gamma(3.0, 0.5, 1000))
+
+
+@pytest.mark.parametrize("model,data_name", [
+    (NormalAUC(), "cd_grid_auc_normal"), (LinearRegression(1), "cd_grid_regression"),
+    (TwoSampleNormal(), "cd_grid_two_sample_normal"),
+    (ExponentialAUC(), "cd_grid_auc_exponential"), (expfam_gamma(), "cd_grid_expfam_gamma")])
 @pytest.mark.parametrize("gamma", [None, 1.23])
 def test_two_wave_profile_equals_a_single_wave(request, model, data_name, gamma):
-    # the second wave starts from the 8-point interpolant of the first, and
-    # lands where the whole grid started on the continuation predictor does
+    # On each of the benchmark's cd-grid inputs, the profile filled from the
+    # Chebyshev-Lobatto interpolant lands where the whole grid, solved point
+    # by point from the continuation predictor, does: its score, nu and
+    # root pivot.
     data = request.getfixturevalue(data_name)
     rule = ScoreRule.log(model) if gamma is None else ScoreRule.tsallis(model, gamma)
     fr = fit(rule, data)
     grid = _default_profile_grid(fr)
-    assert len(scoring._chunks(grid.size, model.nobs(data), 4)) > 1
+    assert len(scoring._chunks(grid.size, model.nobs(data), fr.theta_hat.size)) > 1
     trace = confidence.profile(rule, data, grid, fit_result=fr)
+    assert trace.n_nodes in confidence.PROFILE_LEVELS and trace.n_nodes < grid.size
     starts = confidence._tangent_starts(model, data, fr, grid)
     (_, score, _, nu), failed, _ = confidence._constrained_at(
         rule, model.stack([data] * grid.size), grid, starts)
@@ -728,52 +764,98 @@ def test_two_wave_profile_equals_a_single_wave(request, model, data_name, gamma)
     assert not trace.failed.any()
     np.testing.assert_allclose(trace.score_profile, score, rtol=1e-10, atol=0)
     np.testing.assert_allclose(trace.nu, nu, rtol=1e-8, atol=0)
+    pivots = [confidence._signed_root(fr.psi_tilde, fr.score_at_opt, grid, s, v)
+              for s, v in ((trace.score_profile, trace.nu), (score, nu))]
+    np.testing.assert_allclose(*pivots, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("n_nodes", [4, 5, 7, 8, 20])
 def test_lagrange_starts_reproduce_polynomials_through_their_window(n_nodes):
-    # The window holds min(8, n_nodes) nodes, so the interpolant reproduces
-    # every polynomial of degree below that, at interior points and in the
-    # windows clamped to either end, with the nodes unevenly spaced as where
-    # a first-wave point failed.
+    # A later level starts from the last level's Lagrange interpolant in
+    # barycentric form, whose window is all of that level's nodes: through
+    # N + 1 Chebyshev-Lobatto nodes it reproduces every polynomial of degree
+    # at most N, between the nodes, near them and at them, and no
+    # polynomial of degree N + 1.
+    # The polynomials are Chebyshev series in the span's coordinate, which
+    # evaluate them to round-off at degree 19 where a power series does not.
     rng = np.random.default_rng(n_nodes)
-    nodes = np.sort(rng.uniform(-1.0, 1.0, n_nodes))
-    at = np.r_[np.linspace(nodes[0], nodes[-1], 41), nodes[1:] - 1e-3]
-    degree = min(8, n_nodes) - 1
-    coef = rng.standard_normal((degree + 1, 3))
-    z = np.polynomial.polynomial.polyval(nodes, coef).T
-    want = np.polynomial.polynomial.polyval(at, coef).T
-    got = confidence._lagrange_starts(nodes, z, at)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    # one degree more is out of the window's reach
+    nodes = confidence._lobatto(-0.3, 1.7, n_nodes)
+    at = np.r_[np.linspace(-0.3, 1.7, 41), nodes[1:] - 1e-3, nodes]
+
+    def poly(x, coef):
+        return np.polynomial.chebyshev.chebval(x - 0.7, coef).T
+
+    coef = rng.standard_normal((n_nodes, 3))
+    got = confidence._barycentric(nodes, poly(nodes, coef), at)
+    np.testing.assert_allclose(got, poly(at, coef), rtol=0, atol=1e-12)
+    assert np.array_equal(got[-n_nodes:], poly(nodes, coef))
+    # one degree more is out of its reach
     coef = np.vstack([coef, np.ones(3)])
-    got = confidence._lagrange_starts(nodes, np.polynomial.polynomial.polyval(nodes, coef).T, at)
-    assert np.abs(got - np.polynomial.polynomial.polyval(at, coef).T).max() > 1e-6
+    got = confidence._barycentric(nodes, poly(nodes, coef), at)
+    assert np.abs(got - poly(at, coef)).max() > 1e-6
+
+
+def test_lobatto_levels_are_nested():
+    # each level holds the last level's nodes at its even positions, bit for
+    # bit, so a node is solved once; both ends are the span's ends
+    lo, hi = 0.6612345, 0.8598765
+    levels = [confidence._lobatto(lo, hi, size) for size in confidence.PROFILE_LEVELS]
+    for coarse, fine in zip(levels, levels[1:]):
+        assert np.array_equal(fine[::2], coarse)
+    assert all(x[0] == hi and x[-1] == lo and np.all(np.diff(x) < 0) for x in levels)
 
 
 @pytest.mark.parametrize("n_failed", [1, "all but three"])
 def test_a_failed_first_wave_point_is_dropped_from_the_interpolant(
-        cd_grid_auc_normal, monkeypatch, n_failed):
-    # With one failed first-wave point the rest start from the 8-point
-    # interpolant of the others; with fewer than four solved, on the
-    # predictor. Either way only the failed points are flagged.
+        cd_grid_auc_normal, monkeypatch, kernel_calls, n_failed):
+    # A failed node of the first level, one or all but three of them, drops
+    # the interpolant: the whole grid is solved point by point from the
+    # predictor, and only the grid points whose own solve fails (here one
+    # planted off the nodes, and those of the lost nodes that are grid
+    # points, the grid's ends among them) are flagged.
+    _, solves = kernel_calls
     rule = ScoreRule.tsallis(NormalAUC(), 1.23)
     fr = fit(rule, cd_grid_auc_normal)
     grid = _default_profile_grid(fr)
-    size = scoring._chunks(grid.size, 1050, 4)[0].stop
-    first = np.round(np.linspace(0, grid.size - 1, size)).astype(int)
-    lost = first[5:6] if n_failed == 1 else np.delete(first, [0, 15, -1])
+    nodes = confidence._lobatto(grid[0], grid[-1], confidence.PROFILE_LEVELS[0])
+    lost = np.r_[nodes[2:3] if n_failed == 1 else np.delete(nodes, [1, 4, 6]), grid[37]]
     constrained_solve = confidence._constrained_solve
 
     def failing(objective, lam0):
-        # a planted failure: the rows at the lost grid points do not converge
+        # a planted failure: the rows at the lost interest values do not converge
         theta, score, lam, converged = constrained_solve(objective, lam0)
-        return theta, score, lam, converged & ~np.isin(objective.psi, grid[lost])
+        return theta, score, lam, converged & ~np.isin(objective.psi, lost)
 
     monkeypatch.setattr(confidence, "_constrained_solve", failing)
-    with pytest.warns(UserWarning, match=f"{lost.size} profile grid point"):
+    del solves[:]
+    flagged = np.flatnonzero(np.isin(grid, lost))
+    assert 37 in flagged and (n_failed == 1 or {0, 200} <= set(flagged))
+    with pytest.warns(UserWarning, match=f"{flagged.size} profile grid point"):
         trace = confidence.profile(rule, cd_grid_auc_normal, grid, fit_result=fr)
-    np.testing.assert_array_equal(np.flatnonzero(trace.failed), lost)
+    np.testing.assert_array_equal(np.flatnonzero(trace.failed), flagged)
+    assert (trace.n_nodes, trace.interp_error) == (grid.size, 0.0)
+    # the first level, then the grid in its stacks
+    assert [len(reasons) for _, _, reasons in solves] == [9] + [
+        len(range(grid.size)[at]) for at in scoring._chunks(grid.size, 1050, 4)]
+
+
+def test_a_profile_that_never_meets_the_tolerance_is_solved_point_by_point(
+        cd_grid_auc_normal, monkeypatch):
+    # No level meets a tolerance of 0: after the 65-node level, the grid is
+    # solved as a grid that fits in one stack is, point by point from the
+    # predictor, bit for bit
+    rule = ScoreRule.tsallis(NormalAUC(), 1.23)
+    model, fr = rule.model, fit(rule, cd_grid_auc_normal)
+    grid = _default_profile_grid(fr)
+    monkeypatch.setattr(confidence, "PROFILE_TOL", 0.0)
+    trace = confidence.profile(rule, cd_grid_auc_normal, grid, fit_result=fr)
+    (_, score, lam, nu), failed, _ = confidence._constrained_at(
+        rule, model.stack([cd_grid_auc_normal] * grid.size), grid,
+        confidence._tangent_starts(model, cd_grid_auc_normal, fr, grid))
+    assert not failed.any() and not trace.failed.any()
+    assert (trace.n_nodes, trace.interp_error) == (grid.size, 0.0)
+    for got, want in ((trace.score_profile, score), (trace.nu, nu), (trace.lam_hat, lam)):
+        assert np.array_equal(got, want)
 
 
 def test_profile_memory_is_a_few_chunk_arrays(cd_grid_auc_normal):

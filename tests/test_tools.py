@@ -48,17 +48,18 @@ def test_code_size_counts(tmp_path, capsys):
     assert rows == {"a": (7, 4), "b": (1, 0), "total": (8, 4)}
 
 
-@pytest.mark.parametrize("workload, solves, row_passes, validations, rounds, objects", [
-    ("cd-grid", 68, 3450, 10, (114, 2949, 77, 1559), (10, 195)),     # 3353 row-passes measured
-    ("study", 60, 3780, 372, (404, 3735, 258, 2638), (0, 547)),      # 3669 measured
-    ("robustness", 96, 2670, 288, (300, 1301, 204, 871), (24, 756)),  # 2590 measured
+@pytest.mark.parametrize("workload, solves, row_passes, validations, rounds, objects, nodes", [
+    ("cd-grid", 39, 700, 10, (92, 592, 65, 413), (10, 155), 314),    # 660 row-passes measured
+    ("study", 60, 3780, 372, (404, 3735, 258, 2638), (0, 547), 0),   # 3669 measured
+    ("robustness", 96, 2670, 288, (300, 1301, 204, 871), (24, 756), 0),  # 2590 measured
 ], ids=["cd-grid", "study", "robustness"])
 def test_workload_pass_counts(monkeypatch, workload, solves, row_passes, validations, rounds,
-                              objects):
+                              objects, nodes):
     # One pass of each workload: its stacked solves and its validate_data
     # calls exactly, and a bound on its kernel row-passes a little above
-    # those measured. On cd-grid the second wave of each profile starts on
-    # the 8-point interpolant; on robustness one fit's diagnostics share
+    # those measured. On cd-grid each profile solves the nested
+    # Chebyshev-Lobatto levels 9, 17 and 33 (17 alone for the log-score
+    # regression), 314 nodes in all; on robustness one fit's diagnostics share
     # their solves; checked data, a stack among them, are never validated
     # again. The solver's rounds are pinned exactly: its stacked objective
     # evaluations and Newton-step solves, and the rows each carries, so a
@@ -80,3 +81,4 @@ def test_workload_pass_counts(monkeypatch, workload, solves, row_passes, validat
     assert total[kernel_passes.VALIDATIONS] == validations
     assert tuple(total[key] for key in kernel_passes.ROUNDS) == rounds
     assert tuple(total[key] for key in kernel_passes.OBJECTS) == objects
+    assert total[kernel_passes.NODES] == nodes

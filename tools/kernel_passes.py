@@ -13,7 +13,9 @@ objects built: ``scoring.Fit`` objects and checked data
 (``models._Checked``: a checked dataset, a stack or the rows taken from
 one). A kernel call on one dataset is one row-pass and a call on a stack
 one per row; a solve is one however many rows its stack holds; data a
-model has checked are not validated again. The counts do not depend on the machine, so they
+model has checked are not validated again. Last come the points each
+``confidence.profile`` solved: its Chebyshev-Lobatto nodes, or its grid
+where it was solved point by point. The counts do not depend on the machine, so they
 compare two versions of the program where wall times are too noisy to.
 
 Run from the repository root:
@@ -46,7 +48,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import robustcd  # noqa: E402
 import robustcd.cli  # noqa: E402
-from robustcd import expfam, models, scoring  # noqa: E402
+from robustcd import confidence, expfam, models, scoring  # noqa: E402
 
 ORDERS = (0, 1, 2)
 SOLVES = ("free", "constrained", "free-mixture", "constrained-mixture")
@@ -54,6 +56,7 @@ VALIDATIONS = "validate_data"
 # (stacked calls, rows they carry) of the objective and of the Newton steps
 ROUNDS = ("evaluations", "evaluated rows", "step solves", "stepped rows")
 OBJECTS = ("Fit", "_Checked")
+NODES = "profile nodes"
 
 
 def _validators():
@@ -79,7 +82,8 @@ def _solve_kind(objective):
 
 def count_passes(workload):
     """{op key: Counter of row-passes by order, of stacked solves by kind,
-    of validate_data calls, of solver rounds and of objects built} over one
+    of validate_data calls, of solver rounds, of objects built and of
+    profile nodes solved} over one
     pass of the workload, and the keys of the ops whose outputs left their
     reference."""
     workloads = _workloads()
@@ -89,6 +93,7 @@ def count_passes(workload):
     kernel, solve = scoring._kernel, scoring._Objective.solve
     evaluate, newton_steps = scoring._Objective.__call__, scoring._newton_steps
     fit_init, checked_new = scoring.Fit.__init__, vars(models._Checked)["__new__"]
+    profile = confidence.profile
 
     def counted(rule, data, theta, order=1):
         current[order] += len(theta) if np.ndim(theta) == 2 else 1
@@ -114,6 +119,11 @@ def count_passes(workload):
         current["_Checked"] += 1
         return checked_new.__func__(cls, arrays, model)
 
+    def counted_profile(*args, **kwargs):
+        trace = profile(*args, **kwargs)
+        current[NODES] += trace.n_nodes
+        return trace
+
     def counted_validation(original):
         def validate_data(model, data):
             current[VALIDATIONS] += 1
@@ -126,6 +136,7 @@ def count_passes(workload):
     scoring._Objective.__call__ = counted_evaluation
     scoring._newton_steps = counted_steps
     scoring.Fit.__init__, models._Checked.__new__ = counted_fit, staticmethod(counted_checked)
+    confidence.profile = counted_profile
     for cls, original in validators:
         cls.validate_data = counted_validation(original)
     mismatched = []
@@ -144,6 +155,7 @@ def count_passes(workload):
         scoring._Objective.__call__ = evaluate
         scoring._newton_steps = newton_steps
         scoring.Fit.__init__, models._Checked.__new__ = fit_init, checked_new
+        confidence.profile = profile
         for cls, original in validators:
             cls.validate_data = original
     return counts, mismatched
@@ -175,6 +187,8 @@ def main(argv=None):
     _table(counts, ROUNDS, ROUNDS, summed=False)
     print("\nobjects built")
     _table(counts, OBJECTS, OBJECTS, summed=False)
+    print("\nprofile nodes solved")
+    _table(counts, (NODES,), (NODES,), summed=False)
     for key in mismatched:
         print(f"outputs differ from the reference: {key}", file=sys.stderr)
     return 1 if mismatched else 0
