@@ -70,7 +70,9 @@ def constrained_fit(rule, data, psi, lam0=None):
     model = rule.model
     data = model.one(data)
     if lam0 is None:
-        lam0 = model.profile_extract(model.default_start(data))
+        start = model.default_start(data)
+        model.require_domain(start)
+        lam0 = model.profile_extract(start)
     objective = _Objective(rule, model.stack([data]), np.array([psi], dtype=float))
     return tuple(a[0] for a in _constrained_solve(objective, np.asarray(lam0, dtype=float)[None]))
 

@@ -244,6 +244,13 @@ def _mad_scale(y):
     return med, np.where(s > 0, s, np.where(std > 0, std, 1.0))
 
 
+def _spread(y, var):
+    """var, a start's variance per sample, with 0, outside the admissible
+    set, for a sample whose values are all equal: a fit from it is given up
+    where a positive start would only drive the variance to zero."""
+    return np.where(np.ptp(y, axis=-1) > 0, var, 0.0)
+
+
 def _fd_jacobian(func, x, rel_step=1e-6):
     """Central-difference Jacobian of ``func`` at the float array ``x``: one
     column per coordinate j, with step rel_step (1 + |x_j|). ``func`` maps a
@@ -668,13 +675,13 @@ class TwoSampleNormal(_TwoSampleBase):
         x, y = data
         mx, sx = _mad_scale(x)
         my, sy = _mad_scale(y)
-        return np.stack([mx, my, _pow(sx, 2), _pow(sy, 2)], axis=-1)
+        return np.stack([mx, my, _spread(x, _pow(sx, 2)), _spread(y, _pow(sy, 2))], axis=-1)
 
     def mle_start(self, data):
         _require_both_samples(data)
         x, y = data
-        return np.stack([x.mean(axis=-1), y.mean(axis=-1), np.maximum(x.var(axis=-1), 1e-12),
-                         np.maximum(y.var(axis=-1), 1e-12)], axis=-1)
+        return np.stack([x.mean(axis=-1), y.mean(axis=-1), _spread(x, x.var(axis=-1)),
+                         _spread(y, y.var(axis=-1))], axis=-1)
 
     def sample(self, theta, sizes, rng, *, design=None):
         mx, my, vx, vy = theta

@@ -495,22 +495,24 @@ def minimize_smooth(fun, z0):
     alone being a stack of one, and a row that fails alone is +inf there,
     with the verdict (inf, False). Each row runs its own iteration: it
     solves for the Newton step, with the Hessian's spectrum shifted where
-    it is not safely positive definite, and halves it until the trial
-    point passes the Armijo test, or lowers ||g|| where f is flat to
-    round-off (F_NOISE). The rows' state is held in arrays with a row axis,
-    and a round is three steps: it solves the Newton systems of the rows
-    at a new point in one batch, evaluates every pending trial point in one
-    call of fun, and applies the tests below to them as masked updates; a
-    row that has stopped is not evaluated again. Returns (z, value, n_iter,
-    reason, ||g||, converged), each with the row axis, z being each row's
-    last accepted point and the verdict what fun returned with it. reason
-    names why a row stopped:
+    it is not safely positive definite, cuts it to at most 1 + ||z|| long
+    (``_bounded``), and halves it until the trial point passes the Armijo
+    test, or lowers ||g|| where f is flat to round-off (F_NOISE). The rows'
+    state is held in arrays with a row axis, and a round is three steps: it
+    solves the Newton systems of the rows at a new point in one batch,
+    evaluates every pending trial point in one call of fun, and applies the
+    tests below to them as masked updates; a row that has stopped is not
+    evaluated again. Returns (z, value, n_iter, reason, ||g||, converged),
+    each with the row axis, z being each row's last accepted point and the
+    verdict what fun returned with it. reason names why a row stopped:
 
     * "gradient": ||g|| <= SOLVER_GTOL, and the verdict holds or ||g|| has
       stopped falling;
     * "step": the Newton step, or a backtracked trial step, is shorter than
       STEP_FLOOR (1 + ||z||);
-    * "no_decrease": 40 backtracks found no acceptable point;
+    * "no_decrease": 40 backtracks found no acceptable point. A finite
+      step, at most 1 + ||z|| long, reaches the step floor within 34, so
+      only a step that is not finite stops here;
     * "singular": the Newton system could not be solved;
     * "not_finite": the objective is not finite at z0;
     * "max_iter": MAX_ITER iterations ran out.
@@ -541,8 +543,9 @@ def minimize_smooth(fun, z0):
                 stop(rows[failed], "singular")
                 rows = rows[~failed]
         if rows.size:
+            dz, scale = _bounded(dz, z[rows])
             step[rows], step_len[rows], slope[rows] = dz, _norm(dz), np.vecdot(g[rows], dz)
-            floor[rows] = STEP_FLOOR * (1.0 + _norm(z[rows]))
+            floor[rows] = STEP_FLOOR * scale
             # the iteration counts once its step is taken or the row stops on it
             t[rows], n_iter[rows] = 1.0, n_iter[rows] + 1
             stop(rows[step_len[rows] <= floor[rows]], "step")
@@ -580,6 +583,14 @@ def _evaluated(fun, z, rows):
     for a, b in zip(filled, out or ()):
         a[~failed] = b
     return filled
+
+
+def _bounded(dz, z):
+    """(the steps dz, each cut to at most 1 + ||z|| long, and 1 + ||z||), a
+    row per point z: a shifted Newton step can be some 1e7 long, and its
+    trial points would overflow the score."""
+    scale = 1.0 + _norm(z)
+    return dz * (scale / np.maximum(_norm(dz), scale))[:, None], scale
 
 
 def _newton_steps(H, g):

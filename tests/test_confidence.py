@@ -585,15 +585,20 @@ def test_a_sample_with_zero_mad_fits_and_converges():
         assert np.isfinite(fr.V).all() and (fr.theta_hat[2:] > 0).all(), rule.label()
 
 
-def test_a_constant_sample_raises_a_singular_k():
-    # a constant sample drives its variance to zero: the fit cannot form
-    # K, and says so
+def test_a_constant_sample_is_given_up_at_its_start():
+    # a constant sample has no spread, so both starts give it a variance
+    # of 0, outside the admissible set: the fit raises there, where a
+    # positive start would only drive the variance toward zero. Ten 0.3s
+    # have a standard deviation of round-off, not 0, and no spread.
     m = TwoSampleNormal()
     y = np.random.default_rng(6).normal(0.0, 1.0, 10)
     for rule in _rules(m):
-        for data in ((np.full(10, 2.0), y), (np.full(10, 2.0), np.full(10, 1.0))):
-            with pytest.raises(NumericsError, match="sensitivity matrix K is numerically singular"):
+        for data in ((np.full(10, 2.0), y), (np.full(10, 2.0), np.full(10, 1.0)),
+                     (np.full(10, 0.3), y)):
+            with pytest.raises(DomainError, match="starting value outside the admissible set"):
                 fit(rule, data)
+    with pytest.raises(DomainError, match="outside admissible set"):
+        constrained_fit(ScoreRule.tsallis(m, 1.2), (np.full(10, 2.0), y), 1.0)
 
 
 def test_two_points_per_sample_give_a_closed_root_interval():

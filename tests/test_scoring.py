@@ -207,9 +207,11 @@ def _stop_case(kind, z):
         converged = kind == "gradient"
         return float(z @ z), 2.0 * z, 2.0 * np.eye(z.size), np.linalg.norm(2.0 * z), converged
     if kind == "no_decrease":
-        # f rises along every step: the gradient's sign is wrong and the
-        # curvature is small, so the step stays long while it is halved
-        return float(z.sum()), -np.ones_like(z), 1e-3 * np.eye(z.size), 1.0, False
+        # a gradient that is not finite gives a step that is not finite, so
+        # no trial point is finite and no step floor is reached: only the
+        # 40-backtrack cap stops the row (a finite step, at most 1 + ||z||
+        # long, reaches the floor within 34 backtracks and stops for "step")
+        return float(z.sum()), np.full_like(z, np.nan), 1e-3 * np.eye(z.size), 1.0, False
     if kind == "singular":
         return float(z @ z), 2.0 * z, np.zeros((z.size, z.size)), np.linalg.norm(2.0 * z), False
     if kind == "not_finite":
@@ -285,6 +287,45 @@ def test_newton_steps_shift_a_spectrum_small_next_to_its_largest():
     steps = scoring._newton_steps(np.stack([H, 2.0 * np.eye(2)]),
                                   np.array([[1.0, -1.0], [1.0, 1.0]]))
     assert np.array_equal(steps[0], step) and np.array_equal(steps[1], [-0.5, -0.5])
+
+
+def _double_well(z, rows):
+    """sum_j z_j^4 / 4 - z_j^2 / 2 per row, its minima at {-1, 1}^d and its
+    Hessian indefinite where some |z_j| < 3^-1/2, with the verdict
+    ||g|| <= 1e-8."""
+    g = z ** 3 - z
+    H = np.eye(z.shape[1]) * (3 * z ** 2 - 1)[:, None]
+    gnorm = np.linalg.norm(g, axis=1)
+    return (z ** 4 / 4 - z ** 2 / 2).sum(axis=1), g, H, gnorm, gnorm <= 1e-8
+
+
+def test_every_step_is_at_most_one_plus_the_norm_of_z_long(monkeypatch):
+    # Rows 0 and 1 start where the double well's Hessian is negative
+    # definite, so their shifted Newton steps are some 1e7 long; row 2
+    # starts where it is convex. The solve accepts no step longer than
+    # 1 + ||z||, rows 0 and 1 take steps of that length, and each row ends,
+    # bit for bit, where it ends alone. The accepted points are read off by
+    # capping the iterations at k = 1, 2, ...
+    z0 = np.array([[0.1, -0.05], [0.2, 0.1], [2.0, -3.0]])
+    _, g0, H0, _, _ = _double_well(z0, np.arange(3))
+    assert (np.linalg.eigvalsh(H0)[:2, -1] < 0).all() and (np.linalg.eigvalsh(H0)[2] > 0).all()
+    assert (scoring._norm(scoring._newton_steps(H0[:2], g0[:2])) > 1e6).all()
+    out = minimize_smooth(_double_well, z0)
+    assert list(out[3]) == ["gradient"] * 3
+    assert np.allclose(np.abs(out[0]), 1.0, rtol=0.0, atol=1e-9)
+    for r in range(3):
+        alone = minimize_smooth(_double_well, z0[r:r + 1])
+        assert np.array_equal(out[0][r], alone[0][0])
+        assert [a[r] for a in out[1:]] == [a[0] for a in alone[1:]]
+    path = [z0]
+    for k in range(1, out[2].max() + 1):
+        monkeypatch.setattr(scoring, "MAX_ITER", k)
+        path.append(minimize_smooth(_double_well, z0)[0])
+    path = np.array(path)                           # (iterations + 1, rows, 2)
+    steps, bound = scoring._norm(np.diff(path, axis=0)), 1.0 + scoring._norm(path[:-1])
+    assert (steps <= bound * (1.0 + 1e-12)).all()
+    at_bound = np.isclose(steps, bound, rtol=1e-12, atol=0.0).any(axis=0)
+    assert list(at_bound) == [True, True, False]
 
 
 def test_fit_gives_up_a_row_whose_start_cannot_be_scored():
@@ -1104,13 +1145,15 @@ def test_a_record_is_the_verdict_at_its_point(all_models, gamma):
 def test_minimize_smooth_solves_each_row_of_a_stack_as_alone():
     # Three rows: one converges from the default start, one starts where the
     # log-variance overflows (not finite), and one starts at a variance of
-    # 1e-6, whose Newton steps overflow at trial points before converging.
+    # 1e-6 with its second mean 300 from its sample. That mean makes ||z||
+    # about 300, so steps bounded by 1 + ||z|| still send trial points to
+    # log-variances where the score overflows before the row converges.
     m = TwoSampleNormal()
     rule = ScoreRule.tsallis(m, 1.23)
     rng = np.random.default_rng(3)
     datasets = [m.checked((rng.normal(2, 1, 10), rng.normal(0, 1, 20))) for _ in range(3)]
     starts = [m.default_start(datasets[0]), np.array([2.0, 0.0, 1.0, 1.0]),
-              np.array([2.0, 0.0, 1e-6, 1.0])]
+              np.array([2.0, 300.0, 1e-6, 1.0])]
     objective = _Objective(rule, m.stack(datasets))
     z0 = _to_z(np.stack(starts), objective.positive)
     z0[1, 2] = 800.0

@@ -48,13 +48,26 @@ def test_code_size_counts(tmp_path, capsys):
     assert rows == {"a": (7, 4), "b": (1, 0), "total": (8, 4)}
 
 
-@pytest.mark.parametrize("workload, solves, row_passes, validations, rounds, objects, nodes", [
-    ("cd-grid", 39, 700, 10, (92, 592, 65, 413), (10, 155), 314),    # 660 row-passes measured
-    ("study", 60, 3780, 372, (404, 3735, 258, 2638), (0, 547), 0),   # 3669 measured
-    ("robustness", 96, 2670, 288, (300, 1301, 204, 871), (24, 756), 0),  # 2590 measured
-], ids=["cd-grid", "study", "robustness"])
+def _pass_counts(monkeypatch, workload):
+    """The tool's counts over one pass of the workload, in total."""
+    # the tool sets these and prepends its source path; restored after the test
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    kernel_passes = _load("kernel_passes")
+    counts, mismatched = kernel_passes.count_passes(workload)
+    assert mismatched == []
+    return kernel_passes, sum(counts.values(), collections.Counter())
+
+
+@pytest.mark.parametrize(
+    "workload, solves, row_passes, validations, rounds, mechanism, objects, nodes", [
+        ("cd-grid", 39, 700, 10, (92, 592, 65, 413), (0, 0, 0), (10, 155), 314),  # 660 measured
+        ("study", 60, 3660, 372, (297, 3555, 237, 2637), (1, 16, 0), (0, 440), 0),  # 3555
+        ("robustness", 96, 2670, 288, (300, 1301, 204, 871), (0, 0, 0), (24, 756), 0),  # 2590
+    ], ids=["cd-grid", "study", "robustness"])
 def test_workload_pass_counts(monkeypatch, workload, solves, row_passes, validations, rounds,
-                              objects, nodes):
+                              mechanism, objects, nodes):
     # One pass of each workload: its stacked solves and its validate_data
     # calls exactly, and a bound on its kernel row-passes a little above
     # those measured. On cd-grid each profile solves the nested
@@ -63,22 +76,36 @@ def test_workload_pass_counts(monkeypatch, workload, solves, row_passes, validat
     # their solves; checked data, a stack among them, are never validated
     # again. The solver's rounds are pinned exactly: its stacked objective
     # evaluations and Newton-step solves, and the rows each carries, so a
-    # change to the solver takes the same rounds with the same stacks. The
-    # Fit objects and the checked data made are pinned too: a stack's fits
-    # and pivots are arrays, so a study builds no Fit per replicate. The
-    # counts do not depend on the machine, so this checks the warm starts,
-    # the shared solves, the checks and the rounds without a timing.
-    # the tool sets these and prepends its source path; restored after the test
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
-    monkeypatch.setattr(sys, "path", sys.path[:])
-    kernel_passes = _load("kernel_passes")
-    counts, mismatched = kernel_passes.count_passes(workload)
-    assert mismatched == []
-    total = sum(counts.values(), collections.Counter())
+    # change to the solver takes the same rounds with the same stacks. So
+    # are its shifted Newton steps, the steps cut to 1 + ||z|| and the rows
+    # that fail alone: with the cut, no trial point of a study pass
+    # overflows (2 shifted steps cost 32 rows failing alone without it).
+    # The Fit objects and the checked data made are pinned too: a stack's
+    # fits and pivots are arrays, so a study builds no Fit per replicate.
+    # The counts do not depend on the machine, so this checks the warm
+    # starts, the shared solves, the checks and the rounds without a timing.
+    kernel_passes, total = _pass_counts(monkeypatch, workload)
     assert sum(total[kind] for kind in kernel_passes.SOLVES) == solves
     assert sum(total[order] for order in kernel_passes.ORDERS) <= row_passes
     assert total[kernel_passes.VALIDATIONS] == validations
     assert tuple(total[key] for key in kernel_passes.ROUNDS) == rounds
+    assert tuple(total[key] for key in kernel_passes.MECHANISM) == mechanism
     assert tuple(total[key] for key in kernel_passes.OBJECTS) == objects
     assert total[kernel_passes.NODES] == nodes
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workload, rounds, mechanism", [
+    ("criterion-2-clean", (75, 31779, 65, 23626), (90, 155, 0)),
+    ("criterion-2-contaminated", (75, 32255, 65, 23692), (122, 269, 0)),
+])
+def test_criterion_2_counts(monkeypatch, workload, rounds, mechanism):
+    # The paper-scale studies of criterion 2, 2000 replicates each: the
+    # solver's rounds, and its shifted Newton steps, the steps cut to
+    # 1 + ||z|| and the rows that fail alone. Without the cut, the long
+    # shifted steps sent trial points past where the score overflows, and
+    # each such round halved its stack until 1247 rows (clean) and 1781
+    # rows (contaminated) failed alone, in 7020 and 9567 objective calls.
+    kernel_passes, total = _pass_counts(monkeypatch, workload)
+    assert tuple(total[key] for key in kernel_passes.ROUNDS) == rounds
+    assert tuple(total[key] for key in kernel_passes.MECHANISM) == mechanism

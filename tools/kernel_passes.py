@@ -1,6 +1,7 @@
 """Kernel row-passes and stacked solves of one pass of a benchmark workload.
 
-Runs every op of one pass of a ``perfbench`` workload in this process, with
+Runs every op of one pass of a ``perfbench`` workload, or one criterion-2
+study of the acceptance suite, in this process, with
 ``robustcd.scoring._kernel``, ``_Objective.solve`` and every model's
 ``validate_data`` wrapped, and prints for each op and in total the kernel
 row-passes by ``order`` (0: terms, 1: with gradients, 2: with the
@@ -9,6 +10,10 @@ constrained at a psi, free eps-mixture, constrained eps-mixture), then the
 ``validate_data`` calls, then the solver's rounds: the stacked objective
 evaluations (``_Objective.__call__``) and the rows they carry, and the
 stacked Newton-step solves (``_newton_steps``) and their rows, then the
+solver's mechanism: the Newton steps whose Hessian's spectrum
+``_newton_steps`` shifts, the steps that ``_bounded`` cuts to 1 + ||z||,
+and the evaluated rows that fail alone (a one-row objective call that
+raises, most often a trial point whose score overflows), then the
 objects built: ``scoring.Fit`` objects and checked data
 (``models._Checked``: a checked dataset, a stack or the rows taken from
 one). A kernel call on one dataset is one row-pass and a call on a stack
@@ -21,7 +26,10 @@ compare two versions of the program where wall times are too noisy to.
 Run from the repository root:
 ``python tools/kernel_passes.py --workload {cd-grid,study,robustness}``.
 The benchmark's ``perfbench/workloads.py`` is loaded read-only, and each op's
-outputs are checked against its recorded reference.
+outputs are checked against its recorded reference. ``--workload
+criterion-2-clean`` and ``criterion-2-contaminated`` run the acceptance
+suite's criterion-2 studies (2000 replicates of n = 10 + 20, the robust and
+the log root CD) as one op, with no reference, and print their coverages.
 """
 
 from __future__ import annotations
@@ -48,13 +56,18 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import robustcd  # noqa: E402
 import robustcd.cli  # noqa: E402
-from robustcd import confidence, expfam, models, scoring  # noqa: E402
+from robustcd import confidence, expfam, models, scoring, simulate  # noqa: E402
+from robustcd.errors import DomainError, NumericsError  # noqa: E402
 
 ORDERS = (0, 1, 2)
 SOLVES = ("free", "constrained", "free-mixture", "constrained-mixture")
 VALIDATIONS = "validate_data"
 # (stacked calls, rows they carry) of the objective and of the Newton steps
 ROUNDS = ("evaluations", "evaluated rows", "step solves", "stepped rows")
+MECHANISM = ("shifted steps", "bounded steps", "rows failing alone")
+# the criterion-2 designs of tests/test_acceptance.py, by their contamination
+CRITERION_2 = {"criterion-2-clean": None,
+               "criterion-2-contaminated": simulate.Contamination(0, -1, -7.0)}
 OBJECTS = ("Fit", "_Checked")
 NODES = "profile nodes"
 
@@ -80,18 +93,50 @@ def _solve_kind(objective):
     return SOLVES[(objective.psi is not None) + 2 * (objective.mixture is not None)]
 
 
-def count_passes(workload):
-    """{op key: Counter of row-passes by order, of stacked solves by kind,
-    of validate_data calls, of solver rounds, of objects built and of
-    profile nodes solved} over one
-    pass of the workload, and the keys of the ops whose outputs left their
-    reference."""
+def _criterion_2(contamination):
+    """The criterion-2 study: its coverages at 0.95 by method."""
+    design = simulate.SimDesign(
+        model="two-sample-normal", theta=(2.0, 0.0, 1.0, 1.0), sizes=(10, 20), n_reps=2000,
+        seed=20250801, methods=(simulate.MethodSpec("tsallis", "root", None),
+                                simulate.MethodSpec("log", "root")),
+        levels=(0.95,), h0=simulate.H0Spec(2.0, "less"), contamination=contamination)
+    report = simulate.run_study(design)
+    return {label: res.coverage()[0.95][0] for label, res in report.results.items()}
+
+
+def _ops(workload, workdir):
+    """(key, run, check) of each op of one pass of the workload: check
+    takes the op's outputs and says whether they are within its reference,
+    or prints them where there is none."""
+    if workload in CRITERION_2:
+        def check(outputs):
+            print(f"{workload} coverages at 0.95: {outputs}")
+            return True
+        return [("run_study", lambda: _criterion_2(CRITERION_2[workload]), check)]
     workloads = _workloads()
     with open(ROOT / "perfbench" / "reference" / f"{workload}.json") as fh:
         reference = json.load(fh)["ops"]
+    instances = list(range(workloads.PASS_INSTANCES[workload]))
+    return [(key, lambda run=run, arg=arg: run(arg),
+             lambda outputs, key=key: workloads.compare(outputs, reference[key]["outputs"]) is None)
+            for key, run, arg in workloads.SETUP[workload](workdir, instances)]
+
+
+def _shifted(H):
+    """The Hessians of a stack whose spectrum ``_newton_steps`` shifts."""
+    w = np.linalg.eigvalsh(scoring._sym(H))
+    return np.count_nonzero(w[..., 0] <= 1e-8 * np.maximum(1.0, np.abs(w[..., -1])))
+
+
+def count_passes(workload):
+    """{op key: Counter of row-passes by order, of stacked solves by kind,
+    of validate_data calls, of solver rounds and mechanism, of objects
+    built and of profile nodes solved} over one pass of the workload, and
+    the keys of the ops whose outputs left their reference."""
     counts, current = {}, collections.Counter()
     kernel, solve = scoring._kernel, scoring._Objective.solve
     evaluate, newton_steps = scoring._Objective.__call__, scoring._newton_steps
+    bounded = scoring._bounded
     fit_init, checked_new = scoring.Fit.__init__, vars(models._Checked)["__new__"]
     profile = confidence.profile
 
@@ -105,11 +150,20 @@ def count_passes(workload):
 
     def counted_evaluation(objective, z):
         current.update({"evaluations": 1, "evaluated rows": len(z)})
-        return evaluate(objective, z)
+        try:
+            return evaluate(objective, z)
+        except (DomainError, NumericsError):
+            current["rows failing alone"] += len(z) == 1
+            raise
 
     def counted_steps(H, g):
-        current.update({"step solves": 1, "stepped rows": len(g)})
+        current.update({"step solves": 1, "stepped rows": len(g), "shifted steps": _shifted(H)})
         return newton_steps(H, g)
+
+    def counted_bound(dz, z):
+        out = bounded(dz, z)
+        current["bounded steps"] += np.count_nonzero(scoring._norm(dz) > out[1])
+        return out
 
     def counted_fit(fit, *args, **kwargs):
         current["Fit"] += 1
@@ -134,7 +188,7 @@ def count_passes(workload):
     scoring._kernel = counted
     scoring._Objective.solve = counted_solve
     scoring._Objective.__call__ = counted_evaluation
-    scoring._newton_steps = counted_steps
+    scoring._newton_steps, scoring._bounded = counted_steps, counted_bound
     scoring.Fit.__init__, models._Checked.__new__ = counted_fit, staticmethod(counted_checked)
     confidence.profile = counted_profile
     for cls, original in validators:
@@ -142,18 +196,17 @@ def count_passes(workload):
     mismatched = []
     try:
         with tempfile.TemporaryDirectory() as workdir:
-            instances = list(range(workloads.PASS_INSTANCES[workload]))
-            for key, run, arg in workloads.SETUP[workload](workdir, instances):
+            for key, run, check in _ops(workload, workdir):
                 current.clear()
-                outputs = run(arg)
+                outputs = run()
                 counts[key] = collections.Counter(current)
-                if workloads.compare(outputs, reference[key]["outputs"]) is not None:
+                if not check(outputs):
                     mismatched.append(key)
     finally:
         scoring._kernel = kernel
         scoring._Objective.solve = solve
         scoring._Objective.__call__ = evaluate
-        scoring._newton_steps = newton_steps
+        scoring._newton_steps, scoring._bounded = newton_steps, bounded
         scoring.Fit.__init__, models._Checked.__new__ = fit_init, checked_new
         confidence.profile = profile
         for cls, original in validators:
@@ -175,7 +228,8 @@ def _table(counts, columns, heads, summed=True):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True, choices=("cd-grid", "study", "robustness"))
+    parser.add_argument("--workload", required=True,
+                        choices=("cd-grid", "study", "robustness", *CRITERION_2))
     args = parser.parse_args(argv)
     counts, mismatched = count_passes(args.workload)
     _table(counts, ORDERS, [f"order {o}" for o in ORDERS])
@@ -185,6 +239,8 @@ def main(argv=None):
     _table(counts, (VALIDATIONS,), (VALIDATIONS,))
     print("\nsolver rounds: stacked calls and the rows they carry")
     _table(counts, ROUNDS, ROUNDS, summed=False)
+    print("\nsolver mechanism: shifted and bounded Newton steps, rows failing alone")
+    _table(counts, MECHANISM, MECHANISM, summed=False)
     print("\nobjects built")
     _table(counts, OBJECTS, OBJECTS, summed=False)
     print("\nprofile nodes solved")
