@@ -49,21 +49,22 @@ def _read_rows(path):
         if header is None:
             _fail(f"{path}: empty file", 2)
         fields = [f.strip() for f in header]
-        rows, width = [], len(fields)
-        for raw in reader:
-            if not raw:
-                continue         # blank lines are skipped and not numbered, as by csv.DictReader
-            try:
-                vals = list(map(float, raw[:width]))
-            except ValueError:
-                vals = []
-            if len(vals) < width or not all(map(math.isfinite, vals)):
-                _bad_row(path, len(rows) + 2, fields, raw)
-            rows.append(vals)
-    if not rows:
+        width = len(fields)
+        # blank lines are skipped and not numbered, as by csv.DictReader
+        raws = [raw for raw in reader if raw]
+    if not raws:
         _fail(f"{path}: no data rows", 2)
+    # numpy converts each cell with float(), as a per-cell loop would
+    try:
+        table = np.array([raw[:width] for raw in raws], dtype=float)
+    except ValueError:
+        table = None
+    if table is None or table.shape != (len(raws), width) or not np.isfinite(table).all():
+        for lineno, raw in enumerate(raws, start=2):
+            _bad_row(path, lineno, fields, raw)
+        _fail(f"{path}: cannot read the data rows", 2)
     # a float array per field; a repeated field name keeps its last column
-    return fields, dict(zip(fields, np.array(rows).T.copy()))
+    return fields, dict(zip(fields, table.T.copy()))
 
 
 def _bad_row(path, lineno, fields, raw):
@@ -154,7 +155,7 @@ def _parse_theta(spec, n_params):
 
 
 def _emit(doc, out):
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(doc)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")

@@ -452,6 +452,21 @@ def _checked_grid(psi_grid):
     return psi_grid
 
 
+def _decreasing_fit(y):
+    """The least-squares non-increasing fit of y by pooling adjacent
+    violators: a block whose mean exceeds that of the block before it is
+    merged into it. A non-increasing y is returned as it is."""
+    means, sizes = [], []
+    for v in y.tolist():
+        means.append(v)
+        sizes.append(1)
+        while len(means) > 1 and means[-2] < means[-1]:
+            m, n = means.pop(), sizes.pop()
+            means[-1] = (sizes[-1] * means[-1] + n * m) / (sizes[-1] + n)
+            sizes[-1] += n
+    return np.repeat(means, sizes)
+
+
 def build_cd(rule, data, kind, psi_grid=None, fit_result=None, n_grid=201,
              span=6.0):
     """Construct a confidence distribution of the requested kind.
@@ -461,10 +476,6 @@ def build_cd(rule, data, kind, psi_grid=None, fit_result=None, n_grid=201,
     anchored at the estimate (C(psi_tilde) stays 1/2), and the repair size is
     recorded on the C scale.
     """
-    # scipy.optimize costs about 25 MB and 0.3 s to import; only the curve
-    # constructions need it
-    from scipy.optimize import isotonic_regression
-
     if kind not in ("wald", "root"):
         raise DomainError("kind must be 'wald' or 'root'")
     model = rule.model
@@ -498,7 +509,7 @@ def build_cd(rule, data, kind, psi_grid=None, fit_result=None, n_grid=201,
     clipped = raw.copy()
     clipped[:i0] = np.maximum(clipped[:i0], 0.0)
     clipped[i0 + 1:] = np.minimum(clipped[i0 + 1:], 0.0)
-    pivot = isotonic_regression(clipped, increasing=False).x
+    pivot = _decreasing_fit(clipped)
     delta_c = np.abs(ndtr(-pivot) - ndtr(-raw))
     n_repaired = int(np.sum(delta_c > 1e-12))
     if n_repaired > 0.10 * psi_grid.size:
@@ -528,12 +539,12 @@ def _logit_inv(x):
 def ci(cd, level):
     """Equi-tailed interval {psi : |pivot(psi)| <= z_(1+level)/2}.
 
-    Wald intervals are closed-form on the pivot scale; root intervals are
-    found by root-finding on the interpolated pivot. Endpoints that fall
-    outside the grid hull are returned as the hull bound with an open flag.
+    Wald intervals are closed-form on the pivot scale. A root interval runs
+    from the first point where the piecewise-linear pivot through the grid
+    values falls to z to the last where it is -z, both found exactly.
+    Endpoints that fall outside the grid hull are returned as the hull bound
+    with an open flag.
     """
-    from scipy.optimize import brentq
-
     if not 0.0 < level < 1.0:
         raise DomainError("level must be in (0, 1)")
     z = float(ndtri(0.5 * (1.0 + level)))
@@ -545,20 +556,21 @@ def ci(cd, level):
         return ConfidenceInterval(cd.psi_tilde - z * cd.se, cd.psi_tilde + z * cd.se)
 
     grid, pv = cd.psi_grid, cd.pivot_values
-    xtol = 1e-8 * (1.0 + abs(cd.psi_tilde))
 
-    def solve(target, lo, hi):
-        f = lambda p: np.interp(p, grid, pv) - target
-        return float(brentq(f, lo, hi, xtol=xtol))
+    def crossing(i, o, target):
+        # on the segment from grid point i (inside) to o (outside the interval)
+        return float(grid[i] + (pv[i] - target) / (pv[i] - pv[o]) * (grid[o] - grid[i]))
 
-    if pv[0] < z:
-        lo, lo_open = float(grid[0]), True
-    else:
-        lo, lo_open = solve(z, grid[0], cd.psi_tilde), False
-    if pv[-1] > -z:
-        hi, hi_open = float(grid[-1]), True
-    else:
-        hi, hi_open = solve(-z, cd.psi_tilde, grid[-1]), False
+    # the pivot is non-increasing, so -pv is sorted and a binary search
+    # finds the segment that crosses each level
+    lo_open, hi_open = bool(pv[0] < z), bool(pv[-1] > -z)
+    lo, hi = float(grid[0]), float(grid[-1])
+    i = int(np.searchsorted(-pv, -z, side="left"))       # the first pv[i] <= z
+    if i > 0:
+        lo = crossing(i, i - 1, z)
+    i = int(np.searchsorted(-pv, z, side="right")) - 1   # the last pv[i] >= -z
+    if i < pv.size - 1:
+        hi = crossing(i, i + 1, -z)
     if lo_open or hi_open:
         warnings.warn(f"{level:g} interval endpoint(s) outside the grid hull; "
                       "returning hull bounds", stacklevel=2)

@@ -4,12 +4,16 @@ import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import robustcd
 from robustcd.cli import _read_rows, main
 from robustcd.confidence import ConfidenceObject, ci, p_value
 
@@ -129,6 +133,17 @@ def _dictreader_rows(path):
     return fields, rows
 
 
+def _number_table(n_rows):
+    """A two-sample file of n_rows rows whose values span many magnitudes,
+    written in turn by repr, %.17g and %.3e."""
+    rng = np.random.default_rng(64)
+    values = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+    values[:3] = (0.0, -0.0, 5e-324)
+    forms = (repr, "{:.17g}".format, "{:.3e}".format)
+    rows = (f"{forms[i % 3](float(v))},{1 + i % 2}\n" for i, v in enumerate(values))
+    return "value,group\n" + "".join(rows)
+
+
 @pytest.mark.parametrize("text", [
     "value,group\n1.5,1\n\n2.5,2\n",                 # a blank line is skipped
     " value , group \n1.5, 2\n-0.25,1,9\n",          # stripped names, an extra value
@@ -142,6 +157,12 @@ def _dictreader_rows(path):
     "",
     "value,group\n",
     "value,group\n\n\n",
+    "value,group\n1_0,1\n2,1_0\n",                 # an underscore, as float() reads it
+    "value,group\n1_0,1\n1__0,2\n",
+    "value,group\n  1.5\t, 2 \n-7 ,1\n",           # padded cells
+    "value,group\n1e3,1\n-2.5E-3,2\n+.5e+1,1\n1E-310,2\n",  # exponent forms
+    "value,group\n1e3,1\n1e400,2\n",
+    pytest.param(_number_table(1000), id="1000-rows"),
 ])
 def test_csv_reader_gives_the_dictreader_parse_and_messages(tmp_path, capsys, text):
     path = tmp_path / "data.csv"
@@ -157,6 +178,8 @@ def test_csv_reader_gives_the_dictreader_parse_and_messages(tmp_path, capsys, te
         assert fields == want[0]
         for f in fields:
             assert columns[f].tolist() == [row[f] for row in want[1]]
+            # bit for bit, the sign of a zero too
+            assert columns[f].tobytes() == np.array([row[f] for row in want[1]]).tobytes()
 
 
 def test_cd_document_and_roundtrip(runner, two_sample_csv):
@@ -407,6 +430,26 @@ def test_cd_output_streams_are_released(two_sample_csv):
         del buf
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+def test_cd_runs_without_importing_scipy_optimize(two_sample_csv, tmp_path):
+    # scipy.optimize costs about 20 MB of resident memory; the CD repair and
+    # its intervals need none of it
+    path, _, _ = two_sample_csv
+    out = tmp_path / "cd.json"
+    args = ["cd", "--model", "two-sample-normal", "--rule", "tsallis", "--gamma", "1.23",
+            "--data", path, "--pivot", "wald", "--pivot", "root", "--out", str(out)]
+    code = ("import sys; from robustcd.cli import main; "
+            f"main({args!r}, standalone_mode=False); "
+            "print('scipy.optimize' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(robustcd.__file__))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    assert res.stdout.strip() == "False"
+    # the document is one line of JSON
+    text = out.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert set(json.loads(text)["curves"]) == {"wald", "root"}
 
 
 def test_out_file_writing(runner, two_sample_csv, tmp_path):

@@ -2,12 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import isotonic_regression
+from scipy.optimize import brentq, isotonic_regression
 from scipy.special import ndtr, ndtri
 
 from robustcd.confidence import (
     ConfidenceObject,
     _constrained_at,
+    _decreasing_fit,
     _signed_root,
     _tail_p,
     _tangent_starts,
@@ -445,9 +446,8 @@ def test_serialization_roundtrip(two_sample_data, ts_fits):
     assert doc["ci"]["0.95"] == [iv.lo, iv.hi]
 
 
-def _repair(y):
-    # the monotonicity repair build_cd applies to the clipped raw pivot
-    return isotonic_regression(y, increasing=False).x
+# the monotonicity repair build_cd applies to the clipped raw pivot
+_repair = _decreasing_fit
 
 
 def test_pav_projection():
@@ -471,6 +471,76 @@ def test_pav_is_monotone_idempotent_mean_preserving(values):
     assert np.all(np.diff(out) <= 1e-9)
     assert np.allclose(_repair(out), out, atol=1e-12)
     assert out.mean() == pytest.approx(y.mean(), abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=60))
+def test_the_repair_is_scipys_antitonic_regression(values):
+    # scipy is the oracle; the package itself imports no scipy.optimize
+    y = np.array(values)
+    assert np.allclose(_repair(y), isotonic_regression(y, increasing=False).x,
+                       rtol=0.0, atol=1e-12)
+    # monotone input is a fit already and comes back bit for bit; scipy
+    # pools tied values too, whose mean can move them by an ulp, so it is
+    # bit-equal on strictly decreasing input
+    mono = np.sort(y)[::-1]
+    assert np.array_equal(_repair(mono), mono)
+    strict = np.unique(y)[::-1]
+    assert np.array_equal(_repair(strict), isotonic_regression(strict, increasing=False).x)
+
+
+def _root_cd(grid, pivot):
+    return ConfidenceObject(kind="root", model_name="m", rule_kind="log", gamma=None,
+                            psi_grid=grid, pivot_values=pivot, cdf_values=ndtr(-pivot),
+                            cc_values=np.abs(1.0 - 2.0 * ndtr(-pivot)),
+                            psi_tilde=0.0, se=1.0, wald_scale="identity")
+
+
+def _brentq_ci(cd, level):
+    # the interpolated pivot's roots, to within 1e-14, on the brackets
+    # either side of the estimate
+    z = ndtri(0.5 * (1.0 + level))
+    grid, pv = cd.psi_grid, cd.pivot_values
+    f = lambda p, target: np.interp(p, grid, pv) - target
+    return (brentq(f, grid[0], cd.psi_tilde, args=(z,), xtol=1e-14),
+            brentq(f, cd.psi_tilde, grid[-1], args=(-z,), xtol=1e-14))
+
+
+def test_root_ci_endpoints_are_the_crossings_of_the_interpolated_pivot():
+    grid = np.linspace(-3.0, 3.0, 61)                   # psi_tilde = 0 is grid point 30
+    raw = -1.1 * grid - 0.05 * grid ** 3
+    # violations on both sides, next to the 0.9 crossings, pool into flat blocks
+    raw[[14, 15, 16]] = raw[[16, 15, 14]]
+    raw[[44, 45, 46]] = raw[[46, 45, 44]]
+    raw[30] = 0.0
+    pivot = _decreasing_fit(raw)
+    assert np.sum(np.diff(pivot) == 0.0) == 4
+    real, tight = _root_cd(grid, pivot), {}
+    for level in (0.5, 0.8, 0.9, 0.95, 0.99):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            iv = ci(real, level)
+        lo, hi = _brentq_ci(real, level)
+        assert (iv.lo_open, iv.hi_open) == (False, False)
+        assert iv.lo == pytest.approx(lo, rel=0.0, abs=1e-13)
+        assert iv.hi == pytest.approx(hi, rel=0.0, abs=1e-13)
+        tight[level] = (lo, hi)
+    # the 0.9 endpoints lie on the segments next to the pooled blocks
+    lo, hi = tight[0.9]
+    assert grid[16] < lo < grid[17] and grid[43] < hi < grid[44]
+
+    # a pivot flat at z from the first grid point: the interval's lower end
+    # is that point, closed
+    edge = _root_cd(grid, np.minimum(pivot, ndtri(0.95)))
+    iv = ci(edge, 0.9)
+    assert (iv.lo, iv.lo_open) == (grid[0], False) == (_brentq_ci(edge, 0.9)[0], False)
+
+    # one tail past the hull: that bound and its flag, the other tail solved
+    short = _root_cd(grid, np.where(grid < 0.0, 0.3 * pivot, pivot))
+    with pytest.warns(UserWarning, match="hull"):
+        iv = ci(short, 0.95)
+    assert (iv.lo, iv.lo_open, iv.hi_open) == (grid[0], True, False)
+    assert iv.hi == pytest.approx(tight[0.95][1], rel=0.0, abs=1e-13)
 
 
 @pytest.mark.parametrize("n_grid", [3, 4, 200, 201])
