@@ -18,9 +18,9 @@ import dataclasses
 import warnings
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import DomainError, NumericsError
+from .models import ndtr, ndtri
 from .scoring import (
     _Objective,
     _chunks,
@@ -510,14 +510,17 @@ def build_cd(rule, data, kind, psi_grid=None, fit_result=None, n_grid=201,
     clipped[:i0] = np.maximum(clipped[:i0], 0.0)
     clipped[i0 + 1:] = np.minimum(clipped[i0 + 1:], 0.0)
     pivot = _decreasing_fit(clipped)
-    delta_c = np.abs(ndtr(-pivot) - ndtr(-raw))
+    cdf = ndtr(-pivot)
+    # the repair on the C scale, zero where it left the raw pivot as it was
+    moved = pivot != raw
+    delta_c = np.zeros_like(cdf)
+    delta_c[moved] = np.abs(cdf[moved] - ndtr(-raw[moved]))
     n_repaired = int(np.sum(delta_c > 1e-12))
     if n_repaired > 0.10 * psi_grid.size:
         warnings.warn(
             f"monotonicity repair touched {n_repaired}/{psi_grid.size} grid points; "
             "the profile looks irregular", stacklevel=2)
 
-    cdf = ndtr(-pivot)
     cc = np.abs(1.0 - 2.0 * cdf)
     _, se_pivot = _wald_pivot(model, theta, fit_result.K, fit_result.J, psi_tilde)
     return ConfidenceObject(

@@ -16,7 +16,6 @@ import math
 import os
 
 import numpy as np
-from scipy.special import betaln, digamma, gammaln, polygamma
 
 from .errors import DomainError
 from .models import _CoordinateInterest
@@ -315,6 +314,9 @@ def expfam_exponential():
 
 def expfam_gamma():
     """Gamma(shape, rate) in natural form theta = (shape - 1, -rate)."""
+    # scipy.special loads only with the families that need it
+    from scipy.special import digamma, gammaln, polygamma
+
     def c(th):
         shape, t2 = th[..., 0] + 1.0, th[..., 1]
         return gammaln(shape) - shape * np.log(-t2)
@@ -354,6 +356,8 @@ def expfam_gamma():
 
 def expfam_beta():
     """Beta(a, b) in natural form theta = (a - 1, b - 1)."""
+    from scipy.special import betaln, digamma, polygamma
+
     def c(th):
         return betaln(th[..., 0] + 1.0, th[..., 1] + 1.0)
 

@@ -19,7 +19,10 @@ Every per-observation method also takes a stack of datasets with a stack of
 parameters: each data array and theta gain a leading row axis (regression
 keeps its one design matrix), and row r of every result is what the method
 returns for dataset r and theta[r] alone, bit for bit. ``ModelSpec.stack``
-builds a stack and ``ModelSpec.take`` selects its rows.
+builds a stack and ``ModelSpec.take`` selects its rows. Powers of
+parameters are ``np.power``, of a scalar too: its loop gives a scalar the
+bits it gives that entry of an array, while ``**`` on a numpy scalar calls
+the C library's pow, which can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from __future__ import annotations
 import abc
 import functools
 import math
+import statistics
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import DomainError
 
@@ -71,7 +74,7 @@ def tsallis_integral_normal(mu, var, gamma):
 
 def _normal_power(var, gamma):
     # the models' unchecked form: their callers have checked var and gamma
-    return gamma ** -0.5 * _pow(_TWO_PI * var, (1.0 - gamma) / 2.0)
+    return np.power(gamma, -0.5) * np.power(_TWO_PI * var, (1.0 - gamma) / 2.0)
 
 
 def tsallis_integral_exponential(rate, gamma):
@@ -84,27 +87,7 @@ def tsallis_integral_exponential(rate, gamma):
 
 
 def _exponential_power(rate, gamma):
-    return _pow(rate, gamma - 1.0) / gamma
-
-
-def _pow(base, exponent):
-    """``base ** exponent`` for a scalar base or elementwise over an array,
-    computed as numpy computes it for one scalar (the C library's pow).
-    numpy's vectorized power can differ from it in the last bit, and a row
-    of a stack must score exactly as its dataset does alone. An array base
-    may take an exponent per entry (a gamma per row)."""
-    if type(base) is np.float64:
-        return base ** exponent
-    if type(base) is not np.ndarray or not base.ndim:
-        return np.float64(base) ** exponent
-    base = np.asarray(base, dtype=float)
-    try:
-        return np.power(base.astype(object), exponent).astype(float)
-    except (OverflowError, ZeroDivisionError):
-        # numpy scalars give inf there, and raise under the caller's errstate
-        base, exponent = np.broadcast_arrays(base, exponent)
-        return np.array([b ** e for b, e in zip(base.ravel(), exponent.ravel())]).reshape(
-            base.shape)
+    return np.power(rate, gamma - 1.0) / gamma
 
 
 def _cols(theta):
@@ -160,7 +143,7 @@ def auc_from_rates(rate1, rate2):
 
 
 def auc_from_rates_grad(rate1, rate2):
-    s = _pow(rate1 + rate2, 2)
+    s = np.power(rate1 + rate2, 2)
     return _vec(rate2 / s, -rate1 / s)
 
 
@@ -168,6 +151,37 @@ def normal_pdf(x):
     """Standard normal density, by scipy.stats.norm.pdf's own formula (so
     equal to it bit for bit) without its per-call overhead."""
     return np.exp(-np.asarray(x, dtype=float) ** 2 / 2.0) / _SQRT_TWO_PI
+
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+_STANDARD_NORMAL = statistics.NormalDist()
+
+
+def _quantile(p):
+    # NaN is tested first: ordering it sets the FPU's invalid flag, which
+    # numpy reports as a RuntimeWarning
+    if math.isnan(p):
+        return math.nan
+    if 0.0 < p < 1.0:
+        return _STANDARD_NORMAL.inv_cdf(p)
+    return -math.inf if p == 0.0 else math.inf if p == 1.0 else math.nan
+
+
+_inv_cdf = np.frompyfunc(_quantile, 1, 1)
+
+
+def ndtr(x):
+    """Standard normal CDF, 0.5 erfc(-x / sqrt 2): scipy.special.ndtr's own
+    formula with the C library's erfc. A scalar gives a float64 and an
+    array an array of its shape."""
+    return 0.5 * np.asarray(_erfc(np.multiply(x, -math.sqrt(0.5))), dtype=float)[()]
+
+
+def ndtri(p):
+    """Standard normal quantile, by Wichura's AS 241 as the standard library
+    computes it; -inf at 0, +inf at 1 and NaN outside [0, 1], as
+    scipy.special.ndtri gives them."""
+    return np.asarray(_inv_cdf(p), dtype=float)[()]
 
 
 def auc_from_normal(mu1, mu2, var1, var2):
@@ -193,11 +207,11 @@ def auc_from_normal_grad(mu1, mu2, var1, var2):
 def _xi(var, t):
     # (2 pi v)^{-t/2} (1+t)^{-3/2} / v : expected curvature scale of the
     # location estimating function under power downweighting t.
-    return _pow(_TWO_PI * var, -t / 2.0) * _pow(1.0 + t, -1.5) / var
+    return np.power(_TWO_PI * var, -t / 2.0) * np.power(1.0 + t, -1.5) / var
 
 
 def _varsigma(var, t):
-    return (_pow(_TWO_PI * var, -t / 2.0) * (2.0 + t * t) * _pow(1.0 + t, -2.5)
+    return (np.power(_TWO_PI * var, -t / 2.0) * (2.0 + t * t) * np.power(1.0 + t, -2.5)
             / (4.0 * var * var))
 
 
@@ -213,20 +227,20 @@ def _normal_component_kj(var, gamma, rule_kind):
     k_mu = c * _xi(var, a)
     k_v = c * _varsigma(var, a)
     j_mu = c * c * _xi(var, 2 * a)
-    j_v = c * c * (_varsigma(var, 2 * a) - 0.25 * a * a * _pow(_xi(var, a), 2))
+    j_v = c * c * (_varsigma(var, 2 * a) - 0.25 * a * a * np.power(_xi(var, a), 2))
     return (k_mu, k_v), (j_mu, j_v)
 
 
 def _exponential_component_kj(rate, gamma, rule_kind):
     """Per-observation expected scalar (K, J) for one Exp(rate) component."""
     if rule_kind == "log":
-        k = 1.0 / _pow(rate, 2)
+        k = 1.0 / np.power(rate, 2)
         return k, k
     a = gamma - 1.0
     g = gamma
-    k = a * (1.0 + a * a) * _pow(rate, a - 2.0) / _pow(g, 2)
-    j = a * a * _pow(rate, 2 * a - 2.0) * (
-        _pow(g, 2) * (4 * a * a + 1.0) / _pow(1.0 + 2 * a, 3) - a * a / _pow(g, 2)
+    k = a * (1.0 + a * a) * np.power(rate, a - 2.0) / np.power(g, 2)
+    j = a * a * np.power(rate, 2 * a - 2.0) * (
+        np.power(g, 2) * (4 * a * a + 1.0) / np.power(1.0 + 2 * a, 3) - a * a / np.power(g, 2)
     )
     return k, j
 
@@ -637,9 +651,9 @@ class TwoSampleNormal(_TwoSampleBase):
         out = np.zeros(x.shape[:-1] + (n1 + n2, 4))
         zx, zy = x - mx, y - my
         out[..., :n1, 0] = zx / vx
-        out[..., :n1, 2] = -0.5 / vx + zx ** 2 / (2 * _pow(vx, 2))
+        out[..., :n1, 2] = -0.5 / vx + zx ** 2 / (2 * np.power(vx, 2))
         out[..., n1:, 1] = zy / vy
-        out[..., n1:, 3] = -0.5 / vy + zy ** 2 / (2 * _pow(vy, 2))
+        out[..., n1:, 3] = -0.5 / vy + zy ** 2 / (2 * np.power(vy, 2))
         return out
 
     def d2logpdf_obs(self, data, theta, weights):
@@ -651,10 +665,10 @@ class TwoSampleNormal(_TwoSampleBase):
         for m, v, z, w, var in ((0, 2, x - mx, weights[..., :n1], vx),
                                 (1, 3, y - my, weights[..., n1:], vy)):
             var, sw = (var[..., 0] if type(var) is np.ndarray else var), w.sum(axis=-1)
-            var2 = _pow(var, 2)
+            var2 = np.power(var, 2)
             out[..., m, m] = -sw / var
             out[..., m, v] = out[..., v, m] = -np.vecdot(w, z) / var2
-            out[..., v, v] = sw / (2 * var2) - np.vecdot(w, z ** 2) / _pow(var, 3)
+            out[..., v, v] = sw / (2 * var2) - np.vecdot(w, z ** 2) / np.power(var, 3)
         return out
 
     def tsallis_integral_obs(self, data, theta, gamma):
@@ -675,7 +689,7 @@ class TwoSampleNormal(_TwoSampleBase):
         x, y = data
         mx, sx = _mad_scale(x)
         my, sy = _mad_scale(y)
-        return np.stack([mx, my, _spread(x, _pow(sx, 2)), _spread(y, _pow(sy, 2))], axis=-1)
+        return np.stack([mx, my, _spread(x, np.power(sx, 2)), _spread(y, np.power(sy, 2))], axis=-1)
 
     def mle_start(self, data):
         _require_both_samples(data)
@@ -761,7 +775,7 @@ class NormalAUC(TwoSampleNormal):
         # mu_2 = mu_1 + q sqrt(v_1 + v_2): d^2 mu_2 / dv_i dv_j = -q / (4 s^3)
         _, v1, v2 = _coords(lam)
         out = np.zeros(np.shape(v1) + (3, 3))
-        curv = -np.asarray(grad)[..., 1] * ndtri(psi) / (4.0 * _pow(v1 + v2, 1.5))
+        curv = -np.asarray(grad)[..., 1] * ndtri(psi) / (4.0 * np.power(v1 + v2, 1.5))
         out[..., 1:, 1:] = np.asarray(curv)[..., None, None]
         return out
 
@@ -792,8 +806,8 @@ class ExponentialAUC(_TwoSampleBase):
     def d2logpdf_obs(self, data, theta, weights):
         r1, r2 = _coords(theta)
         n1 = data[0].shape[-1]
-        return _diag(-weights[..., :n1].sum(axis=-1) / _pow(r1, 2),
-                     -weights[..., n1:].sum(axis=-1) / _pow(r2, 2))
+        return _diag(-weights[..., :n1].sum(axis=-1) / np.power(r1, 2),
+                     -weights[..., n1:].sum(axis=-1) / np.power(r2, 2))
 
     def tsallis_integral_obs(self, data, theta, gamma):
         x, y = data
@@ -952,7 +966,7 @@ class LinearRegression(_CoordinateInterest):
         r = y - (X @ beta)[..., 0]
         out = np.empty(y.shape + (np.shape(theta)[-1],))
         out[..., :-1] = X * (r / v)[..., None]
-        out[..., -1] = -0.5 / v + r ** 2 / (2 * _pow(v, 2))
+        out[..., -1] = -0.5 / v + r ** 2 / (2 * np.power(v, 2))
         return out
 
     def d2logpdf_obs(self, data, theta, weights):
@@ -964,9 +978,9 @@ class LinearRegression(_CoordinateInterest):
         out = np.empty(np.shape(theta)[:-1] + (d, d))
         out[..., :-1, :-1] = -(X.T * weights[..., None, :]) @ X / np.asarray(v)[..., None, None]
         out[..., :-1, -1] = out[..., -1, :-1] = (
-            -(X.T @ (weights * r)[..., None])[..., 0] / np.asarray(_pow(v, 2))[..., None])
-        out[..., -1, -1] = (weights.sum(axis=-1) / (2 * _pow(v, 2))
-                            - np.vecdot(weights, r ** 2) / _pow(v, 3))
+            -(X.T @ (weights * r)[..., None])[..., 0] / np.asarray(np.power(v, 2))[..., None])
+        out[..., -1, -1] = (weights.sum(axis=-1) / (2 * np.power(v, 2))
+                            - np.vecdot(weights, r ** 2) / np.power(v, 3))
         return out
 
     def tsallis_integral_obs(self, data, theta, gamma):
@@ -983,7 +997,7 @@ class LinearRegression(_CoordinateInterest):
         beta = _lstsq_rows(X, y)
         resid = y - (X @ beta[..., None])[..., 0]
         _, s = _mad_scale(resid)
-        return np.concatenate([beta, _pow(s, 2)[..., None]], axis=-1)
+        return np.concatenate([beta, np.power(s, 2)[..., None]], axis=-1)
 
     def mle_start(self, data):
         y, X = data

@@ -14,10 +14,9 @@ import dataclasses
 import warnings
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DomainError, NumericsError
-from .models import _fd_jacobian, normal_pdf
+from .models import _fd_jacobian, ndtr, normal_pdf
 from .confidence import (_constrained_at, _nu_at, _root_fit, _signed_root, _undercut,
                          _wald_pivot, pivot_root, pivot_wald)
 from .scoring import (

@@ -24,7 +24,6 @@ import dataclasses
 import warnings
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DomainError, NumericsError
 from .confidence import (
@@ -35,7 +34,7 @@ from .confidence import (
     _undercut,
     _wald_pivot,
 )
-from .models import _TwoSampleBase, get_model
+from .models import _TwoSampleBase, get_model, ndtri
 from .robustness import calibrate_gamma
 from .scoring import ScoreRule, _chunks, _fit_rows, _stacked, _start
 

@@ -452,6 +452,31 @@ def test_cd_runs_without_importing_scipy_optimize(two_sample_csv, tmp_path):
     assert set(json.loads(text)["curves"]) == {"wald", "root"}
 
 
+def test_cd_loads_scipy_only_for_the_gamma_and_beta_families(two_sample_csv,
+                                                               gamma_spec_csv, tmp_path):
+    path, _, _ = two_sample_csv
+    gamma_model, gamma_path = gamma_spec_csv
+    normal = ["cd", "--model", "two-sample-normal", "--rule", "tsallis", "--gamma", "1.23",
+              "--data", path, "--pivot", "wald", "--pivot", "root",
+              "--out", str(tmp_path / "normal.json")]
+    gamma = ["cd", "--model", gamma_model, "--rule", "tsallis", "--gamma", "1.1",
+             "--data", gamma_path, "--pivot", "wald", "--pivot", "root",
+             "--out", str(tmp_path / "gamma.json")]
+    code = ("import sys; from robustcd.cli import main; "
+            f"main({normal!r}, standalone_mode=False); "
+            "print('scipy' in sys.modules); "
+            f"main({gamma!r}, standalone_mode=False); "
+            "print('scipy.special' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(robustcd.__file__))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    assert res.stdout.split() == ["False", "True"]
+    for name in ("normal", "gamma"):
+        doc = json.loads((tmp_path / f"{name}.json").read_text())
+        assert set(doc["curves"]) == {"wald", "root"}
+        assert all(np.isfinite(doc["curves"][k]["cdf"]).all() for k in ("wald", "root"))
+
+
 def test_out_file_writing(runner, two_sample_csv, tmp_path):
     path, _, _ = two_sample_csv
     out = tmp_path / "fit.json"

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from robustcd.models import (
     auc_from_normal,
     auc_from_rates,
     get_model,
+    ndtr,
+    ndtri,
     normal_pdf,
     tsallis_integral_exponential,
     tsallis_integral_normal,
@@ -443,10 +446,11 @@ def test_closed_forms_are_required():
 def test_import_leaves_scipy_stats_unloaded():
     src = os.path.dirname(os.path.dirname(robustcd.__file__))
     code = ("import sys, robustcd, robustcd.cli; "
-            "print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules)")
+            "print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules, "
+            "'scipy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False False"
 
 
 def test_registry():
@@ -481,7 +485,7 @@ def test_normal_auc_embedding_equals_norm_ppf_form():
     lam = np.array([0.3, 1.7, 0.6])
     s = np.sqrt(lam[1] + lam[2])
     for psi in np.linspace(0.01, 0.99, 981):
-        q = norm.ppf(psi)
+        q = ndtri(psi)
         assert np.array_equal(m.profile_embed(psi, lam),
                               [lam[0], lam[0] + q * s, lam[1], lam[2]])
         assert np.array_equal(m.profile_embed_jac(psi, lam), [
@@ -531,5 +535,52 @@ def test_normal_density_and_auc_equal_scipy_stats():
     assert np.array_equal(normal_pdf(xs), norm.pdf(xs))
     for x in xs[:500]:
         assert float(normal_pdf(x)) == float(norm.pdf(x))
-        assert auc_from_normal(0.1, x, 0.4, 0.9) == float(
-            norm.cdf((x - 0.1) / np.sqrt(0.4 + 0.9)))
+        assert auc_from_normal(0.1, x, 0.4, 0.9) == float(ndtr((x - 0.1) / np.sqrt(0.4 + 0.9)))
+
+
+def test_ndtr_is_accurate_to_mpmath():
+    # relative error at most 1e-15 max(1, x^2): erfc's argument -x / sqrt 2
+    # rounds, which costs about x^2 ulps far in the lower tail, scipy's too
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(31)
+    xs = np.concatenate([np.linspace(-37.5, 8.5, 1001), rng.uniform(-37.5, 8.5, 1000)])
+    got = ndtr(xs)
+    with mpmath.workdps(50):
+        for x, value in zip(xs.tolist(), got.tolist()):
+            true = mpmath.ncdf(x)
+            assert abs(value - true) / true <= 1e-15 * max(1.0, x * x), x
+
+
+def test_ndtri_is_accurate_to_mpmath():
+    # absolute error at most 2e-15 max(1, |x|) for p in (1e-300, 1 - 1e-16)
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(32)
+    lower = 10.0 ** rng.uniform(-300.0, np.log10(0.5), 600)
+    upper = 1.0 - 10.0 ** rng.uniform(-16.0, np.log10(0.5), 600)
+    ps = np.concatenate([lower, upper, np.linspace(0.001, 0.999, 999)])
+    got = ndtri(ps)
+    with mpmath.workdps(50):
+        for p, value in zip(ps.tolist(), got.tolist()):
+            x = mpmath.mpf(value)
+            for _ in range(4):      # Newton on ncdf(x) = p, from the double
+                x -= (mpmath.ncdf(x) - p) / mpmath.npdf(x)
+            assert abs(value - x) <= 2e-15 * max(1.0, abs(value)), p
+
+
+def test_normal_cdf_and_quantile_edges_are_scipys_without_warnings():
+    from scipy import special
+
+    x = np.array([-np.inf, np.inf, np.nan, -40.0, 40.0, 0.0, -0.0])
+    p = np.array([0.0, -0.0, 1.0, np.nan, -0.5, 1.5, np.inf, -np.inf, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(ndtr(x), special.ndtr(x), equal_nan=True)
+        assert np.array_equal(ndtri(p), special.ndtri(p), equal_nan=True)
+        assert ndtr(-np.inf) == 0.0 and ndtr(np.inf) == 1.0
+        assert ndtri(0.0) == -np.inf and ndtri(1.0) == np.inf
+        assert np.isnan(ndtr(np.nan)) and np.isnan(ndtri(np.nan)) and np.isnan(ndtri(2.0))
+    # a scalar gives a float64, an array keeps its shape
+    for f in (ndtr, ndtri):
+        assert type(f(0.25)) is np.float64 and type(f(np.array(0.25))) is np.float64
+        assert f(np.full((2, 3), 0.25)).shape == (2, 3) and f(np.zeros(0)).shape == (0,)
+        assert f([0.25, 0.5]).dtype == np.float64

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
 
 from robustcd.confidence import constrained_fit, pivot_wald
 from robustcd.errors import DomainError, NumericsError
-from robustcd.models import ExponentialAUC, TwoSampleNormal
+from robustcd.models import ExponentialAUC, TwoSampleNormal, ndtr
 from robustcd.scoring import ScoreRule, fit
 from robustcd.simulate import (
     Contamination,

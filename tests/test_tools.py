@@ -94,6 +94,20 @@ def test_workload_pass_counts(monkeypatch, workload, solves, row_passes, validat
     assert total[kernel_passes.NODES] == nodes
 
 
+@pytest.mark.parametrize("workload, normal", [
+    ("cd-grid", (118, 4098, 94, 490)),
+    ("study", (540, 540, 48, 48)),
+    ("robustness", (96, 432, 0, 0)),
+])
+def test_workload_normal_counts(monkeypatch, workload, normal):
+    # The calls of the standard normal CDF and quantile in one pass, and the
+    # elements they are given. build_cd takes Phi of its pivot once and of
+    # the raw pivot only where the repair moved it: a cd-grid pass gave
+    # 12138 elements to ndtr when it took Phi of both pivots on every point.
+    kernel_passes, total = _pass_counts(monkeypatch, workload)
+    assert tuple(total[key] for key in kernel_passes.NORMAL) == normal
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("workload, rounds, mechanism", [
     ("criterion-2-clean", (75, 31779, 65, 23626), (90, 155, 0)),

@@ -18,10 +18,13 @@ objects built: ``scoring.Fit`` objects and checked data
 (``models._Checked``: a checked dataset, a stack or the rows taken from
 one). A kernel call on one dataset is one row-pass and a call on a stack
 one per row; a solve is one however many rows its stack holds; data a
-model has checked are not validated again. Last come the points each
+model has checked are not validated again. Then come the points each
 ``confidence.profile`` solved: its Chebyshev-Lobatto nodes, or its grid
-where it was solved point by point. The counts do not depend on the machine, so they
-compare two versions of the program where wall times are too noisy to.
+where it was solved point by point. Last come the calls of the standard
+normal CDF and quantile (``models.ndtr`` and ``models.ndtri``, wherever
+the package calls them) and the elements they were given. The counts do
+not depend on the machine, so they compare two versions of the program
+where wall times are too noisy to.
 
 Run from the repository root:
 ``python tools/kernel_passes.py --workload {cd-grid,study,robustness}``.
@@ -56,7 +59,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import robustcd  # noqa: E402
 import robustcd.cli  # noqa: E402
-from robustcd import confidence, expfam, models, scoring, simulate  # noqa: E402
+from robustcd import confidence, expfam, models, robustness, scoring, simulate  # noqa: E402
 from robustcd.errors import DomainError, NumericsError  # noqa: E402
 
 ORDERS = (0, 1, 2)
@@ -70,6 +73,7 @@ CRITERION_2 = {"criterion-2-clean": None,
                "criterion-2-contaminated": simulate.Contamination(0, -1, -7.0)}
 OBJECTS = ("Fit", "_Checked")
 NODES = "profile nodes"
+NORMAL = ("ndtr calls", "ndtr elements", "ndtri calls", "ndtri elements")
 
 
 def _validators():
@@ -131,7 +135,8 @@ def _shifted(H):
 def count_passes(workload):
     """{op key: Counter of row-passes by order, of stacked solves by kind,
     of validate_data calls, of solver rounds and mechanism, of objects
-    built and of profile nodes solved} over one pass of the workload, and
+    built, of profile nodes solved and of normal CDF and quantile calls
+    and elements} over one pass of the workload, and
     the keys of the ops whose outputs left their reference."""
     counts, current = {}, collections.Counter()
     kernel, solve = scoring._kernel, scoring._Objective.solve
@@ -178,6 +183,12 @@ def count_passes(workload):
         current[NODES] += trace.n_nodes
         return trace
 
+    def counted_normal(name, original):
+        def normal(x):
+            current.update({f"{name} calls": 1, f"{name} elements": np.size(x)})
+            return original(x)
+        return normal
+
     def counted_validation(original):
         def validate_data(model, data):
             current[VALIDATIONS] += 1
@@ -185,6 +196,10 @@ def count_passes(workload):
         return validate_data
 
     validators = _validators()
+    # each module binds its own name for the functions it imports
+    normals = [(module, name, vars(module)[name])
+               for module in (models, confidence, robustness, simulate)
+               for name in ("ndtr", "ndtri") if name in vars(module)]
     scoring._kernel = counted
     scoring._Objective.solve = counted_solve
     scoring._Objective.__call__ = counted_evaluation
@@ -193,6 +208,8 @@ def count_passes(workload):
     confidence.profile = counted_profile
     for cls, original in validators:
         cls.validate_data = counted_validation(original)
+    for module, name, original in normals:
+        setattr(module, name, counted_normal(name, original))
     mismatched = []
     try:
         with tempfile.TemporaryDirectory() as workdir:
@@ -211,6 +228,8 @@ def count_passes(workload):
         confidence.profile = profile
         for cls, original in validators:
             cls.validate_data = original
+        for module, name, original in normals:
+            setattr(module, name, original)
     return counts, mismatched
 
 
@@ -245,6 +264,8 @@ def main(argv=None):
     _table(counts, OBJECTS, OBJECTS, summed=False)
     print("\nprofile nodes solved")
     _table(counts, (NODES,), (NODES,), summed=False)
+    print("\nstandard normal CDF and quantile: calls and elements")
+    _table(counts, NORMAL, NORMAL, summed=False)
     for key in mismatched:
         print(f"outputs differ from the reference: {key}", file=sys.stderr)
     return 1 if mismatched else 0
