@@ -23,8 +23,8 @@ from .errors import DomainError, NumericsError
 from .models import ndtr, ndtri
 from .scoring import (
     _Objective,
-    _chunks,
     _from_z,
+    _row_cap,
     _stacked,
     _to_z,
     estimate_KJ,
@@ -49,11 +49,12 @@ __all__ = [
 # A constrained score below the free optimum by more than W_TOL (1 + |S|)
 # means the free fit is not the optimum; a smaller dip is round-off.
 W_TOL = 1e-8
-# A profile too large for one stack is solved at nested Chebyshev-Lobatto
-# levels of the grid's span, each holding the last level's nodes
-# (Trefethen 2013). It stops at the first level whose new nodes the last
-# level's interpolant reads within PROFILE_TOL (1 + |v|), v each node's
-# score, nu and nuisance in the solver's coordinates.
+# A profile of more grid points than one kernel pass takes
+# (``scoring._row_cap``) is solved at nested Chebyshev-Lobatto levels of
+# the grid's span, each holding the last level's nodes (Trefethen 2013).
+# It stops at the first level whose new nodes the last level's
+# interpolant reads within PROFILE_TOL (1 + |v|), v each node's score, nu
+# and nuisance in the solver's coordinates.
 PROFILE_LEVELS = (9, 17, 33, 65)
 PROFILE_TOL = 1e-10
 
@@ -94,28 +95,23 @@ def _constrained_at(rule, data, psi, lam0, mixture=None):
     and NaN in the rows that failed, failed their mask, and errors each
     failed row's exception by its row, a NumericsError where its solve did
     not converge, else what nu raises at its estimate alone. The rows are
-    solved together, in stacks of at most STACK_ELEMENTS numbers per
-    (rows, n, d) array; nu is evaluated on the converged rows only.
+    solved together, one stack and one solve (the objective bounds a kernel
+    pass's memory, see ``scoring._row_cap``); nu is evaluated on the
+    converged rows only.
 
     Every constrained solve of a profile or a root pivot comes from here.
     """
     model, objective = rule.model, _Objective(rule, data, psi, mixture)
-    parts, errors = [], {}
-    for at in _chunks(len(lam0), model.nobs(data), lam0.shape[-1] + 1):
-        part = objective.rows(at)
-        theta, score, lam, converged = _constrained_solve(part, lam0[at])
-        for r in np.flatnonzero(~converged).tolist():
-            errors[at.start + r] = NumericsError("constrained fit did not converge",
-                                                 detail={"psi": float(part.psi[r])})
-        rows = np.flatnonzero(converged)
-        kept = part.data if rows.size == len(converged) else model.take(part.data, rows)
-        theta_kept, nu = theta[rows], np.full(len(converged), np.nan)
-        out, lost, errs = _stacked(
-            lambda j: _nu_at(rule, model.take(kept, j), theta_kept[j]), rows.size)
-        nu[rows[~lost]] = out
-        errors.update((at.start + int(rows[j]), exc) for j, exc in errs.items())
-        parts.append((theta, score, lam, nu))
-    theta, score, lam, nu = map(np.concatenate, zip(*parts))
+    theta, score, lam, converged = _constrained_solve(objective, lam0)
+    errors = {r: NumericsError("constrained fit did not converge", detail={"psi": float(psi[r])})
+              for r in np.flatnonzero(~converged).tolist()}
+    rows = np.flatnonzero(converged)
+    kept = data if rows.size == len(converged) else model.take(data, rows)
+    theta_kept, nu = theta[rows], np.full(len(converged), np.nan)
+    out, lost, errs = _stacked(
+        lambda j: _nu_at(rule, model.take(kept, j), theta_kept[j]), rows.size)
+    nu[rows[~lost]] = out
+    errors.update((int(rows[j]), exc) for j, exc in errs.items())
     failed = np.isin(np.arange(len(lam0)), list(errors))
     theta[failed], score[failed], lam[failed] = np.nan, np.nan, np.nan
     return (theta, score, lam, nu), failed, errors
@@ -222,12 +218,12 @@ def _lobatto_profile(rule, data, fit_result, lo, hi):
 
 
 def profile(rule, data, psi_grid, fit_result):
-    """Constrained fits and nu along the interest grid. A grid that fits in
-    one stack is solved point by point, each point started on the
-    first-order continuation predictor at the free fit. A larger grid is
-    solved at the nested Chebyshev-Lobatto levels PROFILE_LEVELS of its
-    span (``_lobatto_profile``) and filled from the last level's
-    interpolant; where a node fails, or no level meets PROFILE_TOL, the
+    """Constrained fits and nu along the interest grid. A grid of at most
+    ``scoring._row_cap`` points is solved point by point, one stack, each
+    point started on the first-order continuation predictor at the free
+    fit. A larger grid is solved at the nested Chebyshev-Lobatto levels
+    PROFILE_LEVELS of its span (``_lobatto_profile``) and filled from the
+    last level's interpolant; where a node fails, or no level meets PROFILE_TOL, the
     grid is solved point by point. A grid point whose own solve fails is
     interpolated from its neighbors and flagged. ``fit_result`` is the free
     fit of rule to data, from which the predictor starts."""
@@ -236,7 +232,7 @@ def profile(rule, data, psi_grid, fit_result):
     psi_grid = _checked_grid(psi_grid)
     positive = model.lam_positive_mask(data)
     failed = np.zeros(psi_grid.size, dtype=bool)
-    levels = (len(_chunks(psi_grid.size, model.nobs(data), positive.size + 1)) > 1
+    levels = (psi_grid.size > _row_cap(model, data)
               and _lobatto_profile(rule, data, fit_result, psi_grid[0], psi_grid[-1]))
     if levels:
         nodes, table, interp_error = levels

@@ -21,7 +21,7 @@ from .confidence import (_constrained_at, _nu_at, _root_fit, _signed_root, _unde
                          _wald_pivot, pivot_root, pivot_wald)
 from .scoring import (
     _Objective,
-    _chunks,
+    _derivatives,
     _stacked,
     _to_z,
     checked_inverse,
@@ -201,7 +201,7 @@ def _root_taif_values(rule, data, fit_result, psi, ys, component):
 
     # motion of nu through the constrained estimate
     jac = model.profile_embed_jac(psi, lam_c)
-    _, _, H, _ = _Objective(rule, data, psi).derivatives(lam_c)   # observed nuisance Hessian
+    _, _, H, _ = _derivatives(rule, data, psi, None, lam_c)   # observed nuisance Hessian
     s_c = per_obs_gradient(rule, frame, theta_c)
     dlam = -n * np.linalg.solve(H, jac.T @ s_c.T).T
     stack = model.stack([data] * 2 * theta_c.size)
@@ -289,13 +289,11 @@ def _tail_areas(rule, data, psi, theta, score, solved):
 def _mixture_refits(rule, data, fit_result, ys, component):
     """The oracle's free eps-mixture refits from the estimate, a row per
     point of ys whose frame is admissible and per eps (ORACLE_EPS, then
-    ORACLE_EPS / 2), solved together in stacks of at most STACK_ELEMENTS
-    numbers per (rows, n, d) array. Returns (points, refits): each row's
-    index in ys, and for each stack with a converged refit (at, ok,
-    objective, theta, score), its rows, the positions among them of the
-    rows whose refit is finite and converged, and the objective, estimates
-    and total scores of those rows. Made once per fit, points and
-    component, and shared by the Wald and the root oracle."""
+    ORACLE_EPS / 2), solved as one stack. Returns (points, refits): each
+    row's index in ys, and (ok, objective, theta, score), the rows whose
+    refit is finite and converged and their objective, estimates and total
+    scores, or None where there is no such row. Made once per fit, points
+    and component, and shared by the Wald and the root oracle."""
     def make():
         model, eps = rule.model, ORACLE_EPS
         frames = {}
@@ -307,17 +305,14 @@ def _mixture_refits(rule, data, fit_result, ys, component):
                 pass
         # a row per point and eps: eps, then eps / 2
         points = np.repeat(np.array(list(frames), dtype=int), 2)
-        eps_rows = np.tile([eps, eps / 2.0], len(frames))
-        theta0, refits = fit_result.theta_hat, []
-        for at in _chunks(points.size, model.nobs(data), theta0.size):
-            objective = _Objective(rule, model.stack([data] * len(points[at])), mixture=(
-                eps_rows[at], model.stack([frames[i] for i in points[at]])))
-            z0 = np.tile(_to_z(theta0, objective.positive), (len(points[at]), 1))
-            theta, score, *_, converged = objective.solve(z0)
-            ok = np.flatnonzero(np.isfinite(score) & converged)
-            if ok.size:
-                refits.append((at, ok, objective.rows(ok), theta[ok], score[ok]))
-        return points, refits
+        if not points.size:
+            return points, None
+        objective = _Objective(rule, model.stack([data] * points.size), mixture=(
+            np.tile([eps, eps / 2.0], len(frames)), model.stack([frames[i] for i in points])))
+        z0 = np.tile(_to_z(fit_result.theta_hat, objective.positive), (points.size, 1))
+        theta, score, *_, converged = objective.solve(z0)
+        ok = np.flatnonzero(np.isfinite(score) & converged)
+        return points, (ok, objective.rows(ok), theta[ok], score[ok]) if ok.size else None
     return fit_result._derived(("mixture", component, ys.tobytes()), make)
 
 
@@ -348,11 +343,12 @@ def taif_contamination_oracle(rule, data, pivot_kind, psi, ys, component=0, *, f
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     points, refits = _mixture_refits(rule, data, fit_result, ys, component)
     tails = np.full(points.size, np.nan)
-    for at, ok, objective, theta, score in refits:
+    if refits:
+        ok, objective, theta, score = refits
         solved = root and _constrained_at(
             rule, objective.data, np.full(ok.size, float(psi)),
             np.tile(_root_fit(fit_result, psi)[2], (ok.size, 1)), objective.mixture)
-        tails[at][ok] = _tail_areas(rule, objective.data, psi, theta, score, solved)
+        tails[ok] = _tail_areas(rule, objective.data, psi, theta, score, solved)
     out = np.full(ys.size, np.nan)
     out[points[::2]] = 2.0 * ((tails[1::2] - base) / (eps / 2.0)) - (tails[0::2] - base) / eps
     for y in ys[np.isnan(out)]:

@@ -53,9 +53,11 @@ MAX_ITER = 200
 SOLVER_GTOL = 1e-9
 STEP_FLOOR = 1e-10
 F_NOISE = 1e-13
-# Numbers per (rows, n, d) array of a stack of datasets, which bounds a
-# stack's memory: rows = STACK_ELEMENTS // (n d). A kernel pass holds about
-# three and a quarter such arrays at its peak.
+# Numbers per (rows, n, d) array of one kernel pass over a stack of
+# datasets: the objective and estimate_KJ pass over at most
+# STACK_ELEMENTS // (n d) rows at once (``_row_cap``), so a stack of any
+# size is one solve. A kernel pass holds about three and a quarter such
+# arrays at its peak.
 STACK_ELEMENTS = 2 ** 17
 
 
@@ -221,14 +223,20 @@ def empirical_J(rule, data, theta):
 def estimate_KJ(rule, data, theta):
     """Sensitivity and variability matrices of the total estimating function:
     the model's expected K and J, or, for a model that declares
-    ``observed_kj``, the observed ``empirical_K`` and ``empirical_J``."""
+    ``observed_kj``, the observed ``empirical_K`` and ``empirical_J``. On a
+    stack, the observed ones take a kernel pass per slice of at most
+    ``_row_cap`` rows."""
     model = rule.model
     data = model.checked(data)
     theta = np.asarray(theta, dtype=float)
     if model.observed_kj:
-        # empirical_K and empirical_J from one pass
-        _, grads, H = _kernel(rule, data, theta, order=2)
-        return _sym(H), _sym(grads.mT @ grads)
+        def stage(at):
+            # empirical_K and empirical_J from one pass
+            _, grads, H = _kernel(rule, data if at == slice(None) else model.take(data, at),
+                                  theta[at], order=2)
+            return _sym(H), _sym(grads.mT @ grads)
+
+        return _sliced(stage, model, data, len(theta) if theta.ndim == 2 else 1)
     K, J = model.expected_kj(rule.kind, rule.gamma, data, theta)
     return _sym(np.asarray(K, dtype=float)), _sym(np.asarray(J, dtype=float))
 
@@ -364,6 +372,55 @@ def _from_z(z, positive):
     return theta
 
 
+def _evaluate(rule, data, mixture, theta):
+    """(value, gradient, Hessian, parts) in theta of the total score of
+    data, one dataset or a stack, or, with ``mixture=(eps, frame)``, of its
+    eps-mixture objective (see ``_Objective``): one kernel pass over the
+    data and one over the frame. parts are the weighted per-observation
+    gradients [(weight, (n, d) gradients)] whose weighted sum is the
+    gradient."""
+    terms, grads, H = _kernel(rule, data, theta, order=2)
+    # einsum sums over the observations in order, as sum(axis=-2) does,
+    # on contiguous loops
+    val, g = _finite_total(terms.sum(axis=-1)), np.einsum("...nd->...d", grads)
+    if mixture is None:
+        return val, g, H, [(1.0, grads)]
+    eps, frame = mixture
+    weight = rule.model.nobs(data) * eps
+    terms_y, grads_y, H_y = _kernel(rule, frame, theta, order=2)
+
+    def mix(at_data, at_frame):
+        # each row's eps, broadcast over that row's entries
+        shape = eps.shape + (1,) * (at_data.ndim - 1)
+        return (1.0 - eps).reshape(shape) * at_data + weight.reshape(shape) * at_frame
+
+    return (mix(val, _finite_total(terms_y.sum(axis=-1))),
+            mix(g, np.einsum("...nd->...d", grads_y)), mix(H, H_y),
+            [(1.0 - eps, grads), (weight, grads_y)])
+
+
+def _derivatives(rule, data, psi, mixture, x):
+    """(value, gradient, Hessian, verdict) in x of the (mixture) total score
+    of data, one dataset or a stack: x is theta where psi is None, else the
+    nuisance lam at psi. The verdict is (||g||, converged), g being the
+    gradient in x and converged meaning ||g|| <= GRAD_TOL sum_i w_i ||s_i||,
+    with s_i the per-observation gradients in x and w_i their weights."""
+    model = rule.model
+    val, g, H, parts = _evaluate(rule, data, mixture,
+                                 x if psi is None else model.profile_embed(psi, x))
+    if psi is not None:
+        jac = model.profile_embed_jac(psi, x)
+        curvature = model.profile_embed_hess(psi, x, g)
+        H = jac.mT @ H @ jac
+        g = (jac.mT @ g[..., None])[..., 0]
+        H = H if curvature is None else H + curvature
+        parts = [(w, s @ jac) for w, s in parts]
+    scale = sum(w * np.sqrt(np.einsum("...nd,...nd->...n", s, s)).sum(axis=-1)
+                for w, s in parts)
+    gnorm = _norm(g)
+    return val, g, H, (gnorm, gnorm <= GRAD_TOL * scale)
+
+
 class _Objective:
     """The total score of a stack of datasets as a smooth function of
     unconstrained coordinates z, a point per row; a single dataset is a
@@ -378,15 +435,16 @@ class _Objective:
     (1 - eps) S_data + n eps S_frame (a frame holds one point, for the
     TAIF's oracle).
 
-    A call at z returns, each with a row axis, the value, gradient and
-    Hessian in z and the convergence verdict at z, ||g|| and converged (see
-    ``derivatives``), row j's being what that row evaluated alone gives. A
-    call raises DomainError or NumericsError where a row's theta is
-    inadmissible, its score cannot be evaluated, or the arithmetic
-    overflows; the solver then halves the stack (see
-    ``minimize_smooth``). ``evaluate`` and ``derivatives`` take any shape,
-    and also serve one dataset at one point (the root TAIF's nuisance
-    Hessian).
+    ``objective(z, rows)`` evaluates the rows ``rows`` of the stack, an
+    index array, at their points z, and returns, each with a row axis, the
+    value, gradient and Hessian in z and the convergence verdict at z,
+    ||g|| and converged (see ``_derivatives``), row j's being what that row
+    evaluated alone gives. It evaluates at most ``_row_cap`` rows in one
+    kernel pass, a slice of the rows at a time, so the stack's size does
+    not bound its memory. A call raises DomainError or NumericsError where
+    a row's theta is inadmissible, its score cannot be evaluated, or the
+    arithmetic overflows; the solver then halves the stack (see
+    ``minimize_smooth``).
     """
 
     def __init__(self, rule, data, psi=None, mixture=None):
@@ -395,83 +453,46 @@ class _Objective:
                          else rule.model.lam_positive_mask(data))
         self._eye = _bool_eye(len(self.positive))
 
-    def rows(self, rows):
-        """The objective on rows of the stack, an index array or a slice,
-        each with its psi and its mixture."""
+    def _take(self, rows):
+        """(data, psi, mixture) of rows of the stack, an index array."""
         model, mixture = self.rule.model, self.mixture
-        return _Objective(self.rule, model.take(self.data, rows),
-                          None if self.psi is None else self.psi[rows],
-                          mixture and (mixture[0][rows], model.take(mixture[1], rows)))
+        return (model.take(self.data, rows), None if self.psi is None else self.psi[rows],
+                mixture and (mixture[0][rows], model.take(mixture[1], rows)))
+
+    def rows(self, rows):
+        """The objective on rows of the stack, an index array, each with its
+        psi and its mixture."""
+        return _Objective(self.rule, *self._take(rows))
 
     def theta(self, x):
         """theta at x, the free parameter or the nuisance at psi."""
         return x if self.psi is None else self.rule.model.profile_embed(self.psi, x)
 
-    def _mix(self, at_data, at_frame):
-        # each row's eps, broadcast over that row's entries
-        eps = self.mixture[0]
-        eps = eps.reshape(eps.shape + (1,) * (at_data.ndim - 1))
-        return (1.0 - eps) * at_data + self.rule.model.nobs(self.data) * eps * at_frame
+    def __call__(self, z, rows):
+        def stage(at):
+            # the stack's own arrays where the rows are all of it
+            part = ((self.data, self.psi, self.mixture) if len(rows[at]) == len(self.data[0])
+                    else self._take(rows[at]))
+            try:
+                # an overflowing trial point is an inadmissible one
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    x = _from_z(z[at], self.positive)
+                    val, g, H, (gnorm, converged) = _derivatives(self.rule, *part, x)
+            except FloatingPointError as exc:
+                raise NumericsError("the score overflows or is undefined") from exc
+            # chain rule through the log transform
+            dx = np.where(self.positive, x, 1.0)
+            diag = np.where(self._eye, np.where(self.positive, x * g, 0.0)[..., None, :], 0.0)
+            return val, dx * g, dx[..., :, None] * H * dx[..., None, :] + diag, gnorm, converged
 
-    def evaluate(self, theta):
-        """(value, gradient, Hessian, parts) in theta of the (mixture) total
-        score: one kernel pass over the data and one over the frame. parts
-        are the weighted per-observation gradients [(weight, (n, d)
-        gradients)] whose weighted sum is the gradient."""
-        terms, grads, H = _kernel(self.rule, self.data, theta, order=2)
-        # einsum sums over the observations in order, as sum(axis=-2) does,
-        # on contiguous loops
-        val, g = _finite_total(terms.sum(axis=-1)), np.einsum("...nd->...d", grads)
-        parts = [(1.0, grads)]
-        if self.mixture is not None:
-            eps, frame = self.mixture
-            terms_y, grads_y, H_y = _kernel(self.rule, frame, theta, order=2)
-            val = self._mix(val, _finite_total(terms_y.sum(axis=-1)))
-            g = self._mix(g, np.einsum("...nd->...d", grads_y))
-            H = self._mix(H, H_y)
-            parts = [(1.0 - eps, grads), (self.rule.model.nobs(self.data) * eps, grads_y)]
-        return val, g, H, parts
-
-    def derivatives(self, x):
-        """(value, gradient, Hessian, verdict) in x, theta or the
-        constrained lam. The verdict is (||g||, converged), g being the
-        gradient in x and converged meaning ||g|| <= GRAD_TOL sum_i w_i ||s_i||,
-        with s_i the per-observation gradients in x and w_i their weights."""
-        val, g, H, parts = self.evaluate(self.theta(x))
-        if self.psi is not None:
-            model = self.rule.model
-            jac = model.profile_embed_jac(self.psi, x)
-            curvature = model.profile_embed_hess(self.psi, x, g)
-            H = jac.mT @ H @ jac
-            g = (jac.mT @ g[..., None])[..., 0]
-            H = H if curvature is None else H + curvature
-            parts = [(w, s @ jac) for w, s in parts]
-        scale = sum(w * np.sqrt(np.einsum("...nd,...nd->...n", s, s)).sum(axis=-1)
-                    for w, s in parts)
-        gnorm = _norm(g)
-        return val, g, H, (gnorm, gnorm <= GRAD_TOL * scale)
-
-    def __call__(self, z):
-        try:
-            # an overflowing trial point is an inadmissible one
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                x = _from_z(z, self.positive)
-                val, g, H, (gnorm, converged) = self.derivatives(x)
-        except FloatingPointError as exc:
-            raise NumericsError("the score overflows or is undefined") from exc
-        # chain rule through the log transform
-        dx = np.where(self.positive, x, 1.0)
-        diag = np.where(self._eye, np.where(self.positive, x * g, 0.0)[..., None, :], 0.0)
-        H = dx[..., :, None] * H * dx[..., None, :] + diag
-        return val, dx * g, H, gnorm, converged
+        return _sliced(stage, self.rule.model, self.data, len(rows))
 
     def solve(self, z0):
         """Minimize from z0, a start per row: (x, value, n_iter, reason,
         ||g||, converged), each with a row axis. Each row is judged from the
         evaluation that accepted its x, so no pass over the data follows the
         solve; the solver's gradient stop reads the same verdict."""
-        z, *out = minimize_smooth(
-            lambda z, rows: (self if len(rows) == len(z0) else self.rows(rows))(z), z0)
+        z, *out = minimize_smooth(self, z0)
         return (_from_z(z, self.positive), *out)
 
 
@@ -643,12 +664,23 @@ def _stacked(stage, n):
     return out, failed, errors
 
 
-def _chunks(n_rows, n, d):
-    """Slices that cut n_rows rows, datasets of n observations with d
-    parameters, into stacks of at most STACK_ELEMENTS numbers per
-    (rows, n, d) array."""
-    size = max(1, STACK_ELEMENTS // (n * d))
-    return [slice(i, i + size) for i in range(0, n_rows, size)]
+def _row_cap(model, data):
+    """The most rows of a stack of data that one kernel pass takes: those
+    whose (rows, n, d) arrays, n observations and d parameters, hold at
+    most STACK_ELEMENTS numbers, and at least one."""
+    return max(1, STACK_ELEMENTS // (model.nobs(data) * len(model.positive_mask(data))))
+
+
+def _sliced(stage, model, data, n_rows):
+    """``stage(at)`` on the n_rows rows of a stack of data, its tuple of
+    outputs with a row axis: one call, at = slice(None), where n_rows is at
+    most ``_row_cap``, else a call per slice at of at most that many rows,
+    their outputs joined along the rows."""
+    cap = _row_cap(model, data)
+    if n_rows <= cap:
+        return stage(slice(None))
+    return tuple(map(np.concatenate, zip(*(stage(slice(i, i + cap))
+                                           for i in range(0, n_rows, cap)))))
 
 
 def fit(rule, data, theta0=None):
@@ -665,7 +697,8 @@ def fit(rule, data, theta0=None):
     arrays whose row r is the fit of dataset r alone, with the DomainError
     or NumericsError that fitting a row alone raises in its ``errors``. A
     single dataset is fitted as a stack of one, and its Fit is that stack's
-    row 0.
+    row 0. A stack of any size is one solve: the kernel passes over at most
+    ``_row_cap`` of its rows at once, which bounds the fit's memory.
     """
     data = rule.model.checked(data)
     theta0 = np.asarray(_start(rule, data) if theta0 is None else theta0, dtype=float)

@@ -10,12 +10,13 @@ Coverage is recorded through the pivot: the equi-tailed level-alpha interval
 of a CD contains psi exactly when |pivot(psi)| <= z_{(1+alpha)/2}, so no
 grid construction is needed inside the replicate loop.
 
-The replicates of a method are solved together, as stacks of at most
-``scoring.STACK_ELEMENTS`` numbers per (rows, n, d) array: one kernel pass
-and one batch of Newton steps serve every replicate still running. Each
-replicate's results are those of fitting it alone. A stack's results are
-arrays with a replicate axis, with a mask of the replicates given up and
-the exception that gives each up (see ``scoring._stacked``).
+The replicates of a study are one stack, which every method solves: one
+batch of Newton steps serves every replicate still running, and the
+objective passes over a slice of the replicates at a time, which bounds the
+memory (see ``scoring._row_cap``). Each replicate's results are those of
+fitting it alone. A stack's results are arrays with a replicate axis, with
+a mask of the replicates given up and the exception that gives each up
+(see ``scoring._stacked``).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .confidence import (
 )
 from .models import _TwoSampleBase, get_model, ndtri
 from .robustness import calibrate_gamma
-from .scoring import ScoreRule, _chunks, _fit_rows, _stacked, _start
+from .scoring import ScoreRule, _fit_rows, _stacked, _start
 
 __all__ = [
     "Contamination",
@@ -351,7 +352,7 @@ def run_study(design: SimDesign):
 
     Replicates whose fit (or constrained fit) fails are dropped for that
     method only and counted; more than MAX_FAILURE_RATE failures for any
-    method aborts the study. The replicates are stacked once, in chunks
+    method aborts the study. The replicates are stacked once, one stack
     that every method solves, with the results of solving each alone.
     """
     if design.model == "linear-regression":
@@ -376,25 +377,21 @@ def run_study(design: SimDesign):
         if design.contamination is not None:
             data = contaminate(model, data, design.contamination)
         datasets.append(model.checked(data))
-    stacks = [model.stack(datasets[at]) for at in _chunks(design.n_reps, model.nobs(datasets[0]),
-                                                          theta_true.size)]
+    stack = model.stack(datasets)
     results = {}
     for meth in design.methods:
         gamma = _resolve_gamma(meth, model, theta_true, template)
         rule = ScoreRule.log(model) if meth.rule == "log" else ScoreRule.tsallis(model, gamma)
-        res = results[meth.label()] = MethodResult(label=meth.label(), levels=design.levels)
-        for stack in stacks:
-            pivots, psi_hat, failed, _ = _point_pivots(
-                rule, _fit_rows(rule, stack, _start(rule, stack)), psis, meth.pivot)
-            pivots, psi_hat = pivots[~failed], psi_hat[~failed]
-            res.n_failed += int(np.count_nonzero(failed))
-            res.n_used += len(psi_hat)
-            for lv in design.levels:
-                res.cover_counts[lv] = res.cover_counts.get(lv, 0) + int(np.sum(
-                    np.abs(pivots[:, 0]) <= z[lv]))
-            if design.h0 is not None:
-                res.pvalues += [_tail_p(q, design.h0.alternative) for q in pivots[:, -1]]
-            res.medians += psi_hat.tolist()
+        pivots, psi_hat, failed, _ = _point_pivots(
+            rule, _fit_rows(rule, stack, _start(rule, stack)), psis, meth.pivot)
+        pivots, psi_hat = pivots[~failed], psi_hat[~failed]
+        results[meth.label()] = MethodResult(
+            label=meth.label(), levels=design.levels, n_used=len(psi_hat),
+            n_failed=int(np.count_nonzero(failed)),
+            cover_counts={lv: int(np.sum(np.abs(pivots[:, 0]) <= z[lv])) for lv in design.levels},
+            pvalues=[] if design.h0 is None else [_tail_p(q, design.h0.alternative)
+                                                  for q in pivots[:, -1]],
+            medians=psi_hat.tolist())
 
     for label, res in results.items():
         if res.n_failed > MAX_FAILURE_RATE * design.n_reps:

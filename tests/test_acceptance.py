@@ -22,7 +22,6 @@ from robustcd.models import (
 )
 from robustcd.robustness import calibrate_gamma, taif, taif_contamination_oracle
 from robustcd.scoring import (
-    STACK_ELEMENTS,
     ScoreRule,
     empirical_J,
     empirical_K,
@@ -263,11 +262,8 @@ def test_criterion_4_gamma_calibration():
         resid = y - X @ beta_hat
         est_mle[b] = np.concatenate([beta_hat, [resid @ resid / n]])
         ys[b] = y
-    # fitted as stacks of replicates, each row as it fits alone
-    rows = STACK_ELEMENTS // (n * theta_true.size)
-    est_rob = np.array([fr.theta_hat for i in range(0, B, rows)
-                        for fr in fit(rule_t, model.stack([(y, X) for y in ys[i:i + rows]]),
-                                      theta0=est_mle[i:i + rows])])
+    # fitted as one stack of replicates, each row as it fits alone
+    est_rob = fit(rule_t, model.stack([(y, X) for y in ys]), theta0=est_mle).theta_hat
     are_mc = float(np.min(est_mle.var(axis=0) / est_rob.var(axis=0)))
     elapsed = time.time() - t0
     ok = in_band and abs(are_mc - 0.90) <= 0.02 and elapsed < 300

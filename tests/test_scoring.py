@@ -18,6 +18,8 @@ from robustcd.models import (
 from robustcd.scoring import (
     ScoreRule,
     _Objective,
+    _derivatives,
+    _evaluate,
     _from_z,
     _to_z,
     checked_inverse,
@@ -615,12 +617,12 @@ def test_kernel_equals_value_and_gradient_paths(kernel_cases, gamma):
 
         # the objective on the dataset as a stack of one
         objective = _Objective(rule, model.stack([data]))
-        val, g, _, _ = objective.evaluate(theta[None])
+        val, g, _, _ = _evaluate(rule, objective.data, None, theta[None])
         assert val[0] == total_score(rule, data, theta)
         assert np.array_equal(g[0], score_gradient(rule, data, theta))
         # the unconstrained coordinates see the same numbers
         z = _to_z(theta, objective.positive)
-        val_z, g_z, *_ = objective(z[None])
+        val_z, g_z, *_ = objective(z[None], np.arange(1))
         x = _from_z(z, objective.positive)
         want = score_gradient(rule, data, x) * np.where(objective.positive, x, 1.0)
         assert val_z[0] == total_score(rule, data, x)
@@ -630,9 +632,8 @@ def test_kernel_equals_value_and_gradient_paths(kernel_cases, gamma):
         eps, n = 1e-4, model.nobs(data)
         center, _ = model.obs_center_scale(data, theta, 0)
         frame = model.checked(model.contamination_frame([center + 0.3], data))
-        mixed = _Objective(rule, model.stack([data]),
-                           mixture=(np.array([eps]), model.stack([frame])))
-        val_m, g_m, _, _ = mixed.evaluate(theta[None])
+        val_m, g_m, _, _ = _evaluate(rule, model.stack([data]),
+                                     (np.array([eps]), model.stack([frame])), theta[None])
         assert val_m[0] == ((1.0 - eps) * total_score(rule, data, theta)
                             + n * eps * total_score(rule, frame, theta))
         assert np.array_equal(g_m[0], (1.0 - eps) * score_gradient(rule, data, theta)
@@ -700,16 +701,16 @@ def test_no_kernel_pass_after_a_solve(two_sample_data, cd_grid_auc_normal, kerne
     objective = _Objective(rule, m.stack([m.checked(two_sample_data)]), np.array([2.0]))
     lam = m.profile_extract(fr.theta_hat)
     z = _to_z(lam, objective.positive)[None]
-    *_, gnorm, converged = objective(z)
+    *_, gnorm, converged = objective(z, np.arange(1))
     kept = gnorm.copy(), converged.copy()
-    objective(z + 0.1)
+    objective(z + 0.1, np.arange(1))
     with pytest.raises(NumericsError):          # overflows: an inadmissible trial
-        objective(z + 1e3)
+        objective(z + 1e3, np.arange(1))
     assert np.isfinite(gnorm[0])
     assert np.array_equal(gnorm, kept[0]) and np.array_equal(converged, kept[1])
 
     # A profile on 1050 points: its 201 grid points take more than one
-    # stack, so it solves the Chebyshev-Lobatto levels of 9, 17 and 33
+    # kernel pass, so it solves the Chebyshev-Lobatto levels of 9, 17 and 33
     # nodes, the new nodes of each level one solve, and the rows of the
     # first level stop on "step". nu comes from the analytic K and J, so
     # every pass belongs to a solve.
@@ -795,7 +796,7 @@ def test_two_wave_profile_equals_a_single_wave(request, model, data_name, gamma)
     rule = ScoreRule.log(model) if gamma is None else ScoreRule.tsallis(model, gamma)
     fr = fit(rule, data)
     grid = _default_profile_grid(fr)
-    assert len(scoring._chunks(grid.size, model.nobs(data), fr.theta_hat.size)) > 1
+    assert grid.size > scoring._row_cap(model, data)     # more than one kernel pass
     trace = confidence.profile(rule, data, grid, fit_result=fr)
     assert trace.n_nodes in confidence.PROFILE_LEVELS and trace.n_nodes < grid.size
     starts = confidence._tangent_starts(model, data, fr, grid)
@@ -875,15 +876,14 @@ def test_a_failed_first_wave_point_is_dropped_from_the_interpolant(
         trace = confidence.profile(rule, cd_grid_auc_normal, grid, fit_result=fr)
     np.testing.assert_array_equal(np.flatnonzero(trace.failed), flagged)
     assert (trace.n_nodes, trace.interp_error) == (grid.size, 0.0)
-    # the first level, then the grid in its stacks
-    assert [len(reasons) for _, _, reasons in solves] == [9] + [
-        len(range(grid.size)[at]) for at in scoring._chunks(grid.size, 1050, 4)]
+    # the first level, then the grid, one solve
+    assert [len(reasons) for _, _, reasons in solves] == [9, grid.size]
 
 
 def test_a_profile_that_never_meets_the_tolerance_is_solved_point_by_point(
         cd_grid_auc_normal, monkeypatch):
     # No level meets a tolerance of 0: after the 65-node level, the grid is
-    # solved as a grid that fits in one stack is, point by point from the
+    # solved as a grid that fits in one kernel pass is, point by point from the
     # predictor, bit for bit
     rule = ScoreRule.tsallis(NormalAUC(), 1.23)
     model, fr = rule.model, fit(rule, cd_grid_auc_normal)
@@ -917,6 +917,26 @@ def test_profile_memory_is_a_few_chunk_arrays(cd_grid_auc_normal):
         tracemalloc.stop()
     assert not trace.failed.any()
     assert peak < 4.0 * chunk_bytes, peak / chunk_bytes
+
+
+def test_point_by_point_profile_memory_is_a_few_slice_arrays(cd_grid_auc_normal, monkeypatch):
+    # With no level meeting a tolerance of 0, the 201 grid points are one
+    # stack, solved point by point: the objective passes over 31 of them at
+    # a time, so the peak stays that of a few slices' (rows, n, d) arrays.
+    rule = ScoreRule.tsallis(NormalAUC(), 1.23)
+    fr = fit(rule, cd_grid_auc_normal)
+    grid = _default_profile_grid(fr)
+    monkeypatch.setattr(confidence, "PROFILE_TOL", 0.0)
+    rows = scoring._row_cap(rule.model, cd_grid_auc_normal)
+    slice_bytes = rows * 1050 * 4 * 8
+    tracemalloc.start()
+    try:
+        trace = confidence.profile(rule, cd_grid_auc_normal, grid, fit_result=fr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (trace.n_nodes, grid.size) == (201, 201) and not trace.failed.any()
+    assert peak < 4.0 * slice_bytes, peak / slice_bytes
 
 
 def test_minimize_smooth_solves_a_quadratic_in_two_passes():
@@ -983,6 +1003,43 @@ def test_a_stack_row_scores_and_fits_as_its_dataset_alone(all_models, gamma):
             assert (fits[r].score_at_opt, fits[r].n_iter, fits[r].stop_reason,
                     fits[r].grad_norm, fits[r].converged) == (
                 fr.score_at_opt, fr.n_iter, fr.stop_reason, fr.grad_norm, fr.converged)
+
+
+def test_a_stack_over_the_row_cap_fits_a_slice_at_a_time(kernel_calls):
+    # A stack of 70 two-sample datasets of 350 + 700 points takes three
+    # slices of at most 31 rows (2^17 numbers per (rows, n, d) array), and
+    # 150 gamma samples of 1000 points three of at most 65: no kernel pass
+    # carries more rows than that, and a row fits, and has the observed K
+    # and J, that it has alone.
+    calls, _ = kernel_calls
+    rng = np.random.default_rng(41)
+    model = TwoSampleNormal()
+    datasets = [model.checked((rng.normal(2.0, 1.0, 350), rng.normal(0.0, 1.5, 700)))
+                for _ in range(70)]
+    rule, stack = ScoreRule.tsallis(model, 1.23), model.stack(datasets)
+    assert scoring._row_cap(model, stack) == 31
+    del calls[:]
+    fits = fit(rule, stack)
+    assert max(calls) == 31
+    for r in (0, 31, 62, 69):
+        fr = fit(rule, datasets[r])
+        assert np.array_equal(fits[r].theta_hat, fr.theta_hat)
+        assert np.array_equal(fits[r].V, fr.V)
+        assert (fits[r].score_at_opt, fits[r].n_iter, fits[r].stop_reason, fits[r].grad_norm,
+                fits[r].converged) == (
+            fr.score_at_opt, fr.n_iter, fr.stop_reason, fr.grad_norm, fr.converged)
+
+    model = expfam_gamma()
+    y = rng.gamma(3.0, 0.5, (150, 1000))
+    rule, stack = ScoreRule.tsallis(model, 1.23), model.stack(list(y))
+    thetas = np.stack([model.default_start(model.checked(row)) for row in y])
+    assert scoring._row_cap(model, stack) == 65
+    del calls[:]
+    K, J = estimate_KJ(rule, stack, thetas)
+    assert calls == [65, 65, 20]
+    for r in (0, 65, 130, 149):
+        K_r, J_r = estimate_KJ(rule, y[r], thetas[r])
+        assert np.array_equal(K[r], K_r) and np.array_equal(J[r], J_r)
 
 
 def _frames(model, data, theta):
@@ -1131,10 +1188,10 @@ def test_a_record_is_the_verdict_at_its_point(all_models, gamma):
             crossing = np.array(crossing)[:, None]
             for z in (z_solved, z_solved + 0.1 * crossing * (1.0 - 1e-4),
                       z_solved + 0.1 * crossing * (1.0 + 1e-4)):
-                gnorms, convergeds = objective(z)[3:]
+                gnorms, convergeds = objective(z, np.arange(len(z)))[3:]
                 for r, (gnorm, converged) in enumerate(zip(gnorms, convergeds)):
                     what = (model.name, rule.label(), psi is not None, mix is not None, r)
-                    [gnorm_alone], [converged_alone] = objective.rows(np.array([r]))(z[r:r + 1])[3:]
+                    [gnorm_alone], [converged_alone] = objective(z[r:r + 1], np.array([r]))[3:]
                     assert (gnorm, converged) == (gnorm_alone, converged_alone), what
                     g_oracle, bound = oracle(r, z[r])
                     assert abs(g_oracle - bound) > 1e-5 * bound, what   # not round-off
@@ -1161,7 +1218,7 @@ def test_minimize_smooth_solves_each_row_of_a_stack_as_alone():
 
     def rows_fun(z, rows):
         try:
-            return objective.rows(rows)(z)
+            return objective(z, rows)
         except NumericsError:
             if len(rows) == 1:          # the row fails alone
                 overflowed.extend(rows)
@@ -1174,7 +1231,7 @@ def test_minimize_smooth_solves_each_row_of_a_stack_as_alone():
         # each row's reference is its own stack of one
         alone = _Objective(rule, m.stack([data]))
         z_r, f_r, n_r, reason_r, gnorm_r, converged_r = minimize_smooth(
-            lambda z, rows: alone(z), z0[r:r + 1])
+            alone, z0[r:r + 1])
         assert np.array_equal(z[r], z_r[0])
         assert f[r] == f_r[0] or np.isinf(f[r]) and np.isinf(f_r[0])
         assert (n_iter[r], reason[r]) == (n_r[0], reason_r[0])
@@ -1230,10 +1287,10 @@ def test_analytic_hessians_equal_finite_differences(curvature_cases, gamma):
                                _Objective(rule, stack, psi, mixture), lam))
         for name, objective, x in objectives:
             z = _to_z(x, objective.positive)
-            val, _, H_z, *_ = objective(z[None])
+            val, _, H_z, *_ = objective(z[None], np.arange(1))
             assert np.isfinite(val[0]), what + (name,)
             _assert_hessian(H_z[0], _fd_jacobian(
-                lambda v: objective.rows(np.zeros(len(v), dtype=int))(v)[1], z), what + (name,))
+                lambda v: objective(v, np.zeros(len(v), dtype=int))[1], z), what + (name,))
 
 
 def test_normal_auc_embedding_curvature(normal_auc_data):
@@ -1243,16 +1300,14 @@ def test_normal_auc_embedding_curvature(normal_auc_data):
     data = model.checked(normal_auc_data)
     rule = ScoreRule.tsallis(model, 1.2)
     theta = model.default_start(data)
-    objective = _Objective(rule, data, model.interest(theta) * 0.98)
-    lam = model.profile_extract(theta)
-    _, _, H, _ = objective.derivatives(lam)
-    shifted = _Objective(rule, model.stack([data] * 2 * lam.size),
-                         np.full(2 * lam.size, objective.psi))
-    H_fd = _fd_jacobian(lambda v: shifted.derivatives(v)[1], lam)
-    g_theta = objective.evaluate(objective.theta(lam))[1]
-    curvature = model.profile_embed_hess(objective.psi, lam, g_theta)
+    psi, lam = model.interest(theta) * 0.98, model.profile_extract(theta)
+    _, _, H, _ = _derivatives(rule, data, psi, None, lam)
+    H_fd = _fd_jacobian(lambda v: _derivatives(rule, model.stack([data] * 2 * lam.size),
+                                               np.full(2 * lam.size, psi), None, v)[1], lam)
+    g_theta = _evaluate(rule, data, None, model.profile_embed(psi, lam))[1]
+    curvature = model.profile_embed_hess(psi, lam, g_theta)
     assert np.abs(H - curvature - H_fd).max() > 1e-3 * np.abs(H_fd).max()
     fd = _fd_jacobian(
-        lambda v: model.profile_embed_jac(np.full(len(v), objective.psi), v).mT @ g_theta, lam)
+        lambda v: model.profile_embed_jac(np.full(len(v), psi), v).mT @ g_theta, lam)
     fd = 0.5 * (fd + fd.T)
     assert np.allclose(fd, curvature, rtol=1e-6, atol=1e-8 * np.abs(curvature).max())

@@ -62,9 +62,9 @@ def _pass_counts(monkeypatch, workload):
 
 @pytest.mark.parametrize(
     "workload, solves, row_passes, validations, rounds, mechanism, objects, nodes", [
-        ("cd-grid", 39, 700, 10, (92, 592, 65, 413), (0, 0, 0), (10, 155), 314),  # 660 measured
-        ("study", 60, 3660, 372, (297, 3555, 237, 2637), (1, 16, 0), (0, 440), 0),  # 3555
-        ("robustness", 96, 2670, 288, (300, 1301, 204, 871), (0, 0, 0), (24, 756), 0),  # 2590
+        ("cd-grid", 39, 700, 10, (92, 592, 65, 413), (0, 0, 0), (10, 126), 314),  # 660 measured
+        ("study", 60, 3660, 372, (297, 3555, 237, 2637), (1, 16, 0), (0, 416), 0),  # 3555
+        ("robustness", 96, 2670, 288, (300, 1301, 204, 871), (0, 0, 0), (24, 684), 0),  # 2590
     ], ids=["cd-grid", "study", "robustness"])
 def test_workload_pass_counts(monkeypatch, workload, solves, row_passes, validations, rounds,
                               mechanism, objects, nodes):
@@ -82,6 +82,7 @@ def test_workload_pass_counts(monkeypatch, workload, solves, row_passes, validat
     # overflows (2 shifted steps cost 32 rows failing alone without it).
     # The Fit objects and the checked data made are pinned too: a stack's
     # fits and pivots are arrays, so a study builds no Fit per replicate.
+    # No kernel call carries more rows than the row cap allows.
     # The counts do not depend on the machine, so this checks the warm
     # starts, the shared solves, the checks and the rounds without a timing.
     kernel_passes, total = _pass_counts(monkeypatch, workload)
@@ -91,6 +92,7 @@ def test_workload_pass_counts(monkeypatch, workload, solves, row_passes, validat
     assert tuple(total[key] for key in kernel_passes.ROUNDS) == rounds
     assert tuple(total[key] for key in kernel_passes.MECHANISM) == mechanism
     assert tuple(total[key] for key in kernel_passes.OBJECTS) == objects
+    assert total[kernel_passes.OVERSIZED] == 0
     assert total[kernel_passes.NODES] == nodes
 
 
@@ -110,8 +112,8 @@ def test_workload_normal_counts(monkeypatch, workload, normal):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("workload, rounds, mechanism", [
-    ("criterion-2-clean", (75, 31779, 65, 23626), (90, 155, 0)),
-    ("criterion-2-contaminated", (75, 32255, 65, 23692), (122, 269, 0)),
+    ("criterion-2-clean", (43, 31779, 38, 23626), (90, 155, 0)),
+    ("criterion-2-contaminated", (42, 32255, 37, 23692), (122, 269, 0)),
 ])
 def test_criterion_2_counts(monkeypatch, workload, rounds, mechanism):
     # The paper-scale studies of criterion 2, 2000 replicates each: the
@@ -120,6 +122,10 @@ def test_criterion_2_counts(monkeypatch, workload, rounds, mechanism):
     # shifted steps sent trial points past where the score overflows, and
     # each such round halved its stack until 1247 rows (clean) and 1781
     # rows (contaminated) failed alone, in 7020 and 9567 objective calls.
+    # The 2000 replicates are one stack, solved in one solve per step of
+    # the study, and the objective passes over at most the row cap at once:
+    # no kernel call carries more.
     kernel_passes, total = _pass_counts(monkeypatch, workload)
     assert tuple(total[key] for key in kernel_passes.ROUNDS) == rounds
     assert tuple(total[key] for key in kernel_passes.MECHANISM) == mechanism
+    assert total[kernel_passes.OVERSIZED] == 0

@@ -8,17 +8,19 @@ row-passes by ``order`` (0: terms, 1: with gradients, 2: with the
 Hessian), then the stacked solves by the kind of objective (free,
 constrained at a psi, free eps-mixture, constrained eps-mixture), then the
 ``validate_data`` calls, then the solver's rounds: the stacked objective
-evaluations (``_Objective.__call__``) and the rows they carry, and the
-stacked Newton-step solves (``_newton_steps``) and their rows, then the
-solver's mechanism: the Newton steps whose Hessian's spectrum
+evaluations (``_Objective.__call__(z, rows)``) and the rows they carry,
+and the stacked Newton-step solves (``_newton_steps``) and their rows,
+then the solver's mechanism: the Newton steps whose Hessian's spectrum
 ``_newton_steps`` shifts, the steps that ``_bounded`` cuts to 1 + ||z||,
 and the evaluated rows that fail alone (a one-row objective call that
 raises, most often a trial point whose score overflows), then the
 objects built: ``scoring.Fit`` objects and checked data
 (``models._Checked``: a checked dataset, a stack or the rows taken from
-one). A kernel call on one dataset is one row-pass and a call on a stack
-one per row; a solve is one however many rows its stack holds; data a
-model has checked are not validated again. Then come the points each
+one), then the kernel calls over the row cap: calls on more than one row
+whose rows x n x d exceeds ``scoring.STACK_ELEMENTS``, n observations and
+d parameters. A kernel call on one dataset is one row-pass and a call on
+a stack one per row; a solve is one however many rows its stack holds;
+data a model has checked are not validated again. Then come the points each
 ``confidence.profile`` solved: its Chebyshev-Lobatto nodes, or its grid
 where it was solved point by point. Last come the calls of the standard
 normal CDF and quantile (``models.ndtr`` and ``models.ndtri``, wherever
@@ -72,6 +74,7 @@ MECHANISM = ("shifted steps", "bounded steps", "rows failing alone")
 CRITERION_2 = {"criterion-2-clean": None,
                "criterion-2-contaminated": simulate.Contamination(0, -1, -7.0)}
 OBJECTS = ("Fit", "_Checked")
+OVERSIZED = "kernel calls over the row cap"
 NODES = "profile nodes"
 NORMAL = ("ndtr calls", "ndtr elements", "ndtri calls", "ndtri elements")
 
@@ -135,8 +138,9 @@ def _shifted(H):
 def count_passes(workload):
     """{op key: Counter of row-passes by order, of stacked solves by kind,
     of validate_data calls, of solver rounds and mechanism, of objects
-    built, of profile nodes solved and of normal CDF and quantile calls
-    and elements} over one pass of the workload, and
+    built, of kernel calls over the row cap, of profile nodes solved and of
+    normal CDF and quantile calls and elements} over one pass of the
+    workload, and
     the keys of the ops whose outputs left their reference."""
     counts, current = {}, collections.Counter()
     kernel, solve = scoring._kernel, scoring._Objective.solve
@@ -146,17 +150,21 @@ def count_passes(workload):
     profile = confidence.profile
 
     def counted(rule, data, theta, order=1):
-        current[order] += len(theta) if np.ndim(theta) == 2 else 1
+        rows = len(theta) if np.ndim(theta) == 2 else 1
+        current[order] += rows
+        if rows > 1:
+            current[OVERSIZED] += (rows * rule.model.nobs(data) * np.shape(theta)[-1]
+                                   > scoring.STACK_ELEMENTS)
         return kernel(rule, data, theta, order)
 
     def counted_solve(objective, z0):
         current[_solve_kind(objective)] += 1
         return solve(objective, z0)
 
-    def counted_evaluation(objective, z):
+    def counted_evaluation(objective, z, rows):
         current.update({"evaluations": 1, "evaluated rows": len(z)})
         try:
-            return evaluate(objective, z)
+            return evaluate(objective, z, rows)
         except (DomainError, NumericsError):
             current["rows failing alone"] += len(z) == 1
             raise
@@ -262,6 +270,8 @@ def main(argv=None):
     _table(counts, MECHANISM, MECHANISM, summed=False)
     print("\nobjects built")
     _table(counts, OBJECTS, OBJECTS, summed=False)
+    print("\nkernel calls over the row cap")
+    _table(counts, (OVERSIZED,), (OVERSIZED,), summed=False)
     print("\nprofile nodes solved")
     _table(counts, (NODES,), (NODES,), summed=False)
     print("\nstandard normal CDF and quantile: calls and elements")
