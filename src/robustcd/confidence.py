@@ -585,14 +585,15 @@ def _check_alternative(alternative):
 
 
 def _tail_p(q, alternative):
-    """P-value of the pivot value q: Phi(-q), Phi(q) or 2 Phi(-|q|), which
-    stays positive where 1 - Phi(|q|) rounds to 0 (|q| above about 8.3)."""
+    """P-value of the pivot value q, or of each in an array: Phi(-q), Phi(q)
+    or 2 Phi(-|q|), which stays positive where 1 - Phi(|q|) rounds to 0
+    (|q| above about 8.3)."""
     _check_alternative(alternative)
     if alternative == "less":
-        return float(ndtr(-q))
+        return ndtr(-q)
     if alternative == "greater":
-        return float(ndtr(q))
-    return float(2.0 * ndtr(-abs(q)))
+        return ndtr(q)
+    return 2.0 * ndtr(-np.abs(q))
 
 
 def p_value(cd, psi0, alternative="two_sided"):
@@ -602,7 +603,7 @@ def p_value(cd, psi0, alternative="two_sided"):
     two-sided p-value is 2 Phi(-|pivot(psi0)|). A psi0 outside the
     grid hull gives the bound at the hull edge, with a warning.
     """
-    return _tail_p(float(cd.pivot_at(psi0)), alternative)
+    return float(_tail_p(float(cd.pivot_at(psi0)), alternative))
 
 
 def evidence(cd, psi1, psi2):

@@ -6,6 +6,11 @@ gamma theta stays in the natural parameter space, which makes the Tsallis
 score and its estimating function fully explicit. The module also provides
 the boundedness check of the estimating function toward the support
 boundary, which decides whether the resulting estimator is B-robust.
+
+The gamma and beta cumulants need log Gamma, digamma and trigamma. They
+are the array functions ``gammaln`` (the C library's ``lgamma``),
+``digamma``, ``trigamma`` and ``betaln`` below, in numpy alone, so the
+package needs no scipy.
 """
 
 from __future__ import annotations
@@ -242,6 +247,83 @@ def expfam_robustness_check(model: ExpFamilyModel, theta, gamma):
 
 
 # ---------------------------------------------------------------------------
+# Log-gamma, digamma and trigamma
+# ---------------------------------------------------------------------------
+
+_lgamma = np.frompyfunc(math.lgamma, 1, 1)
+# psi and psi' at x > 0 come from their asymptotic series at z = x + 10 and
+# the recurrence psi(x + 1) = psi(x) + 1/x, summed over x + 9, ..., x + 0 so
+# that the smallest terms are added first. At z >= 10 the series' first
+# omitted terms, in 1/z^20 and 1/z^21, are below 1e-18.
+_SHIFT = 10.0
+_STEPS = np.arange(_SHIFT - 1.0, -1.0, -1.0)
+_POWERS = np.arange(1.0, 10.0)
+# the Bernoulli numbers B_2, B_4, ..., B_18
+_BERNOULLI = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+                       -3617 / 510, 43867 / 798])
+_DIGAMMA_SERIES = -_BERNOULLI / (2.0 * _POWERS)
+
+
+def gammaln(x):
+    """log |Gamma(x)| by the C library's lgamma; raises ValueError, as
+    math.lgamma does, at the poles 0, -1, -2, ... A scalar gives a float64
+    and an array an array of its shape."""
+    return np.asarray(_lgamma(x), dtype=float)[()]
+
+
+def _shifted(x):
+    """(z = x + 10, the powers 1/z^2, ..., 1/z^18 along a last axis, and
+    1/(x + k) for k = 9, ..., 0 along a last axis)."""
+    x = np.asarray(x, dtype=float)
+    z = x + _SHIFT
+    return z, (1.0 / (z * z))[..., None] ** _POWERS, 1.0 / (x[..., None] + _STEPS)
+
+
+def digamma(x):
+    """psi(x) = d log Gamma(x) / dx for x > 0: psi(z) = log z - 1/(2z) -
+    sum_k B_2k / (2k z^2k) less sum_k 1/(x + k). A scalar gives a float64
+    and an array an array of its shape; each element depends on it alone."""
+    z, powers, steps = _shifted(x)
+    return (np.log(z) - (steps.sum(axis=-1)
+                         + (0.5 / z - np.vecdot(powers, _DIGAMMA_SERIES))))[()]
+
+
+def trigamma(x):
+    """psi'(x) for x > 0: psi'(z) = 1/z + 1/(2z^2) + sum_k B_2k / z^(2k + 1)
+    plus sum_k 1/(x + k)^2. A scalar gives a float64 and an array an array
+    of its shape; each element depends on it alone."""
+    z, powers, steps = _shifted(x)
+    return (np.vecdot(steps, steps) + (1.0 + 0.5 / z + np.vecdot(powers, _BERNOULLI)) / z)[()]
+
+
+def betaln(a, b):
+    """log B(a, b) = log Gamma(a) + log Gamma(b) - log Gamma(a + b) for a, b > 0."""
+    return gammaln(a) + gammaln(b) - gammaln(np.add(a, b))
+
+
+def _remembered(f):
+    """f of theta, remembering its values at the last two thetas it was
+    given. An order-2 Tsallis kernel pass asks for c_grad at theta three
+    times and at gamma theta twice, and for c_hess and c at theta twice;
+    each is computed once. The values are shared, so read-only."""
+    memo = ()
+
+    def remembered(th):
+        nonlocal memo
+        th = np.asarray(th, dtype=float)
+        key = (th.shape, th.tobytes())
+        for known, value in memo:
+            if known == key:
+                return value
+        value = f(th)
+        value.setflags(write=False)
+        memo = ((key, value), *memo[:1])
+        return value
+
+    return remembered
+
+
+# ---------------------------------------------------------------------------
 # Built-in families
 # ---------------------------------------------------------------------------
 
@@ -314,9 +396,6 @@ def expfam_exponential():
 
 def expfam_gamma():
     """Gamma(shape, rate) in natural form theta = (shape - 1, -rate)."""
-    # scipy.special loads only with the families that need it
-    from scipy.special import digamma, gammaln, polygamma
-
     def c(th):
         shape, t2 = th[..., 0] + 1.0, th[..., 1]
         return gammaln(shape) - shape * np.log(-t2)
@@ -327,7 +406,7 @@ def expfam_gamma():
 
     def c_hess(th):
         shape, t2 = th[..., 0] + 1.0, th[..., 1]
-        return _last([[polygamma(1, shape), -1.0 / t2], [-1.0 / t2, shape / (t2 * t2)]])
+        return _last([[trigamma(shape), -1.0 / t2], [-1.0 / t2, shape / (t2 * t2)]])
 
     def scale(th):
         shape, rate = th[0] + 1.0, -th[1]
@@ -346,7 +425,7 @@ def expfam_gamma():
     return ExpFamilyModel(_Family(
         name="gamma", s=2,
         t=lambda y: np.concatenate([np.log(y)[..., None], y[..., None]], axis=-1),
-        c=c, c_grad=c_grad, c_hess=c_hess,
+        c=_remembered(c), c_grad=_remembered(c_grad), c_hess=_remembered(c_hess),
         support=(0.0, np.inf),
         in_natural=lambda th: (th[..., 0] > -1.0) & (th[..., 1] < 0),
         sample=sample, start=start, scale=scale,
@@ -356,8 +435,6 @@ def expfam_gamma():
 
 def expfam_beta():
     """Beta(a, b) in natural form theta = (a - 1, b - 1)."""
-    from scipy.special import betaln, digamma, polygamma
-
     def c(th):
         return betaln(th[..., 0] + 1.0, th[..., 1] + 1.0)
 
@@ -368,8 +445,8 @@ def expfam_beta():
 
     def c_hess(th):
         a, b = th[..., 0] + 1.0, th[..., 1] + 1.0
-        ab = polygamma(1, a + b)
-        return _last([[polygamma(1, a) - ab, -ab], [-ab, polygamma(1, b) - ab]])
+        ab = trigamma(a + b)
+        return _last([[trigamma(a) - ab, -ab], [-ab, trigamma(b) - ab]])
 
     def start(y):
         m, v = np.mean(y, axis=-1), np.maximum(np.var(y, axis=-1), 1e-12)
@@ -382,7 +459,7 @@ def expfam_beta():
     return ExpFamilyModel(_Family(
         name="beta", s=2,
         t=lambda y: np.concatenate([np.log(y)[..., None], np.log1p(-y)[..., None]], axis=-1),
-        c=c, c_grad=c_grad, c_hess=c_hess,
+        c=_remembered(c), c_grad=_remembered(c_grad), c_hess=_remembered(c_hess),
         support=(0.0, 1.0),
         in_natural=lambda th: (th[..., 0] > -1.0) & (th[..., 1] > -1.0),
         sample=sample, start=start,

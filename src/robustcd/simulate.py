@@ -389,8 +389,8 @@ def run_study(design: SimDesign):
             label=meth.label(), levels=design.levels, n_used=len(psi_hat),
             n_failed=int(np.count_nonzero(failed)),
             cover_counts={lv: int(np.sum(np.abs(pivots[:, 0]) <= z[lv])) for lv in design.levels},
-            pvalues=[] if design.h0 is None else [_tail_p(q, design.h0.alternative)
-                                                  for q in pivots[:, -1]],
+            pvalues=[] if design.h0 is None else _tail_p(pivots[:, -1],
+                                                         design.h0.alternative).tolist(),
             medians=psi_hat.tolist())
 
     for label, res in results.items():

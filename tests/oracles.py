@@ -11,7 +11,9 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize, minimize_scalar
-from scipy.special import betaln, digamma, gammaln, ndtr, polygamma
+from scipy.special import ndtr
+
+from robustcd.expfam import betaln, digamma, gammaln, trigamma
 
 
 def power_integral_quadrature(pdf, lo, hi, gamma):
@@ -63,7 +65,9 @@ def expfam_score_gradient(model, y, theta, gamma):
 
 # ---------------------------------------------------------------------------
 # The exponential families' cumulant c, its gradient and Hessian, and the
-# moment start, in scalar form: one parameter vector or one dataset at a time
+# moment start, in scalar form: one parameter vector or one dataset at a time.
+# The special functions are the package's own, checked against mpmath in
+# tests/test_expfam.py, so these forms check the families' array code alone.
 # ---------------------------------------------------------------------------
 
 def _normal_c(th):
@@ -97,7 +101,7 @@ def _gamma_c_grad(th):
 
 
 def _gamma_c_hess(th):
-    return np.array([[polygamma(1, th[0] + 1.0), -1.0 / th[1]],
+    return np.array([[trigamma(th[0] + 1.0), -1.0 / th[1]],
                      [-1.0 / th[1], (th[0] + 1.0) / th[1] ** 2]])
 
 
@@ -114,8 +118,8 @@ def _beta_c_grad(th):
 
 def _beta_c_hess(th):
     a, b = th[0] + 1.0, th[1] + 1.0
-    ab = polygamma(1, a + b)
-    return np.array([[polygamma(1, a) - ab, -ab], [-ab, polygamma(1, b) - ab]])
+    ab = trigamma(a + b)
+    return np.array([[trigamma(a) - ab, -ab], [-ab, trigamma(b) - ab]])
 
 
 def _beta_start(y):

@@ -452,26 +452,29 @@ def test_cd_runs_without_importing_scipy_optimize(two_sample_csv, tmp_path):
     assert set(json.loads(text)["curves"]) == {"wald", "root"}
 
 
-def test_cd_loads_scipy_only_for_the_gamma_and_beta_families(two_sample_csv,
-                                                               gamma_spec_csv, tmp_path):
+def test_cd_never_loads_scipy(two_sample_csv, gamma_spec_csv, tmp_path):
+    # the gamma and beta cumulants take log Gamma, digamma and trigamma from
+    # robustcd.expfam: no cd, whatever its model, imports scipy
     path, _, _ = two_sample_csv
     gamma_model, gamma_path = gamma_spec_csv
-    normal = ["cd", "--model", "two-sample-normal", "--rule", "tsallis", "--gamma", "1.23",
-              "--data", path, "--pivot", "wald", "--pivot", "root",
-              "--out", str(tmp_path / "normal.json")]
-    gamma = ["cd", "--model", gamma_model, "--rule", "tsallis", "--gamma", "1.1",
-             "--data", gamma_path, "--pivot", "wald", "--pivot", "root",
-             "--out", str(tmp_path / "gamma.json")]
-    code = ("import sys; from robustcd.cli import main; "
-            f"main({normal!r}, standalone_mode=False); "
-            "print('scipy' in sys.modules); "
-            f"main({gamma!r}, standalone_mode=False); "
-            "print('scipy.special' in sys.modules)")
+    beta_spec, beta_path = tmp_path / "b.json", tmp_path / "b.csv"
+    beta_spec.write_text(json.dumps({"family": "beta", "interest_index": 0}))
+    y = np.random.default_rng(19).beta(2.0, 3.0, 40)
+    beta_path.write_text("value\n" + "".join(f"{v!r}\n" for v in y.tolist()))
+    runs = {"normal": ("two-sample-normal", path, "1.23"),
+            "gamma": (gamma_model, gamma_path, "1.1"),
+            "beta": (f"expfam:{beta_spec}", str(beta_path), "1.1")}
+    code = "import sys; from robustcd.cli import main"
+    for name, (model, data, gamma) in runs.items():
+        args = ["cd", "--model", model, "--rule", "tsallis", "--gamma", gamma, "--data", data,
+                "--pivot", "wald", "--pivot", "root", "--out", str(tmp_path / f"{name}.json")]
+        code += (f"; main({args!r}, standalone_mode=False); "
+                 "print('scipy' in sys.modules)")
     src = os.path.dirname(os.path.dirname(robustcd.__file__))
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
-    assert res.stdout.split() == ["False", "True"]
-    for name in ("normal", "gamma"):
+    assert res.stdout.split() == ["False"] * 3
+    for name in runs:
         doc = json.loads((tmp_path / f"{name}.json").read_text())
         assert set(doc["curves"]) == {"wald", "root"}
         assert all(np.isfinite(doc["curves"][k]["cdf"]).all() for k in ("wald", "root"))

@@ -391,6 +391,16 @@ def test_two_sided_p_value_keeps_its_far_tail(q):
         assert p == 2.0 * ndtr(-abs(q)) and p > 0.0
 
 
+def test_tail_p_of_an_array_is_each_pivot_alone_bit_for_bit():
+    # run_study takes the p-values of all its replicates in one call
+    q = np.random.default_rng(5).normal(0.0, 4.0, 200)
+    q[:3] = (0.0, -9.0, 20.0)
+    for alternative in ("less", "greater", "two_sided"):
+        got = _tail_p(q, alternative)
+        assert got.shape == q.shape
+        assert got.tolist() == [float(_tail_p(float(v), alternative)) for v in q]
+
+
 def test_evidence(two_sample_data, ts_fits):
     fr = ts_fits["log"]
     cd = build_cd(fr.rule, two_sample_data, "root", fit_result=fr)

@@ -6,12 +6,16 @@ import pytest
 
 from robustcd.errors import DomainError
 from robustcd.expfam import (
+    betaln,
+    digamma,
     expfam_beta,
     expfam_exponential,
     expfam_gamma,
     expfam_normal,
     expfam_robustness_check,
+    gammaln,
     load_expfam_model,
+    trigamma,
 )
 from robustcd.models import TwoSampleNormal
 from robustcd.robustness import _decay_verdict, calibrate_gamma, efficiency_ratio
@@ -101,6 +105,67 @@ def test_array_family_equals_its_scalar_form(maker, thetas):
         assert np.shape(one) == want.shape[1:]
         np.testing.assert_allclose(one, want[0], rtol=1e-14, atol=0)
     assert fam.in_natural(thetas).all() and fam.in_natural(thetas[0])
+
+
+def test_family_cumulants_are_remembered_at_the_last_two_thetas():
+    # a kernel pass asks for c_grad and c_hess at theta and gamma theta
+    # several times; equal thetas share one read-only value
+    for maker in (expfam_gamma, expfam_beta):
+        fam = maker().family
+        theta = np.array([[1.5, -2.0], [-0.6, -0.3]])
+        if maker is expfam_beta:
+            theta = -theta
+        for f in (fam.c, fam.c_grad, fam.c_hess):
+            first = f(theta)
+            assert f(1.23 * theta) is not first and f(theta.copy()) is first
+            with pytest.raises(ValueError):
+                first[0] = 1.0
+            assert np.array_equal(f(theta[1]), first[1])
+
+
+SPECIAL_XS = np.concatenate([np.logspace(-3.0, 4.0, 701), np.linspace(1.40, 1.52, 401)])
+
+
+def test_special_functions_are_accurate_to_mpmath():
+    # absolute error at most 2e-15 max(1, |f|) for log Gamma, digamma and
+    # trigamma on log-spaced x in [1e-3, 1e4] and a dense band around
+    # digamma's zero near 1.4616, where its shifted sum cancels
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for f, true in ((gammaln, mpmath.loggamma), (digamma, mpmath.digamma),
+                        (trigamma, lambda x: mpmath.polygamma(1, x))):
+            for x, value in zip(SPECIAL_XS.tolist(), f(SPECIAL_XS).tolist()):
+                exact = true(mpmath.mpf(x))
+                assert abs(value - exact) <= 2e-15 * max(1.0, abs(exact)), (f.__name__, x)
+
+
+def test_betaln_is_accurate_to_mpmath():
+    # log B(a, b) is a difference of three log Gammas: its absolute error is
+    # at most 2e-15 times the sum of their magnitudes (each at least 1)
+    mpmath = pytest.importorskip("mpmath")
+    grid = np.logspace(-3.0, 4.0, 29)
+    a, b = (g.ravel() for g in np.meshgrid(grid, grid))
+    with mpmath.workdps(50):
+        for x, y, value in zip(a.tolist(), b.tolist(), betaln(a, b).tolist()):
+            x, y = mpmath.mpf(x), mpmath.mpf(y)
+            scale = sum(max(1.0, abs(mpmath.loggamma(v))) for v in (x, y, x + y))
+            assert abs(value - mpmath.log(mpmath.beta(x, y))) <= 2e-15 * scale, (x, y)
+
+
+def test_special_functions_recur_and_keep_their_shapes():
+    # psi(x + 1) = psi(x) + 1/x and psi'(x + 1) = psi'(x) - 1/x^2
+    x = SPECIAL_XS
+    assert np.all(np.abs(digamma(x + 1.0) - digamma(x) - 1.0 / x)
+                  <= 4e-15 * (1.0 + np.abs(digamma(x)) + 1.0 / x))
+    assert np.all(np.abs(trigamma(x + 1.0) - trigamma(x) + 1.0 / (x * x))
+                  <= 4e-15 * (1.0 + trigamma(x)))
+    # each element depends on it alone; a scalar gives a float64 and an
+    # array keeps its shape
+    for f in (gammaln, digamma, trigamma, lambda v: betaln(v, 2.5)):
+        assert f(x[:50]).tolist() == [f(v) for v in x[:50].tolist()]
+        assert type(f(0.25)) is np.float64 and type(f(np.array(0.25))) is np.float64
+        assert f(np.full((2, 3), 0.25)).shape == (2, 3) and f(np.zeros(0)).shape == (0,)
+        assert f([0.25, 0.5]).dtype == np.float64
 
 
 @pytest.mark.parametrize("gamma", [None, 1.23, 1.8])

@@ -98,7 +98,7 @@ def test_workload_pass_counts(monkeypatch, workload, solves, row_passes, validat
 
 @pytest.mark.parametrize("workload, normal", [
     ("cd-grid", (118, 4098, 94, 490)),
-    ("study", (540, 540, 48, 48)),
+    ("study", (36, 540, 48, 48)),
     ("robustness", (96, 432, 0, 0)),
 ])
 def test_workload_normal_counts(monkeypatch, workload, normal):
@@ -106,8 +106,25 @@ def test_workload_normal_counts(monkeypatch, workload, normal):
     # elements they are given. build_cd takes Phi of its pivot once and of
     # the raw pivot only where the repair moved it: a cd-grid pass gave
     # 12138 elements to ndtr when it took Phi of both pivots on every point.
+    # run_study takes its p-values in one call per method: a study pass made
+    # 540 calls of one element when it took one per replicate.
     kernel_passes, total = _pass_counts(monkeypatch, workload)
     assert tuple(total[key] for key in kernel_passes.NORMAL) == normal
+
+
+@pytest.mark.parametrize("workload, special", [
+    ("cd-grid", (27, 161, 27, 161, 27, 161)),
+    ("study", (0,) * 6),
+    ("robustness", (0,) * 6),
+])
+def test_workload_special_function_counts(monkeypatch, workload, special):
+    # The calls of log Gamma, digamma and trigamma in one pass, and the
+    # elements they are given: only cd-grid's gamma model needs them. The
+    # gamma family remembers its cumulant and its derivatives at the last
+    # two thetas; without that a cd-grid pass made (50, 332, 76, 506, 50,
+    # 332) calls and elements.
+    kernel_passes, total = _pass_counts(monkeypatch, workload)
+    assert tuple(total[key] for key in kernel_passes.SPECIAL) == special
 
 
 @pytest.mark.slow

@@ -24,9 +24,11 @@ data a model has checked are not validated again. Then come the points each
 ``confidence.profile`` solved: its Chebyshev-Lobatto nodes, or its grid
 where it was solved point by point. Last come the calls of the standard
 normal CDF and quantile (``models.ndtr`` and ``models.ndtri``, wherever
-the package calls them) and the elements they were given. The counts do
-not depend on the machine, so they compare two versions of the program
-where wall times are too noisy to.
+the package calls them) and the elements they were given, and those of
+log Gamma, digamma and trigamma (``expfam.gammaln``, ``expfam.digamma``
+and ``expfam.trigamma``, which the gamma and beta families call). The
+counts do not depend on the machine, so they compare two versions of the
+program where wall times are too noisy to.
 
 Run from the repository root:
 ``python tools/kernel_passes.py --workload {cd-grid,study,robustness}``.
@@ -77,6 +79,8 @@ OBJECTS = ("Fit", "_Checked")
 OVERSIZED = "kernel calls over the row cap"
 NODES = "profile nodes"
 NORMAL = ("ndtr calls", "ndtr elements", "ndtri calls", "ndtri elements")
+SPECIAL = ("gammaln calls", "gammaln elements", "digamma calls", "digamma elements",
+           "trigamma calls", "trigamma elements")
 
 
 def _validators():
@@ -139,8 +143,8 @@ def count_passes(workload):
     """{op key: Counter of row-passes by order, of stacked solves by kind,
     of validate_data calls, of solver rounds and mechanism, of objects
     built, of kernel calls over the row cap, of profile nodes solved and of
-    normal CDF and quantile calls and elements} over one pass of the
-    workload, and
+    the calls and elements of the normal CDF and quantile and of log Gamma,
+    digamma and trigamma} over one pass of the workload, and
     the keys of the ops whose outputs left their reference."""
     counts, current = {}, collections.Counter()
     kernel, solve = scoring._kernel, scoring._Objective.solve
@@ -191,11 +195,11 @@ def count_passes(workload):
         current[NODES] += trace.n_nodes
         return trace
 
-    def counted_normal(name, original):
-        def normal(x):
+    def counted_function(name, original):
+        def function(x):
             current.update({f"{name} calls": 1, f"{name} elements": np.size(x)})
             return original(x)
-        return normal
+        return function
 
     def counted_validation(original):
         def validate_data(model, data):
@@ -205,9 +209,11 @@ def count_passes(workload):
 
     validators = _validators()
     # each module binds its own name for the functions it imports
-    normals = [(module, name, vars(module)[name])
-               for module in (models, confidence, robustness, simulate)
-               for name in ("ndtr", "ndtri") if name in vars(module)]
+    functions = [(module, name, vars(module)[name])
+                 for module in (models, confidence, robustness, simulate)
+                 for name in ("ndtr", "ndtri") if name in vars(module)]
+    functions += [(expfam, name, vars(expfam)[name])
+                  for name in ("gammaln", "digamma", "trigamma")]
     scoring._kernel = counted
     scoring._Objective.solve = counted_solve
     scoring._Objective.__call__ = counted_evaluation
@@ -216,8 +222,8 @@ def count_passes(workload):
     confidence.profile = counted_profile
     for cls, original in validators:
         cls.validate_data = counted_validation(original)
-    for module, name, original in normals:
-        setattr(module, name, counted_normal(name, original))
+    for module, name, original in functions:
+        setattr(module, name, counted_function(name, original))
     mismatched = []
     try:
         with tempfile.TemporaryDirectory() as workdir:
@@ -236,7 +242,7 @@ def count_passes(workload):
         confidence.profile = profile
         for cls, original in validators:
             cls.validate_data = original
-        for module, name, original in normals:
+        for module, name, original in functions:
             setattr(module, name, original)
     return counts, mismatched
 
@@ -276,6 +282,8 @@ def main(argv=None):
     _table(counts, (NODES,), (NODES,), summed=False)
     print("\nstandard normal CDF and quantile: calls and elements")
     _table(counts, NORMAL, NORMAL, summed=False)
+    print("\nlog Gamma, digamma and trigamma: calls and elements")
+    _table(counts, SPECIAL, SPECIAL, summed=False)
     for key in mismatched:
         print(f"outputs differ from the reference: {key}", file=sys.stderr)
     return 1 if mismatched else 0
