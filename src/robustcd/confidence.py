@@ -25,6 +25,7 @@ from .scoring import (
     _Objective,
     _from_z,
     _row_cap,
+    _rule_rows,
     _stacked,
     _to_z,
     estimate_KJ,
@@ -108,8 +109,9 @@ def _constrained_at(rule, data, psi, lam0, mixture=None):
     rows = np.flatnonzero(converged)
     kept = data if rows.size == len(converged) else model.take(data, rows)
     theta_kept, nu = theta[rows], np.full(len(converged), np.nan)
+    rule_kept = _rule_rows(rule, rows)
     out, lost, errs = _stacked(
-        lambda j: _nu_at(rule, model.take(kept, j), theta_kept[j]), rows.size)
+        lambda j: _nu_at(_rule_rows(rule_kept, j), model.take(kept, j), theta_kept[j]), rows.size)
     nu[rows[~lost]] = out
     errors.update((int(rows[j]), exc) for j, exc in errs.items())
     failed = np.isin(np.arange(len(lam0)), list(errors))

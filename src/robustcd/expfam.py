@@ -23,7 +23,7 @@ import os
 import numpy as np
 
 from .errors import DomainError
-from .models import _CoordinateInterest
+from .models import _col, _CoordinateInterest
 from .robustness import _decay_verdict
 
 __all__ = [
@@ -122,7 +122,7 @@ class ExpFamilyModel(_CoordinateInterest):
 
     def _log_integral_grad(self, theta, gamma):
         # gradient of log int f^gamma = c(gamma theta) - gamma c(theta)
-        c_grad = self.family.c_grad
+        c_grad, gamma = self.family.c_grad, _col(gamma)
         return gamma * (c_grad(gamma * theta) - c_grad(theta))
 
     def tsallis_integral_grad_obs(self, data, theta, gamma, values):
@@ -131,8 +131,10 @@ class ExpFamilyModel(_CoordinateInterest):
     def tsallis_integral_hess(self, data, theta, gamma, values):
         c_hess = self.family.c_hess
         u = self._log_integral_grad(theta, gamma)
-        curvature = (u[..., :, None] * u[..., None, :] + gamma * gamma * c_hess(gamma * theta)
-                     - gamma * c_hess(theta))
+        g = _col(gamma)                           # over theta's coordinates
+        gg = np.asarray(g)[..., None]             # over the (d, d) entries
+        curvature = (u[..., :, None] * u[..., None, :] + gg * gg * c_hess(g * theta)
+                     - gg * c_hess(theta))
         return values.sum(axis=-1)[..., None, None] * curvature
 
     def expected_kj(self, rule_kind, gamma, data, theta):

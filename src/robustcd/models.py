@@ -18,11 +18,14 @@ AUC, two-sample normal AUC, and the normal linear regression model.
 Every per-observation method also takes a stack of datasets with a stack of
 parameters: each data array and theta gain a leading row axis (regression
 keeps its one design matrix), and row r of every result is what the method
-returns for dataset r and theta[r] alone, bit for bit. ``ModelSpec.stack``
-builds a stack and ``ModelSpec.take`` selects its rows. Powers of
-parameters are ``np.power``, of a scalar too: its loop gives a scalar the
-bits it gives that entry of an array, while ``**`` on a numpy scalar calls
-the C library's pow, which can differ in the last bit.
+returns for dataset r and theta[r] alone, bit for bit. The power-integral
+methods and ``expected_kj`` take gamma as one value or, for a stack, one
+per row, which they broadcast as a coordinate of theta (``_col``).
+``ModelSpec.stack`` builds a stack and ``ModelSpec.take`` selects its rows.
+Powers of parameters are ``np.power``, of a scalar too: its loop gives a
+scalar the bits it gives that entry of an array, while ``**`` on a numpy
+scalar calls the C library's pow, which can differ in the last bit. An
+exponent that gamma sets is always an array (``_power``).
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ def tsallis_integral_normal(mu, var, gamma):
 
 def _normal_power(var, gamma):
     # the models' unchecked form: their callers have checked var and gamma
-    return np.power(gamma, -0.5) * np.power(_TWO_PI * var, (1.0 - gamma) / 2.0)
+    return np.power(gamma, -0.5) * _power(_TWO_PI * var, (1.0 - gamma) / 2.0)
 
 
 def tsallis_integral_exponential(rate, gamma):
@@ -87,7 +90,22 @@ def tsallis_integral_exponential(rate, gamma):
 
 
 def _exponential_power(rate, gamma):
-    return np.power(rate, gamma - 1.0) / gamma
+    return _power(rate, gamma - 1.0) / gamma
+
+
+def _power(base, exponent):
+    """np.power for an exponent that gamma sets, always as numpy raises an
+    array to an array of exponents. To one exponent numpy takes shortcuts
+    (a square root for 1/2, a reciprocal for -1, a square for 2) that an
+    array of them does not, so in this form a row computes the same bits
+    whether its gamma is one value or one per row of a stack, and whether
+    it is in a stack or alone."""
+    if type(exponent) is np.ndarray:
+        return np.power(base, exponent)
+    if type(base) is np.ndarray:
+        return np.power(base, np.full(base.shape, exponent))
+    # one value: one entry of an array, as a stack of one takes it
+    return np.power(np.array([base]), np.array([exponent]))[0]
 
 
 def _cols(theta):
@@ -96,6 +114,12 @@ def _cols(theta):
     if type(theta) is not np.ndarray:
         theta = np.asarray(theta, dtype=float)
     return tuple(theta.T[..., None]) if theta.ndim == 2 else tuple(theta)
+
+
+def _col(gamma):
+    """gamma as ``_cols`` gives theta's coordinates: one value as it is, one
+    per row of a stack as a (rows, 1) column."""
+    return gamma[:, None] if type(gamma) is np.ndarray else gamma
 
 
 def _coords(theta):
@@ -207,11 +231,11 @@ def auc_from_normal_grad(mu1, mu2, var1, var2):
 def _xi(var, t):
     # (2 pi v)^{-t/2} (1+t)^{-3/2} / v : expected curvature scale of the
     # location estimating function under power downweighting t.
-    return np.power(_TWO_PI * var, -t / 2.0) * np.power(1.0 + t, -1.5) / var
+    return _power(_TWO_PI * var, -t / 2.0) * np.power(1.0 + t, -1.5) / var
 
 
 def _varsigma(var, t):
-    return (np.power(_TWO_PI * var, -t / 2.0) * (2.0 + t * t) * np.power(1.0 + t, -2.5)
+    return (_power(_TWO_PI * var, -t / 2.0) * (2.0 + t * t) * np.power(1.0 + t, -2.5)
             / (4.0 * var * var))
 
 
@@ -238,8 +262,8 @@ def _exponential_component_kj(rate, gamma, rule_kind):
         return k, k
     a = gamma - 1.0
     g = gamma
-    k = a * (1.0 + a * a) * np.power(rate, a - 2.0) / np.power(g, 2)
-    j = a * a * np.power(rate, 2 * a - 2.0) * (
+    k = a * (1.0 + a * a) * _power(rate, a - 2.0) / np.power(g, 2)
+    j = a * a * _power(rate, 2 * a - 2.0) * (
         np.power(g, 2) * (4 * a * a + 1.0) / np.power(1.0 + 2 * a, 3) - a * a / np.power(g, 2)
     )
     return k, j
@@ -392,7 +416,9 @@ class ModelSpec(abc.ABC):
 
     @abc.abstractmethod
     def tsallis_integral_obs(self, data, theta, gamma):
-        """Per-observation ``int f^gamma``."""
+        """Per-observation ``int f^gamma``. For a stack, gamma is one value
+        or one per row, here and in the power integral's derivatives and
+        ``_integral_parts``."""
 
     def tsallis_integral_grad_obs(self, data, theta, gamma, values):
         """(n, d) gradient of the per-observation power integral, from
@@ -674,12 +700,13 @@ class TwoSampleNormal(_TwoSampleBase):
     def tsallis_integral_obs(self, data, theta, gamma):
         x, y = data
         _, _, vx, vy = _cols(theta)
+        gamma = _col(gamma)
         return np.concatenate([np.full(x.shape, _normal_power(vx, gamma)),
                                np.full(y.shape, _normal_power(vy, gamma))], axis=-1)
 
     def _integral_parts(self, data, theta, gamma):
         # I = gamma^{-1/2} (2 pi v)^{-a/2}: d log I / dv = -a / (2v)
-        n1, a = data[0].shape[-1], gamma - 1.0
+        n1, a = data[0].shape[-1], _col(gamma) - 1.0
         _, _, vx, vy = _cols(theta)
         return ((slice(0, n1), 2, -a / (2 * vx), a / (2 * vx * vx)),
                 (slice(n1, None), 3, -a / (2 * vy), a / (2 * vy * vy)))
@@ -812,12 +839,13 @@ class ExponentialAUC(_TwoSampleBase):
     def tsallis_integral_obs(self, data, theta, gamma):
         x, y = data
         r1, r2 = _cols(theta)
+        gamma = _col(gamma)
         return np.concatenate([np.full(x.shape, _exponential_power(r1, gamma)),
                                np.full(y.shape, _exponential_power(r2, gamma))], axis=-1)
 
     def _integral_parts(self, data, theta, gamma):
         # I = r^a / gamma: d log I / dr = a / r
-        n1, a = data[0].shape[-1], gamma - 1.0
+        n1, a = data[0].shape[-1], _col(gamma) - 1.0
         r1, r2 = _cols(theta)
         return ((slice(0, n1), 0, a / r1, -a / (r1 * r1)),
                 (slice(n1, None), 1, a / r2, -a / (r2 * r2)))
@@ -985,10 +1013,10 @@ class LinearRegression(_CoordinateInterest):
 
     def tsallis_integral_obs(self, data, theta, gamma):
         y, _ = data
-        return np.full(y.shape, _normal_power(self._split(theta)[1], gamma))
+        return np.full(y.shape, _normal_power(self._split(theta)[1], _col(gamma)))
 
     def _integral_parts(self, data, theta, gamma):
-        a, v = gamma - 1.0, self._split(theta)[1]
+        a, v = _col(gamma) - 1.0, self._split(theta)[1]
         return ((slice(None), np.shape(theta)[-1] - 1, -a / (2 * v), a / (2 * v * v)),)
 
     def default_start(self, data):

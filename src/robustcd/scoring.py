@@ -11,8 +11,9 @@ The kernel, ``fit``, ``estimate_KJ`` and ``sandwich`` also take a stack of
 datasets (see ``ModelSpec.stack``) with a parameter per row, and the
 objective and the solver take only stacks: every solve runs on a stack, a
 single dataset being a stack of one. Row r of a stacked result is, bit for
-bit, what the same call returns for dataset r alone; a stack only saves the
-per-call overhead of many small problems.
+bit, what the same call returns for dataset r alone, whatever gamma each
+row carries (see ``models._power``); a stack only saves the per-call
+overhead of many small problems.
 """
 
 from __future__ import annotations
@@ -66,7 +67,9 @@ class ScoreRule:
     """A proper scoring rule bound to a model.
 
     kind is "tsallis" (requires gamma > 1) or "log" (the logarithmic score,
-    i.e. the negative log likelihood).
+    i.e. the negative log likelihood). The Tsallis rule of a stack of
+    datasets may carry one gamma per row, an array, as ``ModelSpec.expected_kj``
+    takes it; ``_rule_rows`` selects its rows with the stack's.
     """
 
     kind: str
@@ -77,7 +80,7 @@ class ScoreRule:
         kind = {"logarithmic": "log"}.get(self.kind, self.kind)
         object.__setattr__(self, "kind", kind)
         if kind == "tsallis":
-            if self.gamma is None or not self.gamma > 1.0:
+            if self.gamma is None or not np.all(np.greater(self.gamma, 1.0)):
                 raise DomainError("tsallis rule requires gamma > 1")
         elif kind == "log":
             if self.gamma is not None:
@@ -97,6 +100,15 @@ class ScoreRule:
         return "log" if self.kind == "log" else f"tsallis({self.gamma:g})"
 
 
+def _rule_rows(rule, rows):
+    """The rule of rows of a stack (an index array, a slice or one row),
+    selected as ``ModelSpec.take`` selects the data: the rule itself where
+    one gamma serves every row."""
+    if type(rule.gamma) is not np.ndarray:
+        return rule
+    return dataclasses.replace(rule, gamma=rule.gamma[rows])
+
+
 # ---------------------------------------------------------------------------
 # Score evaluation
 # ---------------------------------------------------------------------------
@@ -110,7 +122,8 @@ def _kernel(rule, data, theta, order=1):
     are None where not asked for. The Tsallis Hessian is
     a Hess I - gamma a sum_i f_i^a (a dlogf_i dlogf_i' + Hess log f_i), with
     a = gamma - 1 and I the summed power integral, all from the model's
-    closed forms. On a stack every output gains the leading row axis.
+    closed forms. On a stack every output gains the leading row axis, and
+    the rule may carry a gamma per row.
     """
     model = rule.model
     data = model.checked(data)
@@ -124,23 +137,30 @@ def _kernel(rule, data, theta, order=1):
         if order == 2:
             hess = -model.d2logpdf_obs(data, theta, np.ones(logf.shape))
         return -logf, grads, hess
-    gamma = rule.gamma
-    a = gamma - 1.0
+    gamma, per_row = rule.gamma, type(rule.gamma) is np.ndarray
+    # gamma and a = gamma - 1: one value, or, one per row, columns over a
+    # row's observations
+    g = gamma[:, None] if per_row else gamma
+    a = g - 1.0
     logf *= a
     fa = np.exp(logf, out=logf)      # f^a, in logf's own buffer
     ivals = model.tsallis_integral_obs(data, theta, gamma)
-    terms = a * ivals - gamma * fa
+    terms = a * ivals - g * fa
     if order == 0:
         return terms, None, None
     dlogf = model.dlogpdf_obs(data, theta)
+    ga = g * a
+    if per_row:
+        # over a row's (n, d) and (d, d) arrays
+        a, ga = a[..., None], ga[..., None]
     if order == 2:
         ihess = model.tsallis_integral_hess(data, theta, gamma, ivals)
         d2 = model.d2logpdf_obs(data, theta, fa)
-        hess = a * ihess - gamma * a * (a * (dlogf.mT * fa[..., None, :]) @ dlogf + d2)
+        hess = a * ihess - ga * (a * (dlogf.mT * fa[..., None, :]) @ dlogf + d2)
     # a IG - gamma a f^a dlogf, built in the two arrays the model returned
     grads = model.tsallis_integral_grad_obs(data, theta, gamma, ivals)
     grads *= a
-    dlogf *= gamma * a * fa[..., None]
+    dlogf *= ga * fa[..., None]
     grads -= dlogf
     return terms, grads, hess
 
@@ -232,8 +252,9 @@ def estimate_KJ(rule, data, theta):
     if model.observed_kj:
         def stage(at):
             # empirical_K and empirical_J from one pass
-            _, grads, H = _kernel(rule, data if at == slice(None) else model.take(data, at),
-                                  theta[at], order=2)
+            whole = at == slice(None)
+            _, grads, H = _kernel(rule if whole else _rule_rows(rule, at),
+                                  data if whole else model.take(data, at), theta[at], order=2)
             return _sym(H), _sym(grads.mT @ grads)
 
         return _sliced(stage, model, data, len(theta) if theta.ndim == 2 else 1)
@@ -330,7 +351,8 @@ class Fits(_FitFields):
     field with a row axis: row r holds what fitting dataset r alone gives.
     A row given up has NaN in its estimate, score and matrices and
     converged False, and ``errors`` holds its DomainError or NumericsError
-    by its row. ``fits[r]`` is row r's Fit, or raises that row's error."""
+    by its row. ``fits[r]`` is row r's Fit, or raises that row's error. A
+    rule with a gamma per row (see ``ScoreRule``) gives each Fit its row's."""
 
     errors: dict
 
@@ -342,7 +364,7 @@ class Fits(_FitFields):
             raise self.errors[r]
         return Fit(self.theta_hat[r], float(self.score_at_opt[r]), self.K[r], self.J[r],
                    self.V[r], self.G[r], bool(self.converged[r]), int(self.n_iter[r]),
-                   float(self.grad_norm[r]), self.stop_reason[r], self.rule,
+                   float(self.grad_norm[r]), self.stop_reason[r], _rule_rows(self.rule, r),
                    self.rule.model.take(self.data, r))
 
 
@@ -433,7 +455,8 @@ class _Objective:
     curvature. ``mixture=(eps, frames)``, an eps per row and a checked stack
     of frames, one per row, scores each row's eps-contaminated objective
     (1 - eps) S_data + n eps S_frame (a frame holds one point, for the
-    TAIF's oracle).
+    TAIF's oracle). A rule with a gamma per row (see ``ScoreRule``) scores
+    each row with its own.
 
     ``objective(z, rows)`` evaluates the rows ``rows`` of the stack, an
     index array, at their points z, and returns, each with a row axis, the
@@ -454,15 +477,16 @@ class _Objective:
         self._eye = _bool_eye(len(self.positive))
 
     def _take(self, rows):
-        """(data, psi, mixture) of rows of the stack, an index array."""
+        """(rule, data, psi, mixture) of rows of the stack, an index array."""
         model, mixture = self.rule.model, self.mixture
-        return (model.take(self.data, rows), None if self.psi is None else self.psi[rows],
+        return (_rule_rows(self.rule, rows), model.take(self.data, rows),
+                None if self.psi is None else self.psi[rows],
                 mixture and (mixture[0][rows], model.take(mixture[1], rows)))
 
     def rows(self, rows):
         """The objective on rows of the stack, an index array, each with its
-        psi and its mixture."""
-        return _Objective(self.rule, *self._take(rows))
+        gamma, its psi and its mixture."""
+        return _Objective(*self._take(rows))
 
     def theta(self, x):
         """theta at x, the free parameter or the nuisance at psi."""
@@ -471,13 +495,13 @@ class _Objective:
     def __call__(self, z, rows):
         def stage(at):
             # the stack's own arrays where the rows are all of it
-            part = ((self.data, self.psi, self.mixture) if len(rows[at]) == len(self.data[0])
-                    else self._take(rows[at]))
+            part = ((self.rule, self.data, self.psi, self.mixture)
+                    if len(rows[at]) == len(self.data[0]) else self._take(rows[at]))
             try:
                 # an overflowing trial point is an inadmissible one
                 with np.errstate(over="raise", divide="raise", invalid="raise"):
                     x = _from_z(z[at], self.positive)
-                    val, g, H, (gnorm, converged) = _derivatives(self.rule, *part, x)
+                    val, g, H, (gnorm, converged) = _derivatives(*part, x)
             except FloatingPointError as exc:
                 raise NumericsError("the score overflows or is undefined") from exc
             # chain rule through the log transform
@@ -737,13 +761,14 @@ def _fit_rows(rule, data, theta0):
     theta, val, n_iter, reason, gnorm, converged = best
     rows = np.flatnonzero(~failed)
     if rows.size:
-        objective = _Objective(rule, data if rows.size == n_rows else model.take(data, rows))
+        objective = _Objective(rule, data)
+        objective = objective if rows.size == n_rows else objective.rows(rows)
         z0 = _to_z(theta0[rows], objective.positive)
         for a, b in zip(best, objective.solve(z0)):
             a[rows] = b
         for r in rows[reason[rows] == "not_finite"].tolist():
             try:
-                total_score(rule, model.take(data, r), theta0[r])
+                total_score(_rule_rows(rule, r), model.take(data, r), theta0[r])
             except (DomainError, NumericsError) as exc:
                 failed[r], errors[r] = True, exc
         rng = np.random.default_rng(0)
@@ -761,9 +786,10 @@ def _fit_rows(rule, data, theta0):
                 a[at[better]] = b[better]
     keep = np.flatnonzero(~failed)
     kept, theta_kept = data if keep.size == n_rows else model.take(data, keep), theta[keep]
+    rule_kept = _rule_rows(rule, keep)
 
     def stage(at):
-        K, J = estimate_KJ(rule, model.take(kept, at), theta_kept[at])
+        K, J = estimate_KJ(_rule_rows(rule_kept, at), model.take(kept, at), theta_kept[at])
         return (K, J) + sandwich(K, J)
 
     out, lost, errs = _stacked(stage, keep.size)

@@ -10,10 +10,13 @@ Coverage is recorded through the pivot: the equi-tailed level-alpha interval
 of a CD contains psi exactly when |pivot(psi)| <= z_{(1+alpha)/2}, so no
 grid construction is needed inside the replicate loop.
 
-The replicates of a study are one stack, which every method solves: one
-batch of Newton steps serves every replicate still running, and the
-objective passes over a slice of the replicates at a time, which bounds the
-memory (see ``scoring._row_cap``). Each replicate's results are those of
+The replicates of a study are one stack. The methods are grouped by the
+kind of their rule, and each kind's free fits are one solve: a block of the
+replicates per distinct rule, a Tsallis rule's rows carrying its gamma, so
+methods that share a rule share its block. One batch of Newton steps serves
+every row still running, and the objective passes over a slice of the rows
+at a time, which bounds the memory (see ``scoring._row_cap``). Each method
+then takes its pivots from its block. Each replicate's results are those of
 fitting it alone. A stack's results are arrays with a replicate axis, with
 a mask of the replicates given up and the exception that gives each up
 (see ``scoring._stacked``).
@@ -37,7 +40,7 @@ from .confidence import (
 )
 from .models import _TwoSampleBase, get_model, ndtri
 from .robustness import calibrate_gamma
-from .scoring import ScoreRule, _fit_rows, _stacked, _start
+from .scoring import Fits, ScoreRule, _fit_rows, _stacked, _start
 
 __all__ = [
     "Contamination",
@@ -113,6 +116,12 @@ class SimDesign:
             raise DomainError(f"n_reps must be an integer of at least 1, got {self.n_reps!r}")
         if not all(0.0 < lv < 1.0 for lv in self.levels):
             raise DomainError("levels must lie in (0, 1)")
+        labels = [m.label() for m in self.methods]
+        if not labels:
+            raise DomainError("a design needs at least one method")
+        if len(set(labels)) < len(labels):
+            # a report keys its results by label
+            raise DomainError(f"method labels must differ, got {labels!r}")
         n_samples = 2 if isinstance(model, _TwoSampleBase) else 1
         if len(self.sizes) != n_samples:
             raise DomainError(f"{self.model} takes {n_samples} sample size(s), "
@@ -339,12 +348,39 @@ class SimReport:
         }
 
 
-def _resolve_gamma(method, model, theta_true, template):
+def _method_rule(method, model, theta_true, template):
+    """The method's rule; a Tsallis gamma of None is calibrated to 90%
+    efficiency at theta_true."""
     if method.rule == "log":
-        return None
-    if method.gamma is not None:
-        return float(method.gamma)
-    return calibrate_gamma(model, theta_true, 0.90, template)
+        return ScoreRule.log(model)
+    gamma = method.gamma
+    if gamma is None:
+        gamma = calibrate_gamma(model, theta_true, 0.90, template)
+    return ScoreRule.tsallis(model, gamma)
+
+
+def _fits_by_rule(rules, stack):
+    """The free fits of the replicates of ``stack`` under each rule, one
+    ``Fits`` per distinct rule: one solve per kind of rule, on a block of
+    the replicates per distinct rule of that kind, each Tsallis block's rows
+    carrying its gamma."""
+    model, n = stack.model, len(stack[0])
+    fits = {}
+    for kind in dict.fromkeys(rule.kind for rule in rules):
+        group = list(dict.fromkeys(rule for rule in rules if rule.kind == kind))
+        if len(group) == 1:
+            stacked, data = group[0], stack
+        else:
+            stacked = ScoreRule(kind, model, np.repeat([rule.gamma for rule in group], n))
+            data = model.take(stack, np.tile(np.arange(n), len(group)))
+        solved = _fit_rows(stacked, data, _start(stacked, data))
+        for b, rule in enumerate(group):
+            at = slice(b * n, (b + 1) * n)
+            fields = {f.name: getattr(solved, f.name)[at] for f in dataclasses.fields(Fits)
+                      if f.name not in ("rule", "data", "errors")}
+            fits[rule] = Fits(**fields, rule=rule, data=stack, errors={
+                r - b * n: exc for r, exc in solved.errors.items() if at.start <= r < at.stop})
+    return fits
 
 
 def run_study(design: SimDesign):
@@ -352,8 +388,10 @@ def run_study(design: SimDesign):
 
     Replicates whose fit (or constrained fit) fails are dropped for that
     method only and counted; more than MAX_FAILURE_RATE failures for any
-    method aborts the study. The replicates are stacked once, one stack
-    that every method solves, with the results of solving each alone.
+    method aborts the study. The replicates are stacked once; the free fits
+    of each kind of rule are one solve (``_fits_by_rule``), and each
+    method's pivots one step on its block, with the results of solving each
+    replicate alone.
     """
     if design.model == "linear-regression":
         model = get_model(design.model, interest_index=design.interest_index)
@@ -378,12 +416,11 @@ def run_study(design: SimDesign):
             data = contaminate(model, data, design.contamination)
         datasets.append(model.checked(data))
     stack = model.stack(datasets)
+    rules = [_method_rule(meth, model, theta_true, template) for meth in design.methods]
+    fits = _fits_by_rule(rules, stack)
     results = {}
-    for meth in design.methods:
-        gamma = _resolve_gamma(meth, model, theta_true, template)
-        rule = ScoreRule.log(model) if meth.rule == "log" else ScoreRule.tsallis(model, gamma)
-        pivots, psi_hat, failed, _ = _point_pivots(
-            rule, _fit_rows(rule, stack, _start(rule, stack)), psis, meth.pivot)
+    for meth, rule in zip(design.methods, rules):
+        pivots, psi_hat, failed, _ = _point_pivots(rule, fits[rule], psis, meth.pivot)
         pivots, psi_hat = pivots[~failed], psi_hat[~failed]
         results[meth.label()] = MethodResult(
             label=meth.label(), levels=design.levels, n_used=len(psi_hat),

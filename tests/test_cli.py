@@ -384,6 +384,11 @@ def test_simulate_deterministic_snapshot(runner, tmp_path):
      "contamination": {"sample_index": 1, "obs_index": 0, "shift": 3.0}},
     {"contamination": {"sample_index": 2, "obs_index": 0, "shift": 3.0}},
     {"contamination": {"sample_index": -1, "obs_index": 0, "shift": 3.0}},
+    {"methods": []},
+    {"methods": [{"rule": "log", "pivot": "root"}, {"rule": "log", "pivot": "root"}]},
+    # labels that coincide under :g, which would key one result
+    {"methods": [{"rule": "tsallis", "pivot": "wald", "gamma": 1.23},
+                 {"rule": "tsallis", "pivot": "wald", "gamma": 1.230000000001}]},
 ])
 def test_simulate_rejects_a_bad_design(runner, tmp_path, change):
     design = {"model": "two-sample-normal", "theta": [2, 0, 1, 1], "sizes": [10, 20],

@@ -1120,6 +1120,108 @@ def test_a_mixture_per_row_stack_solves_each_row_as_alone(all_models, gamma):
             assert row[1] != _constrained_alone(rule, data, psi, lam)[1]
 
 
+# 1.5 and 2.0 give exponents of 1/2 and -1 (gamma - 1, a - 2, 2 a - 2 and
+# -a, a = gamma - 1), which numpy raises to by a shortcut where the exponent
+# is one value and not an array
+GAMMA_ROWS = (1.1, 1.23, 1.5, 2.0)
+
+
+def _gamma_per_row_cases(all_models):
+    """(model, rule, stack, pairs) per stack case: a row per (dataset,
+    gamma) pair, gamma in GAMMA_ROWS, and the rule carrying each row's."""
+    for model, datasets in _stack_cases(all_models):
+        pairs = [(data, gamma) for data in datasets for gamma in GAMMA_ROWS]
+        rule = ScoreRule("tsallis", model, np.array([gamma for _, gamma in pairs]))
+        yield model, rule, model.stack([data for data, _ in pairs]), pairs
+
+
+def _fit_outcome(fits, r):
+    """Row r of a Fits as comparable values, or the error that gives it up."""
+    try:
+        fr = fits[r]
+    except (DomainError, NumericsError) as exc:
+        return type(exc), str(exc)
+    return (fr.theta_hat.tobytes(), fr.K.tobytes(), fr.J.tobytes(), fr.V.tobytes(),
+            fr.score_at_opt, fr.n_iter, fr.stop_reason, fr.grad_norm, fr.converged, fr.rule)
+
+
+@pytest.mark.parametrize("sliced", [False, True])
+def test_a_gamma_per_row_stack_computes_each_row_as_its_rule_alone(all_models, sliced,
+                                                                    monkeypatch):
+    # A stack whose rows carry different gammas: each row's kernel at
+    # orders 0, 1 and 2, its K and J and its free fit are, bit for bit,
+    # those of its own rule on the row as a stack of one, and its kernel,
+    # K and J those of its rule on the dataset alone. Sliced, every kernel
+    # pass of estimate_KJ and of the objective takes one row.
+    if sliced:
+        monkeypatch.setattr(scoring, "STACK_ELEMENTS", 1)
+    for model, rule, stack, pairs in _gamma_per_row_cases(all_models):
+        thetas = model.default_start(stack)
+        kernels = [scoring._kernel(rule, stack, thetas, order) for order in (0, 1, 2)]
+        K, J = estimate_KJ(rule, stack, thetas)
+        fits = fit(rule, stack)
+        for r, (data, gamma) in enumerate(pairs):
+            alone, one = ScoreRule.tsallis(model, gamma), model.stack([data])
+            for order, stacked in enumerate(kernels):
+                for a, b, c in zip(stacked, scoring._kernel(alone, one, thetas[r:r + 1], order),
+                                   scoring._kernel(alone, data, thetas[r], order)):
+                    assert (a is b is c is None) or (
+                        np.array_equal(a[r], b[0]) and np.array_equal(a[r], c)), (
+                            model.name, gamma, order)
+            K_one, J_one = estimate_KJ(alone, one, thetas[r:r + 1])
+            K_alone, J_alone = estimate_KJ(alone, data, thetas[r])
+            for a, b in ((K[r], K_one[0]), (K[r], K_alone), (J[r], J_one[0]), (J[r], J_alone)):
+                assert np.array_equal(a, b), (model.name, gamma)
+            assert _fit_outcome(fits, r) == _fit_outcome(fit(alone, one), 0), (model.name, gamma)
+
+
+def test_a_gamma_per_row_objective_evaluates_and_solves_each_row_as_its_rule_alone(all_models):
+    # The free, constrained (a psi per row) and eps-mixture objectives of a
+    # stack whose rows carry different gammas: each row's value, gradient,
+    # Hessian and verdict at a point, on the whole stack and on every other
+    # row, its solve, and its constrained solve and nu (_constrained_at) are
+    # those of its own rule on the row as a stack of one.
+    for model, rule, stack, pairs in _gamma_per_row_cases(all_models):
+        alone = [ScoreRule.tsallis(model, gamma) for _, gamma in pairs]
+        theta = np.stack([fit(a, data).theta_hat for a, (data, _) in zip(alone, pairs)])
+        psis, lam = 0.98 * model.interest(theta), model.profile_extract(theta)
+        eps = np.geomspace(1e-4, 1e-2, len(pairs))
+        frames = [_frames(model, data, t)[r % 3]
+                  for r, ((data, _), t) in enumerate(zip(pairs, theta))]
+        mixture = (eps, model.stack(frames))
+        every_other = np.arange(0, len(pairs), 2)
+        for psi, mix, x in ((None, None, theta), (psis, None, lam), (None, mixture, theta),
+                            (psis, mixture, lam)):
+            objective = _Objective(rule, stack, psi, mix)
+            z = _to_z(x, objective.positive)
+            whole = objective(z, np.arange(len(pairs)))
+            part = objective(z[every_other], every_other)
+            solved = objective.solve(z)
+            for r, (data, _) in enumerate(pairs):
+                one = _Objective(alone[r], model.stack([data]),
+                                 None if psi is None else psi[r:r + 1],
+                                 mix and (eps[r:r + 1], model.stack([frames[r]])))
+                at_point, one_solved = one(z[r:r + 1], np.arange(1)), one.solve(z[r:r + 1])
+                for a, b in zip(whole, at_point):
+                    assert np.array_equal(a[r], b[0]), (model.name, alone[r].gamma)
+                if r % 2 == 0:
+                    for a, b in zip(part, at_point):
+                        assert np.array_equal(a[r // 2], b[0]), (model.name, alone[r].gamma)
+                for a, b in zip(solved, one_solved):
+                    assert np.array_equal(a[r], b[0]), (model.name, alone[r].gamma)
+            if psi is None:
+                continue
+            out, failed, errors = confidence._constrained_at(rule, stack, psis, lam, mix)
+            for r, (data, _) in enumerate(pairs):
+                args = (alone[r], data, psis[r], lam[r], mix and (eps[r], frames[r]))
+                if failed[r]:
+                    with pytest.raises(type(errors[r])):
+                        _constrained_alone(*args)
+                    continue
+                for a, b in zip(out, _constrained_alone(*args)):
+                    assert np.array_equal(a[r], b), (model.name, alone[r].gamma)
+
+
 def _verdict_oracle(rule, data, x, psi=None, mixture=None):
     """(||g||, GRAD_TOL sum_i w_i ||s_i||) at x from a fresh pass of
     per_obs_gradient, the gradients pulled back to x by hand."""

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -389,3 +391,131 @@ def test_no_warning_escapes_a_solve():
             assert fr.converged
             build_cd(rule, data, "root", fit_result=fr, span=8.0)
     assert all(res.n_failed == 0 for res in report.results.values())
+
+
+# ---------------------------------------------------------------------------
+# methods grouped by rule: each keeps the results it has alone
+# ---------------------------------------------------------------------------
+
+def _benchmark_study_designs():
+    """The benchmark's study designs, with its methods, loaded read-only."""
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [SimDesign.from_dict(dict(base, methods=workloads.STUDY_METHODS,
+                                     levels=[0.5, 0.8, 0.9, 0.95], seed=workloads.STREAM + d))
+            for d, (_, base) in enumerate(workloads.STUDY_DESIGNS)]
+
+
+def _methods_alone(design):
+    """The methods of design's report, which must equal, bit for bit, the
+    report of each method run alone and of the methods in reverse order."""
+    methods = run_study(design).to_dict()["methods"]
+    assert list(methods) == [m.label() for m in design.methods]
+    for meth in design.methods:
+        alone = run_study(dataclasses.replace(design, methods=(meth,))).to_dict()["methods"]
+        assert alone == {meth.label(): methods[meth.label()]}, meth.label()
+    reverse = dataclasses.replace(design, methods=design.methods[::-1])
+    assert run_study(reverse).to_dict()["methods"] == methods
+    return methods
+
+
+@pytest.mark.parametrize("d", [0, 1], ids=["two-sample-normal", "auc-exponential"])
+def test_a_grouped_study_keeps_each_benchmark_methods_results(d):
+    # the calibrated tsallis root and the tsallis(1.23) wald: two gammas of one solve
+    _methods_alone(_benchmark_study_designs()[d])
+
+
+def test_a_grouped_study_keeps_each_methods_results_on_regression():
+    design = SimDesign(model="linear-regression", theta=(1.0, 0.0, 1.0, 1.0), sizes=(40,),
+                       n_reps=12, seed=21,
+                       methods=(MethodSpec("tsallis", "root", 1.22), MethodSpec("log", "root"),
+                                MethodSpec("tsallis", "wald", 1.5), MethodSpec("log", "wald"),
+                                MethodSpec("tsallis", "wald", 1.22)),
+                       levels=(0.9, 0.95), h0=H0Spec(0.0, "less"),
+                       contamination=Contamination(0, -1, -7.0))
+    _methods_alone(design)
+
+
+def test_log_root_and_wald_share_one_block(monkeypatch):
+    # the two log methods share one rule, so the study makes one free fit of
+    # its replicates
+    import robustcd.simulate as sim
+
+    rows = []
+    fit_rows = sim._fit_rows
+
+    def counted(rule, data, theta0):
+        rows.append(len(theta0))
+        return fit_rows(rule, data, theta0)
+
+    monkeypatch.setattr(sim, "_fit_rows", counted)
+    design = SimDesign(model="auc-exponential", theta=(3.7778, 2 / 3), sizes=(20, 40),
+                       n_reps=15, seed=3, methods=(MethodSpec("log", "root"),
+                                                   MethodSpec("log", "wald")),
+                       levels=(0.9,), h0=H0Spec(0.85, "less"))
+    methods = _methods_alone(design)
+    # one free fit of the 15 replicates in each of the four studies
+    assert rows == [15] * 4
+    assert methods["log-root"]["medians"] == methods["log-wald"]["medians"]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("shift, refitted", [(0.0, (342, 622)), (-7.0, (1617, 1671))])
+def test_a_grouped_study_keeps_each_methods_results_through_the_refit(monkeypatch, shift,
+                                                                     refitted):
+    # The criterion-2 design, clean and with its -7 shift, over replicates
+    # 0 to 1671: the calibrated tsallis root refits two replicates whose
+    # free fits stop at a local minimum, from their profiles (_point_pivots).
+    import robustcd.simulate as sim
+
+    refits = []
+    fit_rows = sim._fit_rows
+
+    def watched(rule, data, theta0):
+        if len(theta0) < 1672:
+            refits.append(data[0].tolist())
+        return fit_rows(rule, data, theta0)
+
+    monkeypatch.setattr(sim, "_fit_rows", watched)
+    model, theta, cont = TwoSampleNormal(), (2.0, 0.0, 1.0, 1.0), Contamination(0, -1, shift)
+    design = SimDesign(model="two-sample-normal", theta=theta, sizes=(10, 20), n_reps=1672,
+                       seed=20250801,
+                       methods=(MethodSpec("tsallis", "root", None), MethodSpec("log", "root"),
+                                MethodSpec("tsallis", "wald", 1.23)),
+                       levels=(0.95,), h0=H0Spec(2.0, "less"), contamination=cont)
+    _methods_alone(design)
+    want = [contaminate(model, model.sample(theta, (10, 20), np.random.default_rng(
+        [20250801, r])), cont)[0].tolist() for r in refitted]
+    # the grouped study, the method alone and the reversed study
+    assert refits == [want] * 3
+
+
+def test_a_grouped_study_keeps_each_methods_failures(monkeypatch):
+    # Tiny samples with a +30 shift: some replicates fail, differently per
+    # method. Each method's n_failed, and the MAX_FAILURE_RATE that aborts
+    # the study, are those it has alone.
+    import warnings
+
+    import robustcd.simulate as sim
+
+    design = SimDesign(model="two-sample-normal", theta=(2.0, 0.0, 1.0, 1.0), sizes=(2, 3),
+                       n_reps=60, seed=7,
+                       methods=(MethodSpec("tsallis", "root", 1.23), MethodSpec("log", "root"),
+                                MethodSpec("tsallis", "wald", 1.23),
+                                MethodSpec("tsallis", "root", 1.5), MethodSpec("log", "wald")),
+                       levels=(0.9,), h0=H0Spec(2.0, "less"),
+                       contamination=Contamination(0, -1, 30.0))
+    with pytest.raises(NumericsError, match=r"method tsallis\(1.23\)-root failed on 6/60"):
+        run_study(design)
+    monkeypatch.setattr(sim, "MAX_FAILURE_RATE", 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        methods = _methods_alone(design)
+    assert {k: m["n_failed"] for k, m in methods.items()} == {
+        "tsallis(1.23)-root": 6, "log-root": 0, "tsallis(1.23)-wald": 4,
+        "tsallis(1.5)-root": 9, "log-wald": 0}
