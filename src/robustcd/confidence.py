@@ -110,10 +110,8 @@ def _constrained_at(rule, data, psi, lam0, mixture=None):
     kept = data if rows.size == len(converged) else model.take(data, rows)
     theta_kept, nu = theta[rows], np.full(len(converged), np.nan)
     rule_kept = _rule_rows(rule, rows)
-    out, lost, errs = _stacked(
-        lambda j: _nu_at(_rule_rows(rule_kept, j), model.take(kept, j), theta_kept[j]), rows.size)
-    nu[rows[~lost]] = out
-    errors.update((int(rows[j]), exc) for j, exc in errs.items())
+    errors.update(_stacked(
+        lambda j: _nu_at(_rule_rows(rule_kept, j), model.take(kept, j), theta_kept[j]), rows, nu))
     failed = np.isin(np.arange(len(lam0)), list(errors))
     theta[failed], score[failed], lam[failed] = np.nan, np.nan, np.nan
     return (theta, score, lam, nu), failed, errors
@@ -425,7 +423,10 @@ def default_grid(psi_tilde, se_natural, interest_range, n_points=201, span=6.0):
     """Grid of n_points around the estimate, clipped to the admissible range,
     always containing the estimate as a grid point: (n_points + 1) // 2
     points up to the estimate, the rest above it, so an odd grid is
-    symmetric in its point counts."""
+    symmetric in its point counts. DomainError where n_points is below 3,
+    which would leave the estimate off the grid."""
+    if n_points < 3:
+        raise DomainError(f"a grid needs at least 3 points around the estimate, got {n_points}")
     lo_r, hi_r = interest_range
     width = hi_r - lo_r if np.isfinite(hi_r - lo_r) else np.inf
     # keep a finite-boundary margin wide enough that the constrained model

@@ -274,15 +274,12 @@ def _tail_areas(rule, data, psi, theta, score, solved):
     constrained score lies below its free optimum (``_undercut``)."""
     model, C = rule.model, np.full(len(theta), np.nan)
     if not solved:
-        out, failed, _ = _stacked(lambda at: ndtr(-_wald_pivot(
-            model, theta[at], *estimate_KJ(rule, model.take(data, at), theta[at]), psi)[0]),
-            len(theta))
-    else:
-        (_, s_con, _, nu), failed, _ = solved
-        failed = failed | _undercut(score, s_con)
-        ok = ~failed
-        out = ndtr(-_signed_root(model.interest(theta[ok]), score[ok], psi, s_con[ok], nu[ok]))
-    C[~failed] = out
+        _stacked(lambda at: ndtr(-_wald_pivot_of_theta(rule, model.take(data, at), theta[at], psi)),
+                 np.arange(len(theta)), C)
+        return C
+    (_, s_con, _, nu), failed, _ = solved
+    ok = ~(failed | _undercut(score, s_con))
+    C[ok] = ndtr(-_signed_root(model.interest(theta[ok]), score[ok], psi, s_con[ok], nu[ok]))
     return C
 
 
@@ -441,14 +438,10 @@ def calibrate_gamma(model, theta_ref, target_efficiency, data_template,
         its index. In increasing order: J is infinite above some gamma, so
         the rows that raise form one run, which _stacked isolates in a few
         halvings."""
-        order = np.argsort(gammas)
-        ordered = gammas[order]
-        out, failed, errors = _stacked(
-            lambda at: _efficiency(model, V0, ordered[at], data, theta_ref, measure), len(gammas))
-        effs = np.zeros(len(gammas))
-        effs[order[~failed]] = out
-        return effs, {int(order[r]): exc for r, exc in errors.items()
-                      if isinstance(exc, NumericsError)}
+        order, effs = np.argsort(gammas), np.zeros(len(gammas))
+        errors = _stacked(lambda at: _efficiency(model, V0, gammas[order[at]], data, theta_ref,
+                                                 measure), order, effs)
+        return effs, {r: exc for r, exc in errors.items() if isinstance(exc, NumericsError)}
 
     lo, hi = 1.0 + GAMMA_TOL, GAMMA_MAX
     # the probes and the first round of bisection as one stack; a

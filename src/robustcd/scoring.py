@@ -582,13 +582,12 @@ def minimize_smooth(fun, z0):
         stop(new[n_iter[new] >= MAX_ITER], "max_iter")
         g_last[new] = g_norm
         rows = new[active[new]]
+        if rows.size and (singular := _stacked(
+                lambda at: _newton_steps(H[rows[at]], g[rows[at]]), rows, step)):
+            stop(np.fromiter(singular, int), "singular")
+            rows = rows[active[rows]]
         if rows.size:
-            dz, failed, _ = _stacked(lambda at: _newton_steps(H[rows[at]], g[rows[at]]), rows.size)
-            if np.count_nonzero(failed):
-                stop(rows[failed], "singular")
-                rows = rows[~failed]
-        if rows.size:
-            dz, scale = _bounded(dz, z[rows])
+            dz, scale = _bounded(step[rows], z[rows])
             step[rows], step_len[rows], slope[rows] = dz, _norm(dz), np.vecdot(g[rows], dz)
             floor[rows] = STEP_FLOOR * scale
             # the iteration counts once its step is taken or the row stops on it
@@ -618,15 +617,23 @@ def minimize_smooth(fun, z0):
 
 
 def _evaluated(fun, z, rows):
-    """fun(z, rows) through ``_stacked``: a row that fails alone is +inf,
-    with a zero gradient and Hessian and the verdict (inf, False)."""
-    out, failed, errors = _stacked(lambda at: fun(z[at], rows[at]), len(rows))
-    if not errors:
-        return out
+    """fun(z, rows), the objective's own arrays where the whole stack
+    evaluates; where it raises, its halves through ``_stacked``, a row that
+    fails alone being +inf, with a zero gradient and Hessian and the
+    verdict (inf, False)."""
+    try:
+        return fun(z, rows)
+    except (DomainError, NumericsError) as exc:
+        raised = exc
     filled = (np.full(len(rows), np.inf), np.zeros_like(z), np.zeros(z.shape + z.shape[1:]),
               np.full(len(rows), np.inf), np.zeros(len(rows), dtype=bool))
-    for a, b in zip(filled, out or ()):
-        a[~failed] = b
+
+    def stage(at):
+        if at == slice(None):
+            raise raised        # the whole stack, which has just raised
+        return fun(z[at], rows[at])
+
+    _stacked(stage, np.arange(len(rows)), filled)
     return filled
 
 
@@ -655,37 +662,36 @@ def _newton_steps(H, g):
         raise NumericsError("the Newton system cannot be solved") from exc
 
 
-def _stacked(stage, n):
-    """``stage(rows)`` on the n rows of a stack at once, with rows a slice so
-    that indexing the stack does not copy it; where that raises DomainError
+def _stacked(stage, rows, out):
+    """``stage(at)`` on a stack at once, with at a slice of its positions so
+    that indexing the stack does not copy it, each call's outputs written at
+    the destination rows ``rows[at]`` of out: the caller's array, or its
+    tuple of arrays where the stage returns a tuple, rows being the index
+    array of each position's row there. Where the stage raises DomainError
     or NumericsError, the stack is halved until the failing rows stand
-    alone, a row alone being a stack of one, ``stage(slice(r, r + 1))``.
-    Returns (out, failed, errors): out, the stacked outputs of the rows
-    that did not raise, a tuple of them where the stage returns a tuple
-    (the output of the one call that succeeded where only one did, so a
-    stack with no failing row is not stacked again; None where every row
-    failed, or where n is 0 and no stage runs); failed, the mask of the
-    rows that raised; and errors, each failed row's exception by its row.
-    This is the one per-row outcome of a stacked stage: its callers read
-    the mask and the arrays."""
-    failed, errors, parts = np.zeros(n, dtype=bool), {}, []
+    alone, a row alone being a stack of one, ``stage(slice(j, j + 1))``, and
+    a row that fails alone keeps what out holds there. Returns each failed
+    row's exception, keyed by its destination row. This is the one per-row
+    outcome of a stacked stage."""
+    n, errors = len(rows), {}
 
     def halve(lo, hi):
+        at = slice(None) if hi - lo == n else slice(lo, hi)
         try:
-            parts.append(stage(slice(None) if hi - lo == n else slice(lo, hi)))
+            parts = stage(at)
         except (DomainError, NumericsError) as exc:
             if hi - lo == 1:
-                failed[lo], errors[lo] = True, exc
+                errors[int(rows[lo])] = exc
             else:
                 halve(lo, (lo + hi) // 2)
                 halve((lo + hi) // 2, hi)
+        else:
+            for a, b in zip(out, parts) if isinstance(out, tuple) else [(out, parts)]:
+                a[rows[at]] = b
 
     if n:
         halve(0, n)
-    if len(parts) > 1 and isinstance(parts[0], tuple):
-        parts = [tuple(map(np.concatenate, zip(*parts)))]
-    out = np.concatenate(parts) if len(parts) > 1 else parts[0] if parts else None
-    return out, failed, errors
+    return errors
 
 
 def _row_cap(model, data):
@@ -753,12 +759,14 @@ def _fit_rows(rule, data, theta0):
     scored is given up with what scoring it alone raises."""
     model = rule.model
     n_rows, d = theta0.shape
-    _, failed, errors = _stacked(lambda at: _admissible(model, theta0[at]), n_rows)
     # the kept solve per row: (x, value, n_iter, reason, ||g||, converged)
     best = (np.full((n_rows, d), np.nan), np.full(n_rows, np.nan), np.zeros(n_rows, dtype=int),
             np.full(n_rows, None, dtype=object), np.full(n_rows, np.nan),
             np.zeros(n_rows, dtype=bool))
     theta, val, n_iter, reason, gnorm, converged = best
+    # theta holds each admissible start until its solve overwrites it
+    errors = _stacked(lambda at: _admissible(model, theta0[at]), np.arange(n_rows), theta)
+    failed = np.isin(np.arange(n_rows), list(errors))
     rows = np.flatnonzero(~failed)
     if rows.size:
         objective = _Objective(rule, data)
@@ -792,10 +800,8 @@ def _fit_rows(rule, data, theta0):
         K, J = estimate_KJ(_rule_rows(rule_kept, at), model.take(kept, at), theta_kept[at])
         return (K, J) + sandwich(K, J)
 
-    out, lost, errs = _stacked(stage, keep.size)
     matrices = np.full((4, n_rows, d, d), np.nan)     # K, J, V and G
-    matrices[:, keep[~lost]] = out
-    failed[keep[lost]] = True
-    errors.update((int(keep[j]), exc) for j, exc in errs.items())
+    errors.update(_stacked(stage, keep, tuple(matrices)))
+    failed[list(errors)] = True
     theta[failed], val[failed], converged[failed] = np.nan, np.nan, False
     return Fits(theta, val, *matrices, converged, n_iter, gnorm, reason, rule, data, errors)

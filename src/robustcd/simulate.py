@@ -282,13 +282,11 @@ def _point_pivots(rule, fits, psis, kind):
             return _signed_root(psi_tilde[:, None], s_opt[at, None], psis, s_con[at], nu[at])
     ok = np.setdiff1d(np.arange(k), list(given_up))
     psi_tilde = model.interest(theta[ok])
-    out, lost, errs = _stacked(lambda at: pivot(ok[at], psi_tilde[at]), ok.size)
-    given_up.update((int(ok[j]), exc) for j, exc in errs.items())
     errors.update((int(rows[j]), exc) for j, exc in given_up.items())
-    failed = np.isin(np.arange(len(fits)), list(errors))
     pivots, psi_hat = np.full((len(fits), psis.size), np.nan), np.full(len(fits), np.nan)
-    pivots[rows[ok[~lost]]], psi_hat[rows[ok[~lost]]] = out, psi_tilde[~lost]
-    return pivots, psi_hat, failed, errors
+    errors.update(_stacked(lambda at: (pivot(ok[at], psi_tilde[at]), psi_tilde[at]), rows[ok],
+                           (pivots, psi_hat)))
+    return pivots, psi_hat, np.isin(np.arange(len(fits)), list(errors)), errors
 
 
 @dataclasses.dataclass
@@ -348,15 +346,14 @@ class SimReport:
         }
 
 
-def _method_rule(method, model, theta_true, template):
-    """The method's rule; a Tsallis gamma of None is calibrated to 90%
-    efficiency at theta_true."""
-    if method.rule == "log":
-        return ScoreRule.log(model)
-    gamma = method.gamma
-    if gamma is None:
-        gamma = calibrate_gamma(model, theta_true, 0.90, template)
-    return ScoreRule.tsallis(model, gamma)
+def _method_rules(methods, model, theta_true, template):
+    """Each method's rule; a Tsallis gamma of None is calibrated to 90%
+    efficiency at theta_true, once for all the methods that leave it so."""
+    auto = None
+    if any(m.rule == "tsallis" and m.gamma is None for m in methods):
+        auto = calibrate_gamma(model, theta_true, 0.90, template)
+    return [ScoreRule.log(model) if m.rule == "log"
+            else ScoreRule.tsallis(model, auto if m.gamma is None else m.gamma) for m in methods]
 
 
 def _fits_by_rule(rules, stack):
@@ -416,7 +413,7 @@ def run_study(design: SimDesign):
             data = contaminate(model, data, design.contamination)
         datasets.append(model.checked(data))
     stack = model.stack(datasets)
-    rules = [_method_rule(meth, model, theta_true, template) for meth in design.methods]
+    rules = _method_rules(design.methods, model, theta_true, template)
     fits = _fits_by_rule(rules, stack)
     results = {}
     for meth, rule in zip(design.methods, rules):

@@ -561,6 +561,21 @@ def test_default_grid_has_the_requested_points(two_sample_data, ts_fits, n_grid)
     assert np.all(np.diff(grid) > 0) and fr.psi_tilde in grid
 
 
+@pytest.mark.parametrize("kind", ["wald", "root"])
+@pytest.mark.parametrize("n_grid", [1, 2])
+def test_a_default_grid_of_fewer_than_3_points_is_refused(kind, n_grid):
+    # two points are the grid's edges and one its lower edge, neither the
+    # estimate: the Wald CD of two points read C = 0.5 at the lower edge,
+    # far below the estimate, and its root 95% interval opened there
+    model = TwoSampleNormal()
+    rng = np.random.default_rng(1)
+    data = (rng.normal(2.0, 1.0, 12), rng.normal(0.0, 1.0, 24))
+    with pytest.raises(DomainError, match="at least 3 points"):
+        build_cd(ScoreRule.tsallis(model, 1.23), data, kind, n_grid=n_grid)
+    with pytest.raises(DomainError, match="at least 3 points"):
+        default_grid(2.0, 1.0, model.interest_range(), n_points=n_grid)
+
+
 def test_supplied_grid_must_cover_estimate(two_sample_data, ts_fits):
     fr = ts_fits["log"]
     with pytest.raises(DomainError):

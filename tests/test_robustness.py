@@ -399,19 +399,21 @@ def _plain_bisection(model, theta_ref, target, data, measure):
     return 0.5 * (a + b), vals
 
 
-def _stacked_one_by_one(stage, n):
+def _stacked_one_by_one(stage, rows, out):
     """scoring._stacked without its halving, the reference: where the
-    stack raises, every row alone, each a stack of one."""
+    stack raises, every row alone, each a stack of one, written at its
+    destination row of out (one array, as calibrate_gamma passes)."""
     try:
-        return stage(slice(None)), np.zeros(n, dtype=bool), {}
+        out[rows] = stage(slice(None))
+        return {}
     except (DomainError, NumericsError):
-        parts, failed, errors = [], np.zeros(n, dtype=bool), {}
-        for r in range(n):
+        errors = {}
+        for j, r in enumerate(rows.tolist()):
             try:
-                parts.append(stage(slice(r, r + 1)))
+                out[r] = stage(slice(j, j + 1))[0]
             except (DomainError, NumericsError) as exc:
-                failed[r], errors[r] = True, exc
-        return np.concatenate(parts) if parts else None, failed, errors
+                errors[r] = exc
+        return errors
 
 
 def test_calibrate_gamma_halves_the_stack_where_J_is_infinite(monkeypatch):

@@ -494,15 +494,17 @@ def test_checked_inverse_raises_on_non_finite_matrices():
             with pytest.raises(NumericsError):
                 checked_inverse(a)
         stack = np.stack([2.0 * np.eye(3), bad, np.eye(3)])
-        out, failed, errors = scoring._stacked(lambda at: checked_inverse(stack[at]), 3)
-    assert list(failed) == [False, True, False] and list(errors) == [1]
-    assert isinstance(errors[1], NumericsError)
-    assert np.array_equal(out[0], 0.5 * np.eye(3)) and np.array_equal(out[1], np.eye(3))
+        out = np.full((3, 3, 3), np.nan)
+        errors = scoring._stacked(lambda at: checked_inverse(stack[at]), np.arange(3), out)
+    assert list(errors) == [1] and isinstance(errors[1], NumericsError)
+    assert np.array_equal(out[0], 0.5 * np.eye(3)) and np.array_equal(out[2], np.eye(3))
+    assert np.isnan(out[1]).all()
 
 
 def test_stacked_halves_a_stack_until_its_failing_rows_stand_alone():
     # one failing row of 64 costs about 2 log2(64) stacked calls, not 64
-    # single ones, and every row gets what it gets alone
+    # single ones, and every row gets what it gets alone, written at its
+    # destination row: here rows 100 to 163 of a 200-row output
     values = np.arange(64.0)
     calls = []
 
@@ -511,12 +513,18 @@ def test_stacked_halves_a_stack_until_its_failing_rows_stand_alone():
         part = values[at]
         if np.any(part == 37.0):
             raise DomainError("planted")
-        return 2.0 * part
+        return 2.0 * part, -part
 
-    out, failed, errors = scoring._stacked(stage, 64)
-    assert list(errors) == [37] and isinstance(errors[37], DomainError)
-    assert list(np.flatnonzero(failed)) == [37]
-    assert out.tolist() == [2.0 * r for r in range(64) if r != 37]
+    rows = np.arange(100, 164)
+    out = (np.full(200, np.nan), np.full(200, np.inf))
+    errors = scoring._stacked(stage, rows, out)
+    assert list(errors) == [137] and isinstance(errors[137], DomainError)
+    kept = rows[rows != 137]
+    assert out[0][kept].tolist() == [2.0 * r for r in range(64) if r != 37]
+    assert out[1][kept].tolist() == [-float(r) for r in range(64) if r != 37]
+    # the failed row and every row outside the range keep the fill
+    outside = np.r_[0:100, 137, 164:200]
+    assert np.isnan(out[0][outside]).all() and np.isposinf(out[1][outside]).all()
     # the whole stack, each failing part's two halves, and rows 36 and 37
     # alone, each a stack of one, the halves of the last failing pair
     assert calls[0] == slice(None) and len(calls) == 2 * 6 + 1
@@ -526,9 +534,10 @@ def test_stacked_halves_a_stack_until_its_failing_rows_stand_alone():
     # a failing stack of one is that row alone: it is not evaluated again
     values = np.array([37.0])
     del calls[:]
-    out, failed, errors = scoring._stacked(stage, 1)
-    assert out is None and list(failed) == [True]
-    assert isinstance(errors[0], DomainError) and calls == [slice(None)]
+    out = np.full(3, np.nan)
+    errors = scoring._stacked(lambda at: stage(at)[0], np.array([2]), out)
+    assert list(errors) == [2] and isinstance(errors[2], DomainError)
+    assert np.isnan(out).all() and calls == [slice(None)]
 
 
 def test_checked_inverse_caps_the_two_norm_condition_number():

@@ -464,6 +464,41 @@ def test_log_root_and_wald_share_one_block(monkeypatch):
     assert methods["log-root"]["medians"] == methods["log-wald"]["medians"]
 
 
+def test_two_auto_gamma_methods_calibrate_once(monkeypatch):
+    # a design whose Tsallis root and wald methods both leave gamma null
+    # calibrates it once, and reports what a calibration per method did
+    import robustcd.simulate as sim
+
+    calls = []
+    calibrate = sim.calibrate_gamma
+
+    def counted(*args):
+        calls.append(args)
+        return calibrate(*args)
+
+    monkeypatch.setattr(sim, "calibrate_gamma", counted)
+    design = SimDesign(model="two-sample-normal", theta=(2.0, 0.0, 1.0, 1.0), sizes=(10, 20),
+                       n_reps=5, seed=3, methods=(MethodSpec("tsallis", "root"),
+                                                  MethodSpec("tsallis", "wald")),
+                       levels=(0.9, 0.95), h0=H0Spec(2.0, "less"))
+    methods = run_study(design).to_dict()["methods"]
+    assert len(calls) == 1
+    medians = [1.6902244888585745, 2.440461090688352, 1.7894888920111367, 2.1108838249907564,
+               2.277755904493774]
+    assert methods["tsallis(auto)-root"] == {
+        "label": "tsallis(auto)-root", "n_used": 5, "n_failed": 0,
+        "coverage": {"0.9": [1.0, 0.0], "0.95": [1.0, 0.0]},
+        "pvalues": [0.706908559675568, 0.09803640008158081, 0.7466096985698498,
+                    0.3932190032771082, 0.28051572787943535],
+        "medians": medians, "rejection": {"0.01": 0.0, "0.05": 0.0, "0.1": 0.2}}
+    assert methods["tsallis(auto)-wald"] == {
+        "label": "tsallis(auto)-wald", "n_used": 5, "n_failed": 0,
+        "coverage": {"0.9": [1.0, 0.0], "0.95": [1.0, 0.0]},
+        "pvalues": [0.7114693131328809, 0.09115594237638346, 0.7473061043924885,
+                    0.39279000385869056, 0.28034572958554616],
+        "medians": medians, "rejection": {"0.01": 0.0, "0.05": 0.0, "0.1": 0.2}}
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("shift, refitted", [(0.0, (342, 622)), (-7.0, (1617, 1671))])
 def test_a_grouped_study_keeps_each_methods_results_through_the_refit(monkeypatch, shift,

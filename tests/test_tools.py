@@ -2,6 +2,7 @@
 
 import collections
 import importlib.util
+import math
 import pathlib
 import sys
 import textwrap
@@ -48,6 +49,19 @@ def test_code_size_counts(tmp_path, capsys):
     assert rows == {"a": (7, 4), "b": (1, 0), "total": (8, 4)}
 
 
+def test_output_digest_reads_every_bit(monkeypatch):
+    # two outputs that differ in one float's last bit have different
+    # digests, and the order of their keys does not matter; no digest is
+    # pinned, since unlike the counts they may differ between machines
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    digest = _load("kernel_passes").digest
+    x = 0.1
+    assert digest({"a": x, "b": [1, "c"]}) == digest({"b": [1, "c"], "a": x})
+    assert digest({"a": x, "b": [1, "c"]}) != digest({"a": math.nextafter(x, 1.0), "b": [1, "c"]})
+
+
 def _pass_counts(monkeypatch, workload):
     """The tool's counts over one pass of the workload, in total."""
     # the tool sets these and prepends its source path; restored after the test
@@ -55,7 +69,7 @@ def _pass_counts(monkeypatch, workload):
         monkeypatch.setenv(var, "1")
     monkeypatch.setattr(sys, "path", sys.path[:])
     kernel_passes = _load("kernel_passes")
-    counts, mismatched = kernel_passes.count_passes(workload)
+    counts, _, mismatched = kernel_passes.count_passes(workload)
     assert mismatched == []
     return kernel_passes, sum(counts.values(), collections.Counter())
 

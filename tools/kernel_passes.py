@@ -30,7 +30,12 @@ the package calls them) and the elements they were given, and those of
 log Gamma, digamma and trigamma (``expfam.gammaln``, ``expfam.digamma``
 and ``expfam.trigamma``, which the gamma and beta families call). The
 counts do not depend on the machine, so they compare two versions of the
-program where wall times are too noisy to.
+program where wall times are too noisy to. Last come digests of the
+outputs: for each op the SHA-256 of its outputs as JSON with sorted keys,
+whose floats are written exactly, and for the whole pass that of the ops'
+digests by key. So the tool's reports from two checkouts diff every count
+and every output bit for bit. Unlike the counts, the digests may differ
+between machines, whose BLAS and libm may round differently.
 
 Run from the repository root:
 ``python tools/kernel_passes.py --workload {cd-grid,study,robustness}``.
@@ -52,6 +57,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import collections
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -141,14 +147,21 @@ def _shifted(H):
     return np.count_nonzero(w[..., 0] <= 1e-8 * np.maximum(1.0, np.abs(w[..., -1])))
 
 
+def digest(outputs):
+    """The SHA-256 of outputs as JSON with sorted keys: one digit of one
+    float changes it."""
+    return hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
+
+
 def count_passes(workload):
     """{op key: Counter of row-passes by order, of stacked solves by kind,
     of validate_data calls, of solver rounds and mechanism, of objects
     built, of kernel calls over the row cap, of profile nodes solved and of
     the calls and elements of the normal CDF and quantile and of log Gamma,
-    digamma and trigamma} over one pass of the workload, and
-    the keys of the ops whose outputs left their reference."""
-    counts, current = {}, collections.Counter()
+    digamma and trigamma} over one pass of the workload, {op key:
+    ``digest`` of its outputs}, and the keys of the ops whose outputs left
+    their reference."""
+    counts, digests, current = {}, {}, collections.Counter()
     kernel, solve = scoring._kernel, scoring._Objective.solve
     evaluate, newton_steps = scoring._Objective.__call__, scoring._newton_steps
     bounded = scoring._bounded
@@ -232,7 +245,7 @@ def count_passes(workload):
             for key, run, check in _ops(workload, workdir):
                 current.clear()
                 outputs = run()
-                counts[key] = collections.Counter(current)
+                counts[key], digests[key] = collections.Counter(current), digest(outputs)
                 if not check(outputs):
                     mismatched.append(key)
     finally:
@@ -246,7 +259,7 @@ def count_passes(workload):
             cls.validate_data = original
         for module, name, original in functions:
             setattr(module, name, original)
-    return counts, mismatched
+    return counts, digests, mismatched
 
 
 def _table(counts, columns, heads, summed=True):
@@ -266,7 +279,7 @@ def main(argv=None):
     parser.add_argument("--workload", required=True,
                         choices=("cd-grid", "study", "robustness", *CRITERION_2))
     args = parser.parse_args(argv)
-    counts, mismatched = count_passes(args.workload)
+    counts, digests, mismatched = count_passes(args.workload)
     _table(counts, ORDERS, [f"order {o}" for o in ORDERS])
     print("\nstacked solves")
     _table(counts, SOLVES, SOLVES)
@@ -286,6 +299,9 @@ def main(argv=None):
     _table(counts, NORMAL, NORMAL, summed=False)
     print("\nlog Gamma, digamma and trigamma: calls and elements")
     _table(counts, SPECIAL, SPECIAL, summed=False)
+    print("\noutputs: SHA-256 digests, the total's of the ops' digests by key")
+    for key, value in [*digests.items(), ("total", digest(digests))]:
+        print(f"{key:<40}{value:>66}")
     for key in mismatched:
         print(f"outputs differ from the reference: {key}", file=sys.stderr)
     return 1 if mismatched else 0
