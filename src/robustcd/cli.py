@@ -21,12 +21,10 @@ import numpy as np
 
 from .confidence import build_cd, evidence as cd_evidence, p_value
 from .errors import DomainError, NumericsError
-from .models import MODEL_NAMES, get_model
+from .models import MODEL_NAMES, LinearRegression, _TwoSampleBase, get_model
 from .robustness import calibrate_gamma, efficiency_ratio, taif as taif_eval
 from .scoring import ScoreRule, fit as fit_rule, interest_information
 from .simulate import SimDesign, default_regression_design, run_study
-
-TWO_SAMPLE_MODELS = ("two-sample-normal", "auc-exponential", "auc-normal")
 
 
 # Output goes through print, not click.echo: click caches a text wrapper per
@@ -95,7 +93,7 @@ def load_two_sample_csv(path):
     return x, y
 
 
-def load_regression_csv(path, intercept=True):
+def load_regression_csv(path, intercept):
     fields, columns = _read_rows(path)
     if "y" not in fields:
         _fail(f"{path}: regression data needs a 'y' column", 2)
@@ -109,26 +107,30 @@ def load_regression_csv(path, intercept=True):
     return y, X
 
 
-def _load_model_data(model_name, data_path, interest, intercept):
-    if model_name in TWO_SAMPLE_MODELS:
-        model = get_model(model_name)
-        data = load_two_sample_csv(data_path)
-    elif model_name == "linear-regression" or model_name.startswith("expfam:"):
-        if model_name.startswith("expfam:"):
-            model = get_model(model_name, interest_index=interest)
-            fields, columns = _read_rows(data_path)
-            data = columns["value" if "value" in fields else fields[0]]
-        else:
-            model = get_model(model_name, interest_index=interest if interest is not None else 1)
-            data = load_regression_csv(data_path, intercept=intercept)
-    else:
-        _fail(f"unknown model {model_name!r}; choose from {list(MODEL_NAMES)} "
-              "or expfam:<spec-file>", 2)
+def _model(model_name, interest):
+    """The model that --model and --interest name (``get_model``); exits 2
+    where it refuses them."""
     try:
-        data = model.checked(data)
+        return get_model(model_name, interest_index=interest)
     except DomainError as exc:
         _fail(str(exc), 2)
-    return model, data
+
+
+def _checked(model, data):
+    try:
+        return model.checked(data)
+    except DomainError as exc:
+        _fail(str(exc), 2)
+
+
+def _load_data(model, data_path, intercept):
+    """The data file, read as the model's type takes it, and checked."""
+    if isinstance(model, _TwoSampleBase):
+        return _checked(model, load_two_sample_csv(data_path))
+    if isinstance(model, LinearRegression):
+        return _checked(model, load_regression_csv(data_path, intercept))
+    fields, columns = _read_rows(data_path)
+    return _checked(model, columns["value" if "value" in fields else fields[0]])
 
 
 def _make_rule(model, rule_name, gamma):
@@ -144,13 +146,27 @@ def _make_rule(model, rule_name, gamma):
         _fail(str(exc), 2)
 
 
-def _parse_theta(spec, n_params):
+def _fitted(model_name, rule_name, gamma, data_path, interest, intercept):
+    """(model, data, rule, fit) of the fit, cd and taif commands: exits 2 on
+    bad usage or input and 1 where the fit raises."""
+    model = _model(model_name, interest)
+    data = _load_data(model, data_path, intercept)
+    rule = _make_rule(model, rule_name, gamma)
+    try:
+        return model, data, rule, fit_rule(rule, data)
+    except (DomainError, NumericsError) as exc:
+        _fail(str(exc), 1)
+
+
+def _parse_theta(spec, n_params, model):
     try:
         theta = np.array([float(t) for t in spec.split(",")])
     except ValueError:
         _fail(f"--theta expects comma-separated numbers, got {spec!r}", 2)
     if theta.size != n_params:
         _fail(f"--theta needs {n_params} values for this model, got {theta.size}", 2)
+    if not model.in_domain(theta):
+        _fail(f"--theta {spec} lies outside the model's parameter space", 2)
     return theta
 
 
@@ -179,29 +195,29 @@ _out_opt = click.option("--out", default=None, help="write JSON here instead of 
 _seed_opt = click.option("--seed", type=int, default=0, show_default=True)
 
 
+def _fit_options(command):
+    """command with the options of the fit, cd and taif commands, applied
+    last to first so that they list in the order of ``_fitted``'s
+    parameters."""
+    for option in (_intercept_opt, _interest_opt, _data_opt, _gamma_opt, _rule_opt, _model_opt):
+        command = option(command)
+    return command
+
+
 @click.group()
 def main():
     """Robust confidence distributions from proper scoring rules."""
 
 
 @main.command("fit")
-@_model_opt
-@_rule_opt
-@_gamma_opt
-@_data_opt
-@_interest_opt
-@_intercept_opt
+@_fit_options
 @_out_opt
 def cmd_fit(model_name, rule_name, gamma, data_path, interest, intercept, out):
     """Estimate the model parameters and report standard errors."""
-    model, data = _load_model_data(model_name, data_path, interest, intercept)
-    rule = _make_rule(model, rule_name, gamma)
-    try:
-        fr = fit_rule(rule, data)
-    except (DomainError, NumericsError) as exc:
-        _fail(str(exc), 1)
+    model, data, rule, fr = _fitted(model_name, rule_name, gamma, data_path, interest,
+                                    intercept)
     names = model.param_names
-    if model_name == "linear-regression":
+    if isinstance(model, LinearRegression):
         p = data[1].shape[1]
         names = tuple(f"beta_{j+1}" for j in range(p)) + ("var",)
     doc = {
@@ -223,12 +239,7 @@ def cmd_fit(model_name, rule_name, gamma, data_path, interest, intercept, out):
 
 
 @main.command("cd")
-@_model_opt
-@_rule_opt
-@_gamma_opt
-@_data_opt
-@_interest_opt
-@_intercept_opt
+@_fit_options
 @click.option("--pivot", "pivots", type=click.Choice(["wald", "root"]), multiple=True,
               default=("root",), show_default=True)
 @click.option("--level", "levels", type=float, multiple=True, default=(0.95,),
@@ -244,8 +255,6 @@ def cmd_fit(model_name, rule_name, gamma, data_path, interest, intercept, out):
 def cmd_cd(model_name, rule_name, gamma, data_path, interest, intercept,
            pivots, levels, h0, alt, evidence_spec, grid_points, out):
     """Build confidence distributions/curves and derived summaries."""
-    model, data = _load_model_data(model_name, data_path, interest, intercept)
-    rule = _make_rule(model, rule_name, gamma)
     for lv in levels:
         if not 0.0 < lv < 1.0:
             _fail(f"--level must be in (0,1), got {lv}", 2)
@@ -258,12 +267,13 @@ def cmd_cd(model_name, rule_name, gamma, data_path, interest, intercept,
         if not a < b:
             _fail("--evidence expects A < B", 2)
         ab = (a, b)
+    model, data, rule, fr = _fitted(model_name, rule_name, gamma, data_path, interest,
+                                    intercept)
     queries = ([h0] if h0 is not None else []) + (list(ab) if ab else [])
     lo, hi = model.interest_range()
     if not all(lo < q < hi for q in queries):
         _fail(f"--h0/--evidence outside the interest's range ({lo:g}, {hi:g})", 2)
     try:
-        fr = fit_rule(rule, data)
         if not fr.converged:
             raise NumericsError("fit did not converge")
         # widen the grid so every queried point (null value, evidence
@@ -319,29 +329,28 @@ def cmd_cd(model_name, rule_name, gamma, data_path, interest, intercept,
 def cmd_calibrate(model_name, target, data_path, theta_spec, measure, interest,
                   intercept, n_template, seed, out):
     """Find gamma so the Tsallis estimator concedes the target efficiency."""
+    model = _model(model_name, interest)
+    rng = np.random.default_rng(seed)
+    # the data are checked once, for both calls below
+    if data_path is not None:
+        data = _load_data(model, data_path, intercept)
+        theta_ref = (_parse_theta(theta_spec, len(model.positive_mask(data)), model)
+                     if theta_spec else None)
+    elif isinstance(model, LinearRegression):
+        X = default_regression_design(n_template, seed)
+        theta_ref = (_parse_theta(theta_spec, X.shape[1] + 1, model)
+                     if theta_spec else np.array([1.0, 0.0, 1.0, 1.0]))
+        data = _checked(model, model.sample(theta_ref, (n_template,), rng, design=X))
+    elif isinstance(model, _TwoSampleBase):
+        if theta_spec is None:
+            _fail("--theta is required without --data for two-sample models", 2)
+        theta_ref = _parse_theta(theta_spec, model.dim, model)
+        data = _checked(model, model.sample(theta_ref, (n_template, n_template), rng))
+    else:
+        _fail("calibrate without --data supports the built-in models only", 2)
     try:
-        if data_path is not None:
-            model, data = _load_model_data(model_name, data_path, interest, intercept)
-            theta_ref = (_parse_theta(theta_spec, len(model.positive_mask(data)))
-                         if theta_spec else fit_rule(ScoreRule.log(model), data).theta_hat)
-        else:
-            rng = np.random.default_rng(seed)
-            if model_name == "linear-regression":
-                model = get_model(model_name, interest_index=interest if interest is not None else 1)
-                X = default_regression_design(n_template, seed)
-                theta_ref = (_parse_theta(theta_spec, X.shape[1] + 1)
-                             if theta_spec else np.array([1.0, 0.0, 1.0, 1.0]))
-                data = model.sample(theta_ref, (n_template,), rng, design=X)
-            elif model_name in TWO_SAMPLE_MODELS:
-                model = get_model(model_name)
-                if theta_spec is None:
-                    _fail("--theta is required without --data for two-sample models", 2)
-                theta_ref = _parse_theta(theta_spec, model.dim)
-                sizes = (n_template, n_template)
-                data = model.sample(theta_ref, sizes, rng)
-            else:
-                _fail("calibrate without --data supports the built-in models only", 2)
-        data = model.one(data)      # checked once for both calls
+        if theta_ref is None:
+            theta_ref = fit_rule(ScoreRule.log(model), data).theta_hat
         gamma = calibrate_gamma(model, theta_ref, target, data, measure=measure)
         eff = efficiency_ratio(model, gamma, data, theta_ref, measure=measure)
     except (DomainError, NumericsError) as exc:
@@ -357,12 +366,7 @@ def cmd_calibrate(model_name, target, data_path, theta_spec, measure, interest,
 
 
 @main.command("taif")
-@_model_opt
-@_rule_opt
-@_gamma_opt
-@_data_opt
-@_interest_opt
-@_intercept_opt
+@_fit_options
 @click.option("--pivot", type=click.Choice(["wald", "root"]), default="wald",
               show_default=True)
 @click.option("--psi", type=float, default=None,
@@ -374,10 +378,9 @@ def cmd_calibrate(model_name, target, data_path, theta_spec, measure, interest,
 def cmd_taif(model_name, rule_name, gamma, data_path, interest, intercept,
              pivot, psi, component, out):
     """Tail-area influence of point contamination on a CD tail probability."""
-    model, data = _load_model_data(model_name, data_path, interest, intercept)
-    rule = _make_rule(model, rule_name, gamma)
+    model, data, rule, fr = _fitted(model_name, rule_name, gamma, data_path, interest,
+                                    intercept)
     try:
-        fr = fit_rule(rule, data)
         if not fr.converged:
             raise NumericsError("fit did not converge")
         psi_val = fr.psi_tilde if psi is None else psi

@@ -217,6 +217,23 @@ def _lobatto_profile(rule, data, fit_result, lo, hi):
     return None
 
 
+def _fit_for(rule, data, fit_result):
+    """fit_result, checked. The pivots and diagnostics of one fit start from
+    its estimate and share the solves held in its memo, so it must be a fit
+    of this rule to these data: raises NumericsError where it has not
+    converged and DomainError where its rule or its data differ."""
+    if fit_result.rule != rule or not _same_data(fit_result.data, data):
+        raise DomainError("fit_result is not a fit of this rule to these data")
+    if not fit_result.converged:
+        raise NumericsError("fit_result is not a converged fit")
+    return fit_result
+
+
+def _same_data(a, b):
+    """Whether a and b, checked datasets of one model, hold equal arrays."""
+    return len(a) == len(b) and all(map(np.array_equal, a, b))
+
+
 def profile(rule, data, psi_grid, fit_result):
     """Constrained fits and nu along the interest grid. A grid of at most
     ``scoring._row_cap`` points is solved point by point, one stack, each
@@ -226,9 +243,10 @@ def profile(rule, data, psi_grid, fit_result):
     last level's interpolant; where a node fails, or no level meets PROFILE_TOL, the
     grid is solved point by point. A grid point whose own solve fails is
     interpolated from its neighbors and flagged. ``fit_result`` is the free
-    fit of rule to data, from which the predictor starts."""
+    fit of rule to data, from which the predictor starts (``_fit_for``)."""
     model = rule.model
     data = model.one(data)
+    fit_result = _fit_for(rule, data, fit_result)
     psi_grid = _checked_grid(psi_grid)
     positive = model.lam_positive_mask(data)
     failed = np.zeros(psi_grid.size, dtype=bool)
@@ -473,14 +491,14 @@ def build_cd(rule, data, kind, psi_grid=None, fit_result=None, n_grid=201,
     C is Phi(-pivot) with the pivot decreasing in psi; any monotonicity
     violations of the raw pivot are repaired by an isotonic projection
     anchored at the estimate (C(psi_tilde) stays 1/2), and the repair size is
-    recorded on the C scale.
+    recorded on the C scale. A given ``fit_result`` must be a converged fit
+    of rule to data (``_fit_for``); without one, build_cd fits the data.
     """
     if kind not in ("wald", "root"):
         raise DomainError("kind must be 'wald' or 'root'")
     model = rule.model
     data = model.one(data)
-    if fit_result is None:
-        fit_result = fit_rule(rule, data)
+    fit_result = fit_rule(rule, data) if fit_result is None else _fit_for(rule, data, fit_result)
     theta = fit_result.theta_hat
     psi_tilde = float(model.interest(theta))
     _, g_pp = interest_information(fit_result.K, fit_result.J, model.interest_grad(theta))

@@ -18,12 +18,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 
 import numpy as np
 
 from .errors import DomainError
-from .models import _col, _CoordinateInterest
+from .models import _col, _CoordinateInterest, _is_int
 from .robustness import _decay_verdict
 
 __all__ = [
@@ -489,18 +488,22 @@ def load_expfam_model(spec_path, **options):
     if options:
         raise DomainError(f"exponential-family models accept only interest_index, "
                           f"got {sorted(options)}")
-    if not os.path.exists(spec_path):
-        raise DomainError(f"exponential-family spec file not found: {spec_path}")
-    with open(spec_path) as fh:
-        spec = json.load(fh)
-    family = spec.get("family")
+    try:
+        with open(spec_path) as fh:
+            spec = json.load(fh)
+    except FileNotFoundError:
+        raise DomainError(f"exponential-family spec file not found: {spec_path}") from None
+    except ValueError as exc:
+        raise DomainError(f"{spec_path}: invalid JSON ({exc})") from None
+    family = spec.get("family") if isinstance(spec, dict) else None
     if family not in _FAMILIES:
         raise DomainError(f"unknown exponential family {family!r}; "
                           f"choose from {sorted(_FAMILIES)}")
     model = _FAMILIES[family]()
-    idx = int(spec.get("interest_index", 0) if idx is None else idx)
-    if not 0 <= idx < model.family.s:
-        raise DomainError("interest_index out of range")
-    model.interest_index = idx
+    idx = spec.get("interest_index", 0) if idx is None else idx
+    if not (_is_int(idx) and 0 <= idx < model.family.s):
+        raise DomainError(f"interest_index must be an integer in [0, {model.family.s}), "
+                          f"got {idx!r}")
+    model.interest_index = int(idx)
     model.interest_name = f"theta_{idx + 1}"
     return model

@@ -1088,16 +1088,28 @@ _REGISTRY = {
 MODEL_NAMES = tuple(_REGISTRY)
 
 
+def _is_int(v):
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def get_model(name, **options):
-    """Instantiate a built-in model by its CLI name."""
+    """The model that ``name``, a built-in name or ``expfam:<spec-file>``,
+    and ``options`` give; the one place where a name and its options become
+    a model. An option given as None counts as not given. Raises
+    DomainError for an unknown name, an option the model does not take, or
+    an ``interest_index`` that is not an integer."""
+    options = {key: value for key, value in options.items() if value is not None}
+    if not _is_int(options.get("interest_index", 0)):
+        raise DomainError(f"interest_index must be an integer, got {options['interest_index']!r}")
     if name.startswith("expfam:"):
         from .expfam import load_expfam_model
         return load_expfam_model(name.split(":", 1)[1], **options)
     try:
         cls = _REGISTRY[name]
     except KeyError:
-        raise DomainError(f"unknown model {name!r}; choose from {sorted(_REGISTRY)}") from None
-    kwargs = {"interest_index": options.pop("interest_index", 1)} if cls is LinearRegression else {}
-    if options:
-        raise DomainError(f"model {name!r} does not accept the option(s) {sorted(options)}")
-    return cls(**kwargs)
+        raise DomainError(f"unknown model {name!r}; choose from {sorted(_REGISTRY)} "
+                          "or expfam:<spec-file>") from None
+    refused = sorted(options.keys() - ({"interest_index"} if cls is LinearRegression else set()))
+    if refused:
+        raise DomainError(f"model {name!r} does not accept the option(s) {refused}")
+    return cls(**options)

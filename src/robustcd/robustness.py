@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DomainError, NumericsError
 from .models import _fd_jacobian, ndtr, normal_pdf
-from .confidence import (_constrained_at, _nu_at, _root_fit, _signed_root, _undercut,
-                         _wald_pivot, pivot_root, pivot_wald)
+from .confidence import (_constrained_at, _fit_for, _nu_at, _root_fit, _signed_root,
+                         _undercut, _wald_pivot, pivot_root, pivot_wald)
 from .scoring import (
     _Objective,
     _derivatives,
@@ -95,7 +95,7 @@ class TAIFProfile:
     bounded_verdict: bool
     pivot_kind: str
     psi_fixed: float
-    shells: tuple                # (n leading, n trailing) far-tail probe points
+    shells: tuple                # (n leading, n trailing) shell probe points
 
     def to_dict(self):
         return {
@@ -115,8 +115,10 @@ def _wald_pivot_of_theta(rule, data, theta, psi):
 
 
 def _default_y_grid(model, data, theta, component):
-    """Interior grid around the fitted center plus decade-spaced far-tail
-    shells on each unbounded side. Returns (grid, n_left_shell, n_right_shell)."""
+    """Interior grid around the fitted center plus two shell probes a side:
+    decade-spaced far-tail probes on an unbounded side, and on a finite side
+    the boundedness check's (``expfam._boundary_grid``), 10^-12 and 10^-11
+    fitted scales from the edge. Returns (grid, n_left_shell, n_right_shell)."""
     center, scale = model.obs_center_scale(data, theta, component)
     lo_s, hi_s = model.component_support(component)
     lo_edge = center - Y_GRID_REACH * scale
@@ -127,9 +129,9 @@ def _default_y_grid(model, data, theta, component):
         hi_edge = min(hi_edge, hi_s - 1e-9 * max(scale, 1.0))
     interior = np.linspace(lo_edge, hi_edge, Y_GRID_POINTS)
     left = (center - Y_GRID_REACH * scale * 10.0 ** np.arange(4.0, 0.0, -1.0)
-            if not np.isfinite(lo_s) else np.empty(0))
+            if not np.isfinite(lo_s) else lo_s + scale * np.array([1e-12, 1e-11]))
     right = (center + Y_GRID_REACH * scale * 10.0 ** np.arange(1.0, 5.0)
-             if not np.isfinite(hi_s) else np.empty(0))
+             if not np.isfinite(hi_s) else hi_s - scale * np.array([1e-11, 1e-12]))
     return np.concatenate([left, interior, right]), left.size, right.size
 
 
@@ -143,8 +145,8 @@ def _decay_verdict(absvals, n_left, n_right, edges):
     in ``edges`` (left, right) says that its two probes approach a finite
     edge of the support, where the one nearer the edge is at most
     (1 + EDGE_GROWTH) times the other; a column is bounded where both sides
-    hold. Without shells, on a compact support, the grid maximum is the
-    supremum, and the column reads bounded unless that maximum is NaN."""
+    hold. Without shells, as on a user's grid of fewer than 4 points, a
+    column reads bounded unless its maximum is NaN."""
     size = absvals.shape[0]
     interior_max = np.max(absvals[n_left:size - n_right], axis=0)
     ceiling = DECAY_RATIO * np.maximum(interior_max, 1e-300)
@@ -157,23 +159,6 @@ def _decay_verdict(absvals, n_left, n_right, edges):
             held |= shell[0] <= (1.0 + EDGE_GROWTH) * shell[1]
         bounded = bounded & np.all(np.isfinite(shell), axis=0) & held
     return bounded, np.max(np.concatenate(sides), axis=0, initial=0.0), interior_max
-
-
-def _fit_for(rule, data, fit_result):
-    """fit_result, checked. The diagnostics of one fit share the solves held
-    in its memo, so it must be a fit of this rule to these data, and the
-    estimate: raises NumericsError where it has not converged and
-    DomainError where its rule or its data differ."""
-    if fit_result.rule != rule or not _same_data(fit_result.data, data):
-        raise DomainError("fit_result is not a fit of this rule to these data")
-    if not fit_result.converged:
-        raise NumericsError("the tail-area influence requires a converged fit")
-    return fit_result
-
-
-def _same_data(a, b):
-    """Whether a and b, checked datasets of one model, hold equal arrays."""
-    return len(a) == len(b) and all(map(np.array_equal, a, b))
 
 
 def _root_taif_values(rule, data, fit_result, psi, ys, component):
@@ -217,7 +202,8 @@ def taif(rule, data, pivot_kind, psi, y_grid=None, component=0, *, fit_result):
     Computed by the chain rule: the pivot sensitivity in the estimate,
     composed with the influence function, times the normal density at the
     pivot. The verdict is ``_decay_verdict`` of the two outermost grid
-    shells on each side. ``fit_result`` must be a
+    shells on each side, which on a default grid approach a finite edge of
+    the support on a finite side. ``fit_result`` must be a
     converged fit of rule to data; the root pivot's constrained fit at psi
     is made once per fit and shared with ``taif_contamination_oracle``.
     """
@@ -227,8 +213,10 @@ def taif(rule, data, pivot_kind, psi, y_grid=None, component=0, *, fit_result):
     data = model.one(data)
     fit_result = _fit_for(rule, data, fit_result)
     theta = fit_result.theta_hat
+    edges = (False, False)
     if y_grid is None:
         y_grid, n_left, n_right = _default_y_grid(model, data, theta, component)
+        edges = tuple(np.isfinite(model.component_support(component)))
     else:
         y_grid = np.asarray(y_grid, dtype=float)
         # tiny user grids carry no tail shells and hence no decay verdict
@@ -253,7 +241,7 @@ def taif(rule, data, pivot_kind, psi, y_grid=None, component=0, *, fit_result):
         vals = float(normal_pdf(q)) * (infl @ sens)
 
     absvals = np.abs(vals)
-    bounded = bool(_decay_verdict(absvals, n_left, n_right, (False, False))[0])
+    bounded = bool(_decay_verdict(absvals, n_left, n_right, edges)[0])
     return TAIFProfile(
         y_grid=y_grid, taif_values=vals, sup_abs=float(absvals.max()),
         bounded_verdict=bounded, pivot_kind=pivot_kind, psi_fixed=float(psi),

@@ -38,7 +38,7 @@ from .confidence import (
     _undercut,
     _wald_pivot,
 )
-from .models import _TwoSampleBase, get_model, ndtri
+from .models import LinearRegression, ModelSpec, _is_int, _TwoSampleBase, get_model, ndtri
 from .robustness import calibrate_gamma
 from .scoring import Fits, ScoreRule, _fit_rows, _stacked, _start
 
@@ -108,10 +108,12 @@ class SimDesign:
     levels: tuple = (0.5, 0.8, 0.9, 0.95)
     h0: H0Spec | None = None
     contamination: Contamination | None = None
-    interest_index: int = 1      # regression only
+    interest_index: int | None = None
+    # the model that get_model builds from the name and interest_index
+    spec: ModelSpec = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        model = get_model(self.model)    # raises DomainError for an unknown model
+        self.spec = model = get_model(self.model, interest_index=self.interest_index)
         if not (_is_int(self.n_reps) and self.n_reps >= 1):
             raise DomainError(f"n_reps must be an integer of at least 1, got {self.n_reps!r}")
         if not all(0.0 < lv < 1.0 for lv in self.levels):
@@ -126,7 +128,7 @@ class SimDesign:
         if len(self.sizes) != n_samples:
             raise DomainError(f"{self.model} takes {n_samples} sample size(s), "
                               f"got {len(self.sizes)}")
-        regression = self.model == "linear-regression"
+        regression = isinstance(model, LinearRegression)
         # a regression sample needs more observations than design columns
         least = _DESIGN_COLUMNS + 1 if regression else 2
         if not all(_is_int(n) and n >= least for n in self.sizes):
@@ -134,8 +136,7 @@ class SimDesign:
                               f"got {list(self.sizes)!r}")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if regression and not (_is_int(self.interest_index)
-                               and 0 <= self.interest_index < _DESIGN_COLUMNS):
+        if regression and not 0 <= model.interest_index < _DESIGN_COLUMNS:
             raise DomainError(f"interest_index must lie in [0, {_DESIGN_COLUMNS}), "
                               f"got {self.interest_index!r}")
         try:
@@ -143,7 +144,7 @@ class SimDesign:
         except (TypeError, ValueError):
             raise DomainError(f"theta must be a list of numbers, got {self.theta!r}") from None
         # regression: a coefficient per design column, then the variance
-        dim = _DESIGN_COLUMNS + 1 if self.model == "linear-regression" else model.dim
+        dim = _DESIGN_COLUMNS + 1 if regression else model.dim
         if theta.shape != (dim,) or not model.in_domain(theta):
             raise DomainError(f"theta {self.theta!r} is not an admissible "
                               f"{dim}-vector for {self.model}")
@@ -181,12 +182,8 @@ class SimDesign:
             model=d["model"], theta=tuple(d["theta"]), sizes=tuple(d["sizes"]),
             n_reps=d["n_reps"], seed=d.get("seed", 0), methods=methods,
             levels=tuple(d.get("levels", (0.5, 0.8, 0.9, 0.95))), h0=h0,
-            contamination=cont, interest_index=d.get("interest_index", 1),
+            contamination=cont, interest_index=d.get("interest_index"),
         )
-
-
-def _is_int(v):
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def default_regression_design(n, seed):
@@ -390,12 +387,9 @@ def run_study(design: SimDesign):
     method's pivots one step on its block, with the results of solving each
     replicate alone.
     """
-    if design.model == "linear-regression":
-        model = get_model(design.model, interest_index=design.interest_index)
-        X = default_regression_design(design.sizes[0], design.seed)
-    else:
-        model = get_model(design.model)
-        X = None
+    model = design.spec
+    X = (default_regression_design(design.sizes[0], design.seed)
+         if isinstance(model, LinearRegression) else None)
     theta_true = np.asarray(design.theta, dtype=float)
     psi_true = float(model.interest(theta_true))
     template = model.sample(theta_true, design.sizes, np.random.default_rng(0), design=X)

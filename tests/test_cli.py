@@ -320,6 +320,48 @@ def test_calibrate_rejects_a_bad_theta(runner, two_sample_csv, theta):
         assert res.stderr.startswith("error: --theta"), res.stderr
 
 
+def test_a_model_or_option_that_get_model_refuses_exits_2(runner, two_sample_csv,
+                                                          gamma_spec_csv, tmp_path):
+    # every command builds its model through get_model, and a name, spec
+    # file or option that it refuses is a usage error
+    two, _, _ = two_sample_csv
+    _, gamma_csv = gamma_spec_csv
+    out_of_range, fractional = tmp_path / "range.json", tmp_path / "fraction.json"
+    out_of_range.write_text(json.dumps({"family": "gamma", "interest_index": 5}))
+    fractional.write_text(json.dumps({"family": "gamma", "interest_index": 1.5}))
+    not_json = tmp_path / "broken.json"
+    not_json.write_text("{family")
+    for args in (
+            ["fit", "--model", "two-sample-normal", "--interest", "3", "--data", two],
+            ["taif", "--model", "auc-normal", "--interest", "0", "--data", two],
+            ["calibrate", "--model", "two-sample-normal", "--interest", "1", "--theta", "2,0,1,1"],
+            ["fit", "--model", f"expfam:{tmp_path / 'missing.json'}", "--data", gamma_csv],
+            ["cd", "--model", f"expfam:{out_of_range}", "--data", gamma_csv],
+            ["fit", "--model", f"expfam:{fractional}", "--data", gamma_csv],
+            ["fit", "--model", f"expfam:{not_json}", "--data", gamma_csv],
+            ["fit", "--model", "no-such-model", "--data", two],
+            ["calibrate", "--model", "linear-regression", "--interest", "7"],
+            ["calibrate", "--model", "two-sample-normal", "--theta", "2,0,-1,1"],
+            ["calibrate", "--model", "linear-regression", "--theta", "1,0,1,0"]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, (args, res.output)
+        assert res.stderr.startswith("error: "), (args, res.stderr)
+
+
+def test_taif_root_at_the_estimate_is_the_wald_taif(runner, two_sample_csv):
+    # --psi defaults to the estimate, where the root pivot is 0 and its
+    # tail-area derivative takes the Wald form, bit for bit
+    path, _, _ = two_sample_csv
+    docs = {}
+    for pivot in ("root", "wald"):
+        res = runner.invoke(main, ["taif", "--model", "two-sample-normal", "--rule", "tsallis",
+                                   "--gamma", "1.23", "--data", path, "--pivot", pivot])
+        assert res.exit_code == 0, res.output
+        docs[pivot] = json.loads(res.stdout)
+        assert docs[pivot].pop("pivot") == pivot
+    assert docs["root"] == docs["wald"]
+
+
 def test_taif_command_verdicts(runner, two_sample_csv):
     path, _, _ = two_sample_csv
     res_log = runner.invoke(main, ["taif", "--model", "two-sample-normal",
@@ -389,6 +431,8 @@ def test_simulate_deterministic_snapshot(runner, tmp_path):
     # labels that coincide under :g, which would key one result
     {"methods": [{"rule": "tsallis", "pivot": "wald", "gamma": 1.23},
                  {"rule": "tsallis", "pivot": "wald", "gamma": 1.230000000001}]},
+    # get_model refuses an interest_index where the model has none
+    {"interest_index": 2},
 ])
 def test_simulate_rejects_a_bad_design(runner, tmp_path, change):
     design = {"model": "two-sample-normal", "theta": [2, 0, 1, 1], "sizes": [10, 20],

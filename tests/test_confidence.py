@@ -289,6 +289,23 @@ def test_build_cd_warns_on_irregular_profile(two_sample_data, ts_fits, monkeypat
     assert np.all(np.diff(cd.cdf_values) >= -1e-15)
 
 
+@pytest.mark.parametrize("kind", ["wald", "root"])
+def test_build_cd_refuses_a_fit_of_other_data_or_another_rule(kind):
+    # a fit of other data would centre the CD on their estimate, and a fit
+    # of another rule would take its name; both raise, as in the TAIF
+    rng = np.random.default_rng(1)
+    a = (rng.normal(2.0, 1.0, 12), rng.normal(0.0, 1.0, 24))
+    b = (rng.normal(5.0, 1.0, 12), rng.normal(0.0, 1.0, 24))
+    m = TwoSampleNormal()
+    tsallis, log = ScoreRule.tsallis(m, 1.23), ScoreRule.log(m)
+    for rule, fit_result in ((tsallis, fit(tsallis, b)), (log, fit(tsallis, a))):
+        with pytest.raises(DomainError, match="not a fit of this rule to these data"):
+            build_cd(rule, a, kind, fit_result=fit_result)
+    with pytest.raises(DomainError, match="not a fit of this rule to these data"):
+        profile(tsallis, a, np.linspace(1.5, 2.5, 5), fit_result=fit(tsallis, b))
+    assert build_cd(tsallis, a, kind, fit_result=fit(tsallis, a)).rule_kind == "tsallis"
+
+
 def test_root_pivot_matches_likelihood_root_oracle(two_sample_data):
     m = TwoSampleNormal()
     rule = ScoreRule.log(m)

@@ -456,10 +456,16 @@ def test_import_leaves_scipy_stats_unloaded():
 def test_registry():
     assert get_model("two-sample-normal").name == "two-sample-normal"
     assert get_model("linear-regression", interest_index=2).interest_index == 2
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="expfam:<spec-file>"):
         get_model("no-such-model")
     with pytest.raises(DomainError):
         get_model("auc-normal", interest_index=1)
+    # an option given as None counts as not given
+    assert get_model("auc-normal", interest_index=None).name == "auc-normal"
+    assert get_model("linear-regression", interest_index=None).interest_index == 1
+    for index in (1.5, True, "1"):
+        with pytest.raises(DomainError, match="interest_index must be an integer"):
+            get_model("linear-regression", interest_index=index)
     with pytest.raises(DomainError, match="bogus"):
         get_model("linear-regression", interest_index=2, bogus=5)
 

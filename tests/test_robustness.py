@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 from robustcd import confidence, robustness, scoring
 from robustcd.confidence import pivot_root, profile
 from robustcd.errors import DomainError, NumericsError
-from robustcd.expfam import expfam_gamma
+from robustcd.expfam import expfam_beta, expfam_gamma, expfam_robustness_check
 from robustcd.models import ExponentialAUC, LinearRegression, TwoSampleNormal
 from robustcd.robustness import (
     calibrate_gamma,
@@ -102,6 +102,23 @@ def test_taif_boundedness_dichotomy(small_two_sample_data, ts_small):
         # unbounded means growing toward the far shells
         absv = np.abs(prof_l.taif_values)
         assert absv[-1] > absv[-prof_l.shells[1] - 1]
+
+
+@pytest.mark.parametrize("shape", [(2.0, 3.0), (0.6, 0.7)])
+@pytest.mark.parametrize("gamma", [None, 1.2, 1.5])
+def test_taif_verdict_on_a_compact_support_is_the_boundedness_check(shape, gamma):
+    # both edges of the beta support are finite: the TAIF grid probes them
+    # with the check's shells, so its verdict is the check's; the log
+    # score's log y and log(1 - y) are unbounded there at every shape
+    model = expfam_beta()
+    y = np.random.default_rng(1).beta(*shape, 50)
+    rule = ScoreRule.log(model) if gamma is None else ScoreRule.tsallis(model, gamma)
+    fr = fit(rule, y)
+    check = all(expfam_robustness_check(model, fr.theta_hat, gamma or 1.0).bounded)
+    for pivot in ("wald", "root"):
+        prof = taif(rule, y, pivot, fr.psi_tilde + 0.3, fit_result=fr)
+        assert prof.bounded_verdict == check, pivot
+        assert prof.shells == (2, 2)
 
 
 def test_taif_vanishes_with_estimating_function(exp_auc_data):

@@ -349,6 +349,37 @@ def test_fit_gives_up_a_row_whose_start_cannot_be_scored():
         assert out[r].converged and np.array_equal(out[r].theta_hat, ref.theta_hat)
 
 
+def test_fit_restarts_a_row_from_jittered_starts_until_it_converges(monkeypatch):
+    # from a start far from the data the first solve stops short, and the
+    # jittered restarts run while a row has not converged: Tsallis 1.05
+    # converges in the second restart, Tsallis 1.5 from tiny variances in
+    # neither. Each restart is one solve of the rows still running, and a
+    # row keeps its fit alone bit for bit in a stack whose other row
+    # converges at once.
+    rng = np.random.default_rng(0)
+    data = (rng.normal(2.0, 1.0, 12), rng.normal(0.0, 1.0, 24))
+    model = TwoSampleNormal()
+    solves = []
+    solve = _Objective.solve
+    monkeypatch.setattr(_Objective, "solve",
+                        lambda self, z0: solves.append(len(z0)) or solve(self, z0))
+    rule, far = ScoreRule.tsallis(model, 1.05), np.array([1e5, -1e5, 1.0, 1.0])
+    fr = fit(rule, data, theta0=far)
+    assert (fr.converged, fr.stop_reason, fr.n_iter, solves) == (True, "gradient", 195, [1, 1, 1])
+    solves.clear()
+    stuck = fit(ScoreRule.tsallis(model, 1.5), data, theta0=np.array([1e5, -1e5, 1e-8, 1e-8]))
+    assert (stuck.converged, stuck.stop_reason, solves) == (False, "max_iter", [1, 1, 1])
+    solves.clear()
+    starts = np.array([far, [2.0, 0.0, 1.0, 1.0]])
+    out = fit(rule, model.stack([data, data]), theta0=starts)
+    assert solves == [2, 1, 1] and out.n_iter[1] < out.n_iter[0]
+    for r in (0, 1):
+        alone = fit(rule, data, theta0=starts[r])
+        for name in ("theta_hat", "score_at_opt", "K", "J", "converged", "n_iter",
+                     "grad_norm", "stop_reason"):
+            assert np.array_equal(getattr(out[r], name), getattr(alone, name)), (r, name)
+
+
 def test_fit_validates_data_once(two_sample_data, monkeypatch):
     calls = []
     original = TwoSampleNormal.validate_data

@@ -200,6 +200,24 @@ def test_regression_study_runs():
     assert np.array_equal(X, default_regression_design(50, 21))
 
 
+def test_a_design_builds_its_model_through_get_model(tmp_path):
+    # interest_index goes to get_model, which keeps the spec's where it is
+    # not given, and the study runs the model the design built
+    spec = tmp_path / "gamma.json"
+    spec.write_text('{"family": "gamma", "interest_index": 1}')
+    base = {"model": f"expfam:{spec}", "theta": [1.0, -1.0], "sizes": [30], "n_reps": 2,
+            "methods": [{"rule": "log", "pivot": "wald"}]}
+    assert SimDesign.from_dict(base).spec.interest_index == 1
+    design = SimDesign.from_dict({**base, "interest_index": 0})
+    assert design.spec.interest_index == 0 and run_study(design).psi_true == 1.0
+    regression = SimDesign(model="linear-regression", theta=(1.0, 0.5, 0.2, 1.0), sizes=(30,),
+                           n_reps=1)
+    assert regression.spec.interest_index == 1
+    with pytest.raises(DomainError, match="does not accept"):
+        SimDesign(model="two-sample-normal", theta=(2.0, 0.0, 1.0, 1.0), sizes=(10, 20),
+                  n_reps=1, interest_index=2)
+
+
 def test_expfam_study_samples_and_contaminates(tmp_path):
     # a gamma family from a spec file, interest -rate: one observation moved
     # 30 out drags every log-score estimate of -rate toward 0, and the

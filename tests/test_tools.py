@@ -163,3 +163,31 @@ def test_criterion_2_counts(monkeypatch, workload, rounds, mechanism):
     assert tuple(total[key] for key in kernel_passes.ROUNDS) == rounds
     assert tuple(total[key] for key in kernel_passes.MECHANISM) == mechanism
     assert total[kernel_passes.OVERSIZED] == 0
+
+
+def test_untested_lines_reports_the_statements_a_run_skips(tmp_path, monkeypatch):
+    # a toy module of two functions: a run that imports it and calls one
+    # reports every statement of the other and none of its own, a statement
+    # over two lines and the module's own statements among them
+    (tmp_path / "toy.py").write_text(textwrap.dedent('''\
+        """A toy module."""
+        SCALE = 2
+
+
+        def called(x):
+            """Doubles x."""
+            y = (x
+                 * SCALE)
+            return y
+
+
+        def skipped(x):
+            z = x + 1
+            for _ in range(2):
+                z += 1
+            return z
+        '''))
+    monkeypatch.setattr(sys, "path", [str(tmp_path), *sys.path])
+    monkeypatch.delitem(sys.modules, "toy", raising=False)
+    report = _load("untested_lines").unrun(tmp_path, lambda: __import__("toy").called(3))
+    assert report == {"toy": ([13, 14, 15, 16], 7)}
