@@ -12,9 +12,11 @@ usage, missing file, or malformed input.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import sys
+import warnings
 
 import click
 import numpy as np
@@ -36,20 +38,44 @@ def _fail(message, code):
 
 def _read_rows(path):
     """(fields, columns) of a CSV file of numbers with a header row: the
-    stripped field names and a float array per field, by name."""
+    stripped field names and a float array per field, by name. The rows
+    after the header go through numpy's C reader, and through the csv
+    module where it raises or its table is not one finite number per field
+    on each row; that path gives every error message, reads quoted cells
+    and what float() reads, and drops the values past the last field."""
     try:
         fh = open(path, newline="")
     except FileNotFoundError:
         _fail(f"data file not found: {path}", 2)
     with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            _fail(f"{path}: empty file", 2)
-        fields = [f.strip() for f in header]
-        width = len(fields)
-        # blank lines are skipped and not numbered, as by csv.DictReader
-        raws = [raw for raw in reader if raw]
+        text = fh.read()
+    lines = io.StringIO(text, newline="")
+    header = next(csv.reader(lines), None)
+    if header is None:
+        _fail(f"{path}: empty file", 2)
+    fields = [f.strip() for f in header]
+    width = len(fields)
+    try:
+        with warnings.catch_warnings():
+            # a file without data rows: the csv path says so
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        table = None
+    if table is None or not table.size or table.shape[1] != width or not np.isfinite(table).all():
+        table = _csv_table(path, text, fields)
+    # a float array per field; a repeated field name keeps its last column
+    return fields, dict(zip(fields, table.T.copy()))
+
+
+def _csv_table(path, text, fields):
+    """The data rows of a CSV file's text as a (rows, fields) table, by the
+    csv module and float(); exits 2 on the first bad value."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    width = len(fields)
+    # blank lines are skipped and not numbered, as by csv.DictReader
+    raws = [raw for raw in reader if raw]
     if not raws:
         _fail(f"{path}: no data rows", 2)
     # numpy converts each cell with float(), as a per-cell loop would
@@ -61,8 +87,7 @@ def _read_rows(path):
         for lineno, raw in enumerate(raws, start=2):
             _bad_row(path, lineno, fields, raw)
         _fail(f"{path}: cannot read the data rows", 2)
-    # a float array per field; a repeated field name keeps its last column
-    return fields, dict(zip(fields, table.T.copy()))
+    return table
 
 
 def _bad_row(path, lineno, fields, raw):

@@ -168,13 +168,6 @@ class ExpFamilyModel(_CoordinateInterest):
         n = sizes if np.isscalar(sizes) else sizes[0]
         return self.family.sample(np.asarray(theta, dtype=float), int(n), rng)
 
-    def shift_obs(self, data, sample_index, obs_index, shift):
-        y = self.validate_data(data)[0].copy()
-        if not (-len(y) <= obs_index < len(y)):
-            raise IndexError(f"obs_index {obs_index} out of range")
-        y[obs_index] += shift
-        return (y,)
-
     def contamination_frame(self, ys, data, component=0):
         return (np.atleast_1d(np.asarray(ys, dtype=float)),)
 

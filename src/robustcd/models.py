@@ -322,6 +322,7 @@ class ModelSpec(abc.ABC):
     positive: tuple = ()
     interest_name: str = "psi"
     wald_scale: str = "identity"  # "logit" for (0,1)-valued interest
+    n_samples: int = 1            # the samples of a dataset: data[k] is sample k
     observed_kj: bool = False     # estimate_KJ takes observed, not expected, K and J
 
     @property
@@ -363,7 +364,14 @@ class ModelSpec(abc.ABC):
     def stack(self, datasets):
         """Datasets of equal sizes, each checked, as one checked stack, each
         data array gaining a leading row axis."""
-        return _Checked(map(_stack_rows, zip(*map(self.one, datasets))), self)
+        return _Checked(map(_stack_rows, zip(*self._ones(datasets))), self)
+
+    def _ones(self, datasets):
+        """``one`` of each dataset; a dataset repeated, as a profile stacks
+        it, is checked once and stays one object."""
+        ones = {}
+        return [ones[id(d)] if id(d) in ones else ones.setdefault(id(d), self.one(d))
+                for d in datasets]
 
     def take(self, data, rows):
         """Rows of a checked stack, themselves checked: one dataset for an
@@ -462,9 +470,25 @@ class ModelSpec(abc.ABC):
     def sample(self, theta, sizes, rng, *, design=None):
         ...
 
-    @abc.abstractmethod
     def shift_obs(self, data, sample_index, obs_index, shift):
-        """Copy of data with one designated observation shifted."""
+        """Checked copy of data, one dataset, with observation obs_index of
+        sample sample_index (``data[sample_index]``) shifted by shift. The
+        data are checked once; of the copy, only the shifted value is
+        checked again, against the inside of the sample's support, and by
+        the model's whole check, with its message, where it is not there."""
+        data = self.one(data)
+        if not 0 <= sample_index < self.n_samples:
+            raise IndexError(f"sample_index {sample_index} out of range for "
+                             f"{self.n_samples} sample(s)")
+        target = data[sample_index].copy()
+        if not -len(target) <= obs_index < len(target):
+            raise IndexError(f"obs_index {obs_index} out of range for sample of size {len(target)}")
+        target[obs_index] += shift
+        arrays = data[:sample_index] + (target,) + data[sample_index + 1:]
+        lo, hi = self.component_support(sample_index)
+        if lo < target[obs_index] < hi:
+            return _Checked(arrays, self)
+        return self.checked(arrays)
 
     @abc.abstractmethod
     def contamination_frame(self, ys, data, component=0):
@@ -627,21 +651,14 @@ def _require_both_samples(data):
 class _TwoSampleBase(ModelSpec):
     """Shared plumbing for models on a pair of independent samples."""
 
+    n_samples = 2
+
     def validate_data(self, data):
         return _validate_two_samples(data)
 
     def nobs(self, data):
         x, y = data
         return x.shape[-1] + y.shape[-1]
-
-    def shift_obs(self, data, sample_index, obs_index, shift):
-        x, y = self.validate_data(data)
-        x, y = x.copy(), y.copy()
-        target = (x, y)[sample_index]
-        if not (-len(target) <= obs_index < len(target)):
-            raise IndexError(f"obs_index {obs_index} out of range for sample of size {len(target)}")
-        target[obs_index] += shift
-        return (x, y)
 
     def contamination_frame(self, ys, data, component=0):
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
@@ -966,7 +983,7 @@ class LinearRegression(_CoordinateInterest):
 
     def stack(self, datasets):
         # the responses stack; the design is the one all the datasets share
-        ys, designs = zip(*map(self.one, datasets))
+        ys, designs = zip(*self._ones(datasets))
         X = designs[0]
         if any(D is not X and not np.array_equal(D, X) for D in designs):
             raise DomainError("a stack of regression datasets needs one design matrix")
@@ -1042,14 +1059,6 @@ class LinearRegression(_CoordinateInterest):
         beta, v = np.asarray(theta[:-1]), theta[-1]
         y = X @ beta + rng.normal(0.0, math.sqrt(v), X.shape[0])
         return (y, X)
-
-    def shift_obs(self, data, sample_index, obs_index, shift):
-        y, X = self.validate_data(data)
-        y = y.copy()
-        if not (-len(y) <= obs_index < len(y)):
-            raise IndexError(f"obs_index {obs_index} out of range for n={len(y)}")
-        y[obs_index] += shift
-        return (y, X.copy())
 
     def contamination_frame(self, ys, data, component=0):
         """Responses ys at the mean design row."""

@@ -22,13 +22,13 @@ from .confidence import (_constrained_at, _fit_for, _nu_at, _root_fit, _signed_r
 from .scoring import (
     _Objective,
     _derivatives,
+    _sandwich_variance,
     _stacked,
     _to_z,
     checked_inverse,
     empirical_K,
     estimate_KJ,
     per_obs_gradient,
-    sandwich,
     score_terms,
 )
 
@@ -360,8 +360,7 @@ def efficiency_ratio(model, gamma, data, theta_ref, measure="min"):
 
 def _log_variance(model, data, theta_ref):
     """The MLE's sandwich variance at theta_ref, which no gamma changes."""
-    V0, _ = sandwich(*model.expected_kj("log", None, data, theta_ref))
-    return V0
+    return _sandwich_variance(*model.expected_kj("log", None, data, theta_ref))
 
 
 def _efficiency(model, V0, gamma, data, theta_ref, measure):
@@ -372,7 +371,7 @@ def _efficiency(model, V0, gamma, data, theta_ref, measure):
     if np.ndim(gamma):
         rows = len(gamma)
         data, theta_ref = model.stack([data] * rows), np.tile(theta_ref, (rows, 1))
-    Vg, _ = sandwich(*model.expected_kj("tsallis", gamma, data, theta_ref))
+    Vg = _sandwich_variance(*model.expected_kj("tsallis", gamma, data, theta_ref))
     if measure == "interest":
         # vecdot takes each row's dot as the 1-D product of one gamma does
         return (grad @ V0 @ grad) / np.vecdot(grad @ Vg, grad)

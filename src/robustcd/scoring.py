@@ -69,7 +69,9 @@ class ScoreRule:
     kind is "tsallis" (requires gamma > 1) or "log" (the logarithmic score,
     i.e. the negative log likelihood). The Tsallis rule of a stack of
     datasets may carry one gamma per row, an array, as ``ModelSpec.expected_kj``
-    takes it; ``_rule_rows`` selects its rows with the stack's.
+    takes it; ``_rule_rows`` selects its rows with the stack's. A row whose
+    gamma there is exactly 1 is scored by the log score, the gamma -> 1
+    limit, so one stack may hold the rows of both kinds of rule.
     """
 
     kind: str
@@ -80,7 +82,12 @@ class ScoreRule:
         kind = {"logarithmic": "log"}.get(self.kind, self.kind)
         object.__setattr__(self, "kind", kind)
         if kind == "tsallis":
-            if self.gamma is None or not np.all(np.greater(self.gamma, 1.0)):
+            per_row = type(self.gamma) is np.ndarray
+            if per_row and self.gamma.ndim != 1:
+                raise DomainError("a gamma per row of a stack must be a 1-D array")
+            # 1 marks a log row of a stack; one gamma must exceed it
+            if not ((self.gamma >= 1.0).all() if per_row
+                    else self.gamma is not None and np.all(np.greater(self.gamma, 1.0))):
                 raise DomainError("tsallis rule requires gamma > 1")
         elif kind == "log":
             if self.gamma is not None:
@@ -103,10 +110,36 @@ class ScoreRule:
 def _rule_rows(rule, rows):
     """The rule of rows of a stack (an index array, a slice or one row),
     selected as ``ModelSpec.take`` selects the data: the rule itself where
-    one gamma serves every row."""
-    if type(rule.gamma) is not np.ndarray:
+    one gamma serves every row or every row is selected, and the log rule
+    where every row selected is a log row."""
+    if type(rule.gamma) is not np.ndarray or (type(rows) is slice and rows == slice(None)):
         return rule
-    return dataclasses.replace(rule, gamma=rule.gamma[rows])
+    gamma = rule.gamma[rows]
+    if (gamma == 1.0).all():
+        return ScoreRule.log(rule.model)
+    return ScoreRule("tsallis", rule.model, gamma)
+
+
+def _per_kind(stage, rule, data, *arrays):
+    """``stage(rule, data, *arrays)``, with rule of one kind: where rule's
+    gamma per row mixes log rows with Tsallis ones, one call per kind, on
+    the rows of that kind (``_rule_rows``) and their rows of the arrays,
+    and its outputs, an array or a tuple of arrays with a row axis, joined
+    in row order."""
+    log = rule.gamma == 1.0 if type(rule.gamma) is np.ndarray else None
+    if log is None or not log.any():
+        return stage(rule, data, *arrays)
+    if log.all():
+        return stage(ScoreRule.log(rule.model), data, *arrays)
+    model, out = rule.model, None
+    for rows in (np.flatnonzero(log), np.flatnonzero(~log)):
+        part = stage(_rule_rows(rule, rows), model.take(data, rows), *(a[rows] for a in arrays))
+        parts = part if isinstance(part, tuple) else (part,)
+        if out is None:
+            out = tuple(np.empty(log.shape + p.shape[1:]) for p in parts)
+        for a, b in zip(out, parts):
+            a[rows] = b
+    return out if isinstance(part, tuple) else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +156,9 @@ def _kernel(rule, data, theta, order=1):
     a Hess I - gamma a sum_i f_i^a (a dlogf_i dlogf_i' + Hess log f_i), with
     a = gamma - 1 and I the summed power integral, all from the model's
     closed forms. On a stack every output gains the leading row axis, and
-    the rule may carry a gamma per row.
+    the rule may carry a gamma per row; a row whose gamma is 1 takes the
+    log score's terms, gradients and Hessian (Hessian weights 1 in place of
+    f^a) from the same pass.
     """
     model = rule.model
     data = model.checked(data)
@@ -138,17 +173,24 @@ def _kernel(rule, data, theta, order=1):
             hess = -model.d2logpdf_obs(data, theta, np.ones(logf.shape))
         return -logf, grads, hess
     gamma, per_row = rule.gamma, type(rule.gamma) is np.ndarray
+    # the log rows of a stack, where the log score's outputs replace the
+    # Tsallis ones
+    log = np.flatnonzero(gamma == 1.0) if per_row else ()
     # gamma and a = gamma - 1: one value, or, one per row, columns over a
     # row's observations
     g = gamma[:, None] if per_row else gamma
     a = g - 1.0
+    log_terms = -logf[log] if len(log) else None
     logf *= a
     fa = np.exp(logf, out=logf)      # f^a, in logf's own buffer
     ivals = model.tsallis_integral_obs(data, theta, gamma)
     terms = a * ivals - g * fa
+    if len(log):
+        terms[log], fa[log] = log_terms, 1.0
     if order == 0:
         return terms, None, None
     dlogf = model.dlogpdf_obs(data, theta)
+    log_grads = -dlogf[log] if len(log) else None
     ga = g * a
     if per_row:
         # over a row's (n, d) and (d, d) arrays
@@ -157,11 +199,15 @@ def _kernel(rule, data, theta, order=1):
         ihess = model.tsallis_integral_hess(data, theta, gamma, ivals)
         d2 = model.d2logpdf_obs(data, theta, fa)
         hess = a * ihess - ga * (a * (dlogf.mT * fa[..., None, :]) @ dlogf + d2)
+        if len(log):
+            hess[log] = -d2[log]
     # a IG - gamma a f^a dlogf, built in the two arrays the model returned
     grads = model.tsallis_integral_grad_obs(data, theta, gamma, ivals)
     grads *= a
     dlogf *= ga * fa[..., None]
     grads -= dlogf
+    if len(log):
+        grads[log] = log_grads
     return terms, grads, hess
 
 
@@ -245,10 +291,14 @@ def estimate_KJ(rule, data, theta):
     the model's expected K and J, or, for a model that declares
     ``observed_kj``, the observed ``empirical_K`` and ``empirical_J``. On a
     stack, the observed ones take a kernel pass per slice of at most
-    ``_row_cap`` rows."""
+    ``_row_cap`` rows, and each kind of rule takes its own rows
+    (``_per_kind``)."""
+    return _per_kind(_kind_KJ, rule, rule.model.checked(data), np.asarray(theta, dtype=float))
+
+
+def _kind_KJ(rule, data, theta):
+    """estimate_KJ for a rule of one kind."""
     model = rule.model
-    data = model.checked(data)
-    theta = np.asarray(theta, dtype=float)
     if model.observed_kj:
         def stage(at):
             # empirical_K and empirical_J from one pass
@@ -264,10 +314,15 @@ def estimate_KJ(rule, data, theta):
 
 def sandwich(K, J):
     """(V, G): V = K^-1 J K^-T and its inverse, both symmetrized."""
+    V = _sandwich_variance(K, J)
+    return V, checked_inverse(V, "sandwich variance V")
+
+
+def _sandwich_variance(K, J):
+    """V = K^-1 J K^-T, symmetrized, without its inverse; K's condition is
+    checked as by ``sandwich``."""
     Kinv = checked_inverse(K, "sensitivity matrix K")
-    V = _sym(Kinv @ _sym(J) @ Kinv.mT)
-    G = checked_inverse(V, "sandwich variance V")
-    return V, G
+    return _sym(Kinv @ _sym(J) @ Kinv.mT)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +421,16 @@ class Fits(_FitFields):
                    self.V[r], self.G[r], bool(self.converged[r]), int(self.n_iter[r]),
                    float(self.grad_norm[r]), self.stop_reason[r], _rule_rows(self.rule, r),
                    self.rule.model.take(self.data, r))
+
+    def take(self, rows):
+        """The Fits of rows of the stack, an index array: its row j is row
+        rows[j] here, with that row's rule and error."""
+        position = {r: j for j, r in enumerate(rows.tolist())}
+        fields = {f.name: getattr(self, f.name)[rows] for f in dataclasses.fields(_FitFields)
+                  if f.name not in ("rule", "data")}
+        return Fits(**fields, rule=_rule_rows(self.rule, rows),
+                    data=self.rule.model.take(self.data, rows),
+                    errors={position[r]: exc for r, exc in self.errors.items() if r in position})
 
 
 def _read_only(value):
@@ -740,6 +805,10 @@ def fit(rule, data, theta0=None):
 def _start(rule, data):
     """fit's start, or one per row of a stack: the closed-form MLE for the
     log score where the model has one, else the model's default start."""
+    return _per_kind(_kind_start, rule, data)
+
+
+def _kind_start(rule, data):
     theta0 = rule.model.mle_start(data) if rule.kind == "log" else None
     return rule.model.default_start(data) if theta0 is None else theta0
 

@@ -10,16 +10,18 @@ Coverage is recorded through the pivot: the equi-tailed level-alpha interval
 of a CD contains psi exactly when |pivot(psi)| <= z_{(1+alpha)/2}, so no
 grid construction is needed inside the replicate loop.
 
-The replicates of a study are one stack. The methods are grouped by the
-kind of their rule, and each kind's free fits are one solve: a block of the
-replicates per distinct rule, a Tsallis rule's rows carrying its gamma, so
-methods that share a rule share its block. One batch of Newton steps serves
-every row still running, and the objective passes over a slice of the rows
-at a time, which bounds the memory (see ``scoring._row_cap``). Each method
-then takes its pivots from its block. Each replicate's results are those of
-fitting it alone. A stack's results are arrays with a replicate axis, with
-a mask of the replicates given up and the exception that gives each up
-(see ``scoring._stacked``).
+The replicates of a study are one stack. The free fits of every method
+are one solve: a block of the replicates per distinct rule, each row
+carrying its rule's gamma, the log score's rows a gamma of 1 (see
+``scoring.ScoreRule``), so methods that share a rule share its block. The
+pivots of the methods of one pivot kind are then one step on their
+blocks: one constrained solve for all the root methods, one Wald step for
+all the Wald methods. One batch of Newton steps serves every row still
+running, and the objective passes over a slice of the rows at a time,
+which bounds the memory (see ``scoring._row_cap``). Each replicate's
+results are those of fitting it alone. A stack's results are arrays with
+a replicate axis, with a mask of the replicates given up and the exception
+that gives each up (see ``scoring._stacked``).
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ from .confidence import (
     _undercut,
     _wald_pivot,
 )
-from .models import LinearRegression, ModelSpec, _is_int, _TwoSampleBase, get_model, ndtri
+from .models import LinearRegression, ModelSpec, _is_int, get_model, ndtri
 from .robustness import calibrate_gamma
-from .scoring import Fits, ScoreRule, _fit_rows, _stacked, _start
+from .scoring import ScoreRule, _fit_rows, _rule_rows, _stacked, _start
 
 __all__ = [
     "Contamination",
@@ -124,7 +126,7 @@ class SimDesign:
         if len(set(labels)) < len(labels):
             # a report keys its results by label
             raise DomainError(f"method labels must differ, got {labels!r}")
-        n_samples = 2 if isinstance(model, _TwoSampleBase) else 1
+        n_samples = model.n_samples
         if len(self.sizes) != n_samples:
             raise DomainError(f"{self.model} takes {n_samples} sample size(s), "
                               f"got {len(self.sizes)}")
@@ -194,7 +196,9 @@ def default_regression_design(n, seed):
 
 
 def contaminate(model, data, spec: Contamination):
-    """Copy of the data with one observation shifted by ``spec.shift``."""
+    """Checked copy of the data with one observation shifted by
+    ``spec.shift`` (``ModelSpec.shift_obs``); the data themselves where the
+    shift is 0."""
     if spec.shift == 0.0:
         return data
     return model.shift_obs(data, spec.sample_index, spec.obs_index, spec.shift)
@@ -206,8 +210,9 @@ def contaminate(model, data, spec: Contamination):
 
 def _point_pivots(rule, fits, psis, kind):
     """The pivots at each psi of the replicates of ``fits``, the ``Fits``
-    of a stack of replicates. Returns (pivots, psi_hat, failed, errors):
-    the pivots, a row per replicate and a column per psi; the interest
+    of a stack of replicates under ``rule``, whose gamma per row may hold
+    the rows of several methods' rules. Returns (pivots, psi_hat, failed,
+    errors): the pivots, a row per replicate and a column per psi; the interest
     estimate of each replicate's kept free fit; the mask of the replicates
     given up, whose pivots and estimate are NaN; and each one's DomainError
     or NumericsError by its row. A free fit that did not converge gives its
@@ -236,13 +241,15 @@ def _point_pivots(rule, fits, psis, kind):
         K, J = fits.K[rows], fits.J[rows]
 
         def pivot(at, _):
-            piv = np.stack([_wald_pivot(model, theta[at], K[at], J[at], psi)[0] for psi in psis],
-                           axis=-1)
+            # every psi from one psi_tilde and se per row: a column per psi
+            piv = _wald_pivot(model, theta[at], K[at], J[at], psis[:, None])[0].T
             # NaN, as at a null value outside the interest's range, gives a row up
             if np.isnan(piv).any():
                 raise NumericsError("Wald pivot failed")
             return piv
     else:
+        # the rule and data of the rows, each with its gamma
+        rule = _rule_rows(rule, rows)
         data = fits.data if k == len(fits) else model.take(fits.data, rows)
         s_opt = fits.score_at_opt[rows]
         theta_c = np.full((k, psis.size, theta.shape[-1]), np.nan)
@@ -253,7 +260,8 @@ def _point_pivots(rule, fits, psis, kind):
             psis[at], warm-started at their free fits; a row whose solve did
             not converge, or whose nu raises, gives its replicate up."""
             (theta_c[reps, at], s_con[reps, at], _, nu[reps, at]), _, errs = _constrained_at(
-                rule, model.take(data, reps), psis[at], model.profile_extract(theta[reps]))
+                _rule_rows(rule, reps), model.take(data, reps), psis[at],
+                model.profile_extract(theta[reps]))
             for j in sorted(errs):
                 given_up.setdefault(int(reps[j]), errs[j])
 
@@ -263,7 +271,8 @@ def _point_pivots(rule, fits, psis, kind):
                                 list(given_up))
         if spurious.size:
             low = np.argmin(s_con[spurious], axis=1)
-            refits = _fit_rows(rule, model.take(data, spurious), theta_c[spurious, low])
+            refits = _fit_rows(_rule_rows(rule, spurious), model.take(data, spurious),
+                               theta_c[spurious, low])
             better = refits.converged & (refits.score_at_opt < s_opt[spurious])
             for r in spurious[~better].tolist():
                 given_up[r] = NumericsError("profile score below the optimum, and no refit "
@@ -353,28 +362,19 @@ def _method_rules(methods, model, theta_true, template):
             else ScoreRule.tsallis(model, auto if m.gamma is None else m.gamma) for m in methods]
 
 
-def _fits_by_rule(rules, stack):
-    """The free fits of the replicates of ``stack`` under each rule, one
-    ``Fits`` per distinct rule: one solve per kind of rule, on a block of
-    the replicates per distinct rule of that kind, each Tsallis block's rows
-    carrying its gamma."""
+def _free_fits(rules, stack):
+    """The free fits of the replicates of ``stack`` under each of rules,
+    distinct rules, as one ``Fits`` and one solve: a block of the
+    replicates per rule, in the order of rules, each row carrying its
+    block's gamma, 1 for the log score (see ``ScoreRule``)."""
     model, n = stack.model, len(stack[0])
-    fits = {}
-    for kind in dict.fromkeys(rule.kind for rule in rules):
-        group = list(dict.fromkeys(rule for rule in rules if rule.kind == kind))
-        if len(group) == 1:
-            stacked, data = group[0], stack
-        else:
-            stacked = ScoreRule(kind, model, np.repeat([rule.gamma for rule in group], n))
-            data = model.take(stack, np.tile(np.arange(n), len(group)))
-        solved = _fit_rows(stacked, data, _start(stacked, data))
-        for b, rule in enumerate(group):
-            at = slice(b * n, (b + 1) * n)
-            fields = {f.name: getattr(solved, f.name)[at] for f in dataclasses.fields(Fits)
-                      if f.name not in ("rule", "data", "errors")}
-            fits[rule] = Fits(**fields, rule=rule, data=stack, errors={
-                r - b * n: exc for r, exc in solved.errors.items() if at.start <= r < at.stop})
-    return fits
+    if len(rules) == 1:
+        rule, data = rules[0], stack
+    else:
+        rule = ScoreRule("tsallis", model, np.repeat(
+            [1.0 if r.kind == "log" else r.gamma for r in rules], n))
+        data = model.take(stack, np.tile(np.arange(n), len(rules)))
+    return _fit_rows(rule, data, _start(rule, data))
 
 
 def run_study(design: SimDesign):
@@ -383,9 +383,9 @@ def run_study(design: SimDesign):
     Replicates whose fit (or constrained fit) fails are dropped for that
     method only and counted; more than MAX_FAILURE_RATE failures for any
     method aborts the study. The replicates are stacked once; the free fits
-    of each kind of rule are one solve (``_fits_by_rule``), and each
-    method's pivots one step on its block, with the results of solving each
-    replicate alone.
+    of every rule are one solve (``_free_fits``), and the pivots of every
+    method of one pivot kind one step on the blocks of their rules, with
+    the results of solving each replicate alone.
     """
     model = design.spec
     X = (default_regression_design(design.sizes[0], design.seed)
@@ -402,16 +402,27 @@ def run_study(design: SimDesign):
     datasets = []
     for rep in range(design.n_reps):
         rng = np.random.default_rng([design.seed, rep])
-        data = model.sample(theta_true, design.sizes, rng, design=X)
+        # checked once: a shift checks only the value it moves
+        data = model.checked(model.sample(theta_true, design.sizes, rng, design=X))
         if design.contamination is not None:
             data = contaminate(model, data, design.contamination)
-        datasets.append(model.checked(data))
+        datasets.append(data)
     stack = model.stack(datasets)
     rules = _method_rules(design.methods, model, theta_true, template)
-    fits = _fits_by_rule(rules, stack)
+    distinct, n = list(dict.fromkeys(rules)), design.n_reps
+    fits = _free_fits(distinct, stack)
+    outcomes = {}                # (pivot kind, rule) -> (pivots, psi_hat, failed)
+    for kind in dict.fromkeys(meth.pivot for meth in design.methods):
+        used = list(dict.fromkeys(rule for meth, rule in zip(design.methods, rules)
+                                  if meth.pivot == kind))
+        part = fits if used == distinct else fits.take(
+            np.concatenate([np.arange(n) + distinct.index(rule) * n for rule in used]))
+        out = _point_pivots(part.rule, part, psis, kind)
+        for b, rule in enumerate(used):
+            outcomes[kind, rule] = [a[b * n:(b + 1) * n] for a in out[:3]]
     results = {}
     for meth, rule in zip(design.methods, rules):
-        pivots, psi_hat, failed, _ = _point_pivots(rule, fits[rule], psis, meth.pivot)
+        pivots, psi_hat, failed = outcomes[meth.pivot, rule]
         pivots, psi_hat = pivots[~failed], psi_hat[~failed]
         results[meth.label()] = MethodResult(
             label=meth.label(), levels=design.levels, n_used=len(psi_hat),

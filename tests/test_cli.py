@@ -162,6 +162,10 @@ def _number_table(n_rows):
     "value,group\n  1.5\t, 2 \n-7 ,1\n",           # padded cells
     "value,group\n1e3,1\n-2.5E-3,2\n+.5e+1,1\n1E-310,2\n",  # exponent forms
     "value,group\n1e3,1\n1e400,2\n",
+    "value,group\r\n1.5,1\r\n\r\n-2.5,2\r\n",      # CRLF line ends
+    "value,group\n1.5,1\n \t \n2.5,2\n",          # a row of blanks is a short row
+    "value,group\n1.5,1,9\n2.5,2,9\n",               # every row long
+    "value,group\n#1.5,1\n",                         # no comments
     pytest.param(_number_table(1000), id="1000-rows"),
 ])
 def test_csv_reader_gives_the_dictreader_parse_and_messages(tmp_path, capsys, text):

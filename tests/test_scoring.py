@@ -52,6 +52,37 @@ def test_rule_validation():
     assert ScoreRule("logarithmic", m).kind == "log"
 
 
+def test_a_gamma_of_1_is_a_log_row_of_a_stack_only(two_sample_data):
+    # One gamma must exceed 1, as a number of any type; in a gamma per row
+    # of a stack, a 1-D array, exactly 1 marks a row scored by the log
+    # score, and below 1 is refused
+    m = TwoSampleNormal()
+    for gamma in (1.0, 1, np.float64(1.0), 0.9):
+        with pytest.raises(DomainError):
+            ScoreRule.tsallis(m, gamma)
+        with pytest.raises(DomainError):
+            ScoreRule("tsallis", m, gamma)
+    with pytest.raises(DomainError):
+        ScoreRule("tsallis", m, np.array([1.0, 0.9, 1.2]))
+    for gamma in (np.array(1.2), np.array([[1.2, 1.0]])):
+        with pytest.raises(DomainError, match="1-D"):
+            ScoreRule("tsallis", m, gamma)
+    rule = ScoreRule("tsallis", m, np.array([1.0, 1.2, 1.0]))
+    # the rows selected: the log rule where all are log rows
+    assert scoring._rule_rows(rule, 0) == ScoreRule.log(m)
+    assert scoring._rule_rows(rule, np.array([0, 2])) == ScoreRule.log(m)
+    assert scoring._rule_rows(rule, 1) == ScoreRule.tsallis(m, 1.2)
+    assert scoring._rule_rows(rule, np.array([1, 2])).gamma.tolist() == [1.2, 1.0]
+    # a fit of the stack: each Fit carries its row's plain rule
+    fits = fit(rule, m.stack([two_sample_data] * 3))
+    assert [fits[r].rule for r in range(3)] == [ScoreRule.log(m), ScoreRule.tsallis(m, 1.2),
+                                                ScoreRule.log(m)]
+    assert fits[0].rule.gamma is None and fits[0].rule.label() == "log"
+    log_fit = fit(ScoreRule.log(m), two_sample_data)
+    assert np.array_equal(fits[0].theta_hat, log_fit.theta_hat)
+    assert np.array_equal(fits[2].V, log_fit.V)
+
+
 def test_log_score_is_negative_loglik(two_sample_data):
     m = TwoSampleNormal()
     rule = ScoreRule.log(m)
@@ -1162,8 +1193,13 @@ def test_a_mixture_per_row_stack_solves_each_row_as_alone(all_models, gamma):
 
 # 1.5 and 2.0 give exponents of 1/2 and -1 (gamma - 1, a - 2, 2 a - 2 and
 # -a, a = gamma - 1), which numpy raises to by a shortcut where the exponent
-# is one value and not an array
-GAMMA_ROWS = (1.1, 1.23, 1.5, 2.0)
+# is one value and not an array; 1.0 makes a log row
+GAMMA_ROWS = (1.1, 1.0, 1.23, 1.5, 2.0)
+
+
+def _plain(model, gamma):
+    """The rule of one row of gamma alone: the log rule for a log row."""
+    return ScoreRule.log(model) if gamma == 1.0 else ScoreRule.tsallis(model, gamma)
 
 
 def _gamma_per_row_cases(all_models):
@@ -1188,20 +1224,23 @@ def _fit_outcome(fits, r):
 @pytest.mark.parametrize("sliced", [False, True])
 def test_a_gamma_per_row_stack_computes_each_row_as_its_rule_alone(all_models, sliced,
                                                                     monkeypatch):
-    # A stack whose rows carry different gammas: each row's kernel at
-    # orders 0, 1 and 2, its K and J and its free fit are, bit for bit,
-    # those of its own rule on the row as a stack of one, and its kernel,
-    # K and J those of its rule on the dataset alone. Sliced, every kernel
-    # pass of estimate_KJ and of the objective takes one row.
+    # A stack whose rows carry different gammas, log rows (gamma 1) among
+    # them: each row's kernel at orders 0, 1 and 2, its K and J, its start
+    # and its free fit are, bit for bit, those of its own rule on the row
+    # as a stack of one, and its kernel, K and J those of its rule on the
+    # dataset alone. Sliced, every kernel pass of estimate_KJ and of the
+    # objective takes one row.
     if sliced:
         monkeypatch.setattr(scoring, "STACK_ELEMENTS", 1)
     for model, rule, stack, pairs in _gamma_per_row_cases(all_models):
         thetas = model.default_start(stack)
         kernels = [scoring._kernel(rule, stack, thetas, order) for order in (0, 1, 2)]
         K, J = estimate_KJ(rule, stack, thetas)
+        starts = scoring._start(rule, stack)
         fits = fit(rule, stack)
         for r, (data, gamma) in enumerate(pairs):
-            alone, one = ScoreRule.tsallis(model, gamma), model.stack([data])
+            alone, one = _plain(model, gamma), model.stack([data])
+            assert np.array_equal(starts[r], scoring._start(alone, one)[0]), (model.name, gamma)
             for order, stacked in enumerate(kernels):
                 for a, b, c in zip(stacked, scoring._kernel(alone, one, thetas[r:r + 1], order),
                                    scoring._kernel(alone, data, thetas[r], order)):
@@ -1217,12 +1256,13 @@ def test_a_gamma_per_row_stack_computes_each_row_as_its_rule_alone(all_models, s
 
 def test_a_gamma_per_row_objective_evaluates_and_solves_each_row_as_its_rule_alone(all_models):
     # The free, constrained (a psi per row) and eps-mixture objectives of a
-    # stack whose rows carry different gammas: each row's value, gradient,
-    # Hessian and verdict at a point, on the whole stack and on every other
-    # row, its solve, and its constrained solve and nu (_constrained_at) are
-    # those of its own rule on the row as a stack of one.
+    # stack whose rows carry different gammas, log rows (gamma 1) among
+    # them: each row's value, gradient, Hessian and verdict at a point, on
+    # the whole stack and on every other row, its solve, and its
+    # constrained solve and nu (_constrained_at) are those of its own rule
+    # on the row as a stack of one.
     for model, rule, stack, pairs in _gamma_per_row_cases(all_models):
-        alone = [ScoreRule.tsallis(model, gamma) for _, gamma in pairs]
+        alone = [_plain(model, gamma) for _, gamma in pairs]
         theta = np.stack([fit(a, data).theta_hat for a, (data, _) in zip(alone, pairs)])
         psis, lam = 0.98 * model.interest(theta), model.profile_extract(theta)
         eps = np.geomspace(1e-4, 1e-2, len(pairs))
@@ -1243,12 +1283,12 @@ def test_a_gamma_per_row_objective_evaluates_and_solves_each_row_as_its_rule_alo
                                  mix and (eps[r:r + 1], model.stack([frames[r]])))
                 at_point, one_solved = one(z[r:r + 1], np.arange(1)), one.solve(z[r:r + 1])
                 for a, b in zip(whole, at_point):
-                    assert np.array_equal(a[r], b[0]), (model.name, alone[r].gamma)
+                    assert np.array_equal(a[r], b[0]), (model.name, alone[r].label())
                 if r % 2 == 0:
                     for a, b in zip(part, at_point):
-                        assert np.array_equal(a[r // 2], b[0]), (model.name, alone[r].gamma)
+                        assert np.array_equal(a[r // 2], b[0]), (model.name, alone[r].label())
                 for a, b in zip(solved, one_solved):
-                    assert np.array_equal(a[r], b[0]), (model.name, alone[r].gamma)
+                    assert np.array_equal(a[r], b[0]), (model.name, alone[r].label())
             if psi is None:
                 continue
             out, failed, errors = confidence._constrained_at(rule, stack, psis, lam, mix)
@@ -1259,7 +1299,7 @@ def test_a_gamma_per_row_objective_evaluates_and_solves_each_row_as_its_rule_alo
                         _constrained_alone(*args)
                     continue
                 for a, b in zip(out, _constrained_alone(*args)):
-                    assert np.array_equal(a[r], b), (model.name, alone[r].gamma)
+                    assert np.array_equal(a[r], b), (model.name, alone[r].label())
 
 
 def _verdict_oracle(rule, data, x, psi=None, mixture=None):

@@ -64,6 +64,45 @@ def test_contaminate_index_errors():
         contaminate(m, data, Contamination(0, 3, 1.0))
 
 
+def test_a_shift_checks_only_the_value_it_moves(monkeypatch):
+    # Checked data are not validated again: the shifted copy is checked data
+    # of the model, read-only, with the other sample shared. A value moved
+    # outside the inside of the support gets the model's whole check and
+    # its message: 0 is an exponential observation, -0.5 and NaN are not.
+    calls = []
+    validate = ExponentialAUC.validate_data
+    monkeypatch.setattr(ExponentialAUC, "validate_data",
+                        lambda self, data: calls.append(1) or validate(self, data))
+    m = ExponentialAUC()
+    data = m.checked((np.array([1.0, 2.0, 0.5]), np.array([3.0, 4.0])))
+    assert len(calls) == 1
+    out = contaminate(m, data, Contamination(1, 0, 2.5))
+    assert len(calls) == 1 and m.checked(out) is out
+    assert out[1].tolist() == [5.5, 4.0] and data[1].tolist() == [3.0, 4.0]
+    assert out[0] is data[0] and not out[1].flags.writeable
+    assert contaminate(m, data, Contamination(0, -1, -0.5))[0].tolist() == [1.0, 2.0, 0.0]
+    assert len(calls) == 2
+    for shift, message in ((-1.0, "nonnegative"), (np.nan, "non-finite")):
+        with pytest.raises(DomainError, match=message):
+            contaminate(m, data, Contamination(0, -1, shift))
+    with pytest.raises(IndexError):
+        m.shift_obs(data, 2, 0, 1.0)
+
+
+def test_a_contaminated_study_validates_each_replicate_once(monkeypatch):
+    # n_reps samples and the calibration template, one validate_data call
+    # each: a shifted replicate is not validated again
+    calls = []
+    validate = TwoSampleNormal.validate_data
+    monkeypatch.setattr(TwoSampleNormal, "validate_data",
+                        lambda self, data: calls.append(1) or validate(self, data))
+    design = SimDesign(model="two-sample-normal", theta=(2.0, 0.0, 1.0, 1.0), sizes=(10, 20),
+                       n_reps=7, seed=3, levels=(0.9,),
+                       contamination=Contamination(0, -1, -7.0))
+    run_study(design)
+    assert len(calls) == 7 + 1
+
+
 # ---------------------------------------------------------------------------
 # design validation
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def _pass_counts(monkeypatch, workload):
 @pytest.mark.parametrize(
     "workload, solves, row_passes, validations, rounds, mechanism, objects, nodes", [
         ("cd-grid", 39, 700, 10, (92, 592, 65, 413), (0, 0, 0), (10, 126), 314),  # 660 measured
-        ("study", 48, 3660, 372, (218, 3555, 170, 2637), (1, 16, 0), (0, 390), 0),  # 3555
+        ("study", 24, 3660, 192, (146, 3555, 122, 2637), (1, 16, 0), (0, 658), 0),  # 3555
         ("robustness", 96, 2670, 288, (300, 1301, 204, 871), (0, 0, 0), (24, 684), 0),  # 2590
     ], ids=["cd-grid", "study", "robustness"])
 def test_workload_pass_counts(monkeypatch, workload, solves, row_passes, validations, rounds,
@@ -96,9 +96,15 @@ def test_workload_pass_counts(monkeypatch, workload, solves, row_passes, validat
     # overflows (2 shifted steps cost 32 rows failing alone without it).
     # The Fit objects and the checked data made are pinned too: a stack's
     # fits and pivots are arrays, so a study builds no Fit per replicate.
-    # A study's free fits are one solve per kind of rule: its two Tsallis
-    # methods (two gammas) share one, 60 solves and 297 objective calls a
-    # pass when each method solved its own.
+    # A study is one free solve of every rule, its log rows riding in the
+    # Tsallis stack as gamma = 1 rows, and one constrained solve of every
+    # root method: 24 solves and 146 objective calls a pass, where one
+    # solve per kind of rule made 48 and 218, and one per method 60 and
+    # 297. Its contaminated replicates are validated once, 192
+    # validate_data calls where checking each shifted copy again made 372.
+    # It makes 658 checked data (390 before): each shifted copy is checked
+    # data of its own, and so are the rows of each kind of rule taken apart
+    # for their K, J and start and the rows of each pivot kind.
     # No kernel call carries more rows than the row cap allows.
     # The counts do not depend on the machine, so this checks the warm
     # starts, the shared solves, the checks and the rounds without a timing.
@@ -146,8 +152,8 @@ def test_workload_special_function_counts(monkeypatch, workload, special):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("workload, rounds, mechanism", [
-    ("criterion-2-clean", (43, 31779, 38, 23626), (90, 155, 0)),
-    ("criterion-2-contaminated", (42, 32255, 37, 23692), (122, 269, 0)),
+    ("criterion-2-clean", (33, 31779, 30, 23626), (90, 155, 0)),
+    ("criterion-2-contaminated", (35, 32255, 32, 23692), (122, 269, 0)),
 ])
 def test_criterion_2_counts(monkeypatch, workload, rounds, mechanism):
     # The paper-scale studies of criterion 2, 2000 replicates each: the
@@ -157,8 +163,10 @@ def test_criterion_2_counts(monkeypatch, workload, rounds, mechanism):
     # each such round halved its stack until 1247 rows (clean) and 1781
     # rows (contaminated) failed alone, in 7020 and 9567 objective calls.
     # The 2000 replicates are one stack, solved in one solve per step of
-    # the study, and the objective passes over at most the row cap at once:
-    # no kernel call carries more.
+    # the study, the log rows riding in the Tsallis stack (43 and 42
+    # objective calls, 38 and 37 Newton-step calls, with the same rows, in
+    # a solve per kind of rule), and the objective passes over at most the
+    # row cap at once: no kernel call carries more.
     kernel_passes, total = _pass_counts(monkeypatch, workload)
     assert tuple(total[key] for key in kernel_passes.ROUNDS) == rounds
     assert tuple(total[key] for key in kernel_passes.MECHANISM) == mechanism
@@ -191,3 +199,42 @@ def test_untested_lines_reports_the_statements_a_run_skips(tmp_path, monkeypatch
     monkeypatch.delitem(sys.modules, "toy", raising=False)
     report = _load("untested_lines").unrun(tmp_path, lambda: __import__("toy").called(3))
     assert report == {"toy": ([13, 14, 15, 16], 7)}
+
+
+def test_ab_pairs_alternates_two_checkouts_and_summarizes(tmp_path, capsys):
+    # A stub benchmark in two checkouts: the first reads 100 + seed ops/s,
+    # the second 110 + seed but fails its correctness check on seed 3. Each
+    # run logs its checkout and arguments, so the order and the seeds show.
+    stub = tmp_path / "stub.py"
+    stub.write_text(textwrap.dedent(f'''\
+        import json, os, sys
+        side = os.path.basename(os.getcwd())
+        seed = int(sys.argv[sys.argv.index("--seed") + 1])
+        with open({str(tmp_path / "log")!r}, "a") as fh:
+            fh.write(side + " " + " ".join(sys.argv[1:]) + "\\n")
+        ops = (100.0 if side == "a" else 110.0) + seed
+        rss = 50.0 if side == "a" else 49.0 + 2 * (seed % 2)
+        print("environment {{}}")
+        print(json.dumps({{"correct": side == "a" or seed != 3, "attempted": 5, "failed": 0,
+                          "metrics": {{"ops_per_s": {{"value": ops, "unit": "1/s"}},
+                                      "peak_rss_mb": {{"value": rss, "unit": "MB"}}}}}}))
+        '''))
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+    ab_pairs = _load("ab_pairs")
+    status = ab_pairs.main([str(tmp_path / "a"), str(tmp_path / "b"), "--workload", "study",
+                            "--pairs", "4", "--seconds", "2",
+                            "--command", f"{sys.executable} {stub}"])
+    assert status == 1          # one run is not correct
+    log = (tmp_path / "log").read_text().splitlines()
+    assert [line.split()[0] for line in log] == ["a", "b", "b", "a", "a", "b", "b", "a"]
+    assert log[0].split()[1:] == ["--workload", "study", "--seconds", "2", "--seed", "0"]
+    out = capsys.readouterr().out.splitlines()
+    assert out[7].startswith("pair 3 A") and "correct True" in out[7]
+    assert out[6].startswith("pair 3 B") and "correct False" in out[6]
+    rows = {line.split()[0]: line for line in out if line.startswith(("ops_per_s", "peak_rss"))}
+    # medians 101.5 and 111.5 with quartiles; the second side wins every pair
+    assert rows["ops_per_s"].split()[1:] == [
+        "higher", "101.5", "[100.75,", "102.25]", "111.5", "[110.75,", "112.25]", "1.0985", "4/4"]
+    # lower is better: 49 beats 50 on the even seeds, 51 loses on the odd
+    assert rows["peak_rss_mb"].split()[-1] == "2/4"

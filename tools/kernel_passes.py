@@ -20,9 +20,10 @@ one), then the kernel calls over the row cap: calls on more than one row
 whose rows x n x d exceeds ``scoring.STACK_ELEMENTS``, n observations and
 d parameters. A kernel call on one dataset is one row-pass and a call on
 a stack one per row; a solve is one however many rows its stack holds,
-so a study's free fits are one solve per kind of rule, its Tsallis rows
-carrying each method's gamma (``simulate._fits_by_rule``); data a model
-has checked are not validated again. Then come the points each
+so a study's free fits are one solve, each row carrying its method's
+gamma and a log-score row a gamma of 1 (``simulate._free_fits``), and
+the constrained fits of all its root methods one more; data a model has
+checked are not validated again. Then come the points each
 ``confidence.profile`` solved: its Chebyshev-Lobatto nodes, or its grid
 where it was solved point by point. Last come the calls of the standard
 normal CDF and quantile (``models.ndtr`` and ``models.ndtri``, wherever
