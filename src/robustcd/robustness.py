@@ -360,7 +360,18 @@ def efficiency_ratio(model, gamma, data, theta_ref, measure="min"):
 
 def _log_variance(model, data, theta_ref):
     """The MLE's sandwich variance at theta_ref, which no gamma changes."""
-    return _sandwich_variance(*model.expected_kj("log", None, data, theta_ref))
+    return _variance(model, "log", None, data, theta_ref)
+
+
+def _variance(model, kind, gamma, data, theta_ref):
+    """The sandwich variance from the model's expected K and J. Its inverse
+    is never formed, so a diagonal entry that is not finite and positive
+    raises here rather than turn into an inf or NaN efficiency."""
+    V = _sandwich_variance(*model.expected_kj(kind, gamma, data, theta_ref))
+    d = np.diagonal(V, axis1=-2, axis2=-1)
+    if not (np.isfinite(d) & (d > 0)).all():
+        raise NumericsError("sandwich variance V is numerically singular")
+    return V
 
 
 def _efficiency(model, V0, gamma, data, theta_ref, measure):
@@ -371,7 +382,7 @@ def _efficiency(model, V0, gamma, data, theta_ref, measure):
     if np.ndim(gamma):
         rows = len(gamma)
         data, theta_ref = model.stack([data] * rows), np.tile(theta_ref, (rows, 1))
-    Vg = _sandwich_variance(*model.expected_kj("tsallis", gamma, data, theta_ref))
+    Vg = _variance(model, "tsallis", gamma, data, theta_ref)
     if measure == "interest":
         # vecdot takes each row's dot as the 1-D product of one gamma does
         return (grad @ V0 @ grad) / np.vecdot(grad @ Vg, grad)

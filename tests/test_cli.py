@@ -171,6 +171,43 @@ def _number_table(n_rows):
 def test_csv_reader_gives_the_dictreader_parse_and_messages(tmp_path, capsys, text):
     path = tmp_path / "data.csv"
     path.write_text(text)
+    _assert_reads_as_dictreader(path, capsys)
+
+
+# cells numpy's reader takes, and cells that send a file to the csv path
+_CELLS = ["1", "-2.5", " 3 ", "\t4", "1e3", "-0", "5e-324", "+.5", "1.", "1E-310",
+          "nan", "inf", "-inf", "", " ", "x", '"5"', "1_0", "0x10", "1e400", "#1", "1 2",
+          "NaN", "Infinity", "1e", "."]
+
+
+def test_csv_reader_gives_the_dictreader_parse_on_random_files(tmp_path, capsys):
+    # Seeded random files of 1 to 3 fields. Half are rows of plain numbers
+    # and blank lines; in the others a row may be short or long, hold only
+    # blanks, or hold a cell that numpy's reader refuses or reads otherwise
+    # than float(). LF, CRLF and CR line ends. Whichever path reads a file,
+    # the parse or the message is the DictReader's.
+    rng = np.random.default_rng(42)
+    path = tmp_path / "data.csv"
+    for _ in range(400):
+        width = int(rng.integers(1, 4))
+        sep = str(rng.choice(["\n", "\r\n", "\r"]))
+        plain = rng.random() < 0.5
+        rows = []
+        for _ in range(rng.integers(0, 6)):
+            if rng.random() < 0.1:
+                rows.append("" if plain else str(rng.choice(["", " ", "\t", "  ,  ", ","])))
+                continue
+            cells = _CELLS[:10] if plain or rng.random() < 0.6 else _CELLS
+            k = width if plain else int(rng.choice([width, width, width - 1, width + 1]))
+            rows.append(",".join(str(rng.choice(cells)) for _ in range(k)))
+        text = ",".join(["value", "group", "x"][:width]) + sep + sep.join(rows)
+        path.write_bytes((text + (sep if rng.random() < 0.7 else "")).encode())
+        _assert_reads_as_dictreader(path, capsys)
+
+
+def _assert_reads_as_dictreader(path, capsys):
+    """_read_rows gives the file's DictReader parse, bit for bit, or exits 2
+    with its message."""
     want = _dictreader_rows(str(path))
     if isinstance(want, str):
         with pytest.raises(SystemExit) as exc:

@@ -456,6 +456,31 @@ def test_calibrate_gamma_halves_the_stack_where_J_is_infinite(monkeypatch):
     assert halved < len(calls) == 40, (halved, len(calls))
 
 
+@pytest.mark.parametrize("kind", ["log", "tsallis"])
+def test_a_sandwich_variance_without_a_positive_diagonal_raises(two_sample_data, monkeypatch,
+                                                                kind):
+    # J with a zero first row and column gives V a zero first diagonal entry
+    # while K stays well conditioned: the efficiency of that coordinate
+    # would read 0 or inf, so efficiency_ratio and calibrate_gamma raise
+    model = TwoSampleNormal()
+    theta_ref = np.array([2.0, 0.0, 1.0, 1.0])
+    expected_kj = model.expected_kj
+
+    def degenerate(kind_, *args):
+        K, J = expected_kj(kind_, *args)
+        if kind_ == kind:
+            J = np.array(J, dtype=float)
+            J[..., 0, :] = J[..., :, 0] = 0.0
+        return K, J
+
+    monkeypatch.setattr(model, "expected_kj", degenerate)
+    for measure in ("min", "interest", "trace", 0):
+        with pytest.raises(NumericsError, match="sandwich variance V"):
+            efficiency_ratio(model, 1.25, two_sample_data, theta_ref, measure=measure)
+    with pytest.raises(NumericsError, match="sandwich variance V"):
+        calibrate_gamma(model, theta_ref, 0.9, two_sample_data)
+
+
 @pytest.mark.parametrize("measure", ["min", "interest", "trace", 0])
 def test_calibrate_gamma_equals_plain_bisection(regression_template, measure):
     # the stacked rounds of bisection return plain bisection's gamma, bit

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import warnings
 
@@ -1193,8 +1194,9 @@ def test_a_mixture_per_row_stack_solves_each_row_as_alone(all_models, gamma):
 
 # 1.5 and 2.0 give exponents of 1/2 and -1 (gamma - 1, a - 2, 2 a - 2 and
 # -a, a = gamma - 1), which numpy raises to by a shortcut where the exponent
-# is one value and not an array; 1.0 makes a log row
-GAMMA_ROWS = (1.1, 1.0, 1.23, 1.5, 2.0)
+# is one value and not an array; 1.0 makes a log row. A stack of Tsallis
+# rows alone and a stack with log rows among them take different paths.
+GAMMA_ROWS = ((1.1, 1.23, 1.5, 2.0), (1.1, 1.0, 1.23, 1.5, 2.0))
 
 
 def _plain(model, gamma):
@@ -1203,10 +1205,11 @@ def _plain(model, gamma):
 
 
 def _gamma_per_row_cases(all_models):
-    """(model, rule, stack, pairs) per stack case: a row per (dataset,
-    gamma) pair, gamma in GAMMA_ROWS, and the rule carrying each row's."""
-    for model, datasets in _stack_cases(all_models):
-        pairs = [(data, gamma) for data in datasets for gamma in GAMMA_ROWS]
+    """(model, rule, stack, pairs) per stack case and tuple of GAMMA_ROWS: a
+    row per (dataset, gamma) pair, gamma in the tuple, and the rule carrying
+    each row's."""
+    for (model, datasets), gammas in itertools.product(_stack_cases(all_models), GAMMA_ROWS):
+        pairs = [(data, gamma) for data in datasets for gamma in gammas]
         rule = ScoreRule("tsallis", model, np.array([gamma for _, gamma in pairs]))
         yield model, rule, model.stack([data for data, _ in pairs]), pairs
 

@@ -201,7 +201,7 @@ def test_untested_lines_reports_the_statements_a_run_skips(tmp_path, monkeypatch
     assert report == {"toy": ([13, 14, 15, 16], 7)}
 
 
-def test_ab_pairs_alternates_two_checkouts_and_summarizes(tmp_path, capsys):
+def test_ab_pairs_alternates_two_checkouts_and_summarizes(tmp_path, capsys, monkeypatch):
     # A stub benchmark in two checkouts: the first reads 100 + seed ops/s,
     # the second 110 + seed but fails its correctness check on seed 3. Each
     # run logs its checkout and arguments, so the order and the seeds show.
@@ -222,9 +222,12 @@ def test_ab_pairs_alternates_two_checkouts_and_summarizes(tmp_path, capsys):
     for side in ("a", "b"):
         (tmp_path / side).mkdir()
     ab_pairs = _load("ab_pairs")
+    _, seconds, directions = ab_pairs._benchmark()
+    assert seconds == 20 and directions["ops_per_s"] == "higher"
+    monkeypatch.setattr(ab_pairs, "_benchmark",
+                        lambda: ([sys.executable, str(stub)], 2, directions))
     status = ab_pairs.main([str(tmp_path / "a"), str(tmp_path / "b"), "--workload", "study",
-                            "--pairs", "4", "--seconds", "2",
-                            "--command", f"{sys.executable} {stub}"])
+                            "--pairs", "4"])
     assert status == 1          # one run is not correct
     log = (tmp_path / "log").read_text().splitlines()
     assert [line.split()[0] for line in log] == ["a", "b", "b", "a", "a", "b", "b", "a"]

@@ -1,8 +1,8 @@
 """Alternating pairs of benchmark runs of two checkouts.
 
-For each of ``--pairs`` pairs, runs the benchmark command (by default the
-one ``BENCHMARK.json`` names, ``python3 perfbench/run.py``) once in each
-checkout, with ``--workload``, ``--seconds`` and ``--seed`` set to the
+For each of ``--pairs`` pairs, runs the benchmark command that
+``BENCHMARK.json`` names once in each checkout, with ``--workload``,
+``--seconds`` at the file's ``run_seconds`` and ``--seed`` set to the
 pair's number, so both runs of a pair take their ops in one order. The
 first checkout runs first in even pairs and second in odd ones, so a drift
 of the machine's speed falls on both sides alike. Each run's result is the
@@ -10,15 +10,15 @@ JSON object on the last line of its standard output.
 
 Prints each run's ``correct`` flag, failed ops and end-to-end metrics, then
 per metric each side's median and quartiles over the pairs, the ratio of
-the medians and the pairs whose second checkout did better, by the metric's
-direction in ``BENCHMARK.json`` (higher ``ops_per_s``, lower ``setup_s``
-and ``peak_rss_mb``). A run without a result, or one not ``correct``,
-makes the exit status 1. The tool reads the checkouts and writes nothing
-in them; the benchmark writes its own scratch files there.
+the medians and the pairs whose second checkout did better, by each
+end-to-end metric's direction in ``BENCHMARK.json``. A run without a
+result, or one not ``correct``, makes the exit status 1. The tool reads
+the checkouts and writes nothing in them; the benchmark writes its own
+scratch files there.
 
 Run from anywhere:
 ``python tools/ab_pairs.py <parent checkout> <change checkout> --workload study
---pairs 10 --seconds 10``.
+--pairs 10``.
 """
 
 from __future__ import annotations
@@ -26,24 +26,19 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import shlex
 import statistics
 import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-# each metric's better direction where BENCHMARK.json gives none
-DIRECTIONS = {"ops_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
 
 
 def _benchmark():
-    """(command, {metric: "higher" or "lower"}) of this repository's
-    BENCHMARK.json, or the defaults where it is missing."""
-    try:
-        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    except FileNotFoundError:
-        return ["python3", "perfbench/run.py"], dict(DIRECTIONS)
-    return spec["command"], {m["name"]: m["better"] for m in spec["end_to_end"]}
+    """(command, run seconds, {end-to-end metric: "higher" or "lower"}) of
+    this repository's BENCHMARK.json."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return (spec["command"], spec["run_seconds"],
+            {m["name"]: m["better"] for m in spec["end_to_end"]})
 
 
 def run_once(command, checkout, workload, seconds, seed):
@@ -70,16 +65,14 @@ def quartiles(values):
 
 def summary(results, directions):
     """{metric: (its direction, the (q1, median, q3) of each side, the
-    ratio of the medians, pairs the second side won, pairs compared)} over
-    the pairs where both runs gave the metric."""
+    ratio of the medians, pairs the second side won, pairs compared)} per
+    metric of directions, over the pairs where both runs gave it."""
     out = {}
-    for name in dict.fromkeys(k for pair in results for side in pair if side
-                              for k in side["metrics"]):
+    for name, better in directions.items():
         pairs = [(a["metrics"][name]["value"], b["metrics"][name]["value"])
                  for a, b in results if a and b and name in a["metrics"] and name in b["metrics"]]
         if not pairs:
             continue
-        better = directions.get(name, "higher")
         wins = sum((b > a) if better == "higher" else (b < a) for a, b in pairs)
         first, second = (quartiles([p[k] for p in pairs]) for k in (0, 1))
         ratio = second[1] / first[1] if first[1] else float("nan")
@@ -93,18 +86,14 @@ def main(argv=None):
     parser.add_argument("second", help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--command", help="benchmark command, as one shell-quoted string")
     args = parser.parse_args(argv)
-    command, directions = _benchmark()
-    if args.command:
-        command = shlex.split(args.command)
+    command, seconds, directions = _benchmark()
     sides = (args.first, args.second)
     results, ok = [], True
     for seed in range(args.pairs):
         pair = [None, None]
         for k in ((0, 1) if seed % 2 == 0 else (1, 0)):
-            pair[k] = run_once(command, sides[k], args.workload, args.seconds, seed)
+            pair[k] = run_once(command, sides[k], args.workload, seconds, seed)
             res = pair[k]
             ok &= bool(res and res.get("correct"))
             values = "" if res is None else " ".join(
